@@ -119,6 +119,9 @@ pub struct AsicCounters {
     /// [`CounterSink::register_flush`]); run by [`AsicCounters::flush_to`]
     /// before the poller samples the bank.
     flush_hooks: RefCell<Vec<FlushHook>>,
+    /// Read-and-clear registers with a live exclusive reader (see
+    /// [`AsicCounters::claim_read_and_clear`]).
+    claimed: RefCell<Vec<CounterId>>,
 }
 
 impl fmt::Debug for AsicCounters {
@@ -127,6 +130,7 @@ impl fmt::Debug for AsicCounters {
             .field("n_ports", &self.n_ports)
             .field("n_cells", &self.cells.len())
             .field("flush_hooks", &self.flush_hooks.borrow().len())
+            .field("claimed", &self.claimed.borrow())
             .finish()
     }
 }
@@ -146,7 +150,32 @@ impl AsicCounters {
                 .collect(),
             n_ports,
             flush_hooks: RefCell::new(Vec::new()),
+            claimed: RefCell::new(Vec::new()),
         }
+    }
+
+    /// Claims exclusive use of every read-and-clear register in `ids` for
+    /// one reader. Reading such a register re-seeds it, so two campaigns
+    /// polling it over the same window would each see only the excursions
+    /// since the *other's* last read; the bank refuses the second claim
+    /// instead. All-or-nothing: on `Err` (carrying the first register
+    /// already claimed) nothing was claimed. Non-destructive counters are
+    /// ignored — any number of readers may share them. Pair with
+    /// [`AsicCounters::release_read_and_clear`] when the reader is done.
+    pub fn claim_read_and_clear(&self, ids: &[CounterId]) -> Result<(), CounterId> {
+        let mut claimed = self.claimed.borrow_mut();
+        let wanted = || ids.iter().copied().filter(|id| id.is_read_and_clear());
+        if let Some(taken) = wanted().find(|id| claimed.contains(id)) {
+            return Err(taken);
+        }
+        claimed.extend(wanted());
+        Ok(())
+    }
+
+    /// Releases the claims [`AsicCounters::claim_read_and_clear`] took for
+    /// `ids`, so a later campaign may poll those registers.
+    pub fn release_read_and_clear(&self, ids: &[CounterId]) {
+        self.claimed.borrow_mut().retain(|c| !ids.contains(c));
     }
 
     /// Runs every registered flush hook so deferred (hybrid fast-forward)
@@ -350,6 +379,26 @@ mod tests {
         c.buffer_level(0);
         assert_eq!(c.read(CounterId::BufferPeak), 9000);
         assert_eq!(c.read(CounterId::BufferPeak), 0);
+    }
+
+    #[test]
+    fn read_and_clear_registers_have_one_reader_at_a_time() {
+        let c = AsicCounters::new(1);
+        let bytes = [CounterId::TxBytes(PortId(0))];
+        let with_peak = [CounterId::TxBytes(PortId(0)), CounterId::BufferPeak];
+        // Cumulative counters are shared freely.
+        assert_eq!(c.claim_read_and_clear(&bytes), Ok(()));
+        assert_eq!(c.claim_read_and_clear(&bytes), Ok(()));
+        assert_eq!(c.claim_read_and_clear(&with_peak), Ok(()));
+        assert_eq!(
+            c.claim_read_and_clear(&[CounterId::BufferPeak]),
+            Err(CounterId::BufferPeak)
+        );
+        // Releasing a campaign that never held the register changes nothing.
+        c.release_read_and_clear(&bytes);
+        assert!(c.claim_read_and_clear(&with_peak).is_err());
+        c.release_read_and_clear(&with_peak);
+        assert_eq!(c.claim_read_and_clear(&[CounterId::BufferPeak]), Ok(()));
     }
 
     #[test]

@@ -10,15 +10,20 @@
 //! For every harness (`analysis`, `framework`, `simulation`) the gate loads
 //! `BENCH_<name>.json` from both directories and compares medians case by
 //! case. A case whose fresh median exceeds `max_ratio` × its baseline
-//! median (default 1.3) is a regression and fails the run. Cases present
+//! median (default 1.5) is a regression and fails the run. Cases present
 //! only in the fresh results are new benchmarks (informational); cases
 //! present only in the baseline mean coverage was lost and also fail —
 //! a silently deleted benchmark is how regressions go unwatched.
 //!
 //! The threshold is deliberately loose: it is a tripwire for order-of-A
 //! slowdowns (an accidental O(n log n) → O(n²), a lost fast path), not a
-//! microbenchmark referee. Host-to-host variance on shared CI runners is
-//! well inside 1.3×.
+//! microbenchmark referee. One number, locally and in CI, from measured
+//! noise: on the shared 2-vCPU reference host the wall time of unchanged
+//! code drifts ±20 % in regimes that outlast a bench run
+//! (`benchmark/README.md`), so the ratio of two honest medians reaches
+//! 1.2 / 0.8 = 1.5; anything tighter flags the host, and the regressions
+//! this gate exists for are ≥ 2×. Finer claims go through the
+//! host-speed-normalized pipeline benchmark (`benchmark/`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -28,8 +33,9 @@ use uburst_bench::benchjson::{parse_rows, BenchRow};
 /// Harnesses the gate expects results for (one `BENCH_<name>.json` each).
 const HARNESSES: &[&str] = &["analysis", "framework", "simulation"];
 
-/// Default failure threshold: fresh median / baseline median.
-const DEFAULT_MAX_RATIO: f64 = 1.3;
+/// Default failure threshold: fresh median / baseline median (see the
+/// module docs for why 1.5).
+const DEFAULT_MAX_RATIO: f64 = 1.5;
 
 fn load(dir: &Path, name: &str) -> Result<Vec<BenchRow>, String> {
     let path = dir.join(format!("BENCH_{name}.json"));

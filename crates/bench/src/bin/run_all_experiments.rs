@@ -19,9 +19,16 @@ fn main() {
     println!("uburst reproduction report (scale: {})", scale.label());
     println!("====================================================");
     let experiments = uburst_bench::figures::all_experiments();
+    // Figs. 3, 4, 6 and Table 2 read the same campaigns: measure once.
+    let t = Instant::now();
+    let single_port = uburst_bench::figures::common::SinglePortData::collect(scale);
+    eprintln!(
+        "[single-port dataset collected in {:.1}s]",
+        t.elapsed().as_secs_f64()
+    );
     let reports = uburst_bench::run_jobs(experiments, |(id, title, runner)| {
         let t = Instant::now();
-        let report = runner(scale);
+        let report = runner.report(scale, &single_port);
         eprintln!("[{id} completed in {:.1}s]", t.elapsed().as_secs_f64());
         (id, title, report)
     });

@@ -5,30 +5,35 @@
 //! a campaign window, convert cumulative byte series to per-interval
 //! utilization.
 //!
-//! A campaign is described by a [`CampaignSpec`] (pure data, `Send`) and
-//! executed with [`CampaignSpec::run`], which builds the scenario,
-//! simulates it, and reduces everything the harnesses consume into a
-//! `Send` [`CampaignRun`]. The split exists for the parallel engine
+//! A campaign is described by a [`CampaignSpec`] (pure data, `Send`).
+//! Campaigns that measure the same scenario over the same window execute
+//! as one [`run_group`]: the scenario is built and simulated **once** with
+//! one poller per campaign attached — the paper polls several counter
+//! classes on the same live switch at the same time (§4.1) — and each
+//! poller is reduced to its own `Send` [`CampaignRun`].
+//! [`CampaignSpec::run`] is the group of one, so there is a single
+//! execution path. The spec/run split exists for the parallel engine
 //! (`pool.rs`): simulations are `Rc`/`Cell`-based and cannot cross
-//! threads, so a worker runs the whole spec and ships only the reduced
-//! result back.
+//! threads, so a worker runs a whole group and ships only the reduced
+//! results back.
 
 use uburst_asic::{AccessModel, CounterId, FaultInjector, FaultPlan, FaultStats};
 use uburst_core::degrade::DegradationPolicy;
 use uburst_core::poller::{Poller, RetryPolicy};
 use uburst_core::series::{Series, UtilSample};
 use uburst_core::spec::CampaignConfig;
-use uburst_sim::node::PortId;
+use uburst_sim::node::{NodeId, PortId};
 use uburst_sim::switch::{Switch, SwitchStats};
 use uburst_sim::time::Nanos;
 use uburst_sim::transport::TransportStats;
 use uburst_workloads::host::AppHost;
-use uburst_workloads::scenario::{build_scenario, ScenarioConfig};
+use uburst_workloads::scenario::{build_scenario, Scenario, ScenarioConfig};
 
 /// Everything one campaign needs: the scenario to build, the counters to
 /// poll, the window, and the robustness layer. Pure data — build specs
-/// up front, then execute them sequentially ([`CampaignSpec::run`]) or on
-/// the worker pool ([`crate::pool::run_parallel`]).
+/// up front, then execute them one at a time ([`CampaignSpec::run`]) or on
+/// the worker pool ([`crate::pool::run_parallel`]), which simulates specs
+/// sharing a `cfg` and `span` once.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
     /// The scenario to measure.
@@ -84,41 +89,50 @@ impl CampaignSpec {
         self
     }
 
-    /// Executes the campaign: build, warm up, poll, reduce. Fully
+    /// Executes the campaign: the [`run_group`] of one. Fully
     /// deterministic from the spec — equal specs produce equal runs, on
-    /// any thread.
+    /// any thread, alone or sharing a simulation with other campaigns.
     pub fn run(self) -> CampaignRun {
-        let CampaignSpec {
-            cfg,
-            counters,
-            interval,
-            span,
-            faults,
-            retry,
-            degradation,
-        } = self;
-        let seed = cfg.seed;
-        let n_ports = cfg.n_servers + cfg.clos.n_fabric;
-        // Fastest link the campaign can observe: bounds the plausible
-        // per-interval byte delta for the wrap-regression guard.
-        let max_bps = cfg
-            .clos
-            .server_link
-            .bandwidth_bps
-            .max(cfg.clos.uplink.bandwidth_bps);
-        let mut scenario = build_scenario(cfg);
-        let warmup = scenario.recommended_warmup();
-        scenario.sim.run_until(warmup);
-        let campaign = CampaignConfig::group("bench", counters, interval);
+        run_group(vec![self])
+            .pop()
+            .expect("a group of one yields one run")
+    }
+
+    /// Whether `self` and `other` measure the same simulation: the same
+    /// scenario over the same window. Field-by-field equality, so a NaN
+    /// parameter equals nothing and such a spec always runs alone.
+    fn same_simulation(&self, other: &CampaignSpec) -> bool {
+        self.span == other.span && self.cfg == other.cfg
+    }
+
+    /// Whether both campaigns poll some read-and-clear register: two
+    /// readers would steal each other's peaks, so they cannot share a bank.
+    fn contends_with(&self, other: &CampaignSpec) -> bool {
+        self.counters
+            .iter()
+            .any(|c| c.is_read_and_clear() && other.counters.contains(c))
+    }
+
+    /// Builds this campaign's poller on `scenario` and schedules it over
+    /// `[start, stop)`.
+    fn attach(self, scenario: &mut Scenario, start: Nanos, stop: Nanos) -> NodeId {
+        let campaign = CampaignConfig::group("bench", self.counters, self.interval);
         let mut poller = Poller::in_memory(
             scenario.counters.clone(),
             AccessModel::default(),
             campaign,
-            seed ^ 0x9e37_79b9,
+            scenario.cfg.seed ^ 0x9e37_79b9,
         )
         .expect("bench campaign is well-formed")
-        .with_retry(retry);
-        if let Some(plan) = faults {
+        .with_retry(self.retry);
+        if let Some(plan) = self.faults {
+            // Fastest link the campaign can observe: bounds the plausible
+            // per-interval byte delta for the wrap-regression guard.
+            let clos = &scenario.cfg.clos;
+            let max_bps = clos
+                .server_link
+                .bandwidth_bps
+                .max(clos.uplink.bandwidth_bps);
             // Fault plans can serve stale (even cross-counter) raws; tighten
             // the decoders' wrap guard to the link-rate-derived threshold so
             // a regressed raw is rejected instead of decoded as a wrap.
@@ -126,33 +140,123 @@ impl CampaignSpec {
                 .with_faults(FaultInjector::new(plan))
                 .with_wrap_guard(max_bps);
         }
-        if let Some(policy) = degradation {
+        if let Some(policy) = self.degradation {
             poller = poller.with_degradation(policy);
         }
-        let stop = warmup + span;
-        let id = poller
-            .spawn(&mut scenario.sim, warmup, stop)
-            .expect("bench campaign window is non-empty");
-        // Slack past the stop so the final in-flight poll completes.
-        scenario.sim.run_until(stop + Nanos::from_millis(1));
-        let poller_ref = scenario.sim.node_mut::<Poller>(id);
-        let poller_stats = poller_ref.stats();
-        if uburst_obs::enabled() {
-            // Simulated extent of the whole campaign task, as seen from the
-            // pool layer (the poller records its own "campaign" span).
-            let extent = poller_stats
-                .stopped_at
-                .as_nanos()
-                .saturating_sub(poller_stats.started_at.as_nanos());
-            uburst_obs::span_record("pool/campaign_task", extent);
-        }
-        let fault_stats = poller_ref.fault_stats();
-        let degrade_level = poller_ref.degrade_level();
-        let series = poller_ref.take_series().expect("in-memory campaign");
+        poller
+            .spawn(&mut scenario.sim, start, stop)
+            .expect("bench campaign window is non-empty and its registers unclaimed")
+    }
+}
 
-        // Reduce the (non-Send) scenario to the post-run facts harnesses
-        // consume: ToR switch totals, per-port drop counters, transport
-        // diagnostics summed over every host.
+/// Runs every campaign of a group on **one** simulation: build the
+/// scenario once, warm it up, attach one poller per campaign over the same
+/// window, simulate once, and reduce each poller to its own
+/// [`CampaignRun`] (in `specs` order) around one shared [`NetSnapshot`].
+///
+/// Each run is byte-identical to the campaign's solo run. A poller is a
+/// passive observer: it owns its RNG and fault/retry/degradation state,
+/// injects no packets, and the simulator settles counter-visible state
+/// exactly at every read instant — so neither the network nor any other
+/// poller can tell how many campaigns are attached. The one shared mutable
+/// thing is a read-and-clear register, which [`plan_groups`] never gives
+/// two readers.
+///
+/// # Panics
+/// Panics if the specs do not all measure the same simulation (same
+/// `cfg` and `span`), or if two of them poll one read-and-clear register.
+pub fn run_group(specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
+    let Some(first) = specs.first() else {
+        return Vec::new();
+    };
+    assert!(
+        specs.iter().all(|s| s.same_simulation(first)),
+        "a campaign group shares one scenario and one span"
+    );
+    let span = first.span;
+    let mut scenario = build_scenario(first.cfg.clone());
+    let warmup = scenario.recommended_warmup();
+    scenario.sim.run_until(warmup);
+    let stop = warmup + span;
+    let pollers: Vec<NodeId> = specs
+        .into_iter()
+        .map(|spec| spec.attach(&mut scenario, warmup, stop))
+        .collect();
+    // Slack past the stop so the final in-flight polls complete.
+    scenario.sim.run_until(stop + Nanos::from_millis(1));
+    let net = NetSnapshot::of(&scenario);
+    pollers
+        .into_iter()
+        .map(|id| {
+            let poller = scenario.sim.node_mut::<Poller>(id);
+            let poller_stats = poller.stats();
+            if uburst_obs::enabled() {
+                // Simulated extent of the whole campaign task, as seen from
+                // the pool layer (the poller records its own "campaign"
+                // span). Once per campaign, however many share the run.
+                let extent = poller_stats
+                    .stopped_at
+                    .as_nanos()
+                    .saturating_sub(poller_stats.started_at.as_nanos());
+                uburst_obs::span_record("pool/campaign_task", extent);
+            }
+            CampaignRun {
+                series: poller.take_series().expect("in-memory campaign"),
+                poller_stats,
+                fault_stats: poller.fault_stats(),
+                degrade_level: poller.degrade_level(),
+                net: net.clone(),
+            }
+        })
+        .collect()
+}
+
+/// Partitions `specs` into groups that can each ride one simulation
+/// ([`run_group`]), each as `(submission indices, specs)`: a spec joins the
+/// first group that measures the same simulation and holds no other reader
+/// of a read-and-clear register it polls, and opens a new group otherwise.
+/// Groups and their members keep submission order.
+///
+/// Grouping compares specs for equality rather than hashing them: the
+/// configuration is full of `f64` rates (no `Hash`, and a NaN must match
+/// nothing), equality needs no canonical form to stay in step with new
+/// fields, and a campaign set is tens of specs.
+pub fn plan_groups(specs: Vec<CampaignSpec>) -> Vec<(Vec<usize>, Vec<CampaignSpec>)> {
+    let mut groups: Vec<(Vec<usize>, Vec<CampaignSpec>)> = Vec::new();
+    for (i, spec) in specs.into_iter().enumerate() {
+        let home = groups.iter_mut().find(|(_, members)| {
+            members[0].same_simulation(&spec) && !members.iter().any(|m| m.contends_with(&spec))
+        });
+        match home {
+            Some((slots, members)) => {
+                slots.push(i);
+                members.push(spec);
+            }
+            None => groups.push((vec![i], vec![spec])),
+        }
+    }
+    groups
+}
+
+/// Post-run network state, reduced from the scenario before it is dropped
+/// (the scenario itself is `Rc`-based and cannot leave its worker thread).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NetSnapshot {
+    /// The measured ToR switch's totals.
+    pub tor: SwitchStats,
+    /// Final congestion-drop counter per ToR port (downlinks then
+    /// uplinks, indexed by `PortId`).
+    pub port_drops: Vec<u64>,
+    /// Transport diagnostics summed over every host (rack and remote).
+    pub transport: TransportStats,
+}
+
+impl NetSnapshot {
+    /// Reduces a finished scenario to the post-run facts harnesses
+    /// consume: ToR switch totals, per-port drop counters, transport
+    /// diagnostics summed over every host.
+    fn of(scenario: &Scenario) -> Self {
+        let n_ports = scenario.cfg.n_servers + scenario.cfg.clos.n_fabric;
         let tor = scenario.sim.node::<Switch>(scenario.tor()).stats();
         let port_drops: Vec<u64> = (0..n_ports)
             .map(|i| scenario.counters.read(CounterId::Drops(PortId(i as u16))))
@@ -167,35 +271,13 @@ impl CampaignSpec {
             transport.timeouts += s.timeouts;
             transport.fast_retransmits += s.fast_retransmits;
         }
-
-        CampaignRun {
-            series,
-            poller_stats,
-            fault_stats,
-            degrade_level,
-            net: NetSnapshot {
-                tor,
-                port_drops,
-                transport,
-            },
+        NetSnapshot {
+            tor,
+            port_drops,
+            transport,
         }
     }
-}
 
-/// Post-run network state, reduced from the scenario before it is dropped
-/// (the scenario itself is `Rc`-based and cannot leave its worker thread).
-#[derive(Debug, Clone)]
-pub struct NetSnapshot {
-    /// The measured ToR switch's totals.
-    pub tor: SwitchStats,
-    /// Final congestion-drop counter per ToR port (downlinks then
-    /// uplinks, indexed by `PortId`).
-    pub port_drops: Vec<u64>,
-    /// Transport diagnostics summed over every host (rack and remote).
-    pub transport: TransportStats,
-}
-
-impl NetSnapshot {
     /// Drops summed over the server-facing ports `0..n_servers`.
     pub fn downlink_drops(&self, n_servers: usize) -> u64 {
         self.port_drops[..n_servers.min(self.port_drops.len())]
@@ -213,7 +295,7 @@ impl NetSnapshot {
 
 /// The outcome of one campaign on one rack instance. Plain data (`Send`):
 /// safe to ship out of a pool worker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRun {
     /// `(counter, series)` pairs in campaign order.
     pub series: Vec<(CounterId, Series)>,

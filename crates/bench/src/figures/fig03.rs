@@ -8,17 +8,20 @@
 use std::fmt::Write;
 
 use uburst_analysis::{Ecdf, HOT_THRESHOLD};
-use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::{all_burst_durations_us, collect_single_port_utils};
+use crate::figures::common::{all_burst_durations_us, SinglePortData};
 use crate::report::Table;
 use crate::scale::Scale;
 use crate::DURATION_POINTS_US;
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(25);
+    render(scale, &SinglePortData::collect(scale))
+}
+
+/// Renders the report from an already collected dataset.
+pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -35,8 +38,7 @@ pub fn run(scale: Scale) -> String {
     let mut p90s = Vec::new();
 
     for rack_type in RackType::ALL {
-        let runs = collect_single_port_utils(scale, rack_type, interval);
-        let durations = all_burst_durations_us(&runs, HOT_THRESHOLD);
+        let durations = all_burst_durations_us(data.runs(rack_type), HOT_THRESHOLD);
         let ecdf = Ecdf::new(durations);
         table.row(&[
             rack_type.name().to_string(),

@@ -8,10 +8,9 @@
 use std::fmt::Write;
 
 use uburst_analysis::{ks_test_exponential_with_ecdf, HOT_THRESHOLD};
-use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::{all_gaps_us, collect_single_port_utils};
+use crate::figures::common::{all_gaps_us, SinglePortData};
 use crate::report::Table;
 use crate::scale::Scale;
 
@@ -22,6 +21,11 @@ const GAP_POINTS_US: [f64; 10] = [
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
+    render(scale, &SinglePortData::collect(scale))
+}
+
+/// Renders the report from an already collected dataset.
+pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -37,8 +41,7 @@ pub fn run(scale: Scale) -> String {
     let mut checks: Vec<(String, bool)> = Vec::new();
 
     for rack_type in RackType::ALL {
-        let runs = collect_single_port_utils(scale, rack_type, Nanos::from_micros(25));
-        let gaps = all_gaps_us(&runs, HOT_THRESHOLD);
+        let gaps = all_gaps_us(data.runs(rack_type), HOT_THRESHOLD);
         // One shared sort for the test and the CDF (bit-identical to the
         // separate ks_test_exponential + Ecdf::new pair it replaces).
         let (ks, ecdf) = ks_test_exponential_with_ecdf(gaps);

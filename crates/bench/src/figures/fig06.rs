@@ -8,10 +8,9 @@
 use std::fmt::Write;
 
 use uburst_analysis::{Ecdf, HOT_THRESHOLD};
-use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::collect_single_port_utils;
+use crate::figures::common::SinglePortData;
 use crate::report::Table;
 use crate::scale::Scale;
 
@@ -20,6 +19,11 @@ const UTIL_POINTS: [f64; 9] = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0]
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
+    render(scale, &SinglePortData::collect(scale))
+}
+
+/// Renders the report from an already collected dataset.
+pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -42,8 +46,8 @@ pub fn run(scale: Scale) -> String {
     let mut near_full = Vec::new();
 
     for rack_type in RackType::ALL {
-        let runs = collect_single_port_utils(scale, rack_type, Nanos::from_micros(25));
-        let utils: Vec<f64> = runs
+        let utils: Vec<f64> = data
+            .runs(rack_type)
             .iter()
             .flat_map(|r| r.utils.iter().map(|u| u.util.min(1.0)))
             .collect();

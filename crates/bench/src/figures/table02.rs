@@ -8,10 +8,9 @@
 use std::fmt::Write;
 
 use uburst_analysis::{fit_transition_matrix, hot_chain, HOT_THRESHOLD};
-use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::collect_single_port_utils;
+use crate::figures::common::SinglePortData;
 use crate::report::Table;
 use crate::scale::Scale;
 
@@ -24,6 +23,11 @@ pub const PAPER_R: [(RackType, f64); 3] = [
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
+    render(scale, &SinglePortData::collect(scale))
+}
+
+/// Renders the report from an already collected dataset.
+pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -46,12 +50,11 @@ pub fn run(scale: Scale) -> String {
     for (rack_type, paper_r) in PAPER_R {
         // Aggregate transition counts across rack instances by summing the
         // per-rack counts (equivalent to the paper's pooled MLE).
-        let runs = collect_single_port_utils(scale, rack_type, Nanos::from_micros(25));
         let mut n01 = 0.0;
         let mut n0 = 0.0;
         let mut n11 = 0.0;
         let mut n1 = 0.0;
-        for r in &runs {
+        for r in data.runs(rack_type) {
             let chain = hot_chain(&r.utils, HOT_THRESHOLD);
             let m = fit_transition_matrix(&chain);
             if m.from0 > 0 {

@@ -18,6 +18,11 @@
 //!   builds, runs, and reduces its scenario entirely inside one worker and
 //!   only the reduced (`Send`) result crosses threads — see
 //!   [`crate::campaign::CampaignRun`].
+//! * **Simulate once, measure many.** [`run_parallel`] plans campaigns
+//!   that measure the same simulation into one group
+//!   ([`crate::campaign::plan_groups`]) and runs one job per group, so a
+//!   rack polled by several campaigns is built and simulated once. The
+//!   plan is made per call from spec equality; nothing is cached.
 //! * **Determinism.** Jobs are seeded and independent; results are
 //!   reordered by submission index before they are returned. A run with
 //!   `UBURST_THREADS=1` executes the jobs inline on the caller, which is
@@ -36,7 +41,7 @@ use std::sync::OnceLock;
 
 use uburst_core::channel;
 
-use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::campaign::{plan_groups, run_group, CampaignRun, CampaignSpec};
 use crate::scale::Scale;
 
 /// Permits for *extra* worker threads, shared across nested pools.
@@ -66,6 +71,16 @@ fn release_workers(n: usize) {
     }
 }
 
+/// Submitted-job accounting: counts what the caller handed in (inputs,
+/// campaigns), never workers or fused groups, so the total is identical
+/// whatever the thread budget resolves to and however campaigns share
+/// simulations.
+fn count_submitted(n: usize) {
+    if uburst_obs::enabled() {
+        uburst_obs::counter_add("uburst_pool_jobs_total", n as u64);
+    }
+}
+
 /// Runs `f` over every input on the worker pool, returning the results in
 /// submission order. The calling thread always participates, so this is
 /// exactly sequential execution when no extra workers are available
@@ -74,6 +89,17 @@ fn release_workers(n: usize) {
 /// # Panics
 /// Propagates the first panicking job (the scope joins its workers).
 pub fn run_jobs<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    count_submitted(inputs.len());
+    run_budgeted(inputs, f)
+}
+
+/// Runs the jobs with as many extra workers as the global budget grants.
+fn run_budgeted<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -96,6 +122,17 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    count_submitted(inputs.len());
+    run_on(threads, inputs, f)
+}
+
+/// Runs the jobs on exactly `threads` threads (the caller included).
+fn run_on<T, R, F>(threads: usize, inputs: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
     let extra = threads.max(1).min(inputs.len().max(1)) - 1;
     run_jobs_with_extra_workers(extra, inputs, f)
 }
@@ -107,11 +144,6 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = inputs.len();
-    if uburst_obs::enabled() {
-        // Submitted-job accounting: counts inputs, not workers, so the
-        // total is identical whatever the thread budget resolves to.
-        uburst_obs::counter_add("uburst_pool_jobs_total", n as u64);
-    }
     if extra == 0 || n <= 1 {
         return inputs.into_iter().map(f).collect();
     }
@@ -159,16 +191,38 @@ where
 }
 
 /// Runs every campaign spec on the pool, returning the runs in submission
-/// order. Each worker builds its scenario, simulates the campaign, and
-/// reduces it to a `Send` [`CampaignRun`]; byte-for-byte the same results
-/// as calling [`CampaignSpec::run`] in a loop.
+/// order. Campaigns that measure the same simulation are planned into one
+/// group ([`plan_groups`]) and ride one build + one simulation; each group
+/// is one pool job, built, run and reduced to `Send` [`CampaignRun`]s
+/// inside one worker. Byte-for-byte the same results as calling
+/// [`CampaignSpec::run`] in a loop. Nothing is remembered between calls.
 pub fn run_parallel(specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
-    run_jobs(specs, CampaignSpec::run)
+    run_grouped(specs, |groups| run_budgeted(groups, run_group))
 }
 
 /// [`run_parallel`] with an explicit thread count (see [`run_jobs_on`]).
 pub fn run_parallel_on(threads: usize, specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
-    run_jobs_on(threads, specs, CampaignSpec::run)
+    run_grouped(specs, |groups| run_on(threads, groups, run_group))
+}
+
+/// Plans `specs` into groups, hands the groups to `exec` (one job each),
+/// and scatters the runs back to submission order.
+fn run_grouped(
+    specs: Vec<CampaignSpec>,
+    exec: impl FnOnce(Vec<Vec<CampaignSpec>>) -> Vec<Vec<CampaignRun>>,
+) -> Vec<CampaignRun> {
+    let n = specs.len();
+    count_submitted(n);
+    let (slots, groups): (Vec<_>, Vec<_>) = plan_groups(specs).into_iter().unzip();
+    let mut out: Vec<Option<CampaignRun>> = (0..n).map(|_| None).collect();
+    for (slots, runs) in slots.into_iter().zip(exec(groups)) {
+        for (slot, run) in slots.into_iter().zip(runs) {
+            out[slot] = Some(run);
+        }
+    }
+    out.into_iter()
+        .map(|run| run.expect("every spec is planned into exactly one group"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! The observability layer's core contract: telemetry snapshots are a
 //! pure function of the work done, never of how it was scheduled.
 //!
-//! Two acceptance properties from the issue:
+//! Three acceptance properties:
 //! 1. Running the same campaign set on 1 worker thread and on 8 produces
 //!    byte-identical Prometheus and JSON snapshots — every aggregate is
 //!    commutative and clocked on simulated time, so interleaving cannot
 //!    show through.
-//! 2. A WAL session that crashes, recovers, and resumes produces the same
+//! 2. Nor can fusion: the pool simulates campaigns that share a scenario
+//!    once, yet the snapshot equals that of a loop running every campaign
+//!    alone (jobs and `pool/campaign_task` count campaigns, not groups).
+//! 3. A WAL session that crashes, recovers, and resumes produces the same
 //!    snapshot every time the same crash is replayed.
 //!
 //! The registry is a process-global, so the tests serialize on one lock
@@ -15,7 +18,7 @@
 use std::sync::Mutex;
 
 use uburst_asic::{CounterId, FaultPlan};
-use uburst_bench::{run_parallel_on, CampaignSpec};
+use uburst_bench::{run_jobs_on, run_parallel_on, CampaignSpec};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
     Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipper, ShipperConfig, SourceId,
@@ -41,7 +44,9 @@ fn with_registry<R>(f: impl FnOnce() -> R) -> R {
 
 /// A small campaign set that exercises the instrumented paths: plain
 /// polling, faulted reads with narrow counters (wrap decoding), and the
-/// buffer-peak register.
+/// buffer-peak register — with two racks measured more than once, so the
+/// pool fuses (a byte campaign joins Hadoop 203) and must split (a second
+/// peak reader on Web 201).
 fn specs() -> Vec<CampaignSpec> {
     let plain = |rack, seed| {
         CampaignSpec::new(
@@ -68,6 +73,13 @@ fn specs() -> Vec<CampaignSpec> {
         plain(RackType::Cache, 202),
         plain(RackType::Hadoop, 203),
         faulted,
+        CampaignSpec::new(
+            ScenarioConfig::new(RackType::Hadoop, 203),
+            vec![CounterId::TxBytes(PortId(2))],
+            Nanos::from_micros(25),
+            Nanos::from_millis(5),
+        ),
+        plain(RackType::Web, 201),
     ]
 }
 
@@ -76,7 +88,7 @@ fn snapshots_are_byte_identical_across_thread_counts() {
     let measure = |threads: usize| {
         with_registry(|| {
             let runs = run_parallel_on(threads, specs());
-            assert_eq!(runs.len(), 4);
+            assert_eq!(runs.len(), specs().len());
             let snap = uburst_obs::snapshot();
             (snap.to_prometheus(), snap.to_json())
         })
@@ -102,6 +114,26 @@ fn snapshots_are_byte_identical_across_thread_counts() {
             sequential.0.contains(metric),
             "snapshot is missing {metric}:\n{}",
             sequential.0
+        );
+    }
+}
+
+#[test]
+fn fused_snapshot_equals_the_unfused_loop() {
+    let unfused = with_registry(|| {
+        run_jobs_on(1, specs(), CampaignSpec::run);
+        uburst_obs::snapshot().to_prometheus()
+    });
+    assert!(unfused.contains("uburst_pool_jobs_total 6"), "{unfused}");
+    assert!(unfused.contains("uburst_span_count{path=\"pool/campaign_task\"} 6"));
+    for threads in [1, 8] {
+        let fused = with_registry(|| {
+            run_parallel_on(threads, specs());
+            uburst_obs::snapshot().to_prometheus()
+        });
+        assert_eq!(
+            fused, unfused,
+            "fused snapshot on {threads} thread(s) differs from the solo loop's"
         );
     }
 }

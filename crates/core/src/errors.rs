@@ -26,6 +26,13 @@ pub enum PollError {
     /// A result accessor needed a [`crate::MemorySink`] output, but the
     /// poller ships to a channel (or a custom sink).
     NotMemorySink,
+    /// `spawn` was asked to poll a read-and-clear register that another
+    /// live campaign on the same bank already polls: every read re-seeds
+    /// the register, so the two would steal each other's peaks.
+    RegisterClaimed {
+        /// The register already claimed.
+        counter: uburst_asic::CounterId,
+    },
 }
 
 impl fmt::Display for PollError {
@@ -39,6 +46,10 @@ impl fmt::Display for PollError {
             PollError::NotMemorySink => {
                 write!(f, "poller output is not a MemorySink")
             }
+            PollError::RegisterClaimed { counter } => write!(
+                f,
+                "read-and-clear register {counter:?} is already polled by a live campaign"
+            ),
         }
     }
 }

@@ -325,6 +325,12 @@ impl Poller {
 
     /// Adds the poller to the simulation and schedules its campaign over
     /// `[start, stop)`. Returns its node id.
+    ///
+    /// Any number of pollers may share one bank and one simulation — a
+    /// poller only reads, on its own RNG — except that a read-and-clear
+    /// register takes one reader at a time: the campaign claims those it
+    /// polls until its window closes, and a second live campaign asking
+    /// for one gets [`PollError::RegisterClaimed`].
     pub fn spawn(
         mut self,
         sim: &mut Simulator,
@@ -334,6 +340,9 @@ impl Poller {
         if stop <= start {
             return Err(PollError::EmptyWindow { start, stop });
         }
+        self.bank
+            .claim_read_and_clear(&self.campaign.counters)
+            .map_err(|counter| PollError::RegisterClaimed { counter })?;
         self.deadline = start;
         self.stop_at = stop;
         self.stats.started_at = start;
@@ -528,6 +537,7 @@ impl Poller {
             self.stats.stopped_at = now;
             self.output.finish();
             self.finished = true;
+            self.bank.release_read_and_clear(&self.campaign.counters);
             self.record_telemetry();
             return;
         }
@@ -801,6 +811,37 @@ mod tests {
             p.spawn(&mut sim, Nanos(5), Nanos(5)).unwrap_err(),
             PollError::EmptyWindow { .. }
         ));
+    }
+
+    #[test]
+    fn read_and_clear_register_takes_one_live_campaign() {
+        let mut sim = Simulator::new();
+        let bank = AsicCounters::new_shared(1);
+        let peak = || {
+            let campaign =
+                CampaignConfig::single("peak", CounterId::BufferPeak, Nanos::from_micros(50));
+            Poller::in_memory(bank.clone(), AccessModel::default(), campaign, 1).unwrap()
+        };
+        let stop = Nanos::from_millis(1);
+        let first = peak().spawn(&mut sim, Nanos::ZERO, stop).unwrap();
+        assert_eq!(
+            peak().spawn(&mut sim, Nanos::ZERO, stop).unwrap_err(),
+            PollError::RegisterClaimed {
+                counter: CounterId::BufferPeak
+            }
+        );
+        // Byte counters are not exclusive: a second campaign joins freely.
+        let bytes = CampaignConfig::single("b", CounterId::TxBytes(PortId(0)), Nanos(50_000));
+        Poller::in_memory(bank.clone(), AccessModel::default(), bytes, 2)
+            .unwrap()
+            .spawn(&mut sim, Nanos::ZERO, stop)
+            .unwrap();
+        sim.run_until(Nanos::MAX);
+        assert!(sim.node::<Poller>(first).is_finished());
+        // The window closed, so the register is free again.
+        peak()
+            .spawn(&mut sim, Nanos::from_millis(2), Nanos::from_millis(3))
+            .unwrap();
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::routing::RoutingTable;
 use crate::time::Nanos;
 
 /// Static switch parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchConfig {
     /// Number of ports (dense, `0..ports`).
     pub ports: u16,

@@ -22,7 +22,7 @@ use crate::switch::{Switch, SwitchConfig};
 use crate::time::Nanos;
 
 /// Parameters of the Clos fabric.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClosConfig {
     /// Fabric switches per pod (= uplinks per ToR). The paper's racks use 4.
     pub n_fabric: usize,

@@ -31,7 +31,7 @@ use crate::time::Nanos;
 pub const TRANSPORT_TOKEN_BIT: u64 = 1 << 63;
 
 /// Transport tuning knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Initial congestion window, in segments (RFC 6928 uses 10).
     pub init_cwnd: u32,

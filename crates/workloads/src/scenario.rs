@@ -59,7 +59,7 @@ impl RackType {
 }
 
 /// Web-scenario tuning (rates are per web server at load 1.0 / peak hour).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebParams {
     /// User requests per second per web server.
     pub req_rate_per_server: f64,
@@ -91,7 +91,7 @@ impl Default for WebParams {
 }
 
 /// Cache-scenario tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheParams {
     /// Scatter-gather groups per second across all frontends.
     pub groups_per_s_total: f64,
@@ -125,7 +125,7 @@ impl Default for CacheParams {
 }
 
 /// Hadoop-scenario tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HadoopParams {
     /// Map-wave spacing.
     pub wave_period: Nanos,
@@ -178,7 +178,7 @@ impl HadoopParams {
 }
 
 /// Full scenario configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Which app the measured rack runs.
     pub rack_type: RackType,

@@ -25,7 +25,7 @@ use crate::host::{App, Env, Incoming};
 use crate::tags::MsgKind;
 
 /// Log-normal byte-size distribution parameterized by its median.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeDist {
     /// Median size in bytes.
     pub median: u64,

@@ -126,6 +126,59 @@ fn full_pipeline_is_deterministic() {
     }
 }
 
+/// Polls `campaigns` together on one simulation of one seeded rack and
+/// returns what each poller recorded, in order.
+fn polled_together(campaigns: &[CampaignConfig]) -> Vec<(PollerStats, Vec<(CounterId, Series)>)> {
+    let mut s = build_scenario(ScenarioConfig::new(RackType::Hadoop, 13));
+    let warmup = s.recommended_warmup();
+    s.sim.run_until(warmup);
+    let stop = warmup + Nanos::from_millis(20);
+    let ids: Vec<_> = campaigns
+        .iter()
+        .map(|campaign| {
+            Poller::in_memory(
+                s.counters.clone(),
+                AccessModel::default(),
+                campaign.clone(),
+                99,
+            )
+            .expect("valid campaign")
+            .spawn(&mut s.sim, warmup, stop)
+            .expect("valid window")
+        })
+        .collect();
+    s.sim.run_until(stop + Nanos::from_millis(1));
+    ids.into_iter()
+        .map(|id| {
+            let poller = s.sim.node_mut::<Poller>(id);
+            (poller.stats(), poller.take_series().expect("in-memory"))
+        })
+        .collect()
+}
+
+/// The poller is a passive observer: a campaign records the same samples
+/// and the same loop statistics whether it has the simulation to itself or
+/// shares it with another campaign — here the figures' two shapes, one
+/// byte counter at 25 us and every port plus the peak register at 300 us.
+#[test]
+fn two_pollers_on_one_simulation_each_record_what_they_record_alone() {
+    let fine = CampaignConfig::single(
+        "fine",
+        CounterId::TxBytes(PortId(1)),
+        Nanos::from_micros(25),
+    );
+    let mut wide: Vec<CounterId> = (0..28).map(|p| CounterId::TxBytes(PortId(p))).collect();
+    wide.push(CounterId::BufferPeak);
+    let wide = CampaignConfig::group("wide", wide, Nanos::from_micros(300));
+
+    let together = polled_together(&[fine.clone(), wide.clone()]);
+    let fine_alone = polled_together(&[fine]).remove(0);
+    let wide_alone = polled_together(&[wide]).remove(0);
+    assert!(fine_alone.0.polls > 700 && wide_alone.0.polls > 60);
+    assert_eq!(together[0], fine_alone, "25us campaign saw its neighbour");
+    assert_eq!(together[1], wide_alone, "300us campaign saw its neighbour");
+}
+
 #[test]
 fn burst_analysis_is_consistent_with_raw_utils() {
     let (_, _, utils) = measured_rack(RackType::Hadoop, 21, Nanos::from_millis(100));
