@@ -211,12 +211,12 @@ fn bench_collector(rec: &mut BenchRecorder) {
     });
 }
 
-/// 64 switches x 16 rounds of 64-sample batches over mildly lossy links —
+/// `switches` x 16 rounds of 64-sample batches over mildly lossy links —
 /// the aggregation-tier workload shared by the fleet benches below.
-fn fleet_streams_64() -> Vec<uburst_core::fleet::SwitchStream> {
+fn fleet_streams(switches: u32) -> Vec<uburst_core::fleet::SwitchStream> {
     use uburst_core::fleet::{RoundInput, SwitchStream};
     use uburst_core::link::LinkPlan;
-    (0..64u32)
+    (0..switches)
         .map(|sw| {
             let rounds = (0..16u64)
                 .map(|r| {
@@ -250,9 +250,32 @@ fn bench_fleet_ingest(rec: &mut BenchRecorder) {
     // Host cost of the whole aggregation tier: retransmits included,
     // merged through per-switch sequence spaces into one store.
     bench(rec, "fleet_ingest_64sw_16r", 20, || {
-        let out = run_fleet(fleet_streams_64(), &FleetConfig::default());
+        let out = run_fleet(fleet_streams(64), &FleetConfig::default());
         out.store.total_samples() as u64
     });
+    // ROADMAP item 1's pinned 1k-switch row: the same generator at 16x
+    // the switches, where the working set no longer fits the cache. Work
+    // that grows with the fleet (a per-source table walked per batch, a
+    // ledger clone per lane) shows here and not in the row above.
+    bench(rec, "fleet_ingest_1024sw_16r", 5, || {
+        let out = run_fleet(fleet_streams(1024), &FleetConfig::default());
+        out.store.total_samples() as u64
+    });
+}
+
+fn bench_obs_enabled(rec: &mut BenchRecorder) {
+    // What one instrumented site costs with the recorder on (ROADMAP 4b;
+    // count_tx_1M and the poller rows gate the disabled path): the
+    // enabled check plus the atomic add through the site's handle.
+    uburst_obs::enable();
+    bench(rec, "obs_enabled_counter_add_1M", 20, || {
+        for i in 0..1_000_000u64 {
+            uburst_obs::counter_add!("uburst_bench_obs_total", black_box(i & 1));
+        }
+        uburst_obs::snapshot().counters["uburst_bench_obs_total"]
+    });
+    uburst_obs::disable();
+    uburst_obs::reset();
 }
 
 fn bench_fleet_recovery(rec: &mut BenchRecorder) {
@@ -263,7 +286,7 @@ fn bench_fleet_recovery(rec: &mut BenchRecorder) {
     // WAL replays on recovery, and the run still converges. The crash
     // offset comes from one reference run outside the timed loop.
     let cfg = FleetConfig::default();
-    let reference = run_fleet(fleet_streams_64(), &cfg);
+    let reference = run_fleet(fleet_streams(64), &cfg);
     let victim = reference
         .regions
         .iter()
@@ -273,7 +296,7 @@ fn bench_fleet_recovery(rec: &mut BenchRecorder) {
         .expect("fleet has regions");
     let crash = RegionCrashPlan::kill(victim, reference.regions[victim].wal_bytes / 2);
     bench(rec, "fleet_region_recovery_64sw", 20, || {
-        let out = run_fleet_with_crashes(fleet_streams_64(), &cfg, &crash);
+        let out = run_fleet_with_crashes(fleet_streams(64), &cfg, &crash);
         out.store.total_samples() as u64 + out.regions[victim].recoveries
     });
 }
@@ -380,6 +403,7 @@ fn main() {
     bench_batcher(&mut rec);
     bench_collector(&mut rec);
     bench_fleet_ingest(&mut rec);
+    bench_obs_enabled(&mut rec);
     bench_fleet_recovery(&mut rec);
     bench_group_commit(&mut rec);
     bench_buffer_policy(&mut rec);

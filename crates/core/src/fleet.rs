@@ -481,7 +481,9 @@ struct Lane {
     shipper: Shipper,
     data_link: LossyLink<SeqBatch>,
     ack_link: LossyLink<AckMsg>,
-    rounds: Vec<RoundInput>,
+    /// The rounds not pumped yet. The lane owns its stream, so each
+    /// round's input is moved out and freed as it is consumed.
+    rounds: std::vec::IntoIter<RoundInput>,
     // Health FSM state.
     state: HealthState,
     consec_bad: u32,
@@ -513,7 +515,7 @@ impl Lane {
             return false;
         }
         self.probes_used += 1;
-        uburst_obs::counter_add("uburst_fleet_probe_rounds_total", 1);
+        uburst_obs::counter_add!("uburst_fleet_probe_rounds_total", 1);
         true
     }
 
@@ -534,7 +536,7 @@ impl Lane {
                         self.consec_bad = 0;
                         self.probes_used = 0;
                         self.next_probe = round + policy.probe_backoff;
-                        uburst_obs::counter_add("uburst_fleet_quarantines_total", 1);
+                        uburst_obs::counter_add!("uburst_fleet_quarantines_total", 1);
                     }
                 }
                 HealthState::Quarantined => {
@@ -555,7 +557,7 @@ impl Lane {
                     if self.consec_clean >= policy.rejoin_after {
                         self.state = HealthState::Recovered;
                         self.rejoins += 1;
-                        uburst_obs::counter_add("uburst_fleet_rejoins_total", 1);
+                        uburst_obs::counter_add!("uburst_fleet_rejoins_total", 1);
                     } else {
                         // A clean probe: probe again immediately.
                         self.next_probe = round + 1;
@@ -611,13 +613,13 @@ fn recover_region(
     region.stats.wal_records_recovered += report.records;
     region.stats.replayed += replayed_new;
     if uburst_obs::enabled() {
-        uburst_obs::counter_add("uburst_fleet_region_recoveries_total", 1);
-        uburst_obs::counter_add("uburst_fleet_replayed_batches_total", replayed_new);
-        uburst_obs::counter_add("uburst_fleet_replay_records_total", report.records);
+        uburst_obs::counter_add!("uburst_fleet_region_recoveries_total", 1);
+        uburst_obs::counter_add!("uburst_fleet_replayed_batches_total", replayed_new);
+        uburst_obs::counter_add!("uburst_fleet_replay_records_total", report.records);
         // Span duration in the fleet tier's simulated clock: transport
         // ticks of downtime (never wall time).
         let downtime_ticks = (round - since) as u64 * cfg.ticks_per_round as u64;
-        uburst_obs::span_record("fleet/region_recovery", downtime_ticks);
+        uburst_obs::span_record!("fleet/region_recovery", downtime_ticks);
     }
 }
 
@@ -667,7 +669,7 @@ pub fn run_fleet_with_crashes(
                 Err(e) => {
                     assert!(e.is_injected_crash(), "region WAL create failed: {e}");
                     stats.crashes = 1;
-                    uburst_obs::counter_add("uburst_fleet_region_crashes_total", 1);
+                    uburst_obs::counter_add!("uburst_fleet_region_crashes_total", 1);
                     (None, Some(0))
                 }
             };
@@ -699,7 +701,7 @@ pub fn run_fleet_with_crashes(
                 shipper: Shipper::new(s.source, cfg.shipper),
                 data_link: LossyLink::new(s.link, s.link_seed),
                 ack_link: LossyLink::new(s.link, s.link_seed ^ 0x9e37_79b9),
-                rounds: s.rounds,
+                rounds: s.rounds.into_iter(),
                 state: HealthState::Healthy,
                 consec_bad: 0,
                 consec_clean: 0,
@@ -717,7 +719,7 @@ pub fn run_fleet_with_crashes(
             },
         );
     }
-    uburst_obs::gauge_max("uburst_fleet_switches", lanes.len() as u64);
+    uburst_obs::gauge_max!("uburst_fleet_switches", lanes.len() as u64);
 
     // Reused across every lane and tick: the shipper's transmit burst and
     // the aggregator's per-window ingest results. Zero per-tick allocation
@@ -756,17 +758,13 @@ pub fn run_fleet_with_crashes(
                     let ds = regions[t].ds.as_mut().expect("rendezvous picks live");
                     ds.adopt_source(lane.source, lane.shipper.cum_acked());
                 }
-                uburst_obs::counter_add("uburst_fleet_reshards_total", 1);
+                uburst_obs::counter_add!("uburst_fleet_reshards_total", 1);
             }
         }
 
-        let draining = round >= max_rounds;
         for lane in lanes.values_mut() {
-            let input = (!draining)
-                .then(|| lane.rounds.get(round as usize))
-                .flatten()
-                .cloned()
-                .unwrap_or_default();
+            // Drain rounds (and a lane shorter than the fleet) have no input.
+            let input = lane.rounds.next().unwrap_or_default();
             let had_input = !input.batches.is_empty();
             lane.produced += input.batches.len() as u64;
             let participating = had_input && lane.participates(round, &cfg.health);
@@ -834,7 +832,10 @@ pub fn run_fleet_with_crashes(
                                     region.down_since = Some(round);
                                     region.stats.crashes += 1;
                                     lane.data_link.clear();
-                                    uburst_obs::counter_add("uburst_fleet_region_crashes_total", 1);
+                                    uburst_obs::counter_add!(
+                                        "uburst_fleet_region_crashes_total",
+                                        1
+                                    );
                                 }
                             }
                         }
@@ -915,16 +916,19 @@ pub fn run_fleet_with_crashes(
         }
     }
 
+    // The reconnect handshake: the global tier learns each shipper's final
+    // transmit watermark, so batches assigned but never delivered anywhere
+    // show up as gaps, not silence. Every lane announces before the one
+    // ledger snapshot the coverage columns are read from.
+    for lane in lanes.values() {
+        global.note_watermark(lane.source, lane.shipper.next_seq());
+    }
     let ledger = global.ledger();
     let mut coverage = CoverageLedger::default();
     for lane in lanes.values() {
-        // The reconnect handshake: the global tier learns each shipper's
-        // final transmit watermark, so batches assigned but never
-        // delivered anywhere show up as gaps, not silence.
-        global.note_watermark(lane.source, lane.shipper.next_seq());
         let stored = ledger.received_count(lane.source);
-        uburst_obs::counter_add("uburst_fleet_batches_stored_total", stored);
-        uburst_obs::counter_add("uburst_fleet_batches_excluded_total", lane.excluded);
+        uburst_obs::counter_add!("uburst_fleet_batches_stored_total", stored);
+        uburst_obs::counter_add!("uburst_fleet_batches_excluded_total", lane.excluded);
         regions[lane.home].stats.refused += lane.refused;
         regions[lane.home].stats.rejoins += lane.rejoins;
         coverage.switches.push(SwitchCoverage {
@@ -932,8 +936,7 @@ pub fn run_fleet_with_crashes(
             state: lane.state,
             produced: lane.produced,
             stored,
-            missing: global
-                .ledger()
+            missing: ledger
                 .gaps(lane.source)
                 .iter()
                 .map(|&(lo, hi)| hi - lo + 1)

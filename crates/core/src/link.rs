@@ -150,19 +150,22 @@ impl<T: Clone> LossyLink<T> {
     pub fn tick(&mut self) -> Vec<T> {
         self.now += 1;
         let now = self.now;
-        let mut due: Vec<InFlight<T>> = Vec::new();
-        let mut rest: Vec<InFlight<T>> = Vec::with_capacity(self.queue.len());
-        for inflight in self.queue.drain(..) {
-            if inflight.due <= now {
-                due.push(inflight);
-            } else {
-                rest.push(inflight);
+        // Partition in place: messages still in flight move to the front,
+        // due ones collect behind them. Queue position never decides
+        // delivery order — the sort on the unique `(due, order)` key does.
+        let mut keep = 0;
+        for i in 0..self.queue.len() {
+            if self.queue[i].due > now {
+                self.queue.swap(keep, i);
+                keep += 1;
             }
         }
-        self.queue = rest;
-        due.sort_by_key(|f| (f.due, f.order));
-        self.stats.delivered += due.len() as u64;
-        due.into_iter().map(|f| f.msg).collect()
+        if keep == self.queue.len() {
+            return Vec::new();
+        }
+        self.queue[keep..].sort_unstable_by_key(|f| (f.due, f.order));
+        self.stats.delivered += (self.queue.len() - keep) as u64;
+        self.queue.drain(keep..).map(|f| f.msg).collect()
     }
 
     /// Messages still queued inside the link.
@@ -186,6 +189,84 @@ impl<T: Clone> LossyLink<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two-`Vec` partition `tick` used before it worked in place: the
+    /// reference the in-place version must match delivery for delivery.
+    fn reference_tick<T>(link: &mut LossyLink<T>) -> Vec<T> {
+        link.now += 1;
+        let now = link.now;
+        let mut due: Vec<InFlight<T>> = Vec::new();
+        let mut rest: Vec<InFlight<T>> = Vec::with_capacity(link.queue.len());
+        for inflight in link.queue.drain(..) {
+            if inflight.due <= now {
+                due.push(inflight);
+            } else {
+                rest.push(inflight);
+            }
+        }
+        link.queue = rest;
+        due.sort_by_key(|f| (f.due, f.order));
+        link.stats.delivered += due.len() as u64;
+        due.into_iter().map(|f| f.msg).collect()
+    }
+
+    #[test]
+    fn in_place_tick_matches_the_two_vec_partition() {
+        for seed in 0..32u64 {
+            let mut link = LossyLink::new(LinkPlan::HOSTILE, seed);
+            let mut reference = LossyLink::new(LinkPlan::HOSTILE, seed);
+            // The op stream has its own generator: bursts of sends, runs
+            // of ticks (idle ones included) and the occasional cable cut.
+            let mut ops = Rng::new(seed ^ 0x0B5);
+            let mut next_msg = 0u32;
+            for step in 0..2_000 {
+                match ops.below(10) {
+                    0..=4 => {
+                        for _ in 0..=ops.below(6) {
+                            link.send(next_msg);
+                            reference.send(next_msg);
+                            next_msg += 1;
+                        }
+                    }
+                    5..=8 => {
+                        for _ in 0..=ops.below(4) {
+                            assert_eq!(
+                                link.tick(),
+                                reference_tick(&mut reference),
+                                "seed {seed} step {step}"
+                            );
+                        }
+                    }
+                    _ => {
+                        link.clear();
+                        reference.clear();
+                    }
+                }
+                assert_eq!(link.stats(), reference.stats(), "seed {seed} step {step}");
+                assert_eq!(link.in_flight(), reference.in_flight());
+            }
+            for _ in 0..16 {
+                assert_eq!(link.tick(), reference_tick(&mut reference));
+            }
+            assert_eq!(link.stats(), reference.stats());
+            assert!(link.stats().delivered > 0 && link.stats().duplicated > 0);
+        }
+    }
+
+    #[test]
+    fn idle_tick_does_not_allocate() {
+        let mut link: LossyLink<u32> = LossyLink::new(LinkPlan::default(), 5);
+        assert_eq!(link.tick().capacity(), 0, "empty queue");
+        let plan = LinkPlan {
+            delay_p: 1.0,
+            max_delay_ticks: 4,
+            ..LinkPlan::IDEAL
+        };
+        let mut held = LossyLink::new(plan, 5);
+        held.send(1u32);
+        assert_eq!(held.tick().capacity(), 0, "queued but not yet due");
+        assert_eq!(held.in_flight(), 1);
+    }
 
     #[test]
     fn ideal_link_delivers_everything_in_order() {

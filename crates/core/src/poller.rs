@@ -499,20 +499,19 @@ impl Poller {
     /// only the recorder's flag check.
     #[inline(never)]
     fn record_poll_telemetry(&self, now: Nanos) {
-        let (cost_name, latency_name) = match self.campaign.core_mode {
-            CoreMode::Dedicated => (
-                "uburst_poll_cost_ns{mode=\"dedicated\"}",
-                "uburst_poll_latency_ns{mode=\"dedicated\"}",
-            ),
-            CoreMode::Shared => (
-                "uburst_poll_cost_ns{mode=\"shared\"}",
-                "uburst_poll_latency_ns{mode=\"shared\"}",
-            ),
-        };
+        let cost = self.plan.cost(self.active_n).as_nanos();
         let latency = now.saturating_sub(self.poll_started).as_nanos();
-        uburst_obs::hist_observe(cost_name, self.plan.cost(self.active_n).as_nanos());
-        uburst_obs::hist_observe(latency_name, latency);
-        uburst_obs::span_record("campaign/poll", latency);
+        match self.campaign.core_mode {
+            CoreMode::Dedicated => {
+                uburst_obs::hist_observe!("uburst_poll_cost_ns{mode=\"dedicated\"}", cost);
+                uburst_obs::hist_observe!("uburst_poll_latency_ns{mode=\"dedicated\"}", latency);
+            }
+            CoreMode::Shared => {
+                uburst_obs::hist_observe!("uburst_poll_cost_ns{mode=\"shared\"}", cost);
+                uburst_obs::hist_observe!("uburst_poll_latency_ns{mode=\"shared\"}", latency);
+            }
+        }
+        uburst_obs::span_record!("campaign/poll", latency);
     }
 
     /// A deadline whose read failed through every retry: account it and
@@ -554,21 +553,21 @@ impl Poller {
             return;
         }
         let s = &self.stats;
-        uburst_obs::counter_add("uburst_poller_polls_total", s.polls);
-        uburst_obs::counter_add("uburst_poller_missed_deadlines_total", s.missed_deadlines);
-        uburst_obs::counter_add("uburst_poller_late_polls_total", s.late_polls);
-        uburst_obs::counter_add("uburst_poller_read_errors_total", s.read_errors);
-        uburst_obs::counter_add("uburst_poller_retries_total", s.retries);
-        uburst_obs::counter_add("uburst_poller_stale_reads_total", s.stale_reads);
-        uburst_obs::counter_add("uburst_poller_shed_counters_total", s.shed_counters);
-        uburst_obs::counter_add("uburst_poller_degraded_polls_total", s.degraded_polls);
-        uburst_obs::counter_add("uburst_poller_wrap_regressions_total", s.wrap_regressions);
+        uburst_obs::counter_add!("uburst_poller_polls_total", s.polls);
+        uburst_obs::counter_add!("uburst_poller_missed_deadlines_total", s.missed_deadlines);
+        uburst_obs::counter_add!("uburst_poller_late_polls_total", s.late_polls);
+        uburst_obs::counter_add!("uburst_poller_read_errors_total", s.read_errors);
+        uburst_obs::counter_add!("uburst_poller_retries_total", s.retries);
+        uburst_obs::counter_add!("uburst_poller_stale_reads_total", s.stale_reads);
+        uburst_obs::counter_add!("uburst_poller_shed_counters_total", s.shed_counters);
+        uburst_obs::counter_add!("uburst_poller_degraded_polls_total", s.degraded_polls);
+        uburst_obs::counter_add!("uburst_poller_wrap_regressions_total", s.wrap_regressions);
         // Batched-read accounting, derived rather than counted so the
         // read_planned hot path stays untouched: every completed poll is
         // exactly one planned batch read of the active prefix, and the
         // active prefix is the full group minus whatever degradation shed.
-        uburst_obs::counter_add("uburst_readplan_batch_reads_total", s.polls);
-        uburst_obs::counter_add(
+        uburst_obs::counter_add!("uburst_readplan_batch_reads_total", s.polls);
+        uburst_obs::counter_add!(
             "uburst_readplan_counters_read_total",
             (s.polls * self.campaign.counters.len() as u64).saturating_sub(s.shed_counters),
         );
@@ -588,11 +587,11 @@ impl Poller {
             &format!("uburst_poller_elapsed_ns_total{{mode=\"{mode}\"}}"),
             elapsed.as_nanos(),
         );
-        uburst_obs::gauge_max(
+        uburst_obs::gauge_max!(
             "uburst_degrade_level_peak",
             u64::from(self.controller.level()),
         );
-        uburst_obs::span_record("campaign", elapsed.as_nanos());
+        uburst_obs::span_record!("campaign", elapsed.as_nanos());
     }
 }
 

@@ -163,7 +163,7 @@ impl Shipper {
         let outstanding = self.outstanding();
         if outstanding >= self.cfg.max_outstanding {
             self.stats.refused += 1;
-            uburst_obs::counter_add("uburst_ship_refused_total", 1);
+            uburst_obs::counter_add!("uburst_ship_refused_total", 1);
             return Err(ShipError::WindowExhausted {
                 source: self.source,
                 outstanding,
@@ -200,7 +200,7 @@ impl Shipper {
             cum: ack.cum.min(self.next_seq),
         };
         if ack.cum > self.cum_acked {
-            uburst_obs::counter_add("uburst_ship_acked_total", ack.cum - self.cum_acked);
+            uburst_obs::counter_add!("uburst_ship_acked_total", ack.cum - self.cum_acked);
             self.cum_acked = ack.cum;
             self.stats.acked = ack.cum;
             self.ticks_since_progress = 0;
@@ -226,6 +226,8 @@ impl Shipper {
     pub fn tick_into(&mut self, out: &mut Vec<SeqBatch>) {
         let recycled_cap = out.capacity();
         out.clear();
+        // Everything admitted below is a first transmission of this tick.
+        let first_new_seq = self.next_seq;
         // Admit backlog into the window.
         while self.window.len() < self.cfg.window {
             let Some(batch) = self.backlog.pop_front() else {
@@ -235,14 +237,14 @@ impl Shipper {
             self.next_seq += 1;
             self.window.push_back((seq, batch.clone()));
             self.stats.transmissions += 1;
-            uburst_obs::counter_add("uburst_ship_transmissions_total", 1);
+            uburst_obs::counter_add!("uburst_ship_transmissions_total", 1);
             out.push(SeqBatch {
                 seq,
                 watermark: self.next_seq,
                 batch,
             });
         }
-        uburst_obs::gauge_max("uburst_ship_window_peak", self.window.len() as u64);
+        uburst_obs::gauge_max!("uburst_ship_window_peak", self.window.len() as u64);
         // Retransmit on timeout.
         if !self.window.is_empty() {
             self.ticks_since_progress += 1;
@@ -250,11 +252,11 @@ impl Shipper {
                 self.ticks_since_progress = 0;
                 for (seq, batch) in &self.window {
                     // First transmissions this tick are not re-sent again.
-                    if out.iter().any(|sb| sb.seq == *seq) {
-                        continue;
+                    if *seq >= first_new_seq {
+                        break;
                     }
                     self.stats.retransmits += 1;
-                    uburst_obs::counter_add("uburst_ship_retransmits_total", 1);
+                    uburst_obs::counter_add!("uburst_ship_retransmits_total", 1);
                     out.push(SeqBatch {
                         seq: *seq,
                         watermark: self.next_seq,
@@ -272,7 +274,7 @@ impl Shipper {
         // A tick whose transmissions fit a previously-grown buffer cost no
         // allocation — the reuse the fleet pump loop is built around.
         if recycled_cap > 0 && !out.is_empty() && out.capacity() == recycled_cap {
-            uburst_obs::counter_add("uburst_ship_buffer_reuse_total", 1);
+            uburst_obs::counter_add!("uburst_ship_buffer_reuse_total", 1);
         }
     }
 }
@@ -564,6 +566,31 @@ mod tests {
         assert_eq!(sh.tick().len(), 0);
         assert_eq!(sh.tick().len(), 0);
         assert_eq!(sh.tick().len(), 1, "remaining batch retransmitted");
+    }
+
+    #[test]
+    fn rto_tick_does_not_resend_its_own_first_transmissions() {
+        let mut sh = Shipper::new(
+            SourceId(0),
+            ShipperConfig {
+                window: 8,
+                rto_ticks: 2,
+                ..ShipperConfig::default()
+            },
+        );
+        sh.offer(batch(1)).unwrap();
+        sh.offer(batch(2)).unwrap();
+        assert_eq!(sh.tick().len(), 2);
+        // The RTO fires on the tick that also admits seqs 2 and 3: they go
+        // out once, ahead of the retransmission of the old window.
+        sh.offer(batch(3)).unwrap();
+        sh.offer(batch(4)).unwrap();
+        let out = sh.tick();
+        let seqs: Vec<u64> = out.iter().map(|sb| sb.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 0, 1]);
+        assert!(out.iter().all(|sb| sb.watermark == 4));
+        assert_eq!(sh.stats().transmissions, 4);
+        assert_eq!(sh.stats().retransmits, 2);
     }
 
     #[test]

@@ -352,8 +352,8 @@ impl<S: WalStorage> Wal<S> {
             }
             self.storage.sync()?;
             self.sync_due = false;
-            uburst_obs::counter_add("uburst_wal_fsyncs_total", 1);
-            uburst_obs::counter_add("uburst_wal_rotations_total", 1);
+            uburst_obs::counter_add!("uburst_wal_fsyncs_total", 1);
+            uburst_obs::counter_add!("uburst_wal_rotations_total", 1);
             self.segment += 1;
             self.storage.open_segment(self.segment)?;
             self.storage.append(&segment_header())?;
@@ -367,14 +367,14 @@ impl<S: WalStorage> Wal<S> {
         self.total_bytes += frame_len as u64;
         self.record_ends.push(self.total_bytes);
         if uburst_obs::enabled() {
-            uburst_obs::counter_add("uburst_wal_appends_total", 1);
-            uburst_obs::counter_add("uburst_wal_bytes_total", frame_len as u64);
+            uburst_obs::counter_add!("uburst_wal_appends_total", 1);
+            uburst_obs::counter_add!("uburst_wal_bytes_total", frame_len as u64);
             // The span's duration is the simulated-time extent the batch
             // covers — the WAL itself runs on the wall clock, which must
             // never leak into deterministic telemetry.
             let ts = &sb.batch.samples.ts;
             let covered = ts.first().zip(ts.last()).map_or(0, |(&f, &l)| l - f);
-            uburst_obs::span_record("wal/append", covered);
+            uburst_obs::span_record!("wal/append", covered);
         }
         let synced = match self.cfg.fsync {
             FsyncPolicy::Always => {
@@ -411,7 +411,7 @@ impl<S: WalStorage> Wal<S> {
         self.flush_bytes()?;
         if self.sync_due {
             self.storage.sync()?;
-            uburst_obs::counter_add("uburst_wal_fsyncs_total", 1);
+            uburst_obs::counter_add!("uburst_wal_fsyncs_total", 1);
             self.sync_due = false;
         }
         Ok(())
@@ -422,7 +422,7 @@ impl<S: WalStorage> Wal<S> {
     /// `true` returned by the group's [`Wal::append_deferred`] calls is a
     /// durability promise and the corresponding acks may be released.
     pub fn commit_group(&mut self) -> Result<(), WalError> {
-        uburst_obs::counter_add("uburst_wal_group_commits_total", 1);
+        uburst_obs::counter_add!("uburst_wal_group_commits_total", 1);
         self.flush_group()
     }
 
@@ -431,7 +431,7 @@ impl<S: WalStorage> Wal<S> {
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.flush_bytes()?;
         self.storage.sync()?;
-        uburst_obs::counter_add("uburst_wal_fsyncs_total", 1);
+        uburst_obs::counter_add!("uburst_wal_fsyncs_total", 1);
         self.since_sync = 0;
         self.sync_due = false;
         Ok(())
@@ -486,16 +486,96 @@ pub struct RecoveryReport {
     pub adoptions: u64,
 }
 
+/// One source's cumulative counts at a [`DurableStore`].
+#[derive(Debug, Clone, Copy, Default)]
+struct SourceAcks {
+    /// Count stored and logged (ahead of `synced` between syncs).
+    live: u64,
+    /// Count whose covering sync has completed — the highest ack the
+    /// store is allowed to issue. Never above `live`.
+    synced: u64,
+    /// `live` moved since the last sync (the source is in `dirty`).
+    dirty: bool,
+}
+
+/// Which cumulative ack each source may be sent. A sync covers every
+/// record appended before it, whatever its source, but only sources that
+/// stored something since the previous sync have anything to release —
+/// so a sync walks the dirty list, not the source map, and its cost does
+/// not grow with the number of sources the store has ever seen.
+#[derive(Debug, Default)]
+struct AckBook {
+    sources: BTreeMap<SourceId, SourceAcks>,
+    /// Sources with `dirty` set, in the order they were dirtied.
+    dirty: Vec<SourceId>,
+}
+
+impl AckBook {
+    /// The highest ack `source` may be sent right now.
+    fn synced(&self, source: SourceId) -> u64 {
+        self.sources.get(&source).map_or(0, |s| s.synced)
+    }
+
+    /// `source`'s entry, put on the dirty list.
+    fn dirty_entry(&mut self, source: SourceId) -> &mut SourceAcks {
+        let s = self.sources.entry(source).or_default();
+        if !s.dirty {
+            s.dirty = true;
+            self.dirty.push(source);
+        }
+        s
+    }
+
+    /// Records that `source` has `live` batches stored and logged; with
+    /// `synced_now` the record that got it there is a sync point. Returns
+    /// the ack to send.
+    fn advance(&mut self, source: SourceId, live: u64, synced_now: bool) -> u64 {
+        let s = self.dirty_entry(source);
+        s.live = live;
+        if synced_now {
+            self.sync(|_| {});
+            live
+        } else {
+            s.synced
+        }
+    }
+
+    /// A sync completed: every dirty source's live count is durable.
+    /// `released` sees one ack per source whose durable count advanced,
+    /// in `dirty` order.
+    fn sync(&mut self, mut released: impl FnMut(AckMsg)) {
+        for source in self.dirty.drain(..) {
+            let s = self
+                .sources
+                .get_mut(&source)
+                .expect("a dirty source has an entry");
+            if s.synced < s.live {
+                released(AckMsg {
+                    source,
+                    cum: s.live,
+                });
+            }
+            s.synced = s.live;
+            s.dirty = false;
+        }
+    }
+
+    /// [`AckBook::sync`] for an explicit flush: the acks it released, in
+    /// source order.
+    fn flush(&mut self) -> Vec<AckMsg> {
+        self.dirty.sort_unstable();
+        let mut out = Vec::new();
+        self.sync(|ack| out.push(ack));
+        out
+    }
+}
+
 /// The durable receiver: WAL-backed [`SampleStore`] with sequence-number
 /// dedup and ack issuance tied to durability.
 pub struct DurableStore<S: WalStorage> {
     wal: Wal<S>,
     store: Arc<SampleStore>,
-    /// Per-source cumulative count whose covering sync has completed —
-    /// the highest ack the store is allowed to issue.
-    synced_cum: BTreeMap<SourceId, u64>,
-    /// Live cumulative counts (ahead of `synced_cum` between syncs).
-    live_cum: BTreeMap<SourceId, u64>,
+    acks: AckBook,
 }
 
 impl<S: WalStorage> DurableStore<S> {
@@ -504,8 +584,7 @@ impl<S: WalStorage> DurableStore<S> {
         Ok(DurableStore {
             wal: Wal::create(storage, cfg)?,
             store: Arc::new(SampleStore::new()),
-            synced_cum: BTreeMap::new(),
-            live_cum: BTreeMap::new(),
+            acks: AckBook::default(),
         })
     }
 
@@ -579,29 +658,30 @@ impl<S: WalStorage> DurableStore<S> {
             report.segments += 1;
         }
         // Everything replayed came off stable storage: it is all synced.
-        let mut synced_cum = BTreeMap::new();
-        for source in store.ledger().sources() {
-            synced_cum.insert(source, store.contiguous(source));
+        let mut acks = AckBook::default();
+        let ledger = store.ledger();
+        for source in ledger.sources() {
+            let cum = ledger.contiguous(source);
+            acks.sources.insert(
+                source,
+                SourceAcks {
+                    live: cum,
+                    synced: cum,
+                    ..SourceAcks::default()
+                },
+            );
         }
         let next_segment = indices.last().map_or(0, |&i| i + 1);
         if uburst_obs::enabled() {
-            uburst_obs::counter_add("uburst_wal_recovered_records_total", report.records);
-            uburst_obs::counter_add("uburst_wal_recovered_segments_total", report.segments);
-            uburst_obs::counter_add("uburst_wal_torn_tails_total", report.torn_tails);
-            uburst_obs::counter_add("uburst_wal_truncated_bytes_total", report.truncated_bytes);
-            uburst_obs::counter_add("uburst_wal_corrupt_records_total", report.corrupt_records);
-            uburst_obs::counter_add("uburst_wal_recoveries_total", 1);
+            uburst_obs::counter_add!("uburst_wal_recovered_records_total", report.records);
+            uburst_obs::counter_add!("uburst_wal_recovered_segments_total", report.segments);
+            uburst_obs::counter_add!("uburst_wal_torn_tails_total", report.torn_tails);
+            uburst_obs::counter_add!("uburst_wal_truncated_bytes_total", report.truncated_bytes);
+            uburst_obs::counter_add!("uburst_wal_corrupt_records_total", report.corrupt_records);
+            uburst_obs::counter_add!("uburst_wal_recoveries_total", 1);
         }
         let wal = Wal::start(storage, cfg, next_segment)?;
-        Ok((
-            DurableStore {
-                wal,
-                store,
-                live_cum: synced_cum.clone(),
-                synced_cum,
-            },
-            report,
-        ))
+        Ok((DurableStore { wal, store, acks }, report))
     }
 
     /// Ingests one sequenced batch — the go-back-N receiver. Exactly one
@@ -680,7 +760,7 @@ impl<S: WalStorage> DurableStore<S> {
                 outcome,
                 AckMsg {
                     source,
-                    cum: self.synced_cum.get(&source).copied().unwrap_or(0),
+                    cum: self.acks.synced(source),
                 },
             ));
         }
@@ -692,33 +772,16 @@ impl<S: WalStorage> DurableStore<S> {
         // The record is on the log: merge (or quarantine — replay will
         // faithfully re-quarantine) and advance the ledger.
         let _ = self.store.ingest_seq(sb);
-        let cum = self.store.contiguous(source);
-        self.live_cum.insert(source, cum);
-        if synced {
-            // A sync covers every record appended before it, all sources.
-            self.synced_cum = self.live_cum.clone();
-        }
-        Ok((
-            SeqIngest::Stored,
-            AckMsg {
-                source,
-                cum: self.synced_cum.get(&source).copied().unwrap_or(0),
-            },
-        ))
+        let live = self.store.contiguous(source);
+        let cum = self.acks.advance(source, live, synced);
+        Ok((SeqIngest::Stored, AckMsg { source, cum }))
     }
 
     /// Forces a sync and returns the acks it released (one per source
-    /// whose durable cumulative count advanced).
+    /// whose durable cumulative count advanced, in source order).
     pub fn flush(&mut self) -> Result<Vec<AckMsg>, WalError> {
         self.wal.sync()?;
-        let mut out = Vec::new();
-        for (&source, &cum) in &self.live_cum {
-            if self.synced_cum.get(&source).copied().unwrap_or(0) < cum {
-                out.push(AckMsg { source, cum });
-            }
-        }
-        self.synced_cum = self.live_cum.clone();
-        Ok(out)
+        Ok(self.acks.flush())
     }
 
     /// Records a reconnecting source's transmit watermark (`next_seq`), so
@@ -745,13 +808,12 @@ impl<S: WalStorage> DurableStore<S> {
     pub fn adopt_source(&mut self, source: SourceId, upto: u64) {
         self.store.adopt_prefix(source, upto);
         let cum = self.store.contiguous(source);
-        let live = self.live_cum.entry(source).or_insert(0);
-        *live = (*live).max(cum);
+        let s = self.acks.dirty_entry(source);
+        s.live = s.live.max(cum);
         // Exactly the adopted prefix is the previous receiver's durability
         // promise and may be acked now; our own stored-but-unsynced tail
         // (if contiguous runs past `upto`) still waits for its sync.
-        let synced = self.synced_cum.entry(source).or_insert(0);
-        *synced = (*synced).max(upto);
+        s.synced = s.synced.max(upto);
     }
 
     /// The underlying store (shared; series grow as batches are ingested).
@@ -1025,6 +1087,167 @@ mod tests {
             }
             // And flush releases the same residual acks on both sides.
             assert_eq!(per.flush().unwrap(), grp.flush().unwrap());
+        }
+    }
+
+    /// The receiver's ack rules over two plain maps, the whole live map
+    /// cloned at every sync — what [`AckBook`]'s dirty list replaced, kept
+    /// as the reference it must agree with. It shares nothing with the
+    /// store: a go-back-N receiver's contiguous prefix is one counter per
+    /// source, and the sync cadence is a count of stored records (the
+    /// test's segments never rotate).
+    struct CloneModel {
+        fsync: FsyncPolicy,
+        since_sync: u32,
+        contiguous: BTreeMap<SourceId, u64>,
+        live: BTreeMap<SourceId, u64>,
+        synced: BTreeMap<SourceId, u64>,
+    }
+
+    impl CloneModel {
+        fn new(fsync: FsyncPolicy) -> Self {
+            CloneModel {
+                fsync,
+                since_sync: 0,
+                contiguous: BTreeMap::new(),
+                live: BTreeMap::new(),
+                synced: BTreeMap::new(),
+            }
+        }
+
+        fn ack(&self, source: SourceId) -> AckMsg {
+            AckMsg {
+                source,
+                cum: self.synced.get(&source).copied().unwrap_or(0),
+            }
+        }
+
+        fn ingest(&mut self, source: SourceId, seq: u64) -> (SeqIngest, AckMsg) {
+            let cum = self.contiguous.entry(source).or_insert(0);
+            if seq < *cum {
+                return (SeqIngest::Duplicate, self.ack(source));
+            }
+            if seq > *cum {
+                return (SeqIngest::Reordered, self.ack(source));
+            }
+            *cum += 1;
+            self.live.insert(source, *cum);
+            let synced = match self.fsync {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::EveryN(n) => {
+                    self.since_sync += 1;
+                    let due = self.since_sync >= n.max(1);
+                    if due {
+                        self.since_sync = 0;
+                    }
+                    due
+                }
+                FsyncPolicy::Never => false,
+            };
+            if synced {
+                self.synced = self.live.clone();
+            }
+            (SeqIngest::Stored, self.ack(source))
+        }
+
+        fn adopt(&mut self, source: SourceId, upto: u64) {
+            let cum = self.contiguous.entry(source).or_insert(0);
+            *cum = (*cum).max(upto);
+            let live = self.live.entry(source).or_insert(0);
+            *live = (*live).max(*cum);
+            let synced = self.synced.entry(source).or_insert(0);
+            *synced = (*synced).max(upto);
+        }
+
+        fn flush(&mut self) -> Vec<AckMsg> {
+            self.since_sync = 0;
+            let mut out = Vec::new();
+            for (&source, &cum) in &self.live {
+                if self.synced.get(&source).copied().unwrap_or(0) < cum {
+                    out.push(AckMsg { source, cum });
+                }
+            }
+            self.synced = self.live.clone();
+            out
+        }
+    }
+
+    #[test]
+    fn acks_match_the_full_map_clone_model() {
+        use uburst_sim::rng::Rng;
+        let policies = [
+            FsyncPolicy::Always,
+            FsyncPolicy::EveryN(1),
+            FsyncPolicy::EveryN(3),
+            FsyncPolicy::EveryN(16),
+            FsyncPolicy::Never,
+        ];
+        const SOURCES: u64 = 7;
+        for fsync in policies {
+            for seed in 0..8u64 {
+                let cfg = WalConfig {
+                    segment_max_bytes: 1 << 30,
+                    fsync,
+                };
+                let mut ds = DurableStore::create(MemStorage::new(), cfg).unwrap();
+                let mut model = CloneModel::new(fsync);
+                let mut rng = Rng::new(seed ^ 0xACC5);
+                let mut out = Vec::new();
+                let (mut flushes, mut released) = (0, 0);
+                for step in 0..1_500 {
+                    let at = format!("{fsync:?} seed {seed} step {step}");
+                    match rng.below(20) {
+                        // A delivery window: mostly the next in-sequence
+                        // batch of a random source, some redeliveries and
+                        // some arrivals from ahead of the prefix.
+                        0..=15 => {
+                            let mut window = Vec::new();
+                            let mut expect = Vec::new();
+                            for _ in 0..=rng.below(5) {
+                                let source = SourceId(rng.below(SOURCES) as u32);
+                                let next = model.contiguous.get(&source).copied().unwrap_or(0);
+                                let seq = match rng.below(10) {
+                                    0 => rng.below(next + 1),
+                                    1 => next + 1 + rng.below(3),
+                                    _ => next,
+                                };
+                                window.push(sb(seq, source.0, 10 * (seq + 1)));
+                                expect.push(model.ingest(source, seq));
+                            }
+                            ds.ingest_group(&window, &mut out).unwrap();
+                            assert_eq!(out, expect, "{at}");
+                        }
+                        // A stream handed over: at, behind or ahead of
+                        // what this store holds, known source or new.
+                        16 | 17 => {
+                            let source = SourceId(rng.below(SOURCES + 2) as u32);
+                            let next = model.contiguous.get(&source).copied().unwrap_or(0);
+                            let upto = (next + rng.below(6)).saturating_sub(2);
+                            ds.adopt_source(source, upto);
+                            model.adopt(source, upto);
+                        }
+                        _ => {
+                            let acks = ds.flush().unwrap();
+                            assert_eq!(acks, model.flush(), "{at}");
+                            flushes += 1;
+                            released += acks.len();
+                        }
+                    }
+                }
+                assert_eq!(ds.flush().unwrap(), model.flush());
+                assert!(ds.flush().unwrap().is_empty(), "nothing left to release");
+                for s in 0..SOURCES as u32 + 2 {
+                    let source = SourceId(s);
+                    assert_eq!(
+                        ds.store().contiguous(source),
+                        model.contiguous.get(&source).copied().unwrap_or(0)
+                    );
+                }
+                assert!(flushes > 20, "{fsync:?}: only {flushes} flushes");
+                if fsync != FsyncPolicy::Always && fsync != FsyncPolicy::EveryN(1) {
+                    assert!(released > 20, "{fsync:?}: flushes released {released}");
+                }
+            }
         }
     }
 

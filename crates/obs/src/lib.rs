@@ -36,6 +36,22 @@
 //! [`enable`] in a harness or test to start collecting and [`snapshot`]
 //! to render what was recorded.
 //!
+//! ## Handles: one recording path
+//!
+//! Recording is a method on a cell — [`Counter::add`], [`Gauge::max`],
+//! [`Histogram::observe`], [`SpanStat::record`] — reached through an
+//! `Arc` handle the [`Registry`] hands out by name. The by-name functions
+//! ([`counter_add()`] …) look the handle up (a read-locked map probe) and
+//! make that call; they serve cold sites and names built at run time. A
+//! site whose name is a literal uses the macro of the same name
+//! ([`counter_add!`] …): it resolves the handle once into a `OnceLock` of
+//! its own, and every later call is the enabled check plus the atomic
+//! update. Both land in the same cell.
+//!
+//! [`reset`] zeroes cells in place and drops them out of snapshots until
+//! they are recorded into again; it never removes one, so a handle taken
+//! before a reset is the handle a lookup after it returns.
+//!
 //! ```
 //! uburst_obs::enable();
 //! uburst_obs::counter_add("uburst_demo_events_total", 3);
@@ -53,7 +69,7 @@ mod expose;
 mod registry;
 
 pub use expose::{HistSnapshot, Snapshot, SpanSnapshot};
-pub use registry::{Counter, Histogram, Registry, SpanStat, NS_BOUNDS};
+pub use registry::{Counter, Gauge, Histogram, Registry, SpanStat, NS_BOUNDS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -105,7 +121,7 @@ pub fn counter_add(name: &str, n: u64) {
 #[inline]
 pub fn gauge_max(name: &str, v: u64) {
     if enabled() {
-        registry().gauge_max(name, v);
+        registry().gauge(name).max(v);
     }
 }
 
@@ -134,13 +150,71 @@ pub fn span_record(path: &str, dur_ns: u64) {
     }
 }
 
-/// Renders an immutable snapshot of everything recorded so far.
+/// The global handle a literal-name site records through, resolved on
+/// the site's first enabled call.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __site_handle {
+    ($cell:ident, $lookup:ident, $name:literal) => {{
+        static SITE: ::std::sync::OnceLock<::std::sync::Arc<$crate::$cell>> =
+            ::std::sync::OnceLock::new();
+        SITE.get_or_init(|| $crate::registry().$lookup($name))
+    }};
+}
+
+/// [`counter_add`](fn@counter_add) for a literal name: the handle is
+/// resolved once per call site. The value expression is evaluated only
+/// when the recorder is enabled.
+#[macro_export]
+macro_rules! counter_add {
+    ($name:literal, $n:expr $(,)?) => {
+        if $crate::enabled() {
+            $crate::__site_handle!(Counter, counter, $name).add($n);
+        }
+    };
+}
+
+/// [`gauge_max`](fn@gauge_max) for a literal name (see [`counter_add!`]).
+#[macro_export]
+macro_rules! gauge_max {
+    ($name:literal, $v:expr $(,)?) => {
+        if $crate::enabled() {
+            $crate::__site_handle!(Gauge, gauge, $name).max($v);
+        }
+    };
+}
+
+/// [`hist_observe`](fn@hist_observe) for a literal name (see
+/// [`counter_add!`]).
+#[macro_export]
+macro_rules! hist_observe {
+    ($name:literal, $v:expr $(,)?) => {
+        if $crate::enabled() {
+            $crate::__site_handle!(Histogram, histogram, $name).observe($v);
+        }
+    };
+}
+
+/// [`span_record`](fn@span_record) for a literal path (see
+/// [`counter_add!`]).
+#[macro_export]
+macro_rules! span_record {
+    ($path:literal, $dur_ns:expr $(,)?) => {
+        if $crate::enabled() {
+            $crate::__site_handle!(SpanStat, span, $path).record($dur_ns);
+        }
+    };
+}
+
+/// Renders an immutable snapshot of everything recorded since the last
+/// [`reset`].
 pub fn snapshot() -> Snapshot {
     registry().snapshot()
 }
 
-/// Clears every metric and span. Intended for tests and multi-phase
-/// harnesses that want per-phase snapshots from one process.
+/// Zeroes every metric and span and drops it out of snapshots until it is
+/// recorded into again ([`Registry::reset`]). Intended for tests and
+/// multi-phase harnesses that want per-phase snapshots from one process.
 pub fn reset() {
     registry().reset();
 }
@@ -244,10 +318,13 @@ mod tests {
             std::thread::scope(|s| {
                 for t in 0..8 {
                     s.spawn(move || {
+                        // Through the per-site handles: eight threads
+                        // share each of the three statics below.
                         for i in 0..1000u64 {
-                            counter_add("uburst_mt_total", 1);
-                            hist_observe("uburst_mt_ns", (t * 1000 + i) % 70_000);
-                            span_record("mt/work", 25_000);
+                            counter_add!("uburst_mt_total", 1);
+                            gauge_max!("uburst_mt_peak", t * 1000 + i);
+                            hist_observe!("uburst_mt_ns", (t * 1000 + i) % 70_000);
+                            span_record!("mt/work", 25_000);
                         }
                     });
                 }
@@ -258,6 +335,78 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.contains("uburst_mt_total 8000"));
+        assert!(a.contains("uburst_mt_peak 7999"));
         disable();
+    }
+
+    #[test]
+    fn reset_empties_the_snapshot_and_handles_survive_it() {
+        let _g = fresh();
+        let record = |n: u64| {
+            counter_add!("uburst_test_reset_total", n);
+            gauge_max!("uburst_test_reset_peak", n);
+            hist_observe!("uburst_test_reset_ns", n);
+            span_record!("reset/span", n);
+        };
+        record(40);
+        reset();
+        let empty = snapshot();
+        assert!(empty.counters.is_empty() && empty.gauges.is_empty());
+        assert!(empty.hists.is_empty() && empty.spans.is_empty());
+        assert_eq!(empty.to_prometheus(), Snapshot::default().to_prometheus());
+        // The same four sites, so the same four handles: each cell comes
+        // back holding only what was recorded after the reset.
+        record(2);
+        let snap = snapshot();
+        assert_eq!(snap.counters["uburst_test_reset_total"], 2);
+        assert_eq!(snap.gauges["uburst_test_reset_peak"], 2);
+        let h = &snap.hists["uburst_test_reset_ns"];
+        assert_eq!((h.count, h.sum, h.max), (1, 2, 2));
+        let s = &snap.spans["reset/span"];
+        assert_eq!((s.count, s.total_ns, s.max_ns), (1, 2, 2));
+        assert_eq!(snap.counters.len() + snap.gauges.len(), 2);
+        disable();
+    }
+
+    #[test]
+    fn recording_zero_still_lists_the_name() {
+        let _g = fresh();
+        counter_add("uburst_test_zero_total", 0);
+        gauge_max("uburst_test_zero_peak", 0);
+        let snap = snapshot();
+        assert_eq!(snap.counters["uburst_test_zero_total"], 0);
+        assert_eq!(snap.gauges["uburst_test_zero_peak"], 0);
+        assert!(snap.to_prometheus().contains("uburst_test_zero_total 0"));
+        disable();
+    }
+
+    #[test]
+    fn handle_and_by_name_calls_land_in_one_cell() {
+        let _g = fresh();
+        counter_add!("uburst_test_shared_total", 3);
+        counter_add("uburst_test_shared_total", 4);
+        registry().counter("uburst_test_shared_total").add(5);
+        gauge_max!("uburst_test_shared_peak", 9);
+        gauge_max("uburst_test_shared_peak", 6);
+        hist_observe!("uburst_test_shared_ns", 300);
+        hist_observe("uburst_test_shared_ns", 700);
+        span_record!("shared/span", 10);
+        span_record("shared/span", 30);
+        let snap = snapshot();
+        assert_eq!(snap.counters["uburst_test_shared_total"], 12);
+        assert_eq!(snap.gauges["uburst_test_shared_peak"], 9);
+        assert_eq!(snap.hists["uburst_test_shared_ns"].count, 2);
+        assert_eq!(snap.spans["shared/span"].total_ns, 40);
+        disable();
+    }
+
+    #[test]
+    fn handle_sites_record_nothing_while_disabled() {
+        let _g = fresh();
+        disable();
+        counter_add!("uburst_test_off_site_total", 5);
+        span_record!("off/site", 10);
+        let snap = snapshot();
+        assert!(snap.counters.is_empty() && snap.spans.is_empty());
     }
 }

@@ -4,11 +4,14 @@
 //! cells, which is what makes snapshots independent of thread count and
 //! scheduling (see the crate docs for the full determinism contract).
 //! Lookup is a read-locked `BTreeMap` probe; creation takes the write
-//! lock once per name. Callers on genuinely hot paths can clone the
-//! returned `Arc` handle and skip the map entirely.
+//! lock once per name. The returned `Arc` is a **handle**: recording on
+//! it touches no lock or map, and it stays valid for the registry's
+//! lifetime — [`Registry::reset`] zeroes cells in place and never removes
+//! one. A cell appears in snapshots once it has been recorded into since
+//! the last reset.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::expose::{HistSnapshot, Snapshot, SpanSnapshot};
@@ -37,20 +40,103 @@ pub const NS_BOUNDS: [u64; 16] = [
     10_000_000_000,
 ];
 
+/// A cell a [`Registry`] can list and reset.
+trait Metric: Default {
+    type Snap;
+    /// The cell's value; `None` until it is recorded into after creation
+    /// or the last reset (an untouched cell is not part of a snapshot).
+    fn snapshot(&self) -> Option<Self::Snap>;
+    /// Back to the never-recorded state.
+    fn reset(&self);
+}
+
+/// One u64 plus whether it was recorded into since the last reset:
+/// `add(0)` and `max(0)` must still list the name, so the value alone
+/// cannot say.
+#[derive(Debug, Default)]
+struct Scalar {
+    value: AtomicU64,
+    touched: AtomicBool,
+}
+
+impl Scalar {
+    #[inline]
+    fn touch(&self) {
+        self.touched.store(true, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+
+    fn snapshot(&self) -> Option<u64> {
+        self.touched.load(Ordering::Relaxed).then(|| self.get())
+    }
+
+    fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
+        self.touched.store(false, Ordering::Relaxed);
+    }
+}
+
 /// A monotone event counter.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(Scalar);
 
 impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.value.fetch_add(n, Ordering::Relaxed);
+        self.0.touch();
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
+    }
+}
+
+impl Metric for Counter {
+    type Snap = u64;
+
+    fn snapshot(&self) -> Option<u64> {
+        self.0.snapshot()
+    }
+
+    fn reset(&self) {
+        self.0.reset();
+    }
+}
+
+/// A high-watermark gauge: max is the only "current value" aggregation
+/// that is independent of update order.
+#[derive(Debug, Default)]
+pub struct Gauge(Scalar);
+
+impl Gauge {
+    /// Raises the gauge to `v` if larger.
+    #[inline]
+    pub fn max(&self, v: u64) {
+        self.0.value.fetch_max(v, Ordering::Relaxed);
+        self.0.touch();
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.get()
+    }
+}
+
+impl Metric for Gauge {
+    type Snap = u64;
+
+    fn snapshot(&self) -> Option<u64> {
+        self.0.snapshot()
+    }
+
+    fn reset(&self) {
+        self.0.reset();
     }
 }
 
@@ -85,17 +171,32 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
+}
 
-    fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
+impl Metric for Histogram {
+    type Snap = HistSnapshot;
+
+    fn snapshot(&self) -> Option<HistSnapshot> {
+        let count = self.count.load(Ordering::Relaxed);
+        (count > 0).then(|| HistSnapshot {
             buckets: self
                 .counts
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
+            count,
             max: self.max.load(Ordering::Relaxed),
+        })
+    }
+
+    fn reset(&self) {
+        for c in self
+            .counts
+            .iter()
+            .chain([&self.sum, &self.count, &self.max])
+        {
+            c.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -115,12 +216,23 @@ impl SpanStat {
         self.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
         self.max_ns.fetch_max(dur_ns, Ordering::Relaxed);
     }
+}
 
-    fn snapshot(&self) -> SpanSnapshot {
-        SpanSnapshot {
-            count: self.count.load(Ordering::Relaxed),
+impl Metric for SpanStat {
+    type Snap = SpanSnapshot;
+
+    fn snapshot(&self) -> Option<SpanSnapshot> {
+        let count = self.count.load(Ordering::Relaxed);
+        (count > 0).then(|| SpanSnapshot {
+            count,
             total_ns: self.total_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),
+        })
+    }
+
+    fn reset(&self) {
+        for c in [&self.count, &self.total_ns, &self.max_ns] {
+            c.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -129,20 +241,33 @@ impl SpanStat {
 /// [`crate::registry`]); tests may build private ones.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    hists: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    spans: RwLock<BTreeMap<String, Arc<SpanStat>>>,
+    counters: Cells<Counter>,
+    gauges: Cells<Gauge>,
+    hists: Cells<Histogram>,
+    spans: Cells<SpanStat>,
 }
 
-/// Read-mostly get-or-insert: one read-lock probe on the hot path, a
-/// write lock only the first time a name is seen.
-fn intern<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+type Cells<T> = RwLock<BTreeMap<String, Arc<T>>>;
+
+/// Read-mostly get-or-insert: one read-lock probe per lookup, a write
+/// lock only the first time a name is seen.
+fn intern<T: Default>(map: &Cells<T>, name: &str) -> Arc<T> {
     if let Some(v) = map.read().unwrap().get(name) {
         return Arc::clone(v);
     }
     let mut w = map.write().unwrap();
     Arc::clone(w.entry(name.to_owned()).or_default())
+}
+
+fn snapshot_cells<T: Metric>(map: &Cells<T>) -> BTreeMap<String, T::Snap> {
+    let map = map.read().unwrap();
+    map.iter()
+        .filter_map(|(k, v)| Some((k.clone(), v.snapshot()?)))
+        .collect()
+}
+
+fn reset_cells<T: Metric>(map: &Cells<T>) {
+    map.read().unwrap().values().for_each(|v| v.reset());
 }
 
 impl Registry {
@@ -156,9 +281,9 @@ impl Registry {
         intern(&self.counters, name)
     }
 
-    /// Raises the gauge `name` to `v` if larger (max aggregation).
-    pub fn gauge_max(&self, name: &str, v: u64) {
-        intern(&self.gauges, name).fetch_max(v, Ordering::Relaxed);
+    /// The gauge named `name`.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        intern(&self.gauges, name)
     }
 
     /// The histogram named `name`.
@@ -171,46 +296,27 @@ impl Registry {
         intern(&self.spans, path)
     }
 
-    /// Renders everything into an immutable, ordered snapshot.
+    /// Renders everything recorded since the last reset into an
+    /// immutable, ordered snapshot.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self
-                .counters
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-            hists: self
-                .hists
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            spans: self
-                .spans
-                .read()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            counters: snapshot_cells(&self.counters),
+            gauges: snapshot_cells(&self.gauges),
+            hists: snapshot_cells(&self.hists),
+            spans: snapshot_cells(&self.spans),
         }
     }
 
-    /// Drops every registered metric and span.
+    /// Zeroes every metric and span in place and drops it out of
+    /// snapshots until it is recorded into again. Cells are never
+    /// removed, so handles taken before a reset keep recording into the
+    /// cell their name resolves to. Not atomic against concurrent
+    /// recording: call it between phases, not during one.
     pub fn reset(&self) {
-        self.counters.write().unwrap().clear();
-        self.gauges.write().unwrap().clear();
-        self.hists.write().unwrap().clear();
-        self.spans.write().unwrap().clear();
+        reset_cells(&self.counters);
+        reset_cells(&self.gauges);
+        reset_cells(&self.hists);
+        reset_cells(&self.spans);
     }
 }
 
@@ -224,7 +330,7 @@ mod tests {
         let h = Histogram::default();
         h.observe(250); // exactly on the first bound → first bucket (le=250)
         h.observe(251);
-        let s = h.snapshot();
+        let s = h.snapshot().unwrap();
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[1], 1);
     }
@@ -233,7 +339,7 @@ mod tests {
     fn overflow_bucket_catches_everything_above_the_last_bound() {
         let h = Histogram::default();
         h.observe(u64::MAX);
-        let s = h.snapshot();
+        let s = h.snapshot().unwrap();
         assert_eq!(*s.buckets.last().unwrap(), 1);
         assert_eq!(s.count, 1);
     }
