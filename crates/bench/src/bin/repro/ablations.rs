@@ -18,7 +18,7 @@
 //! parallel engine (`uburst_bench::run_jobs`); rows are assembled in sweep
 //! order, so the report is identical for any `UBURST_THREADS`.
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ablations`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ablations`.
 
 use uburst_analysis::{extract_bursts, mad_per_period, Ecdf, HOT_THRESHOLD};
 use uburst_asic::{AccessModel, CounterId};
@@ -249,7 +249,7 @@ fn ablate_pacing() {
     println!("pacing smears the line-rate trains out: hot fraction and burst tails\nshrink — the effect the hardware/software pacing proposals of §7 target.\n");
 }
 
-fn main() {
+pub fn run() {
     println!("design-choice ablations (see DESIGN.md section 4)\n");
     ablate_buffer_alpha();
     ablate_ecmp();

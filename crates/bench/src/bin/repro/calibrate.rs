@@ -4,7 +4,7 @@
 //! (utilization, hot fractions, burst duration quantiles, directionality,
 //! correlation, burstiness ratios) for each rack type, next to the paper's
 //! target values, so workload parameters can be tuned. Run with
-//! `cargo run --release -p uburst-bench --bin calibrate`.
+//! `cargo run --release -p uburst-bench --bin repro -- calibrate`.
 
 use uburst_analysis::{
     extract_bursts, fit_transition_matrix, hot_chain, mean_offdiagonal, pearson, Ecdf,
@@ -18,7 +18,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-fn main() {
+pub fn run() {
     let span = Nanos::from_millis(
         std::env::var("CAL_MS")
             .ok()

@@ -9,12 +9,12 @@
 //! sizes, asking how much of the figure is workload and how much is
 //! carving policy.
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_buffer_policy`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_buffer_policy`.
 
 use uburst_analysis::{quantile, HOT_THRESHOLD};
 use uburst_asic::CounterId;
 use uburst_bench::campaign::{measure_buffer_and_ports, port_bps};
-use uburst_bench::report::{fmt_bytes, Table};
+use uburst_bench::report::{fmt_bytes, verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
 use uburst_sim::time::Nanos;
@@ -56,7 +56,7 @@ fn policies() -> Vec<BufferPolicyCfg> {
     ]
 }
 
-fn main() {
+pub fn run() {
     let policy_cfgs = policies();
     let buffers: Vec<u64> = vec![384 << 10, 768 << 10, 1536 << 10];
 
@@ -179,33 +179,21 @@ fn main() {
     println!("\nchecks:");
     println!(
         "  [{}] static partitioning drops earliest (Hadoop@{}: {} vs DT {})",
-        if sp_small.drops > dt_small.drops {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(sp_small.drops > dt_small.drops),
         fmt_bytes(small),
         sp_small.drops,
         dt_small.drops
     );
     println!(
         "  [{}] BShare bounds the occupancy tail below DT (Hadoop@{}: p99 {} vs {})",
-        if bs_mid.p99_occ < dt_mid.p99_occ {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(bs_mid.p99_occ < dt_mid.p99_occ),
         fmt_bytes(mid),
         fmt_bytes(bs_mid.p99_occ),
         fmt_bytes(dt_mid.p99_occ)
     );
     println!(
         "  [{}] flexible buffering bounds the occupancy tail below DT (Hadoop@{}: p99 {} vs {})",
-        if fb_mid.p99_occ < dt_mid.p99_occ {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(fb_mid.p99_occ < dt_mid.p99_occ),
         fmt_bytes(mid),
         fmt_bytes(fb_mid.p99_occ),
         fmt_bytes(dt_mid.p99_occ)
@@ -215,11 +203,7 @@ fn main() {
     let dt_cache_hot = cell(0, RackType::Cache, mid).max_hot;
     println!(
         "  [{}] Hadoop still drives the most concurrent hot ports under the default carve ({} vs web {} / cache {})",
-        if dt_hadoop_hot >= dt_web_hot && dt_hadoop_hot >= dt_cache_hot {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(dt_hadoop_hot >= dt_web_hot && dt_hadoop_hot >= dt_cache_hot),
         dt_hadoop_hot,
         dt_web_hot,
         dt_cache_hot

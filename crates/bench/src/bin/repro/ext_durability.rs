@@ -19,11 +19,11 @@
 //!
 //! Everything is deterministic from the printed seed.
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_durability`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_durability`.
 
 use std::collections::BTreeMap;
 
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_core::{
     AckMsg, Batch, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, LossyLink, MemStorage, SeqBatch,
     Series, Shipper, ShipperConfig, SourceId, TornStorage, WalConfig, WalError, WalStorage,
@@ -218,7 +218,7 @@ fn sweep_at(loss_pct: f64, crash_points: usize) -> SweepResult {
     }
 }
 
-fn main() {
+pub fn run() {
     let scale = uburst_bench::Scale::from_env();
     let points = match scale {
         uburst_bench::Scale::Quick => 48,
@@ -286,18 +286,18 @@ fn main() {
     println!("\nchecks:");
     println!(
         "  [{}] every crash point recovers to exactly the acked prefix",
-        if all_exact { "ok" } else { "MISS" }
+        verdict(all_exact)
     );
     println!(
         "  [{}] every resumed session converges to the crash-free reference",
-        if all_converged { "ok" } else { "MISS" }
+        verdict(all_converged)
     );
     println!(
         "  [{}] the sweep produced mid-record tears (torn-tail coverage)",
-        if any_torn { "ok" } else { "MISS" }
+        verdict(any_torn)
     );
     println!(
         "  [{}] replay from seed {SEED:#x} is bit-identical",
-        if deterministic { "ok" } else { "MISS" }
+        verdict(deterministic)
     );
 }

@@ -11,18 +11,18 @@
 //! and asks: how much of the µburst-driven loss does an RTT-scale signal
 //! actually recover, and what happens to the bursts themselves?
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_ecn_dctcp`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_ecn_dctcp`.
 
 use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
 use uburst_asic::CounterId;
 use uburst_bench::campaign::run_campaign;
-use uburst_bench::report::{fmt_bytes, Table};
+use uburst_bench::report::{fmt_bytes, verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-fn main() {
+pub fn run() {
     let span = Nanos::from_millis(200);
     println!("extension: ECN marking + DCTCP-style response, Hadoop rack at load 2.0");
     println!();
@@ -106,29 +106,17 @@ fn main() {
     let (_, drops_k, peak_k, good_k) = rows[3].clone(); // K=25KB, the aggressive mark
     println!(
         "  [{}] ECN cuts drops sharply ({drops0} -> {drops_k})",
-        if drops_k < drops0 / 2 || drops0 == 0 {
-            "ok"
-        } else {
-            "MISS"
-        }
+        verdict(drops_k < drops0 / 2 || drops0 == 0)
     );
     println!(
         "  [{}] ECN lowers peak buffer occupancy ({} -> {})",
-        if peak_k < peak0 || drops0 == 0 {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(peak_k < peak0 || drops0 == 0),
         fmt_bytes(peak0),
         fmt_bytes(peak_k)
     );
     println!(
         "  [{}] goodput holds within 15% ({} -> {})",
-        if (good_k as f64) > 0.85 * good0 as f64 {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict((good_k as f64) > 0.85 * good0 as f64),
         fmt_bytes(good0),
         fmt_bytes(good_k)
     );

@@ -10,13 +10,13 @@
 //! fabric tier too and test that claim directly — same rack, same traffic,
 //! ToR ports vs. fabric ports.
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_fabric_tier`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fabric_tier`.
 
 use std::rc::Rc;
 
 use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
 use uburst_asic::{AccessModel, AsicCounters, CounterId};
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_core::poller::Poller;
 use uburst_core::spec::CampaignConfig;
 use uburst_sim::node::PortId;
@@ -43,7 +43,7 @@ fn poll_port(
     series.utilization(bps)
 }
 
-fn main() {
+pub fn run() {
     let span = Nanos::from_millis(250);
     println!("extension: ToR vs fabric tier, same Hadoop rack, 25us campaigns");
     println!();
@@ -126,7 +126,7 @@ fn main() {
     println!("\nchecks:");
     println!(
         "  [{}] ToR is burstier than the fabric tier (hot {:.1}% vs {:.1}%)",
-        if tor_hot > fabric_hot { "ok" } else { "MISS" },
+        verdict(tor_hot > fabric_hot),
         tor_hot * 100.0,
         fabric_hot * 100.0
     );

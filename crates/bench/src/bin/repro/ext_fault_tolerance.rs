@@ -16,11 +16,11 @@
 //!
 //! Everything is deterministic from the printed seeds.
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_fault_tolerance`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fault_tolerance`.
 
 use uburst_asic::{CounterId, FaultPlan};
 use uburst_bench::campaign::{run_campaign_hardened, CampaignRun};
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_core::poller::RetryPolicy;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
@@ -60,7 +60,7 @@ fn mean_rate(run: &CampaignRun) -> f64 {
     dv as f64 / dt
 }
 
-fn main() {
+pub fn run() {
     let scale = uburst_bench::Scale::from_env();
     let span = scale.campaign_span();
     println!(
@@ -153,20 +153,20 @@ fn main() {
     println!("\nchecks:");
     println!(
         "  [{}] 1% faults + 32-bit wrap keeps rate error under 1% ({:.3}%)",
-        if one_pct_err < 0.01 { "ok" } else { "MISS" },
+        verdict(one_pct_err < 0.01),
         one_pct_err * 100.0
     );
     println!(
         "  [{}] 1% faults keeps sampling loss under 5% ({:.2}%)",
-        if one_pct_loss < 0.05 { "ok" } else { "MISS" },
+        verdict(one_pct_loss < 0.05),
         one_pct_loss * 100.0
     );
     println!(
         "  [{}] every injected fault is accounted in poller stats",
-        if all_accounted { "ok" } else { "MISS" }
+        verdict(all_accounted)
     );
     println!(
         "  [{}] replay from seed {SEED} is bit-identical",
-        if deterministic { "ok" } else { "MISS" }
+        verdict(deterministic)
     );
 }

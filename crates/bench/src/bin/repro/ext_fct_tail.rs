@@ -11,10 +11,10 @@
 //! serialization time + a fixed base RTT, so flows of different sizes are
 //! comparable (the standard FCT-slowdown methodology).
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_fct_tail`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fct_tail`.
 
 use uburst_analysis::Ecdf;
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_sim::time::Nanos;
 use uburst_workloads::host::AppHost;
 use uburst_workloads::scenario::{build_scenario, RackType, ScenarioConfig};
@@ -48,7 +48,7 @@ fn slowdowns(load: f64, ecn: bool, seed: u64) -> Vec<f64> {
     out
 }
 
-fn main() {
+pub fn run() {
     println!("extension: FCT slowdown of cache responses vs load (25us-burst effects)");
     println!();
 
@@ -106,12 +106,12 @@ fn main() {
     let hi = p99_at(2.0, false);
     println!(
         "  [{}] the FCT tail grows with load ({lo:.2} -> {hi:.2} at p99)",
-        if hi > lo { "ok" } else { "MISS" }
+        verdict(hi > lo)
     );
     let med_lo = 1.0; // medians should stay near ideal
     println!(
         "  [{}] medians stay near ideal while the tail inflates (tail/median gap at load 2.0: {:.1}x)",
-        if hi > 2.0 * med_lo { "ok" } else { "MISS" },
+        verdict(hi > 2.0 * med_lo),
         hi / med_lo
     );
     // ECN's win is at the extreme tail: it removes the RTO stragglers that
@@ -121,12 +121,12 @@ fn main() {
     let ecn_max = max_at(2.0, true);
     println!(
         "  [{}] ECN removes drop/RTO stragglers at the extreme tail (max {drop_max:.0}x -> {ecn_max:.0}x)",
-        if ecn_max * 5.0 < drop_max { "ok" } else { "MISS" }
+        verdict(ecn_max * 5.0 < drop_max)
     );
     let drop_p99 = p99_at(2.0, false);
     let ecn_p99 = p99_at(2.0, true);
     println!(
         "  [{}] but p99 is queueing-dominated and barely moves ({drop_p99:.2} vs {ecn_p99:.2}) — ubursts outpace RTT-scale signals",
-        if (ecn_p99 - drop_p99).abs() < 0.3 * drop_p99 { "ok" } else { "MISS" }
+        verdict((ecn_p99 - drop_p99).abs() < 0.3 * drop_p99)
     );
 }

@@ -21,12 +21,12 @@
 //! Deterministic from the fleet seed: the same report prints byte for
 //! byte under any `UBURST_THREADS` (CI diffs it).
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_fleet`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fleet`.
 //! `UBURST_FLEET_SWITCHES` overrides the fleet width (default 200; CI
 //! uses 32 to stay fast).
 
 use uburst_bench::fleet::{render_report, run_fleet_spec, run_fleet_spec_crashed, FleetSpec};
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_bench::Scale;
 use uburst_core::failpoint::RegionCrashPlan;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
@@ -55,7 +55,7 @@ fn fleet_width() -> u32 {
     }
 }
 
-fn main() {
+pub fn run() {
     let scale = Scale::from_env();
     let n = fleet_width();
     uburst_obs::enable();
@@ -154,17 +154,13 @@ fn main() {
     println!("\npolicy-sweep checks:");
     println!(
         "  [{}] collection tier is carving-agnostic (full coverage under every policy)",
-        if drops_by_policy.iter().all(|&(_, _, f)| f == 1.0) {
-            "ok"
-        } else {
-            "MISS"
-        }
+        verdict(drops_by_policy.iter().all(|&(_, _, f)| f == 1.0))
     );
     let dt_drops = drops_by_policy[0].1;
     let sp_drops = drops_by_policy[1].1;
     println!(
         "  [{}] static partitioning drops most at fleet width too ({sp_drops} vs DT {dt_drops})",
-        if sp_drops > dt_drops { "ok" } else { "MISS" }
+        verdict(sp_drops > dt_drops)
     );
 }
 

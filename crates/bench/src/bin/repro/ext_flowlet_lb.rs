@@ -14,12 +14,12 @@
 //! recover, and (b) the reordering cost, as a function of the flowlet gap
 //! relative to end-to-end latency.
 //!
-//! Run with `cargo run --release -p uburst-bench --bin ext_flowlet_lb`.
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_flowlet_lb`.
 
 use uburst_analysis::{coarsen, mad_per_period, Ecdf};
 use uburst_asic::CounterId;
 use uburst_bench::campaign::run_campaign;
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::node::PortId;
 use uburst_sim::routing::EcmpMode;
@@ -114,7 +114,7 @@ fn panel(title: &str, window_limited: bool, span: Nanos) -> Vec<(String, f64, u6
     rows
 }
 
-fn main() {
+pub fn run() {
     let span = Nanos::from_millis(200);
     println!("extension: flowlet load balancing on the Hadoop rack ({span} campaigns)");
     println!();
@@ -142,37 +142,25 @@ fn main() {
     println!("\nchecks:");
     println!(
         "  [{}] panel A: flowlets == flows for backlogged traffic (MAD {:.2} vs {:.2})",
-        if (backlogged[2].1 - backlogged[0].1).abs() < 0.25 {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict((backlogged[2].1 - backlogged[0].1).abs() < 0.25),
         backlogged[2].1,
         backlogged[0].1
     );
     println!(
         "  [{}] panel B: sub-stall flowlets improve fine balance (MAD@40us {:.2} -> {:.2})",
-        if limited[3].1 < limited[0].1 - 0.03 {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(limited[3].1 < limited[0].1 - 0.03),
         limited[0].1,
         limited[3].1
     );
     println!(
         "  [{}] panel B: flowlets approach balance at coarser-than-flowlet scales (MAD@1ms {:.2} -> {:.2})",
-        if limited[3].3 < 0.7 * limited[0].3 {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(limited[3].3 < 0.7 * limited[0].3),
         limited[0].3,
         limited[3].3
     );
     println!(
         "  [{}] spraying still balances best but relies on reordering tolerance ({:.2})",
-        if backlogged[4].1 < 0.3 { "ok" } else { "MISS" },
+        verdict(backlogged[4].1 < 0.3),
         backlogged[4].1
     );
 }

@@ -19,7 +19,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::run_campaign;
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Runs the experiment and renders the report.
@@ -132,18 +132,14 @@ pub fn run(scale: Scale) -> String {
     writeln!(
         out,
         "  [{}] utilization is a weak predictor of drops (|corr| = {:.3} < 0.3)",
-        if corr.abs() < 0.3 { "ok" } else { "MISS" },
+        verdict(corr.abs() < 0.3),
         corr.abs()
     )
     .unwrap();
     writeln!(
         out,
         "  [{}] drops occur even in low-utilization windows ({low_util_drop_windows} of {windows_with_drops} drop windows below 30% util)",
-        if windows_with_drops == 0 || low_util_drop_windows > 0 {
-            "ok"
-        } else {
-            "MISS"
-        }
+        verdict(windows_with_drops == 0 || low_util_drop_windows > 0)
     )
     .unwrap();
     out

@@ -19,6 +19,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::run_campaign;
 use crate::pool::run_jobs;
+use crate::report::verdict;
 use crate::scale::Scale;
 
 /// Runs the experiment and renders the report.
@@ -125,7 +126,7 @@ fn render_panel(scale: Scale, label: &str, rack_type: RackType, load: f64) -> St
         writeln!(
             out,
             "    [{}] the port experienced drops (total {total_drops})",
-            if total_drops > 0 { "ok" } else { "MISS" }
+            verdict(total_drops > 0)
         )
         .unwrap();
         let bursty = total_drops == 0
@@ -134,7 +135,7 @@ fn render_panel(scale: Scale, label: &str, rack_type: RackType, load: f64) -> St
         writeln!(
             out,
             "    [{}] drops are bursty: many empty windows, spiky occupied ones",
-            if bursty { "ok" } else { "MISS" }
+            verdict(bursty)
         )
         .unwrap();
     }

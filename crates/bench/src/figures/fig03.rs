@@ -11,13 +11,13 @@ use uburst_analysis::{Ecdf, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
 use crate::figures::common::{all_burst_durations_us, SinglePortData};
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 use crate::DURATION_POINTS_US;
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
-    render(scale, &SinglePortData::collect(scale))
+    super::Runner::SinglePort(render).run(scale)
 }
 
 /// Renders the report from an already collected dataset.
@@ -91,7 +91,7 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     out.push_str(&curves);
     writeln!(out, "\npaper-shape checks:").unwrap();
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

@@ -11,7 +11,7 @@ use uburst_analysis::{ks_test_exponential_with_ecdf, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
 use crate::figures::common::{all_gaps_us, SinglePortData};
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Gap CDF evaluation points in microseconds.
@@ -21,7 +21,7 @@ const GAP_POINTS_US: [f64; 10] = [
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
-    render(scale, &SinglePortData::collect(scale))
+    super::Runner::SinglePort(render).run(scale)
 }
 
 /// Renders the report from an already collected dataset.
@@ -82,7 +82,7 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     out.push_str(&curves);
     writeln!(out, "\npaper-shape checks:").unwrap();
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

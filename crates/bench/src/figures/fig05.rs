@@ -16,7 +16,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{port_bps, representative_port, run_campaign};
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Index of the first "large" bin (1024–1518 bytes).
@@ -143,7 +143,7 @@ pub fn run(scale: Scale) -> String {
                 rel * 100.0
             ),
         };
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

@@ -11,7 +11,7 @@ use uburst_analysis::{Ecdf, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
 use crate::figures::common::SinglePortData;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Utilization CDF evaluation points.
@@ -19,7 +19,7 @@ const UTIL_POINTS: [f64; 9] = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0]
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
-    render(scale, &SinglePortData::collect(scale))
+    super::Runner::SinglePort(render).run(scale)
 }
 
 /// Renders the report from an already collected dataset.
@@ -82,11 +82,7 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     writeln!(
         out,
         "  [{}] Hadoop spends the most time in bursts (got {:.1}%; paper ~15%)",
-        if hot_fracs.iter().all(|(_, h)| hadoop_hot >= *h) {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(hot_fracs.iter().all(|(_, h)| hadoop_hot >= *h)),
         hadoop_hot * 100.0
     )
     .unwrap();
@@ -98,18 +94,14 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     writeln!(
         out,
         "  [{}] Hadoop has a mode near 100% utilization (got {:.1}% of periods >90%; paper ~10%)",
-        if hadoop_near > 0.02 { "ok" } else { "MISS" },
+        verdict(hadoop_near > 0.02),
         hadoop_near * 100.0
     )
     .unwrap();
     writeln!(
         out,
         "  [{}] bursts are intense: hot periods exist while medians stay low",
-        if hot_fracs.iter().all(|(_, h)| *h > 0.001) {
-            "ok"
-        } else {
-            "MISS"
-        }
+        verdict(hot_fracs.iter().all(|(_, h)| *h > 0.001))
     )
     .unwrap();
     out

@@ -18,7 +18,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::measure_port_groups;
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// MAD CDF evaluation points.
@@ -176,7 +176,7 @@ pub fn run(scale: Scale) -> String {
     out.push_str(&curves);
     writeln!(out, "\npaper-shape checks:").unwrap();
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

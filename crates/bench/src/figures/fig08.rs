@@ -15,7 +15,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::measure_port_groups;
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Renders a correlation matrix as an ASCII heatmap.
@@ -122,18 +122,14 @@ pub fn run(scale: Scale) -> String {
     writeln!(
         out,
         "  [{}] Web: almost no correlation (mean offdiag {:.3})",
-        if web.1.abs() < 0.05 { "ok" } else { "MISS" },
+        verdict(web.1.abs() < 0.05),
         web.1
     )
     .unwrap();
     writeln!(
         out,
         "  [{}] Cache: strong same-pod correlation, weak cross-pod ({:.2} vs {:.2})",
-        if cache.2 > 0.4 && cache.2 > 3.0 * cache.3.max(0.01) {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(cache.2 > 0.4 && cache.2 > 3.0 * cache.3.max(0.01)),
         cache.2,
         cache.3
     )
@@ -141,11 +137,7 @@ pub fn run(scale: Scale) -> String {
     writeln!(
         out,
         "  [{}] Hadoop: modest correlation, between Web and Cache ({:.3})",
-        if hadoop.1 > web.1 && hadoop.1 < cache.2 {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(hadoop.1 > web.1 && hadoop.1 < cache.2),
         hadoop.1
     )
     .unwrap();

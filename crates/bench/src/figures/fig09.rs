@@ -14,7 +14,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{measure_buffer_and_ports, port_bps};
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Runs the experiment and renders the report.
@@ -108,7 +108,7 @@ pub fn run(scale: Scale) -> String {
     writeln!(out, "{}", table.render()).unwrap();
     writeln!(out, "\npaper-shape checks:").unwrap();
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

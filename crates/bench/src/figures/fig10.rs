@@ -21,7 +21,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{measure_buffer_and_ports, port_bps};
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// One rack type's `(hot-port count, peak occupancy)` pairs plus its port
@@ -201,11 +201,7 @@ pub fn run(scale: Scale) -> String {
     writeln!(
         out,
         "  [{}] Hadoop drives the largest share of ports hot ({:.0}%; paper 100%)",
-        if max_share.iter().all(|(_, s)| hadoop >= *s) {
-            "ok"
-        } else {
-            "MISS"
-        },
+        verdict(max_share.iter().all(|(_, s)| hadoop >= *s)),
         hadoop * 100.0
     )
     .unwrap();
@@ -213,7 +209,7 @@ pub fn run(scale: Scale) -> String {
         writeln!(
             out,
             "  [{}] {}: occupancy grows sublinearly with hot ports (occupancy x{:.1} vs ports x{:.1})",
-            if occ_ratio < cnt_ratio { "ok" } else { "MISS" },
+            verdict(occ_ratio < cnt_ratio),
             rt.name(),
             occ_ratio,
             cnt_ratio

@@ -1,7 +1,8 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Every module exposes `run(scale) -> String`, returning the report the
-//! corresponding binary prints. `run_all_experiments` concatenates them.
+//! Every module exposes `run(scale) -> String`, returning the report
+//! `repro <id>` prints; `repro all` concatenates them in the order of
+//! [`all_experiments`], the registry the `repro` binary dispatches on.
 //! Figs. 3, 4, 6 and Table 2 are four readings of one dataset (the paper's
 //! 25 µs single-port campaigns), so those modules also expose
 //! `render(scale, &SinglePortData)` and the suite collects the dataset
@@ -41,6 +42,16 @@ impl Runner {
         match self {
             Runner::Own(run) => run(scale),
             Runner::SinglePort(render) => render(scale, data),
+        }
+    }
+
+    /// Produces the report standalone — what the module's `run(scale)`
+    /// returns: an experiment that renders the shared dataset collects it
+    /// for itself.
+    pub fn run(self, scale: Scale) -> String {
+        match self {
+            Runner::Own(run) => run(scale),
+            Runner::SinglePort(_) => self.report(scale, &SinglePortData::collect(scale)),
         }
     }
 }

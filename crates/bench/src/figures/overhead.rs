@@ -25,7 +25,7 @@ use uburst_sim::sim::Simulator;
 use uburst_sim::time::Nanos;
 
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Runs one standalone polling campaign against an idle bank and returns
@@ -154,7 +154,7 @@ pub fn run(scale: Scale) -> String {
         ),
     ];
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

@@ -15,7 +15,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
 use crate::pool::run_jobs;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Runs the experiment and renders the report.
@@ -136,7 +136,7 @@ pub fn run(scale: Scale) -> String {
         ),
     ];
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
 }

@@ -11,7 +11,7 @@ use uburst_analysis::{fit_transition_matrix, hot_chain, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
 use crate::figures::common::SinglePortData;
-use crate::report::Table;
+use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Paper's likelihood ratios for reference.
@@ -23,7 +23,7 @@ pub const PAPER_R: [(RackType, f64); 3] = [
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
-    render(scale, &SinglePortData::collect(scale))
+    super::Runner::SinglePort(render).run(scale)
 }
 
 /// Renders the report from an already collected dataset.
@@ -87,14 +87,14 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     writeln!(
         out,
         "  [{}] every ratio >> 1: hot intervals are temporally correlated",
-        if all_gt_one { "ok" } else { "MISS" }
+        verdict(all_gt_one)
     )
     .unwrap();
     let ordered = measured[0].1 > measured[1].1 && measured[1].1 > measured[2].1;
     writeln!(
         out,
         "  [{}] ordering r_web > r_cache > r_hadoop (got {:.1} / {:.1} / {:.1})",
-        if ordered { "ok" } else { "MISS" },
+        verdict(ordered),
         measured[0].1,
         measured[1].1,
         measured[2].1

@@ -578,7 +578,7 @@ pub fn render_report(run: &FleetRun) -> String {
 
     writeln!(out, "\nfleet checks:").unwrap();
     for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" }).unwrap();
+        writeln!(out, "  [{}] {desc}", crate::report::verdict(ok)).unwrap();
     }
     out
 }

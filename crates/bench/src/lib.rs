@@ -1,10 +1,10 @@
 //! # uburst-bench — experiment harnesses
 //!
-//! Shared machinery for the per-figure/table reproduction binaries (see
-//! `src/bin/`) and the performance benchmarks (see `benches/`). Each binary
-//! rebuilds one table or figure from the paper by running measured-rack
-//! scenarios, attaching the collection framework, and printing the same
-//! rows/series the paper reports.
+//! Shared machinery for the reproduction harnesses (the `repro` binary,
+//! see `src/bin/repro/`) and the performance benchmarks (see `benches/`).
+//! `repro <id>` rebuilds one table or figure from the paper by running
+//! measured-rack scenarios, attaching the collection framework, and
+//! printing the same rows/series the paper reports.
 //!
 //! Set `EXP_SCALE=full` for longer campaigns (smoother distributions);
 //! the default `quick` scale keeps every harness under a couple of minutes.

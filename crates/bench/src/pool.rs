@@ -27,7 +27,7 @@
 //!   reordered by submission index before they are returned. A run with
 //!   `UBURST_THREADS=1` executes the jobs inline on the caller, which is
 //!   exactly the old sequential code path.
-//! * **Nesting.** Harnesses compose (`run_all_experiments` parallelizes
+//! * **Nesting.** Harnesses compose (`repro all` parallelizes
 //!   over experiments, each experiment over campaigns), so a global permit
 //!   budget of `Scale::threads() - 1` extra workers caps the total number
 //!   of live worker threads across nested [`run_jobs`] calls. A nested

@@ -1,6 +1,27 @@
 //! Plain-text reporting helpers shared by the figure harnesses.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use uburst_analysis::Ecdf;
+
+/// Shape checks that failed in this process (see [`verdict`]).
+static MISSES: AtomicUsize = AtomicUsize::new(0);
+
+/// The `ok` / `MISS` tag every shape-check line prints. A miss is also
+/// counted, so the harness binary can turn it into its exit status.
+pub fn verdict(ok: bool) -> &'static str {
+    if ok {
+        "ok"
+    } else {
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        "MISS"
+    }
+}
+
+/// How many [`verdict`]s have come back `MISS` so far.
+pub fn misses() -> usize {
+    MISSES.load(Ordering::Relaxed)
+}
 
 /// A simple fixed-width text table.
 pub struct Table {
@@ -116,6 +137,17 @@ mod tests {
         assert_eq!(fmt_bytes(3 << 20), "3.00MiB");
         assert_eq!(fmt_bytes(5 << 30), "5.00GiB");
         assert_eq!(fmt_fraction(0.123), "12.3%");
+    }
+
+    #[test]
+    fn verdict_tags_and_counts_misses() {
+        // Other tests in this binary may record misses concurrently, so
+        // the count is only bounded below.
+        let before = misses();
+        assert_eq!(verdict(true), "ok");
+        assert_eq!(verdict(false), "MISS");
+        assert_eq!(verdict(false), "MISS");
+        assert!(misses() >= before + 2);
     }
 
     #[test]

@@ -87,6 +87,22 @@ fn fault_free_fleet_has_full_coverage() {
 }
 
 #[test]
+fn a_failed_fleet_check_is_a_recorded_miss() {
+    // `repro ext_fleet` exits non-zero on `report::misses() > 0`, so a
+    // failed fleet check has to go through `report::verdict` like every
+    // other shape check. Break the no-acked-loss floor by hand.
+    let mut run = run_fleet_spec_on(1, &tiny(3, 0.0));
+    let s = &mut run.outcome.coverage.switches[0];
+    s.acked = s.stored + 1;
+    // Other tests in this binary render reports concurrently, so the
+    // counter is only known to grow.
+    let before = uburst_bench::report::misses();
+    let report = render_report(&run);
+    assert!(report.contains("[MISS] no acked batch is lost"));
+    assert!(uburst_bench::report::misses() > before);
+}
+
+#[test]
 fn all_flaky_fleet_is_quarantined_excluded_and_accounted() {
     // flaky_rate 1.0 deals every switch the flaky profile: degradation
     // signals on every round drive each lane Healthy → Degraded →

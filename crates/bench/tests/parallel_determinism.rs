@@ -7,9 +7,8 @@
 //! 2. `run_jobs` returns results in submission order even when the job
 //!    count heavily oversubscribes the worker count and jobs finish out
 //!    of order.
-//! 3. (ignored; CI runs it in release) the full `run_all_experiments`
-//!    stdout is byte-identical between `UBURST_THREADS=1` and a
-//!    multi-threaded run.
+//! 3. (ignored; CI runs it in release) the full `repro all` stdout is
+//!    byte-identical between `UBURST_THREADS=1` and a multi-threaded run.
 
 use std::process::Command;
 
@@ -90,16 +89,17 @@ fn nested_run_jobs_does_not_deadlock() {
 /// `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "runs the full experiment suite twice; CI runs it in release"]
-fn run_all_experiments_is_thread_count_invariant() {
+fn repro_all_is_thread_count_invariant() {
     let run_with = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_run_all_experiments"))
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("all")
             .env("EXP_SCALE", "quick")
             .env("UBURST_THREADS", threads)
             .output()
-            .expect("run_all_experiments executes");
+            .expect("repro all executes");
         assert!(
             out.status.success(),
-            "run_all_experiments failed under UBURST_THREADS={threads}: {}",
+            "repro all failed under UBURST_THREADS={threads}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         out.stdout

@@ -1,0 +1,50 @@
+//! The `repro` binary's command line: `list`, one id, an unknown id.
+
+use std::collections::BTreeSet;
+use std::process::{Command, Output};
+
+use uburst_bench::figures::{all_experiments, fig03};
+use uburst_bench::Scale;
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .env("EXP_SCALE", "quick")
+        .output()
+        .expect("repro executes")
+}
+
+#[test]
+fn list_starts_with_the_registry_and_ids_are_unique() {
+    let out = repro(&["list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let listed: Vec<&str> = stdout.lines().collect();
+    // Tables and figures first, in registry order; the harnesses that live
+    // in the binary (extensions, ablations, calibrate) follow.
+    let registry: Vec<&str> = all_experiments().into_iter().map(|e| e.0).collect();
+    assert_eq!(listed[..registry.len()], registry[..]);
+    assert!(listed.len() > registry.len(), "no harness listed");
+    let unique: BTreeSet<&str> = listed.iter().copied().collect();
+    assert_eq!(unique.len(), listed.len(), "duplicate id in {listed:?}");
+    assert!(!unique.contains("all") && !unique.contains("list"));
+}
+
+#[test]
+fn unknown_id_exits_2_with_the_list() {
+    let out = repro(&["nonsense"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    let (first, ids) = stderr.split_once('\n').expect("message, then ids");
+    assert!(first.contains("nonsense"), "{stderr}");
+    assert_eq!(ids.as_bytes(), repro(&["list"]).stdout);
+}
+
+#[test]
+fn one_id_prints_that_experiments_report() {
+    let out = repro(&["fig03"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    assert_eq!(stdout, fig03::run(Scale::Quick));
+}

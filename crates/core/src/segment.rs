@@ -31,7 +31,7 @@
 use crate::batch::{Batch, SourceId};
 use crate::series::Series;
 use crate::ship::SeqBatch;
-use crate::store::parse_counter_label;
+use crate::store::{label_parts, parse_counter_label};
 use uburst_asic::CounterId;
 
 /// Magic bytes opening every segment file.
@@ -111,15 +111,6 @@ pub fn segment_header() -> [u8; SEGMENT_HEADER_LEN] {
     h
 }
 
-/// Wraps a payload in a length + CRC frame.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
@@ -144,25 +135,15 @@ fn put_dec(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-/// Appends the length-prefixed counter label — byte-identical to
-/// `put_str(out, &counter_label(c))` (asserted by test) but without the
-/// `format!` heap allocation, since encode runs once per ingested record.
+/// Appends the length-prefixed counter label — the bytes of
+/// `put_str(out, &counter_label(c))`, written from the same
+/// [`label_parts`] row but without the `format!` heap allocation, since
+/// encode runs once per ingested record.
 fn put_counter_label(out: &mut Vec<u8>, c: CounterId) {
-    use CounterId as C;
     let start = out.len();
     out.extend_from_slice(&[0u8; 2]);
-    let (prefix, port, bin): (&[u8], Option<u16>, Option<u8>) = match c {
-        C::RxBytes(p) => (b"rx_bytes", Some(p.0), None),
-        C::RxPackets(p) => (b"rx_packets", Some(p.0), None),
-        C::TxBytes(p) => (b"tx_bytes", Some(p.0), None),
-        C::TxPackets(p) => (b"tx_packets", Some(p.0), None),
-        C::Drops(p) => (b"drops", Some(p.0), None),
-        C::RxSizeHist(p, b) => (b"rx_size_hist", Some(p.0), Some(b)),
-        C::TxSizeHist(p, b) => (b"tx_size_hist", Some(p.0), Some(b)),
-        C::BufferLevel => (b"buffer_level", None, None),
-        C::BufferPeak => (b"buffer_peak", None, None),
-    };
-    out.extend_from_slice(prefix);
+    let (prefix, port, bin) = label_parts(c);
+    out.extend_from_slice(prefix.as_bytes());
     if let Some(p) = port {
         out.push(b'[');
         put_dec(out, p as u32);
@@ -176,17 +157,8 @@ fn put_counter_label(out: &mut Vec<u8>, c: CounterId) {
     out[start..start + 2].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Serializes one sequenced batch into a record payload.
-pub fn encode_record(sb: &SeqBatch) -> Vec<u8> {
-    let n = sb.batch.samples.len();
-    let mut out = Vec::with_capacity(32 + sb.batch.campaign.len() + 16 * n);
-    encode_record_into(sb, &mut out);
-    out
-}
-
-/// Serializes one sequenced batch onto the end of `out` (the
-/// allocation-free twin of [`encode_record`] for reusable buffers).
-pub fn encode_record_into(sb: &SeqBatch, out: &mut Vec<u8>) {
+/// Serializes one sequenced batch's record payload onto the end of `out`.
+fn encode_record_into(sb: &SeqBatch, out: &mut Vec<u8>) {
     let n = sb.batch.samples.len();
     out.extend_from_slice(&sb.seq.to_le_bytes());
     out.extend_from_slice(&sb.watermark.to_le_bytes());
@@ -202,10 +174,10 @@ pub fn encode_record_into(sb: &SeqBatch, out: &mut Vec<u8>) {
     }
 }
 
-/// Appends the complete framed record for `sb` — `frame(&encode_record(sb))`,
-/// byte for byte — onto `out` without intermediate allocations. The length
-/// and CRC are patched in after the payload is encoded in place, so the
-/// group-commit WAL path encodes a whole window into one buffer.
+/// Appends the complete framed record for `sb` — length, CRC, payload —
+/// onto `out` without intermediate allocations. The length and CRC are
+/// patched in after the payload is encoded in place, so the group-commit
+/// WAL path encodes a whole window into one buffer.
 pub fn frame_record_into(sb: &SeqBatch, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_OVERHEAD]);
@@ -418,6 +390,22 @@ mod tests {
                 samples: s,
             },
         }
+    }
+
+    /// Reference framing: a length + CRC header built around a finished
+    /// payload, the layout [`frame_record_into`] patches in place.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn encode_record(sb: &SeqBatch) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record_into(sb, &mut out);
+        out
     }
 
     fn segment_with(records: &[SeqBatch]) -> Vec<u8> {

@@ -528,54 +528,78 @@ impl SampleStore {
     }
 }
 
-/// Parses a [`counter_label`] back into a [`CounterId`].
+/// The label text format's one table: every counter is written `prefix`,
+/// `prefix[port]` or `prefix[port:bin]`. [`counter_label`], the segment
+/// encoder and [`parse_counter_label`] all read it.
+///
+/// ':' separates port and bin, NOT ',': every label must stay comma-free
+/// so CSV rows always split into exactly four columns (guarded by test).
+pub(crate) fn label_parts(c: CounterId) -> (&'static str, Option<u16>, Option<u8>) {
+    use CounterId as C;
+    match c {
+        C::RxBytes(p) => ("rx_bytes", Some(p.0), None),
+        C::RxPackets(p) => ("rx_packets", Some(p.0), None),
+        C::TxBytes(p) => ("tx_bytes", Some(p.0), None),
+        C::TxPackets(p) => ("tx_packets", Some(p.0), None),
+        C::Drops(p) => ("drops", Some(p.0), None),
+        C::RxSizeHist(p, b) => ("rx_size_hist", Some(p.0), Some(b)),
+        C::TxSizeHist(p, b) => ("tx_size_hist", Some(p.0), Some(b)),
+        C::BufferLevel => ("buffer_level", None, None),
+        C::BufferPeak => ("buffer_peak", None, None),
+    }
+}
+
+/// Every counter kind, instantiated at `port` / `bin`.
+fn counter_kinds(port: PortId, bin: u8) -> [CounterId; 9] {
+    use CounterId as C;
+    [
+        C::RxBytes(port),
+        C::RxPackets(port),
+        C::TxBytes(port),
+        C::TxPackets(port),
+        C::Drops(port),
+        C::RxSizeHist(port, bin),
+        C::TxSizeHist(port, bin),
+        C::BufferLevel,
+        C::BufferPeak,
+    ]
+}
+
+/// Parses a [`counter_label`] back into a [`CounterId`]: the prefix picks
+/// the kind, the kind's `label_parts` row says which fields must follow.
+/// Fields past the ones the kind takes are ignored.
 pub fn parse_counter_label(label: &str) -> Option<CounterId> {
     let label = label.trim();
-    match label {
-        "buffer_level" => return Some(CounterId::BufferLevel),
-        "buffer_peak" => return Some(CounterId::BufferPeak),
-        _ => {}
+    let (name, args) = match label.strip_suffix(']').and_then(|l| l.split_once('[')) {
+        None => (label, None),
+        Some((name, args)) => (name, Some(args)),
+    };
+    let protos = counter_kinds(PortId(0), 0);
+    let kind = protos.iter().position(|&c| label_parts(c).0 == name)?;
+    let (_, has_port, has_bin) = label_parts(protos[kind]);
+    if has_port.is_some() != args.is_some() {
+        return None;
     }
-    let (name, args) = label.strip_suffix(']')?.split_once('[')?;
-    // Canonical separator is ':' (labels must stay comma-free for CSV);
-    // ',' is still accepted when parsing labels from older dumps.
-    let mut nums = args.split([':', ',']);
-    let port = PortId(nums.next()?.trim().parse().ok()?);
-    match name {
-        "rx_bytes" => Some(CounterId::RxBytes(port)),
-        "rx_packets" => Some(CounterId::RxPackets(port)),
-        "tx_bytes" => Some(CounterId::TxBytes(port)),
-        "tx_packets" => Some(CounterId::TxPackets(port)),
-        "drops" => Some(CounterId::Drops(port)),
-        "rx_size_hist" => Some(CounterId::RxSizeHist(
-            port,
-            nums.next()?.trim().parse().ok()?,
-        )),
-        "tx_size_hist" => Some(CounterId::TxSizeHist(
-            port,
-            nums.next()?.trim().parse().ok()?,
-        )),
-        _ => None,
-    }
+    // Canonical separator is ':'; ',' is still accepted when parsing
+    // labels from older dumps.
+    let mut nums = args.unwrap_or("").split([':', ',']);
+    let port: u16 = match has_port {
+        Some(_) => nums.next()?.trim().parse().ok()?,
+        None => 0,
+    };
+    let bin: u8 = match has_bin {
+        Some(_) => nums.next()?.trim().parse().ok()?,
+        None => 0,
+    };
+    Some(counter_kinds(PortId(port), bin)[kind])
 }
 
 /// Stable text label for a counter (used in CSV export).
 pub fn counter_label(c: CounterId) -> String {
-    fn p(port: PortId) -> u16 {
-        port.0
-    }
-    match c {
-        CounterId::RxBytes(x) => format!("rx_bytes[{}]", p(x)),
-        CounterId::RxPackets(x) => format!("rx_packets[{}]", p(x)),
-        CounterId::TxBytes(x) => format!("tx_bytes[{}]", p(x)),
-        CounterId::TxPackets(x) => format!("tx_packets[{}]", p(x)),
-        CounterId::Drops(x) => format!("drops[{}]", p(x)),
-        // ':' separator, NOT ',': every label must stay comma-free so CSV
-        // rows always split into exactly four columns (guarded by test).
-        CounterId::RxSizeHist(x, b) => format!("rx_size_hist[{}:{}]", p(x), b),
-        CounterId::TxSizeHist(x, b) => format!("tx_size_hist[{}:{}]", p(x), b),
-        CounterId::BufferLevel => "buffer_level".to_string(),
-        CounterId::BufferPeak => "buffer_peak".to_string(),
+    match label_parts(c) {
+        (prefix, None, _) => prefix.to_string(),
+        (prefix, Some(port), None) => format!("{prefix}[{port}]"),
+        (prefix, Some(port), Some(bin)) => format!("{prefix}[{port}:{bin}]"),
     }
 }
 
@@ -746,21 +770,39 @@ mod tests {
 
     #[test]
     fn label_parse_round_trips() {
-        for c in [
-            CounterId::RxBytes(PortId(0)),
-            CounterId::TxBytes(PortId(31)),
-            CounterId::RxPackets(PortId(5)),
-            CounterId::TxPackets(PortId(5)),
-            CounterId::Drops(PortId(9)),
-            CounterId::RxSizeHist(PortId(1), 6),
-            CounterId::TxSizeHist(PortId(2), 0),
-            CounterId::BufferLevel,
-            CounterId::BufferPeak,
-        ] {
-            assert_eq!(parse_counter_label(&counter_label(c)), Some(c), "{c:?}");
+        // Every variant at the extremes of both fields.
+        for port in [0, 31, u16::MAX] {
+            for bin in [0, 6, u8::MAX] {
+                for c in counter_kinds(PortId(port), bin) {
+                    let label = counter_label(c);
+                    assert_eq!(parse_counter_label(&label), Some(c), "{label}");
+                    // Older dumps separated port and bin with ','.
+                    let legacy = label.replace(':', ",");
+                    assert_eq!(parse_counter_label(&legacy), Some(c), "{legacy}");
+                }
+            }
         }
-        assert_eq!(parse_counter_label("nonsense"), None);
-        assert_eq!(parse_counter_label("tx_bytes[x]"), None);
+        assert_eq!(
+            counter_label(CounterId::TxSizeHist(PortId(u16::MAX), u8::MAX)),
+            "tx_size_hist[65535:255]"
+        );
+        for bad in [
+            "nonsense",
+            "tx_bytes[x]",
+            "tx_bytes",
+            "tx_bytes[]",
+            "tx_bytes[65536]",
+            "rx_size_hist[1]",
+            "rx_size_hist[1:256]",
+            "buffer_peak[0]",
+        ] {
+            assert_eq!(parse_counter_label(bad), None, "{bad}");
+        }
+        // A field the kind does not take is ignored, as it always was.
+        assert_eq!(
+            parse_counter_label("tx_bytes[1:2]"),
+            Some(CounterId::TxBytes(PortId(1)))
+        );
     }
 
     #[test]
@@ -1012,20 +1054,10 @@ mod tests {
 
     #[test]
     fn counter_labels_are_distinct() {
-        let labels: Vec<String> = [
-            CounterId::RxBytes(PortId(0)),
-            CounterId::TxBytes(PortId(0)),
-            CounterId::RxPackets(PortId(0)),
-            CounterId::TxPackets(PortId(0)),
-            CounterId::Drops(PortId(0)),
-            CounterId::RxSizeHist(PortId(0), 1),
-            CounterId::TxSizeHist(PortId(0), 1),
-            CounterId::BufferLevel,
-            CounterId::BufferPeak,
-        ]
-        .into_iter()
-        .map(counter_label)
-        .collect();
+        let labels: Vec<String> = counter_kinds(PortId(0), 1)
+            .into_iter()
+            .map(counter_label)
+            .collect();
         let mut dedup = labels.clone();
         dedup.sort();
         dedup.dedup();

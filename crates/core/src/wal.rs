@@ -312,31 +312,20 @@ impl<S: WalStorage> Wal<S> {
         Self::start(storage, cfg, 0)
     }
 
-    /// Appends one record, rotating first if the current segment is full.
-    /// Returns `true` when the record (and everything before it) is synced
-    /// to stable storage — the signal that its ack may be released.
-    ///
-    /// Implemented as a one-record group: [`Wal::append_deferred`] followed
-    /// by an immediate flush, so the physical byte stream, sync points, and
-    /// telemetry counters are exactly those of the pre-group-commit writer.
-    pub fn append(&mut self, sb: &SeqBatch) -> Result<bool, WalError> {
-        let synced = self.append_deferred(sb)?;
-        self.flush_group()?;
-        Ok(synced)
-    }
-
-    /// Frames one record into the group buffer without touching storage
-    /// (except at rotation — see below). Returns `true` when the record
-    /// lands on a *logical* sync point per [`FsyncPolicy`] — the same
-    /// values per-record [`Wal::append`] would return — but the covering
-    /// physical sync is deferred to the next [`Wal::commit_group`], so the
-    /// caller must not release the ack until that commit returns.
+    /// Frames one record into the group buffer, rotating first if the
+    /// current segment is full, without touching storage (except at
+    /// rotation — see below). Returns `true` when the record lands on a
+    /// *logical* sync point per [`FsyncPolicy`] — it and everything before
+    /// it are due on stable storage — but the covering physical sync is
+    /// deferred to the next [`Wal::commit_group`], so the caller must not
+    /// release the ack until that commit returns.
     ///
     /// Rotation is a flush boundary: the buffered prefix is pushed and
-    /// synced before the next segment opens, in exactly the byte order the
-    /// per-record writer produces. Identity of the physical byte stream is
-    /// what makes crash recovery independent of commit grouping
-    /// (`tests/crash_recovery.rs` sweeps both modes over the same plans).
+    /// synced before the next segment opens, in exactly the byte order a
+    /// writer that flushes after every record produces. Identity of the
+    /// physical byte stream is what makes crash recovery independent of
+    /// commit grouping (`tests/crash_recovery.rs` sweeps both modes over
+    /// the same plans).
     pub fn append_deferred(&mut self, sb: &SeqBatch) -> Result<bool, WalError> {
         let frame_start = self.group_buf.len();
         let frame_len = frame_record_into(sb, &mut self.group_buf);
@@ -700,11 +689,16 @@ impl<S: WalStorage> DurableStore<S> {
     ///   under [`FsyncPolicy::Always`] that is everything through this
     ///   batch.
     ///
-    /// An error means the append failed partway (a crash): the store's
-    /// in-memory state is untouched for this batch and the process should
-    /// treat the log as its source of truth on restart.
+    /// This is [`DurableStore::ingest_group`]'s per-batch body followed by
+    /// one flush. An error means the write failed partway (a crash): the
+    /// ack must not be released, and **this `DurableStore` must not be used
+    /// again** — the in-memory store and ack floor already hold the batch
+    /// whose write failed, so a later redelivery would be acked past the
+    /// durable prefix. Drop it and rebuild from the log with
+    /// [`DurableStore::recover`], as a restarted process would.
     pub fn ingest(&mut self, sb: &SeqBatch) -> Result<(SeqIngest, AckMsg), WalError> {
-        let res = self.ingest_one(sb, false)?;
+        let res = self.ingest_one(sb)?;
+        self.wal.flush_group()?;
         Ok(res)
     }
 
@@ -719,7 +713,8 @@ impl<S: WalStorage> DurableStore<S> {
     /// the physical write/sync is coalesced — and it completes before this
     /// method returns, so releasing the acks afterwards preserves
     /// durability-before-ack. On `Err` (a crash mid-group) no ack from the
-    /// window may be released; the log is the source of truth on restart
+    /// window may be released and the `DurableStore` is dead, as for
+    /// [`DurableStore::ingest`]; the log is the source of truth on restart
     /// and the shipper's retransmit re-delivers whatever didn't survive.
     pub fn ingest_group(
         &mut self,
@@ -732,20 +727,15 @@ impl<S: WalStorage> DurableStore<S> {
         }
         out.reserve(window.len());
         for sb in window {
-            let res = self.ingest_one(sb, true)?;
-            out.push(res);
+            out.push(self.ingest_one(sb)?);
         }
         self.wal.commit_group()
     }
 
-    /// Shared receiver body. With `deferred` the WAL append buffers into
-    /// the current group; the caller owns the covering
-    /// [`Wal::commit_group`] and must not release acks before it returns.
-    fn ingest_one(
-        &mut self,
-        sb: &SeqBatch,
-        deferred: bool,
-    ) -> Result<(SeqIngest, AckMsg), WalError> {
+    /// Shared receiver body. The WAL append buffers into the current
+    /// group; the caller owns the covering flush and must not release acks
+    /// before it returns.
+    fn ingest_one(&mut self, sb: &SeqBatch) -> Result<(SeqIngest, AckMsg), WalError> {
         let source = sb.batch.source;
         let cum = self.store.contiguous(source);
         if sb.seq != cum {
@@ -764,11 +754,7 @@ impl<S: WalStorage> DurableStore<S> {
                 },
             ));
         }
-        let synced = if deferred {
-            self.wal.append_deferred(sb)?
-        } else {
-            self.wal.append(sb)?
-        };
+        let synced = self.wal.append_deferred(sb)?;
         // The record is on the log: merge (or quarantine — replay will
         // faithfully re-quarantine) and advance the ledger.
         let _ = self.store.ingest_seq(sb);
@@ -968,6 +954,34 @@ mod tests {
         let (_, second) = DurableStore::recover(storage, WalConfig::default()).unwrap();
         assert_eq!(second.torn_tails, 0);
         assert_eq!(second.records, 4);
+    }
+
+    #[test]
+    fn failed_ingest_kills_the_store_and_recovery_acks_only_the_durable_prefix() {
+        use crate::failpoint::TornStorage;
+        let disk = MemStorage::new();
+        let mut probe = DurableStore::create(MemStorage::new(), WalConfig::default()).unwrap();
+        probe.ingest(&sb(0, 0, 100)).unwrap();
+        probe.ingest(&sb(1, 0, 200)).unwrap();
+        // Die a few bytes into the second record.
+        let budget = probe.wal().record_ends()[0] + 5;
+        let mut ds =
+            DurableStore::create(TornStorage::new(disk.clone(), budget), WalConfig::default())
+                .unwrap();
+        assert_eq!(ds.ingest(&sb(0, 0, 100)).unwrap().1.cum, 1);
+        assert!(ds.ingest(&sb(1, 0, 200)).is_err(), "the write was torn");
+        // The contract: `ds` is dead from here on. Its memory ran ahead of
+        // the log, which is why it may not answer the redelivery.
+        assert_eq!(ds.store().contiguous(SourceId(0)), 2);
+        drop(ds);
+
+        let (mut rec, report) = DurableStore::recover(disk, WalConfig::default()).unwrap();
+        assert_eq!((report.records, report.torn_tails), (1, 1));
+        let (outcome, ack) = rec.ingest(&sb(0, 0, 100)).unwrap();
+        assert_eq!(outcome, SeqIngest::Duplicate);
+        assert_eq!(ack.cum, 1, "redelivery is acked at the durable prefix");
+        let (outcome, ack) = rec.ingest(&sb(1, 0, 200)).unwrap();
+        assert_eq!((outcome, ack.cum), (SeqIngest::Stored, 2));
     }
 
     #[test]

@@ -179,24 +179,6 @@ impl DepartureBook {
         self.len += 1;
     }
 
-    /// Earliest unsettled departure time, if any.
-    pub fn next_dep(&self) -> Option<Nanos> {
-        self.heap.first().map(|&(d, _)| Nanos(d))
-    }
-
-    /// Pops the earliest departure (equal-time ties by port index) if it
-    /// is due at or before `now`.
-    pub fn pop_due(&mut self, now: Nanos) -> Option<(Nanos, PortId, u32)> {
-        let &(d, p) = self.heap.first()?;
-        if d > now.0 {
-            return None;
-        }
-        let (_, bytes) = self.fifos[p as usize].pop_front().expect("busy port");
-        self.len -= 1;
-        self.fix_root(p);
-        Some((Nanos(d), PortId(p), bytes))
-    }
-
     /// Settles every departure due at or before `now` — each due port's
     /// whole due prefix at once, ports in `(front dep, port)` order (see
     /// the type docs for why batch order is unobservable) — calling
@@ -238,18 +220,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_departure_order_across_ports() {
+    fn drains_in_departure_order_across_ports() {
         let mut book = DepartureBook::default();
         book.push(Nanos(200), PortId(0), 20);
         book.push(Nanos(300), PortId(0), 30);
         book.push(Nanos(100), PortId(1), 10);
-        assert_eq!(book.next_dep(), Some(Nanos(100)));
-        assert_eq!(book.pop_due(Nanos(250)), Some((Nanos(100), PortId(1), 10)));
-        assert_eq!(book.pop_due(Nanos(250)), Some((Nanos(200), PortId(0), 20)));
+        let mut got = Vec::new();
         // 300 is not due yet.
-        assert_eq!(book.pop_due(Nanos(250)), None);
+        assert_eq!(book.drain_due(Nanos(250), |p, b| got.push((p.0, b))), 300);
+        assert_eq!(got, vec![(1, 10), (0, 20)]);
         assert_eq!(book.len(), 1);
-        assert_eq!(book.pop_due(Nanos(300)), Some((Nanos(300), PortId(0), 30)));
+        // Nothing new is due: the guard value comes back unchanged.
+        assert_eq!(book.drain_due(Nanos(250), |_, _| panic!("not due")), 300);
+        book.drain_due(Nanos(300), |p, b| got.push((p.0, b)));
+        assert_eq!(got.last(), Some(&(0u16, 30u32)));
         assert!(book.is_empty());
     }
 
@@ -266,27 +250,23 @@ mod tests {
         assert_eq!(got, vec![(0, 1), (2, 3), (2, 4)]);
         assert_eq!(book.len(), 1);
         assert_eq!(next, 300);
-        assert_eq!(book.next_dep(), Some(Nanos(300)));
         assert_eq!(
             book.drain_due(Nanos(300), |p, b| got.push((p.0, b))),
             u64::MAX
         );
         assert_eq!(got.last(), Some(&(0u16, 2u32)));
         assert!(book.is_empty());
-        assert_eq!(book.next_dep(), None);
     }
 
     #[test]
-    fn equal_times_pop_in_port_order() {
+    fn equal_times_drain_in_port_order() {
         let mut book = DepartureBook::default();
-        for p in 0..10u16 {
+        for p in (0..10u16).rev() {
             book.push(Nanos(50), PortId(p), u32::from(p));
         }
-        for p in 0..10u16 {
-            assert_eq!(
-                book.pop_due(Nanos(50)),
-                Some((Nanos(50), PortId(p), u32::from(p)))
-            );
-        }
+        let mut got = Vec::new();
+        book.drain_due(Nanos(50), |p, b| got.push((p.0, b)));
+        let want: Vec<(u16, u32)> = (0..10u16).map(|p| (p, u32::from(p))).collect();
+        assert_eq!(got, want);
     }
 }
