@@ -15,7 +15,7 @@ use crate::node::PortId;
 use crate::time::Nanos;
 
 /// A deferred-accounting hook registered by a switch running in hybrid
-/// fast-forward mode (see [`crate::fastfwd`]). Called with the sink itself
+/// fast-forward mode (see [`crate::txstage`]). Called with the sink itself
 /// and a timestamp, it must apply every departure at or before that instant
 /// to the sink, so that a counter read at the instant observes values
 /// byte-identical to packet mode.

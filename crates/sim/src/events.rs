@@ -4,7 +4,7 @@
 //! `(time, ord)`, where `ord` is a canonical same-instant rank computed at
 //! schedule time (see [`Event::key`]). The rank makes ordering total,
 //! deterministic, and — crucially for the hybrid fast-forward engine
-//! ([`crate::fastfwd`]) — independent of scheduling history: at one
+//! ([`crate::txstage`]) — independent of scheduling history: at one
 //! instant, transmit completions drain buffers first, then packets arrive
 //! (per receiving node and port), then timers fire; within one rank class
 //! events keep schedule order. Packet mode and hybrid mode schedule

@@ -17,6 +17,8 @@
 //! * [`time`], [`rng`], [`events`] — the discrete-event core.
 //! * [`node`], [`link`], [`sim`] — nodes, wiring, and the driver loop.
 //! * [`packet`], [`transport`], [`nic`] — end-host behaviour.
+//! * [`txstage`] — the FIFO transmit stage shared by NIC ring and switch
+//!   egress, in its lazy and event-per-frame variants.
 //! * [`switch`], [`bufpolicy`], [`routing`], [`counters`] — the
 //!   shared-buffer switch, its pluggable carving policies, and its
 //!   counter-reporting hook (implemented by `uburst-asic`).
@@ -40,7 +42,6 @@ pub mod arena;
 pub mod bufpolicy;
 pub mod counters;
 pub mod events;
-pub mod fastfwd;
 pub mod fasthash;
 pub mod link;
 pub mod nic;
@@ -53,6 +54,7 @@ pub mod switch;
 pub mod time;
 pub mod topology;
 pub mod transport;
+pub mod txstage;
 
 /// The names almost every user needs.
 pub mod prelude {

@@ -10,7 +10,7 @@
 use crate::node::{Ctx, PortId};
 use crate::packet::Packet;
 use crate::time::Nanos;
-use std::collections::VecDeque;
+use crate::txstage::{AccountAt, TxStage};
 
 /// NIC parameters.
 #[derive(Debug, Clone, Copy)]
@@ -44,18 +44,10 @@ pub const NIC_PACE_TOKEN: u64 = u64::MAX - 1;
 #[derive(Debug)]
 pub struct HostNic {
     cfg: NicConfig,
-    queue: VecDeque<Packet>,
+    /// The transmit ring. A frame counts toward `queued_bytes` from
+    /// [`Self::send`] until the stage reports its serialization start.
+    tx: TxStage,
     queued_bytes: u64,
-    busy: bool,
-    /// Pacing: earliest time the next transmission may start.
-    next_tx_at: Nanos,
-    /// Hybrid mode: `(serialization start, size)` of handed-off frames
-    /// whose start instant is still in the future (see [`crate::fastfwd`]).
-    /// Until its start a frame counts toward `queued_bytes`, exactly like
-    /// the packet-mode transmit queue it replaces.
-    chain: VecDeque<(u64, u32)>,
-    /// Hybrid mode: when the last handed-off frame finishes serializing.
-    free_at: u64,
     /// Packets dropped at the local queue limit.
     pub dropped: u64,
     /// Packets handed to the wire.
@@ -69,12 +61,8 @@ impl HostNic {
     pub fn new(cfg: NicConfig) -> Self {
         HostNic {
             cfg,
-            queue: VecDeque::new(),
+            tx: TxStage::new(cfg.port.0 as usize + 1, AccountAt::Start, cfg.pace_bps),
             queued_bytes: 0,
-            busy: false,
-            next_tx_at: Nanos::ZERO,
-            chain: VecDeque::new(),
-            free_at: 0,
             dropped: 0,
             sent: 0,
             sent_bytes: 0,
@@ -91,118 +79,41 @@ impl HostNic {
         self.queued_bytes
     }
 
-    /// Applies deferred hybrid-mode accounting up to `now`: every frame
-    /// whose serialization has started leaves the queue accounting and
-    /// counts as sent, exactly when the packet-mode pump would have done
-    /// it. Host nodes forward [`crate::node::Node::settle_lazy`] here.
+    /// Accounts every frame whose serialization has started by `now`: it
+    /// leaves the queue and counts as sent. Host nodes forward
+    /// [`crate::node::Node::settle_lazy`] here.
     pub fn settle_to(&mut self, now: Nanos) {
-        while let Some(&(start, size)) = self.chain.front() {
-            if start > now.0 {
-                break;
-            }
-            self.chain.pop_front();
+        self.tx.settle(now, |_, size| {
             self.queued_bytes -= u64::from(size);
             self.sent += 1;
             self.sent_bytes += u64::from(size);
-        }
+        });
     }
 
     /// Enqueues a packet for transmission. Returns `false` (and counts a
     /// local drop) when the queue limit would be exceeded.
     pub fn send(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) -> bool {
-        if ctx.hybrid() && self.cfg.pace_bps.is_none() {
-            return self.send_fastfwd(ctx, pkt);
-        }
+        self.settle_to(ctx.now());
         if self.queued_bytes + u64::from(pkt.size) > self.cfg.queue_limit_bytes {
             self.dropped += 1;
             return false;
         }
-        self.queue.push_back(pkt);
         self.queued_bytes += u64::from(pkt.size);
-        self.pump(ctx);
-        true
-    }
-
-    /// Hybrid-mode hand-off (see [`crate::fastfwd`]): the unpaced transmit
-    /// ring is a work-conserving FIFO, so the serialization start of every
-    /// accepted frame is `max(now, free_at)` — fully determined here.
-    /// Schedules the peer's arrival directly and defers the queue/sent
-    /// accounting to [`Self::settle_to`]; no `TxComplete` event exists.
-    /// Paced NICs never take this path: their start times depend on pacer
-    /// wakeups, so they keep the event-per-frame pump.
-    fn send_fastfwd(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) -> bool {
-        let now = ctx.now();
-        self.settle_to(now);
-        if self.queued_bytes + u64::from(pkt.size) > self.cfg.queue_limit_bytes {
-            self.dropped += 1;
-            return false;
-        }
-        let link = *ctx.link(self.cfg.port).unwrap_or_else(|| {
-            panic!(
-                "node {:?} port {:?} is not wired",
-                ctx.node(),
-                self.cfg.port
-            )
-        });
-        let ser = link.spec.ser_time(pkt.size);
-        let start = now.0.max(self.free_at);
-        self.free_at = start + ser.0;
-        if start > now.0 {
-            self.chain.push_back((start, pkt.size));
-            self.queued_bytes += u64::from(pkt.size);
-        } else {
-            self.sent += 1;
-            self.sent_bytes += u64::from(pkt.size);
-        }
-        let (peer_node, peer_port) = link.peer;
-        ctx.schedule_arrival(
-            Nanos(self.free_at) + link.spec.propagation,
-            peer_node,
-            peer_port,
-            pkt,
-        );
+        self.tx.enqueue(ctx, self.cfg.port, pkt);
+        self.settle_to(ctx.now());
         true
     }
 
     /// Call from the host's `Node::on_tx_complete`.
     pub fn on_tx_complete(&mut self, ctx: &mut Ctx<'_>) {
-        debug_assert!(self.busy, "tx-complete on idle NIC");
-        self.busy = false;
-        self.pump(ctx);
+        self.tx.on_tx_complete(ctx, self.cfg.port);
+        self.settle_to(ctx.now());
     }
 
     /// Call from the host's `Node::on_timer` for [`NIC_PACE_TOKEN`].
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
-        self.pump(ctx);
-    }
-
-    /// Starts the next transmission if the port is idle, a packet is queued,
-    /// and the pacer allows it.
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        if self.busy {
-            return;
-        }
-        let Some(&front) = self.queue.front() else {
-            return;
-        };
-        if let Some(_bps) = self.cfg.pace_bps {
-            if ctx.now() < self.next_tx_at {
-                // Wake up exactly when the pacer opens.
-                ctx.timer_at(self.next_tx_at, NIC_PACE_TOKEN);
-                return;
-            }
-        }
-        self.queue.pop_front();
-        self.queued_bytes -= u64::from(front.size);
-        self.busy = true;
-        self.sent += 1;
-        self.sent_bytes += u64::from(front.size);
-        ctx.start_tx(self.cfg.port, front);
-        if let Some(bps) = self.cfg.pace_bps {
-            // Token-bucket with zero depth: space packets at the pace rate.
-            let gap = Nanos((u64::from(front.size) * 8).saturating_mul(1_000_000_000) / bps);
-            self.next_tx_at = ctx.now() + gap;
-        }
+        self.tx.pump(ctx, self.cfg.port);
+        self.settle_to(ctx.now());
     }
 }
 
@@ -321,36 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_matches_packet_mode() {
-        // Same burst, both execution modes: identical arrival instants at
-        // the receiver and identical sent/dropped accounting, including
-        // when the queue limit binds.
-        for limit in [3_000u64, 1 << 20] {
-            let run = |hybrid: bool| {
-                let cfg = NicConfig {
-                    queue_limit_bytes: limit,
-                    ..NicConfig::default()
-                };
-                let (mut sim, a, b) = two_hosts(cfg, 10, 1500);
-                sim.set_hybrid(hybrid);
-                sim.run_until(Nanos::from_millis(1));
-                let host = sim.node::<TestHost>(a);
-                (
-                    host.nic.sent,
-                    host.nic.sent_bytes,
-                    host.nic.dropped,
-                    host.nic.queue_depth_bytes(),
-                    sim.node::<TestHost>(b).rx.clone(),
-                )
-            };
-            assert_eq!(run(false), run(true), "limit {limit}");
-        }
-    }
-
-    #[test]
-    fn paced_nic_refuses_fastfwd() {
-        // Pacing is the documented fallback case: even in hybrid mode the
-        // NIC keeps the event-per-frame path, so spacing is preserved.
+    fn paced_nic_is_event_per_frame_under_the_lazy_engine() {
+        // A paced stage never evaluates the recurrence, so spacing is
+        // preserved with the lazy engine selected.
         let cfg = NicConfig {
             pace_bps: Some(1_000_000_000),
             ..NicConfig::default()

@@ -37,12 +37,12 @@ pub trait Node: Any {
     /// A timer previously set through [`Ctx::timer_in`] fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 
-    /// Applies any deferred hybrid-mode accounting up to `now` (see
-    /// [`crate::fastfwd`]). The simulator calls this on every node when
+    /// Applies any deferred transmit accounting up to `now` (see
+    /// [`crate::txstage`]). The simulator calls this on every node when
     /// [`run_until`](crate::sim::Simulator::run_until) returns, so external
-    /// readers of node state (statistics, queue depths) always observe
-    /// values byte-identical to packet mode. Nodes without deferred state
-    /// ignore it.
+    /// readers of node state (statistics, queue depths) observe the same
+    /// values under either engine. Nodes without a transmit stage ignore
+    /// it.
     fn settle_lazy(&mut self, _now: Nanos) {}
 
     /// Downcast support — implement as `self`.
@@ -67,10 +67,10 @@ impl Ctx<'_> {
         self.now
     }
 
-    /// Whether the simulation runs in hybrid fast-forward mode (see
-    /// [`crate::fastfwd`]). Fixed for the lifetime of a simulation; nodes
-    /// with a lazy path branch on it per event.
-    pub fn hybrid(&self) -> bool {
+    /// Whether transmit stages evaluate their drain lazily (see
+    /// [`crate::txstage`], its only reader). Fixed for the lifetime of a
+    /// simulation.
+    pub(crate) fn hybrid(&self) -> bool {
         self.hybrid
     }
 
@@ -84,10 +84,12 @@ impl Ctx<'_> {
         self.timer_at(self.now + delay, token);
     }
 
-    /// Schedules `on_timer(token)` for this node at absolute time `at`
-    /// (which must not be in the past).
+    /// Schedules `on_timer(token)` for this node at absolute time `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
     pub fn timer_at(&mut self, at: Nanos, token: u64) {
-        debug_assert!(at >= self.now, "timer scheduled in the past");
+        assert!(at >= self.now, "timer scheduled in the past");
         self.queue.schedule(
             at,
             EventKind::Timer {
@@ -100,6 +102,16 @@ impl Ctx<'_> {
     /// The outgoing half-link on `port`, if wired.
     pub fn link(&self, port: PortId) -> Option<&DirectedLink> {
         self.wiring.link(self.node, port)
+    }
+
+    /// The outgoing half-link on `port`.
+    ///
+    /// # Panics
+    /// Panics if `port` is not wired.
+    pub fn wired(&self, port: PortId) -> DirectedLink {
+        *self
+            .link(port)
+            .unwrap_or_else(|| panic!("node {:?} port {:?} is not wired", self.node, port))
     }
 
     /// Begins transmitting `pkt` on `port`.
@@ -115,10 +127,7 @@ impl Ctx<'_> {
     /// # Panics
     /// Panics if `port` is not wired.
     pub fn start_tx(&mut self, port: PortId, pkt: Packet) -> Nanos {
-        let link = *self
-            .wiring
-            .link(self.node, port)
-            .unwrap_or_else(|| panic!("node {:?} port {:?} is not wired", self.node, port));
+        let link = self.wired(port);
         let ser = link.spec.ser_time(pkt.size);
         self.queue.schedule(
             self.now + ser,
@@ -143,7 +152,11 @@ impl Ctx<'_> {
     /// [`Ctx::start_tx`] is the store-and-forward path built on this; test
     /// traffic generators that model their own serialization discipline
     /// call it directly.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
     pub fn schedule_arrival(&mut self, at: Nanos, node: NodeId, port: PortId, pkt: Packet) {
+        assert!(at >= self.now, "arrival scheduled in the past");
         let pkt = self.arena.alloc(pkt);
         self.queue
             .schedule(at, EventKind::PacketArrive { node, port, pkt });

@@ -26,9 +26,9 @@ pub struct Simulator {
     batch: Vec<Event>,
     now: Nanos,
     dispatched: u64,
-    /// Hybrid fast-forward mode (see [`crate::fastfwd`]): FIFO stages skip
-    /// `TxComplete` events and settle their accounting lazily. Fixed before
-    /// the first event is dispatched.
+    /// Lazy transmit stages (see [`crate::txstage`]): no `TxComplete`
+    /// events, accounting settled at observation points. Fixed before the
+    /// first event is dispatched.
     hybrid: bool,
 }
 
@@ -58,7 +58,7 @@ impl Simulator {
             batch: Vec::new(),
             now: Nanos::ZERO,
             dispatched: 0,
-            hybrid: crate::fastfwd::hybrid_default(),
+            hybrid: crate::txstage::hybrid_default(),
         }
     }
 
@@ -199,13 +199,11 @@ impl Simulator {
         if self.now < until && until != Nanos::MAX {
             self.now = until;
         }
-        // Settle every node's deferred hybrid-mode accounting up to the
-        // stop time, so callers reading node state after this returns see
-        // values byte-identical to packet mode (see `crate::fastfwd`).
-        if self.hybrid {
-            for n in self.nodes.iter_mut().flatten() {
-                n.settle_lazy(self.now);
-            }
+        // Settle every transmit stage up to the stop time, so callers
+        // reading node state after this returns see the same values under
+        // either engine (see `crate::txstage`).
+        for n in self.nodes.iter_mut().flatten() {
+            n.settle_lazy(self.now);
         }
         self.dispatched - start
     }
@@ -217,7 +215,7 @@ impl Simulator {
 
     /// Advances the clock to `ev` and dispatches it.
     fn step(&mut self, ev: Event) {
-        debug_assert!(ev.time >= self.now, "time went backwards");
+        assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
         self.dispatched += 1;
         match ev.kind {

@@ -21,16 +21,15 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::bufpolicy::{BufferPolicy, BufferPolicyCfg};
 use crate::counters::{CounterSink, SharedSink};
-use crate::fastfwd::DepartureBook;
 use crate::node::{Ctx, Node, PortId};
 use crate::packet::Packet;
 use crate::routing::RoutingTable;
 use crate::time::Nanos;
+use crate::txstage::{AccountAt, TxStage};
 
 /// Static switch parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,53 +85,34 @@ pub struct SwitchStats {
 }
 
 /// Buffer-accounting state shared between the switch node and its counter
-/// bank's flush hook (see [`crate::fastfwd`]).
+/// bank's flush hook.
 ///
-/// In hybrid mode the switch never schedules `TxComplete` events: admitted
-/// frames park their closed-form departure time in `departures`, and the
-/// TX-side accounting is applied lazily by [`SwitchCore::settle_to`] — from
-/// the switch's own arrival path (so admission always tests *current*
-/// occupancy), from the counter bank before a poll-instant read, and from
-/// the simulator at run boundaries. The state lives behind
-/// `Rc<RefCell<_>>` so the bank hook can reach it while the node owns it.
+/// A frame's TX-side accounting is applied by [`SwitchCore::settle_to`]
+/// when the egress [`TxStage`] reports its departure — from the switch's
+/// own arrival path (so admission always tests *current* occupancy), from
+/// the counter bank before a poll-instant read, and from the simulator at
+/// run boundaries. The state lives behind `Rc<RefCell<_>>` so the bank
+/// hook can reach it while the node owns it.
 struct SwitchCore {
     /// Bytes each port holds in the shared buffer (queued + in flight) —
     /// the hot array: every admission test reads exactly one entry.
     held_bytes: Vec<u64>,
-    /// When each port's last admitted frame finishes serializing (hybrid
-    /// mode). `dep_j = max(adm_j, free_at) + ser_j`.
-    free_at: Vec<u64>,
     /// Total bytes currently held in the shared buffer.
     buffered: u64,
     stats: SwitchStats,
-    /// Admitted-but-unsettled departures (hybrid mode; empty otherwise).
-    departures: DepartureBook,
-    /// Earliest unsettled departure (`u64::MAX` when none): one compare
-    /// decides whether an arrival needs to settle at all.
-    next_dep: u64,
+    /// The egress queues. A frame holds its buffer until the stage reports
+    /// the end of its serialization.
+    tx: TxStage,
     /// The carving policy consulted on every admission (built once from
     /// [`SwitchConfig::policy`]).
     policy: Box<dyn BufferPolicy>,
 }
 
 impl SwitchCore {
-    fn new(ports: usize, policy: Box<dyn BufferPolicy>) -> Self {
-        SwitchCore {
-            held_bytes: vec![0; ports],
-            free_at: vec![0; ports],
-            buffered: 0,
-            stats: SwitchStats::default(),
-            departures: DepartureBook::with_ports(ports),
-            next_dep: u64::MAX,
-            policy,
-        }
-    }
-
     /// Admission test: may a packet of `size` bytes join egress `port`'s
     /// queue right now? The physical pool bound is enforced here; the
     /// carving question goes to the policy. Pure in the current occupancy
-    /// state, which is what lets both execution engines share this call
-    /// (hybrid mode settles departures before every admission).
+    /// state, which every arrival settles first.
     fn admits(&self, cfg: &SwitchConfig, port: usize, size: u32) -> bool {
         let size = u64::from(size);
         if self.buffered + size > cfg.buffer_bytes {
@@ -148,65 +128,51 @@ impl SwitchCore {
     }
 
     /// Applies every departure at or before `now`: releases buffer
-    /// occupancy and emits the TX counters the packet-mode `TxComplete`
-    /// handler would have emitted at exactly those instants. Per-counter
-    /// adds are commutative and the buffer level only needs its final
-    /// value (departures never raise the peak register — occupancy maxima
-    /// are attained at admissions), so one trailing `buffer_level` call
-    /// reproduces the packet-mode cell values byte-for-byte.
+    /// occupancy and emits the TX counters. Per-counter adds are
+    /// commutative and the buffer level only needs its final value
+    /// (departures never raise the peak register — occupancy maxima are
+    /// attained at admissions), so one trailing `buffer_level` call per
+    /// batch leaves the same cell values as one call per departure.
     fn settle_to(&mut self, now: Nanos, sink: &dyn CounterSink) {
-        if self.next_dep > now.0 {
-            return;
-        }
-        let held = &mut self.held_bytes;
-        let stats = &mut self.stats;
-        let policy = &mut self.policy;
-        let mut buffered = self.buffered;
-        self.next_dep = self.departures.drain_due(now, |port, size| {
-            held[port.0 as usize] -= u64::from(size);
-            buffered -= u64::from(size);
-            stats.tx_packets += 1;
-            stats.tx_bytes += u64::from(size);
+        let any_due = self.tx.settle(now, |port, size| {
+            self.held_bytes[port.0 as usize] -= u64::from(size);
+            self.buffered -= u64::from(size);
+            self.stats.tx_packets += 1;
+            self.stats.tx_bytes += u64::from(size);
             sink.count_tx(port, size);
-            policy.on_departure(port.0 as usize, u64::from(size));
+            self.policy.on_departure(port.0 as usize, u64::from(size));
         });
-        self.buffered = buffered;
-        sink.buffer_level(self.buffered);
+        if any_due {
+            sink.buffer_level(self.buffered);
+        }
     }
 }
 
 /// A shared-buffer switch node. See the module docs for the model.
-///
-/// Per-port state is kept struct-of-arrays: the admission test and ECN
-/// check touch only `held_bytes` (a dense `u64` array — eight ports per
-/// cache line), while the FIFO payloads and in-flight packets, which are
-/// only read on enqueue/dequeue, live in their own arrays.
 pub struct Switch {
     cfg: SwitchConfig,
     routing: RoutingTable,
     sink: SharedSink,
     /// Occupancy + statistics, shared with the sink's flush hook.
     core: Rc<RefCell<SwitchCore>>,
-    /// The packet each port is currently serializing, if any (packet mode).
-    /// Its bytes still occupy the shared buffer until transmission
-    /// completes.
-    in_flight: Vec<Option<Packet>>,
-    /// FIFO payloads per port (packet mode; hybrid mode integrates the
-    /// drain in closed form instead of materializing it).
-    queues: Vec<VecDeque<Packet>>,
 }
 
 impl Switch {
     /// A switch with the given configuration, routes, and counter sink.
     ///
     /// Registers a flush hook with the sink so counter banks that are read
-    /// mid-run can settle this switch's deferred departures before a read
-    /// (a no-op for sinks that ignore hooks, and for packet mode, where
-    /// the departure book stays empty).
+    /// mid-run can settle this switch's pending departures before a read
+    /// (a no-op for sinks that ignore hooks).
     pub fn new(cfg: SwitchConfig, routing: RoutingTable, sink: SharedSink) -> Self {
         assert!(cfg.ports > 0 && cfg.buffer_bytes > 0 && cfg.policy.is_valid());
         let n = cfg.ports as usize;
-        let core = Rc::new(RefCell::new(SwitchCore::new(n, cfg.policy.build(n))));
+        let core = Rc::new(RefCell::new(SwitchCore {
+            held_bytes: vec![0; n],
+            buffered: 0,
+            stats: SwitchStats::default(),
+            tx: TxStage::new(n, AccountAt::End, None),
+            policy: cfg.policy.build(n),
+        }));
         let hook_core = Rc::clone(&core);
         sink.register_flush(Box::new(move |sink, now| {
             hook_core.borrow_mut().settle_to(now, sink);
@@ -216,8 +182,6 @@ impl Switch {
             routing,
             sink,
             core,
-            in_flight: (0..n).map(|_| None).collect(),
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
         }
     }
 
@@ -245,30 +209,15 @@ impl Switch {
     fn admits(&self, port: usize, size: u32) -> bool {
         self.core.borrow().admits(&self.cfg, port, size)
     }
-
-    /// Starts transmission on `port` if it is idle and has queued packets
-    /// (packet mode only).
-    fn try_start_tx(&mut self, ctx: &mut Ctx<'_>, port: usize) {
-        if self.in_flight[port].is_some() {
-            return;
-        }
-        if let Some(pkt) = self.queues[port].pop_front() {
-            self.in_flight[port] = Some(pkt);
-            ctx.start_tx(PortId(port as u16), pkt);
-        }
-    }
 }
 
 impl Node for Switch {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, ingress: PortId, pkt: Packet) {
         let now = ctx.now();
-        let core = Rc::clone(&self.core);
-        let mut core = core.borrow_mut();
-        if ctx.hybrid() {
-            // Release every departure due by now first, so the admission
-            // test below sees the same occupancy packet mode would.
-            core.settle_to(now, &*self.sink);
-        }
+        let mut core = self.core.borrow_mut();
+        // Release every departure due by now first, so the admission test
+        // below sees current occupancy.
+        core.settle_to(now, &*self.sink);
         core.stats.rx_packets += 1;
         core.stats.rx_bytes += u64::from(pkt.size);
         self.sink.count_rx(ingress, pkt.size);
@@ -309,43 +258,13 @@ impl Node for Switch {
             }
         }
         core.held_bytes[e] += u64::from(pkt.size);
-
-        if ctx.hybrid() {
-            // Closed-form FIFO drain: the departure time is fully
-            // determined at admission, so schedule the peer's arrival
-            // directly and park the departure for lazy settlement instead
-            // of materializing the queue and a TxComplete event.
-            let link = *ctx
-                .link(egress)
-                .unwrap_or_else(|| panic!("node {:?} port {:?} is not wired", ctx.node(), egress));
-            let ser = link.spec.ser_time(pkt.size);
-            let dep = Nanos(now.0.max(core.free_at[e]) + ser.0);
-            core.free_at[e] = dep.0;
-            core.departures.push(dep, egress, pkt.size);
-            core.next_dep = core.next_dep.min(dep.0);
-            let (peer_node, peer_port) = link.peer;
-            ctx.schedule_arrival(dep + link.spec.propagation, peer_node, peer_port, pkt);
-        } else {
-            self.queues[e].push_back(pkt);
-            drop(core);
-            self.try_start_tx(ctx, e);
-        }
+        core.tx.enqueue(ctx, egress, pkt);
     }
 
     fn on_tx_complete(&mut self, ctx: &mut Ctx<'_>, port: PortId) {
-        let i = port.0 as usize;
-        let pkt = self.in_flight[i].take().expect("tx-complete on idle port");
-        {
-            let mut core = self.core.borrow_mut();
-            core.held_bytes[i] -= u64::from(pkt.size);
-            core.buffered -= u64::from(pkt.size);
-            core.stats.tx_packets += 1;
-            core.stats.tx_bytes += u64::from(pkt.size);
-            self.sink.count_tx(port, pkt.size);
-            self.sink.buffer_level(core.buffered);
-            core.policy.on_departure(i, u64::from(pkt.size));
-        }
-        self.try_start_tx(ctx, i);
+        let mut core = self.core.borrow_mut();
+        core.tx.on_tx_complete(ctx, port);
+        core.settle_to(ctx.now(), &*self.sink);
     }
 
     fn settle_lazy(&mut self, now: Nanos) {
@@ -415,7 +334,7 @@ mod tests {
             // Model an unpaced NIC: hand the whole burst to the wire
             // back-to-back by scheduling each packet's arrival directly.
             // (Bypasses NIC queueing deliberately; this is a switch test.)
-            let link = *ctx.link(PortId(0)).unwrap();
+            let link = ctx.wired(PortId(0));
             let mut t = ctx.now();
             for i in 0..self.n {
                 let kind = if self.data {
@@ -457,19 +376,7 @@ mod tests {
         alpha: f64,
         burst: u32,
     ) -> (Simulator, NodeId, NodeId, SwitchStats) {
-        fan_in_mode(buffer_bytes, alpha, burst, None)
-    }
-
-    fn fan_in_mode(
-        buffer_bytes: u64,
-        alpha: f64,
-        burst: u32,
-        hybrid: Option<bool>,
-    ) -> (Simulator, NodeId, NodeId, SwitchStats) {
         let mut sim = Simulator::new();
-        if let Some(h) = hybrid {
-            sim.set_hybrid(h);
-        }
         let recv = sim.add_node(Box::new(SinkHost::new()));
         let s1 = sim.add_node(Box::new(Blaster {
             dst: recv,
@@ -531,33 +438,6 @@ mod tests {
         assert_eq!(stats.rx_bytes, stats.tx_bytes + stats.dropped_bytes);
         assert!(stats.dropped_packets > 0, "tiny buffer must drop");
         assert_eq!(sim.node::<SinkHost>(recv).rx, stats.tx_packets);
-    }
-
-    #[test]
-    fn hybrid_matches_packet_mode() {
-        // Uncongested, congested, and heavily-dropping fan-ins: the lazy
-        // drain must reproduce packet-mode statistics and receiver-side
-        // arrival counts exactly.
-        for (buffer, alpha, burst) in [
-            (64u64 << 20, 8.0, 200u32),
-            (64 * 1024, 1.0, 500),
-            (1 << 20, 0.25, 500),
-        ] {
-            let run = |h: bool| {
-                let (sim, recv, sw, stats) = fan_in_mode(buffer, alpha, burst, Some(h));
-                (
-                    stats,
-                    sim.node::<SinkHost>(recv).rx,
-                    sim.node::<SinkHost>(recv).rx_bytes,
-                    sim.node::<Switch>(sw).buffered_bytes(),
-                )
-            };
-            assert_eq!(
-                run(false),
-                run(true),
-                "mode divergence at buffer={buffer} alpha={alpha} burst={burst}"
-            );
-        }
     }
 
     #[test]

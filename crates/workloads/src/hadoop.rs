@@ -86,7 +86,7 @@ impl HadoopConfig {
     /// * background flows arrive Poisson at `background_rate_per_s`.
     ///
     /// This is steady-state metadata for the hybrid fast-forward engine
-    /// (`uburst_sim::fastfwd`): scenario builders use it to pre-size the
+    /// (`uburst_sim::txstage`): scenario builders use it to pre-size the
     /// event calendar for the in-flight packet population instead of
     /// growing through the doubling phase mid-campaign. It deliberately
     /// ignores self-addressed draws (a host never sends to itself), so it

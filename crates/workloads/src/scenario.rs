@@ -212,7 +212,7 @@ pub struct ScenarioConfig {
     pub instrument_fabric: bool,
     /// Execution mode override: `Some(true)` forces hybrid fast-forward,
     /// `Some(false)` forces per-packet, `None` follows the `UBURST_HYBRID`
-    /// environment default (see `uburst_sim::fastfwd`). Equivalence tests
+    /// environment default (see `uburst_sim::txstage`). Equivalence tests
     /// use this to run both modes in one process.
     pub hybrid: Option<bool>,
 }
