@@ -393,6 +393,40 @@ fn bench_buffer_policy(rec: &mut BenchRecorder) {
     });
 }
 
+fn bench_csv_codec(rec: &mut BenchRecorder) {
+    use uburst_core::store::SampleStore;
+    // The raw-data dump both ways: 1024 series x 1024 samples (~35 MB of
+    // text), store and dump built once outside the timed closures.
+    let store = SampleStore::new();
+    for series in 0..1024u32 {
+        let mut s = Series::new();
+        for i in 0..1024u64 {
+            s.push(
+                Nanos::from_micros(25 * (i + 1)),
+                i * 1500 * u64::from(series + 1),
+            );
+        }
+        let batch = Batch {
+            source: SourceId(series / 4),
+            campaign: "bench".into(),
+            counter: CounterId::TxBytes(PortId((series % 4) as u16)),
+            samples: s,
+        };
+        store.ingest(&batch).expect("well-formed batch");
+    }
+    let mut dump = Vec::new();
+    store.export_csv(&mut dump).expect("writing to memory");
+    bench(rec, "csv_export_1M_rows", 10, || {
+        let mut out = Vec::with_capacity(dump.len());
+        store.export_csv(&mut out).expect("writing to memory");
+        out.len() as u64
+    });
+    bench(rec, "csv_import_1M_rows", 10, || {
+        let imported = SampleStore::import_csv(dump.as_slice()).expect("an exported dump");
+        imported.total_samples() as u64
+    });
+}
+
 fn main() {
     let mut rec = BenchRecorder::new("framework");
     bench_event_queue(&mut rec);
@@ -407,5 +441,6 @@ fn main() {
     bench_fleet_recovery(&mut rec);
     bench_group_commit(&mut rec);
     bench_buffer_policy(&mut rec);
+    bench_csv_codec(&mut rec);
     rec.flush();
 }

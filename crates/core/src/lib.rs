@@ -59,6 +59,7 @@
 pub mod batch;
 pub mod channel;
 pub mod collector;
+mod csv;
 pub mod degrade;
 pub mod errors;
 pub mod failpoint;

@@ -22,6 +22,7 @@ use uburst_asic::CounterId;
 use uburst_sim::node::PortId;
 
 use crate::batch::{Batch, SourceId};
+use crate::csv;
 use crate::series::Series;
 use crate::ship::{GapLedger, SeqBatch};
 
@@ -431,100 +432,23 @@ impl SampleStore {
 
     /// Writes every series as CSV rows:
     /// `source,counter,timestamp_ns,value`.
-    pub fn export_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "source,counter,timestamp_ns,value")?;
-        let map = self.read_lock();
-        let mut keys: Vec<&SeriesKey> = map.keys().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let s = &map[key];
-            let cname = counter_label(key.counter);
-            for (&t, &v) in s.ts.iter().zip(&s.vs) {
-                writeln!(w, "{},{},{},{}", key.source.0, cname, t, v)?;
-            }
-        }
-        Ok(())
+    pub fn export_csv<W: Write>(&self, w: W) -> io::Result<()> {
+        csv::export(&self.read_lock(), w)
     }
-}
 
-impl SampleStore {
     /// Reads a CSV previously produced by [`SampleStore::export_csv`] (the
-    /// same role as the paper's published raw-data dump): rows of
-    /// `source,counter,timestamp_ns,value`. Unknown counter labels are
-    /// rejected; rows may arrive in any order (they are merged sorted,
-    /// stably — rows sharing a timestamp keep their file order, matching
-    /// [`Series::merge_from`]'s tie semantics). Line endings may be LF or
-    /// CRLF; a Windows-saved dump imports identically.
-    ///
-    /// Rows are buffered per [`SeriesKey`] and each series is built with
-    /// one sort + one merge, so an unsorted multi-hundred-thousand-row
-    /// dump imports in `O(n log n)` rather than the quadratic
-    /// one-`merge_from`-per-row this method started life with.
+    /// same role as the paper's published raw-data dump): rows of exactly
+    /// four columns, `source,counter,timestamp_ns,value`. Unknown counter
+    /// labels are rejected; rows may arrive in any order (each series is
+    /// sorted stably — rows sharing a timestamp keep their file order,
+    /// matching [`Series::merge_from`]'s tie semantics). Line endings may
+    /// be LF or CRLF and the header may follow a UTF-8 byte-order mark; a
+    /// Windows-saved dump imports identically.
     pub fn import_csv<R: BufRead>(r: R) -> io::Result<SampleStore> {
-        let store = SampleStore::new();
-        let mut lines = r.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty file"))??;
-        if header.trim() != "source,counter,timestamp_ns,value" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected header: {header}"),
-            ));
-        }
-        let mut rows: HashMap<SeriesKey, Vec<(u64, u64)>> = HashMap::new();
-        for (lineno, line) in lines.enumerate() {
-            let line = line?;
-            // Normalize CRLF per row, not just at the header.
-            let line = line.strip_suffix('\r').unwrap_or(&line);
-            if line.trim().is_empty() {
-                continue;
-            }
-            let bad = |msg: &str| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("row {}: {msg}: {line}", lineno + 2),
-                )
-            };
-            let mut parts = line.split(',');
-            let source = parts
-                .next()
-                .and_then(|s| s.parse::<u32>().ok())
-                .ok_or_else(|| bad("bad source"))?;
-            let counter = parts
-                .next()
-                .and_then(parse_counter_label)
-                .ok_or_else(|| bad("bad counter"))?;
-            let t = parts
-                .next()
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| bad("bad timestamp"))?;
-            let v = parts
-                .next()
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| bad("bad value"))?;
-            let key = SeriesKey {
-                source: SourceId(source),
-                counter,
-            };
-            rows.entry(key).or_default().push((t, v));
-        }
-        let mut map = store.write_lock();
-        for (key, mut pts) in rows {
-            // Stable sort: equal timestamps keep file order, exactly what
-            // row-at-a-time merge_from (self-first on ties) produced.
-            pts.sort_by_key(|&(t, _)| t);
-            let mut series = Series::new();
-            series.ts.reserve(pts.len());
-            series.vs.reserve(pts.len());
-            for (t, v) in pts {
-                series.ts.push(t);
-                series.vs.push(v);
-            }
-            map.entry(key).or_default().merge_from(&series);
-        }
-        drop(map);
-        Ok(store)
+        Ok(SampleStore {
+            inner: RwLock::new(csv::import(r)?),
+            ..Self::default()
+        })
     }
 }
 
@@ -550,7 +474,7 @@ pub(crate) fn label_parts(c: CounterId) -> (&'static str, Option<u16>, Option<u8
 }
 
 /// Every counter kind, instantiated at `port` / `bin`.
-fn counter_kinds(port: PortId, bin: u8) -> [CounterId; 9] {
+pub(crate) fn counter_kinds(port: PortId, bin: u8) -> [CounterId; 9] {
     use CounterId as C;
     [
         C::RxBytes(port),
