@@ -22,7 +22,7 @@
 
 use uburst_analysis::{extract_bursts, mad_per_period, Ecdf, HOT_THRESHOLD};
 use uburst_asic::{AccessModel, CounterId};
-use uburst_bench::campaign::{measure_single_port, run_campaign};
+use uburst_bench::campaign::{single_port_spec, CampaignSpec};
 use uburst_bench::report::Table;
 use uburst_bench::run_jobs;
 use uburst_core::spec::CoreMode;
@@ -45,7 +45,8 @@ fn ablate_buffer_alpha() {
         // DynamicThreshold aggressiveness knob, not a raw switch field.
         cfg.clos.tor_switch.policy = BufferPolicyCfg::DynamicThreshold { alpha };
         let n = cfg.n_servers;
-        let (run, port) = measure_single_port(cfg, Some(2), Nanos::from_micros(25), SPAN);
+        let (spec, port) = single_port_spec(cfg, Some(2), Nanos::from_micros(25), SPAN);
+        let run = spec.run();
         let utils = run.utilization(CounterId::TxBytes(port), 10_000_000_000);
         let a = extract_bursts(&utils, HOT_THRESHOLD);
         let p90 = if a.bursts.is_empty() {
@@ -99,7 +100,7 @@ fn ablate_ecmp() {
             let counters: Vec<CounterId> = (0..4)
                 .map(|f| CounterId::TxBytes(PortId((n + f) as u16)))
                 .collect();
-            let run = run_campaign(cfg, counters.clone(), Nanos::from_micros(40), SPAN);
+            let run = CampaignSpec::new(cfg, counters.clone(), Nanos::from_micros(40), SPAN).run();
             let series: Vec<Vec<f64>> = counters
                 .iter()
                 .map(|&c| {
@@ -167,12 +168,13 @@ fn ablate_poller_core() {
 fn ablate_peak_register() {
     println!("## ablation 4: read-and-clear peak register vs sampled level\n");
     let cfg = ScenarioConfig::new(RackType::Hadoop, 40_004);
-    let run = run_campaign(
+    let run = CampaignSpec::new(
         cfg,
         vec![CounterId::BufferPeak, CounterId::BufferLevel],
         Nanos::from_micros(300),
         SPAN,
-    );
+    )
+    .run();
     let peaks = run.series_for(CounterId::BufferPeak);
     let levels = run.series_for(CounterId::BufferLevel);
     let max_peak = peaks.vs.iter().copied().max().unwrap_or(0);
@@ -219,7 +221,8 @@ fn ablate_pacing() {
             cfg.nic_pace_bps = pace;
             let uplink = cfg.n_servers;
             let uplink_bps = cfg.clos.uplink.bandwidth_bps;
-            let (run, port) = measure_single_port(cfg, Some(uplink), Nanos::from_micros(25), SPAN);
+            let (spec, port) = single_port_spec(cfg, Some(uplink), Nanos::from_micros(25), SPAN);
+            let run = spec.run();
             let utils = run.utilization(CounterId::TxBytes(port), uplink_bps);
             let a = extract_bursts(&utils, HOT_THRESHOLD);
             let p90 = if a.bursts.is_empty() {

@@ -11,7 +11,7 @@ use uburst_analysis::{
     HOT_THRESHOLD,
 };
 use uburst_asic::CounterId;
-use uburst_bench::campaign::{measure_port_groups, measure_single_port, port_bps};
+use uburst_bench::campaign::{port_bps, port_groups_spec, single_port_spec};
 use uburst_bench::report::Table;
 use uburst_bench::run_jobs;
 use uburst_sim::node::PortId;
@@ -54,7 +54,8 @@ pub fn run() {
         let n_servers = cfg.n_servers;
         let port = uburst_bench::representative_port(&cfg);
         let port_speed = port_bps(&cfg, port);
-        let (run, port) = measure_single_port(cfg, Some(port.0 as usize), interval, span);
+        let (spec, port) = single_port_spec(cfg, Some(port.0 as usize), interval, span);
+        let run = spec.run();
         let util = run.utilization(CounterId::TxBytes(port), port_speed);
         let mean_util: f64 = util.iter().map(|u| u.util).sum::<f64>() / util.len() as f64;
         let analysis = extract_bursts(&util, HOT_THRESHOLD);
@@ -120,7 +121,7 @@ pub fn run() {
         let n = cfg.n_servers;
         let all_ports: Vec<PortId> = (0..(n + 4)).map(|i| PortId(i as u16)).collect();
         let bps: Vec<u64> = all_ports.iter().map(|&p| port_bps(&cfg, p)).collect();
-        let run = measure_port_groups(cfg, &all_ports, Nanos::from_micros(300), span);
+        let run = port_groups_spec(cfg, &all_ports, Nanos::from_micros(300), span).run();
         let utils: Vec<Vec<f64>> = all_ports
             .iter()
             .zip(&bps)

@@ -13,7 +13,7 @@
 
 use uburst_analysis::{quantile, HOT_THRESHOLD};
 use uburst_asic::CounterId;
-use uburst_bench::campaign::{measure_buffer_and_ports, port_bps};
+use uburst_bench::campaign::{buffer_and_ports_spec, port_bps};
 use uburst_bench::report::{fmt_bytes, verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
@@ -87,7 +87,8 @@ pub fn run() {
         let bps: Vec<u64> = (0..n_ports)
             .map(|i| port_bps(&cfg, uburst_sim::node::PortId(i as u16)))
             .collect();
-        let (run, ports) = measure_buffer_and_ports(cfg, INTERVAL, SPAN);
+        let (spec, ports) = buffer_and_ports_spec(cfg, INTERVAL, SPAN);
+        let run = spec.run();
 
         // Max concurrent hot ports over full fig10 windows.
         let port_utils: Vec<Vec<f64>> = ports

@@ -25,16 +25,16 @@ use std::collections::BTreeMap;
 
 use uburst_bench::report::{verdict, Table};
 use uburst_core::{
-    AckMsg, Batch, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, LossyLink, MemStorage, SeqBatch,
-    Series, Shipper, ShipperConfig, SourceId, TornStorage, WalConfig, WalError, WalStorage,
+    AckMsg, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, MemStorage, SeqBatch, SourceId,
+    TornStorage, WalConfig, WalError, WalStorage, Workload,
 };
-use uburst_sim::node::PortId;
-use uburst_sim::time::Nanos;
 
 const SEED: u64 = 0xD00B_1E55;
-const SOURCES: u32 = 3;
-const BATCHES_PER_SOURCE: u64 = 16;
-const SAMPLES_PER_BATCH: u64 = 4;
+const WORK: Workload = Workload {
+    sources: 3,
+    batches: 16,
+    campaign: "durability",
+};
 /// Small segments so every sweep crosses several rotation boundaries.
 const SEGMENT_BYTES: usize = 512;
 
@@ -45,72 +45,22 @@ fn wal_config() -> WalConfig {
     }
 }
 
-fn make_batch(source: u32, i: u64) -> Batch {
-    let mut s = Series::new();
-    for k in 0..SAMPLES_PER_BATCH {
-        s.push(Nanos(1 + i * 100 + k), i * 10 + k);
-    }
-    Batch {
-        source: SourceId(source),
-        campaign: "durability".into(),
-        counter: uburst_asic::CounterId::TxBytes(PortId(source as u16)),
-        samples: s,
-    }
-}
-
-fn fresh_shippers() -> Vec<Shipper> {
-    (0..SOURCES)
-        .map(|src| {
-            let mut sh = Shipper::new(
-                SourceId(src),
-                ShipperConfig {
-                    window: 8,
-                    rto_ticks: 4,
-                    ..ShipperConfig::default()
-                },
-            );
-            for i in 0..BATCHES_PER_SOURCE {
-                sh.offer(make_batch(src, i)).expect("under outstanding cap");
-            }
-            sh
-        })
-        .collect()
-}
-
-/// Shippers → lossy link → durable store → lossy ack link → shippers,
-/// until drained or the storage crashes. Tracks the highest ack issued.
-fn run_session<S: WalStorage>(
-    ds: &mut DurableStore<S>,
-    shippers: &mut [Shipper],
-    acked: &mut BTreeMap<SourceId, u64>,
-    plan: LinkPlan,
-    link_seed: u64,
-) -> Result<u64, WalError> {
-    let mut data_link: LossyLink<SeqBatch> = LossyLink::new(plan, link_seed);
-    let mut ack_link: LossyLink<AckMsg> = LossyLink::new(plan, link_seed ^ 1);
-    for tick in 0u64..100_000 {
-        for sh in shippers.iter_mut() {
-            for sb in sh.tick() {
-                data_link.send(sb);
-            }
-        }
-        for sb in data_link.tick() {
-            let (_, ack) = ds.ingest(&sb)?;
+/// The session's receiver: per-record WAL ingest (under fsync-always the
+/// mode where recovery is *exactly* the acked prefix), tracking the
+/// highest ack issued per source.
+fn receiver<'a, S: WalStorage>(
+    ds: &'a mut DurableStore<S>,
+    acked: &'a mut BTreeMap<SourceId, u64>,
+) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+    move |window, acks| {
+        for sb in &window {
+            let (_, ack) = ds.ingest(sb)?;
             let best = acked.entry(ack.source).or_insert(0);
             *best = (*best).max(ack.cum);
-            ack_link.send(ack);
+            acks.push(ack);
         }
-        for ack in ack_link.tick() {
-            shippers[ack.source.0 as usize].on_ack(ack);
-        }
-        if shippers.iter().all(Shipper::done)
-            && data_link.in_flight() == 0
-            && ack_link.in_flight() == 0
-        {
-            return Ok(tick + 1);
-        }
+        Ok(())
     }
-    panic!("session livelocked: shippers never drained");
 }
 
 /// One crash sweep at a given link intensity.
@@ -142,11 +92,15 @@ fn sweep_at(loss_pct: f64, crash_points: usize) -> SweepResult {
 
     // Crash-free reference: establishes the exact byte stream and export.
     let mut ds = DurableStore::create(MemStorage::new(), wal_config()).expect("create");
-    let mut shippers = fresh_shippers();
-    let mut acked = BTreeMap::new();
-    let ref_ticks =
-        run_session(&mut ds, &mut shippers, &mut acked, plan, link_seed).expect("intact storage");
-    let retransmits: u64 = shippers.iter().map(|s| s.stats().retransmits).sum();
+    let mut session = WORK.session(plan, link_seed);
+    let ref_ticks = session
+        .run(receiver(&mut ds, &mut BTreeMap::new()))
+        .expect("intact storage");
+    let retransmits: u64 = session
+        .shippers()
+        .iter()
+        .map(|s| s.stats().retransmits)
+        .sum();
     let mut reference_csv = Vec::new();
     ds.store().export_csv(&mut reference_csv).expect("export");
     let total_bytes = ds.wal().total_bytes();
@@ -166,33 +120,30 @@ fn sweep_at(loss_pct: f64, crash_points: usize) -> SweepResult {
         let disk = MemStorage::new();
         let torn = TornStorage::new(disk.clone(), budget);
         let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
-        let mut shippers = fresh_shippers();
+        let mut session = WORK.session(plan, link_seed);
         if let Ok(mut ds) = DurableStore::create(torn, wal_config()) {
-            let crashed = run_session(&mut ds, &mut shippers, &mut acked, plan, link_seed);
+            let crashed = session.run(receiver(&mut ds, &mut acked));
             assert!(crashed.is_err(), "budget {budget} must crash the session");
         }
 
         let (rec, report) =
             DurableStore::recover(disk, wal_config()).expect("recovery never fails");
         torn_tails += report.torn_tails as usize;
-        let exact = (0..SOURCES).all(|src| {
+        let exact = (0..WORK.sources).all(|src| {
             rec.store().contiguous(SourceId(src)) == acked.get(&SourceId(src)).copied().unwrap_or(0)
         });
         exact_prefix += exact as usize;
 
         // Resume: surviving shippers re-deliver every gap over a fresh link.
-        for sh in &shippers {
+        for sh in session.shippers() {
             rec.note_stream_state(sh.source(), sh.next_seq());
         }
         let mut rec = rec;
-        run_session(
-            &mut rec,
-            &mut shippers,
-            &mut acked,
-            plan,
-            link_seed ^ 0xDEAD,
-        )
-        .expect("no second crash");
+        let resume_seed = link_seed ^ 0xDEAD;
+        session.relink(plan, resume_seed, resume_seed ^ 1);
+        session
+            .run(receiver(&mut rec, &mut acked))
+            .expect("no second crash");
         let mut final_csv = Vec::new();
         rec.store().export_csv(&mut final_csv).expect("export");
         let ok = final_csv == reference_csv && rec.store().stats().missing_batches == 0;
@@ -229,7 +180,8 @@ pub fn run() {
         scale.label()
     );
     println!(
-        "seed {SEED:#x}, {SOURCES} sources x {BATCHES_PER_SOURCE} batches, {SEGMENT_BYTES} B segments, fsync=always"
+        "seed {SEED:#x}, {} sources x {} batches, {SEGMENT_BYTES} B segments, fsync=always",
+        WORK.sources, WORK.batches
     );
     println!("{points} seeded crash points per link intensity (record ends ± 1 + mid-record fill)");
     println!();

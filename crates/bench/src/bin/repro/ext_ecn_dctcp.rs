@@ -15,7 +15,7 @@
 
 use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
 use uburst_asic::CounterId;
-use uburst_bench::campaign::run_campaign;
+use uburst_bench::campaign::CampaignSpec;
 use uburst_bench::report::{fmt_bytes, verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::node::PortId;
@@ -52,7 +52,7 @@ pub fn run() {
         cfg.transport.ecn = threshold.is_some();
         let measured_port = PortId(2);
         let counters = vec![CounterId::TxBytes(measured_port), CounterId::BufferPeak];
-        let run = run_campaign(cfg, counters, Nanos::from_micros(300), span);
+        let run = CampaignSpec::new(cfg, counters, Nanos::from_micros(300), span).run();
 
         let utils = run.utilization(CounterId::TxBytes(measured_port), 10_000_000_000);
         let a = extract_bursts(&utils, HOT_THRESHOLD);

@@ -19,9 +19,8 @@
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fault_tolerance`.
 
 use uburst_asic::{CounterId, FaultPlan};
-use uburst_bench::campaign::{run_campaign_hardened, CampaignRun};
+use uburst_bench::campaign::{CampaignRun, CampaignSpec};
 use uburst_bench::report::{verdict, Table};
-use uburst_core::poller::RetryPolicy;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
@@ -41,15 +40,14 @@ fn run_at(fault_rate: f64, span: Nanos) -> CampaignRun {
             .with_latency_spike(fault_rate / 2.0)
             .with_counter_bits(32)
     });
-    run_campaign_hardened(
+    let mut spec = CampaignSpec::new(
         cfg,
         vec![CounterId::TxBytes(PORT)],
         Nanos::from_micros(25),
         span,
-        plan,
-        RetryPolicy::default(),
-        None,
-    )
+    );
+    spec.faults = plan;
+    spec.run()
 }
 
 /// Mean rate in bytes/sec reconstructed from the campaign's series.

@@ -25,7 +25,7 @@
 //! `UBURST_FLEET_SWITCHES` overrides the fleet width (default 200; CI
 //! uses 32 to stay fast).
 
-use uburst_bench::fleet::{render_report, run_fleet_spec, run_fleet_spec_crashed, FleetSpec};
+use uburst_bench::fleet::{render_report, run_fleet_spec, FleetSpec};
 use uburst_bench::report::{verdict, Table};
 use uburst_bench::Scale;
 use uburst_core::failpoint::RegionCrashPlan;
@@ -73,7 +73,7 @@ pub fn run() {
         // Fresh telemetry per fleet so the rollup below is this fleet's.
         uburst_obs::reset();
         let spec = FleetSpec::new(n, FLEET_SEED, rate, scale);
-        let run = run_fleet_spec(&spec);
+        let run = run_fleet_spec(&spec, &RegionCrashPlan::none());
         if rate == 0.0 {
             reference_wal_bytes = run.outcome.regions.iter().map(|r| r.wal_bytes).collect();
         }
@@ -102,7 +102,7 @@ pub fn run() {
         uburst_obs::reset();
         let offset = (victim_bytes as f64 * frac) as u64;
         let spec = FleetSpec::new(n, FLEET_SEED, 0.0, scale);
-        let run = run_fleet_spec_crashed(&spec, &RegionCrashPlan::kill(victim, offset));
+        let run = run_fleet_spec(&spec, &RegionCrashPlan::kill(victim, offset));
         println!(
             "\n=== aggregator crash at {:.0}% of region {victim}'s WAL (byte {offset}) ===\n",
             frac * 100.0
@@ -132,7 +132,7 @@ pub fn run() {
     let mut drops_by_policy = Vec::new();
     for policy in policies {
         let spec = FleetSpec::new(n, FLEET_SEED, 0.0, scale).with_policy(policy);
-        let run = run_fleet_spec(&spec);
+        let run = run_fleet_spec(&spec, &RegionCrashPlan::none());
         let drops: u64 = run.switches.iter().map(|s| s.drops).sum();
         let produced: u64 = run
             .outcome

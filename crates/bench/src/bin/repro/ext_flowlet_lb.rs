@@ -18,7 +18,7 @@
 
 use uburst_analysis::{coarsen, mad_per_period, Ecdf};
 use uburst_asic::CounterId;
-use uburst_bench::campaign::run_campaign;
+use uburst_bench::campaign::CampaignSpec;
 use uburst_bench::report::{verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::node::PortId;
@@ -74,7 +74,7 @@ fn panel(title: &str, window_limited: bool, span: Nanos) -> Vec<(String, f64, u6
         let counters: Vec<CounterId> = (0..4)
             .map(|f| CounterId::TxBytes(PortId((n + f) as u16)))
             .collect();
-        let run = run_campaign(cfg, counters.clone(), Nanos::from_micros(40), span);
+        let run = CampaignSpec::new(cfg, counters.clone(), Nanos::from_micros(40), span).run();
         let series: Vec<Vec<f64>> = counters
             .iter()
             .map(|&c| {

@@ -327,35 +327,6 @@ impl CampaignRun {
     }
 }
 
-/// Runs one campaign on a freshly built scenario: warm up, then poll
-/// `counters` together at `interval` for `span`.
-pub fn run_campaign(
-    cfg: ScenarioConfig,
-    counters: Vec<CounterId>,
-    interval: Nanos,
-    span: Nanos,
-) -> CampaignRun {
-    CampaignSpec::new(cfg, counters, interval, span).run()
-}
-
-/// [`run_campaign`] with the robustness layer armed: an optional
-/// [`FaultPlan`] applied to every counter read, a retry policy for failed
-/// transactions, and optional adaptive degradation under overload.
-pub fn run_campaign_hardened(
-    cfg: ScenarioConfig,
-    counters: Vec<CounterId>,
-    interval: Nanos,
-    span: Nanos,
-    faults: Option<FaultPlan>,
-    retry: RetryPolicy,
-    degradation: Option<DegradationPolicy>,
-) -> CampaignRun {
-    let mut spec = CampaignSpec::new(cfg, counters, interval, span).with_retry(retry);
-    spec.faults = faults;
-    spec.degradation = degradation;
-    spec.run()
-}
-
 /// The port a single-port campaign measures for a rack type, chosen
 /// pseudo-randomly from the seed the way the paper picked "a random port"
 /// per rack. Bursts concentrate where the rack's bottleneck is (Fig. 9):
@@ -401,17 +372,6 @@ pub fn single_port_spec(
     )
 }
 
-/// Runs [`single_port_spec`] immediately.
-pub fn measure_single_port(
-    cfg: ScenarioConfig,
-    port_index: Option<usize>,
-    interval: Nanos,
-    span: Nanos,
-) -> (CampaignRun, PortId) {
-    let (spec, port) = single_port_spec(cfg, port_index, interval, span);
-    (spec.run(), port)
-}
-
 /// The spec for a multi-port campaign: TX+RX byte counters for each
 /// requested port, aligned on the same poll timestamps.
 pub fn port_groups_spec(
@@ -430,16 +390,6 @@ pub fn port_groups_spec(
     CampaignSpec::new(cfg, counters, interval, span)
 }
 
-/// Runs [`port_groups_spec`] immediately.
-pub fn measure_port_groups(
-    cfg: ScenarioConfig,
-    ports: &[PortId],
-    interval: Nanos,
-    span: Nanos,
-) -> CampaignRun {
-    port_groups_spec(cfg, ports, interval, span).run()
-}
-
 /// The spec for an all-port TX bytes campaign plus the shared-buffer peak
 /// register — the Fig. 9 / Fig. 10 campaign.
 pub fn buffer_and_ports_spec(
@@ -453,16 +403,6 @@ pub fn buffer_and_ports_spec(
     let mut counters: Vec<CounterId> = all_ports.iter().map(|&p| CounterId::TxBytes(p)).collect();
     counters.push(CounterId::BufferPeak);
     (CampaignSpec::new(cfg, counters, interval, span), all_ports)
-}
-
-/// Runs [`buffer_and_ports_spec`] immediately.
-pub fn measure_buffer_and_ports(
-    cfg: ScenarioConfig,
-    interval: Nanos,
-    span: Nanos,
-) -> (CampaignRun, Vec<PortId>) {
-    let (spec, ports) = buffer_and_ports_spec(cfg, interval, span);
-    (spec.run(), ports)
 }
 
 #[cfg(test)]
@@ -483,8 +423,9 @@ mod tests {
     fn single_port_campaign_produces_util_series() {
         let cfg = ScenarioConfig::new(RackType::Web, 42);
         let bps = 10_000_000_000;
-        let (run, port) =
-            measure_single_port(cfg, Some(3), Nanos::from_micros(25), Nanos::from_millis(30));
+        let (spec, port) =
+            single_port_spec(cfg, Some(3), Nanos::from_micros(25), Nanos::from_millis(30));
+        let run = spec.run();
         assert_eq!(port, PortId(3));
         let util = run.utilization(CounterId::TxBytes(port), bps);
         assert!(util.len() > 800, "only {} samples", util.len());
@@ -501,7 +442,8 @@ mod tests {
     fn port_groups_are_aligned() {
         let cfg = ScenarioConfig::new(RackType::Cache, 7);
         let ports = [PortId(0), PortId(1)];
-        let run = measure_port_groups(cfg, &ports, Nanos::from_micros(100), Nanos::from_millis(20));
+        let run =
+            port_groups_spec(cfg, &ports, Nanos::from_micros(100), Nanos::from_millis(20)).run();
         let a = run.series_for(CounterId::TxBytes(PortId(0)));
         let b = run.series_for(CounterId::RxBytes(PortId(1)));
         assert_eq!(a.ts, b.ts, "group campaign series share timestamps");
@@ -510,8 +452,9 @@ mod tests {
     #[test]
     fn buffer_campaign_includes_peak() {
         let cfg = ScenarioConfig::new(RackType::Hadoop, 9);
-        let (run, ports) =
-            measure_buffer_and_ports(cfg, Nanos::from_micros(300), Nanos::from_millis(20));
+        let (spec, ports) =
+            buffer_and_ports_spec(cfg, Nanos::from_micros(300), Nanos::from_millis(20));
+        let run = spec.run();
         assert_eq!(ports.len(), 24 + 4);
         let peak = run.series_for(CounterId::BufferPeak);
         assert!(!peak.is_empty());
@@ -542,8 +485,9 @@ mod tests {
     #[should_panic(expected = "not in campaign")]
     fn missing_counter_panics() {
         let cfg = ScenarioConfig::new(RackType::Web, 1);
-        let (run, _) =
-            measure_single_port(cfg, Some(0), Nanos::from_micros(100), Nanos::from_millis(5));
+        let (spec, _) =
+            single_port_spec(cfg, Some(0), Nanos::from_micros(100), Nanos::from_millis(5));
+        let run = spec.run();
         run.series_for(CounterId::Drops(PortId(0)));
     }
 }

@@ -17,7 +17,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::run_campaign;
+use crate::campaign::CampaignSpec;
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
@@ -57,7 +57,7 @@ pub fn run(scale: Scale) -> String {
             counters.push(CounterId::TxBytes(PortId(i as u16)));
             counters.push(CounterId::Drops(PortId(i as u16)));
         }
-        let run = run_campaign(cfg, counters, interval, scale.campaign_span());
+        let run = CampaignSpec::new(cfg, counters, interval, scale.campaign_span()).run();
         let mut triples = Vec::new();
         for i in 0..n {
             let p = PortId(i as u16);

@@ -17,7 +17,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::run_campaign;
+use crate::campaign::CampaignSpec;
 use crate::pool::run_jobs;
 use crate::report::verdict;
 use crate::scale::Scale;
@@ -72,7 +72,7 @@ fn render_panel(scale: Scale, label: &str, rack_type: RackType, load: f64) -> St
             counters.push(CounterId::Drops(PortId(i as u16)));
         }
         let span = scale.campaign_span().max(Nanos::from_millis(400));
-        let run = run_campaign(cfg, counters, interval, span);
+        let run = CampaignSpec::new(cfg, counters, interval, span).run();
 
         // Pick the downlink with the most drops (the paper picked ports
         // experiencing congestion drops).

@@ -14,7 +14,7 @@ use uburst_asic::{CounterId, N_SIZE_BINS, SIZE_BIN_LABELS};
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::{port_bps, representative_port, run_campaign};
+use crate::campaign::{port_bps, representative_port, CampaignSpec};
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
@@ -63,7 +63,7 @@ pub fn run(scale: Scale) -> String {
             .map(|b| CounterId::TxSizeHist(port, b))
             .collect();
         counters.push(CounterId::TxBytes(port));
-        let run = run_campaign(cfg, counters, interval, scale.campaign_span());
+        let run = CampaignSpec::new(cfg, counters, interval, scale.campaign_span()).run();
 
         let utils = run.utilization(CounterId::TxBytes(port), bps);
         let hot = hot_chain(&utils, HOT_THRESHOLD);

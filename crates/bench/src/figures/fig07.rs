@@ -16,7 +16,7 @@ use uburst_asic::CounterId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::measure_port_groups;
+use crate::campaign::port_groups_spec;
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
@@ -75,7 +75,7 @@ pub fn run(scale: Scale) -> String {
         let uplinks: Vec<_> = (0..cfg.clos.n_fabric)
             .map(|f| uburst_sim::node::PortId((n + f) as u16))
             .collect();
-        let run = measure_port_groups(cfg, &uplinks, interval, scale.campaign_span());
+        let run = port_groups_spec(cfg, &uplinks, interval, scale.campaign_span()).run();
 
         let mut panel = RackPanel {
             rows: Vec::new(),

@@ -13,7 +13,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::measure_port_groups;
+use crate::campaign::port_groups_spec;
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
@@ -84,7 +84,7 @@ pub fn run(scale: Scale) -> String {
         let pod_size = cfg.cache.pod_size;
         let bps = cfg.clos.server_link.bandwidth_bps;
         let downlinks: Vec<PortId> = (0..n).map(|i| PortId(i as u16)).collect();
-        let run = measure_port_groups(cfg, &downlinks, interval, scale.campaign_span());
+        let run = port_groups_spec(cfg, &downlinks, interval, scale.campaign_span()).run();
         let series: Vec<Vec<f64>> = downlinks
             .iter()
             .map(|&p| {

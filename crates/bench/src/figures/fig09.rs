@@ -12,7 +12,7 @@ use uburst_asic::CounterId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::{measure_buffer_and_ports, port_bps};
+use crate::campaign::{buffer_and_ports_spec, port_bps};
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
@@ -56,7 +56,8 @@ pub fn run(scale: Scale) -> String {
         let bps: Vec<u64> = (0..(n + cfg.clos.n_fabric))
             .map(|i| port_bps(&cfg, uburst_sim::node::PortId(i as u16)))
             .collect();
-        let (run, ports) = measure_buffer_and_ports(cfg, interval, scale.campaign_span());
+        let (spec, ports) = buffer_and_ports_spec(cfg, interval, scale.campaign_span());
+        let run = spec.run();
         let mut hot_dn = 0usize;
         let mut hot_up = 0usize;
         for (i, &p) in ports.iter().enumerate() {

@@ -19,7 +19,7 @@ use uburst_asic::CounterId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::{measure_buffer_and_ports, port_bps};
+use crate::campaign::{buffer_and_ports_spec, port_bps};
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
@@ -71,7 +71,8 @@ pub fn run(scale: Scale) -> String {
         let bps: Vec<u64> = (0..n_ports)
             .map(|i| port_bps(&cfg, uburst_sim::node::PortId(i as u16)))
             .collect();
-        let (run, ports) = measure_buffer_and_ports(cfg, interval, scale.campaign_span());
+        let (spec, ports) = buffer_and_ports_spec(cfg, interval, scale.campaign_span());
+        let run = spec.run();
 
         // Per-port hot flags per sampling period.
         let port_utils: Vec<Vec<f64>> = ports

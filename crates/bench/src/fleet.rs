@@ -26,14 +26,13 @@ use uburst_core::fleet::{
     run_fleet_with_crashes, FleetConfig, FleetOutcome, HealthState, RoundInput, SwitchStream,
 };
 use uburst_core::link::LinkPlan;
-use uburst_core::poller::RetryPolicy;
 use uburst_core::series::Series;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::run_campaign_hardened;
+use crate::campaign::CampaignSpec;
 use crate::pool::{run_jobs, run_jobs_on};
 use crate::report::Table;
 use crate::scale::Scale;
@@ -149,15 +148,9 @@ fn measure_switch(spec: &FleetSpec, index: u32) -> SwitchRun {
     let plan = FaultPlan::for_fleet_switch(spec.fleet_seed, index, spec.flaky_rate);
     let flaky = !plan.is_benign();
     let counters: Vec<CounterId> = uplinks.iter().map(|&p| CounterId::TxBytes(p)).collect();
-    let run = run_campaign_hardened(
-        cfg,
-        counters,
-        spec.interval,
-        spec.span,
-        flaky.then_some(plan),
-        RetryPolicy::default(),
-        None,
-    );
+    let mut campaign = CampaignSpec::new(cfg, counters, spec.interval, spec.span);
+    campaign.faults = flaky.then_some(plan);
+    let run = campaign.run();
     let drops = run.net.tor.dropped_packets;
     let st = run.poller_stats;
     let read_error_frac = if st.polls == 0 {
@@ -231,23 +224,12 @@ fn measure_switch(spec: &FleetSpec, index: u32) -> SwitchRun {
 }
 
 /// Runs the fleet campaign: per-switch simulations on the worker pool,
-/// then the aggregation tier single-threaded over the collected streams.
-pub fn run_fleet_spec(spec: &FleetSpec) -> FleetRun {
-    run_fleet_spec_crashed(spec, &RegionCrashPlan::none())
-}
-
-/// [`run_fleet_spec`] with an explicit worker-thread count — the
-/// determinism test harness (`threads = 1` is the sequential baseline).
-pub fn run_fleet_spec_on(threads: usize, spec: &FleetSpec) -> FleetRun {
-    run_fleet_spec_crashed_on(threads, spec, &RegionCrashPlan::none())
-}
-
-/// [`run_fleet_spec`] with regional aggregator crashes injected at
-/// byte-granular WAL offsets (the `ext_fleet` crash matrix). The crash
-/// plan only touches the aggregation tier, which is pumped
-/// single-threaded in source order — the report stays byte-identical
-/// across `UBURST_THREADS` even mid-crash.
-pub fn run_fleet_spec_crashed(spec: &FleetSpec, crashes: &RegionCrashPlan) -> FleetRun {
+/// then the aggregation tier single-threaded over the collected streams,
+/// with `crashes` ([`RegionCrashPlan::none`] for a clean run) killing
+/// regional aggregators at byte-granular WAL offsets. The crash plan only
+/// touches the aggregation tier, which is pumped in source order — the
+/// report stays byte-identical across `UBURST_THREADS` even mid-crash.
+pub fn run_fleet_spec(spec: &FleetSpec, crashes: &RegionCrashPlan) -> FleetRun {
     assemble(
         spec,
         run_jobs((0..spec.n_switches).collect(), |i| measure_switch(spec, i)),
@@ -255,12 +237,9 @@ pub fn run_fleet_spec_crashed(spec: &FleetSpec, crashes: &RegionCrashPlan) -> Fl
     )
 }
 
-/// [`run_fleet_spec_crashed`] with an explicit worker-thread count.
-pub fn run_fleet_spec_crashed_on(
-    threads: usize,
-    spec: &FleetSpec,
-    crashes: &RegionCrashPlan,
-) -> FleetRun {
+/// [`run_fleet_spec`] with an explicit worker-thread count — the
+/// determinism test harness (`threads = 1` is the sequential baseline).
+pub fn run_fleet_spec_on(threads: usize, spec: &FleetSpec, crashes: &RegionCrashPlan) -> FleetRun {
     assemble(
         spec,
         run_jobs_on(threads, (0..spec.n_switches).collect(), |i| {

@@ -22,10 +22,7 @@ pub mod report;
 pub mod runner;
 pub mod scale;
 
-pub use campaign::{
-    measure_buffer_and_ports, measure_port_groups, measure_single_port, port_bps,
-    representative_port, run_campaign_hardened, CampaignRun, CampaignSpec, NetSnapshot,
-};
+pub use campaign::{port_bps, representative_port, CampaignRun, CampaignSpec, NetSnapshot};
 pub use fleet::{
     render_report, run_fleet_spec, run_fleet_spec_on, FleetRun, FleetSpec, SwitchMeta,
 };

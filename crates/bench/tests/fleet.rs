@@ -3,7 +3,7 @@
 //! accounting (quarantined switches are excluded *and* accounted, never
 //! silently dropped).
 
-use uburst_bench::fleet::{render_report, run_fleet_spec_crashed_on, run_fleet_spec_on, FleetSpec};
+use uburst_bench::fleet::{render_report, run_fleet_spec_on, FleetSpec};
 use uburst_bench::Scale;
 use uburst_core::failpoint::RegionCrashPlan;
 use uburst_core::fleet::HealthState;
@@ -24,8 +24,8 @@ fn fleet_report_is_thread_count_invariant_under_faults() {
     // quarantines firing) must still render byte-identically whatever
     // the worker count.
     let spec = tiny(6, 0.5);
-    let sequential = render_report(&run_fleet_spec_on(1, &spec));
-    let parallel = render_report(&run_fleet_spec_on(4, &spec));
+    let sequential = render_report(&run_fleet_spec_on(1, &spec, &RegionCrashPlan::none()));
+    let parallel = render_report(&run_fleet_spec_on(4, &spec, &RegionCrashPlan::none()));
     assert_eq!(
         sequential, parallel,
         "fleet report diverged across thread counts"
@@ -42,7 +42,7 @@ fn crashed_fleet_report_is_thread_count_invariant() {
     // single-threaded aggregation pump, so a mid-run region crash must
     // not cost byte-identity across worker counts either.
     let spec = tiny(6, 0.0);
-    let reference = run_fleet_spec_on(1, &spec);
+    let reference = run_fleet_spec_on(1, &spec, &RegionCrashPlan::none());
     let victim = reference
         .outcome
         .regions
@@ -52,8 +52,8 @@ fn crashed_fleet_report_is_thread_count_invariant() {
         .map(|(i, _)| i)
         .unwrap();
     let crash = RegionCrashPlan::kill(victim, reference.outcome.regions[victim].wal_bytes / 2);
-    let sequential = render_report(&run_fleet_spec_crashed_on(1, &spec, &crash));
-    let parallel = render_report(&run_fleet_spec_crashed_on(4, &spec, &crash));
+    let sequential = render_report(&run_fleet_spec_on(1, &spec, &crash));
+    let parallel = render_report(&run_fleet_spec_on(4, &spec, &crash));
     assert_eq!(
         sequential, parallel,
         "crashed fleet report diverged across thread counts"
@@ -66,7 +66,7 @@ fn crashed_fleet_report_is_thread_count_invariant() {
 #[test]
 fn fault_free_fleet_has_full_coverage() {
     let spec = tiny(5, 0.0);
-    let run = run_fleet_spec_on(2, &spec);
+    let run = run_fleet_spec_on(2, &spec, &RegionCrashPlan::none());
     let cov = &run.outcome.coverage;
     assert_eq!(cov.switches.len(), 5);
     assert_eq!(cov.included(), 5);
@@ -91,7 +91,7 @@ fn a_failed_fleet_check_is_a_recorded_miss() {
     // `repro ext_fleet` exits non-zero on `report::misses() > 0`, so a
     // failed fleet check has to go through `report::verdict` like every
     // other shape check. Break the no-acked-loss floor by hand.
-    let mut run = run_fleet_spec_on(1, &tiny(3, 0.0));
+    let mut run = run_fleet_spec_on(1, &tiny(3, 0.0), &RegionCrashPlan::none());
     let s = &mut run.outcome.coverage.switches[0];
     s.acked = s.stored + 1;
     // Other tests in this binary render reports concurrently, so the
@@ -108,7 +108,7 @@ fn all_flaky_fleet_is_quarantined_excluded_and_accounted() {
     // signals on every round drive each lane Healthy → Degraded →
     // Quarantined, and every produced batch must still be accounted.
     let spec = tiny(4, 1.0);
-    let run = run_fleet_spec_on(2, &spec);
+    let run = run_fleet_spec_on(2, &spec, &RegionCrashPlan::none());
     let cov = &run.outcome.coverage;
     assert!(run.switches.iter().all(|m| m.flaky));
     assert_eq!(cov.included(), 0);

@@ -1,126 +1,54 @@
 //! Fleet-scale collection with graceful partial failure and crash-safe
-//! regional aggregation.
+//! regional aggregation (DESIGN.md, "Collection tier").
 //!
-//! The paper's framework polled thousands of ToRs; every campaign in this
-//! repo so far measured one. This module is the aggregation tier for the
-//! jump: N switches, each shipping sequenced batches over its own lossy
-//! link ([`crate::link`]) through a **regional aggregator** — each region
-//! a WAL-backed [`DurableStore`] of its own — into one global
-//! [`SampleStore`], per-switch sequence spaces merged by the go-back-N
-//! receiver, exactly the PR-3 shipping protocol fanned out.
+//! N switches each ship sequenced batches over their own lossy link — a
+//! [`Session`] per switch — to a **regional aggregator**, a WAL-backed
+//! [`crate::wal::DurableStore`], which forwards what it stored to one
+//! global [`SampleStore`] at the end of every round. A [`Fleet`] steps
+//! that machine one round at a time; each phase of a round is a method:
 //!
-//! At fleet scale the interesting failure is partial: 3% of switches
-//! flaky, one rack's uplink black-holed, an aggregator stalling. Every
-//! switch therefore carries an explicit health state machine
-//! ([`HealthState`]: Healthy → Degraded → Quarantined → Recovered) driven
-//! by switch-side degradation signals and aggregator-side
-//! deadline/straggler detection, with bounded retry+backoff probes for
-//! quarantined lanes.
+//! * `health`: every switch carries a state machine (Healthy → Degraded
+//!   → Quarantined → Recovered) fed by switch-side degradation signals and
+//!   aggregator-side deadline/straggler detection, with bounded
+//!   retry+backoff probes for quarantined lanes.
+//! * `region`: aggregators crash too. A [`RegionCrashPlan`] kills a
+//!   region's WAL storage at a byte offset of its own write stream,
+//!   mid-round; its switches re-shard to the survivors by rendezvous hash
+//!   ([`rendezvous_region`]), each adopted at its shipper's acked prefix;
+//!   after a bounded downtime the region's WAL is replayed into the global
+//!   store — a superset of everything it ever acked — and its switches go
+//!   home.
+//! * `coverage`: a figure computed under partial failure *says so*.
+//!   Every [`FleetOutcome`] carries a [`CoverageLedger`], and `produced =
+//!   stored + excluded + refused + undelivered` tiles exactly at every
+//!   crash offset (`tests/region_failover.rs` sweeps hundreds of them).
 //!
-//! **Aggregators crash too.** A [`RegionCrashPlan`] kills a region's WAL
-//! storage at a byte-granular offset of its own write stream, mid-round
-//! ([`TornStorage`] budget semantics — the fatal write applies a prefix
-//! and dies). While the region is down its switches are **re-sharded** to
-//! the survivors by rendezvous hashing ([`rendezvous_region`]): the
-//! mapping is a pure function of `(switch, live-region set)`, so it is
-//! independent of thread count and of the history that led to the outage.
-//! A migrated stream is *adopted* by its new region at the shipper's acked
-//! prefix ([`DurableStore::adopt_source`]) — the go-back-N window
-//! retransmits everything unacked, the adopted prefix is never waited for
-//! (it is durable in the dead region's WAL), and sequence dedup makes the
-//! overlap harmless. After a bounded downtime the region **recovers**:
-//! its WAL is replayed ([`DurableStore::recover_replay`]), the durable
-//! prefix — a superset of everything it ever acked — is fed into the
-//! global store, and rendezvous hashing sends its switches home.
-//!
-//! The headline property survives all of it: a figure computed under
-//! partial failure *says so*. Every [`FleetOutcome`] carries a
-//! [`CoverageLedger`] annotating which switches (and what fraction of
-//! their samples) the data includes, per health state, with re-shard and
-//! replay events on the books — and `produced = stored + excluded +
-//! refused + undelivered` tiles exactly at every crash offset
-//! (`tests/region_failover.rs` sweeps hundreds of them).
-//!
-//! The module is simulation-agnostic: it consumes per-switch **round
-//! streams** of already-cut [`Batch`]es ([`SwitchStream`]) so the
-//! orchestration layer can produce them however it likes (the bench crate
-//! fans per-switch simulations out on its worker pool, then pumps this
-//! aggregation tier single-threaded in switch order — which is what keeps
-//! fleet reports byte-identical across `UBURST_THREADS`).
+//! The module is simulation-agnostic: it consumes per-switch round streams
+//! of already-cut [`Batch`]es ([`SwitchStream`]), and pumps them
+//! single-threaded in switch order — which is what keeps fleet reports
+//! byte-identical across `UBURST_THREADS`.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 use crate::batch::{Batch, SourceId};
-use crate::failpoint::{RegionCrashPlan, TornStorage};
-use crate::link::{LinkPlan, LossyLink};
-use crate::ship::{AckMsg, SeqBatch, Shipper, ShipperConfig};
-use crate::store::{SampleStore, SeqIngest};
-use crate::wal::{DurableStore, FsyncPolicy, MemStorage, WalConfig};
+use crate::failpoint::RegionCrashPlan;
+use crate::link::LinkPlan;
+use crate::session::Session;
+use crate::ship::{Shipper, ShipperConfig};
+use crate::store::SampleStore;
+use crate::wal::{FsyncPolicy, WalConfig};
 
-/// One switch's health as seen by the fleet controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthState {
-    /// Delivering on deadline with acceptable coverage.
-    Healthy,
-    /// Recent bad rounds (degradation signal, refusals, straggling, or a
-    /// coverage miss) but still in service.
-    Degraded,
-    /// Taken out of service after too many consecutive bad rounds. Probed
-    /// with bounded backoff; its rounds are excluded *and accounted*.
-    Quarantined,
-    /// Back in service after a clean streak — behaves as Healthy, but the
-    /// label survives so coverage reports show the round trip.
-    Recovered,
-}
+mod coverage;
+mod health;
+mod region;
 
-impl fmt::Display for HealthState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Quarantined => "quarantined",
-            HealthState::Recovered => "recovered",
-        };
-        write!(f, "{s}")
-    }
-}
+pub use coverage::{CoverageLedger, SwitchCoverage};
+pub use health::{HealthPolicy, HealthState};
+pub use region::{rendezvous_region, RegionStats};
 
-/// Tuning for the per-switch health state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Known-missing fraction of a source's assigned batches above which a
-    /// round counts as bad (receiver-side coverage signal).
-    pub miss_watermark: f64,
-    /// Rounds a switch may hold outstanding batches without its contiguous
-    /// prefix advancing before it counts as a straggler (aggregator-side
-    /// deadline signal).
-    pub deadline_rounds: u32,
-    /// Consecutive bad rounds before a Degraded switch is quarantined.
-    pub quarantine_after: u32,
-    /// Consecutive clean rounds before a switch rejoins (Degraded →
-    /// Healthy, or Quarantined → Recovered via probes).
-    pub rejoin_after: u32,
-    /// Base spacing (rounds) between quarantine probes; doubles per failed
-    /// probe (capped) — bounded retry with backoff.
-    pub probe_backoff: u32,
-    /// Probes granted before a quarantined switch is left out for good.
-    pub max_probes: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            miss_watermark: 0.25,
-            deadline_rounds: 3,
-            quarantine_after: 3,
-            rejoin_after: 2,
-            probe_backoff: 2,
-            max_probes: 8,
-        }
-    }
-}
+use health::Health;
+use region::Region;
 
 /// One round of input from one switch's poller.
 #[derive(Debug, Clone, Default)]
@@ -189,253 +117,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Splitmix64 finalizer: the mixing function under the rendezvous hash.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
-
-/// Rendezvous (highest-random-weight) assignment of a switch to a region:
-/// every `(switch, region)` pair gets an independent hash weight and the
-/// live region with the highest weight wins. `None` when no region is
-/// live. The mapping is a pure function of the switch and the live set —
-/// independent of thread count, pump order, and the crash history that
-/// produced the set — and when a region dies only *its* switches move
-/// (everyone else's argmax is unchanged), which is the minimal-disruption
-/// property that makes live re-sharding cheap.
-pub fn rendezvous_region(source: SourceId, live: &[bool]) -> Option<usize> {
-    let mut best: Option<(u64, usize)> = None;
-    for (r, &up) in live.iter().enumerate() {
-        if !up {
-            continue;
-        }
-        let w = mix64(
-            (source.0 as u64 + 1)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((r as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)),
-        );
-        // Strict > keeps the lowest region index on (never-observed) ties.
-        if best.is_none_or(|(bw, _)| w > bw) {
-            best = Some((w, r));
-        }
-    }
-    best.map(|(_, r)| r)
-}
-
-/// Coverage accounting for one switch: where every batch its poller
-/// produced ended up.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchCoverage {
-    /// The switch.
-    pub source: SourceId,
-    /// Final health state.
-    pub state: HealthState,
-    /// Batches the poller produced across all rounds.
-    pub produced: u64,
-    /// Batches merged into the global store.
-    pub stored: u64,
-    /// Batches the receiver knows were assigned but never got (gap
-    /// ledger). A fully black-holed switch shows up in `undelivered`
-    /// instead — the receiver never learned its watermark.
-    pub missing: u64,
-    /// Batches never offered because the switch was quarantined.
-    pub excluded: u64,
-    /// Offers refused by the shipper's outstanding cap (shed at source).
-    pub refused: u64,
-    /// The shipper's final acknowledged prefix — every batch below it is
-    /// durable in some aggregator's WAL (the no-acked-loss floor the
-    /// crash sweeps check `stored` against).
-    pub acked: u64,
-    /// Times this switch was re-pointed at a different region (away from a
-    /// crashed aggregator, and back home after recovery — a full crash
-    /// round trip counts 2).
-    pub resharded: u64,
-    /// Batches that reached the global store only through a crashed
-    /// region's WAL replay (a subset of `stored`, not a fifth column).
-    pub replayed: u64,
-    /// Times this switch was quarantined.
-    pub quarantines: u64,
-    /// Times it rejoined after quarantine.
-    pub rejoins: u64,
-}
-
-impl SwitchCoverage {
-    /// Fraction of produced batches that made it into the store. A switch
-    /// that produced nothing covered nothing — 0.0, not a vacuous 1.0
-    /// (crash-at-round-0 sweeps hit this case; it must not read as full
-    /// coverage, and it must not divide by zero).
-    pub fn fraction(&self) -> f64 {
-        if self.produced == 0 {
-            return 0.0;
-        }
-        self.stored as f64 / self.produced as f64
-    }
-
-    /// Produced batches that are neither stored, excluded, nor refused:
-    /// lost in flight (dropped by the link, or unacked at drain end).
-    pub fn undelivered(&self) -> u64 {
-        self.produced
-            .saturating_sub(self.stored + self.excluded + self.refused)
-    }
-}
-
-/// The annotation every fleet report carries: which switches, and what
-/// fraction of their samples, the data includes — per health state.
-#[derive(Debug, Clone, Default)]
-pub struct CoverageLedger {
-    /// Per-switch coverage, sorted by source.
-    pub switches: Vec<SwitchCoverage>,
-}
-
-impl CoverageLedger {
-    /// Switches whose data is in the report (everything not quarantined).
-    pub fn included(&self) -> usize {
-        self.switches
-            .iter()
-            .filter(|s| s.state != HealthState::Quarantined)
-            .count()
-    }
-
-    /// Fleet-wide stored fraction of produced batches. An empty fleet (or
-    /// one that produced nothing — crash-at-round-0) covers nothing: 0.0.
-    pub fn sample_fraction(&self) -> f64 {
-        let produced: u64 = self.switches.iter().map(|s| s.produced).sum();
-        let stored: u64 = self.switches.iter().map(|s| s.stored).sum();
-        if produced == 0 {
-            return 0.0;
-        }
-        stored as f64 / produced as f64
-    }
-
-    /// Switch counts per health state, in state order.
-    pub fn state_counts(&self) -> [(HealthState, usize); 4] {
-        let mut counts = [
-            (HealthState::Healthy, 0),
-            (HealthState::Degraded, 0),
-            (HealthState::Quarantined, 0),
-            (HealthState::Recovered, 0),
-        ];
-        for s in &self.switches {
-            for c in &mut counts {
-                if c.0 == s.state {
-                    c.1 += 1;
-                }
-            }
-        }
-        counts
-    }
-
-    /// Total rejoin events across the fleet.
-    pub fn rejoins(&self) -> u64 {
-        self.switches.iter().map(|s| s.rejoins).sum()
-    }
-
-    /// Total re-shard (region re-point) events across the fleet.
-    pub fn resharded(&self) -> u64 {
-        self.switches.iter().map(|s| s.resharded).sum()
-    }
-
-    /// Total batches that reached the global store only via WAL replay.
-    pub fn replayed(&self) -> u64 {
-        self.switches.iter().map(|s| s.replayed).sum()
-    }
-}
-
-impl fmt::Display for CoverageLedger {
-    /// Deterministic text rendering — the annotation stamped onto fleet
-    /// figures. Totals first, then one line per switch that is *not*
-    /// plainly healthy (a 1000-switch fleet should not print 1000 lines
-    /// to say "fine").
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "coverage: {}/{} switches included, sample fraction {:.4}",
-            self.included(),
-            self.switches.len(),
-            self.sample_fraction()
-        )?;
-        let counts = self.state_counts();
-        writeln!(
-            f,
-            "  states: healthy {}, degraded {}, quarantined {}, recovered {}",
-            counts[0].1, counts[1].1, counts[2].1, counts[3].1
-        )?;
-        if self.resharded() > 0 || self.replayed() > 0 {
-            writeln!(
-                f,
-                "  failover: {} re-shard events, {} batches via WAL replay",
-                self.resharded(),
-                self.replayed()
-            )?;
-        }
-        for s in &self.switches {
-            if s.state == HealthState::Healthy
-                && s.undelivered() == 0
-                && s.refused == 0
-                && s.resharded == 0
-            {
-                continue;
-            }
-            writeln!(
-                f,
-                "  switch {}: {}, produced {}, stored {}, missing {}, excluded {}, refused {}, undelivered {}, acked {}, resharded {}, replayed {}, quarantines {}, rejoins {}",
-                s.source.0,
-                s.state,
-                s.produced,
-                s.stored,
-                s.missing,
-                s.excluded,
-                s.refused,
-                s.undelivered(),
-                s.acked,
-                s.resharded,
-                s.replayed,
-                s.quarantines,
-                s.rejoins
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Per-region accounting: forwarding while healthy, plus the crash /
-/// recovery / replay story when the aggregator itself fails.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RegionStats {
-    /// Switches homed on this aggregator (rendezvous over all regions).
-    pub switches: usize,
-    /// Sequenced batches this aggregator pushed to the global store at
-    /// its end-of-round durability points (attributed to the serving
-    /// region — re-homed traffic counts here; records lost with a crashed
-    /// pending buffer do not, they surface as `replayed` instead).
-    pub forwarded: u64,
-    /// Straggler deadline violations flagged by this aggregator.
-    pub deadline_misses: u64,
-    /// Shipper `WindowExhausted` refusals across switches homed here.
-    pub refused: u64,
-    /// Quarantine rejoins across switches homed here.
-    pub rejoins: u64,
-    /// Times this aggregator's WAL storage died mid-write (0 or 1 per
-    /// run — a region crashes at most once per [`RegionCrashPlan`]).
-    pub crashes: u64,
-    /// Times its WAL was recovered (downtime elapsed, or the end-of-run
-    /// failover sweep).
-    pub recoveries: u64,
-    /// Clean records replayed from its WAL at recovery.
-    pub wal_records_recovered: u64,
-    /// Replayed records that were new to the global store (acked by this
-    /// region before the crash but never forwarded).
-    pub replayed: u64,
-    /// Bytes this region's WAL writer pushed through storage by run end —
-    /// the coordinate system for [`RegionCrashPlan`] offsets (reference
-    /// runs only: a recovered region's writer restarts its count).
-    pub wal_bytes: u64,
-}
-
 /// What a fleet run produced.
 pub struct FleetOutcome {
     /// The global merged store (per-switch series intact).
@@ -452,24 +133,6 @@ pub struct FleetOutcome {
     pub rounds: u32,
 }
 
-/// One regional aggregator: a WAL-backed durable store over a disk image
-/// that survives the process ([`MemStorage`] semantics), crashable via the
-/// [`TornStorage`] byte budget.
-struct Region {
-    /// The disk: shared image, outlives the writer — what recovery reads.
-    disk: MemStorage,
-    /// The live store; `None` while the region is down.
-    ds: Option<DurableStore<TornStorage<MemStorage>>>,
-    /// Records stored this round, awaiting the end-of-round push to the
-    /// global tier. In-memory state: a crash loses it — which is exactly
-    /// why recovery must replay the WAL (acked records can exist nowhere
-    /// but the dead region's log).
-    pending: Vec<SeqBatch>,
-    /// Round the region crashed, while down.
-    down_since: Option<u32>,
-    stats: RegionStats,
-}
-
 /// One switch's lane through the aggregation tier.
 struct Lane {
     source: SourceId,
@@ -478,20 +141,12 @@ struct Lane {
     /// Region currently serving the lane (`None` only when every region
     /// is down).
     assigned: Option<usize>,
-    shipper: Shipper,
-    data_link: LossyLink<SeqBatch>,
-    ack_link: LossyLink<AckMsg>,
+    /// The switch's shipper and its links to the serving region.
+    session: Session,
     /// The rounds not pumped yet. The lane owns its stream, so each
     /// round's input is moved out and freed as it is consumed.
     rounds: std::vec::IntoIter<RoundInput>,
-    // Health FSM state.
-    state: HealthState,
-    consec_bad: u32,
-    consec_clean: u32,
-    quarantines: u64,
-    rejoins: u64,
-    probes_used: u32,
-    next_probe: u32,
+    health: Health,
     // Aggregator-side progress tracking.
     last_contig: u64,
     rounds_since_progress: u32,
@@ -504,138 +159,322 @@ struct Lane {
 }
 
 impl Lane {
-    /// Whether this lane offers data this round, per its health state.
-    /// Quarantined lanes participate only on scheduled probe rounds and
-    /// only within their probe budget.
-    fn participates(&mut self, round: u32, policy: &HealthPolicy) -> bool {
-        if self.state != HealthState::Quarantined {
-            return true;
+    fn new(stream: SwitchStream, home: usize, cfg: &FleetConfig) -> Lane {
+        Lane {
+            source: stream.source,
+            home,
+            assigned: Some(home),
+            session: Session::new(
+                vec![Shipper::new(stream.source, cfg.shipper)],
+                stream.link,
+                stream.link_seed,
+                stream.link_seed ^ 0x9e37_79b9,
+            ),
+            rounds: stream.rounds.into_iter(),
+            health: Health::default(),
+            last_contig: 0,
+            rounds_since_progress: 0,
+            produced: 0,
+            refused: 0,
+            excluded: 0,
+            resharded: 0,
+            replayed: 0,
         }
-        if self.probes_used >= policy.max_probes || round < self.next_probe {
-            return false;
-        }
-        self.probes_used += 1;
-        uburst_obs::counter_add!("uburst_fleet_probe_rounds_total", 1);
-        true
     }
 
-    /// Feeds one round's verdict into the FSM.
-    fn observe(&mut self, round: u32, bad: bool, policy: &HealthPolicy) {
-        if bad {
-            self.consec_clean = 0;
-            match self.state {
-                HealthState::Healthy | HealthState::Recovered => {
-                    self.state = HealthState::Degraded;
-                    self.consec_bad = 1;
-                }
-                HealthState::Degraded => {
-                    self.consec_bad += 1;
-                    if self.consec_bad >= policy.quarantine_after {
-                        self.state = HealthState::Quarantined;
-                        self.quarantines += 1;
-                        self.consec_bad = 0;
-                        self.probes_used = 0;
-                        self.next_probe = round + policy.probe_backoff;
-                        uburst_obs::counter_add!("uburst_fleet_quarantines_total", 1);
-                    }
-                }
-                HealthState::Quarantined => {
-                    // A failed probe: back off (exponentially, capped).
-                    let shift = self.probes_used.min(4);
-                    self.next_probe = round + (policy.probe_backoff << shift);
+    fn shipper(&self) -> &Shipper {
+        &self.session.shippers()[0]
+    }
+
+    /// Points the lane at `target`. The old path is cut (in-flight traffic
+    /// and acks die with the cable) and the new region adopts the stream
+    /// at the shipper's acked prefix — the exact point go-back-N resumes
+    /// from, so resync needs no extra protocol: the window retransmits,
+    /// dedup absorbs the overlap.
+    fn reshard(&mut self, target: Option<usize>, regions: &mut [Region]) {
+        self.assigned = target;
+        self.resharded += 1;
+        self.session.cut();
+        if let Some(t) = target {
+            regions[t].adopt(self.source, self.shipper().cum_acked());
+        }
+        uburst_obs::counter_add!("uburst_fleet_reshards_total", 1);
+    }
+
+    /// Offers the lane's next round of input (drain rounds, and a lane
+    /// shorter than the fleet, have none) and pumps the transport for the
+    /// round's ticks against the serving region. A region whose WAL write
+    /// fails mid-window crashes here: no ack from the torn window escapes
+    /// and the session cuts the data link. Returns the switch-side half of
+    /// the round's health verdict (degraded, or offers refused) if the
+    /// lane took part — it had input and its health state let it offer it.
+    fn pump(&mut self, round: u32, cfg: &FleetConfig, regions: &mut [Region]) -> Option<bool> {
+        let input = self.rounds.next().unwrap_or_default();
+        let batches = input.batches.len() as u64;
+        self.produced += batches;
+        let participating = batches > 0 && self.health.participates(round, &cfg.health);
+        let mut refused = 0u64;
+        if participating {
+            for b in input.batches {
+                if self.session.offer(b).is_err() {
+                    refused += 1;
                 }
             }
         } else {
-            self.consec_bad = 0;
-            self.consec_clean += 1;
-            match self.state {
-                HealthState::Degraded if self.consec_clean >= policy.rejoin_after => {
-                    // Never left service, so this is not a rejoin event.
-                    self.state = HealthState::Healthy;
-                }
-                HealthState::Quarantined => {
-                    if self.consec_clean >= policy.rejoin_after {
-                        self.state = HealthState::Recovered;
-                        self.rejoins += 1;
-                        uburst_obs::counter_add!("uburst_fleet_rejoins_total", 1);
-                    } else {
-                        // A clean probe: probe again immediately.
-                        self.next_probe = round + 1;
-                    }
-                }
-                _ => {}
+            self.excluded += batches;
+        }
+        self.refused += refused;
+
+        let assigned = self.assigned;
+        for _ in 0..cfg.ticks_per_round {
+            let verdict = self.session.tick(|window, acks| match assigned {
+                Some(r) => regions[r].receive(window, acks),
+                None => Ok(()),
+            });
+            if let Err(e) = verdict {
+                regions[assigned.expect("only a region can fail")].crash(round, &e);
             }
+        }
+        participating.then_some(input.degraded || refused > 0)
+    }
+
+    /// Aggregator-side progress and straggler tracking against the global
+    /// tier's contiguous prefix (the authoritative view), then the round's
+    /// health verdict. Only rounds the switch took part in are judged — an
+    /// excluded round proves nothing.
+    fn judge(
+        &mut self,
+        round: u32,
+        bad_at_source: Option<bool>,
+        cfg: &FleetConfig,
+        global: &SampleStore,
+        regions: &mut [Region],
+    ) {
+        let contig = global.contiguous(self.source);
+        let outstanding = self.shipper().outstanding() > 0;
+        if contig > self.last_contig {
+            self.last_contig = contig;
+            self.rounds_since_progress = 0;
+        } else if outstanding {
+            self.rounds_since_progress += 1;
+        }
+        let stalled = outstanding && self.rounds_since_progress >= cfg.health.deadline_rounds;
+        if stalled {
+            regions[self.assigned.unwrap_or(self.home)]
+                .stats
+                .deadline_misses += 1;
+        }
+        if let Some(bad_at_source) = bad_at_source {
+            let watermark = self.shipper().next_seq();
+            let missing = watermark.saturating_sub(contig);
+            // In-flight batches are not "missing" yet; judge only what
+            // has had a full deadline window to arrive.
+            let miss_frac = if watermark == 0 || self.rounds_since_progress == 0 {
+                0.0
+            } else {
+                missing as f64 / watermark as f64
+            };
+            let bad = bad_at_source || stalled || miss_frac > cfg.health.miss_watermark;
+            self.health.observe(round, bad, &cfg.health);
         }
     }
 }
 
-/// Recovers a downed region: replays its WAL from the surviving disk
-/// image, feeds every clean record into the global store (the records it
-/// acked-but-never-forwarded land here — "no loss of acked data"), and
-/// brings the aggregator back up with its ledger state — adoption points
-/// included — re-derived from the log.
-fn recover_region(
-    region: &mut Region,
-    global: &SampleStore,
-    lanes: &mut BTreeMap<SourceId, Lane>,
-    cfg: &FleetConfig,
-    round: u32,
-) {
-    let since = region
-        .down_since
-        .take()
-        .expect("recover_region on a live region");
-    let mut replayed_new = 0u64;
-    let (ds, report) = DurableStore::recover_replay(
-        // The recovered process gets a fresh, un-budgeted storage handle
-        // over the same disk: one crash per region per run.
-        TornStorage::new(region.disk.clone(), u64::MAX),
-        cfg.region_wal,
-        &mut |sb| {
-            match global.ingest_seq(sb) {
-                // Stored: new to the global tier — the crash window this
-                // replay exists for. Err: quarantined at the global tier
-                // exactly as the region quarantined it live; it occupies
-                // its sequence number either way.
-                Ok(SeqIngest::Stored) | Err(_) => {
-                    replayed_new += 1;
-                    if let Some(lane) = lanes.get_mut(&sb.batch.source) {
-                        lane.replayed += 1;
-                    }
-                }
-                Ok(_) => {} // already forwarded live: dedup, no double-count
-            }
-        },
-    )
-    .expect("recovery from the intact disk image cannot fail");
-    region.ds = Some(ds);
-    region.stats.recoveries += 1;
-    region.stats.wal_records_recovered += report.records;
-    region.stats.replayed += replayed_new;
-    if uburst_obs::enabled() {
-        uburst_obs::counter_add!("uburst_fleet_region_recoveries_total", 1);
-        uburst_obs::counter_add!("uburst_fleet_replayed_batches_total", replayed_new);
-        uburst_obs::counter_add!("uburst_fleet_replay_records_total", report.records);
-        // Span duration in the fleet tier's simulated clock: transport
-        // ticks of downtime (never wall time).
-        let downtime_ticks = (round - since) as u64 * cfg.ticks_per_round as u64;
-        uburst_obs::span_record!("fleet/region_recovery", downtime_ticks);
-    }
-}
-
-/// Runs the fleet aggregation tier over the given switch streams.
+/// The fleet aggregation tier as a stepped state machine: build it over
+/// the switch streams, [`Fleet::step_round`] until it returns `false`,
+/// [`Fleet::finish`]. [`Fleet::coverage`] and [`Fleet::regions`] read the
+/// books at any round boundary.
 ///
 /// Fully deterministic: lanes are pumped in source order, links are
-/// seeded, and both store tiers are single-writer — calling this twice
-/// with the same streams yields byte-identical reports regardless of how
-/// the streams themselves were produced (that is the caller's
-/// determinism to keep; the bench crate's worker pool returns per-switch
-/// results in submission order for exactly this reason).
+/// seeded, and both store tiers are single-writer — the same streams yield
+/// byte-identical reports regardless of how the streams themselves were
+/// produced (that is the caller's determinism to keep; the bench crate's
+/// worker pool returns per-switch results in submission order for exactly
+/// this reason).
 ///
 /// Acks travel two paths: per-ingest acks ride the switch's lossy link
 /// back (they can be lost — that is what retransmits are for), while the
 /// per-round flush acks are applied directly, modelling the aggregator's
 /// reliable control channel to its switches.
+pub struct Fleet {
+    cfg: FleetConfig,
+    global: Arc<SampleStore>,
+    regions: Vec<Region>,
+    /// Lanes in source order: the pump order, and therefore the report
+    /// order, is fixed no matter how the caller built the stream vector.
+    lanes: BTreeMap<SourceId, Lane>,
+    /// Rounds pumped so far.
+    round: u32,
+    /// Rounds carrying data (the longest stream); drain rounds follow.
+    data_rounds: u32,
+}
+
+impl Fleet {
+    /// A fleet over `streams`, with each region of `crashes` due to die at
+    /// its WAL byte offset.
+    pub fn new(streams: Vec<SwitchStream>, cfg: &FleetConfig, crashes: &RegionCrashPlan) -> Fleet {
+        assert!(cfg.regions > 0, "fleet with zero regions");
+        assert!(cfg.ticks_per_round > 0, "fleet with zero ticks per round");
+        let mut regions: Vec<Region> = (0..cfg.regions)
+            .map(|r| Region::new(crashes.budget(r).unwrap_or(u64::MAX), cfg.region_wal))
+            .collect();
+        let all_live = vec![true; cfg.regions];
+        let mut lanes = BTreeMap::new();
+        let mut data_rounds = 0u32;
+        for s in streams {
+            let home = rendezvous_region(s.source, &all_live).expect("regions is nonzero");
+            regions[home].stats.switches += 1;
+            data_rounds = data_rounds.max(s.rounds.len() as u32);
+            lanes.insert(s.source, Lane::new(s, home, cfg));
+        }
+        uburst_obs::gauge_max!("uburst_fleet_switches", lanes.len() as u64);
+        Fleet {
+            cfg: *cfg,
+            global: Arc::new(SampleStore::new()),
+            regions,
+            lanes,
+            round: 0,
+            data_rounds,
+        }
+    }
+
+    /// Pumps the next round — recover due regions, re-shard, pump and
+    /// judge every lane, forward — and returns `true`; returns `false`
+    /// with nothing done once every data and drain round has been pumped.
+    pub fn step_round(&mut self) -> bool {
+        if self.round >= self.data_rounds + self.cfg.drain_rounds {
+            return false;
+        }
+        self.recover_regions(self.cfg.recovery_rounds);
+        self.reshard();
+        for lane in self.lanes.values_mut() {
+            let verdict = lane.pump(self.round, &self.cfg, &mut self.regions);
+            lane.judge(
+                self.round,
+                verdict,
+                &self.cfg,
+                &self.global,
+                &mut self.regions,
+            );
+        }
+        self.forward();
+        self.round += 1;
+        true
+    }
+
+    /// Recovers every region that has been down for `downtime` rounds: its
+    /// WAL is replayed into the global store and it rejoins the rendezvous
+    /// set.
+    fn recover_regions(&mut self, downtime: u32) {
+        let lanes = &mut self.lanes;
+        for region in &mut self.regions {
+            if region.recovery_due(self.round, downtime) {
+                region.recover(&self.global, &self.cfg, self.round, &mut |source| {
+                    if let Some(lane) = lanes.get_mut(&source) {
+                        lane.replayed += 1;
+                    }
+                });
+            }
+        }
+    }
+
+    /// Every lane targets its rendezvous region over the live set.
+    fn reshard(&mut self) {
+        let live: Vec<bool> = self.regions.iter().map(Region::is_live).collect();
+        for lane in self.lanes.values_mut() {
+            let target = rendezvous_region(lane.source, &live);
+            if target != lane.assigned {
+                lane.reshard(target, &mut self.regions);
+            }
+        }
+    }
+
+    /// End of round: each live region's durability point. Its flush acks
+    /// model the reliable control channel (applied directly, not over the
+    /// lossy link) — routed only to lanes the region currently serves, so
+    /// a re-homed lane never hears from its old aggregator.
+    fn forward(&mut self) {
+        for (r, region) in self.regions.iter_mut().enumerate() {
+            for ack in region.forward(&self.global).unwrap_or_default() {
+                if let Some(lane) = self.lanes.get_mut(&ack.source) {
+                    if lane.assigned == Some(r) {
+                        lane.session.ack(ack);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The coverage ledger as of now. Every lane first announces its
+    /// shipper's transmit watermark to the global tier (the reconnect
+    /// handshake), so batches assigned but never delivered anywhere show
+    /// up as gaps, not silence, in the one ledger snapshot the columns are
+    /// read from.
+    pub fn coverage(&self) -> CoverageLedger {
+        for lane in self.lanes.values() {
+            self.global
+                .note_watermark(lane.source, lane.shipper().next_seq());
+        }
+        let ledger = self.global.ledger();
+        let switches = self
+            .lanes
+            .values()
+            .map(|lane| SwitchCoverage {
+                source: lane.source,
+                state: lane.health.state,
+                produced: lane.produced,
+                stored: ledger.received_count(lane.source),
+                contiguous: ledger.contiguous(lane.source),
+                missing: ledger
+                    .gaps(lane.source)
+                    .iter()
+                    .map(|&(lo, hi)| hi - lo + 1)
+                    .sum(),
+                excluded: lane.excluded,
+                refused: lane.refused,
+                acked: lane.shipper().cum_acked(),
+                resharded: lane.resharded,
+                replayed: lane.replayed,
+                quarantines: lane.health.quarantines,
+                rejoins: lane.health.rejoins,
+            })
+            .collect();
+        CoverageLedger { switches }
+    }
+
+    /// Per-region stats as of now, indexed by region id; refusals and
+    /// rejoins are booked to each switch's home region.
+    pub fn regions(&self) -> Vec<RegionStats> {
+        let mut stats: Vec<RegionStats> = self.regions.iter().map(Region::stats).collect();
+        for lane in self.lanes.values() {
+            stats[lane.home].refused += lane.refused;
+            stats[lane.home].rejoins += lane.health.rejoins;
+        }
+        stats
+    }
+
+    /// Ends the run. The final failover sweep recovers any region still
+    /// down, so everything it ever acked reaches the global store before
+    /// coverage is judged — no crash offset loses acked data.
+    pub fn finish(mut self) -> FleetOutcome {
+        self.recover_regions(0);
+        let coverage = self.coverage();
+        for s in &coverage.switches {
+            uburst_obs::counter_add!("uburst_fleet_batches_stored_total", s.stored);
+            uburst_obs::counter_add!("uburst_fleet_batches_excluded_total", s.excluded);
+        }
+        FleetOutcome {
+            coverage,
+            regions: self.regions(),
+            region_record_ends: self.regions.iter().map(Region::record_ends).collect(),
+            rounds: self.data_rounds,
+            store: self.global,
+        }
+    }
+}
+
+/// Runs the fleet aggregation tier over the given switch streams: a
+/// crash-free [`Fleet`] stepped to the end.
 pub fn run_fleet(streams: Vec<SwitchStream>, cfg: &FleetConfig) -> FleetOutcome {
     run_fleet_with_crashes(streams, cfg, &RegionCrashPlan::none())
 }
@@ -650,325 +489,9 @@ pub fn run_fleet_with_crashes(
     cfg: &FleetConfig,
     crashes: &RegionCrashPlan,
 ) -> FleetOutcome {
-    assert!(cfg.regions > 0, "fleet with zero regions");
-    assert!(cfg.ticks_per_round > 0, "fleet with zero ticks per round");
-    let global = Arc::new(SampleStore::new());
-    let mut regions: Vec<Region> = (0..cfg.regions)
-        .map(|r| {
-            let disk = MemStorage::new();
-            let budget = crashes.budget(r).unwrap_or(u64::MAX);
-            let mut stats = RegionStats::default();
-            // A budget below the first segment header kills the region at
-            // birth (crash-at-round-0): it starts down and recovers like
-            // any other crash.
-            let (ds, down_since) = match DurableStore::create(
-                TornStorage::new(disk.clone(), budget),
-                cfg.region_wal,
-            ) {
-                Ok(ds) => (Some(ds), None),
-                Err(e) => {
-                    assert!(e.is_injected_crash(), "region WAL create failed: {e}");
-                    stats.crashes = 1;
-                    uburst_obs::counter_add!("uburst_fleet_region_crashes_total", 1);
-                    (None, Some(0))
-                }
-            };
-            Region {
-                disk,
-                ds,
-                pending: Vec::new(),
-                down_since,
-                stats,
-            }
-        })
-        .collect();
-
-    // Lanes in source order: the pump order, and therefore the report
-    // order, is fixed no matter how the caller built the stream vector.
-    let all_live = vec![true; cfg.regions];
-    let mut lanes: BTreeMap<SourceId, Lane> = BTreeMap::new();
-    let mut max_rounds = 0u32;
-    for s in streams {
-        let home = rendezvous_region(s.source, &all_live).expect("regions is nonzero");
-        regions[home].stats.switches += 1;
-        max_rounds = max_rounds.max(s.rounds.len() as u32);
-        lanes.insert(
-            s.source,
-            Lane {
-                source: s.source,
-                home,
-                assigned: Some(home),
-                shipper: Shipper::new(s.source, cfg.shipper),
-                data_link: LossyLink::new(s.link, s.link_seed),
-                ack_link: LossyLink::new(s.link, s.link_seed ^ 0x9e37_79b9),
-                rounds: s.rounds.into_iter(),
-                state: HealthState::Healthy,
-                consec_bad: 0,
-                consec_clean: 0,
-                quarantines: 0,
-                rejoins: 0,
-                probes_used: 0,
-                next_probe: 0,
-                last_contig: 0,
-                rounds_since_progress: 0,
-                produced: 0,
-                refused: 0,
-                excluded: 0,
-                resharded: 0,
-                replayed: 0,
-            },
-        );
-    }
-    uburst_obs::gauge_max!("uburst_fleet_switches", lanes.len() as u64);
-
-    // Reused across every lane and tick: the shipper's transmit burst and
-    // the aggregator's per-window ingest results. Zero per-tick allocation
-    // once the fleet warms up.
-    let mut tx_buf: Vec<SeqBatch> = Vec::new();
-    let mut ingest_buf: Vec<(SeqIngest, AckMsg)> = Vec::new();
-
-    let total_rounds = max_rounds + cfg.drain_rounds;
-    for round in 0..total_rounds {
-        // Downtime elapsed: recover the region's WAL into the global store
-        // and bring it back into the rendezvous set.
-        for region in regions.iter_mut() {
-            if region
-                .down_since
-                .is_some_and(|since| round - since >= cfg.recovery_rounds)
-            {
-                recover_region(region, &global, &mut lanes, cfg, round);
-            }
-        }
-
-        // Re-shard: every lane targets its rendezvous region over the live
-        // set. A re-pointed lane's old path is cut (in-flight traffic and
-        // acks die with the cable) and the new region adopts the stream at
-        // the shipper's acked prefix — the exact point go-back-N resumes
-        // from, so resync needs no extra protocol: the window retransmits,
-        // dedup absorbs the overlap.
-        let live: Vec<bool> = regions.iter().map(|r| r.ds.is_some()).collect();
-        for lane in lanes.values_mut() {
-            let target = rendezvous_region(lane.source, &live);
-            if target != lane.assigned {
-                lane.assigned = target;
-                lane.resharded += 1;
-                lane.data_link.clear();
-                lane.ack_link.clear();
-                if let Some(t) = target {
-                    let ds = regions[t].ds.as_mut().expect("rendezvous picks live");
-                    ds.adopt_source(lane.source, lane.shipper.cum_acked());
-                }
-                uburst_obs::counter_add!("uburst_fleet_reshards_total", 1);
-            }
-        }
-
-        for lane in lanes.values_mut() {
-            // Drain rounds (and a lane shorter than the fleet) have no input.
-            let input = lane.rounds.next().unwrap_or_default();
-            let had_input = !input.batches.is_empty();
-            lane.produced += input.batches.len() as u64;
-            let participating = had_input && lane.participates(round, &cfg.health);
-            let mut refused_this_round = 0u64;
-            if participating {
-                for b in input.batches {
-                    if lane.shipper.offer(b).is_err() {
-                        refused_this_round += 1;
-                    }
-                }
-            } else if had_input {
-                lane.excluded += input.batches.len() as u64;
-            }
-            lane.refused += refused_this_round;
-
-            // Pump the transport: shipper → data link → regional WAL →
-            // ack link → shipper. Each tick's delivery burst is one WAL
-            // commit window: `ingest_group` coalesces the window into a
-            // single physical write (and at most one sync) while
-            // returning per-frame acks identical to per-record ingest, so
-            // the seeded ack link sees the exact same stream. Stored
-            // records queue in the region's pending buffer and reach the
-            // global tier at the end-of-round durability push — so a
-            // mid-round crash leaves records that were acked to switches
-            // but exist nowhere except the dead region's WAL, and
-            // recovery's replay is what keeps the no-acked-loss promise.
-            for _ in 0..cfg.ticks_per_round {
-                lane.shipper.tick_into(&mut tx_buf);
-                for sb in tx_buf.drain(..) {
-                    lane.data_link.send(sb);
-                }
-                let window = lane.data_link.tick();
-                if !window.is_empty() {
-                    // A window addressed to a dead aggregator is lost on
-                    // the wire; the shipper's RTO re-sends it later.
-                    if let Some(r) = lane.assigned {
-                        let region = &mut regions[r];
-                        if let Some(ds) = region.ds.as_mut() {
-                            match ds.ingest_group(&window, &mut ingest_buf) {
-                                Ok(()) => {
-                                    for (sb, (outcome, ack)) in
-                                        window.into_iter().zip(ingest_buf.drain(..))
-                                    {
-                                        // Duplicates are already durable
-                                        // (here or in a previous region's
-                                        // WAL); reordered frames get
-                                        // redelivered in sequence.
-                                        if outcome == SeqIngest::Stored {
-                                            region.pending.push(sb);
-                                        }
-                                        lane.ack_link.send(ack);
-                                    }
-                                }
-                                Err(e) => {
-                                    // The byte-granular crash: the fatal
-                                    // write applied a prefix and the
-                                    // region died mid-round. No ack from
-                                    // the torn window escapes, the
-                                    // un-pushed pending buffer dies with
-                                    // the process, and so does in-flight
-                                    // traffic.
-                                    assert!(e.is_injected_crash(), "regional WAL failed: {e}");
-                                    region.ds = None;
-                                    region.pending.clear();
-                                    region.down_since = Some(round);
-                                    region.stats.crashes += 1;
-                                    lane.data_link.clear();
-                                    uburst_obs::counter_add!(
-                                        "uburst_fleet_region_crashes_total",
-                                        1
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                for ack in lane.ack_link.tick() {
-                    lane.shipper.on_ack(ack);
-                }
-            }
-
-            // Aggregator-side progress / straggler tracking (the global
-            // tier's contiguous prefix — the authoritative view).
-            let contig = global.contiguous(lane.source);
-            if contig > lane.last_contig {
-                lane.last_contig = contig;
-                lane.rounds_since_progress = 0;
-            } else if lane.shipper.outstanding() > 0 {
-                lane.rounds_since_progress += 1;
-            }
-            let stalled = lane.shipper.outstanding() > 0
-                && lane.rounds_since_progress >= cfg.health.deadline_rounds;
-            if stalled {
-                regions[lane.assigned.unwrap_or(lane.home)]
-                    .stats
-                    .deadline_misses += 1;
-            }
-
-            // Health verdict for the round. Only rounds the switch took
-            // part in are judged — an excluded round proves nothing.
-            if participating {
-                let watermark = lane.shipper.next_seq();
-                let missing = watermark.saturating_sub(global.contiguous(lane.source));
-                // In-flight batches are not "missing" yet; judge only what
-                // has had a full deadline window to arrive.
-                let miss_frac = if watermark == 0 || lane.rounds_since_progress == 0 {
-                    0.0
-                } else {
-                    missing as f64 / watermark as f64
-                };
-                let bad = input.degraded
-                    || refused_this_round > 0
-                    || stalled
-                    || miss_frac > cfg.health.miss_watermark;
-                lane.observe(round, bad, &cfg.health);
-            }
-        }
-        // End of round: durability point per live region. The WAL syncs,
-        // the round's stored records are pushed upstream to the global
-        // tier, and flush acks model the reliable control channel
-        // (applied directly, not over the lossy link) — routed only to
-        // lanes the region currently serves, so a re-homed lane never
-        // hears from its old aggregator.
-        for (r, region) in regions.iter_mut().enumerate() {
-            let Some(ds) = region.ds.as_mut() else {
-                continue;
-            };
-            let acks = ds.flush().expect("live region flush cannot fail");
-            region.stats.forwarded += region.pending.len() as u64;
-            for sb in region.pending.drain(..) {
-                let _ = global.ingest_seq(&sb);
-            }
-            for ack in acks {
-                if let Some(lane) = lanes.get_mut(&ack.source) {
-                    if lane.assigned == Some(r) {
-                        lane.shipper.on_ack(ack);
-                    }
-                }
-            }
-        }
-    }
-
-    // Final failover sweep: a region still down at run end is recovered
-    // now, so everything it ever acked reaches the global store before
-    // coverage is judged — no crash offset loses acked data.
-    for region in regions.iter_mut() {
-        if region.down_since.is_some() {
-            recover_region(region, &global, &mut lanes, cfg, total_rounds);
-        }
-    }
-
-    // The reconnect handshake: the global tier learns each shipper's final
-    // transmit watermark, so batches assigned but never delivered anywhere
-    // show up as gaps, not silence. Every lane announces before the one
-    // ledger snapshot the coverage columns are read from.
-    for lane in lanes.values() {
-        global.note_watermark(lane.source, lane.shipper.next_seq());
-    }
-    let ledger = global.ledger();
-    let mut coverage = CoverageLedger::default();
-    for lane in lanes.values() {
-        let stored = ledger.received_count(lane.source);
-        uburst_obs::counter_add!("uburst_fleet_batches_stored_total", stored);
-        uburst_obs::counter_add!("uburst_fleet_batches_excluded_total", lane.excluded);
-        regions[lane.home].stats.refused += lane.refused;
-        regions[lane.home].stats.rejoins += lane.rejoins;
-        coverage.switches.push(SwitchCoverage {
-            source: lane.source,
-            state: lane.state,
-            produced: lane.produced,
-            stored,
-            missing: ledger
-                .gaps(lane.source)
-                .iter()
-                .map(|&(lo, hi)| hi - lo + 1)
-                .sum(),
-            excluded: lane.excluded,
-            refused: lane.refused,
-            acked: lane.shipper.cum_acked(),
-            resharded: lane.resharded,
-            replayed: lane.replayed,
-            quarantines: lane.quarantines,
-            rejoins: lane.rejoins,
-        });
-    }
-    let mut region_record_ends = Vec::with_capacity(regions.len());
-    let mut region_stats = Vec::with_capacity(regions.len());
-    for region in &regions {
-        let mut stats = region.stats;
-        if let Some(ds) = &region.ds {
-            stats.wal_bytes = ds.wal().total_bytes();
-            region_record_ends.push(ds.wal().record_ends().to_vec());
-        } else {
-            region_record_ends.push(Vec::new());
-        }
-        region_stats.push(stats);
-    }
-    FleetOutcome {
-        store: global,
-        coverage,
-        regions: region_stats,
-        region_record_ends,
-        rounds: max_rounds,
-    }
+    let mut fleet = Fleet::new(streams, cfg, crashes);
+    while fleet.step_round() {}
+    fleet.finish()
 }
 
 #[cfg(test)]
@@ -1197,6 +720,7 @@ mod tests {
             state: HealthState::Healthy,
             produced: 0,
             stored: 0,
+            contiguous: 0,
             missing: 0,
             excluded: 0,
             refused: 0,

@@ -28,19 +28,20 @@
 //! * [`series`] — timestamped cumulative-counter series, wrap-aware
 //!   decoding, and the delta-to-rate/utilization conversions the analyses
 //!   build on;
-//! * [`ship`] / [`link`] — sequence-numbered batch shipping with
-//!   ack/retransmit over a seeded lossy-link model, and the per-source
-//!   gap ledger that distinguishes "no burst" from "no data";
+//! * [`ship`] / [`link`] / [`session`] — sequence-numbered batch shipping
+//!   with ack/retransmit over a seeded lossy-link model, the per-source
+//!   gap ledger that distinguishes "no burst" from "no data", and the one
+//!   transport tick that drives shippers and links against a receiver;
 //! * [`wal`] / [`segment`] — the crash-safe persistence tier: append-only
 //!   CRC-framed segment files, fsync-policy-gated acks, and torn-tail
 //!   recovery back into the store;
 //! * [`failpoint`] — deterministic byte-granular crash injection
 //!   ([`TornStorage`], [`CrashPlan`], [`RegionCrashPlan`]) driving the
 //!   durability and failover test suites;
-//! * [`fleet`] — the fleet aggregation tier: WAL-backed regional
-//!   aggregators with per-switch health tracking, coverage ledgers,
-//!   rendezvous re-sharding around aggregator crashes, and WAL-replay
-//!   recovery into the global store.
+//! * [`fleet`] — the fleet aggregation tier, stepped a round at a time:
+//!   WAL-backed regional aggregators with per-switch health tracking,
+//!   coverage ledgers, rendezvous re-sharding around aggregator crashes,
+//!   and WAL-replay recovery into the global store.
 //!
 //! ## End-to-end shape
 //!
@@ -69,6 +70,7 @@ pub mod output;
 pub mod poller;
 pub mod segment;
 pub mod series;
+pub mod session;
 pub mod ship;
 pub mod spec;
 pub mod store;
@@ -81,13 +83,14 @@ pub use degrade::{DegradationController, DegradationPolicy, DegradeMode};
 pub use errors::{CollectorError, PollError, ShipError, WalError};
 pub use failpoint::{crash_error, is_injected_crash, CrashPlan, RegionCrashPlan, TornStorage};
 pub use fleet::{
-    rendezvous_region, run_fleet, run_fleet_with_crashes, CoverageLedger, FleetConfig,
+    rendezvous_region, run_fleet, run_fleet_with_crashes, CoverageLedger, Fleet, FleetConfig,
     FleetOutcome, HealthPolicy, HealthState, RegionStats, RoundInput, SwitchCoverage, SwitchStream,
 };
 pub use link::{LinkPlan, LinkStats, LossyLink};
 pub use output::{ChannelSink, MemorySink, SampleOutput, ShipPolicy};
 pub use poller::{Poller, PollerStats, RetryPolicy};
 pub use series::{RateSample, Series, UtilSample, WrapDecoder};
+pub use session::{Session, Workload};
 pub use ship::{AckMsg, GapLedger, SeqBatch, Shipper, ShipperConfig, ShipperStats};
 pub use spec::{CampaignConfig, CoreMode};
 pub use store::{

@@ -55,11 +55,6 @@ impl MemorySink {
             .map(|i| &self.series[i])
     }
 
-    /// The i-th counter's series (campaign order).
-    pub fn series_at(&self, i: usize) -> &Series {
-        &self.series[i]
-    }
-
     /// Moves all series out (campaign order), consuming the sink's content.
     pub fn take_all(&mut self) -> Vec<(CounterId, Series)> {
         self.counters

@@ -376,11 +376,6 @@ impl Poller {
         self.finished
     }
 
-    /// Mutable access to the output sink (downcast to retrieve results).
-    pub fn output_mut(&mut self) -> &mut dyn SampleOutput {
-        self.output.as_mut()
-    }
-
     /// Takes the memory sink's series out; fails for channel outputs.
     pub fn take_series(
         &mut self,

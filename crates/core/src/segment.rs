@@ -112,49 +112,59 @@ pub fn segment_header() -> [u8; SEGMENT_HEADER_LEN] {
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    // A wrapped length would frame a record — and strand every acked
+    // record after it — that recovery cannot decode.
+    let len = u16::try_from(s.len()).expect("string field longer than its u16 length prefix");
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Appends a decimal rendering of `v` (what `format!("{v}")` emits).
-fn put_dec(out: &mut Vec<u8>, mut v: u32) {
-    let mut digits = [0u8; 10];
-    let mut n = 0;
+/// The longest label: `rx_size_hist[65535:255]`.
+const LABEL_MAX: usize = 23;
+
+/// The decimal digits of `v` (what `format!("{v}")` emits), for `v` up to
+/// a `u16`, written at the back of `digits`.
+fn dec(mut v: u32, digits: &mut [u8; 5]) -> &[u8] {
+    let mut at = digits.len();
     loop {
-        digits[n] = b'0' + (v % 10) as u8;
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
         v /= 10;
-        n += 1;
         if v == 0 {
-            break;
+            return &digits[at..];
         }
-    }
-    while n > 0 {
-        n -= 1;
-        out.push(digits[n]);
     }
 }
 
-/// Appends the length-prefixed counter label — the bytes of
-/// `put_str(out, &counter_label(c))`, written from the same
-/// [`label_parts`] row but without the `format!` heap allocation, since
-/// encode runs once per ingested record.
-fn put_counter_label(out: &mut Vec<u8>, c: CounterId) {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; 2]);
+/// The counter's label — the bytes of `counter_label(c)`, from the same
+/// [`label_parts`] row — rendered on the stack, since the encoder writes
+/// one and the decoder checks one per record.
+fn label_bytes(c: CounterId) -> ([u8; LABEL_MAX], usize) {
+    let mut buf = [0u8; LABEL_MAX];
+    let mut n = 0;
+    let mut put = |bytes: &[u8]| {
+        buf[n..n + bytes.len()].copy_from_slice(bytes);
+        n += bytes.len();
+    };
     let (prefix, port, bin) = label_parts(c);
-    out.extend_from_slice(prefix.as_bytes());
+    put(prefix.as_bytes());
     if let Some(p) = port {
-        out.push(b'[');
-        put_dec(out, p as u32);
+        put(b"[");
+        put(dec(p as u32, &mut [0; 5]));
         if let Some(b) = bin {
-            out.push(b':');
-            put_dec(out, b as u32);
+            put(b":");
+            put(dec(b as u32, &mut [0; 5]));
         }
-        out.push(b']');
+        put(b"]");
     }
-    let len = (out.len() - start - 2) as u16;
-    out[start..start + 2].copy_from_slice(&len.to_le_bytes());
+    (buf, n)
+}
+
+/// Appends the length-prefixed counter label.
+fn put_counter_label(out: &mut Vec<u8>, c: CounterId) {
+    let (label, len) = label_bytes(c);
+    out.extend_from_slice(&(len as u16).to_le_bytes());
+    out.extend_from_slice(&label[..len]);
 }
 
 /// Serializes one sequenced batch's record payload onto the end of `out`.
@@ -227,10 +237,28 @@ pub fn decode_record(payload: &[u8]) -> Option<SeqBatch> {
     };
     let seq = c.u64()?;
     let watermark = c.u64()?;
+    // A shipper stamps `watermark > seq` on everything it sends; holding the
+    // log to it also keeps `seq + 1` in range for the ledger behind it.
+    if watermark <= seq {
+        return None;
+    }
     let source = SourceId(c.u32()?);
     let campaign: std::sync::Arc<str> = c.str()?.into();
-    let counter = parse_counter_label(c.str()?)?;
+    let label = c.str()?;
+    let counter = parse_counter_label(label)?;
+    // The parser also takes the CSV dump's older spellings; the log holds
+    // only the one this writer emits, so a record re-frames to its bytes.
+    let (canonical, len) = label_bytes(counter);
+    if label.as_bytes() != &canonical[..len] {
+        return None;
+    }
     let n = c.u32()? as usize;
+    // `n` is a number read off a disk (a CRC is not a MAC): allocate only
+    // once the rest of the payload is known to be exactly `n` timestamps
+    // and `n` values — no truncation, no trailing garbage.
+    if n.checked_mul(16) != Some(payload.len() - c.pos) {
+        return None;
+    }
     let mut ts = Vec::with_capacity(n);
     for _ in 0..n {
         ts.push(c.u64()?);
@@ -238,9 +266,6 @@ pub fn decode_record(payload: &[u8]) -> Option<SeqBatch> {
     let mut vs = Vec::with_capacity(n);
     for _ in 0..n {
         vs.push(c.u64()?);
-    }
-    if c.pos != payload.len() {
-        return None; // trailing garbage: not a record we wrote
     }
     Some(SeqBatch {
         seq,
@@ -528,6 +553,32 @@ mod tests {
         let mut extended = payload.clone();
         extended.push(0);
         assert!(decode_record(&extended).is_none());
+    }
+
+    /// A CRC-valid record may still lie about its sample count: the
+    /// decoder must refuse it before sizing anything by that count.
+    #[test]
+    fn sample_count_beyond_the_payload_is_undecodable_not_an_allocation() {
+        let good = seq_batch(0, 1, &[(10, 1), (20, 2)]);
+        let mut payload = encode_record(&good);
+        let n_at = payload.len() - 2 * 16 - 4;
+        assert_eq!(payload[n_at..n_at + 4], 2u32.to_le_bytes());
+        for claimed in [u32::MAX, 3, 1, 0] {
+            payload[n_at..n_at + 4].copy_from_slice(&claimed.to_le_bytes());
+            let mut bytes = segment_with(std::slice::from_ref(&good));
+            bytes.extend_from_slice(&frame(&payload));
+            let scan = scan_segment(&bytes);
+            assert_eq!(scan.records.len(), 1, "claimed n = {claimed}");
+            assert_eq!(scan.torn.unwrap().reason, TearReason::Undecodable);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than its u16 length prefix")]
+    fn campaign_name_past_the_length_prefix_is_refused() {
+        let mut sb = seq_batch(0, 1, &[(10, 1)]);
+        sb.batch.campaign = "x".repeat(u16::MAX as usize + 1).into();
+        frame_record_into(&sb, &mut Vec::new());
     }
 
     #[test]

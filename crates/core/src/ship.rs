@@ -193,8 +193,13 @@ impl Shipper {
     /// (acknowledging sequence numbers never assigned) is a receiver-side
     /// protocol violation; it is clamped to the watermark so a corrupt ack
     /// cannot teleport `next_seq` accounting out of range.
+    ///
+    /// # Panics
+    /// Panics on an ack for another source: routing is the caller's job
+    /// ([`crate::session::Session`] does it), and a misrouted ack would
+    /// release batches nobody stored.
     pub fn on_ack(&mut self, ack: AckMsg) {
-        debug_assert_eq!(ack.source, self.source, "ack routed to wrong shipper");
+        assert_eq!(ack.source, self.source, "ack routed to wrong shipper");
         let ack = AckMsg {
             source: ack.source,
             cum: ack.cum.min(self.next_seq),
@@ -610,6 +615,16 @@ mod tests {
         }); // stale
         assert_eq!(sh.cum_acked(), 3);
         assert_eq!(sh.in_flight(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ack routed to wrong shipper")]
+    fn misrouted_ack_is_refused() {
+        let mut sh = Shipper::new(SourceId(3), ShipperConfig::default());
+        sh.on_ack(AckMsg {
+            source: SourceId(4),
+            cum: 0,
+        });
     }
 
     #[test]

@@ -582,7 +582,7 @@ impl<S: WalStorage> DurableStore<S> {
     /// fresh store (dedup and quarantine re-applied), and resumes logging
     /// in a new segment after the highest surviving one.
     pub fn recover(storage: S, cfg: WalConfig) -> Result<(Self, RecoveryReport), WalError> {
-        Self::recover_inner(storage, cfg, &mut |_| {})
+        Self::recover_replay(storage, cfg, &mut |_| {})
     }
 
     /// [`DurableStore::recover`] with a per-record sink: `on_record` sees
@@ -591,14 +591,6 @@ impl<S: WalStorage> DurableStore<S> {
     /// aggregator's durable prefix into the *global* tier in the same pass
     /// that rebuilds the regional store.
     pub fn recover_replay(
-        storage: S,
-        cfg: WalConfig,
-        on_record: &mut dyn FnMut(&SeqBatch),
-    ) -> Result<(Self, RecoveryReport), WalError> {
-        Self::recover_inner(storage, cfg, on_record)
-    }
-
-    fn recover_inner(
         mut storage: S,
         cfg: WalConfig,
         on_record: &mut dyn FnMut(&SeqBatch),

@@ -45,12 +45,6 @@ impl LinkSpec {
             }
         }
     }
-
-    /// Bytes/second of usable frame capacity ignoring per-frame overhead;
-    /// used when converting counter deltas to utilization.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bandwidth_bps as f64 / 8.0
-    }
 }
 
 /// A directed half-link from some (node, port) to `peer`.

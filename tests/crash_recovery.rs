@@ -23,167 +23,80 @@
 //! Everything is seeded; the suite is deterministic and thread-free
 //! (clean under `UBURST_THREADS=1`).
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::*;
 use uburst::prelude::*;
-use uburst::sim::node::PortId;
 use uburst::telemetry::wal::WalStorage;
+use uburst::telemetry::{Session, Workload};
 
 const SEED: u64 = 0x5EED_C4A5;
-const SOURCES: u32 = 3;
-const BATCHES_PER_SOURCE: u64 = 20;
-const SAMPLES_PER_BATCH: u64 = 4;
-/// Small segments so the sweep crosses many rotation boundaries.
-const SEGMENT_BYTES: usize = 512;
-/// Acceptance bar: at least this many crash points in the sweep.
-const MIN_CRASH_POINTS: usize = 200;
+const WORK: Workload = Workload {
+    sources: 3,
+    batches: 20,
+    campaign: "crash",
+};
+const SOURCES: u32 = WORK.sources;
+const BATCHES_PER_SOURCE: u64 = WORK.batches;
 
-fn wal_config() -> WalConfig {
-    WalConfig {
-        segment_max_bytes: SEGMENT_BYTES,
-        fsync: FsyncPolicy::Always,
-    }
+/// The workload's shippers, every batch offered, over fresh links.
+fn fresh_session() -> Session {
+    WORK.session(link_plan(), SEED)
 }
 
-fn link_plan() -> LinkPlan {
-    LinkPlan {
-        drop_p: 0.10,
-        dup_p: 0.08,
-        delay_p: 0.15,
-        max_delay_ticks: 3,
-    }
+/// Reconnects a crashed session's surviving shippers over a new path: the
+/// in-flight traffic is lost with the "cable", and the fault pattern of
+/// the post-crash half differs from the one the byte layout depends on.
+fn resume(session: &mut Session) {
+    let seed = SEED ^ 0xDEAD;
+    session.relink(link_plan(), seed, seed ^ 1);
 }
 
-fn make_batch(source: u32, i: u64) -> Batch {
-    let mut s = Series::new();
-    for k in 0..SAMPLES_PER_BATCH {
-        s.push(Nanos(1 + i * 100 + k), i * 10 + k);
-    }
-    Batch {
-        source: SourceId(source),
-        campaign: "crash".into(),
-        counter: CounterId::TxBytes(PortId(source as u16)),
-        samples: s,
-    }
+/// How the aggregator commits a delivery window to its WAL.
+#[derive(Clone, Copy)]
+enum Commit {
+    /// One [`DurableStore::ingest`] (write + policy sync) per record.
+    PerRecord,
+    /// The whole window as one [`DurableStore::ingest_group`] — the fleet
+    /// aggregator's shape. Its per-frame acks are bit-identical to
+    /// sequential ingest; any divergence would desynchronize the seeded
+    /// ack link's fault pattern and fail the equivalence assertions below.
+    Grouped,
 }
 
-fn fresh_shippers() -> Vec<Shipper> {
-    (0..SOURCES)
-        .map(|src| {
-            let mut sh = Shipper::new(
-                SourceId(src),
-                ShipperConfig {
-                    window: 8,
-                    rto_ticks: 4,
-                    ..ShipperConfig::default()
-                },
-            );
-            for i in 0..BATCHES_PER_SOURCE {
-                sh.offer(make_batch(src, i)).expect("under outstanding cap");
+/// The receiver a [`Session`] drives until every batch is acknowledged or
+/// the store's storage crashes: commits each window per `commit`, records
+/// the highest ack issued per source in `acked`, and every seventh tick
+/// flushes explicitly — under EveryN/Never that is what releases the
+/// withheld acks (a real collector would flush on a timer too).
+fn receiver<'a, S: WalStorage>(
+    ds: &'a mut DurableStore<S>,
+    acked: &'a mut BTreeMap<SourceId, u64>,
+    commit: Commit,
+) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+    let mut tick = 0u64;
+    let mut grouped = Vec::new();
+    move |window, acks| {
+        let mut send = |ack| issue(acked, acks, ack);
+        match commit {
+            Commit::PerRecord => {
+                for sb in &window {
+                    send(ds.ingest(sb)?.1);
+                }
             }
-            sh
-        })
-        .collect()
-}
-
-/// Drives shippers → lossy link → durable store → lossy ack link →
-/// shippers until every batch is acknowledged, or the store's storage
-/// crashes. Returns the highest ack issued per source and the crash error
-/// (if any). `link_salt` varies the link fault pattern between the
-/// pre-crash and post-crash halves of a run without perturbing the seed
-/// the byte layout depends on.
-fn run_session<S: WalStorage>(
-    ds: &mut DurableStore<S>,
-    shippers: &mut [Shipper],
-    acked: &mut BTreeMap<SourceId, u64>,
-    link_salt: u64,
-) -> Result<(), WalError> {
-    let mut data_link: LossyLink<SeqBatch> = LossyLink::new(link_plan(), SEED ^ link_salt);
-    let mut ack_link: LossyLink<AckMsg> = LossyLink::new(link_plan(), SEED ^ link_salt ^ 1);
-    // Ticks are bounded: every batch retransmits within rto_ticks, and the
-    // link drains within max_delay_ticks; anything longer is a livelock.
-    for tick in 0u64..100_000 {
-        for sh in shippers.iter_mut() {
-            for sb in sh.tick() {
-                data_link.send(sb);
-            }
-        }
-        for sb in data_link.tick() {
-            let (_, ack) = ds.ingest(&sb)?;
-            let best = acked.entry(ack.source).or_insert(0);
-            *best = (*best).max(ack.cum);
-            ack_link.send(ack);
-        }
-        // Periodic explicit sync: under EveryN/Never this is what releases
-        // the withheld acks (a real collector would flush on a timer too).
-        if tick % 7 == 6 {
-            for ack in ds.flush()? {
-                let best = acked.entry(ack.source).or_insert(0);
-                *best = (*best).max(ack.cum);
-                ack_link.send(ack);
-            }
-        }
-        for ack in ack_link.tick() {
-            shippers[ack.source.0 as usize].on_ack(ack);
-        }
-        if shippers.iter().all(Shipper::done)
-            && data_link.in_flight() == 0
-            && ack_link.in_flight() == 0
-        {
-            return Ok(());
-        }
-    }
-    panic!("session livelocked: shippers never drained");
-}
-
-/// [`run_session`] with the aggregator ingesting each link-tick delivery
-/// burst as one WAL commit window ([`DurableStore::ingest_group`]) — the
-/// fleet pump loop's shape. Ack handling is identical because the group
-/// path returns per-frame acks bit-identical to sequential ingest; any
-/// divergence here would desynchronize the seeded ack link's fault
-/// pattern and fail the equivalence assertions below.
-fn run_session_grouped<S: WalStorage>(
-    ds: &mut DurableStore<S>,
-    shippers: &mut [Shipper],
-    acked: &mut BTreeMap<SourceId, u64>,
-    link_salt: u64,
-) -> Result<(), WalError> {
-    let mut data_link: LossyLink<SeqBatch> = LossyLink::new(link_plan(), SEED ^ link_salt);
-    let mut ack_link: LossyLink<AckMsg> = LossyLink::new(link_plan(), SEED ^ link_salt ^ 1);
-    let mut window_out = Vec::new();
-    for tick in 0u64..100_000 {
-        for sh in shippers.iter_mut() {
-            for sb in sh.tick() {
-                data_link.send(sb);
-            }
-        }
-        let window = data_link.tick();
-        if !window.is_empty() {
-            ds.ingest_group(&window, &mut window_out)?;
-            for (_, ack) in window_out.drain(..) {
-                let best = acked.entry(ack.source).or_insert(0);
-                *best = (*best).max(ack.cum);
-                ack_link.send(ack);
+            Commit::Grouped => {
+                ds.ingest_group(&window, &mut grouped)?;
+                grouped.drain(..).for_each(|(_, ack)| send(ack));
             }
         }
         if tick % 7 == 6 {
-            for ack in ds.flush()? {
-                let best = acked.entry(ack.source).or_insert(0);
-                *best = (*best).max(ack.cum);
-                ack_link.send(ack);
-            }
+            ds.flush()?.into_iter().for_each(send);
         }
-        for ack in ack_link.tick() {
-            shippers[ack.source.0 as usize].on_ack(ack);
-        }
-        if shippers.iter().all(Shipper::done)
-            && data_link.in_flight() == 0
-            && ack_link.in_flight() == 0
-        {
-            return Ok(());
-        }
+        tick += 1;
+        Ok(())
     }
-    panic!("grouped session livelocked: shippers never drained");
 }
 
 /// The no-crash reference: full session on intact storage. Returns the
@@ -191,9 +104,10 @@ fn run_session_grouped<S: WalStorage>(
 /// offset of every record end (the crash plan's coordinate system).
 fn reference_run() -> (Vec<u8>, u64, Vec<u64>) {
     let mut ds = DurableStore::create(MemStorage::new(), wal_config()).expect("create");
-    let mut shippers = fresh_shippers();
     let mut acked = BTreeMap::new();
-    run_session(&mut ds, &mut shippers, &mut acked, 0).expect("no crash on intact storage");
+    fresh_session()
+        .run(receiver(&mut ds, &mut acked, Commit::PerRecord))
+        .expect("no crash on intact storage");
     for src in 0..SOURCES {
         assert_eq!(
             acked.get(&SourceId(src)),
@@ -201,26 +115,9 @@ fn reference_run() -> (Vec<u8>, u64, Vec<u64>) {
             "reference run acked everything"
         );
     }
-    let mut csv = Vec::new();
-    ds.store().export_csv(&mut csv).expect("export");
+    let csv = csv(&ds.store());
     let wal = ds.wal();
     (csv, wal.total_bytes(), wal.record_ends().to_vec())
-}
-
-/// Expected store content for a given acked prefix: the first `n` batches
-/// of each source, ingested in order.
-fn prefix_csv(acked: &BTreeMap<SourceId, u64>) -> Vec<u8> {
-    let store = SampleStore::new();
-    for (&source, &n) in acked {
-        for i in 0..n {
-            store
-                .ingest(&make_batch(source.0, i))
-                .expect("prefix batches are well-formed");
-        }
-    }
-    let mut csv = Vec::new();
-    store.export_csv(&mut csv).expect("export");
-    csv
 }
 
 #[test]
@@ -257,10 +154,10 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
         let disk = MemStorage::new();
         let torn = TornStorage::new(disk.clone(), budget);
         let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
-        let mut shippers = fresh_shippers();
+        let mut session = fresh_session();
         let crashed = match DurableStore::create(torn, wal_config()) {
-            Ok(mut ds) => match run_session(&mut ds, &mut shippers, &mut acked, 0) {
-                Ok(()) => false,
+            Ok(mut ds) => match session.run(receiver(&mut ds, &mut acked, Commit::PerRecord)) {
+                Ok(_) => false,
                 Err(e) => {
                     assert!(e.is_injected_crash(), "unexpected real error: {e}");
                     true
@@ -294,11 +191,10 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
                 "crash@{budget}: source {src} recovered ≠ acked"
             );
         }
-        let mut recovered_csv = Vec::new();
-        rec.store().export_csv(&mut recovered_csv).expect("export");
+        let recovered_csv = csv(&rec.store());
         assert_eq!(
             recovered_csv,
-            prefix_csv(&acked),
+            prefix_csv(&WORK, &acked),
             "crash@{budget}: recovered store is not the acked prefix"
         );
 
@@ -316,11 +212,11 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
 
         // (3) Gap accounting: with the shippers' watermarks announced,
         // received + missing tile the assigned range exactly.
-        for sh in &shippers {
+        for sh in session.shippers() {
             rec.note_stream_state(sh.source(), sh.next_seq());
         }
         let ledger = rec.store().ledger();
-        for sh in &shippers {
+        for sh in session.shippers() {
             let source = sh.source();
             let received = ledger.received_count(source);
             let missing: u64 = ledger
@@ -343,10 +239,11 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
         // (4) Convergence: resume with the surviving shippers; retransmit
         // fills every gap; the final store matches the reference exactly.
         let mut rec = rec;
-        run_session(&mut rec, &mut shippers, &mut acked, 0xDEAD)
+        resume(&mut session);
+        session
+            .run(receiver(&mut rec, &mut acked, Commit::PerRecord))
             .expect("no second crash on intact storage");
-        let mut final_csv = Vec::new();
-        rec.store().export_csv(&mut final_csv).expect("export");
+        let final_csv = csv(&rec.store());
         assert_eq!(
             final_csv, reference_csv,
             "crash@{budget}: resumed session did not converge to the reference"
@@ -382,15 +279,16 @@ fn grouped_session_is_byte_identical_to_per_record_session() {
         };
         let per_disk = MemStorage::new();
         let mut per = DurableStore::create(per_disk.clone(), cfg).expect("create");
-        let mut per_shippers = fresh_shippers();
         let mut per_acked = BTreeMap::new();
-        run_session(&mut per, &mut per_shippers, &mut per_acked, 0).expect("intact storage");
+        fresh_session()
+            .run(receiver(&mut per, &mut per_acked, Commit::PerRecord))
+            .expect("intact storage");
 
         let grp_disk = MemStorage::new();
         let mut grp = DurableStore::create(grp_disk.clone(), cfg).expect("create");
-        let mut grp_shippers = fresh_shippers();
         let mut grp_acked = BTreeMap::new();
-        run_session_grouped(&mut grp, &mut grp_shippers, &mut grp_acked, 0)
+        fresh_session()
+            .run(receiver(&mut grp, &mut grp_acked, Commit::Grouped))
             .expect("intact storage");
 
         assert_eq!(per_acked, grp_acked, "{fsync:?}: ack streams diverged");
@@ -417,10 +315,11 @@ fn grouped_session_is_byte_identical_to_per_record_session() {
                 "{fsync:?}: segment {idx} differs"
             );
         }
-        let (mut per_csv, mut grp_csv) = (Vec::new(), Vec::new());
-        per.store().export_csv(&mut per_csv).expect("export");
-        grp.store().export_csv(&mut grp_csv).expect("export");
-        assert_eq!(per_csv, grp_csv, "{fsync:?}: stores diverged");
+        assert_eq!(
+            csv(&per.store()),
+            csv(&grp.store()),
+            "{fsync:?}: stores diverged"
+        );
     }
 }
 
@@ -443,21 +342,20 @@ fn every_crash_point_recovers_identically_under_group_commit() {
         let mut per_acked: BTreeMap<SourceId, u64> = BTreeMap::new();
         {
             let torn = TornStorage::new(per_disk.clone(), budget);
-            let mut shippers = fresh_shippers();
             if let Ok(mut ds) = DurableStore::create(torn, wal_config()) {
-                let _ = run_session(&mut ds, &mut shippers, &mut per_acked, 0);
+                let _ = fresh_session().run(receiver(&mut ds, &mut per_acked, Commit::PerRecord));
             }
         }
         // Grouped session up to the same crash.
         let grp_disk = MemStorage::new();
         let mut grp_acked: BTreeMap<SourceId, u64> = BTreeMap::new();
-        let mut grp_shippers = fresh_shippers();
+        let mut grp_session = fresh_session();
         let crashed = {
             let torn = TornStorage::new(grp_disk.clone(), budget);
             match DurableStore::create(torn, wal_config()) {
-                Ok(mut ds) => {
-                    run_session_grouped(&mut ds, &mut grp_shippers, &mut grp_acked, 0).is_err()
-                }
+                Ok(mut ds) => grp_session
+                    .run(receiver(&mut ds, &mut grp_acked, Commit::Grouped))
+                    .is_err(),
                 Err(_) => true,
             }
         };
@@ -473,11 +371,9 @@ fn every_crash_point_recovers_identically_under_group_commit() {
             "crash@{budget}: modes recovered different record counts"
         );
         assert_eq!(grp_report.duplicates, 0);
-        let (mut per_csv, mut grp_csv) = (Vec::new(), Vec::new());
-        per_rec.store().export_csv(&mut per_csv).expect("export");
-        grp_rec.store().export_csv(&mut grp_csv).expect("export");
         assert_eq!(
-            per_csv, grp_csv,
+            csv(&per_rec.store()),
+            csv(&grp_rec.store()),
             "crash@{budget}: recovered stores diverge between ingest modes"
         );
 
@@ -500,10 +396,11 @@ fn every_crash_point_recovers_identically_under_group_commit() {
         // double the suite's runtime for no additional coverage).
         if k % 8 == 0 {
             let mut rec = grp_rec;
-            run_session_grouped(&mut rec, &mut grp_shippers, &mut grp_acked, 0xDEAD)
+            resume(&mut grp_session);
+            grp_session
+                .run(receiver(&mut rec, &mut grp_acked, Commit::Grouped))
                 .expect("no second crash on intact storage");
-            let mut final_csv = Vec::new();
-            rec.store().export_csv(&mut final_csv).expect("export");
+            let final_csv = csv(&rec.store());
             assert_eq!(
                 final_csv, reference_csv,
                 "crash@{budget}: grouped resume did not converge"
@@ -528,9 +425,8 @@ fn weaker_policies_still_never_lose_acked_records() {
             let disk = MemStorage::new();
             let torn = TornStorage::new(disk.clone(), budget);
             let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
-            let mut shippers = fresh_shippers();
             if let Ok(mut ds) = DurableStore::create(torn, cfg) {
-                let _ = run_session(&mut ds, &mut shippers, &mut acked, 0);
+                let _ = fresh_session().run(receiver(&mut ds, &mut acked, Commit::PerRecord));
             }
             let (rec, report) = DurableStore::recover(disk, cfg).expect("recovery");
             assert_eq!(report.duplicates, 0);

@@ -28,109 +28,51 @@
 //! touch it (the bench suite separately diffs fleet reports across
 //! worker-pool widths).
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::*;
 use uburst::prelude::*;
 use uburst::sim::node::PortId;
+use uburst::telemetry::wal::WalStorage;
+use uburst::telemetry::{Fleet, Session, Workload};
 
 const SEED: u64 = 0x0FA1_70FF;
-const SOURCES: u32 = 3;
-const BATCHES_PER_SOURCE: u64 = 20;
+const WORK: Workload = Workload {
+    sources: 3,
+    batches: 20,
+    campaign: "failover",
+};
+const SOURCES: u32 = WORK.sources;
+const BATCHES_PER_SOURCE: u64 = WORK.batches;
 const SAMPLES_PER_BATCH: u64 = 4;
-/// Small segments so the sweep crosses rotation boundaries.
-const SEGMENT_BYTES: usize = 512;
-/// Acceptance bar: at least this many crash offsets per sweep.
-const MIN_CRASH_POINTS: usize = 200;
 
-fn wal_config() -> WalConfig {
-    WalConfig {
-        segment_max_bytes: SEGMENT_BYTES,
-        fsync: FsyncPolicy::Always,
-    }
+/// The workload's shippers, every batch offered, over fresh links.
+fn fresh_session() -> Session {
+    WORK.session(link_plan(), SEED)
 }
 
-fn link_plan() -> LinkPlan {
-    LinkPlan {
-        drop_p: 0.10,
-        dup_p: 0.08,
-        delay_p: 0.15,
-        max_delay_ticks: 3,
-    }
-}
-
-fn make_batch(source: u32, i: u64) -> Batch {
-    let mut s = Series::new();
-    for k in 0..SAMPLES_PER_BATCH {
-        s.push(Nanos(1 + i * 100 + k), i * 10 + k);
-    }
-    Batch {
-        source: SourceId(source),
-        campaign: "failover".into(),
-        counter: CounterId::TxBytes(PortId(source as u16)),
-        samples: s,
-    }
-}
-
-fn fresh_shippers() -> Vec<Shipper> {
-    (0..SOURCES)
-        .map(|src| {
-            let mut sh = Shipper::new(
-                SourceId(src),
-                ShipperConfig {
-                    window: 8,
-                    rto_ticks: 4,
-                    ..ShipperConfig::default()
-                },
-            );
-            for i in 0..BATCHES_PER_SOURCE {
-                sh.offer(make_batch(src, i)).expect("under outstanding cap");
-            }
-            sh
-        })
-        .collect()
-}
-
-/// Drives shippers → lossy link → aggregator → lossy ack link → shippers
-/// until every batch is acked, or the aggregator's storage crashes.
-/// `acked` records the highest ack the aggregator actually *issued* per
-/// source — the durability promises outstanding when it dies (the ack
-/// may still be lost on the wire before the shipper sees it).
+/// The aggregator a [`Session`] drives until every batch is acked, or its
+/// storage crashes. `acked` records the highest ack the aggregator
+/// actually *issued* per source — the durability promises outstanding when
+/// it dies (the ack may still be lost on the wire before the shipper sees
+/// it).
 ///
 /// Per-record ingest: under fsync-always this is the mode where "recovery
 /// == acked prefix" is *exact* (a torn group can leave clean records
 /// whose acks were withheld; PR 7's suite pins the containment story for
 /// the grouped mode, and its byte-stream equivalence to this one).
-fn run_session<S: uburst::telemetry::wal::WalStorage>(
-    ds: &mut DurableStore<S>,
-    shippers: &mut [Shipper],
-    acked: &mut BTreeMap<SourceId, u64>,
-    link_salt: u64,
-) -> Result<(), WalError> {
-    let mut data_link: LossyLink<SeqBatch> = LossyLink::new(link_plan(), SEED ^ link_salt);
-    let mut ack_link: LossyLink<AckMsg> = LossyLink::new(link_plan(), SEED ^ link_salt ^ 1);
-    for _tick in 0u64..100_000 {
-        for sh in shippers.iter_mut() {
-            for sb in sh.tick() {
-                data_link.send(sb);
-            }
+fn aggregator<'a, S: WalStorage>(
+    ds: &'a mut DurableStore<S>,
+    acked: &'a mut BTreeMap<SourceId, u64>,
+) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+    move |window, acks| {
+        for sb in &window {
+            issue(acked, acks, ds.ingest(sb)?.1);
         }
-        for sb in data_link.tick() {
-            let (_, ack) = ds.ingest(&sb)?;
-            let best = acked.entry(ack.source).or_insert(0);
-            *best = (*best).max(ack.cum);
-            ack_link.send(ack);
-        }
-        for ack in ack_link.tick() {
-            shippers[ack.source.0 as usize].on_ack(ack);
-        }
-        if shippers.iter().all(Shipper::done)
-            && data_link.in_flight() == 0
-            && ack_link.in_flight() == 0
-        {
-            return Ok(());
-        }
+        Ok(())
     }
-    panic!("session livelocked: shippers never drained");
 }
 
 /// The no-crash reference: one aggregator, full session, intact storage.
@@ -138,28 +80,12 @@ fn run_session<S: uburst::telemetry::wal::WalStorage>(
 /// coordinate system).
 fn reference_run() -> (Vec<u8>, u64, Vec<u64>) {
     let mut ds = DurableStore::create(MemStorage::new(), wal_config()).expect("create");
-    let mut shippers = fresh_shippers();
-    let mut acked = BTreeMap::new();
-    run_session(&mut ds, &mut shippers, &mut acked, 0).expect("no crash on intact storage");
-    let mut csv = Vec::new();
-    ds.store().export_csv(&mut csv).expect("export");
+    fresh_session()
+        .run(aggregator(&mut ds, &mut BTreeMap::new()))
+        .expect("no crash on intact storage");
+    let csv = csv(&ds.store());
     let wal = ds.wal();
     (csv, wal.total_bytes(), wal.record_ends().to_vec())
-}
-
-/// Expected store content for a given acked prefix per source.
-fn prefix_csv(prefix: &BTreeMap<SourceId, u64>) -> Vec<u8> {
-    let store = SampleStore::new();
-    for (&source, &n) in prefix {
-        for i in 0..n {
-            store
-                .ingest(&make_batch(source.0, i))
-                .expect("prefix batches are well-formed");
-        }
-    }
-    let mut csv = Vec::new();
-    store.export_csv(&mut csv).expect("export");
-    csv
 }
 
 /// The component-level failover sweep — the satellite property test plus
@@ -192,11 +118,11 @@ fn failover_sweep_recovers_acked_prefix_and_converges() {
     for &budget in plan.offsets() {
         // ---- Phase 1: session against A until the injected crash ------
         let a_disk = MemStorage::new();
-        let mut shippers = fresh_shippers();
+        let mut session = fresh_session();
         let mut acked_at_a: BTreeMap<SourceId, u64> = BTreeMap::new();
         let crashed =
             match DurableStore::create(TornStorage::new(a_disk.clone(), budget), wal_config()) {
-                Ok(mut ds) => run_session(&mut ds, &mut shippers, &mut acked_at_a, 0).is_err(),
+                Ok(mut ds) => session.run(aggregator(&mut ds, &mut acked_at_a)).is_err(),
                 Err(e) => {
                     assert!(e.is_injected_crash(), "unexpected real error: {e}");
                     true
@@ -226,11 +152,10 @@ fn failover_sweep_recovers_acked_prefix_and_converges() {
                 "crash@{budget}: recovered global store != A's acked prefix for {source:?}"
             );
         }
-        let mut global_csv = Vec::new();
-        global.export_csv(&mut global_csv).expect("export");
+        let global_csv = csv(&global);
         assert_eq!(
             global_csv,
-            prefix_csv(&acked_at_a),
+            prefix_csv(&WORK, &acked_at_a),
             "crash@{budget}: recovered content is not the acked prefix"
         );
 
@@ -242,17 +167,19 @@ fn failover_sweep_recovers_acked_prefix_and_converges() {
         // with what A already durably holds.
         let b_disk = MemStorage::new();
         let mut b = DurableStore::create(b_disk.clone(), wal_config()).expect("create B");
-        for sh in shippers.iter() {
+        for sh in session.shippers() {
             let base = sh.cum_acked();
             if base < acked_at_a.get(&sh.source()).copied().unwrap_or(0) {
                 regressions_seen += 1;
             }
             b.adopt_source(sh.source(), base);
         }
-        let mut acked_at_b = BTreeMap::new();
-        run_session(&mut b, &mut shippers, &mut acked_at_b, 0xFA11_0F34)
+        let failover_seed = SEED ^ 0xFA11_0F34;
+        session.relink(link_plan(), failover_seed, failover_seed ^ 1);
+        session
+            .run(aggregator(&mut b, &mut BTreeMap::new()))
             .expect("no second crash on intact storage");
-        for sh in &shippers {
+        for sh in session.shippers() {
             assert_eq!(
                 b.store().contiguous(sh.source()),
                 BATCHES_PER_SOURCE,
@@ -268,8 +195,7 @@ fn failover_sweep_recovers_acked_prefix_and_converges() {
             })
             .expect("B's recovery");
         adoptions_seen += b_report.adoptions;
-        let mut merged_csv = Vec::new();
-        global.export_csv(&mut merged_csv).expect("export");
+        let merged_csv = csv(&global);
         assert_eq!(
             merged_csv, reference_csv,
             "crash@{budget}: merged failover run != no-crash reference"
@@ -277,11 +203,11 @@ fn failover_sweep_recovers_acked_prefix_and_converges() {
         // Ledger tiles: with the shippers' watermarks announced, received
         // + missing covers the assigned range exactly — and nothing is
         // missing after convergence.
-        for sh in &shippers {
+        for sh in session.shippers() {
             global.note_watermark(sh.source(), sh.next_seq());
         }
         let ledger = global.ledger();
-        for sh in &shippers {
+        for sh in session.shippers() {
             let source = sh.source();
             assert_eq!(
                 ledger.received_count(source),
@@ -363,11 +289,7 @@ fn fleet_streams() -> Vec<SwitchStream> {
 fn fleet_crash_offset_sweep_tiles_and_converges() {
     let cfg = fleet_config();
     let reference = run_fleet(fleet_streams(), &cfg);
-    let mut reference_csv = Vec::new();
-    reference
-        .store
-        .export_csv(&mut reference_csv)
-        .expect("export");
+    let reference_csv = csv(&reference.store);
     assert_eq!(reference.coverage.sample_fraction(), 1.0);
     assert!(
         reference.regions.iter().all(|r| r.switches > 0),
@@ -432,14 +354,82 @@ fn fleet_crash_offset_sweep_tiles_and_converges() {
                 1.0,
                 "region {region} crash@{offset}: coverage not full"
             );
-            let mut csv = Vec::new();
-            out.store.export_csv(&mut csv).expect("export");
+            let csv = csv(&out.store);
             assert_eq!(
                 csv, reference_csv,
                 "region {region} crash@{offset}: store != crash-free reference"
             );
         }
     }
+}
+
+/// The no-acked-loss floor at **every** round boundary, not only after
+/// the final failover sweep: step the fleet by hand (lossy links, so acks
+/// lag and retransmits overlap the crash) and read its books after each
+/// round. A region's pending buffer is empty at every boundary — forwarded
+/// if it is live, gone with the process if it is not — and whenever no
+/// region is down the global store's contiguous prefix covers everything
+/// any shipper has been acked for.
+#[test]
+fn stepped_fleet_keeps_the_acked_floor_at_every_round_boundary() {
+    let cfg = fleet_config();
+    let lossy_streams = || -> Vec<SwitchStream> {
+        let mut streams = fleet_streams();
+        streams.iter_mut().for_each(|s| s.link = link_plan());
+        streams
+    };
+    let reference = run_fleet(lossy_streams(), &cfg);
+    let sweep = CrashPlan::sweep(
+        SEED,
+        reference.regions[0].wal_bytes,
+        &reference.region_record_ends[0],
+        MIN_CRASH_POINTS,
+    );
+    // Crash-free, then an early, a middle and a late offset of the sweep.
+    let kills = RegionCrashPlan::sweep_region(0, &sweep);
+    let mut plans = vec![RegionCrashPlan::none()];
+    plans.extend([1, 3, 5].map(|sixth| kills[sixth * kills.len() / 6].clone()));
+    let (mut boundaries, mut outages) = (0u32, 0u32);
+    for crashes in &plans {
+        let mut fleet = Fleet::new(lossy_streams(), &cfg, crashes);
+        let mut rounds = 0u32;
+        while fleet.step_round() {
+            rounds += 1;
+            let regions = fleet.regions();
+            assert!(
+                regions.iter().all(|r| r.pending == 0),
+                "{crashes:?} round {rounds}: a region kept batches it had stored"
+            );
+            if regions.iter().any(|r| r.crashes > r.recoveries) {
+                outages += 1;
+                continue;
+            }
+            boundaries += 1;
+            for s in &fleet.coverage().switches {
+                assert!(
+                    s.contiguous >= s.acked,
+                    "{crashes:?} round {rounds}: switch {} acked {} but the global \
+                     store is contiguous only to {}",
+                    s.source.0,
+                    s.acked,
+                    s.contiguous
+                );
+                assert!(s.contiguous <= s.stored);
+            }
+        }
+        assert_eq!(rounds, FLEET_ROUNDS + cfg.drain_rounds);
+        assert!(!fleet.step_round(), "a finished fleet has no round left");
+        let out = fleet.finish();
+        assert_eq!(out.rounds, FLEET_ROUNDS);
+        assert_eq!(out.regions[0].crashes, !crashes.is_empty() as u64);
+        for s in &out.coverage.switches {
+            assert!(s.stored >= s.acked);
+        }
+    }
+    assert!(
+        boundaries > 0 && outages > 0,
+        "the sweep must see both live boundaries ({boundaries}) and outages ({outages})"
+    );
 }
 
 /// Concurrent two-region crash sweep: both aggregators die in the same
@@ -468,11 +458,7 @@ fn fleet_concurrent_two_region_crash_sweep_tiles() {
         ..fleet_config()
     };
     let reference = run_fleet(fleet_streams(), &cfg);
-    let mut reference_csv = Vec::new();
-    reference
-        .store
-        .export_csv(&mut reference_csv)
-        .expect("export");
+    let reference_csv = csv(&reference.store);
 
     // 15×15 offset pairs = 225 concurrent crashes ≥ MIN_CRASH_POINTS.
     let per_region = 15usize;
@@ -545,8 +531,7 @@ fn fleet_concurrent_two_region_crash_sweep_tiles() {
 
             // Whatever the store holds is genuine — a subset of the
             // crash-free reference, never replay-corrupted or duplicated.
-            let mut csv = Vec::new();
-            out.store.export_csv(&mut csv).expect("export");
+            let csv = csv(&out.store);
             let csv = std::str::from_utf8(&csv).expect("csv utf8");
             for line in csv.lines() {
                 assert!(
@@ -584,8 +569,5 @@ fn fleet_crash_runs_are_deterministic() {
     let a = run_fleet_with_crashes(fleet_streams(), &cfg, &crash);
     let b = run_fleet_with_crashes(fleet_streams(), &cfg, &crash);
     assert_eq!(a.coverage.to_string(), b.coverage.to_string());
-    let (mut csv_a, mut csv_b) = (Vec::new(), Vec::new());
-    a.store.export_csv(&mut csv_a).expect("export");
-    b.store.export_csv(&mut csv_b).expect("export");
-    assert_eq!(csv_a, csv_b);
+    assert_eq!(csv(&a.store), csv(&b.store));
 }
