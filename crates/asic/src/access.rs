@@ -99,7 +99,11 @@ impl AccessModel {
     /// Panics on an empty group (a poll must read something).
     pub fn poll_cost(&self, ids: &[CounterId]) -> Nanos {
         assert!(!ids.is_empty(), "empty counter group");
-        debug_assert!(self.batch_factor > 0.0 && self.batch_factor <= 1.0);
+        assert!(
+            self.batch_factor > 0.0 && self.batch_factor <= 1.0,
+            "batch_factor {} outside (0, 1]",
+            self.batch_factor
+        );
         let mut total = self.overhead;
         for (i, id) in ids.iter().enumerate() {
             let base = self.class_cost(id.storage_class());
@@ -193,5 +197,15 @@ mod tests {
     #[should_panic(expected = "empty counter group")]
     fn empty_group_panics() {
         AccessModel::default().poll_cost(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_factor 1.5 outside (0, 1]")]
+    fn batch_factor_above_one_is_refused_in_release() {
+        let m = AccessModel {
+            batch_factor: 1.5,
+            ..AccessModel::default()
+        };
+        m.poll_cost(&[CounterId::TxBytes(P), CounterId::TxBytes(PortId(1))]);
     }
 }

@@ -1,10 +1,11 @@
 //! # uburst-bench — experiment harnesses
 //!
 //! Shared machinery for the reproduction harnesses (the `repro` binary,
-//! see `src/bin/repro/`) and the performance benchmarks (see `benches/`).
-//! `repro <id>` rebuilds one table or figure from the paper by running
-//! measured-rack scenarios, attaching the collection framework, and
-//! printing the same rows/series the paper reports.
+//! see `src/bin/repro/`). `repro <id>` rebuilds one table or figure from
+//! the paper by running measured-rack scenarios, attaching the collection
+//! framework, and printing the same rows/series the paper reports.
+//! Performance is measured by the separate `benchmark/` package, which
+//! links this crate for the campaign engine, the pool and the report kit.
 //!
 //! Set `EXP_SCALE=full` for longer campaigns (smoother distributions);
 //! the default `quick` scale keeps every harness under a couple of minutes.
@@ -12,14 +13,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchjson;
 pub mod campaign;
 pub mod figures;
 pub mod fleet;
 pub mod pearson_pool;
 pub mod pool;
 pub mod report;
-pub mod runner;
 pub mod scale;
 
 pub use campaign::{port_bps, representative_port, CampaignRun, CampaignSpec, NetSnapshot};
@@ -29,7 +28,6 @@ pub use fleet::{
 pub use pearson_pool::{correlation_matrix_pooled, correlation_matrix_pooled_on};
 pub use pool::{run_jobs, run_jobs_on, run_parallel, run_parallel_on};
 pub use report::{fmt_bytes, fmt_fraction, print_cdf_table, Table};
-pub use runner::bench;
 pub use scale::Scale;
 
 /// Standard CDF evaluation points for burst-duration figures, microseconds.

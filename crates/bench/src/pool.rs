@@ -176,11 +176,18 @@ where
         }
     });
     drop(res_tx);
+    in_submission_order(n, std::iter::from_fn(|| res_rx.try_recv()))
+}
 
-    // Restore submission order: index i goes to slot i.
+/// Restores submission order: result `i` goes to slot `i`.
+///
+/// # Panics
+/// Panics unless every job in `0..n` reported exactly one result: a
+/// second would silently replace a figure's data with another run's.
+fn in_submission_order<R>(n: usize, results: impl Iterator<Item = (usize, R)>) -> Vec<R> {
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    while let Some((i, r)) = res_rx.try_recv() {
-        debug_assert!(slots[i].is_none(), "job {i} completed twice");
+    for (i, r) in results {
+        assert!(slots[i].is_none(), "job {i} completed twice");
         slots[i] = Some(r);
     }
     slots
@@ -238,6 +245,12 @@ mod tests {
             i * 10
         });
         assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 completed twice")]
+    fn a_job_reporting_twice_is_refused_in_release() {
+        in_submission_order(2, [(1, 'a'), (0, 'b'), (1, 'c')].into_iter());
     }
 
     #[test]

@@ -59,16 +59,6 @@ impl Scale {
         }
     }
 
-    /// Timed iterations a bench harness should run, given the count it
-    /// would use at full scale. Quick keeps enough iterations for a stable
-    /// median (>= 5) while cutting CI wall-clock roughly 3x.
-    pub fn bench_iters(self, full: usize) -> usize {
-        match self {
-            Scale::Quick => (full / 3).max(5).min(full),
-            Scale::Full => full,
-        }
-    }
-
     /// Worker threads the parallel campaign engine may use.
     ///
     /// Reads `UBURST_THREADS` from the environment; any value `>= 1` is
@@ -108,16 +98,6 @@ mod tests {
         assert!(Scale::Full.campaign_span() > Scale::Quick.campaign_span());
         assert!(Scale::Full.hours().len() > Scale::Quick.hours().len());
         assert_eq!(Scale::Quick.label(), "quick");
-    }
-
-    #[test]
-    fn bench_iters_scales_down_but_stays_stable() {
-        assert_eq!(Scale::Full.bench_iters(20), 20);
-        assert_eq!(Scale::Quick.bench_iters(20), 6);
-        assert_eq!(Scale::Quick.bench_iters(50), 16);
-        // Never below 5 iterations, never above the full count.
-        assert_eq!(Scale::Quick.bench_iters(10), 5);
-        assert_eq!(Scale::Quick.bench_iters(3), 3);
     }
 
     #[test]

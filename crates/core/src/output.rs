@@ -72,7 +72,8 @@ impl MemorySink {
 
 impl SampleOutput for MemorySink {
     fn record(&mut self, t: Nanos, values: &[u64]) {
-        debug_assert_eq!(values.len(), self.series.len());
+        // A short `values` would be zipped away and leave the series ragged.
+        assert_eq!(values.len(), self.series.len(), "sample arity");
         for (s, &v) in self.series.iter_mut().zip(values) {
             s.push(t, v);
         }
@@ -263,6 +264,16 @@ mod tests {
         assert_eq!(all[0].0, a);
         assert_eq!(all[0].1.len(), 2);
         assert!(sink.series(a).unwrap().is_empty(), "taken out");
+    }
+
+    #[test]
+    #[should_panic(expected = "sample arity")]
+    fn memory_sink_refuses_a_short_sample_in_release() {
+        let mut sink = MemorySink::new(vec![
+            CounterId::TxBytes(PortId(0)),
+            CounterId::RxBytes(PortId(0)),
+        ]);
+        sink.record(Nanos(1), &[10]);
     }
 
     #[test]

@@ -88,7 +88,8 @@ impl Series {
     /// interleave out-of-order batches use [`Series::merge_from`]).
     /// Returns the number of dropped samples.
     pub fn extend_from(&mut self, other: &Series) -> usize {
-        debug_assert_eq!(other.ts.len(), other.vs.len());
+        // The columns are `pub`: a ragged `other` would make `self` ragged.
+        assert_eq!(other.ts.len(), other.vs.len(), "ragged series");
         let start = match self.ts.last() {
             Some(&last) => other.ts.partition_point(|&t| t <= last),
             None => 0,
@@ -325,6 +326,14 @@ mod tests {
             s.push(Nanos(t), v);
         }
         s
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged series")]
+    fn extend_from_refuses_a_ragged_series_in_release() {
+        let mut ragged = series(&[(1, 10), (2, 20)]);
+        ragged.vs.pop();
+        Series::new().extend_from(&ragged);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! to **off**. Every recording entry point is gated on one relaxed
 //! atomic load; when disabled it returns before touching any lock or
 //! map, so instrumented hot paths (the poller's per-poll bookkeeping,
-//! planned batch reads) stay within the `ext_bench_check` tripwire. Call
+//! planned batch reads) pay one load (the benchmark's
+//! `obs.enabled_overhead_frac` is the cost of turning it on). Call
 //! [`enable`] in a harness or test to start collecting and [`snapshot`]
 //! to render what was recorded.
 //!

@@ -100,7 +100,7 @@ impl Packet {
 /// reports the wire size of segment `seq`.
 pub fn segment_wire_size(bytes: u64, seq: u32) -> u32 {
     let total = segments_for(bytes);
-    debug_assert!(seq < total);
+    assert!(seq < total, "segment {seq} of a {total}-segment flow");
     if seq + 1 < total {
         MTU_FRAME
     } else {
@@ -148,6 +148,14 @@ mod tests {
         assert_eq!(segment_wire_size(0, 0), ACK_BYTES);
         assert_eq!(segment_wire_size(1, 0), ACK_BYTES);
         assert_eq!(segment_wire_size(20, 0), 20 + HEADER_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment 1 of a 1-segment flow")]
+    fn segment_past_the_flow_end_is_refused_in_release() {
+        // One full segment: `seq = 1` leaves a zero remainder, so without
+        // the check this prices a frame the flow does not have.
+        segment_wire_size(u64::from(MSS), 1);
     }
 
     #[test]

@@ -282,7 +282,8 @@ impl TransportEndpoint {
         nic: &mut HostNic,
         pkt: Packet,
     ) -> Vec<TransportEvent> {
-        debug_assert_eq!(pkt.dst, self.host, "packet for another host");
+        // A misrouted segment would be ACKed and counted as delivered here.
+        assert_eq!(pkt.dst, self.host, "packet for another host");
         match pkt.kind {
             PacketKind::Data {
                 seq,
@@ -552,6 +553,8 @@ mod tests {
         nic: HostNic,
         transport: TransportEndpoint,
         events: Vec<TransportEvent>,
+        /// CE-marked data segments that reached this host.
+        ce_data_rx: u64,
         /// (dst, bytes) flows to start on timer 0.
         to_send: Vec<(NodeId, u64)>,
     }
@@ -562,6 +565,7 @@ mod tests {
                 nic: HostNic::new(NicConfig::default()),
                 transport: TransportEndpoint::new(NodeId(id_hint), cfg),
                 events: Vec::new(),
+                ce_data_rx: 0,
                 to_send: Vec::new(),
             })
         }
@@ -569,6 +573,7 @@ mod tests {
 
     impl Node for Host {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) {
+            self.ce_data_rx += u64::from(pkt.ce && pkt.is_data());
             let evs = self.transport.on_packet(ctx, &mut self.nic, pkt);
             self.events.extend(evs);
         }
@@ -810,6 +815,113 @@ mod tests {
         let ha = sim.node::<Host>(a);
         assert_eq!(ha.transport.stats.flows_sent, 1);
         assert_eq!(ha.transport.stats.timeouts, 0, "ECN should prevent RTOs");
+    }
+
+    /// What one [`dctcp_run`] saw, read at quiescence.
+    struct DctcpOutcome {
+        ce_data_rx: u64,
+        dropped_packets: u64,
+        /// Each flow's `ecn_alpha` as last seen before its final ACK.
+        final_alphas: Vec<f64>,
+    }
+
+    /// Two 1 MB DCTCP flows with an initial window of 20 segments through
+    /// the 1 Gbps bottleneck, under one engine; holds the transport's
+    /// conservation laws at quiescence and returns what the regime checks
+    /// read (the htsim-rs `dumbbell_dctcp` shape, not its numbers).
+    fn dctcp_run(hybrid: bool, buffer_bytes: u64, k_frames: u64) -> DctcpOutcome {
+        const FLOW_BYTES: u64 = 1_000_000;
+        let what = format!("hybrid={hybrid} K={k_frames}");
+        let tcfg = TransportConfig {
+            ecn: true,
+            init_cwnd: 20,
+            ..TransportConfig::default()
+        };
+        let k = k_frames * u64::from(crate::packet::MTU_FRAME);
+        // alpha 64: one port may take all but 1/65 of the pool.
+        let (mut sim, a, b) = pair_custom(true, buffer_bytes, 64.0, tcfg, Some(k));
+        sim.set_hybrid(hybrid);
+        sim.node_mut::<Host>(a).to_send = vec![(b, FLOW_BYTES); 2];
+        sim.schedule_timer(Nanos(0), a, 0);
+
+        // SendState dies with the final ACK: sample alpha as the flows run.
+        let mut alphas: FxHashMap<FlowId, f64> = FxHashMap::default();
+        let mut now = Nanos::ZERO;
+        loop {
+            now += Nanos::from_micros(100);
+            sim.run_until(now);
+            let sends = &sim.node::<Host>(a).transport.sends;
+            alphas.extend(sends.iter().map(|(&f, st)| (f, st.ecn_alpha)));
+            if sends.is_empty() {
+                break;
+            }
+            assert!(now < Nanos::from_secs(5), "{what}: flows never finished");
+        }
+        sim.run_until(now + Nanos::from_millis(10));
+
+        let (ha, hb) = (sim.node::<Host>(a), sim.node::<Host>(b));
+        let delivered: u64 = hb
+            .events
+            .iter()
+            .map(|e| match *e {
+                TransportEvent::FlowReceived { bytes, .. } => bytes,
+                TransportEvent::FlowSent { .. } => 0,
+            })
+            .sum();
+        let acked: u64 = ha.transport.fcts().iter().map(|r| r.bytes).sum();
+        assert_eq!(delivered, acked, "{what}: delivered = acked");
+        assert_eq!(acked, 2 * FLOW_BYTES, "{what}: every byte acknowledged");
+        assert_eq!(
+            ha.transport.stats.flows_sent, hb.transport.stats.flows_received,
+            "{what}: flows sent = received"
+        );
+        assert_eq!(hb.transport.active_recvs(), 0, "{what}: receiver drained");
+        assert_eq!(sim.arena_live(), 0, "{what}: arena drained");
+
+        let sw = NodeId(2); // pair_custom adds the switch third
+        DctcpOutcome {
+            ce_data_rx: hb.ce_data_rx,
+            dropped_packets: sim.node::<Switch>(sw).stats().dropped_packets,
+            final_alphas: alphas.into_values().collect(),
+        }
+    }
+
+    #[test]
+    fn dctcp_shallow_threshold_marks_and_drops_coexist() {
+        // K = 4 frames of a 12-frame buffer: the 20-segment initial windows
+        // overrun the pool before the first echo can slow the senders.
+        for hybrid in [false, true] {
+            let out = dctcp_run(hybrid, 12 * u64::from(crate::packet::MTU_FRAME), 4);
+            assert!(out.ce_data_rx > 0, "hybrid={hybrid}: no CE marks");
+            assert!(out.dropped_packets > 0, "hybrid={hybrid}: no drops");
+            assert_eq!(out.final_alphas.len(), 2);
+            for a in out.final_alphas {
+                assert!(0.0 < a && a < 1.0, "hybrid={hybrid}: alpha {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn dctcp_deep_buffer_marks_without_drops() {
+        // K = 20 frames of a 12 MB pool: both windows fit below the drop
+        // point, so marking alone holds the queue.
+        for hybrid in [false, true] {
+            let out = dctcp_run(hybrid, 12 << 20, 20);
+            assert!(out.ce_data_rx > 0, "hybrid={hybrid}: no CE marks");
+            assert_eq!(out.dropped_packets, 0, "hybrid={hybrid}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packet for another host")]
+    fn misdelivered_packet_is_refused_in_release() {
+        let (mut sim, a, b) = pair_through_switch(false);
+        // Host b's endpoint believes it is host a: every segment it gets
+        // is addressed to someone else.
+        sim.node_mut::<Host>(b).transport.host = a;
+        sim.node_mut::<Host>(a).to_send.push((b, 1_000));
+        sim.schedule_timer(Nanos(0), a, 0);
+        sim.run_until(Nanos::from_millis(1));
     }
 
     #[test]
