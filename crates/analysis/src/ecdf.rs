@@ -15,10 +15,9 @@ pub struct Ecdf {
 impl Ecdf {
     /// Builds from unsorted observations. Non-finite values are rejected.
     ///
-    /// Campaign-sized samples are sorted in O(n) by
-    /// [`sort_f64`](crate::sortf64::sort_f64) (radix sort over the
-    /// order-preserving integer image), bit-identically to the comparison
-    /// sort this replaces.
+    /// The sample is sorted by [`sort_f64`] (`sort_unstable` over the
+    /// order-preserving integer image), bit-identically to the stable
+    /// comparison sort.
     ///
     /// # Panics
     /// Panics on NaN (caught by the sort's prescan), infinite input
@@ -34,19 +33,6 @@ impl Ecdf {
             xs[0].is_finite() && xs[xs.len() - 1].is_finite(),
             "non-finite observation"
         );
-        Ecdf { sorted: xs }
-    }
-
-    /// Builds from observations that are **already sorted ascending** —
-    /// the zero-cost path for callers that sorted once elsewhere (e.g. a
-    /// KS test over the same sample).
-    ///
-    /// # Panics
-    /// Panics on an empty, unsorted, or non-finite sample.
-    pub fn from_sorted(xs: Vec<f64>) -> Self {
-        assert!(!xs.is_empty(), "empty sample");
-        assert!(xs.iter().all(|x| x.is_finite()), "non-finite observation");
-        assert!(xs.windows(2).all(|w| w[0] <= w[1]), "unsorted sample");
         Ecdf { sorted: xs }
     }
 

@@ -32,10 +32,10 @@ impl KsResult {
 /// Tests whether `samples` are exponentially distributed, with the rate
 /// fitted as `1/mean` (the MLE).
 ///
-/// Copies and sorts the sample (via the O(n) radix path of
-/// [`sort_f64`](crate::sortf64::sort_f64)). Callers that already hold
-/// sorted data should use [`ks_test_exponential_sorted`] or
-/// [`ks_test_exponential_with_ecdf`] instead and skip the sort.
+/// Copies and sorts the sample (via
+/// [`sort_f64`](crate::sortf64::sort_f64)). A caller that also plots the
+/// sample's CDF should use [`ks_test_exponential_with_ecdf`] and sort
+/// once.
 ///
 /// # Panics
 /// Panics on an empty sample or non-positive mean.
@@ -47,22 +47,6 @@ pub fn ks_test_exponential(samples: &[f64]) -> KsResult {
     let mut xs = samples.to_vec();
     crate::sortf64::sort_f64(&mut xs);
     ks_sorted_with_mean(&xs, mean)
-}
-
-/// [`ks_test_exponential`] for a sample that is **already sorted
-/// ascending** — no copy, no sort. The rate is fitted from the sorted
-/// order, so on the same data this matches
-/// `ks_test_exponential(sorted)` only up to summation order; figure
-/// harnesses that need bit-identity with the unsorted entry point should
-/// use [`ks_test_exponential_with_ecdf`].
-///
-/// # Panics
-/// Panics on an empty or unsorted sample, or a non-positive mean.
-pub fn ks_test_exponential_sorted(sorted: &[f64]) -> KsResult {
-    assert!(!sorted.is_empty(), "empty sample");
-    assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "unsorted sample");
-    let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-    ks_sorted_with_mean(sorted, mean)
 }
 
 /// KS test and [`Ecdf`](crate::Ecdf) over one sample, sorting **once**.
@@ -206,19 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_entry_point_skips_the_sort_but_matches() {
-        let mut rng = Rng::new(9);
-        let xs: Vec<f64> = (0..5_000).map(|_| rng.exp(2.0)).collect();
-        let full = ks_test_exponential(&xs);
-        let mut sorted = xs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let from_sorted = ks_test_exponential_sorted(&sorted);
-        // Same statistic; p/mean agree up to summation order of the mean.
-        assert_eq!(from_sorted.n, full.n);
-        assert!((from_sorted.statistic - full.statistic).abs() < 1e-12);
-    }
-
-    #[test]
     fn with_ecdf_is_bit_identical_to_the_pair() {
         let mut rng = Rng::new(10);
         let xs: Vec<f64> = (0..5_000).map(|_| rng.exp(0.7)).collect();
@@ -231,12 +202,6 @@ mod tests {
         for (a, b) in ecdf.values().iter().zip(separate_ecdf.values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unsorted sample")]
-    fn sorted_entry_point_rejects_unsorted() {
-        ks_test_exponential_sorted(&[2.0, 1.0]);
     }
 
     #[test]

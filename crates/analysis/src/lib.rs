@@ -10,13 +10,13 @@
 //! | Duration / gap / utilization CDFs (Figs. 3, 4, 6, 7) | [`ecdf`] |
 //! | Markov transition MLE + likelihood ratio (Table 2) | [`markov`] |
 //! | KS test vs. exponential arrivals (§5.2) | [`kstest`] |
-//! | Pearson correlation & heatmaps (Fig. 1, Fig. 8) | [`pearson`] |
+//! | Pearson correlation & heatmaps (Fig. 1, Fig. 8) | [`mod@pearson`] |
 //! | Relative MAD of uplink balance (Fig. 7) | [`mad`] |
 //! | Packet-size histograms inside/outside bursts (Fig. 5) | [`histogram`] |
 //! | Boxplots vs. hot-port count (Fig. 10) | [`summary`] |
 //! | Coarse SNMP-style windows (Figs. 1, 2) | [`resample`] |
-//! | O(n) nearest-rank quantiles for hot paths | [`quantile`] |
-//! | O(n) radix sort of f64 samples | [`sortf64`] |
+//! | O(n) nearest-rank quantiles for hot paths | [`mod@quantile`] |
+//! | Bit-exact sort of f64 samples via integer keys | [`sortf64`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,14 +36,11 @@ pub mod summary;
 pub use burst::{extract_bursts, hot_chain, hot_port_counts, Burst, BurstAnalysis, HOT_THRESHOLD};
 pub use ecdf::Ecdf;
 pub use histogram::{diff_histogram_snapshots, split_by_burst, NormalizedHistogram};
-pub use kstest::{
-    kolmogorov_sf, ks_test_exponential, ks_test_exponential_sorted, ks_test_exponential_with_ecdf,
-    KsResult,
-};
+pub use kstest::{kolmogorov_sf, ks_test_exponential, ks_test_exponential_with_ecdf, KsResult};
 pub use mad::{coarsen, mad_per_period, relative_mad};
 pub use markov::{fit_transition_matrix, TransitionMatrix};
 pub use pearson::{correlation_matrix, mean_offdiagonal, pearson, CenteredMatrix};
-pub use quantile::{median, nearest_rank, quantile, quantiles};
+pub use quantile::{median, nearest_rank, quantile};
 pub use resample::{to_windows, Window};
 pub use sortf64::sort_f64;
 pub use summary::{grouped_summaries, Summary};

@@ -1,4 +1,5 @@
-//! Selection-based quantiles for callers that never need the full [`Ecdf`].
+//! Selection-based quantiles for callers that never need the full
+//! [`Ecdf`](crate::Ecdf).
 //!
 //! [`Ecdf::new`](crate::Ecdf::new) sorts its sample — O(n log n) — which is
 //! the right tool when a harness then evaluates a whole CDF curve. But the
@@ -71,24 +72,6 @@ pub fn quantile(xs: &mut [f64], q: f64) -> f64 {
         .1
 }
 
-/// Several quantiles of one sample in a single call, returned in the order
-/// requested. Sorts once when that beats repeated selection.
-///
-/// # Panics
-/// As [`quantile`].
-pub fn quantiles(xs: &mut [f64], qs: &[f64]) -> Vec<f64> {
-    // Repeated selection is O(k·n); a sort is O(n log n). For the small
-    // k (2–4) the harnesses use, selection wins until k ~ log n.
-    if qs.len() as f64 > (xs.len().max(2) as f64).log2() {
-        assert!(!xs.is_empty(), "empty sample");
-        crate::sortf64::sort_f64(xs);
-        let n = xs.len();
-        qs.iter().map(|&q| xs[nearest_rank(q, n) - 1]).collect()
-    } else {
-        qs.iter().map(|&q| quantile(xs, q)).collect()
-    }
-}
-
 /// The sample median, in O(n).
 pub fn median(xs: &mut [f64]) -> f64 {
     quantile(xs, 0.5)
@@ -129,11 +112,6 @@ mod tests {
                             e.quantile(q).to_bits(),
                             "n={n} seed={seed} q={q}"
                         );
-                    }
-                    let mut scratch = xs.clone();
-                    let many = quantiles(&mut scratch, &qs);
-                    for (&q, &v) in qs.iter().zip(&many) {
-                        assert_eq!(v.to_bits(), e.quantile(q).to_bits(), "batched q={q}");
                     }
                 }
             }

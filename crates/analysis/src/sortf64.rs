@@ -1,60 +1,47 @@
-//! Linear-time sorting of finite `f64` samples.
+//! Sorting of `f64` samples through their order-preserving `u64` image.
 //!
 //! Every distribution the paper reports (Figs. 3, 4, 6, 7; the KS test of
-//! §5.2) starts by sorting a campaign-sized sample — millions of values
-//! for a 2-minute 25 µs campaign. A comparison sort is O(n log n) with a
-//! branch per compare; this module sorts in O(n) passes with a radix sort
-//! over the order-preserving `u64` image of each float, the standard
-//! trick for IEEE-754 keys:
+//! §5.2) starts by sorting a campaign-sized sample. Integer keys sort
+//! without the `partial_cmp` branch per compare, so the sample is mapped
+//! to keys, the keys are sorted with std's `sort_unstable`, and the keys
+//! are mapped back — the standard trick for IEEE-754:
 //!
 //! * for `x >= 0.0`, `key = bits(x) ^ SIGN_BIT` (sets the top bit, so
 //!   positives sort above negatives);
 //! * for `x < 0.0`, `key = !bits(x)` (flips everything: more-negative
 //!   values get smaller keys).
 //!
-//! The map is strictly monotone on finite floats, so sorting keys sorts
-//! values. `-0.0` is first normalized to `+0.0` *in the key only*
-//! (`x + 0.0`), because `partial_cmp` calls the two zeros equal while
-//! their raw bit patterns differ.
-//!
-//! The workhorse is an **MSD radix sort over the keys themselves**: the
-//! prescan computes each key once into a scratch buffer (fusing the NaN
-//! check and a histogram of the top 16 bits), a single wide scatter
-//! buckets the keys by those top bits, and each bucket — already
-//! small and cache-resident for measurement-shaped data — finishes with
-//! a branchless comparison sort (byte-wise MSD recursion for the rare
-//! oversized bucket). A final pass, fused into the bucket walk, inverts
-//! the sorted keys back to floats; the inversion is exact because
-//! without `-0.0` the key map is a bijection. Two properties make the
-//! result **bit-identical** to the stable `sort_by(partial_cmp)` it
-//! replaces:
-//!
-//! * distinct keys are ordered exactly as `partial_cmp` orders the
-//!   values (monotone map), and
-//! * equal keys mean bit-identical values — so the unstable base case
-//!   cannot produce an observable reordering — **except** for mixed
-//!   `-0.0`/`+0.0`, which share a key but differ in bits. Samples
-//!   containing `-0.0` (checked in the prescan) take a stable LSD
-//!   radix over `(key, value)` pairs instead, which preserves input
-//!   order of equals just like the stable comparison sort.
-//!
-//! On campaign-like samples (1 M exponential gaps) the MSD path runs
-//! ~3× faster than the stable comparison sort it replaces.
+//! The map is strictly monotone on non-NaN floats, so sorting keys sorts
+//! values, and equal keys mean bit-identical values, so an unstable sort
+//! cannot produce an observable reordering. The one exception is `-0.0`:
+//! `partial_cmp` calls the two zeros equal while their bit patterns
+//! differ, so the key normalizes `-0.0` to `+0.0` (`x + 0.0`) and is not
+//! invertible there. A sample that contains a `-0.0` is sorted by the
+//! stable `sort_by(partial_cmp)` itself — the reference the contract
+//! names.
 
 /// Sorts `xs` ascending by `partial_cmp`, bit-identically to
 /// `xs.sort_by(|a, b| a.partial_cmp(b).unwrap())`.
 ///
 /// # Panics
-/// Panics if any value is NaN (infinities order fine and are accepted;
-/// callers that reject non-finite input do so before sorting).
+/// Panics if any value is NaN, at every length (infinities order fine and
+/// are accepted; callers that reject non-finite input do so before or
+/// after sorting).
 pub fn sort_f64(xs: &mut [f64]) {
-    // Below this, comparison sort wins on constants (no key buffers).
-    const RADIX_THRESHOLD: usize = 4096;
-    if xs.len() < RADIX_THRESHOLD {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
+    let mut has_neg_zero = false;
+    for &x in xs.iter() {
+        assert!(!x.is_nan(), "NaN observation");
+        has_neg_zero |= x.to_bits() == SIGN;
+    }
+    if has_neg_zero {
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN refused by the prescan"));
         return;
     }
-    radix_sort_f64(xs);
+    let mut keys: Vec<u64> = xs.iter().map(|&x| key_of(x)).collect();
+    keys.sort_unstable();
+    for (x, &k) in xs.iter_mut().zip(&keys) {
+        *x = f64::from_bits(val_of(k));
+    }
 }
 
 const SIGN: u64 = 1u64 << 63;
@@ -78,327 +65,6 @@ fn val_of(k: u64) -> u64 {
     k ^ ((((!k as i64) >> 63) as u64) | SIGN)
 }
 
-/// Byte `shift/8` of a key, as a bucket index.
-#[inline]
-fn digit(k: u64, shift: u32) -> usize {
-    ((k >> shift) & 0xFF) as usize
-}
-
-/// Number of top bits consumed by the first (wide) scatter level.
-const TOP_BITS: u32 = 16;
-const TOP_BUCKETS: usize = 1 << TOP_BITS;
-
-/// Buckets at or below this size finish with `sort_unstable` (branchless
-/// pdqsort over bare `u64`s, in-cache at these sizes) instead of another
-/// counting level. Another radix level only pays off once a bucket is
-/// large enough that its n·log n comparisons outweigh two more full
-/// passes plus per-bucket bookkeeping.
-const BUCKET_SORT_CUTOFF: usize = 1024;
-
-/// Second-level digit: 14 bits immediately below the top 16. An
-/// oversized top-level bucket (tens of thousands of keys sharing one
-/// exponent window) lands here; 14 more bits cut expected run lengths to
-/// one or two elements each, so almost all the sorting work is done by
-/// the counting scatter itself. (Constants tuned empirically on the
-/// 1 M-sample bench shapes; the 64 KiB counts array still fits L2.)
-const MID_BITS: u32 = 14;
-const MID_SHIFT: u32 = 64 - TOP_BITS - MID_BITS;
-const MID_BUCKETS: usize = 1 << MID_BITS;
-
-/// Sorts an oversized top-level bucket (all keys share their top
-/// [`TOP_BITS`] bits), leaving the result in `scratch` — the caller
-/// reads it from there, which spares a copy back. One [`MID_BITS`]-wide counting
-/// scatter, then insertion over the tiny runs (byte-wise MSD for the
-/// rare skewed run).
-fn sort_oversized(bucket: &mut [u64], scratch: &mut [u64]) {
-    let mut counts = [0u32; MID_BUCKETS];
-    for &k in bucket.iter() {
-        counts[((k >> MID_SHIFT) as usize) & (MID_BUCKETS - 1)] += 1;
-    }
-    let mut running = 0u32;
-    for c in counts.iter_mut() {
-        let n = *c;
-        *c = running;
-        running += n;
-    }
-    for &k in bucket.iter() {
-        let d = ((k >> MID_SHIFT) as usize) & (MID_BUCKETS - 1);
-        scratch[counts[d] as usize] = k;
-        counts[d] += 1;
-    }
-    // counts[d] is now run d's exclusive end.
-    let mut start = 0usize;
-    for &end in counts.iter() {
-        let end = end as usize;
-        let run = end - start;
-        if run > SMALL {
-            // Bits below the mid digit are still unsorted; the next byte
-            // boundary (shift 32) re-examines four already-equal bits,
-            // which is harmless. Result stays in `scratch`.
-            msd_in_place(&mut scratch[start..end], &mut bucket[start..end], 32);
-        } else if run > 1 {
-            smallsort(&mut scratch[start..end]);
-        }
-        start = end;
-    }
-}
-
-/// Radix entry point: one fused prescan (NaN check, `-0.0` detection,
-/// key computation, top-16-bit histogram), a single wide scatter that
-/// buckets keys by their top 16 bits — sign, most of the exponent — then
-/// an in-cache `sort_unstable` per bucket (byte-wise MSD recursion for
-/// the rare oversized bucket), and inversion back to floats fused into
-/// the bucket walk. Samples containing `-0.0` take the stable pair
-/// fallback instead.
-///
-/// The wide first level is what makes this fast on measurement-shaped
-/// data: a campaign sample spans a few dozen exponents, so the top 16
-/// bits split a million elements into a few thousand buckets of a few
-/// hundred — small enough that one branchless comparison sort per bucket
-/// beats six more counting passes over the whole array.
-fn radix_sort_f64(xs: &mut [f64]) {
-    let mut has_neg_zero = false;
-    with_scratch(xs.len(), |keys, tmp, hist| {
-        // Fixed-size view so `hist[key >> 48]` needs no bounds check.
-        let hist: &mut [u32; TOP_BUCKETS] = hist.try_into().expect("scratch histogram size");
-        hist.fill(0);
-        for &x in xs.iter() {
-            assert!(!x.is_nan(), "NaN observation");
-            has_neg_zero |= x.to_bits() == SIGN;
-            hist[(key_of(x) >> (64 - TOP_BITS)) as usize] += 1;
-        }
-        if has_neg_zero {
-            // Mixed zeros differ in bits but compare equal: only a
-            // stable order is bit-identical to the reference sort.
-            return;
-        }
-        // Exclusive prefix sum -> per-bucket write cursors.
-        let mut running = 0u32;
-        for h in hist.iter_mut() {
-            let c = *h;
-            *h = running;
-            running += c;
-        }
-        // Recomputing the key here (a handful of ALU ops) is cheaper
-        // than streaming a million precomputed keys back from memory.
-        for &x in xs.iter() {
-            let k = key_of(x);
-            let d = (k >> (64 - TOP_BITS)) as usize;
-            tmp[hist[d] as usize] = k;
-            hist[d] += 1;
-        }
-        // After the scatter, hist[d] is bucket d's exclusive end.
-        let mut start = 0usize;
-        for &end in hist.iter() {
-            let end = end as usize;
-            if end > start {
-                let sorted: &[u64] = if end - start <= BUCKET_SORT_CUTOFF {
-                    let bucket = &mut tmp[start..end];
-                    if bucket.len() > 1 {
-                        bucket.sort_unstable();
-                    }
-                    bucket
-                } else {
-                    sort_oversized(&mut tmp[start..end], &mut keys[start..end]);
-                    &keys[start..end]
-                };
-                // Invert while the bucket is still cache-hot.
-                for (x, &k) in xs[start..end].iter_mut().zip(sorted.iter()) {
-                    *x = f64::from_bits(val_of(k));
-                }
-            }
-            start = end;
-        }
-    });
-    if has_neg_zero {
-        lsd_stable_pairs(xs);
-    }
-}
-
-thread_local! {
-    /// Key/scatter buffers and the top-level histogram, reused across
-    /// calls so repeated campaign-sized sorts pay the allocation and
-    /// page-zeroing once per thread.
-    static SCRATCH: std::cell::RefCell<(Vec<u64>, Vec<u64>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
-
-/// Runs `f` with two `n`-element scratch slices (keys, scatter space) and
-/// the `TOP_BUCKETS`-entry histogram. `sort_f64` never re-enters itself,
-/// so the thread-local borrow cannot conflict.
-fn with_scratch(n: usize, f: impl FnOnce(&mut [u64], &mut [u64], &mut [u32])) {
-    SCRATCH.with(|cell| {
-        let mut bufs = cell.borrow_mut();
-        let (keys, tmp, hist) = &mut *bufs;
-        if keys.len() < n {
-            keys.resize(n, 0);
-            tmp.resize(n, 0);
-        }
-        if hist.is_empty() {
-            hist.resize(TOP_BUCKETS, 0);
-        }
-        f(&mut keys[..n], &mut tmp[..n], hist);
-    });
-}
-
-/// Below this, an in-cache comparison sort beats another scatter pass.
-const SMALL: usize = 64;
-
-/// Base case: insertion sort on keys. The buckets reaching here are a
-/// few dozen elements, where a general-purpose sort's dispatch overhead
-/// (tens of thousands of calls per campaign sample) costs more than the
-/// sort; a bare insertion loop stays in registers. Key order is
-/// `partial_cmp` order of the values (monotone map).
-fn smallsort(xs: &mut [u64]) {
-    for i in 1..xs.len() {
-        let v = xs[i];
-        let mut j = i;
-        while j > 0 && xs[j - 1] > v {
-            xs[j] = xs[j - 1];
-            j -= 1;
-        }
-        xs[j] = v;
-    }
-}
-
-/// Counting histogram of byte `shift/8` over `xs`.
-#[inline]
-fn count_digits(xs: &[u64], shift: u32) -> [u32; 256] {
-    let mut counts = [0u32; 256];
-    for &k in xs.iter() {
-        counts[digit(k, shift)] += 1;
-    }
-    counts
-}
-
-/// Stable counting scatter of `src` into `dst` by byte `shift/8`.
-fn scatter(src: &[u64], dst: &mut [u64], shift: u32, counts: &[u32; 256]) {
-    let mut offsets = [0u32; 256];
-    let mut running = 0u32;
-    for (o, &c) in offsets.iter_mut().zip(counts.iter()) {
-        *o = running;
-        running += c;
-    }
-    for &k in src {
-        let d = digit(k, shift);
-        dst[offsets[d] as usize] = k;
-        offsets[d] += 1;
-    }
-}
-
-/// Sorts `a`, leaving the result in `a`; `b` is same-length scratch.
-fn msd_in_place(a: &mut [u64], b: &mut [u64], shift: u32) {
-    if a.len() <= SMALL {
-        smallsort(a);
-        return;
-    }
-    let counts = count_digits(a, shift);
-    msd_counted(a, b, shift, &counts);
-}
-
-/// [`msd_in_place`] with the digit histogram already taken (the entry
-/// point fuses it into the validation prescan).
-fn msd_counted(a: &mut [u64], b: &mut [u64], shift: u32, counts: &[u32; 256]) {
-    if counts.iter().any(|&c| c as usize == a.len()) {
-        // Constant byte: nothing to permute at this level.
-        if shift > 0 {
-            msd_in_place(a, b, shift - 8);
-        }
-        return;
-    }
-    scatter(a, b, shift, counts);
-    let mut start = 0usize;
-    for &c in counts.iter() {
-        let end = start + c as usize;
-        if c > 0 {
-            if shift == 0 {
-                // Keys fully consumed: bucket elements are identical.
-                a[start..end].copy_from_slice(&b[start..end]);
-            } else {
-                msd_into(&mut b[start..end], &mut a[start..end], shift - 8);
-            }
-        }
-        start = end;
-    }
-}
-
-/// Sorts `src` (clobbering it), leaving the result in `dst`.
-fn msd_into(src: &mut [u64], dst: &mut [u64], shift: u32) {
-    if src.len() <= SMALL {
-        smallsort(src);
-        dst.copy_from_slice(src);
-        return;
-    }
-    let counts = count_digits(src, shift);
-    if counts.iter().any(|&c| c as usize == src.len()) {
-        if shift > 0 {
-            msd_into(src, dst, shift - 8);
-        } else {
-            dst.copy_from_slice(src);
-        }
-        return;
-    }
-    scatter(src, dst, shift, &counts);
-    if shift == 0 {
-        return; // buckets are key-equal: scatter order is final
-    }
-    let mut start = 0usize;
-    for c in counts {
-        let end = start + c as usize;
-        if c > 0 {
-            msd_in_place(&mut dst[start..end], &mut src[start..end], shift - 8);
-        }
-        start = end;
-    }
-}
-
-/// Stable 8-pass LSD radix on `(key, value)` pairs with uniform-byte pass
-/// skipping — the `-0.0`-safe path. Counting sort per byte is stable, so
-/// `partial_cmp`-equal elements keep their input order exactly like the
-/// stable comparison sort.
-fn lsd_stable_pairs(xs: &mut [f64]) {
-    let n = xs.len();
-    let mut counts = [[0usize; 256]; 8];
-    let mut a: Vec<(u64, f64)> = Vec::with_capacity(n);
-    for &x in xs.iter() {
-        let k = key_of(x);
-        for (pass, c) in counts.iter_mut().enumerate() {
-            c[((k >> (8 * pass)) & 0xFF) as usize] += 1;
-        }
-        a.push((k, x));
-    }
-    let mut b: Vec<(u64, f64)> = vec![(0, 0.0); n];
-    let mut src_is_a = true;
-    for (pass, c) in counts.iter().enumerate() {
-        // A byte that is the same for every element permutes nothing.
-        if c.contains(&n) {
-            continue;
-        }
-        let mut offsets = [0usize; 256];
-        let mut running = 0usize;
-        for (o, &cnt) in offsets.iter_mut().zip(c.iter()) {
-            *o = running;
-            running += cnt;
-        }
-        let (src, dst) = if src_is_a {
-            (&a[..], &mut b[..])
-        } else {
-            (&b[..], &mut a[..])
-        };
-        let shift = 8 * pass;
-        for &(k, x) in src {
-            let byte = ((k >> shift) & 0xFF) as usize;
-            dst[offsets[byte]] = (k, x);
-            offsets[byte] += 1;
-        }
-        src_is_a = !src_is_a;
-    }
-    let sorted = if src_is_a { &a } else { &b };
-    for (out, &(_, x)) in xs.iter_mut().zip(sorted.iter()) {
-        *out = x;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,19 +84,24 @@ mod tests {
         xs
     }
 
+    /// The one oracle: `sort_f64` against the stable comparison sort,
+    /// bit for bit.
     fn assert_bit_identical(xs: Vec<f64>) {
         let expected = reference_sort(xs.clone());
         let mut got = xs;
-        // Exercise the radix path directly regardless of threshold.
-        radix_sort_f64(&mut got);
+        sort_f64(&mut got);
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(
                 g.to_bits(),
                 e.to_bits(),
-                "index {i}: radix {g} vs comparison {e}"
+                "index {i}: sort_f64 {g} vs comparison {e}"
             );
         }
+    }
+
+    fn unit(u: u64) -> f64 {
+        (u >> 11) as f64 / (1u64 << 53) as f64
     }
 
     #[test]
@@ -547,13 +218,38 @@ mod tests {
 
     #[test]
     fn all_equal_sample_is_untouched() {
-        let mut xs = vec![42.5; 5000];
-        radix_sort_f64(&mut xs);
-        assert!(xs.iter().all(|&x| x == 42.5));
+        assert_bit_identical(vec![42.5; 5000]);
     }
 
     #[test]
-    fn small_inputs_use_comparison_path() {
+    fn sorts_few_distinct_values() {
+        // Quantised samples (queue depths in cells, packet-size bins):
+        // 160 000 observations over 40 distinct values.
+        let xs: Vec<f64> = lcg(160_000, 31)
+            .map(|u| ((u >> 33) % 40) as f64 * 0.025)
+            .collect();
+        assert_bit_identical(xs);
+    }
+
+    #[test]
+    fn sorts_mostly_idle_utilisation() {
+        // Fig. 6's shape: 70 % of intervals carry no traffic at all.
+        let xs: Vec<f64> = lcg(50_000, 37)
+            .map(|u| if u % 10 < 7 { 0.0 } else { unit(u) })
+            .collect();
+        assert_bit_identical(xs);
+    }
+
+    #[test]
+    fn sorts_every_length_around_the_old_threshold() {
+        // 4 096 is where the retired radix path used to take over.
+        for n in [0usize, 1, 2, 4095, 4096, 4097] {
+            assert_bit_identical(lcg(n, n as u64 + 1).map(|u| unit(u) - 0.5).collect());
+        }
+    }
+
+    #[test]
+    fn sorts_a_three_element_sample_and_an_empty_one() {
         let mut xs = vec![3.0, 1.0, 2.0];
         sort_f64(&mut xs);
         assert_eq!(xs, vec![1.0, 2.0, 3.0]);
@@ -563,27 +259,31 @@ mod tests {
     }
 
     #[test]
-    fn large_inputs_use_radix_path() {
-        let mut xs: Vec<f64> = lcg(10_000, 21)
-            .map(|u| (u >> 11) as f64 / (1u64 << 53) as f64)
-            .collect();
-        let expected = reference_sort(xs.clone());
-        sort_f64(&mut xs);
-        assert_eq!(xs, expected);
+    fn sorts_ten_thousand_uniform_samples() {
+        assert_bit_identical(lcg(10_000, 21).map(unit).collect());
     }
 
-    #[test]
-    #[should_panic(expected = "NaN observation")]
-    fn nan_rejected_on_comparison_path() {
-        let mut xs = vec![1.0, f64::NAN, 2.0];
+    fn sort_with_nan_at(n: usize, at: usize) {
+        let mut xs: Vec<f64> = (0..n as u32).map(f64::from).collect();
+        xs[at] = f64::NAN;
         sort_f64(&mut xs);
     }
 
     #[test]
     #[should_panic(expected = "NaN observation")]
-    fn nan_rejected_on_radix_path() {
-        let mut xs: Vec<f64> = (0..5000).map(f64::from).collect();
-        xs[4321] = f64::NAN;
-        radix_sort_f64(&mut xs);
+    fn nan_rejected_at_length_1() {
+        sort_with_nan_at(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN observation")]
+    fn nan_rejected_at_length_3() {
+        sort_with_nan_at(3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN observation")]
+    fn nan_rejected_at_length_5000() {
+        sort_with_nan_at(5000, 4321);
     }
 }

@@ -76,23 +76,11 @@ mod integration {
         fn on_tx_complete(&mut self, ctx: &mut Ctx<'_>, _: PortId) {
             self.send_one(ctx);
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     struct Sink;
     impl Node for Sink {
         fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A poller reads the same counter list every interval, yet the naive path
 //! re-does the full per-counter work on every poll: match on the
-//! [`CounterId`](crate::CounterId) variant, bounds-check the port, and walk
+//! [`CounterId`] variant, bounds-check the port, and walk
 //! the access-latency model to price the batch. A [`ReadPlan`] hoists all
 //! of that out of the hot loop: it resolves each counter to its flat cell
 //! slot once, and tabulates the simulated cost of every counter-list

@@ -27,7 +27,7 @@ pub use fleet::{
 };
 pub use pearson_pool::{correlation_matrix_pooled, correlation_matrix_pooled_on};
 pub use pool::{run_jobs, run_jobs_on, run_parallel, run_parallel_on};
-pub use report::{fmt_bytes, fmt_fraction, print_cdf_table, Table};
+pub use report::{fmt_bytes, Table};
 pub use scale::Scale;
 
 /// Standard CDF evaluation points for burst-duration figures, microseconds.

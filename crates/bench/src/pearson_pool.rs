@@ -12,7 +12,7 @@
 //! Row-tail jobs are pathologically unbalanced — row 0 carries `k-1`
 //! dot products and row `k-1` carries none, so one worker drags the whole
 //! matrix while the rest idle. Every pair costs the same `O(n)`, so a
-//! fixed budget of near-equal pair ranges ([`PAIR_CHUNKS`], several per
+//! fixed budget of near-equal pair ranges (`PAIR_CHUNKS`, several per
 //! worker at any realistic thread count, to absorb scheduling jitter)
 //! keeps all workers busy to the end and lets `pearson_pooled` throughput
 //! actually scale with `UBURST_THREADS`.

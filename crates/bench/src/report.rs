@@ -2,8 +2,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use uburst_analysis::Ecdf;
-
 /// Shape checks that failed in this process (see [`verdict`]).
 static MISSES: AtomicUsize = AtomicUsize::new(0);
 
@@ -78,24 +76,6 @@ impl Table {
     }
 }
 
-/// Prints an ECDF as `x  F(x)` rows at the given evaluation points, plus
-/// headline quantiles — the text equivalent of one CDF curve in a figure.
-pub fn print_cdf_table(name: &str, ecdf: &Ecdf, points: &[f64], unit: &str) {
-    println!("{name}  (n={})", ecdf.len());
-    let mut t = Table::new(&[&format!("x [{unit}]"), "F(x)"]);
-    for &(x, f) in &ecdf.curve(points) {
-        t.row(&[format!("{x:.0}"), format!("{f:.3}")]);
-    }
-    t.print();
-    println!(
-        "p50={:.1}{unit}  p90={:.1}{unit}  p99={:.1}{unit}  max={:.1}{unit}",
-        ecdf.quantile(0.5),
-        ecdf.quantile(0.9),
-        ecdf.quantile(0.99),
-        ecdf.max()
-    );
-}
-
 /// Human-readable byte count.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -107,11 +87,6 @@ pub fn fmt_bytes(b: u64) -> String {
     } else {
         format!("{b}B")
     }
-}
-
-/// Percentage with one decimal.
-pub fn fmt_fraction(f: f64) -> String {
-    format!("{:.1}%", f * 100.0)
 }
 
 #[cfg(test)]
@@ -136,7 +111,6 @@ mod tests {
         assert_eq!(fmt_bytes(2048), "2.00KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.00MiB");
         assert_eq!(fmt_bytes(5 << 30), "5.00GiB");
-        assert_eq!(fmt_fraction(0.123), "12.3%");
     }
 
     #[test]

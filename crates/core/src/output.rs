@@ -27,10 +27,6 @@ pub trait SampleOutput: Any {
     fn record(&mut self, t: Nanos, values: &[u64]);
     /// Called once when the campaign ends; flush any buffers.
     fn finish(&mut self) {}
-    /// Downcast support — implement as `self`.
-    fn as_any(&self) -> &dyn Any;
-    /// Downcast support — implement as `self`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Keeps everything in memory, one [`Series`] per campaign counter.
@@ -77,12 +73,6 @@ impl SampleOutput for MemorySink {
         for (s, &v) in self.series.iter_mut().zip(values) {
             s.push(t, v);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -234,12 +224,6 @@ impl SampleOutput for ChannelSink {
     fn finish(&mut self) {
         let out = self.batcher.flush();
         self.ship(out);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

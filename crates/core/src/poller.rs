@@ -4,7 +4,7 @@
 //! polls ASIC counters on a microsecond-scale deadline schedule. The loop is
 //! **best-effort**: a poll takes the deterministic bus cost
 //! ([`uburst_asic::AccessModel`]) plus stochastic CPU jitter
-//! ([`CoreMode`](crate::spec::CoreMode)), and when a poll overruns its
+//! ([`CoreMode`]), and when a poll overruns its
 //! interval, the skipped deadlines are *missed* — counted, but harmless for
 //! byte counters because samples carry exact timestamps and cumulative
 //! values.
@@ -380,8 +380,7 @@ impl Poller {
     pub fn take_series(
         &mut self,
     ) -> Result<Vec<(uburst_asic::CounterId, crate::series::Series)>, PollError> {
-        self.output
-            .as_any_mut()
+        (self.output.as_mut() as &mut dyn Any)
             .downcast_mut::<MemorySink>()
             .map(MemorySink::take_all)
             .ok_or(PollError::NotMemorySink)
@@ -603,13 +602,6 @@ impl Node for Poller {
             other => debug_assert!(false, "unknown poller token {other:#x}"),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -721,12 +713,6 @@ mod tests {
                     ctx.timer_in(Nanos::from_micros(10), 0);
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
 
         let mut sim = Simulator::new();
@@ -805,6 +791,29 @@ mod tests {
             p.spawn(&mut sim, Nanos(5), Nanos(5)).unwrap_err(),
             PollError::EmptyWindow { .. }
         ));
+    }
+
+    #[test]
+    fn take_series_refuses_a_channel_sink() {
+        let counter = CounterId::TxBytes(PortId(0));
+        let campaign = CampaignConfig::single("x", counter, Nanos::from_micros(25));
+        let (tx, _rx) = crate::channel::unbounded();
+        let sink = crate::output::ChannelSink::new(
+            crate::batch::SourceId(0),
+            "x",
+            vec![counter],
+            crate::batch::BatchPolicy::default(),
+            tx,
+        );
+        let mut p = Poller::new(
+            AsicCounters::new_shared(1),
+            AccessModel::default(),
+            campaign,
+            0,
+            Box::new(sink),
+        )
+        .unwrap();
+        assert_eq!(p.take_series().unwrap_err(), PollError::NotMemorySink);
     }
 
     #[test]
@@ -909,12 +918,6 @@ mod tests {
                 if self.left > 0 {
                     ctx.timer_in(Nanos::from_micros(5), 0);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim = Simulator::new();

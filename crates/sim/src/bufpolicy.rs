@@ -14,13 +14,8 @@
 //! deferred departures *before* every admission test (settle-then-admit).
 //! A policy therefore sees exactly the same `(held, buffered)` state in
 //! both engines **iff its verdict is a pure function of the state at the
-//! admission instant**. Every implementation here satisfies that: no
-//! policy keeps hidden mutable admission state. The optional
-//! [`BufferPolicy::on_departure`] hook exists for implementations that
-//! want to cache cross-port aggregates incrementally; it fires at the
-//! same simulated instants in both engines (departures are settled in
-//! departure-time order before the next admission), so such caches stay
-//! engine-independent too.
+//! admission instant**. The trait enforces it: its one method takes
+//! `&self`, so no policy can keep hidden mutable admission state.
 
 use crate::packet::MTU_FRAME;
 use crate::time::Nanos;
@@ -37,13 +32,6 @@ pub trait BufferPolicy {
     /// The carving verdict. Must be a pure function of the arguments (see
     /// the module docs for why).
     fn admit(&self, port: usize, size: u64, held: &[u64], buffered: u64, pool: u64) -> bool;
-
-    /// Called once per departed frame, after the switch has released its
-    /// bytes. Default: no-op. Implementations that maintain incremental
-    /// cross-port aggregates update them here; the verdict in
-    /// [`BufferPolicy::admit`] must still depend only on state that both
-    /// engines reproduce identically at admission instants.
-    fn on_departure(&mut self, _port: usize, _size: u64) {}
 }
 
 /// Serializable policy choice carried by
@@ -165,7 +153,8 @@ fn floor(threshold: u64) -> u64 {
 /// Admission rule: `held[port] + size <= max(alpha * (pool - buffered),
 /// MTU_FRAME)`. The threshold shrinks as the pool fills, so a single hot
 /// port self-limits while idle capacity is available to whoever bursts
-/// first. The `MTU_FRAME` floor is documented on [`floor`]. The threshold
+/// first. The `MTU_FRAME` floor keeps a nearly-full pool from refusing an
+/// empty port its first frame (see the private `floor`). The threshold
 /// is computed in `f64` and truncated, byte-for-byte the arithmetic the
 /// switch has always used — the default configuration must leave every
 /// figure byte-identical.

@@ -28,7 +28,7 @@
 //! ## Structure and invariants
 //!
 //! * The **wheel** covers absolute bucket indices `[next_abs, wheel_end)`
-//!   (bucket = `time >> BUCKET_SHIFT`), at most [`N_BUCKETS`] wide. Events
+//!   (bucket = `time >> BUCKET_SHIFT`), at most `N_BUCKETS` wide. Events
 //!   in this window sit unsorted in their bucket; a 64×64 occupancy bitmap
 //!   topped by a one-word summary finds the next non-empty bucket with two
 //!   find-first-set instructions, so sparse (fast-forwarded) calendars skip

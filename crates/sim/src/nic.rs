@@ -124,7 +124,6 @@ mod tests {
     use crate::node::{Node, NodeId};
     use crate::packet::{FlowId, PacketKind};
     use crate::sim::Simulator;
-    use std::any::Any;
 
     /// Host that sends `n` packets through its NIC on the first timer.
     struct TestHost {
@@ -162,12 +161,6 @@ mod tests {
         }
         fn settle_lazy(&mut self, now: Nanos) {
             self.nic.settle_to(now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -44,11 +44,6 @@ pub trait Node: Any {
     /// values under either engine. Nodes without a transmit stage ignore
     /// it.
     fn settle_lazy(&mut self, _now: Nanos) {}
-
-    /// Downcast support — implement as `self`.
-    fn as_any(&self) -> &dyn Any;
-    /// Downcast support — implement as `self`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Dispatch context handed to a node while it handles an event.

@@ -14,6 +14,7 @@ use crate::events::{Event, EventKind, EventQueue};
 use crate::link::{LinkSpec, Wiring};
 use crate::node::{Ctx, Node, NodeId, PortId};
 use crate::time::Nanos;
+use std::any::Any;
 
 /// A discrete-event simulation instance.
 pub struct Simulator {
@@ -149,20 +150,20 @@ impl Simulator {
     /// # Panics
     /// Panics if the id is unknown or the type does not match.
     pub fn node<T: Node>(&self, id: NodeId) -> &T {
-        self.nodes[id.0 as usize]
-            .as_ref()
-            .expect("node is being dispatched")
-            .as_any()
+        let node = self.nodes[id.0 as usize]
+            .as_deref()
+            .expect("node is being dispatched");
+        (node as &dyn Any)
             .downcast_ref::<T>()
             .expect("node type mismatch")
     }
 
     /// Mutably borrows a node downcast to its concrete type.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.0 as usize]
-            .as_mut()
-            .expect("node is being dispatched")
-            .as_any_mut()
+        let node = self.nodes[id.0 as usize]
+            .as_deref_mut()
+            .expect("node is being dispatched");
+        (node as &mut dyn Any)
             .downcast_mut::<T>()
             .expect("node type mismatch")
     }
@@ -259,7 +260,6 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet, PacketKind};
-    use std::any::Any;
 
     /// Echoes raw packets back and counts everything it sees.
     struct Echo {
@@ -302,12 +302,6 @@ mod tests {
                     },
                 );
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -365,12 +359,6 @@ mod tests {
         struct Other;
         impl Node for Other {
             fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut sim = Simulator::new();
         let a = sim.add_node(Box::new(Other));

@@ -6,7 +6,7 @@
 //!   arrival and waits in that port's queue.
 //! * **Shared buffer with pluggable carving**: all ports draw from one
 //!   buffer pool; *how* the pool is carved between them is a
-//!   [`BufferPolicy`](crate::bufpolicy::BufferPolicy). The default is
+//!   [`BufferPolicy`]. The default is
 //!   Choudhury–Hahne dynamic thresholds (a port may enqueue while its
 //!   queue stays below `alpha * (pool - used)`, the scheme Broadcom-class
 //!   ASICs implement — "buffers in our switches are shared and dynamically
@@ -19,7 +19,6 @@
 //! Every packet movement is reported to the switch's [`CounterSink`], which
 //! is where the ASIC counter model (crate `uburst-asic`) plugs in.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -140,7 +139,6 @@ impl SwitchCore {
             self.stats.tx_packets += 1;
             self.stats.tx_bytes += u64::from(size);
             sink.count_tx(port, size);
-            self.policy.on_departure(port.0 as usize, u64::from(size));
         });
         if any_due {
             sink.buffer_level(self.buffered);
@@ -270,13 +268,6 @@ impl Node for Switch {
     fn settle_lazy(&mut self, now: Nanos) {
         self.core.borrow_mut().settle_to(now, &*self.sink);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -310,12 +301,6 @@ mod tests {
             self.rx += 1;
             self.rx_bytes += u64::from(pkt.size);
             self.ce_flags.push(pkt.ce);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -361,12 +346,6 @@ mod tests {
                 // Serialize sequentially on our access link.
                 ctx.schedule_arrival(t + link.spec.propagation, link.peer.0, link.peer.1, pkt);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -266,7 +266,6 @@ mod tests {
     use crate::node::{Ctx, Node};
     use crate::packet::Packet;
     use crate::transport::{TransportConfig, TransportEndpoint, TransportEvent};
-    use std::any::Any;
 
     /// Generic test host used across topology tests.
     struct Host {
@@ -313,12 +312,6 @@ mod tests {
         }
         fn settle_lazy(&mut self, now: Nanos) {
             self.nic.settle_to(now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

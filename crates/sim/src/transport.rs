@@ -546,7 +546,6 @@ mod tests {
     use crate::routing::{Route, RoutingTable};
     use crate::sim::Simulator;
     use crate::switch::{Switch, SwitchConfig};
-    use std::any::Any;
 
     /// Minimal host: transport + NIC + a log of events.
     struct Host {
@@ -594,12 +593,6 @@ mod tests {
         }
         fn settle_lazy(&mut self, now: Nanos) {
             self.nic.settle_to(now);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

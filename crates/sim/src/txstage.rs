@@ -287,7 +287,6 @@ mod tests {
     use crate::node::{Node, NodeId};
     use crate::packet::{FlowId, PacketKind};
     use crate::sim::Simulator;
-    use std::any::Any;
 
     #[test]
     fn drains_in_departure_order_across_ports() {
@@ -400,12 +399,6 @@ mod tests {
         fn settle_lazy(&mut self, now: Nanos) {
             self.settle(now);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Logs `(arrival instant, size)`.
@@ -413,12 +406,6 @@ mod tests {
     impl Node for Sink {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _: PortId, pkt: Packet) {
             self.0.push((ctx.now().0, pkt.size));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -8,8 +8,6 @@
 //! twice and silently corrupt results (the arena panics instead — see the
 //! generation tests in `uburst_sim::arena`).
 
-use std::any::Any;
-
 use uburst_sim::prelude::*;
 
 /// Counts arrivals and echoes nothing.
@@ -19,12 +17,6 @@ struct SinkHost {
 impl Node for SinkHost {
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {
         self.rx += 1;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -57,12 +49,6 @@ impl Node for Pacer {
         ctx.start_tx(PortId(0), pkt);
         let gap = self.gap;
         ctx.timer_in(gap, 0);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -16,7 +16,7 @@
 //!   these racks lies in their ToRs' uplinks";
 //! * longer bursts than Web, shorter than Hadoop (Fig. 3).
 //!
-//! The cache servers themselves are [`ResponderApp`]s (see `responder`);
+//! The cache servers themselves are [`ResponderApp`](crate::responder::ResponderApp)s;
 //! this module provides [`CacheFrontendApp`], the remote web tier issuing
 //! scatter-gather reads, plus leader-bound coherency writes.
 

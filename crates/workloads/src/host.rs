@@ -292,13 +292,6 @@ impl Node for AppHost {
     fn settle_lazy(&mut self, now: Nanos) {
         self.nic.settle_to(now);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
