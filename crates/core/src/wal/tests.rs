@@ -1,0 +1,628 @@
+//! Tests of the durable receiver, with the two reference models it must
+//! agree with. Kept at `wal::tests` so the test ids survive the split.
+
+use std::collections::BTreeMap;
+use std::fs;
+use std::io;
+use std::sync::{Arc, Mutex};
+
+use super::*;
+use crate::batch::{Batch, SourceId};
+use crate::series::Series;
+use crate::ship::{AckMsg, SeqBatch};
+use crate::store::SeqIngest;
+use uburst_asic::CounterId;
+use uburst_sim::node::PortId;
+use uburst_sim::time::Nanos;
+
+fn sb(seq: u64, source: u32, base_t: u64) -> SeqBatch {
+    let mut s = Series::new();
+    for i in 0..4u64 {
+        s.push(Nanos(base_t + i), base_t + i);
+    }
+    SeqBatch {
+        seq,
+        watermark: seq + 1,
+        batch: Batch {
+            source: SourceId(source),
+            campaign: "wal".into(),
+            counter: CounterId::TxBytes(PortId(0)),
+            samples: s,
+        },
+    }
+}
+
+#[test]
+fn append_recover_round_trips() {
+    let storage = MemStorage::new();
+    let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
+    for i in 0..10 {
+        let (outcome, ack) = ds.ingest(&sb(i, 0, 100 * (i + 1))).unwrap();
+        assert_eq!(outcome, SeqIngest::Stored);
+        assert_eq!(ack.cum, i + 1, "Always policy acks immediately");
+    }
+    let mut before = Vec::new();
+    ds.store().export_csv(&mut before).unwrap();
+    drop(ds); // "crash" (nothing torn)
+
+    let (rec, report) = DurableStore::recover(storage, WalConfig::default()).unwrap();
+    assert_eq!(report.records, 10);
+    assert_eq!(report.torn_tails, 0);
+    assert_eq!(report.duplicates, 0);
+    let mut after = Vec::new();
+    rec.store().export_csv(&mut after).unwrap();
+    assert_eq!(before, after, "recovered store is byte-identical");
+    assert_eq!(rec.store().contiguous(SourceId(0)), 10);
+}
+
+#[test]
+fn segments_rotate_and_all_replay() {
+    let storage = MemStorage::new();
+    let cfg = WalConfig {
+        segment_max_bytes: 256, // a few records per segment
+        fsync: FsyncPolicy::Always,
+    };
+    let mut ds = DurableStore::create(storage.clone(), cfg).unwrap();
+    for i in 0..50 {
+        ds.ingest(&sb(i, 0, 100 * (i + 1))).unwrap();
+    }
+    let segments = storage.list().unwrap();
+    assert!(
+        segments.len() > 3,
+        "only {} segments at 256-byte rotation",
+        segments.len()
+    );
+    let (rec, report) = DurableStore::recover(storage, cfg).unwrap();
+    assert_eq!(report.records, 50);
+    assert_eq!(report.segments as usize, segments.len());
+    assert_eq!(rec.store().total_samples(), 50 * 4);
+}
+
+#[test]
+fn duplicate_is_reacked_not_relogged() {
+    let storage = MemStorage::new();
+    let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
+    ds.ingest(&sb(0, 0, 100)).unwrap();
+    let bytes_once = ds.wal().total_bytes();
+    let (outcome, ack) = ds.ingest(&sb(0, 0, 100)).unwrap();
+    assert_eq!(outcome, SeqIngest::Duplicate);
+    assert_eq!(ack.cum, 1, "duplicate still re-acks current progress");
+    assert_eq!(ds.wal().total_bytes(), bytes_once, "no second log record");
+    assert_eq!(ds.store().stats().duplicate_batches, 1);
+    // And the log replays without duplicates.
+    let (_, report) = DurableStore::recover(storage, WalConfig::default()).unwrap();
+    assert_eq!(report.records, 1);
+    assert_eq!(report.duplicates, 0);
+}
+
+#[test]
+fn every_n_policy_withholds_acks_until_sync() {
+    let storage = MemStorage::new();
+    let cfg = WalConfig {
+        segment_max_bytes: 1 << 20,
+        fsync: FsyncPolicy::EveryN(3),
+    };
+    let mut ds = DurableStore::create(storage, cfg).unwrap();
+    let (_, a0) = ds.ingest(&sb(0, 0, 100)).unwrap();
+    let (_, a1) = ds.ingest(&sb(1, 0, 200)).unwrap();
+    assert_eq!(a0.cum, 0, "unsynced: ack withheld");
+    assert_eq!(a1.cum, 0);
+    let (_, a2) = ds.ingest(&sb(2, 0, 300)).unwrap();
+    assert_eq!(a2.cum, 3, "third record triggers the covering sync");
+    let (_, a3) = ds.ingest(&sb(3, 0, 400)).unwrap();
+    assert_eq!(a3.cum, 3);
+    let released = ds.flush().unwrap();
+    assert_eq!(
+        released,
+        vec![AckMsg {
+            source: SourceId(0),
+            cum: 4
+        }]
+    );
+    assert!(ds.flush().unwrap().is_empty(), "nothing new to release");
+}
+
+#[test]
+fn recovery_truncates_torn_tail_in_place() {
+    let storage = MemStorage::new();
+    let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
+    for i in 0..5 {
+        ds.ingest(&sb(i, 0, 100 * (i + 1))).unwrap();
+    }
+    drop(ds);
+    // Tear the last record by hand: chop 7 bytes off the segment.
+    let seg_bytes = storage.read(0).unwrap();
+    let mut mangled = storage.clone();
+    mangled.truncate(0, seg_bytes.len() - 7).unwrap();
+
+    let (rec, report) = DurableStore::recover(storage.clone(), WalConfig::default()).unwrap();
+    assert_eq!(report.records, 4, "torn record lost, clean prefix kept");
+    assert_eq!(report.torn_tails, 1);
+    assert!(report.truncated_bytes > 0);
+    assert_eq!(rec.store().contiguous(SourceId(0)), 4);
+    // The tail is physically gone: a second recovery sees a clean log
+    // (plus the empty segment the first recovery opened).
+    drop(rec);
+    let (_, second) = DurableStore::recover(storage, WalConfig::default()).unwrap();
+    assert_eq!(second.torn_tails, 0);
+    assert_eq!(second.records, 4);
+}
+
+#[test]
+fn failed_ingest_kills_the_store_and_recovery_acks_only_the_durable_prefix() {
+    use crate::failpoint::TornStorage;
+    let disk = MemStorage::new();
+    let mut probe = DurableStore::create(MemStorage::new(), WalConfig::default()).unwrap();
+    probe.ingest(&sb(0, 0, 100)).unwrap();
+    probe.ingest(&sb(1, 0, 200)).unwrap();
+    // Die a few bytes into the second record.
+    let budget = probe.wal().record_ends()[0] + 5;
+    let mut ds =
+        DurableStore::create(TornStorage::new(disk.clone(), budget), WalConfig::default()).unwrap();
+    assert_eq!(ds.ingest(&sb(0, 0, 100)).unwrap().1.cum, 1);
+    assert!(ds.ingest(&sb(1, 0, 200)).is_err(), "the write was torn");
+    // The contract: `ds` is dead from here on. Its memory ran ahead of
+    // the log, which is why it may not answer the redelivery.
+    assert_eq!(ds.store().contiguous(SourceId(0)), 2);
+    drop(ds);
+
+    let (mut rec, report) = DurableStore::recover(disk, WalConfig::default()).unwrap();
+    assert_eq!((report.records, report.torn_tails), (1, 1));
+    let (outcome, ack) = rec.ingest(&sb(0, 0, 100)).unwrap();
+    assert_eq!(outcome, SeqIngest::Duplicate);
+    assert_eq!(ack.cum, 1, "redelivery is acked at the durable prefix");
+    let (outcome, ack) = rec.ingest(&sb(1, 0, 200)).unwrap();
+    assert_eq!((outcome, ack.cum), (SeqIngest::Stored, 2));
+}
+
+#[test]
+fn recovery_of_empty_storage_is_empty() {
+    let (ds, report) = DurableStore::recover(MemStorage::new(), WalConfig::default()).unwrap();
+    assert_eq!(report, RecoveryReport::default());
+    assert_eq!(ds.store().total_samples(), 0);
+}
+
+#[test]
+fn dir_storage_round_trips_on_disk() {
+    let dir = std::env::temp_dir().join(format!(
+        "uburst-wal-test-{}-{}",
+        std::process::id(),
+        line!()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    {
+        let storage = DirStorage::open(&dir).unwrap();
+        let cfg = WalConfig {
+            segment_max_bytes: 512,
+            fsync: FsyncPolicy::Always,
+        };
+        let mut ds = DurableStore::create(storage, cfg).unwrap();
+        for i in 0..20 {
+            ds.ingest(&sb(i, 3, 50 * (i + 1))).unwrap();
+        }
+    } // writer gone; files remain
+    let storage = DirStorage::open(&dir).unwrap();
+    assert!(storage.list().unwrap().len() > 1, "rotation happened");
+    let (rec, report) = DurableStore::recover(
+        storage,
+        WalConfig {
+            segment_max_bytes: 512,
+            fsync: FsyncPolicy::Always,
+        },
+    )
+    .unwrap();
+    assert_eq!(report.records, 20);
+    assert_eq!(report.torn_tails, 0);
+    assert_eq!(rec.store().contiguous(SourceId(3)), 20);
+    drop(rec);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The load-bearing identity behind group commit: for any window
+/// partition, `ingest_group` produces the same physical byte stream,
+/// the same record-end coordinates, the same outcomes, and the same
+/// ack values as per-record `ingest` — under every fsync policy and
+/// across segment rotations.
+#[test]
+fn group_ingest_matches_per_record_ingest_bytes_and_acks() {
+    let policies = [
+        WalConfig {
+            segment_max_bytes: 256,
+            fsync: FsyncPolicy::Always,
+        },
+        WalConfig {
+            segment_max_bytes: 256,
+            fsync: FsyncPolicy::EveryN(3),
+        },
+        WalConfig {
+            segment_max_bytes: 1 << 20,
+            fsync: FsyncPolicy::EveryN(16),
+        },
+        WalConfig {
+            segment_max_bytes: 256,
+            fsync: FsyncPolicy::Never,
+        },
+    ];
+    for cfg in policies {
+        let per_storage = MemStorage::new();
+        let grp_storage = MemStorage::new();
+        let mut per = DurableStore::create(per_storage.clone(), cfg).unwrap();
+        let mut grp = DurableStore::create(grp_storage.clone(), cfg).unwrap();
+
+        // Three interleaved sources with per-source sequence numbers,
+        // plus a redelivery (dup) and an out-of-order arrival mixed in.
+        let mut batches: Vec<SeqBatch> = (0..42u64)
+            .map(|i| sb(i / 3, (i % 3) as u32, 100 * (i + 1)))
+            .collect();
+        batches.push(sb(2, 0, 300)); // duplicate redelivery
+        batches.push(sb(99, 1, 12_345)); // reordered: ahead of prefix
+
+        let per_acks: Vec<_> = batches.iter().map(|b| per.ingest(b).unwrap()).collect();
+
+        // Varying window sizes so group boundaries land everywhere
+        // relative to sync points and rotations.
+        let mut grp_acks = Vec::new();
+        let mut buf = Vec::new();
+        let sizes = [1usize, 3, 2, 5, 4, 7];
+        let mut i = 0;
+        let mut w = 0;
+        while i < batches.len() {
+            let end = (i + sizes[w % sizes.len()]).min(batches.len());
+            grp.ingest_group(&batches[i..end], &mut buf).unwrap();
+            grp_acks.append(&mut buf);
+            i = end;
+            w += 1;
+        }
+
+        assert_eq!(per_acks, grp_acks, "outcomes+acks identical ({cfg:?})");
+        assert_eq!(per.wal().total_bytes(), grp.wal().total_bytes());
+        assert_eq!(per.wal().record_ends(), grp.wal().record_ends());
+        let per_segs = per_storage.list().unwrap();
+        assert_eq!(
+            per_segs,
+            grp_storage.list().unwrap(),
+            "same rotation points"
+        );
+        for idx in per_segs {
+            assert_eq!(
+                per_storage.read(idx).unwrap(),
+                grp_storage.read(idx).unwrap(),
+                "segment {idx} bytes identical ({cfg:?})"
+            );
+        }
+        // And flush releases the same residual acks on both sides.
+        assert_eq!(per.flush().unwrap(), grp.flush().unwrap());
+    }
+}
+
+/// The receiver's ack rules over two plain maps, the whole live map
+/// cloned at every sync — what [`AckBook`]'s dirty list replaced, kept
+/// as the reference it must agree with. It shares nothing with the
+/// store: a go-back-N receiver's contiguous prefix is one counter per
+/// source, and the sync cadence is a count of stored records (the
+/// test's segments never rotate).
+struct CloneModel {
+    fsync: FsyncPolicy,
+    since_sync: u32,
+    contiguous: BTreeMap<SourceId, u64>,
+    live: BTreeMap<SourceId, u64>,
+    synced: BTreeMap<SourceId, u64>,
+}
+
+impl CloneModel {
+    fn new(fsync: FsyncPolicy) -> Self {
+        CloneModel {
+            fsync,
+            since_sync: 0,
+            contiguous: BTreeMap::new(),
+            live: BTreeMap::new(),
+            synced: BTreeMap::new(),
+        }
+    }
+
+    fn ack(&self, source: SourceId) -> AckMsg {
+        AckMsg {
+            source,
+            cum: self.synced.get(&source).copied().unwrap_or(0),
+        }
+    }
+
+    fn ingest(&mut self, source: SourceId, seq: u64) -> (SeqIngest, AckMsg) {
+        let cum = self.contiguous.entry(source).or_insert(0);
+        if seq < *cum {
+            return (SeqIngest::Duplicate, self.ack(source));
+        }
+        if seq > *cum {
+            return (SeqIngest::Reordered, self.ack(source));
+        }
+        *cum += 1;
+        self.live.insert(source, *cum);
+        let synced = match self.fsync {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => {
+                self.since_sync += 1;
+                let due = self.since_sync >= n.max(1);
+                if due {
+                    self.since_sync = 0;
+                }
+                due
+            }
+            FsyncPolicy::Never => false,
+        };
+        if synced {
+            self.synced = self.live.clone();
+        }
+        (SeqIngest::Stored, self.ack(source))
+    }
+
+    fn adopt(&mut self, source: SourceId, upto: u64) {
+        let cum = self.contiguous.entry(source).or_insert(0);
+        *cum = (*cum).max(upto);
+        let live = self.live.entry(source).or_insert(0);
+        *live = (*live).max(*cum);
+        let synced = self.synced.entry(source).or_insert(0);
+        *synced = (*synced).max(upto);
+    }
+
+    fn flush(&mut self) -> Vec<AckMsg> {
+        self.since_sync = 0;
+        let mut out = Vec::new();
+        for (&source, &cum) in &self.live {
+            if self.synced.get(&source).copied().unwrap_or(0) < cum {
+                out.push(AckMsg { source, cum });
+            }
+        }
+        self.synced = self.live.clone();
+        out
+    }
+}
+
+#[test]
+fn acks_match_the_full_map_clone_model() {
+    use uburst_sim::rng::Rng;
+    let policies = [
+        FsyncPolicy::Always,
+        FsyncPolicy::EveryN(1),
+        FsyncPolicy::EveryN(3),
+        FsyncPolicy::EveryN(16),
+        FsyncPolicy::Never,
+    ];
+    const SOURCES: u64 = 7;
+    for fsync in policies {
+        for seed in 0..8u64 {
+            let cfg = WalConfig {
+                segment_max_bytes: 1 << 30,
+                fsync,
+            };
+            let mut ds = DurableStore::create(MemStorage::new(), cfg).unwrap();
+            let mut model = CloneModel::new(fsync);
+            let mut rng = Rng::new(seed ^ 0xACC5);
+            let mut out = Vec::new();
+            let (mut flushes, mut released) = (0, 0);
+            for step in 0..1_500 {
+                let at = format!("{fsync:?} seed {seed} step {step}");
+                match rng.below(20) {
+                    // A delivery window: mostly the next in-sequence
+                    // batch of a random source, some redeliveries and
+                    // some arrivals from ahead of the prefix.
+                    0..=15 => {
+                        let mut window = Vec::new();
+                        let mut expect = Vec::new();
+                        for _ in 0..=rng.below(5) {
+                            let source = SourceId(rng.below(SOURCES) as u32);
+                            let next = model.contiguous.get(&source).copied().unwrap_or(0);
+                            let seq = match rng.below(10) {
+                                0 => rng.below(next + 1),
+                                1 => next + 1 + rng.below(3),
+                                _ => next,
+                            };
+                            window.push(sb(seq, source.0, 10 * (seq + 1)));
+                            expect.push(model.ingest(source, seq));
+                        }
+                        ds.ingest_group(&window, &mut out).unwrap();
+                        assert_eq!(out, expect, "{at}");
+                    }
+                    // A stream handed over: at, behind or ahead of
+                    // what this store holds, known source or new.
+                    16 | 17 => {
+                        let source = SourceId(rng.below(SOURCES + 2) as u32);
+                        let next = model.contiguous.get(&source).copied().unwrap_or(0);
+                        let upto = (next + rng.below(6)).saturating_sub(2);
+                        ds.adopt_source(source, upto);
+                        model.adopt(source, upto);
+                    }
+                    _ => {
+                        let acks = ds.flush().unwrap();
+                        assert_eq!(acks, model.flush(), "{at}");
+                        flushes += 1;
+                        released += acks.len();
+                    }
+                }
+            }
+            assert_eq!(ds.flush().unwrap(), model.flush());
+            assert!(ds.flush().unwrap().is_empty(), "nothing left to release");
+            for s in 0..SOURCES as u32 + 2 {
+                let source = SourceId(s);
+                assert_eq!(
+                    ds.store().contiguous(source),
+                    model.contiguous.get(&source).copied().unwrap_or(0)
+                );
+            }
+            assert!(flushes > 20, "{fsync:?}: only {flushes} flushes");
+            if fsync != FsyncPolicy::Always && fsync != FsyncPolicy::EveryN(1) {
+                assert!(released > 20, "{fsync:?}: flushes released {released}");
+            }
+        }
+    }
+}
+
+/// Counts the physical storage calls a [`Wal`] makes — the coalescing
+/// claim itself, measured without the process-global telemetry.
+#[derive(Clone)]
+struct CountingStorage {
+    inner: MemStorage,
+    appends: Arc<Mutex<u64>>,
+    syncs: Arc<Mutex<u64>>,
+}
+
+impl CountingStorage {
+    fn new() -> Self {
+        CountingStorage {
+            inner: MemStorage::new(),
+            appends: Arc::new(Mutex::new(0)),
+            syncs: Arc::new(Mutex::new(0)),
+        }
+    }
+    fn counts(&self) -> (u64, u64) {
+        (*self.appends.lock().unwrap(), *self.syncs.lock().unwrap())
+    }
+}
+
+impl WalStorage for CountingStorage {
+    fn open_segment(&mut self, index: u64) -> io::Result<()> {
+        self.inner.open_segment(index)
+    }
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        *self.appends.lock().unwrap() += 1;
+        self.inner.append(bytes)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        *self.syncs.lock().unwrap() += 1;
+        self.inner.sync()
+    }
+    fn list(&self) -> io::Result<Vec<u64>> {
+        self.inner.list()
+    }
+    fn read(&self, index: u64) -> io::Result<Vec<u8>> {
+        self.inner.read(index)
+    }
+    fn truncate(&mut self, index: u64, len: usize) -> io::Result<()> {
+        self.inner.truncate(index, len)
+    }
+}
+
+#[test]
+fn commit_group_coalesces_physical_writes_and_syncs() {
+    // Under Always, per-record ingest physically syncs per record;
+    // group ingest must reach the same durable, fully-acked state with
+    // one physical write and one physical sync per window.
+    let storage = CountingStorage::new();
+    let mut ds = DurableStore::create(
+        storage.clone(),
+        WalConfig {
+            segment_max_bytes: 1 << 20,
+            fsync: FsyncPolicy::Always,
+        },
+    )
+    .unwrap();
+    let (create_appends, create_syncs) = storage.counts();
+    let window: Vec<SeqBatch> = (0..8).map(|i| sb(i, 0, 100 * (i + 1))).collect();
+    let mut out = Vec::new();
+    ds.ingest_group(&window, &mut out).unwrap();
+    let (appends, syncs) = storage.counts();
+    assert_eq!(appends - create_appends, 1, "one physical write per window");
+    assert_eq!(syncs - create_syncs, 1, "one physical sync per window");
+    // Every ack is still a durability promise: all released at cum.
+    for (k, (outcome, ack)) in out.iter().enumerate() {
+        assert_eq!(*outcome, SeqIngest::Stored);
+        assert_eq!(ack.cum, k as u64 + 1, "Always acks each record");
+    }
+}
+
+#[test]
+fn quarantined_batches_replay_as_quarantined() {
+    let storage = MemStorage::new();
+    let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
+    ds.ingest(&sb(0, 0, 100)).unwrap();
+    // Seq 1 carries timestamps duplicating seq 0's: quarantined, but
+    // logged and acked (it was delivered; retransmitting it forever
+    // would not make it well-formed).
+    let (outcome, ack) = ds.ingest(&sb(1, 0, 100)).unwrap();
+    assert_eq!(outcome, SeqIngest::Stored);
+    assert_eq!(ack.cum, 2);
+    assert_eq!(ds.store().stats().quarantined_batches, 1);
+    let (rec, report) = DurableStore::recover(storage, WalConfig::default()).unwrap();
+    assert_eq!(report.records, 2);
+    assert_eq!(report.quarantined, 1, "replay re-quarantines faithfully");
+    assert_eq!(rec.store().stats().quarantined_batches, 1);
+    assert_eq!(rec.store().total_samples(), 4);
+}
+
+#[test]
+fn adopted_stream_acks_from_handoff_point() {
+    let storage = MemStorage::new();
+    let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
+    // Take over source 0 at sequence 7 (the shipper's acked prefix at
+    // handoff): the first in-sequence delivery is 7, acked as 8.
+    ds.adopt_source(SourceId(0), 7);
+    assert_eq!(ds.store().contiguous(SourceId(0)), 7);
+    let (outcome, ack) = ds.ingest(&sb(7, 0, 100)).unwrap();
+    assert_eq!(outcome, SeqIngest::Stored);
+    assert_eq!(ack.cum, 8);
+    // A straggling redelivery from inside the adopted range is
+    // re-acked without being logged.
+    let bytes = ds.wal().total_bytes();
+    let (outcome, ack) = ds.ingest(&sb(3, 0, 50)).unwrap();
+    assert_eq!(outcome, SeqIngest::Duplicate);
+    assert_eq!(ack.cum, 8);
+    assert_eq!(ds.wal().total_bytes(), bytes, "duplicate not re-logged");
+    // Re-adopting at or below current progress is a no-op.
+    ds.adopt_source(SourceId(0), 5);
+    assert_eq!(ds.store().contiguous(SourceId(0)), 8);
+
+    // Recovery re-derives the adoption point from the log: the one
+    // record (seq 7) replays after adopting [0,7).
+    drop(ds);
+    let (rec, report) = DurableStore::recover(storage, WalConfig::default()).unwrap();
+    assert_eq!(report.records, 1);
+    assert_eq!(report.adoptions, 1);
+    assert_eq!(report.duplicates, 0, "the jump is adoption, not a bug");
+    assert_eq!(rec.store().contiguous(SourceId(0)), 8);
+}
+
+#[test]
+fn adoption_does_not_promote_unsynced_tail_to_acked() {
+    let cfg = WalConfig {
+        segment_max_bytes: 1 << 20,
+        fsync: FsyncPolicy::EveryN(10),
+    };
+    let mut ds = DurableStore::create(MemStorage::new(), cfg).unwrap();
+    let (_, a0) = ds.ingest(&sb(0, 0, 100)).unwrap();
+    let (_, a1) = ds.ingest(&sb(1, 0, 200)).unwrap();
+    assert_eq!((a0.cum, a1.cum), (0, 0), "unsynced: acks withheld");
+    // A re-adoption at the shipper's acked prefix (0 — nothing acked
+    // yet) must not leak the stored-but-unsynced records into acks.
+    ds.adopt_source(SourceId(0), 0);
+    let (_, ack) = ds.ingest(&sb(5, 0, 900)).unwrap(); // reordered probe
+    assert_eq!(ack.cum, 0, "own unsynced tail still gated");
+    let released = ds.flush().unwrap();
+    assert_eq!(released.len(), 1);
+    assert_eq!(released[0].cum, 2, "sync releases the tail as usual");
+}
+
+#[test]
+fn recover_replay_surfaces_every_clean_record_in_order() {
+    let storage = MemStorage::new();
+    let cfg = WalConfig {
+        segment_max_bytes: 256, // force rotation mid-stream
+        fsync: FsyncPolicy::Always,
+    };
+    let mut ds = DurableStore::create(storage.clone(), cfg).unwrap();
+    ds.adopt_source(SourceId(1), 4);
+    for i in 0..6u64 {
+        ds.ingest(&sb(4 + i, 1, 100 * (i + 1))).unwrap();
+    }
+    drop(ds);
+    let mut seen = Vec::new();
+    let (rec, report) = DurableStore::recover_replay(storage, cfg, &mut |sb| {
+        seen.push((sb.batch.source, sb.seq));
+    })
+    .unwrap();
+    assert_eq!(report.records, 6);
+    assert_eq!(report.adoptions, 1);
+    assert_eq!(
+        seen,
+        (0..6u64).map(|i| (SourceId(1), 4 + i)).collect::<Vec<_>>()
+    );
+    assert_eq!(rec.store().contiguous(SourceId(1)), 10);
+}
