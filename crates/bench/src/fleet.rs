@@ -351,6 +351,12 @@ pub fn render_report(run: &FleetRun) -> String {
     // The headline: what the data below actually covers.
     out.push('\n');
     out.push_str(&run.outcome.coverage.to_string());
+    // `stored` above counts ledger receipts; say so when some of them
+    // carried a payload the global store refused to merge.
+    let refused = run.outcome.store.stats().quarantined_batches;
+    if refused > 0 {
+        writeln!(out, "  payload-quarantined: {refused}").unwrap();
+    }
 
     let mut regions = Table::new(&[
         "region",

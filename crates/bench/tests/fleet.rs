@@ -3,10 +3,13 @@
 //! accounting (quarantined switches are excluded *and* accounted, never
 //! silently dropped).
 
+use uburst_asic::CounterId;
 use uburst_bench::fleet::{render_report, run_fleet_spec_on, FleetSpec};
 use uburst_bench::Scale;
+use uburst_core::batch::{Batch, SourceId};
 use uburst_core::failpoint::RegionCrashPlan;
 use uburst_core::fleet::HealthState;
+use uburst_core::series::Series;
 use uburst_sim::time::Nanos;
 
 /// A cheap fleet: few switches, short campaigns, coarse interval.
@@ -84,6 +87,27 @@ fn fault_free_fleet_has_full_coverage() {
     // ones (coverage and accounting) pass.
     assert!(report.contains("[ok] fault-free fleet has full coverage"));
     assert!(report.contains("[ok] every produced batch lands in exactly one coverage column"));
+}
+
+#[test]
+fn fleet_report_says_when_payloads_were_quarantined() {
+    // `stored` counts ledger receipts, so a delivered batch the global
+    // store refused to merge reads as stored; the report must say how
+    // many there were — and say nothing when there were none.
+    let run = run_fleet_spec_on(1, &tiny(3, 0.0), &RegionCrashPlan::none());
+    assert!(!render_report(&run).contains("payload-quarantined"));
+    let backwards = Batch {
+        source: SourceId(0),
+        campaign: "fleet".into(),
+        counter: CounterId::BufferPeak,
+        samples: Series {
+            ts: vec![2, 1],
+            vs: vec![0, 0],
+        },
+    };
+    assert!(run.outcome.store.ingest(&backwards).is_err());
+    let report = render_report(&run);
+    assert!(report.contains("\n  payload-quarantined: 1\n"), "{report}");
 }
 
 #[test]

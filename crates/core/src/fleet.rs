@@ -807,6 +807,84 @@ mod tests {
         assert_eq!(csv_ref, csv_out, "recovered fleet == crash-free fleet");
     }
 
+    /// The property a series-free region rests on: an aggregator logs,
+    /// acks and forwards a batch without looking inside it, and the one
+    /// payload verdict is the global store's. Every switch ships one batch
+    /// that repeats an earlier batch's timestamps under a new sequence
+    /// number and one whose timestamps run backwards; both are delivered
+    /// like any other (retransmitting them forever would not make them
+    /// well-formed) and both show up in the global store's quarantine
+    /// count — live, and when a crashed region's WAL replays them.
+    #[test]
+    fn malformed_payloads_are_logged_acked_forwarded_and_quarantined_once() {
+        const SWITCHES: u32 = 8;
+        const ROUNDS: u32 = 6;
+        let build = || -> Vec<SwitchStream> {
+            (0..SWITCHES)
+                .map(|src| {
+                    let mut s = stream(src, LinkPlan::IDEAL, ROUNDS, 0);
+                    let first = s.rounds[0].batches[0].samples.ts.clone();
+                    s.rounds[2].batches[0].samples.ts = first;
+                    let backwards = &mut s.rounds[4].batches[0].samples;
+                    backwards.ts = vec![45, 44];
+                    backwards.vs = vec![4, 4];
+                    s
+                })
+                .collect()
+        };
+        let check = |out: &FleetOutcome, at: &str| {
+            for s in &out.coverage.switches {
+                assert_eq!(s.produced, ROUNDS as u64, "{at}");
+                assert_eq!(s.acked, s.produced, "{at}: switch {}", s.source.0);
+                assert_eq!(s.stored, s.produced, "{at}: switch {}", s.source.0);
+                assert_eq!(
+                    s.produced,
+                    s.stored + s.excluded + s.refused + s.undelivered(),
+                    "{at}: tiling at switch {}",
+                    s.source.0
+                );
+            }
+            let stats = out.store.stats();
+            assert_eq!(stats.quarantined_batches, 2 * SWITCHES as u64, "{at}");
+            assert_eq!(stats.ingested_batches, 4 * SWITCHES as u64, "{at}");
+            assert_eq!(out.store.total_samples(), 4 * SWITCHES as usize, "{at}");
+        };
+
+        let mut cfg = always_cfg(2);
+        cfg.drain_rounds = 10;
+        let reference = run_fleet(build(), &cfg);
+        check(&reference, "crash-free");
+        let batches = (SWITCHES * ROUNDS) as u64;
+        let logged: usize = reference.region_record_ends.iter().map(Vec::len).sum();
+        assert_eq!(logged as u64, batches, "every batch hit a regional log");
+        let forwarded: u64 = reference.regions.iter().map(|r| r.forwarded).sum();
+        assert_eq!(forwarded, batches, "and was pushed to the global tier");
+
+        // Kill the busier region after each record of its log in turn
+        // (but the last: nothing is written after it, so nothing dies).
+        let victim = (0..2)
+            .max_by_key(|&r| reference.regions[r].switches)
+            .unwrap();
+        let homed = reference.regions[victim].switches;
+        let ends = &reference.region_record_ends[victim];
+        assert_eq!(ends.len(), homed * ROUNDS as usize);
+        for (k, &end) in ends[..ends.len() - 1].iter().enumerate() {
+            let crash = RegionCrashPlan::kill(victim, end);
+            let out = run_fleet_with_crashes(build(), &cfg, &crash);
+            let at = format!("crash after record {k}");
+            assert_eq!(out.regions[victim].crashes, 1, "{at}");
+            check(&out, &at);
+            // Dying right after the round's first record leaves exactly
+            // that record acked and never forwarded. In round 2 it is the
+            // repeated-timestamp batch: replay finds it new to the global
+            // tier and refused there — and still counts it replayed.
+            if k == 2 * homed {
+                assert_eq!(out.regions[victim].replayed, 1, "{at}");
+                assert_eq!(out.coverage.replayed(), 1, "{at}");
+            }
+        }
+    }
+
     #[test]
     fn crash_at_round_zero_region_is_born_dead_and_still_converges() {
         // Budget 0: the region dies before writing its first segment

@@ -16,7 +16,11 @@ pub struct SwitchCoverage {
     pub state: HealthState,
     /// Batches the poller produced across all rounds.
     pub produced: u64,
-    /// Batches merged into the global store.
+    /// Batches the global store's ledger received — delivered and
+    /// accounted. A batch whose *payload* the store refused (repeated or
+    /// backwards timestamps) counts here too: it occupies its sequence
+    /// number and no retransmit would cure it. The store's own
+    /// `stats().quarantined_batches` says how many of those there were.
     pub stored: u64,
     /// The global store's contiguous prefix for the switch (`<= stored`).
     /// Whenever no aggregator is down it covers the acked prefix.

@@ -5,9 +5,9 @@ use super::FleetConfig;
 use crate::batch::SourceId;
 use crate::errors::WalError;
 use crate::failpoint::TornStorage;
-use crate::ship::{AckMsg, SeqBatch};
+use crate::ship::{AckMsg, GapLedger, SeqBatch};
 use crate::store::{SampleStore, SeqIngest};
-use crate::wal::{DurableStore, MemStorage, WalConfig};
+use crate::wal::{DurableReceiver, MemStorage, WalConfig};
 
 /// Splitmix64 finalizer: the mixing function under the rendezvous hash.
 fn mix64(mut x: u64) -> u64 {
@@ -85,14 +85,16 @@ pub struct RegionStats {
     pub wal_bytes: u64,
 }
 
-/// One regional aggregator: a WAL-backed durable store over a disk image
-/// that survives the process ([`MemStorage`] semantics), crashable via the
-/// [`TornStorage`] byte budget.
+/// One regional aggregator: a WAL and a gap ledger over a disk image that
+/// survives the process ([`MemStorage`] semantics), crashable via the
+/// [`TornStorage`] byte budget. It holds no series: every sample it logs is
+/// merged exactly once, in the global store — from `pending` at
+/// [`Region::forward`], or from the log at [`Region::recover`].
 pub(super) struct Region {
     /// The disk: shared image, outlives the writer — what recovery reads.
     disk: MemStorage,
-    /// The live store; `None` while the region is down.
-    ds: Option<DurableStore<TornStorage<MemStorage>>>,
+    /// The live receiver; `None` while the region is down.
+    ds: Option<DurableReceiver<TornStorage<MemStorage>, GapLedger>>,
     /// Records stored this round, awaiting the end-of-round push to the
     /// global tier. In-memory state: a crash loses it — which is exactly
     /// why recovery must replay the WAL (acked records can exist nowhere
@@ -119,7 +121,7 @@ impl Region {
             down_since: None,
             stats: RegionStats::default(),
         };
-        match DurableStore::create(TornStorage::new(region.disk.clone(), budget), wal) {
+        match DurableReceiver::create(TornStorage::new(region.disk.clone(), budget), wal) {
             Ok(ds) => region.ds = Some(ds),
             Err(e) => region.crash(0, &e),
         }
@@ -157,7 +159,7 @@ impl Region {
     }
 
     /// Takes over `source` at the shipper's acked prefix
-    /// ([`DurableStore::adopt_source`]).
+    /// ([`DurableReceiver::adopt_source`]).
     pub(super) fn adopt(&mut self, source: SourceId, upto: u64) {
         self.ds
             .as_mut()
@@ -240,7 +242,7 @@ impl Region {
     ) {
         let since = self.down_since.take().expect("recover on a live region");
         let mut replayed_new = 0u64;
-        let (ds, report) = DurableStore::recover_replay(
+        let (ds, report) = DurableReceiver::recover_replay(
             // The recovered process gets a fresh, un-budgeted storage handle
             // over the same disk: one crash per region per run.
             TornStorage::new(self.disk.clone(), u64::MAX),
@@ -248,9 +250,9 @@ impl Region {
             &mut |sb| {
                 match global.ingest_seq(sb) {
                     // Stored: new to the global tier — the crash window this
-                    // replay exists for. Err: quarantined at the global tier
-                    // exactly as the region quarantined it live; it occupies
-                    // its sequence number either way.
+                    // replay exists for. Err: new too, but its payload was
+                    // refused (the region logs and acks without looking
+                    // inside); it occupies its sequence number either way.
                     Ok(SeqIngest::Stored) | Err(_) => {
                         replayed_new += 1;
                         replayed(sb.batch.source);

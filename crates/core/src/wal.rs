@@ -1,7 +1,7 @@
 //! Write-ahead logging for the collector tier: crash-safe batch
 //! persistence with segment rotation and torn-tail recovery.
 //!
-//! The volatile [`SampleStore`](crate::store::SampleStore) loses everything when the collector dies;
+//! The volatile [`SampleStore`] loses everything when the collector dies;
 //! its only persistence was a CSV dump cut *after* a campaign. This module
 //! puts a WAL in front of the store: every sequenced batch is appended to
 //! an append-only segment file ([`crate::segment`] format: length + CRC32
@@ -20,11 +20,13 @@
 //!   ([`crate::failpoint`]) and the durability experiments.
 //! * [`Wal`] — the appender: frames records, rotates segments at
 //!   [`WalConfig::segment_max_bytes`], and syncs per [`FsyncPolicy`].
-//! * [`DurableStore`] — WAL + [`SampleStore`](crate::store::SampleStore) + gap ledger glued into the
-//!   receiver side of the shipping protocol: dedup **before** append (so
-//!   the log never stores a batch twice), append + sync **before** ack (so
-//!   an issued ack is a durability promise), and
-//!   [`DurableStore::recover`] to rebuild the whole thing after a crash.
+//! * [`DurableReceiver`] — WAL + gap ledger glued into the receiver side
+//!   of the shipping protocol: dedup **before** append (so the log never
+//!   stores a batch twice), append + sync **before** ack (so an issued ack
+//!   is a durability promise), and [`DurableReceiver::recover`] to rebuild
+//!   the whole thing after a crash. What it holds besides the log is its
+//!   [`Keep`]: [`DurableStore`] keeps a [`SampleStore`] (series and
+//!   ledger); a regional aggregator keeps the ledger alone.
 //!
 //! ### Recovery invariants
 //!
@@ -43,6 +45,8 @@
 //! covering sync, but bytes that reached the OS may still survive a crash.
 //! Invariants 2 and 3 are unconditional. `tests/crash_recovery.rs` sweeps
 //! hundreds of crash offsets asserting all three.
+//!
+//! [`SampleStore`]: crate::store::SampleStore
 
 use crate::errors::WalError;
 use crate::segment::{frame_record_into, segment_header, SEGMENT_HEADER_LEN};
@@ -53,7 +57,7 @@ mod storage;
 #[cfg(test)]
 mod tests;
 
-pub use durable_store::{DurableStore, RecoveryReport};
+pub use durable_store::{DurableReceiver, DurableStore, Keep, RecoveryReport};
 pub use storage::{DirStorage, MemStorage, WalStorage};
 
 /// When appended records are forced to stable storage.

@@ -1,5 +1,10 @@
 //! The durable receiver: a [`Wal`] glued to what it keeps in memory, with
 //! sequence-number dedup, ack issuance tied to durability, and recovery.
+//!
+//! The receiver is written once, over a [`Keep`]: what it holds besides its
+//! log. A collector keeps an [`Arc<SampleStore>`] — series and ledger, the
+//! [`DurableStore`] — while a regional aggregator, whose samples are merged
+//! one tier up, keeps only a [`GapLedger`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -8,8 +13,8 @@ use super::{Wal, WalConfig, WalStorage};
 use crate::batch::SourceId;
 use crate::errors::WalError;
 use crate::segment::{scan_segment, SegmentScan, TearReason};
-use crate::ship::{AckMsg, SeqBatch};
-use crate::store::{SampleStore, SeqIngest};
+use crate::ship::{AckMsg, GapLedger, SeqBatch};
+use crate::store::{QuarantineReason, SampleStore, SeqIngest};
 
 /// What recovery found and repaired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,10 +34,12 @@ pub struct RecoveryReport {
     /// append and ledger update cannot happen — this counts log bugs).
     pub duplicates: u64,
     /// Replayed records the store quarantined (they were quarantined in
-    /// the original session too; replay is faithful to that).
+    /// the original session too; replay is faithful to that). Always 0
+    /// when the receiver keeps only a [`GapLedger`]: a ledger never looks
+    /// at a payload, so it has no verdict to give.
     pub quarantined: u64,
     /// Forward sequence jumps adopted during replay. A regional WAL that
-    /// took over a stream mid-flight ([`DurableStore::adopt_source`])
+    /// took over a stream mid-flight ([`DurableReceiver::adopt_source`])
     /// legitimately begins a source at a nonzero sequence (and may jump
     /// again if the stream left and came back); recovery re-derives each
     /// adoption point from the log itself — the first record of a run is
@@ -41,7 +48,7 @@ pub struct RecoveryReport {
     pub adoptions: u64,
 }
 
-/// One source's cumulative counts at a [`DurableStore`].
+/// One source's cumulative counts at a [`DurableReceiver`].
 #[derive(Debug, Clone, Copy, Default)]
 struct SourceAcks {
     /// Count stored and logged (ahead of `synced` between syncs).
@@ -125,44 +132,132 @@ impl AckBook {
     }
 }
 
-/// The durable receiver: WAL-backed [`SampleStore`] with sequence-number
-/// dedup and ack issuance tied to durability.
-pub struct DurableStore<S: WalStorage> {
+/// What a [`DurableReceiver`] keeps in memory besides its log: the
+/// per-source sequence ledger its dedup and acks are read from, plus
+/// whatever it does with a record once the record is logged.
+pub trait Keep: Default {
+    /// Contiguous received-sequence prefix for `source`.
+    fn contiguous(&self, source: SourceId) -> u64;
+    /// Raises `source`'s known transmit watermark.
+    fn note_watermark(&mut self, source: SourceId, watermark: u64);
+    /// Counts a deduplicated redelivery of `seq` from `source`.
+    fn count_duplicate(&mut self, source: SourceId, seq: u64);
+    /// Marks everything below `upto` received (stream adoption).
+    fn adopt_prefix(&mut self, source: SourceId, upto: u64);
+    /// Takes one logged, in-sequence record: the ledger advances either
+    /// way; `Err` is a verdict on the payload.
+    fn ingest_seq(&mut self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason>;
+    /// Snapshot of the ledger.
+    fn ledger(&self) -> GapLedger;
+}
+
+/// Series and ledger: every logged record is merged (or quarantined).
+impl Keep for Arc<SampleStore> {
+    fn contiguous(&self, source: SourceId) -> u64 {
+        SampleStore::contiguous(self, source)
+    }
+    fn note_watermark(&mut self, source: SourceId, watermark: u64) {
+        SampleStore::note_watermark(self, source, watermark);
+    }
+    fn count_duplicate(&mut self, source: SourceId, seq: u64) {
+        SampleStore::count_duplicate(self, source, seq);
+    }
+    fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
+        SampleStore::adopt_prefix(self, source, upto);
+    }
+    fn ingest_seq(&mut self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason> {
+        SampleStore::ingest_seq(self, sb)
+    }
+    fn ledger(&self) -> GapLedger {
+        SampleStore::ledger(self)
+    }
+}
+
+/// The ledger alone: a logged record leaves its sequence number and
+/// watermark here and its samples nowhere — whoever reads the log (or was
+/// handed the record) owns the payload.
+impl Keep for GapLedger {
+    fn contiguous(&self, source: SourceId) -> u64 {
+        GapLedger::contiguous(self, source)
+    }
+    fn note_watermark(&mut self, source: SourceId, watermark: u64) {
+        GapLedger::note_watermark(self, source, watermark);
+    }
+    fn count_duplicate(&mut self, source: SourceId, seq: u64) {
+        self.note_received(source, seq);
+    }
+    fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
+        GapLedger::adopt_prefix(self, source, upto);
+    }
+    fn ingest_seq(&mut self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason> {
+        let source = sb.batch.source;
+        GapLedger::note_watermark(self, source, sb.watermark);
+        Ok(if self.note_received(source, sb.seq) {
+            SeqIngest::Stored
+        } else {
+            SeqIngest::Duplicate
+        })
+    }
+    fn ledger(&self) -> GapLedger {
+        self.clone()
+    }
+}
+
+/// The durable receiver: a WAL in front of a [`Keep`], with
+/// sequence-number dedup and ack issuance tied to durability.
+pub struct DurableReceiver<S: WalStorage, K: Keep> {
     wal: Wal<S>,
-    store: Arc<SampleStore>,
+    keep: K,
     acks: AckBook,
 }
 
+/// The collector's receiver: a WAL-backed [`SampleStore`].
+pub type DurableStore<S> = DurableReceiver<S, Arc<SampleStore>>;
+
 impl<S: WalStorage> DurableStore<S> {
-    /// A fresh durable store over empty storage.
+    /// The underlying store (shared; series grow as batches are ingested).
+    pub fn store(&self) -> Arc<SampleStore> {
+        Arc::clone(&self.keep)
+    }
+
+    /// Records a reconnecting source's transmit watermark (`next_seq`), so
+    /// the gap ledger can account batches assigned before the crash that
+    /// never reached the log.
+    pub fn note_stream_state(&self, source: SourceId, next_seq: u64) {
+        SampleStore::note_watermark(&self.keep, source, next_seq);
+    }
+}
+
+impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
+    /// A fresh receiver over empty storage, keeping `K::default()`.
     pub fn create(storage: S, cfg: WalConfig) -> Result<Self, WalError> {
-        Ok(DurableStore {
+        Ok(DurableReceiver {
             wal: Wal::create(storage, cfg)?,
-            store: Arc::new(SampleStore::new()),
+            keep: K::default(),
             acks: AckBook::default(),
         })
     }
 
-    /// Rebuilds a durable store from whatever a crash left behind: scans
-    /// every segment, truncates torn tails, replays clean records into a
-    /// fresh store (dedup and quarantine re-applied), and resumes logging
-    /// in a new segment after the highest surviving one.
+    /// Rebuilds a receiver from whatever a crash left behind: scans every
+    /// segment, truncates torn tails, replays clean records into a fresh
+    /// keep (dedup and quarantine re-applied), and resumes logging in a new
+    /// segment after the highest surviving one.
     pub fn recover(storage: S, cfg: WalConfig) -> Result<(Self, RecoveryReport), WalError> {
         Self::recover_replay(storage, cfg, &mut |_| {})
     }
 
-    /// [`DurableStore::recover`] with a per-record sink: `on_record` sees
+    /// [`DurableReceiver::recover`] with a per-record sink: `on_record` sees
     /// every clean record in log order before it is replayed into the
-    /// fresh store. The failover path uses this to feed a crashed regional
+    /// fresh keep. The failover path uses this to feed a crashed regional
     /// aggregator's durable prefix into the *global* tier in the same pass
-    /// that rebuilds the regional store.
+    /// that rebuilds the regional ledger.
     pub fn recover_replay(
         mut storage: S,
         cfg: WalConfig,
         on_record: &mut dyn FnMut(&SeqBatch),
     ) -> Result<(Self, RecoveryReport), WalError> {
         let mut report = RecoveryReport::default();
-        let store = Arc::new(SampleStore::new());
+        let mut keep = K::default();
         let indices = storage.list()?;
         for &index in &indices {
             let bytes = storage.read(index)?;
@@ -190,11 +285,11 @@ impl<S: WalStorage> DurableStore<S> {
                 // mid-flight, or left and came back): re-adopt before
                 // replaying, exactly as the original session did.
                 let source = sb.batch.source;
-                if sb.seq > store.contiguous(source) {
-                    store.adopt_prefix(source, sb.seq);
+                if sb.seq > keep.contiguous(source) {
+                    keep.adopt_prefix(source, sb.seq);
                     report.adoptions += 1;
                 }
-                match store.ingest_seq(&sb) {
+                match keep.ingest_seq(&sb) {
                     Ok(SeqIngest::Stored) => {}
                     // The log holds only in-order, first-delivery records;
                     // either count here indicates a logging bug upstream.
@@ -206,7 +301,7 @@ impl<S: WalStorage> DurableStore<S> {
         }
         // Everything replayed came off stable storage: it is all synced.
         let mut acks = AckBook::default();
-        let ledger = store.ledger();
+        let ledger = keep.ledger();
         for source in ledger.sources() {
             let cum = ledger.contiguous(source);
             acks.sources.insert(
@@ -228,7 +323,7 @@ impl<S: WalStorage> DurableStore<S> {
             uburst_obs::counter_add!("uburst_wal_recoveries_total", 1);
         }
         let wal = Wal::start(storage, cfg, next_segment)?;
-        Ok((DurableStore { wal, store, acks }, report))
+        Ok((DurableReceiver { wal, keep, acks }, report))
     }
 
     /// Ingests one sequenced batch — the go-back-N receiver. Exactly one
@@ -242,18 +337,18 @@ impl<S: WalStorage> DurableStore<S> {
     ///   go-back-N retransmit re-delivers it in order. Logging only
     ///   in-sequence records is what makes crash recovery *exactly* the
     ///   acknowledged prefix rather than an arbitrary received subset.
-    /// * `seq` equal to the prefix: accepted — WAL append, then merge into
-    ///   the store. The returned ack reflects only what is durably synced;
+    /// * `seq` equal to the prefix: accepted — WAL append, then handed to
+    ///   the keep. The returned ack reflects only what is durably synced;
     ///   under [`FsyncPolicy::Always`](super::FsyncPolicy::Always) that is
     ///   everything through this batch.
     ///
-    /// This is [`DurableStore::ingest_group`]'s per-batch body followed by
-    /// one flush. An error means the write failed partway (a crash): the
-    /// ack must not be released, and **this `DurableStore` must not be used
-    /// again** — the in-memory store and ack floor already hold the batch
+    /// This is [`DurableReceiver::ingest_group`]'s per-batch body followed
+    /// by one flush. An error means the write failed partway (a crash): the
+    /// ack must not be released, and **this receiver must not be used
+    /// again** — the in-memory keep and ack floor already hold the batch
     /// whose write failed, so a later redelivery would be acked past the
     /// durable prefix. Drop it and rebuild from the log with
-    /// [`DurableStore::recover`], as a restarted process would.
+    /// [`DurableReceiver::recover`], as a restarted process would.
     pub fn ingest(&mut self, sb: &SeqBatch) -> Result<(SeqIngest, AckMsg), WalError> {
         let res = self.ingest_one(sb)?;
         self.wal.flush_group()?;
@@ -266,14 +361,15 @@ impl<S: WalStorage> DurableStore<S> {
     /// order).
     ///
     /// Classification, the gap ledger, and every ack **value** are
-    /// bit-identical to calling [`DurableStore::ingest`] per batch: the
+    /// bit-identical to calling [`DurableReceiver::ingest`] per batch: the
     /// logical sync cadence ([`FsyncPolicy`](super::FsyncPolicy)) is tracked
-    /// per record, only the physical write/sync is coalesced — and it completes before this
-    /// method returns, so releasing the acks afterwards preserves
-    /// durability-before-ack. On `Err` (a crash mid-group) no ack from the
-    /// window may be released and the `DurableStore` is dead, as for
-    /// [`DurableStore::ingest`]; the log is the source of truth on restart
-    /// and the shipper's retransmit re-delivers whatever didn't survive.
+    /// per record, only the physical write/sync is coalesced — and it
+    /// completes before this method returns, so releasing the acks
+    /// afterwards preserves durability-before-ack. On `Err` (a crash
+    /// mid-group) no ack from the window may be released and the receiver
+    /// is dead, as for [`DurableReceiver::ingest`]; the log is the source of
+    /// truth on restart and the shipper's retransmit re-delivers whatever
+    /// didn't survive.
     pub fn ingest_group(
         &mut self,
         window: &[SeqBatch],
@@ -295,11 +391,11 @@ impl<S: WalStorage> DurableStore<S> {
     /// before it returns.
     fn ingest_one(&mut self, sb: &SeqBatch) -> Result<(SeqIngest, AckMsg), WalError> {
         let source = sb.batch.source;
-        let cum = self.store.contiguous(source);
+        let cum = self.keep.contiguous(source);
         if sb.seq != cum {
-            self.store.note_watermark(source, sb.watermark);
+            self.keep.note_watermark(source, sb.watermark);
             let outcome = if sb.seq < cum {
-                self.store.count_duplicate(source, sb.seq);
+                self.keep.count_duplicate(source, sb.seq);
                 SeqIngest::Duplicate
             } else {
                 SeqIngest::Reordered
@@ -313,10 +409,12 @@ impl<S: WalStorage> DurableStore<S> {
             ));
         }
         let synced = self.wal.append_deferred(sb)?;
-        // The record is on the log: merge (or quarantine — replay will
-        // faithfully re-quarantine) and advance the ledger.
-        let _ = self.store.ingest_seq(sb);
-        let live = self.store.contiguous(source);
+        // The record is on the log: advance the ledger, whatever the keep
+        // makes of the payload (a store merges or quarantines it — replay
+        // will faithfully re-quarantine — and the verdict changes nothing
+        // here: the batch was delivered and occupies its sequence number).
+        let _ = self.keep.ingest_seq(sb);
+        let live = self.keep.contiguous(source);
         let cum = self.acks.advance(source, live, synced);
         Ok((SeqIngest::Stored, AckMsg { source, cum }))
     }
@@ -328,15 +426,8 @@ impl<S: WalStorage> DurableStore<S> {
         Ok(self.acks.flush())
     }
 
-    /// Records a reconnecting source's transmit watermark (`next_seq`), so
-    /// the gap ledger can account batches assigned before the crash that
-    /// never reached the log.
-    pub fn note_stream_state(&self, source: SourceId, next_seq: u64) {
-        self.store.note_watermark(source, next_seq);
-    }
-
     /// Takes over `source` mid-flight at sequence `upto` — the regional
-    /// handoff half of go-back-N resync. The store's ledger adopts the
+    /// handoff half of go-back-N resync. The keep's ledger adopts the
     /// prefix below `upto` (durably owned by the previous receiver; the
     /// tier above merges both into the global store) and the ack floor is
     /// raised to match, so the first ack this receiver issues carries at
@@ -350,8 +441,8 @@ impl<S: WalStorage> DurableStore<S> {
     /// contiguous prefix is a no-op, so re-adopting a stream that migrated
     /// back after this aggregator recovered is always safe.
     pub fn adopt_source(&mut self, source: SourceId, upto: u64) {
-        self.store.adopt_prefix(source, upto);
-        let cum = self.store.contiguous(source);
+        self.keep.adopt_prefix(source, upto);
+        let cum = self.keep.contiguous(source);
         let s = self.acks.dirty_entry(source);
         s.live = s.live.max(cum);
         // Exactly the adopted prefix is the previous receiver's durability
@@ -360,9 +451,9 @@ impl<S: WalStorage> DurableStore<S> {
         s.synced = s.synced.max(upto);
     }
 
-    /// The underlying store (shared; series grow as batches are ingested).
-    pub fn store(&self) -> Arc<SampleStore> {
-        Arc::clone(&self.store)
+    /// What the receiver keeps besides its log.
+    pub fn keep(&self) -> &K {
+        &self.keep
     }
 
     /// The write-ahead log (for byte accounting in crash plans).

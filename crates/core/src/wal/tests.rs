@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use super::*;
 use crate::batch::{Batch, SourceId};
+use crate::errors::WalError;
 use crate::series::Series;
 use crate::ship::{AckMsg, SeqBatch};
 use crate::store::SeqIngest;
@@ -292,6 +293,145 @@ fn group_ingest_matches_per_record_ingest_bytes_and_acks() {
         }
         // And flush releases the same residual acks on both sides.
         assert_eq!(per.flush().unwrap(), grp.flush().unwrap());
+    }
+}
+
+/// A deep copy of a disk image (cloning a [`MemStorage`] shares it).
+fn copy_image(disk: &MemStorage) -> MemStorage {
+    let mut copy = MemStorage::new();
+    for index in disk.list().unwrap() {
+        copy.open_segment(index).unwrap();
+        copy.append(&disk.read(index).unwrap()).unwrap();
+    }
+    copy
+}
+
+/// The two keeps are one receiver. The same hostile session, with one
+/// stream adopted ahead of its prefix mid-run, goes window by window into
+/// a receiver that keeps a store and one that keeps only a ledger: every
+/// outcome and ack, every log byte and the ledger itself must agree — and
+/// so must recovery from the same tear of either log. The one field a
+/// ledger cannot reproduce is [`RecoveryReport::quarantined`]: it never
+/// sees a payload (this workload is well-formed, so both read 0).
+#[test]
+fn store_keep_and_ledger_keep_are_one_receiver() {
+    use crate::link::LinkPlan;
+    use crate::session::Workload;
+    use crate::ship::GapLedger;
+    const WORK: Workload = Workload {
+        sources: 3,
+        batches: 24,
+        campaign: "keeps",
+    };
+    // A frame from far ahead of any prefix: discarded, and answered with
+    // the ack the source would be sent right now.
+    let probe = |source: u32| SeqBatch {
+        seq: 1 << 40,
+        watermark: 0,
+        batch: WORK.batch(source, 0),
+    };
+    for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(16)] {
+        for seed in 0..8u64 {
+            let at = format!("{fsync:?} seed {seed}");
+            let cfg = WalConfig {
+                segment_max_bytes: 2048, // rotates several times a run
+                fsync,
+            };
+            let (store_disk, ledger_disk) = (MemStorage::new(), MemStorage::new());
+            let mut with_store = DurableStore::create(store_disk.clone(), cfg).unwrap();
+            let mut with_ledger: DurableReceiver<_, GapLedger> =
+                DurableReceiver::create(ledger_disk.clone(), cfg).unwrap();
+            let (mut stored, mut ledgered) = (Vec::new(), Vec::new());
+            let mut tick = 0u32;
+            WORK.session(LinkPlan::HOSTILE, seed)
+                .run(|window, acks| {
+                    tick += 1;
+                    if tick == 6 {
+                        // Two batches of source 1 are "durable elsewhere".
+                        let upto = with_ledger.keep().contiguous(SourceId(1)) + 2;
+                        with_store.adopt_source(SourceId(1), upto);
+                        with_ledger.adopt_source(SourceId(1), upto);
+                    }
+                    with_store.ingest_group(&window, &mut stored)?;
+                    with_ledger.ingest_group(&window, &mut ledgered)?;
+                    assert_eq!(stored, ledgered, "{at} tick {tick}");
+                    acks.extend(stored.iter().map(|&(_, ack)| ack));
+                    if tick % 7 == 6 {
+                        let released = with_store.flush()?;
+                        assert_eq!(released, with_ledger.flush()?, "{at} tick {tick}");
+                        acks.extend(released);
+                    }
+                    Ok::<(), WalError>(())
+                })
+                .unwrap();
+            assert!(tick > 6, "{at}: the adoption happened mid-run");
+            assert_eq!(with_store.flush().unwrap(), with_ledger.flush().unwrap());
+            assert_eq!(
+                with_store.wal().record_ends(),
+                with_ledger.wal().record_ends()
+            );
+            let segments = store_disk.list().unwrap();
+            assert!(segments.len() > 2, "{at}: {} segments", segments.len());
+            assert_eq!(segments, ledger_disk.list().unwrap());
+            for &index in &segments {
+                assert_eq!(
+                    store_disk.read(index).unwrap(),
+                    ledger_disk.read(index).unwrap(),
+                    "{at}: segment {index}"
+                );
+            }
+            assert_eq!(
+                with_store.store().ledger().to_string(),
+                with_ledger.keep().to_string(),
+                "{at}"
+            );
+            drop((with_store, with_ledger));
+
+            // Recover both keeps from the same image (the two logs are
+            // byte-identical): untorn, torn inside the last record, a few
+            // records back, and in the middle of the log (which leaves a
+            // forward jump for replay to re-adopt).
+            let last = *segments.last().unwrap();
+            let last_len = store_disk.read(last).unwrap().len();
+            let first_len = store_disk.read(segments[0]).unwrap().len();
+            for (index, len) in [
+                (last, last_len),
+                (last, last_len - 1),
+                (last, last_len - last_len / 3),
+                (segments[0], first_len / 2),
+            ] {
+                let at = format!("{at} torn {index}@{len}");
+                let torn = || {
+                    let mut image = copy_image(&store_disk);
+                    image.truncate(index, len).unwrap();
+                    image
+                };
+                let (mut rec_store, store_report) = DurableStore::recover(torn(), cfg).unwrap();
+                let (mut rec_ledger, ledger_report) =
+                    DurableReceiver::<_, GapLedger>::recover(torn(), cfg).unwrap();
+                assert_eq!(
+                    RecoveryReport {
+                        quarantined: 0,
+                        ..store_report
+                    },
+                    ledger_report,
+                    "{at}"
+                );
+                assert!(store_report.records > 0 && store_report.adoptions > 0);
+                for source in 0..WORK.sources {
+                    assert_eq!(
+                        rec_store.ingest(&probe(source)).unwrap(),
+                        rec_ledger.ingest(&probe(source)).unwrap(),
+                        "{at}: first ack of source {source}"
+                    );
+                }
+                assert_eq!(
+                    rec_store.store().ledger().to_string(),
+                    rec_ledger.keep().to_string(),
+                    "{at}"
+                );
+            }
+        }
     }
 }
 
