@@ -38,7 +38,9 @@ impl KsResult {
 /// once.
 ///
 /// # Panics
-/// Panics on an empty sample or non-positive mean.
+/// Panics on an empty sample, on an observation that is negative,
+/// infinite or NaN (outside the exponential's support), or on a
+/// non-positive mean.
 pub fn ks_test_exponential(samples: &[f64]) -> KsResult {
     assert!(!samples.is_empty(), "empty sample");
     // The rate is fitted before sorting: summation order is part of the
@@ -69,8 +71,16 @@ pub fn ks_test_exponential_with_ecdf(samples: Vec<f64>) -> (KsResult, crate::Ecd
 /// The KS core over order statistics: `D = sup |F_n(x) - F(x)|` against
 /// `Exp(1/mean)`, then the asymptotic p-value.
 fn ks_sorted_with_mean(xs: &[f64], mean: f64) -> KsResult {
-    assert!(mean > 0.0, "non-positive mean");
     let n = xs.len();
+    // The exponential's support is [0, ∞): outside it `F` leaves [0, 1]
+    // and D can exceed 1, and an infinite point's deviation is NaN, which
+    // `f64::max` would drop. The sort refused NaN, so the two extremes
+    // decide.
+    assert!(
+        xs[0] >= 0.0 && xs[n - 1].is_finite(),
+        "observation outside [0, ∞)"
+    );
+    assert!(mean > 0.0, "non-positive mean");
 
     // D = max over order statistics of the one-sided deviations.
     let mut d: f64 = 0.0;
@@ -208,5 +218,54 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn empty_rejected() {
         ks_test_exponential(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, ∞)")]
+    fn negative_observation_rejected() {
+        // Used to return D = 2.218.
+        ks_test_exponential(&[-1.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, ∞)")]
+    fn negative_observation_rejected_with_ecdf() {
+        ks_test_exponential_with_ecdf(vec![-1.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, ∞)")]
+    fn infinite_observation_rejected() {
+        // Used to return D = 0.667, the infinite point's NaN deviation
+        // dropped by `f64::max`.
+        ks_test_exponential(&[1.0, 2.0, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite observation")]
+    fn infinite_observation_rejected_with_ecdf() {
+        ks_test_exponential_with_ecdf(vec![1.0, 2.0, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN observation")]
+    fn nan_observation_rejected() {
+        ks_test_exponential(&[1.0, f64::NAN, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN observation")]
+    fn nan_observation_rejected_with_ecdf() {
+        ks_test_exponential_with_ecdf(vec![1.0, f64::NAN, 2.0]);
+    }
+
+    #[test]
+    fn signed_zeros_are_in_the_support() {
+        let xs = [0.0, -0.0, 0.5, 1.0, 2.0, 4.0];
+        let r = ks_test_exponential(&xs);
+        assert!((0.0..=1.0).contains(&r.statistic), "D={}", r.statistic);
+        assert_eq!(r.n, xs.len());
+        let (with_ecdf, _) = ks_test_exponential_with_ecdf(xs.to_vec());
+        assert_eq!(with_ecdf.statistic.to_bits(), r.statistic.to_bits());
     }
 }

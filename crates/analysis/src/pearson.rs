@@ -1,5 +1,7 @@
 //! Pearson correlation (Fig. 1's corr coefficient, Fig. 8's heatmaps).
 
+use std::ops::Range;
+
 /// Number of independent accumulator lanes in the dot-product kernels.
 ///
 /// A single running sum is a serial dependency chain: each add waits on
@@ -7,31 +9,21 @@
 /// length dot products that dominate the k×k matrices at one element per
 /// add latency. Four interleaved lanes keep the FP adder pipeline full.
 /// The lane split and the combine order `(a0+a2)+(a1+a3)` then the tail
-/// are part of the *defined* summation order: [`pearson`],
-/// [`CenteredMatrix::new`], and [`CenteredMatrix::entry`] all use the
-/// same scheme, which is what keeps them bit-identical to each other.
+/// are part of the *defined* summation order: [`pearson`] and the matrix
+/// kernel behind [`CenteredMatrix`] use the same scheme, which is what
+/// keeps them bit-identical to each other.
 const LANES: usize = 4;
 
-/// Dot product accumulated in [`LANES`] independent lanes (lane `l` sums
-/// elements `l, l+LANES, …`), combined `(a0+a2)+(a1+a3)`, then the
-/// remainder tail added serially.
-fn dot_lanes(xs: &[f64], ys: &[f64]) -> f64 {
-    let split = xs.len() - xs.len() % LANES;
-    let mut acc = [0.0f64; LANES];
-    for (xc, yc) in xs[..split]
-        .chunks_exact(LANES)
-        .zip(ys[..split].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            acc[l] += xc[l] * yc[l];
-        }
-    }
-    let mut sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
-    for (&x, &y) in xs[split..].iter().zip(&ys[split..]) {
-        sum += x * y;
-    }
-    sum
-}
+/// Samples per block of the matrix kernel, a multiple of [`LANES`]. The
+/// centred block of every series a range touches (32 series × 1 KiB for
+/// the benchmark's 32×160 k matrix) stays in L1 while each pair of the
+/// range reads it, so a series is streamed from memory once per range
+/// instead of once per pair. 256 and 512 measured slower on a 48 KiB L1.
+const BLOCK: usize = 128;
+
+/// Pairs per register tile: up to four pairs that share a row load the
+/// row's lane group once for four multiply-adds.
+const TILE: usize = 4;
 
 /// Pearson correlation coefficient of two equal-length samples.
 ///
@@ -47,8 +39,8 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     let n = xs.len() as f64;
     let mx = xs.iter().sum::<f64>() / n;
     let my = ys.iter().sum::<f64>() / n;
-    // One pass, three sums, each in the same lane scheme as `dot_lanes`
-    // so this stays bit-identical to `CenteredMatrix::entry`.
+    // One pass, three sums, each in the lane scheme of the matrix kernel
+    // (`centered_dots`), so this stays bit-identical to its entries.
     let split = xs.len() - xs.len() % LANES;
     let mut axy = [0.0f64; LANES];
     let mut axx = [0.0f64; LANES];
@@ -81,117 +73,232 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// The shared O(k·n) precomputation behind [`correlation_matrix`]: each
-/// series' centered values and (squared) norm, computed exactly once.
+/// The O(k·n) part of [`correlation_matrix`] — each series' mean and norm,
+/// computed once — and the matrix kernel over any contiguous range of the
+/// row-major strict upper triangle `(0,1), (0,2), …, (0,k-1), (1,2), …`.
 ///
-/// Splitting this out of the matrix driver lets callers distribute the
-/// remaining O(k²·n) dot products however they like — the serial row loop
-/// below, or a worker pool fanning rows (the bench crate's pooled driver)
-/// — while every entry stays bit-identical: [`Self::entry`] performs the
-/// same float operations in the same order as [`pearson`], and depends
-/// only on `(i, j)`, never on which thread or in what order entries are
-/// evaluated.
-pub struct CenteredMatrix {
-    centered: Vec<Vec<f64>>,
-    sq_norms: Vec<f64>,
+/// Holds no copy of the series: the kernel centres them block by block
+/// as it goes. Splitting the two lets callers distribute the O(k²·n) part
+/// however they like — one range covering every pair, or a worker pool
+/// fanning pair ranges (the bench crate's pooled driver) — while every
+/// entry stays bit-identical to [`pearson`]: the kernel runs each pair's
+/// float operations in `pearson`'s order whatever other pairs share its
+/// range, so any partition of the pairs yields the same bits.
+pub struct CenteredMatrix<'a> {
+    series: &'a [Vec<f64>],
+    means: Vec<f64>,
     norms: Vec<f64>,
 }
 
-impl CenteredMatrix {
-    /// Centers every series and takes its norm — one pass per series,
-    /// accumulated in the same order [`pearson`] would.
+impl<'a> CenteredMatrix<'a> {
+    /// Takes every series' mean (the serial sum [`pearson`] takes) and
+    /// norm (the root of the kernel's diagonal sum, which is `pearson`'s
+    /// `sxx`).
     ///
     /// # Panics
     /// Panics if series lengths differ.
-    pub fn new(series: &[Vec<f64>]) -> Self {
+    pub fn new(series: &'a [Vec<f64>]) -> Self {
         let n = series.first().map_or(0, Vec::len);
         assert!(series.iter().all(|s| s.len() == n), "unaligned series");
-        let mut centered: Vec<Vec<f64>> = Vec::with_capacity(series.len());
-        let mut sq_norms: Vec<f64> = Vec::with_capacity(series.len());
-        for s in series {
-            let m = s.iter().sum::<f64>() / n as f64;
-            let c: Vec<f64> = s.iter().map(|&x| x - m).collect();
-            sq_norms.push(dot_lanes(&c, &c));
-            centered.push(c);
-        }
-        let norms: Vec<f64> = sq_norms.iter().map(|&s| s.sqrt()).collect();
+        let means: Vec<f64> = series
+            .iter()
+            .map(|s| s.iter().sum::<f64>() / n as f64)
+            .collect();
+        let diagonal: Vec<(usize, usize)> = (0..series.len()).map(|i| (i, i)).collect();
+        let norms = centered_dots(series, &means, &diagonal)
+            .into_iter()
+            .map(f64::sqrt)
+            .collect();
         Self {
-            centered,
-            sq_norms,
+            series,
+            means,
             norms,
         }
     }
 
-    /// Number of series.
-    pub fn len(&self) -> usize {
-        self.centered.len()
+    /// Number of pairs in the strict upper triangle, `k(k-1)/2`.
+    pub fn pairs(&self) -> usize {
+        let k = self.series.len();
+        k * k.saturating_sub(1) / 2
     }
 
-    /// Whether there are no series.
-    pub fn is_empty(&self) -> bool {
-        self.centered.is_empty()
-    }
-
-    /// The correlation of series `i` and `j` — bit-identical to
-    /// `pearson(&series[i], &series[j])` (and `1.0` on the diagonal).
-    pub fn entry(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 1.0;
-        }
-        if self.sq_norms[i] == 0.0 || self.sq_norms[j] == 0.0 {
-            return 0.0;
-        }
-        let sxy = dot_lanes(&self.centered[i], &self.centered[j]);
-        (sxy / (self.norms[i] * self.norms[j])).clamp(-1.0, 1.0)
-    }
-
-    /// The strict upper-triangle tail of row `i`: entries `(i, j)` for
-    /// `j in i+1..k`. The unit of work a pooled driver fans out per row;
-    /// symmetry fills the lower triangle.
-    pub fn row_tail(&self, i: usize) -> Vec<f64> {
-        ((i + 1)..self.len()).map(|j| self.entry(i, j)).collect()
-    }
-
-    /// Assembles the full symmetric matrix from per-row upper-triangle
-    /// tails (as produced by [`Self::row_tail`] for each row in order).
+    /// The correlations at linear indices `range` of the strict upper
+    /// triangle, in order — entry `(i, j)` bit-identical to
+    /// `pearson(&series[i], &series[j])`.
     ///
     /// # Panics
-    /// Panics if the tails do not form a strict upper triangle.
-    pub fn assemble(&self, tails: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        let k = self.len();
-        assert_eq!(tails.len(), k, "wrong row count");
+    /// Panics if `range` reaches past [`Self::pairs`].
+    pub fn upper_triangle(&self, range: Range<usize>) -> Vec<f64> {
+        assert!(range.end <= self.pairs(), "pair index out of range");
+        let pairs = pairs_in(self.series.len(), range);
+        let dots = centered_dots(self.series, &self.means, &pairs);
+        pairs
+            .iter()
+            .zip(dots)
+            .map(|(&(i, j), sxy)| {
+                let (ni, nj) = (self.norms[i], self.norms[j]);
+                if ni == 0.0 || nj == 0.0 {
+                    0.0
+                } else {
+                    (sxy / (ni * nj)).clamp(-1.0, 1.0)
+                }
+            })
+            .collect()
+    }
+
+    /// The full symmetric matrix, unit diagonal, from the whole strict
+    /// upper triangle in order (the concatenation of
+    /// [`Self::upper_triangle`] over ranges tiling `0..pairs()`).
+    ///
+    /// # Panics
+    /// Panics if `upper` is not [`Self::pairs`] long.
+    pub fn assemble(&self, upper: &[f64]) -> Vec<Vec<f64>> {
+        assert_eq!(upper.len(), self.pairs(), "not a whole upper triangle");
+        let k = self.series.len();
         let mut m = vec![vec![0.0; k]; k];
-        for (i, tail) in tails.into_iter().enumerate() {
-            assert_eq!(tail.len(), k - i - 1, "wrong tail length for row {i}");
-            m[i][i] = 1.0;
-            for (j, r) in ((i + 1)..k).zip(tail) {
-                m[i][j] = r;
-                m[j][i] = r;
-            }
+        for (i, row) in m.iter_mut().enumerate() {
+            row[i] = 1.0;
+        }
+        for (&(i, j), &r) in pairs_in(k, 0..upper.len()).iter().zip(upper) {
+            m[i][j] = r;
+            m[j][i] = r;
         }
         m
     }
 }
 
+/// The pairs at linear indices `range` of a `k`-series strict upper
+/// triangle, in row-major order.
+fn pairs_in(k: usize, range: Range<usize>) -> Vec<(usize, usize)> {
+    let (mut i, mut skip) = (0, range.start);
+    while i < k && skip >= k - 1 - i {
+        skip -= k - 1 - i;
+        i += 1;
+    }
+    let mut j = i + 1 + skip;
+    let mut out = Vec::with_capacity(range.len());
+    for _ in range {
+        out.push((i, j));
+        j += 1;
+        if j == k {
+            i += 1;
+            j = i + 1;
+        }
+    }
+    out
+}
+
+/// The matrix kernel: `Σ_t (x_i[t] − m_i)·(x_j[t] − m_j)` for every listed
+/// pair `(i, j)`, in one pass over the samples.
+///
+/// The samples are walked in blocks of [`BLOCK`]. Each block of every
+/// series the pairs read is centred once, and every pair adds its
+/// products into its own [`LANES`] persistent accumulators, [`TILE`]
+/// pairs of a row at a time. Lane `l` of a pair therefore sums the
+/// products at `t ≡ l (mod LANES)` in increasing `t`, exactly as
+/// [`pearson`] does; the lanes combine `(a0+a2)+(a1+a3)` and the last
+/// `n % LANES` products follow serially, also as there. Neither the
+/// blocking, the tiling, nor the other pairs in the list move a bit.
+fn centered_dots(series: &[Vec<f64>], means: &[f64], pairs: &[(usize, usize)]) -> Vec<f64> {
+    const GROUPS: usize = BLOCK / LANES;
+    let n = series.first().map_or(0, Vec::len);
+    let split = n - n % LANES;
+    // One slot of the block buffer per series the pairs read.
+    let mut slot = vec![usize::MAX; series.len()];
+    let mut touched = Vec::new();
+    for &(i, j) in pairs {
+        for s in [i, j] {
+            if slot[s] == usize::MAX {
+                slot[s] = touched.len();
+                touched.push(s);
+            }
+        }
+    }
+    // Runs of at most TILE consecutive pairs sharing a row.
+    let mut tiles: Vec<Range<usize>> = Vec::new();
+    for (p, &(i, _)) in pairs.iter().enumerate() {
+        match tiles.last_mut() {
+            Some(t) if t.len() < TILE && pairs[t.start].0 == i => t.end = p + 1,
+            _ => tiles.push(p..p + 1),
+        }
+    }
+    let mut block = vec![[0.0f64; LANES]; touched.len() * GROUPS];
+    let mut acc = vec![[0.0f64; LANES]; pairs.len()];
+    for start in (0..split).step_by(BLOCK) {
+        let groups = (split - start).min(BLOCK) / LANES;
+        for (q, &s) in touched.iter().enumerate() {
+            let (m, xs) = (means[s], &series[s][start..start + groups * LANES]);
+            for (c, x) in block[q * GROUPS..][..groups]
+                .iter_mut()
+                .zip(xs.chunks_exact(LANES))
+            {
+                for l in 0..LANES {
+                    c[l] = x[l] - m;
+                }
+            }
+        }
+        let centred = |s: usize| &block[slot[s] * GROUPS..][..groups];
+        for t in &tiles {
+            let (ps, a) = (&pairs[t.clone()], &mut acc[t.clone()]);
+            let row = centred(ps[0].0);
+            let col = |w: usize| centred(ps[w].1);
+            match ps.len() {
+                1 => tile::<1>(row, std::array::from_fn(col), a),
+                2 => tile::<2>(row, std::array::from_fn(col), a),
+                3 => tile::<3>(row, std::array::from_fn(col), a),
+                _ => tile::<TILE>(row, std::array::from_fn(col), a),
+            }
+        }
+    }
+    pairs
+        .iter()
+        .zip(&acc)
+        .map(|(&(i, j), a)| {
+            let mut sum = (a[0] + a[2]) + (a[1] + a[3]);
+            for (&x, &y) in series[i][split..].iter().zip(&series[j][split..]) {
+                sum += (x - means[i]) * (y - means[j]);
+            }
+            sum
+        })
+        .collect()
+}
+
+/// Adds one block of `W` pairs that share the centred `row` into their
+/// lane accumulators `acc` (`W` long); `cols` are the pairs' other series.
+#[inline(always)]
+fn tile<const W: usize>(
+    row: &[[f64; LANES]],
+    cols: [&[[f64; LANES]]; W],
+    acc: &mut [[f64; LANES]],
+) {
+    let cols = cols.map(|c| &c[..row.len()]);
+    let mut a: [[f64; LANES]; W] = std::array::from_fn(|w| acc[w]);
+    for (g, x) in row.iter().enumerate() {
+        for w in 0..W {
+            let y = &cols[w][g];
+            for l in 0..LANES {
+                a[w][l] += x[l] * y[l];
+            }
+        }
+    }
+    acc.copy_from_slice(&a);
+}
+
 /// Full correlation matrix across several aligned series — the server ×
 /// server heatmap of Fig. 8.
 ///
-/// Calling [`pearson`] per pair re-derives each series' mean and centered
-/// values once per *pair* — O(k²·n) redundant passes for a 24×24 heatmap.
-/// This centers each series exactly once via [`CenteredMatrix`], leaving
-/// only the irreducible O(k²·n) dot products. Every entry is bit-identical
-/// to the naive pairwise evaluation (asserted by
-/// `matches_naive_pairwise_pearson` below).
+/// Calling [`pearson`] per pair re-derives each series' mean and centred
+/// values once per *pair* and streams two whole series per pair. This is
+/// [`CenteredMatrix`]'s kernel over the whole upper triangle, which reads
+/// every series from memory once; every entry is bit-identical to the
+/// naive pairwise evaluation (asserted by `matches_naive_pairwise_pearson`
+/// below).
 ///
 /// # Panics
 /// Panics if series lengths differ.
 pub fn correlation_matrix(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let c = CenteredMatrix::new(series);
-    if c.is_empty() {
-        return Vec::new();
-    }
-    let tails = (0..c.len()).map(|i| c.row_tail(i)).collect();
-    c.assemble(tails)
+    c.assemble(&c.upper_triangle(0..c.pairs()))
 }
 
 /// Mean of the off-diagonal entries — a scalar "how correlated is this
@@ -323,5 +430,104 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         pearson(&[1.0], &[1.0, 2.0]);
+    }
+
+    /// `k` seeded series of `n` samples: a shared factor at per-series
+    /// weights plus noise, one flat series at index `flat` (the
+    /// zero-variance path) and one on a 1e9 offset (cancellation in the
+    /// centring).
+    fn fixture(k: usize, n: usize, flat: usize) -> Vec<Vec<f64>> {
+        let mut state = 0x243F_6A88_85A3_08D3u64 ^ (k * 10_007 + n) as u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let factor: Vec<f64> = (0..n).map(|_| unit()).collect();
+        let mut out: Vec<Vec<f64>> = (0..k)
+            .map(|_| {
+                let w = 4.0 * unit() - 2.0;
+                factor.iter().map(|&f| w * f + unit()).collect()
+            })
+            .collect();
+        out[(flat + 1) % k] = (0..n).map(|_| 1e9 + unit()).collect();
+        out[flat] = vec![0.375; n];
+        out
+    }
+
+    /// The kernel is `pearson`, bit for bit, at every edge: tile
+    /// remainders (k), lane tails and block boundaries (n), the flat
+    /// series first, in the middle and last.
+    #[test]
+    fn kernel_is_pearson_bit_for_bit_at_every_edge() {
+        for k in [1usize, 2, 3, 4, 5, 8, 9, 31, 32, 33] {
+            for n in [1usize, 3, 4, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3] {
+                for flat in [0, k / 2, k - 1] {
+                    let s = fixture(k, n, flat);
+                    let m = correlation_matrix(&s);
+                    assert_eq!(m.len(), k);
+                    for i in 0..k {
+                        assert_eq!(m[i][i], 1.0);
+                        for j in (i + 1)..k {
+                            let naive = pearson(&s[i], &s[j]);
+                            assert_eq!(
+                                m[i][j].to_bits(),
+                                naive.to_bits(),
+                                "k={k} n={n} flat={flat} ({i},{j}): {} != {naive}",
+                                m[i][j]
+                            );
+                            assert_eq!(m[j][i].to_bits(), naive.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Any partition of the pairs into ranges gives the same entries as
+    /// one range over all of them — what the pooled driver relies on.
+    #[test]
+    fn any_partition_of_the_pairs_gives_the_same_bits() {
+        let s = fixture(9, BLOCK + 7, 4);
+        let c = CenteredMatrix::new(&s);
+        let whole = c.upper_triangle(0..c.pairs());
+        for cut in 0..=c.pairs() {
+            let mut parts = c.upper_triangle(0..cut);
+            parts.extend(c.upper_triangle(cut..c.pairs()));
+            assert!(
+                parts
+                    .iter()
+                    .zip(&whole)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "cut at {cut}"
+            );
+        }
+        for (p, r) in whole.iter().enumerate() {
+            assert_eq!(c.upper_triangle(p..p + 1)[0].to_bits(), r.to_bits());
+        }
+    }
+
+    /// Series of length 0 (the fleet report can truncate its aggregates
+    /// that far) give the identity, with no NaN in it.
+    #[test]
+    fn zero_length_series_give_the_identity() {
+        for k in [1usize, 2, 5] {
+            let m = correlation_matrix(&vec![Vec::new(); k]);
+            assert_eq!(m.len(), k);
+            for (i, row) in m.iter().enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    let want: f64 = if i == j { 1.0 } else { 0.0 };
+                    assert_eq!(v.to_bits(), want.to_bits(), "k={k} ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pair index out of range")]
+    fn ranges_past_the_triangle_panic() {
+        let s = fixture(3, 8, 0);
+        CenteredMatrix::new(&s).upper_triangle(2..4);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Fig. 8's heatmap and the calibration sweep compute k×k correlation
 //! matrices over campaign-length series — the O(k²·n) dot products
-//! dominate. The serial driver in `uburst-analysis` already centers each
-//! series once ([`CenteredMatrix`]); this module fans the **linearized
-//! upper triangle** across the campaign worker pool
-//! ([`crate::pool::run_jobs`]) and stitches the pieces back in submission
-//! order.
+//! dominate. `uburst-analysis` takes each series' mean and norm once
+//! ([`CenteredMatrix`]) and runs one blocked kernel over any contiguous
+//! range of the **linearized upper triangle**; this module fans such
+//! ranges across the campaign worker pool ([`crate::pool::run_jobs`]) and
+//! stitches the pieces back in submission order.
 //!
 //! The unit of work is a contiguous range of pair indices, not a row.
 //! Row-tail jobs are pathologically unbalanced — row 0 carries `k-1`
@@ -14,16 +14,15 @@
 //! matrix while the rest idle. Every pair costs the same `O(n)`, so a
 //! fixed budget of near-equal pair ranges (`PAIR_CHUNKS`, several per
 //! worker at any realistic thread count, to absorb scheduling jitter)
-//! keeps all workers busy to the end and lets `pearson_pooled` throughput
-//! actually scale with `UBURST_THREADS`.
+//! keeps all workers busy to the end.
 //!
-//! Bit-identity at any thread count comes for free from the split:
-//! [`CenteredMatrix::entry`] depends only on `(i, j)` — same float ops in
-//! the same order regardless of which worker evaluates it — and
-//! `run_jobs` returns chunks indexed by submission order, so concatenating
-//! them reproduces the row-major upper triangle exactly as the serial
-//! loop emits it. `UBURST_THREADS=1` runs the chunks inline on the
-//! caller, which *is* the serial code path.
+//! Bit-identity at any thread count comes for free from the split: the
+//! kernel runs each pair's float operations in the same order whatever
+//! other pairs share its range, so any partition of the pairs yields the
+//! same entries, and `run_jobs` returns chunks indexed by submission
+//! order, so concatenating them reproduces the row-major upper triangle
+//! exactly as the serial driver computes it. `UBURST_THREADS=1` runs the
+//! chunks inline on the caller.
 
 use uburst_analysis::CenteredMatrix;
 
@@ -37,25 +36,6 @@ use crate::pool::{run_jobs, run_jobs_on};
 /// straggling chunk is back-filled by idle workers instead of setting
 /// the critical path).
 const PAIR_CHUNKS: usize = 64;
-
-/// Number of upper-triangle pairs of a `k`-series matrix.
-fn n_pairs(k: usize) -> usize {
-    k * (k - 1) / 2
-}
-
-/// The pair at linear index `p` of the row-major upper triangle
-/// (`(0,1), (0,2), …, (0,k-1), (1,2), …`).
-fn pair_at(k: usize, mut p: usize) -> (usize, usize) {
-    let mut i = 0;
-    loop {
-        let row = k - 1 - i;
-        if p < row {
-            return (i, i + 1 + p);
-        }
-        p -= row;
-        i += 1;
-    }
-}
 
 /// Splits `[0, total)` into at most `chunks` non-empty, near-equal,
 /// contiguous ranges.
@@ -76,33 +56,6 @@ fn pair_ranges(total: usize, chunks: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Evaluates the entries for one pair range, in linear-index order.
-fn eval_range(c: &CenteredMatrix, (start, end): (usize, usize)) -> Vec<f64> {
-    let k = c.len();
-    let mut out = Vec::with_capacity(end - start);
-    let (mut i, mut j) = pair_at(k, start);
-    for _ in start..end {
-        out.push(c.entry(i, j));
-        j += 1;
-        if j == k {
-            i += 1;
-            j = i + 1;
-        }
-    }
-    out
-}
-
-/// Rebuilds the full symmetric matrix from the concatenated chunk results
-/// (which are exactly the row-major upper triangle).
-fn stitch(c: &CenteredMatrix, parts: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-    let k = c.len();
-    let mut flat = parts.into_iter().flatten();
-    let tails: Vec<Vec<f64>> = (0..k)
-        .map(|i| flat.by_ref().take(k - 1 - i).collect())
-        .collect();
-    c.assemble(tails)
-}
-
 /// [`uburst_analysis::correlation_matrix`] with the upper triangle fanned
 /// over the worker pool in balanced pair ranges. Bit-identical to the
 /// serial function at any thread count (asserted by
@@ -112,12 +65,9 @@ fn stitch(c: &CenteredMatrix, parts: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
 /// Panics if series lengths differ.
 pub fn correlation_matrix_pooled(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let c = CenteredMatrix::new(series);
-    if c.is_empty() {
-        return Vec::new();
-    }
-    let ranges = pair_ranges(n_pairs(c.len()), PAIR_CHUNKS);
-    let parts = run_jobs(ranges, |r| eval_range(&c, r));
-    stitch(&c, parts)
+    let ranges = pair_ranges(c.pairs(), PAIR_CHUNKS);
+    let parts = run_jobs(ranges, |(s, e)| c.upper_triangle(s..e));
+    c.assemble(&parts.concat())
 }
 
 /// [`correlation_matrix_pooled`] with an explicit thread count (see
@@ -125,49 +75,82 @@ pub fn correlation_matrix_pooled(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
 /// Tests use this to pin both sides of the invariance assertion.
 pub fn correlation_matrix_pooled_on(threads: usize, series: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let c = CenteredMatrix::new(series);
-    if c.is_empty() {
-        return Vec::new();
-    }
-    let ranges = pair_ranges(n_pairs(c.len()), PAIR_CHUNKS);
-    let parts = run_jobs_on(threads, ranges, |r| eval_range(&c, r));
-    stitch(&c, parts)
+    let ranges = pair_ranges(c.pairs(), PAIR_CHUNKS);
+    let parts = run_jobs_on(threads, ranges, |(s, e)| c.upper_triangle(s..e));
+    c.assemble(&parts.concat())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uburst_analysis::correlation_matrix;
+    use uburst_analysis::{correlation_matrix, pearson};
 
-    fn series(k: usize, n: usize) -> Vec<Vec<f64>> {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    /// `k` seeded series of `n` samples: a shared factor at per-series
+    /// weights plus noise, one flat series at index `flat` (the
+    /// zero-variance path) and one on a 1e9 offset (cancellation in the
+    /// centring). The same shapes the analysis crate's kernel test uses.
+    fn fixture(k: usize, n: usize, flat: usize) -> Vec<Vec<f64>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (k * 10_007 + n) as u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let factor: Vec<f64> = (0..n).map(|_| unit()).collect();
         let mut out: Vec<Vec<f64>> = (0..k)
             .map(|_| {
-                (0..n)
-                    .map(|_| {
-                        state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        (state >> 11) as f64 / (1u64 << 53) as f64
-                    })
-                    .collect()
+                let w = 4.0 * unit() - 2.0;
+                factor.iter().map(|&f| w * f + unit()).collect()
             })
             .collect();
-        // A flat series exercises the zero-variance path.
-        out[k / 2] = vec![0.25; n];
+        out[(flat + 1) % k] = (0..n).map(|_| 1e9 + unit()).collect();
+        out[flat] = vec![0.25; n];
         out
     }
 
+    /// Every `(k, n)` of the kernel's edge cases — tile remainders, lane
+    /// tails and the analysis kernel's 128-sample block boundaries — with
+    /// the flat series first, in the middle and last.
+    fn fixtures() -> impl Iterator<Item = Vec<Vec<f64>>> {
+        [1usize, 2, 3, 4, 5, 8, 9, 31, 32, 33]
+            .into_iter()
+            .flat_map(|k| {
+                [1usize, 3, 4, 5, 127, 128, 129, 259]
+                    .into_iter()
+                    .flat_map(move |n| [0, k / 2, k - 1].map(|flat| fixture(k, n, flat)))
+            })
+    }
+
+    fn assert_bit_identical(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: size");
+        for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
+            for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry ({i},{j})");
+            }
+        }
+    }
+
+    /// Single-pair ranges walk the row-major upper triangle: range
+    /// `p..p+1` is the `p`-th pair `(0,1), (0,2), …, (1,2), …`.
     #[test]
     fn pair_indexing_walks_the_upper_triangle() {
         for k in [2usize, 3, 5, 9, 24] {
+            let s = fixture(k, 37, k / 2);
+            let c = CenteredMatrix::new(&s);
             let mut p = 0;
             for i in 0..k {
                 for j in (i + 1)..k {
-                    assert_eq!(pair_at(k, p), (i, j), "k={k} p={p}");
+                    let got = c.upper_triangle(p..p + 1);
+                    assert_eq!(
+                        got[0].to_bits(),
+                        pearson(&s[i], &s[j]).to_bits(),
+                        "k={k} p={p} ({i},{j})"
+                    );
                     p += 1;
                 }
             }
-            assert_eq!(p, n_pairs(k));
+            assert_eq!(p, c.pairs());
         }
     }
 
@@ -191,22 +174,15 @@ mod tests {
     }
 
     /// The pooled matrix must match the serial one to the bit for every
-    /// thread count — the report strings rendered from it depend on it.
+    /// thread count and every edge-case fixture — the report strings
+    /// rendered from it depend on it.
     #[test]
     fn pooled_matrix_is_thread_count_invariant() {
-        let s = series(9, 401);
-        let serial = correlation_matrix(&s);
-        for threads in [1, 2, 4, 8] {
-            let pooled = correlation_matrix_pooled_on(threads, &s);
-            assert_eq!(pooled.len(), serial.len());
-            for (i, (pr, sr)) in pooled.iter().zip(&serial).enumerate() {
-                for (j, (p, r)) in pr.iter().zip(sr).enumerate() {
-                    assert_eq!(
-                        p.to_bits(),
-                        r.to_bits(),
-                        "entry ({i},{j}) differs at {threads} threads"
-                    );
-                }
+        for s in fixtures() {
+            let serial = correlation_matrix(&s);
+            for threads in [1, 2, 4, 8] {
+                let what = format!("k={} n={} threads={threads}", s.len(), s[0].len());
+                assert_bit_identical(&correlation_matrix_pooled_on(threads, &s), &serial, &what);
             }
         }
     }
@@ -216,7 +192,7 @@ mod tests {
     #[test]
     fn tiny_matrices_survive_chunk_clamping() {
         for k in [1usize, 2, 3, 4] {
-            let s = series(k.max(1), 37);
+            let s = fixture(k, 37, 0);
             let serial = correlation_matrix(&s);
             for threads in [1, 4, 16] {
                 assert_eq!(correlation_matrix_pooled_on(threads, &s), serial, "k={k}");
@@ -226,7 +202,7 @@ mod tests {
 
     #[test]
     fn pooled_matrix_uses_the_global_pool() {
-        let s = series(5, 101);
+        let s = fixture(5, 101, 2);
         assert_eq!(correlation_matrix_pooled(&s), correlation_matrix(&s));
         assert!(correlation_matrix_pooled(&[]).is_empty());
     }

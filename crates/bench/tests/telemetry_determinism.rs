@@ -12,13 +12,16 @@
 //! 3. A WAL session that crashes, recovers, and resumes produces the same
 //!    snapshot every time the same crash is replayed.
 //!
+//! A pooled Pearson matrix, likewise, counts the same 64 jobs on any
+//! number of threads.
+//!
 //! The registry is a process-global, so the tests serialize on one lock
 //! and reset it around each measurement.
 
 use std::sync::Mutex;
 
 use uburst_asic::{CounterId, FaultPlan};
-use uburst_bench::{run_jobs_on, run_parallel_on, CampaignSpec};
+use uburst_bench::{correlation_matrix_pooled_on, run_jobs_on, run_parallel_on, CampaignSpec};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
     Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipper, ShipperConfig, SourceId,
@@ -134,6 +137,30 @@ fn fused_snapshot_equals_the_unfused_loop() {
         assert_eq!(
             fused, unfused,
             "fused snapshot on {threads} thread(s) differs from the solo loop's"
+        );
+    }
+}
+
+/// A pooled Pearson matrix submits its fixed budget of 64 pair-range
+/// jobs whatever the thread count, so `uburst_pool_jobs_total` stays a
+/// function of the work.
+#[test]
+fn pooled_pearson_submits_64_jobs_at_any_thread_count() {
+    let series: Vec<Vec<f64>> = (0..32u32)
+        .map(|i| {
+            (0..300u32)
+                .map(|t| f64::from((i * 7 + t * 13) % 29))
+                .collect()
+        })
+        .collect();
+    for threads in [1, 2, 8] {
+        let prom = with_registry(|| {
+            correlation_matrix_pooled_on(threads, &series);
+            uburst_obs::snapshot().to_prometheus()
+        });
+        assert!(
+            prom.contains("uburst_pool_jobs_total 64\n"),
+            "{threads} thread(s):\n{prom}"
         );
     }
 }
