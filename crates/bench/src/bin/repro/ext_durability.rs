@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use uburst_bench::report::{verdict, Table};
 use uburst_core::{
-    AckMsg, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, MemStorage, SeqBatch, SourceId,
+    AckMsg, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, MemStorage, Shipment, SourceId,
     TornStorage, WalConfig, WalError, WalStorage, Workload,
 };
 
@@ -51,7 +51,7 @@ fn wal_config() -> WalConfig {
 fn receiver<'a, S: WalStorage>(
     ds: &'a mut DurableStore<S>,
     acked: &'a mut BTreeMap<SourceId, u64>,
-) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
     move |window, acks| {
         for sb in &window {
             let (_, ack) = ds.ingest(sb)?;

@@ -24,8 +24,8 @@ use uburst_asic::{CounterId, FaultPlan};
 use uburst_bench::{correlation_matrix_pooled_on, run_jobs_on, run_parallel_on, CampaignSpec};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
-    Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipper, ShipperConfig, SourceId,
-    TornStorage, WalConfig,
+    Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipment, Shipper, ShipperConfig,
+    SourceId, TornStorage, WalConfig,
 };
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
@@ -203,8 +203,10 @@ fn crash_and_resume(budget: u64) -> String {
     // Direct shipper -> store loop (no lossy link: the crash is the only
     // fault under test). Returns whether the storage crashed.
     fn drive<S: WalStorage>(ds: &mut DurableStore<S>, shipper: &mut Shipper) -> bool {
+        let mut tx: Vec<Shipment> = Vec::new();
         for _tick in 0..10_000 {
-            for sb in shipper.tick() {
+            shipper.tick_into(&mut tx);
+            for sb in tx.drain(..) {
                 match ds.ingest(&sb) {
                     Ok((_, ack)) => shipper.on_ack(ack),
                     Err(e) => {

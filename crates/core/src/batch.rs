@@ -11,7 +11,7 @@ use std::sync::Arc;
 use uburst_asic::CounterId;
 use uburst_sim::time::Nanos;
 
-use crate::series::Series;
+use crate::series::{note_nonmonotonic, Series};
 
 /// Identifies one measured switch within a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,6 +28,14 @@ pub struct Batch {
     pub counter: CounterId,
     /// The samples themselves.
     pub samples: Series,
+}
+
+/// The owned batch behind a shared handle: moved out when the handle is
+/// the last one, deep-copied otherwise.
+impl From<Arc<Batch>> for Batch {
+    fn from(shared: Arc<Batch>) -> Batch {
+        Arc::unwrap_or_clone(shared)
+    }
 }
 
 /// Batching policy.
@@ -57,6 +65,9 @@ pub struct Batcher {
     policy: BatchPolicy,
     bufs: Vec<Series>,
     oldest: Option<Nanos>,
+    /// Time of the last poll accepted, kept across cuts: the buffers'
+    /// own tails are gone after a flush.
+    last: Option<Nanos>,
     /// Batches produced so far (diagnostics).
     pub batches_cut: u64,
 }
@@ -79,14 +90,26 @@ impl Batcher {
             policy,
             bufs,
             oldest: None,
+            last: None,
             batches_cut: 0,
         }
     }
 
     /// Adds one poll's values (aligned with the campaign's counter list).
     /// Returns batches to ship, if the policy triggered a flush.
+    ///
+    /// A poll at or before the last accepted one is skipped and counted
+    /// in `uburst_series_nonmonotonic_total`, one per value, as
+    /// [`Series::push`] skips a sample — also when a cut fell in between,
+    /// where the buffers' tails could no longer catch it and the store
+    /// would quarantine or misorder the next batch.
     pub fn record(&mut self, t: Nanos, values: &[u64]) -> Vec<Batch> {
         assert_eq!(values.len(), self.counters.len(), "schema mismatch");
+        if self.last.is_some_and(|last| t <= last) {
+            note_nonmonotonic(values.len() as u64);
+            return Vec::new();
+        }
+        self.last = Some(t);
         for (buf, &v) in self.bufs.iter_mut().zip(values) {
             buf.push(t, v);
         }
@@ -128,6 +151,8 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ship::SeqBatch;
+    use crate::store::{SampleStore, SeqIngest};
     use uburst_sim::node::PortId;
 
     fn counters() -> Vec<CounterId> {
@@ -183,6 +208,71 @@ mod tests {
         assert_eq!(out[0].samples.len(), 2);
         assert!(b.flush().is_empty(), "second flush is empty");
         assert_eq!(b.batches_cut, 2);
+    }
+
+    /// Cuts one counter's `polls` two samples at a time and ingests every
+    /// batch, in order, into a sequenced store; returns the stored series.
+    fn stored_in_pairs(polls: &[(u64, u64)]) -> Series {
+        let counter = CounterId::TxBytes(PortId(0));
+        let policy = BatchPolicy {
+            max_samples: 2,
+            max_age: Nanos::from_secs(10),
+        };
+        let mut b = Batcher::new(SourceId(1), "c", vec![counter], policy);
+        let mut cut: Vec<Batch> = polls
+            .iter()
+            .flat_map(|&(t, v)| b.record(Nanos(t), &[v]))
+            .collect();
+        cut.extend(b.flush());
+        let store = SampleStore::new();
+        for (seq, batch) in (0u64..).zip(cut) {
+            let sb = SeqBatch {
+                seq,
+                watermark: seq + 1,
+                batch,
+            };
+            assert_eq!(store.ingest_seq(&sb), Ok(SeqIngest::Stored), "seq {seq}");
+        }
+        store.series(SourceId(1), counter).expect("stored")
+    }
+
+    #[test]
+    fn a_repeat_after_a_cut_is_skipped_not_a_quarantined_batch() {
+        // (20, 250) repeats the last poll of the first batch: the sample at
+        // t = 30 must not be lost with a whole quarantined batch.
+        let s = stored_in_pairs(&[
+            (10, 100),
+            (20, 200),
+            (20, 250),
+            (30, 300),
+            (40, 400),
+            (50, 500),
+        ]);
+        assert_eq!(s.ts, vec![10, 20, 30, 40, 50]);
+        assert_eq!(s.vs, vec![100, 200, 300, 400, 500]);
+    }
+
+    #[test]
+    fn a_step_back_after_a_cut_cannot_make_a_counter_go_down() {
+        // (15, 250) would have merged in before t = 20 and read 100, 250,
+        // 200: a byte counter running backwards.
+        let s = stored_in_pairs(&[
+            (10, 100),
+            (20, 200),
+            (15, 250),
+            (30, 300),
+            (40, 400),
+            (50, 500),
+        ]);
+        assert_eq!(s.ts, vec![10, 20, 30, 40, 50]);
+        assert_eq!(s.vs, vec![100, 200, 300, 400, 500]);
+    }
+
+    #[test]
+    fn a_repeat_inside_a_batch_is_skipped_as_before() {
+        let s = stored_in_pairs(&[(10, 100), (10, 150), (20, 200), (30, 300)]);
+        assert_eq!(s.ts, vec![10, 20, 30]);
+        assert_eq!(s.vs, vec![100, 200, 300]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use super::FleetConfig;
 use crate::batch::SourceId;
 use crate::errors::WalError;
 use crate::failpoint::TornStorage;
-use crate::ship::{AckMsg, GapLedger, SeqBatch};
+use crate::ship::{AckMsg, GapLedger, Shipment};
 use crate::store::{SampleStore, SeqIngest};
 use crate::wal::{DurableReceiver, MemStorage, WalConfig};
 
@@ -96,10 +96,11 @@ pub(super) struct Region {
     /// The live receiver; `None` while the region is down.
     ds: Option<DurableReceiver<TornStorage<MemStorage>, GapLedger>>,
     /// Records stored this round, awaiting the end-of-round push to the
-    /// global tier. In-memory state: a crash loses it — which is exactly
-    /// why recovery must replay the WAL (acked records can exist nowhere
-    /// but the dead region's log).
-    pending: Vec<SeqBatch>,
+    /// global tier: the very handles that arrived, which share their
+    /// samples with the shippers' windows. In-memory state: a crash loses
+    /// it — which is exactly why recovery must replay the WAL (acked
+    /// records can exist nowhere but the dead region's log).
+    pending: Vec<Shipment>,
     /// One window's ingest results, reused across windows: no per-tick
     /// allocation once the fleet warms up.
     ingested: Vec<(SeqIngest, AckMsg)>,
@@ -171,14 +172,15 @@ impl Region {
     /// is one WAL commit window: `ingest_group` coalesces it into a single
     /// physical write (and at most one sync) while issuing per-frame acks
     /// identical to per-record ingest. Stored records queue in `pending`
-    /// and reach the global tier at [`Region::forward`] — so a mid-round
-    /// crash leaves records that were acked to switches but exist nowhere
-    /// except this region's WAL, and [`Region::recover`] is what keeps the
-    /// no-acked-loss promise. A window addressed to a dead aggregator is
-    /// lost on the wire; the shipper's RTO re-sends it later.
+    /// (the same handles: the samples are framed into the log, not copied
+    /// into the queue) and reach the global tier at [`Region::forward`] —
+    /// so a mid-round crash leaves records that were acked to switches but
+    /// exist nowhere except this region's WAL, and [`Region::recover`] is
+    /// what keeps the no-acked-loss promise. A window addressed to a dead
+    /// aggregator is lost on the wire; the shipper's RTO re-sends it later.
     pub(super) fn receive(
         &mut self,
-        window: Vec<SeqBatch>,
+        window: Vec<Shipment>,
         acks: &mut Vec<AckMsg>,
     ) -> Result<(), WalError> {
         let Some(ds) = self.ds.as_mut() else {

@@ -91,7 +91,7 @@ pub use output::{ChannelSink, MemorySink, SampleOutput, ShipPolicy};
 pub use poller::{Poller, PollerStats, RetryPolicy};
 pub use series::{RateSample, Series, UtilSample, WrapDecoder};
 pub use session::{Session, Workload};
-pub use ship::{AckMsg, GapLedger, SeqBatch, Shipper, ShipperConfig, ShipperStats};
+pub use ship::{AckMsg, GapLedger, SeqBatch, Shipment, Shipper, ShipperConfig, ShipperStats};
 pub use spec::{CampaignConfig, CoreMode};
 pub use store::{
     counter_label, parse_counter_label, GatePolicy, QuarantineReason, SampleStore, SeqIngest,

@@ -28,6 +28,8 @@
 //! An append-only file can only be damaged at its end (a torn write at
 //! crash), so stopping at the first bad frame never abandons good data.
 
+use std::borrow::Borrow;
+
 use crate::batch::{Batch, SourceId};
 use crate::series::Series;
 use crate::ship::SeqBatch;
@@ -168,18 +170,19 @@ fn put_counter_label(out: &mut Vec<u8>, c: CounterId) {
 }
 
 /// Serializes one sequenced batch's record payload onto the end of `out`.
-fn encode_record_into(sb: &SeqBatch, out: &mut Vec<u8>) {
-    let n = sb.batch.samples.len();
+fn encode_record_into<B: Borrow<Batch>>(sb: &SeqBatch<B>, out: &mut Vec<u8>) {
+    let batch = sb.payload();
+    let n = batch.samples.len();
     out.extend_from_slice(&sb.seq.to_le_bytes());
     out.extend_from_slice(&sb.watermark.to_le_bytes());
-    out.extend_from_slice(&sb.batch.source.0.to_le_bytes());
-    put_str(out, &sb.batch.campaign);
-    put_counter_label(out, sb.batch.counter);
+    out.extend_from_slice(&batch.source.0.to_le_bytes());
+    put_str(out, &batch.campaign);
+    put_counter_label(out, batch.counter);
     out.extend_from_slice(&(n as u32).to_le_bytes());
-    for &t in &sb.batch.samples.ts {
+    for &t in &batch.samples.ts {
         out.extend_from_slice(&t.to_le_bytes());
     }
-    for &v in &sb.batch.samples.vs {
+    for &v in &batch.samples.vs {
         out.extend_from_slice(&v.to_le_bytes());
     }
 }
@@ -187,8 +190,9 @@ fn encode_record_into(sb: &SeqBatch, out: &mut Vec<u8>) {
 /// Appends the complete framed record for `sb` — length, CRC, payload —
 /// onto `out` without intermediate allocations. The length and CRC are
 /// patched in after the payload is encoded in place, so the group-commit
-/// WAL path encodes a whole window into one buffer.
-pub fn frame_record_into(sb: &SeqBatch, out: &mut Vec<u8>) -> usize {
+/// WAL path encodes a whole window into one buffer. The bytes depend only
+/// on the batch, not on whether `sb` owns it or shares it.
+pub fn frame_record_into<B: Borrow<Batch>>(sb: &SeqBatch<B>, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_OVERHEAD]);
     encode_record_into(sb, out);

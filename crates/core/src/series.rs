@@ -46,7 +46,7 @@ impl RateSample {
 /// costs [`Series::push`] nothing but a predicted-not-taken compare.
 #[cold]
 #[inline(never)]
-fn note_nonmonotonic(n: u64) {
+pub(crate) fn note_nonmonotonic(n: u64) {
     uburst_obs::counter_add("uburst_series_nonmonotonic_total", n);
 }
 

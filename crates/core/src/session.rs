@@ -16,7 +16,8 @@
 //! report line downstream:
 //!
 //! 1. each shipper, in session order, ticks and its burst goes on the
-//!    data link;
+//!    data link — as [`Shipment`]s, so a retransmission or a link
+//!    duplicate shares the shipper's batch rather than copying it;
 //! 2. the data link ticks and the receiver gets the whole delivery window
 //!    (possibly empty — a receiver with a periodic flush still runs) and
 //!    pushes the acks it issues, in issue order;
@@ -39,7 +40,7 @@ use crate::batch::{Batch, SourceId};
 use crate::errors::ShipError;
 use crate::link::{LinkPlan, LossyLink};
 use crate::series::Series;
-use crate::ship::{AckMsg, SeqBatch, Shipper, ShipperConfig};
+use crate::ship::{AckMsg, Shipment, Shipper, ShipperConfig};
 
 /// Ticks after which [`Session::run`] calls a session livelocked: every
 /// batch retransmits within the RTO and a link drains within its maximum
@@ -51,10 +52,10 @@ const LIVELOCK_TICKS: u64 = 100_000;
 #[derive(Debug)]
 pub struct Session {
     shippers: Vec<Shipper>,
-    data: LossyLink<SeqBatch>,
+    data: LossyLink<Shipment>,
     acks: LossyLink<AckMsg>,
     /// One shipper's transmit burst, reused across shippers and ticks.
-    tx: Vec<SeqBatch>,
+    tx: Vec<Shipment>,
     /// The acks the receiver issued this tick, reused across ticks.
     issued: Vec<AckMsg>,
 }
@@ -122,7 +123,7 @@ impl Session {
     /// for what an `Err` does.
     pub fn tick<E>(
         &mut self,
-        receive: impl FnOnce(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), E>,
+        receive: impl FnOnce(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), E>,
     ) -> Result<(), E> {
         for shipper in &mut self.shippers {
             shipper.tick_into(&mut self.tx);
@@ -150,7 +151,7 @@ impl Session {
     /// Panics if the session has not drained after 100 000 ticks.
     pub fn run<E>(
         &mut self,
-        mut receive: impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), E>,
+        mut receive: impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), E>,
     ) -> Result<u64, E> {
         for tick in 1..=LIVELOCK_TICKS {
             self.tick(&mut receive)?;
@@ -227,7 +228,7 @@ mod tests {
     /// A go-back-N receiver over a bare store: acks the contiguous prefix.
     fn receive(
         store: &SampleStore,
-    ) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), &'static str> + '_ {
+    ) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), &'static str> + '_ {
         move |window, acks| {
             for sb in &window {
                 let source = sb.batch.source;
@@ -261,6 +262,41 @@ mod tests {
             WORK.session(LinkPlan::HOSTILE, 7).run(receive(&again)),
             Ok(ticks)
         );
+    }
+
+    /// Every transmission, retransmission and link duplicate of a batch is
+    /// the shipper's one allocation, and nothing holds it after its ack.
+    #[test]
+    fn a_batch_is_one_allocation_on_the_wire_and_freed_after_its_ack() {
+        use std::collections::BTreeMap;
+        use std::sync::{Arc, Weak};
+        let store = SampleStore::new();
+        let mut session = WORK.session(LinkPlan::HOSTILE, 7);
+        let mut seen: BTreeMap<(SourceId, u64), (Weak<Batch>, u32)> = BTreeMap::new();
+        let mut inner = receive(&store);
+        session
+            .run(|window, acks| {
+                for sb in &window {
+                    let (first, deliveries) = seen
+                        .entry((sb.batch.source, sb.seq))
+                        .or_insert_with(|| (Arc::downgrade(&sb.batch), 0));
+                    let first = first.upgrade().expect("a batch on the wire is alive");
+                    assert!(Arc::ptr_eq(&first, &sb.batch), "seq {} was copied", sb.seq);
+                    *deliveries += 1;
+                }
+                inner(window, acks)
+            })
+            .unwrap();
+        assert!(session.shippers().iter().all(|s| s.stats().retransmits > 0));
+        assert!(session.data.stats().duplicated > 0);
+        assert_eq!(seen.len() as u64, u64::from(WORK.sources) * WORK.batches);
+        assert!(seen.values().any(|&(_, deliveries)| deliveries > 2));
+        for ((source, seq), (batch, _)) in &seen {
+            assert!(
+                batch.upgrade().is_none(),
+                "{source:?} seq {seq} outlived its ack"
+            );
+        }
     }
 
     #[test]

@@ -17,16 +17,26 @@
 //! the source's transmit **watermark** (how many sequence numbers the
 //! source has assigned so far), so a receiver that sees batch 7 with
 //! watermark 9 knows batches 8 and 9 exist even if they never arrive.
+//!
+//! On the wire a batch travels as a [`Shipment`]: the shipper's window,
+//! every (re)transmission, every link duplicate and the receiver's queue
+//! share one `Arc<Batch>`, so a retransmission costs a refcount, not a copy
+//! of the samples. Records decoded from a log carry an owned [`Batch`].
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::batch::{Batch, SourceId};
 use crate::errors::ShipError;
 
-/// A [`Batch`] wrapped with its transport identity.
+/// A batch wrapped with its transport identity. `B` is how the samples
+/// are held: an owned [`Batch`] (a record read back from a log), or the
+/// shipper's shared `Arc<Batch>` (a [`Shipment`] on the live path).
+/// Every consumer takes either, through `B: Borrow<Batch>`.
 #[derive(Debug, Clone)]
-pub struct SeqBatch {
+pub struct SeqBatch<B = Batch> {
     /// Per-source sequence number, assigned at first transmission,
     /// starting at 0 and dense (no holes at the sender).
     pub seq: u64,
@@ -35,7 +45,18 @@ pub struct SeqBatch {
     /// in-flight batches they have not seen from this watermark.
     pub watermark: u64,
     /// The samples.
-    pub batch: Batch,
+    pub batch: B,
+}
+
+/// A transmission on the live path: it shares its samples with the
+/// shipper's window instead of copying them.
+pub type Shipment = SeqBatch<Arc<Batch>>;
+
+impl<B: Borrow<Batch>> SeqBatch<B> {
+    /// The samples, whichever handle carries them.
+    pub(crate) fn payload(&self) -> &Batch {
+        self.batch.borrow()
+    }
 }
 
 /// A cumulative acknowledgement from the collector tier: every sequence
@@ -91,7 +112,7 @@ pub struct ShipperStats {
 /// The sending half of the sequenced shipping protocol for one source.
 ///
 /// Driven by an external clock: callers [`Shipper::offer`] batches as they
-/// are cut, then call [`Shipper::tick`] once per transport round trip to
+/// are cut, then call [`Shipper::tick_into`] once per transport round trip to
 /// collect the messages to put on the wire (new transmissions, plus a
 /// go-back-N retransmission of the whole window when no ack progress was
 /// made for [`ShipperConfig::rto_ticks`] ticks). Acks arrive through
@@ -105,8 +126,10 @@ pub struct Shipper {
     cfg: ShipperConfig,
     next_seq: u64,
     cum_acked: u64,
-    /// Transmitted but unacknowledged, in sequence order.
-    window: VecDeque<(u64, Batch)>,
+    /// Transmitted but unacknowledged, in sequence order. Each batch is
+    /// wrapped once, when it enters the window; every transmission of it
+    /// shares this handle.
+    window: VecDeque<(u64, Arc<Batch>)>,
     /// Offered but not yet transmitted (window was full).
     backlog: VecDeque<Batch>,
     ticks_since_progress: u32,
@@ -215,20 +238,16 @@ impl Shipper {
         }
     }
 
-    /// Advances the shipper's clock by one tick and returns the messages to
-    /// transmit: backlog admitted into the window (first transmissions) and,
-    /// on an ack timeout, a go-back-N retransmission of the whole window.
-    pub fn tick(&mut self) -> Vec<SeqBatch> {
-        let mut out = Vec::new();
-        self.tick_into(&mut out);
-        out
-    }
-
-    /// [`Shipper::tick`] writing into a caller-owned buffer (cleared
-    /// first), so per-tick pump loops can recycle one allocation across a
-    /// whole campaign instead of allocating a fresh `Vec` per lane per
-    /// tick.
-    pub fn tick_into(&mut self, out: &mut Vec<SeqBatch>) {
+    /// Advances the shipper's clock by one tick and writes the messages to
+    /// transmit into `out` (cleared first): backlog admitted into the window
+    /// (first transmissions) and, on an ack timeout, a go-back-N
+    /// retransmission of the whole window. The buffer is the caller's, so a
+    /// pump loop recycles one allocation across a whole campaign.
+    ///
+    /// `B` is the handle each message carries: a [`Shipment`] shares the
+    /// window's batch (a refcount bump), an owned [`Batch`] is a deep copy
+    /// of it.
+    pub fn tick_into<B: From<Arc<Batch>>>(&mut self, out: &mut Vec<SeqBatch<B>>) {
         let recycled_cap = out.capacity();
         out.clear();
         // Everything admitted below is a first transmission of this tick.
@@ -240,13 +259,14 @@ impl Shipper {
             };
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.window.push_back((seq, batch.clone()));
+            let batch = Arc::new(batch);
+            self.window.push_back((seq, Arc::clone(&batch)));
             self.stats.transmissions += 1;
             uburst_obs::counter_add!("uburst_ship_transmissions_total", 1);
             out.push(SeqBatch {
                 seq,
                 watermark: self.next_seq,
-                batch,
+                batch: B::from(batch),
             });
         }
         uburst_obs::gauge_max!("uburst_ship_window_peak", self.window.len() as u64);
@@ -265,7 +285,7 @@ impl Shipper {
                     out.push(SeqBatch {
                         seq: *seq,
                         watermark: self.next_seq,
-                        batch: batch.clone(),
+                        batch: B::from(Arc::clone(batch)),
                     });
                 }
             }
@@ -500,13 +520,20 @@ mod tests {
         }
     }
 
+    /// One tick's transmissions in a fresh buffer.
+    fn tick(sh: &mut Shipper) -> Vec<Shipment> {
+        let mut out = Vec::new();
+        sh.tick_into(&mut out);
+        out
+    }
+
     #[test]
     fn shipper_assigns_dense_seqs_and_watermarks() {
         let mut sh = Shipper::new(SourceId(0), ShipperConfig::default());
         for t in 1..=3 {
             sh.offer(batch(t)).unwrap();
         }
-        let out = sh.tick();
+        let out = tick(&mut sh);
         assert_eq!(out.len(), 3);
         for (i, sb) in out.iter().enumerate() {
             assert_eq!(sb.seq, i as u64);
@@ -523,6 +550,48 @@ mod tests {
         assert_eq!(sh.stats().retransmits, 0);
     }
 
+    /// What one tick put on the wire, whichever handle carries the samples.
+    fn wire<B: Borrow<Batch>>(out: &[SeqBatch<B>]) -> Vec<(u64, u64, String)> {
+        out.iter()
+            .map(|sb| (sb.seq, sb.watermark, format!("{:?}", sb.payload())))
+            .collect()
+    }
+
+    #[test]
+    fn owned_and_shared_ticks_put_the_same_messages_on_the_wire() {
+        let cfg = ShipperConfig {
+            window: 4,
+            rto_ticks: 2,
+            max_outstanding: 16,
+        };
+        let mut owned = Shipper::new(SourceId(0), cfg);
+        let mut shared = Shipper::new(SourceId(0), cfg);
+        let mut owned_out: Vec<SeqBatch<Batch>> = Vec::new();
+        let mut shared_out: Vec<Shipment> = Vec::new();
+        for step in 0..40u64 {
+            if step % 3 == 0 {
+                for sh in [&mut owned, &mut shared] {
+                    sh.offer(batch(step + 1)).unwrap();
+                }
+            }
+            owned.tick_into(&mut owned_out);
+            shared.tick_into(&mut shared_out);
+            assert_eq!(wire(&owned_out), wire(&shared_out), "step {step}");
+            // Acks lag two batches behind, and come only every fifth tick:
+            // the timeout fires in between.
+            if step % 5 == 4 {
+                let ack = AckMsg {
+                    source: SourceId(0),
+                    cum: owned.next_seq().saturating_sub(2),
+                };
+                owned.on_ack(ack);
+                shared.on_ack(ack);
+            }
+        }
+        assert_eq!(owned.stats(), shared.stats());
+        assert!(owned.stats().transmissions > 10 && owned.stats().retransmits > 10);
+    }
+
     #[test]
     fn shipper_window_limits_inflight() {
         let mut sh = Shipper::new(
@@ -536,13 +605,13 @@ mod tests {
         for t in 1..=5 {
             sh.offer(batch(t)).unwrap();
         }
-        assert_eq!(sh.tick().len(), 2);
-        assert_eq!(sh.tick().len(), 0, "window full, nothing new");
+        assert_eq!(tick(&mut sh).len(), 2);
+        assert_eq!(tick(&mut sh).len(), 0, "window full, nothing new");
         sh.on_ack(AckMsg {
             source: SourceId(0),
             cum: 1,
         });
-        assert_eq!(sh.tick().len(), 1, "one slot freed");
+        assert_eq!(tick(&mut sh).len(), 1, "one slot freed");
     }
 
     #[test]
@@ -557,9 +626,9 @@ mod tests {
         );
         sh.offer(batch(1)).unwrap();
         sh.offer(batch(2)).unwrap();
-        assert_eq!(sh.tick().len(), 2); // first transmissions
-        assert_eq!(sh.tick().len(), 0);
-        let r = sh.tick(); // third tick without progress: RTO fires
+        assert_eq!(tick(&mut sh).len(), 2); // first transmissions
+        assert_eq!(tick(&mut sh).len(), 0);
+        let r = tick(&mut sh); // third tick without progress: RTO fires
         assert_eq!(r.len(), 2, "whole window retransmitted");
         assert_eq!(r[0].seq, 0);
         assert_eq!(sh.stats().retransmits, 2);
@@ -568,9 +637,9 @@ mod tests {
             source: SourceId(0),
             cum: 1,
         });
-        assert_eq!(sh.tick().len(), 0);
-        assert_eq!(sh.tick().len(), 0);
-        assert_eq!(sh.tick().len(), 1, "remaining batch retransmitted");
+        assert_eq!(tick(&mut sh).len(), 0);
+        assert_eq!(tick(&mut sh).len(), 0);
+        assert_eq!(tick(&mut sh).len(), 1, "remaining batch retransmitted");
     }
 
     #[test]
@@ -585,12 +654,12 @@ mod tests {
         );
         sh.offer(batch(1)).unwrap();
         sh.offer(batch(2)).unwrap();
-        assert_eq!(sh.tick().len(), 2);
+        assert_eq!(tick(&mut sh).len(), 2);
         // The RTO fires on the tick that also admits seqs 2 and 3: they go
         // out once, ahead of the retransmission of the old window.
         sh.offer(batch(3)).unwrap();
         sh.offer(batch(4)).unwrap();
-        let out = sh.tick();
+        let out = tick(&mut sh);
         let seqs: Vec<u64> = out.iter().map(|sb| sb.seq).collect();
         assert_eq!(seqs, vec![2, 3, 0, 1]);
         assert!(out.iter().all(|sb| sb.watermark == 4));
@@ -604,7 +673,7 @@ mod tests {
         for t in 1..=4 {
             sh.offer(batch(t)).unwrap();
         }
-        sh.tick();
+        tick(&mut sh);
         sh.on_ack(AckMsg {
             source: SourceId(3),
             cum: 3,
@@ -684,7 +753,7 @@ mod tests {
         assert_eq!(sh.outstanding(), 4, "refused batch was not buffered");
         assert_eq!(sh.stats().refused, 1);
         // Ticking transmits but frees nothing (window 2, backlog 2).
-        sh.tick();
+        tick(&mut sh);
         assert!(sh.offer(batch(6)).is_err());
         // Ack progress frees outstanding slots and offers flow again.
         sh.on_ack(AckMsg {
@@ -710,7 +779,7 @@ mod tests {
             if sh.offer(batch(t)).is_err() {
                 refused += 1;
             }
-            sh.tick();
+            tick(&mut sh);
             assert!(sh.outstanding() <= cfg.max_outstanding);
         }
         assert_eq!(sh.outstanding(), 32);
@@ -723,7 +792,7 @@ mod tests {
         let mut sh = Shipper::new(SourceId(2), ShipperConfig::default());
         sh.offer(batch(1)).unwrap();
         sh.offer(batch(2)).unwrap();
-        sh.tick(); // assigns seqs 0 and 1; watermark 2
+        tick(&mut sh); // assigns seqs 0 and 1; watermark 2
         sh.on_ack(AckMsg {
             source: SourceId(2),
             cum: 99,
@@ -737,7 +806,7 @@ mod tests {
         // Subsequent offers assign fresh sequence numbers from where the
         // sender actually is, not from the corrupt ack.
         sh.offer(batch(3)).unwrap();
-        let out = sh.tick();
+        let out = tick(&mut sh);
         assert_eq!(out[0].seq, 2);
     }
 
@@ -747,7 +816,7 @@ mod tests {
         for t in 1..=3 {
             sh.offer(batch(t)).unwrap();
         }
-        sh.tick();
+        tick(&mut sh);
         let ack = AckMsg {
             source: SourceId(1),
             cum: 2,

@@ -12,6 +12,7 @@
 //! corrupt downstream rate math. Ingest never panics; locks recover from
 //! poisoning so one crashed worker cannot wedge the tier.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -302,16 +303,19 @@ impl SampleStore {
     /// A quarantined batch still occupies its sequence number (it was
     /// *delivered* — redelivering it forever would not make it well
     /// formed), so `Err` here means quarantined-but-accounted.
-    pub fn ingest_seq(&self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason> {
-        let source = sb.batch.source;
+    pub fn ingest_seq<B: Borrow<Batch>>(
+        &self,
+        sb: &SeqBatch<B>,
+    ) -> Result<SeqIngest, QuarantineReason> {
+        let batch = sb.payload();
         {
             let mut ledger = self.ledger_lock();
-            ledger.note_watermark(source, sb.watermark);
-            if !ledger.note_received(source, sb.seq) {
+            ledger.note_watermark(batch.source, sb.watermark);
+            if !ledger.note_received(batch.source, sb.seq) {
                 return Ok(SeqIngest::Duplicate);
             }
         }
-        self.ingest(&sb.batch).map(|()| SeqIngest::Stored)
+        self.ingest(batch).map(|()| SeqIngest::Stored)
     }
 
     fn ledger_lock(&self) -> std::sync::MutexGuard<'_, GapLedger> {

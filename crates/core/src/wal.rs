@@ -48,6 +48,9 @@
 //!
 //! [`SampleStore`]: crate::store::SampleStore
 
+use std::borrow::Borrow;
+
+use crate::batch::Batch;
 use crate::errors::WalError;
 use crate::segment::{frame_record_into, segment_header, SEGMENT_HEADER_LEN};
 use crate::ship::SeqBatch;
@@ -156,7 +159,10 @@ impl<S: WalStorage> Wal<S> {
     /// physical byte stream is what makes crash recovery independent of
     /// commit grouping (`tests/crash_recovery.rs` sweeps both modes over
     /// the same plans).
-    pub fn append_deferred(&mut self, sb: &SeqBatch) -> Result<bool, WalError> {
+    pub fn append_deferred<B: Borrow<Batch>>(
+        &mut self,
+        sb: &SeqBatch<B>,
+    ) -> Result<bool, WalError> {
         let frame_start = self.group_buf.len();
         let frame_len = frame_record_into(sb, &mut self.group_buf);
         if self.segment_len + frame_len > self.cfg.segment_max_bytes
@@ -191,7 +197,7 @@ impl<S: WalStorage> Wal<S> {
             // The span's duration is the simulated-time extent the batch
             // covers — the WAL itself runs on the wall clock, which must
             // never leak into deterministic telemetry.
-            let ts = &sb.batch.samples.ts;
+            let ts = &sb.payload().samples.ts;
             let covered = ts.first().zip(ts.last()).map_or(0, |(&f, &l)| l - f);
             uburst_obs::span_record!("wal/append", covered);
         }

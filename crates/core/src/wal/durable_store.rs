@@ -6,11 +6,12 @@
 //! [`DurableStore`] — while a regional aggregator, whose samples are merged
 //! one tier up, keeps only a [`GapLedger`].
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use super::{Wal, WalConfig, WalStorage};
-use crate::batch::SourceId;
+use crate::batch::{Batch, SourceId};
 use crate::errors::WalError;
 use crate::segment::{scan_segment, SegmentScan, TearReason};
 use crate::ship::{AckMsg, GapLedger, SeqBatch};
@@ -146,7 +147,10 @@ pub trait Keep: Default {
     fn adopt_prefix(&mut self, source: SourceId, upto: u64);
     /// Takes one logged, in-sequence record: the ledger advances either
     /// way; `Err` is a verdict on the payload.
-    fn ingest_seq(&mut self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason>;
+    fn ingest_seq<B: Borrow<Batch>>(
+        &mut self,
+        sb: &SeqBatch<B>,
+    ) -> Result<SeqIngest, QuarantineReason>;
     /// Snapshot of the ledger.
     fn ledger(&self) -> GapLedger;
 }
@@ -165,7 +169,10 @@ impl Keep for Arc<SampleStore> {
     fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
         SampleStore::adopt_prefix(self, source, upto);
     }
-    fn ingest_seq(&mut self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason> {
+    fn ingest_seq<B: Borrow<Batch>>(
+        &mut self,
+        sb: &SeqBatch<B>,
+    ) -> Result<SeqIngest, QuarantineReason> {
         SampleStore::ingest_seq(self, sb)
     }
     fn ledger(&self) -> GapLedger {
@@ -189,8 +196,11 @@ impl Keep for GapLedger {
     fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
         GapLedger::adopt_prefix(self, source, upto);
     }
-    fn ingest_seq(&mut self, sb: &SeqBatch) -> Result<SeqIngest, QuarantineReason> {
-        let source = sb.batch.source;
+    fn ingest_seq<B: Borrow<Batch>>(
+        &mut self,
+        sb: &SeqBatch<B>,
+    ) -> Result<SeqIngest, QuarantineReason> {
+        let source = sb.payload().source;
         GapLedger::note_watermark(self, source, sb.watermark);
         Ok(if self.note_received(source, sb.seq) {
             SeqIngest::Stored
@@ -349,7 +359,10 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// whose write failed, so a later redelivery would be acked past the
     /// durable prefix. Drop it and rebuild from the log with
     /// [`DurableReceiver::recover`], as a restarted process would.
-    pub fn ingest(&mut self, sb: &SeqBatch) -> Result<(SeqIngest, AckMsg), WalError> {
+    pub fn ingest<B: Borrow<Batch>>(
+        &mut self,
+        sb: &SeqBatch<B>,
+    ) -> Result<(SeqIngest, AckMsg), WalError> {
         let res = self.ingest_one(sb)?;
         self.wal.flush_group()?;
         Ok(res)
@@ -370,9 +383,13 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// is dead, as for [`DurableReceiver::ingest`]; the log is the source of
     /// truth on restart and the shipper's retransmit re-delivers whatever
     /// didn't survive.
-    pub fn ingest_group(
+    ///
+    /// The window may own its batches or share them with the shippers
+    /// ([`crate::ship::Shipment`]): outcomes, acks and log bytes depend only
+    /// on the batches themselves.
+    pub fn ingest_group<B: Borrow<Batch>>(
         &mut self,
-        window: &[SeqBatch],
+        window: &[SeqBatch<B>],
         out: &mut Vec<(SeqIngest, AckMsg)>,
     ) -> Result<(), WalError> {
         out.clear();
@@ -389,8 +406,11 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// Shared receiver body. The WAL append buffers into the current
     /// group; the caller owns the covering flush and must not release acks
     /// before it returns.
-    fn ingest_one(&mut self, sb: &SeqBatch) -> Result<(SeqIngest, AckMsg), WalError> {
-        let source = sb.batch.source;
+    fn ingest_one<B: Borrow<Batch>>(
+        &mut self,
+        sb: &SeqBatch<B>,
+    ) -> Result<(SeqIngest, AckMsg), WalError> {
+        let source = sb.payload().source;
         let cum = self.keep.contiguous(source);
         if sb.seq != cum {
             self.keep.note_watermark(source, sb.watermark);

@@ -596,6 +596,113 @@ fn acks_match_the_full_map_clone_model() {
     }
 }
 
+/// Every byte of a disk image, segment by segment.
+fn image(disk: &MemStorage) -> Vec<(u64, Vec<u8>)> {
+    let segments = disk.list().unwrap();
+    segments
+        .into_iter()
+        .map(|index| (index, disk.read(index).unwrap()))
+        .collect()
+}
+
+/// Whether a window owns its batches or shares them with a shipper
+/// ([`crate::ship::Shipment`]) is invisible to the receiver: the same
+/// windows, one receiver fed owned records and one fed shared ones, give
+/// the same outcomes, acks, log bytes, frames and stored series — also
+/// for redeliveries, arrivals ahead of the prefix and quarantined
+/// payloads.
+#[test]
+fn owned_and_shared_windows_are_one_receiver() {
+    use crate::segment::frame_record_into;
+    use crate::ship::Shipment;
+    use crate::store::SampleStore;
+    use uburst_sim::rng::Rng;
+    let policies = [
+        FsyncPolicy::Always,
+        FsyncPolicy::EveryN(1),
+        FsyncPolicy::EveryN(3),
+        FsyncPolicy::EveryN(16),
+        FsyncPolicy::Never,
+    ];
+    const SOURCES: u64 = 5;
+    for fsync in policies {
+        let cfg = WalConfig {
+            segment_max_bytes: 1024, // rotates several times a run
+            fsync,
+        };
+        let (owned_disk, shared_disk) = (MemStorage::new(), MemStorage::new());
+        let mut owned = DurableStore::create(owned_disk.clone(), cfg).unwrap();
+        let mut shared = DurableStore::create(shared_disk.clone(), cfg).unwrap();
+        let (owned_store, shared_store) = (SampleStore::new(), SampleStore::new());
+        let (mut owned_acks, mut shared_acks) = (Vec::new(), Vec::new());
+        let (mut owned_frames, mut shared_frames) = (Vec::new(), Vec::new());
+        let mut next = [0u64; SOURCES as usize];
+        let mut rng = Rng::new(0x5A4E);
+        let mut quarantined = 0;
+        for step in 0..400 {
+            let at = format!("{fsync:?} step {step}");
+            if rng.below(8) == 0 {
+                assert_eq!(owned.flush().unwrap(), shared.flush().unwrap(), "{at}");
+                continue;
+            }
+            let mut window: Vec<SeqBatch> = Vec::new();
+            for _ in 0..=rng.below(5) {
+                let source = rng.below(SOURCES) as usize;
+                let seq = match rng.below(10) {
+                    0 => rng.below(next[source] + 1),
+                    1 => next[source] + 1 + rng.below(3),
+                    _ => next[source],
+                };
+                if seq == next[source] {
+                    next[source] += 1;
+                }
+                // Now and then a payload whose timestamps land on ones
+                // already stored: quarantined on both sides.
+                let base_t = match rng.below(16) {
+                    0 => 10 * rng.below(seq + 1) + 10,
+                    _ => 10 * (seq + 1),
+                };
+                window.push(sb(seq, source as u32, base_t));
+            }
+            let shares: Vec<Shipment> = window
+                .iter()
+                .map(|owned| SeqBatch {
+                    seq: owned.seq,
+                    watermark: owned.watermark,
+                    batch: Arc::new(owned.batch.clone()),
+                })
+                .collect();
+            owned.ingest_group(&window, &mut owned_acks).unwrap();
+            shared.ingest_group(&shares, &mut shared_acks).unwrap();
+            assert_eq!(owned_acks, shared_acks, "{at}");
+            for (o, s) in window.iter().zip(&shares) {
+                let outcome = owned_store.ingest_seq(o);
+                assert_eq!(outcome, shared_store.ingest_seq(s), "{at}");
+                quarantined += outcome.is_err() as u32;
+                owned_frames.clear();
+                shared_frames.clear();
+                frame_record_into(o, &mut owned_frames);
+                frame_record_into(s, &mut shared_frames);
+                assert_eq!(owned_frames, shared_frames, "{at}");
+            }
+        }
+        assert_eq!(owned.flush().unwrap(), shared.flush().unwrap());
+        assert!(
+            owned_disk.list().unwrap().len() > 2,
+            "{fsync:?}: no rotation"
+        );
+        assert_eq!(image(&owned_disk), image(&shared_disk), "{fsync:?}");
+        assert!(quarantined > 0, "{fsync:?}: no payload was quarantined");
+        let stored = |store: &SampleStore| {
+            let mut csv = Vec::new();
+            store.export_csv(&mut csv).unwrap();
+            (csv, store.stats(), store.ledger().to_string())
+        };
+        assert_eq!(stored(&owned.store()), stored(&shared.store()), "{fsync:?}");
+        assert_eq!(stored(&owned_store), stored(&shared_store), "{fsync:?}");
+    }
+}
+
 /// Counts the physical storage calls a [`Wal`] makes — the coalescing
 /// claim itself, measured without the process-global telemetry.
 #[derive(Clone)]

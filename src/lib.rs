@@ -80,8 +80,9 @@ pub mod prelude {
         DirStorage, DurableStore, FleetConfig, FleetOutcome, FsyncPolicy, GapLedger, HealthPolicy,
         HealthState, LinkPlan, LossyLink, MemStorage, MemorySink, PollError, Poller, PollerStats,
         QuarantineReason, RecoveryReport, RegionCrashPlan, RetryPolicy, RoundInput, SampleStore,
-        SeqBatch, SeqIngest, Series, ShipPolicy, Shipper, ShipperConfig, SourceId, SwitchCoverage,
-        SwitchStream, TornStorage, TuningConfig, UtilSample, WalConfig, WalError, WrapDecoder,
+        SeqBatch, SeqIngest, Series, ShipPolicy, Shipment, Shipper, ShipperConfig, SourceId,
+        SwitchCoverage, SwitchStream, TornStorage, TuningConfig, UtilSample, WalConfig, WalError,
+        WrapDecoder,
     };
     pub use uburst_sim::prelude::*;
     pub use uburst_workloads::{

@@ -75,7 +75,7 @@ fn receiver<'a, S: WalStorage>(
     ds: &'a mut DurableStore<S>,
     acked: &'a mut BTreeMap<SourceId, u64>,
     commit: Commit,
-) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
     let mut tick = 0u64;
     let mut grouped = Vec::new();
     move |window, acks| {

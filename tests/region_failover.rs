@@ -66,7 +66,7 @@ fn fresh_session() -> Session {
 fn aggregator<'a, S: WalStorage>(
     ds: &'a mut DurableStore<S>,
     acked: &'a mut BTreeMap<SourceId, u64>,
-) -> impl FnMut(Vec<SeqBatch>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
     move |window, acks| {
         for sb in &window {
             issue(acked, acks, ds.ingest(sb)?.1);
