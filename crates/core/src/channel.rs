@@ -1,12 +1,11 @@
-//! A small bounded MPMC channel for the collector tier.
+//! A small MPMC channel for the worker pool and the threaded collector.
 //!
-//! The collector's shipping path needs three things the standard library's
-//! `mpsc` does not provide together: multiple consumers (a pool of collector
-//! workers draining one queue), non-blocking sends with an *eviction*
-//! variant (the `DropOldest` shipping policy — the switch CPU must never
-//! block on a slow collector), and disconnect detection on both sides for
-//! structured shutdown. It is implemented in-repo on `Mutex` + `Condvar`
-//! so the workspace stays dependency-free and bit-reproducible.
+//! Both need two things the standard library's `mpsc` does not provide
+//! together: multiple consumers (workers draining one queue) and
+//! disconnect detection on both sides for structured shutdown. A bounded
+//! channel blocks its senders when full (backpressure, never loss). It is
+//! implemented in-repo on `Mutex` + `Condvar` so the workspace stays
+//! dependency-free and bit-reproducible.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -20,15 +19,6 @@ impl<T> fmt::Display for SendError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sending on a disconnected channel")
     }
-}
-
-/// Why a [`Sender::try_send`] did not enqueue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The queue is at capacity; the value is handed back.
-    Full(T),
-    /// Every receiver is gone; the value is handed back.
-    Disconnected(T),
 }
 
 /// The receiving half found the channel empty and every sender gone.
@@ -122,45 +112,6 @@ impl<T> Sender<T> {
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Enqueues without blocking, failing if the queue is full.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.inner.lock();
-        if state.receivers == 0 {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if self.inner.is_full(&state) {
-            return Err(TrySendError::Full(value));
-        }
-        state.queue.push_back(value);
-        drop(state);
-        self.inner.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues without blocking, evicting the **oldest** queued item to
-    /// make room when full. Returns the evicted item so the caller can
-    /// account the loss (the `DropOldest` shipping policy).
-    pub fn force_send(&self, value: T) -> Result<Option<T>, SendError<T>> {
-        let mut state = self.inner.lock();
-        if state.receivers == 0 {
-            return Err(SendError(value));
-        }
-        let evicted = if self.inner.is_full(&state) {
-            state.queue.pop_front()
-        } else {
-            None
-        };
-        state.queue.push_back(value);
-        drop(state);
-        self.inner.not_empty.notify_one();
-        Ok(evicted)
-    }
-
-    /// Items currently queued (diagnostics).
-    pub fn queued(&self) -> usize {
-        self.inner.lock().queue.len()
     }
 }
 
@@ -285,31 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_full() {
-        let (tx, rx) = bounded(1);
-        assert!(tx.try_send(1).is_ok());
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.try_recv(), Some(1));
-        assert!(tx.try_send(3).is_ok());
-    }
-
-    #[test]
-    fn force_send_evicts_oldest() {
-        let (tx, rx) = bounded(2);
-        assert_eq!(tx.force_send(1).unwrap(), None);
-        assert_eq!(tx.force_send(2).unwrap(), None);
-        assert_eq!(tx.force_send(3).unwrap(), Some(1));
-        drop(tx);
-        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![2, 3]);
-    }
-
-    #[test]
     fn disconnected_receiver_fails_sends() {
         let (tx, rx) = bounded(4);
         drop(rx);
         assert_eq!(tx.send(1), Err(SendError(1)));
-        assert_eq!(tx.try_send(2), Err(TrySendError::Disconnected(2)));
-        assert!(tx.force_send(3).is_err());
     }
 
     #[test]

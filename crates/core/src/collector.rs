@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use crate::batch::Batch;
 use crate::channel::{bounded, Receiver, Sender};
 use crate::errors::CollectorError;
-use crate::store::{GatePolicy, QuarantineReason, SampleStore};
+use crate::store::{QuarantineReason, SampleStore};
 
 /// Restarts a supervisor grants one worker before retiring it. Generous:
 /// a persistent poison batch hits each worker at most a handful of times
@@ -44,20 +44,6 @@ pub struct CollectorHealth {
     pub ingested: u64,
     /// Batches quarantined by the store as malformed.
     pub quarantined: u64,
-    /// Batches shed by upstream sinks before reaching the store
-    /// (reported via [`crate::ChannelSink::with_loss_report`]).
-    pub shed: u64,
-    /// Redelivered batches dropped by sequence-number dedup.
-    pub duplicates: u64,
-    /// Batches known assigned by shippers but never received (the gap
-    /// ledger's missing total).
-    pub missing: u64,
-    /// Sources the store's quarantine gate has taken out of service
-    /// (consecutive-malformed-batch threshold crossed).
-    pub source_quarantines: u64,
-    /// Quarantined sources released back into service after a clean
-    /// streak — quarantine is a round trip, not a one-way door.
-    pub rejoins: u64,
 }
 
 /// Final ingest accounting returned by [`Collector::shutdown`].
@@ -69,16 +55,6 @@ pub struct CollectorReport {
     pub quarantined: u64,
     /// Worker panics absorbed by supervisors.
     pub restarts: u64,
-    /// Batches shed upstream of the store (sink evictions).
-    pub shed: u64,
-    /// Redelivered batches deduplicated by sequence number.
-    pub duplicates: u64,
-    /// Batches known missing per the gap ledger.
-    pub missing: u64,
-    /// Sources gated by the store's quarantine gate.
-    pub source_quarantines: u64,
-    /// Gated sources that rejoined after a clean streak.
-    pub rejoins: u64,
 }
 
 #[derive(Default)]
@@ -125,11 +101,7 @@ impl Collector {
             return Err(CollectorError::ZeroCapacity);
         }
         let (tx, rx) = bounded::<Batch>(capacity);
-        // The collector tier runs with the source-level quarantine gate on:
-        // a switch that keeps shipping malformed batches is taken out of
-        // service (and counted) instead of polluting quarantine forever,
-        // and rejoins once it delivers a clean streak.
-        let store = Arc::new(SampleStore::with_gate(GatePolicy::default()));
+        let store = Arc::new(SampleStore::new());
         let health = Arc::new(Health::default());
         let mut workers = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
@@ -162,17 +134,11 @@ impl Collector {
     /// A point-in-time snapshot of the service's condition, readable while
     /// ingest is in flight.
     pub fn health(&self) -> CollectorHealth {
-        let stats = self.store.stats();
         CollectorHealth {
             workers_alive: self.health.alive.load(Ordering::SeqCst),
             restarts: self.health.restarts.load(Ordering::Relaxed),
             ingested: self.health.ingested.load(Ordering::Relaxed),
             quarantined: self.health.quarantined.load(Ordering::Relaxed),
-            shed: stats.shed_batches,
-            duplicates: stats.duplicate_batches,
-            missing: stats.missing_batches,
-            source_quarantines: stats.source_quarantines,
-            rejoins: stats.source_rejoins,
         }
     }
 
@@ -186,16 +152,10 @@ impl Collector {
             w.join()
                 .map_err(|_| CollectorError::WorkerLost { worker: i })?;
         }
-        let stats = self.store.stats();
         let report = CollectorReport {
             ingested: self.health.ingested.load(Ordering::Relaxed),
             quarantined: self.health.quarantined.load(Ordering::Relaxed),
             restarts: self.health.restarts.load(Ordering::Relaxed),
-            shed: stats.shed_batches,
-            duplicates: stats.duplicate_batches,
-            missing: stats.missing_batches,
-            source_quarantines: stats.source_quarantines,
-            rejoins: stats.source_rejoins,
         };
         Ok((self.store, report))
     }
@@ -384,48 +344,6 @@ mod tests {
         let (_store, report) = collector.shutdown().unwrap();
         assert_eq!(report.restarts, MAX_RESTARTS_PER_WORKER + 1);
         assert_eq!(report.ingested, 0);
-    }
-
-    #[test]
-    fn upstream_shed_loss_is_visible_in_health_and_report() {
-        let (collector, tx) = Collector::start(1, 8).unwrap();
-        collector.store().note_shed(SourceId(4), 3);
-        tx.send(batch(4, 0, 2)).unwrap();
-        drop(tx);
-        assert_eq!(collector.health().shed, 3);
-        let (_store, report) = collector.shutdown().unwrap();
-        assert_eq!(report.ingested, 1);
-        assert_eq!(report.shed, 3, "sink loss reported next to quarantine");
-        assert_eq!(report.duplicates, 0);
-        assert_eq!(report.missing, 0);
-    }
-
-    #[test]
-    fn source_quarantine_round_trips_through_report() {
-        // A source that turns malformed long enough to trip the gate, then
-        // recovers: the report shows one quarantine AND one rejoin.
-        let (collector, tx) = Collector::start(1, 64).unwrap();
-        let policy = GatePolicy::default();
-        tx.send(batch(0, 0, 2)).unwrap();
-        for k in 0..policy.quarantine_after as u64 {
-            let mut bad = batch(0, 1000 + k * 10, 1);
-            bad.samples.ts = vec![9, 3];
-            bad.samples.vs = vec![1, 2];
-            tx.send(bad).unwrap();
-        }
-        for k in 0..policy.rejoin_after as u64 {
-            tx.send(batch(0, 2000 + k * 10, 1)).unwrap();
-        }
-        drop(tx);
-        let (store, report) = collector.shutdown().unwrap();
-        assert_eq!(report.source_quarantines, 1);
-        assert_eq!(report.rejoins, 1);
-        assert!(!store.is_source_gated(SourceId(0)));
-        assert_eq!(
-            report.ingested,
-            1 + policy.rejoin_after as u64,
-            "clean batches during probation are merged, not refused"
-        );
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub enum PollError {
         /// Requested campaign stop.
         stop: Nanos,
     },
-    /// A result accessor needed a [`crate::MemorySink`] output, but the
-    /// poller ships to a channel (or a custom sink).
-    NotMemorySink,
     /// `spawn` was asked to poll a read-and-clear register that another
     /// live campaign on the same bank already polls: every read re-seeds
     /// the register, so the two would steal each other's peaks.
@@ -42,9 +39,6 @@ impl fmt::Display for PollError {
             PollError::ZeroInterval => write!(f, "zero sampling interval"),
             PollError::EmptyWindow { start, stop } => {
                 write!(f, "empty campaign window [{start}, {stop})")
-            }
-            PollError::NotMemorySink => {
-                write!(f, "poller output is not a MemorySink")
             }
             PollError::RegisterClaimed { counter } => write!(
                 f,

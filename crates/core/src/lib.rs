@@ -17,14 +17,13 @@
 //!   timing model;
 //! * [`tuning`] — automated minimum-interval search at a target sampling
 //!   loss (the paper's manual Table 1 procedure);
-//! * [`batch`] / [`output`] — sample batching toward the collector, with
-//!   block/drop-oldest/drop-newest shipping policies and per-source loss
-//!   accounting;
-//! * [`channel`] — the in-repo bounded MPMC channel the shipping path and
-//!   collector share;
-//! * [`collector`] / [`store`] — the (actually multithreaded) collector
-//!   service — supervised workers that contain and survive panics — and its
-//!   sample store, which quarantines malformed batches and exports CSV;
+//! * [`output`] / [`batch`] — the poller's in-memory sink, and the
+//!   switch-side batcher that cuts its samples into shippable batches;
+//! * [`channel`] — the in-repo MPMC channel the worker pool and the
+//!   threaded collector drain;
+//! * [`collector`] / [`store`] — a threaded collector service (supervised
+//!   workers that contain and survive panics) and the sample store every
+//!   path ends in, which quarantines malformed batches and exports CSV;
 //! * [`series`] — timestamped cumulative-counter series, wrap-aware
 //!   decoding, and the delta-to-rate/utilization conversions the analyses
 //!   build on;
@@ -48,10 +47,10 @@
 //! ```text
 //! Switch (uburst-sim) ──writes──► AsicCounters (uburst-asic)
 //!                                     ▲ reads (AccessModel cost, faults)
-//!                               Poller (this crate, simulated CPU)
-//!                                     │ Batcher + ShipPolicy
+//!                               Poller (this crate, simulated CPU) ──► MemorySink
+//!                                     │ Batcher → RoundInput
 //!                                     ▼
-//!                      bounded channel ──► supervised Collector ──► SampleStore
+//!   Shipper ──► LossyLink ──► regional WAL ──► global SampleStore ──► CSV
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,15 +86,15 @@ pub use fleet::{
     FleetOutcome, HealthPolicy, HealthState, RegionStats, RoundInput, SwitchCoverage, SwitchStream,
 };
 pub use link::{LinkPlan, LinkStats, LossyLink};
-pub use output::{ChannelSink, MemorySink, SampleOutput, ShipPolicy};
+pub use output::MemorySink;
 pub use poller::{Poller, PollerStats, RetryPolicy};
 pub use series::{RateSample, Series, UtilSample, WrapDecoder};
 pub use session::{Session, Workload};
 pub use ship::{AckMsg, GapLedger, SeqBatch, Shipment, Shipper, ShipperConfig, ShipperStats};
 pub use spec::{CampaignConfig, CoreMode};
 pub use store::{
-    counter_label, parse_counter_label, GatePolicy, QuarantineReason, SampleStore, SeqIngest,
-    SeriesKey, StoreStats,
+    counter_label, parse_counter_label, QuarantineReason, SampleStore, SeqIngest, SeriesKey,
+    StoreStats,
 };
 pub use tuning::{
     probe_loss_profile, probe_miss_fraction, tune_min_interval, TuningConfig, TuningResult,

@@ -45,7 +45,6 @@
 //!   interval elapsed. At a 1 µs target this is 100 % (every ≥ ~2.5 µs poll
 //!   overruns), which is why the paper writes that row off entirely.
 
-use std::any::Any;
 use std::rc::Rc;
 
 use uburst_asic::{AccessModel, AsicCounters, FaultInjector, FaultStats, ReadPlan};
@@ -57,7 +56,7 @@ use uburst_sim::time::Nanos;
 
 use crate::degrade::{DegradationController, DegradationPolicy};
 use crate::errors::PollError;
-use crate::output::{MemorySink, SampleOutput};
+use crate::output::MemorySink;
 use crate::series::WrapDecoder;
 use crate::spec::{CampaignConfig, CoreMode};
 
@@ -199,7 +198,8 @@ pub struct Poller {
     read_buf: Vec<u64>,
     campaign: CampaignConfig,
     rng: Rng,
-    output: Box<dyn SampleOutput>,
+    /// Where each poll's values go, one series per campaign counter.
+    sink: MemorySink,
     faults: Option<FaultInjector>,
     retry: RetryPolicy,
     controller: DegradationController,
@@ -224,13 +224,13 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates a poller. Attach it with [`Poller::spawn`].
-    pub fn new(
+    /// Creates a poller recording into a [`MemorySink`]. Attach it with
+    /// [`Poller::spawn`]; read the series back with [`Poller::take_series`].
+    pub fn in_memory(
         bank: Rc<AsicCounters>,
         access: AccessModel,
         campaign: CampaignConfig,
         seed: u64,
-        output: Box<dyn SampleOutput>,
     ) -> Result<Self, PollError> {
         let n = campaign.counters.len();
         if n == 0 {
@@ -244,9 +244,9 @@ impl Poller {
             bank,
             plan,
             read_buf: Vec::with_capacity(n),
+            sink: MemorySink::new(campaign.counters.clone()),
             campaign,
             rng: Rng::new(seed),
-            output,
             faults: None,
             retry: RetryPolicy::default(),
             controller: DegradationController::new(DegradationPolicy::default()),
@@ -260,17 +260,6 @@ impl Poller {
             active_n: n,
             finished: false,
         })
-    }
-
-    /// Convenience: a poller recording into a [`MemorySink`].
-    pub fn in_memory(
-        bank: Rc<AsicCounters>,
-        access: AccessModel,
-        campaign: CampaignConfig,
-        seed: u64,
-    ) -> Result<Self, PollError> {
-        let sink = MemorySink::new(campaign.counters.clone());
-        Self::new(bank, access, campaign, seed, Box::new(sink))
     }
 
     /// Attaches a fault injector. Wrap decoders are armed for every
@@ -371,19 +360,17 @@ impl Poller {
         &self.campaign
     }
 
-    /// True once the campaign window has closed and the output flushed.
+    /// True once the campaign window has closed.
     pub fn is_finished(&self) -> bool {
         self.finished
     }
 
-    /// Takes the memory sink's series out; fails for channel outputs.
+    /// Moves the recorded series out, in campaign order. Never returns
+    /// `Err`.
     pub fn take_series(
         &mut self,
     ) -> Result<Vec<(uburst_asic::CounterId, crate::series::Series)>, PollError> {
-        (self.output.as_mut() as &mut dyn Any)
-            .downcast_mut::<MemorySink>()
-            .map(MemorySink::take_all)
-            .ok_or(PollError::NotMemorySink)
+        Ok(self.sink.take_all())
     }
 
     /// The effective deadline spacing at the current degradation level.
@@ -466,7 +453,7 @@ impl Poller {
             }
             self.last_values[i] = v;
         }
-        self.output.record(now, &self.last_values);
+        self.sink.record(now, &self.last_values);
         self.stats.polls += 1;
         self.stats.shed_counters += shed as u64;
         if self.controller.level() > 0 {
@@ -528,7 +515,6 @@ impl Poller {
         }
         if next >= self.stop_at {
             self.stats.stopped_at = now;
-            self.output.finish();
             self.finished = true;
             self.bank.release_read_and_clear(&self.campaign.counters);
             self.record_telemetry();
@@ -791,29 +777,6 @@ mod tests {
             p.spawn(&mut sim, Nanos(5), Nanos(5)).unwrap_err(),
             PollError::EmptyWindow { .. }
         ));
-    }
-
-    #[test]
-    fn take_series_refuses_a_channel_sink() {
-        let counter = CounterId::TxBytes(PortId(0));
-        let campaign = CampaignConfig::single("x", counter, Nanos::from_micros(25));
-        let (tx, _rx) = crate::channel::unbounded();
-        let sink = crate::output::ChannelSink::new(
-            crate::batch::SourceId(0),
-            "x",
-            vec![counter],
-            crate::batch::BatchPolicy::default(),
-            tx,
-        );
-        let mut p = Poller::new(
-            AsicCounters::new_shared(1),
-            AccessModel::default(),
-            campaign,
-            0,
-            Box::new(sink),
-        )
-        .unwrap();
-        assert_eq!(p.take_series().unwrap_err(), PollError::NotMemorySink);
     }
 
     #[test]

@@ -33,9 +33,9 @@ impl CoreMode {
     ///
     /// The dedicated-core mixture is calibrated so a single byte-counter
     /// campaign reproduces the paper's Table 1 together with the
-    /// deterministic `AccessModel` cost (~2.5 µs):
-    /// `P(total > 1 µs) = 1`, `P(total > 10 µs) ≈ 0.11`,
-    /// `P(total > 25 µs) ≈ 0.011`.
+    /// deterministic `AccessModel` cost (2.5 µs): `P(total > 1 µs) = 1`,
+    /// and the mixture's closed form gives exactly `P(total > 10 µs) = 0.11`
+    /// and `P(total > 25 µs) = 0.010`.
     pub fn sample_jitter(self, rng: &mut Rng) -> Nanos {
         let r = rng.f64();
         let us =
@@ -110,27 +110,46 @@ mod tests {
     use super::*;
     use uburst_sim::node::PortId;
 
+    /// `sample_jitter`'s dedicated-core mixture as (weight, lo µs, hi µs):
+    /// each component is uniform on `[lo, hi)`.
+    const DEDICATED_MIXTURE: [(f64, f64, f64); 3] =
+        [(0.89, 0.0, 4.0), (0.10, 8.0, 20.0), (0.01, 23.0, 60.0)];
+
+    /// The mixture's closed form: P(J > x µs), piecewise linear in `x`.
+    fn p_jitter_exceeds(x_us: f64) -> f64 {
+        DEDICATED_MIXTURE
+            .iter()
+            .map(|&(w, lo, hi)| w * ((hi - x_us) / (hi - lo)).clamp(0.0, 1.0))
+            .sum()
+    }
+
     #[test]
     fn dedicated_jitter_tail_matches_table1_calibration() {
+        // A poll of one byte counter completes at c + J; Table 1's rows ask
+        // how often that overruns 10 µs and 25 µs. Each observed fraction
+        // is a binomial proportion, held within 4σ of the closed form.
+        let c = uburst_asic::AccessModel::default().poll_cost(&[CounterId::TxBytes(PortId(0))]);
+        assert_eq!(c, Nanos(2_500), "the calibration's deterministic cost");
         let mut rng = Rng::new(0xD1CE);
         let n = 200_000;
-        let det = Nanos(2_500); // deterministic byte-counter poll cost
-        let mut over_10 = 0;
-        let mut over_25 = 0;
+        let (mut over_10, mut over_25) = (0u32, 0u32);
         for _ in 0..n {
-            let total = det + CoreMode::Dedicated.sample_jitter(&mut rng);
+            let total = c + CoreMode::Dedicated.sample_jitter(&mut rng);
             assert!(total > Nanos::from_micros(1), "every poll exceeds 1us");
-            if total > Nanos::from_micros(10) {
-                over_10 += 1;
-            }
-            if total > Nanos::from_micros(25) {
-                over_25 += 1;
-            }
+            over_10 += u32::from(total > Nanos::from_micros(10));
+            over_25 += u32::from(total > Nanos::from_micros(25));
         }
-        let p10 = over_10 as f64 / n as f64;
-        let p25 = over_25 as f64 / n as f64;
-        assert!((0.08..=0.14).contains(&p10), "P(>10us) = {p10}");
-        assert!((0.005..=0.02).contains(&p25), "P(>25us) = {p25}");
+        for (bound_us, over, want) in [(10.0, over_10, 0.11), (25.0, over_25, 0.010)] {
+            let p = p_jitter_exceeds(bound_us - c.as_micros_f64());
+            assert!((p - want).abs() < 1e-12, "closed form at {bound_us}us: {p}");
+            let sigma = (p * (1.0 - p) / n as f64).sqrt();
+            let got = f64::from(over) / n as f64;
+            assert!(
+                (got - p).abs() <= 4.0 * sigma,
+                "P(>{bound_us}us) = {got}, closed form {p} ± 4σ = {}",
+                4.0 * sigma
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! poisoning so one crashed worker cannot wedge the tier.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,64 +62,20 @@ impl fmt::Display for QuarantineReason {
 }
 
 /// Ingest accounting: every batch handed to the store lands in exactly one
-/// of these counters, and every batch that *failed to arrive* shows up in
-/// the loss columns — shed upstream, deduplicated on arrival, or known
-/// missing per the gap ledger.
+/// of the first two counters, and every sequenced batch that *failed to
+/// arrive once* shows up in the ledger columns — deduplicated on arrival,
+/// or known missing per the gap ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Batches merged into series.
     pub ingested_batches: u64,
     /// Batches refused and quarantined.
     pub quarantined_batches: u64,
-    /// Batches shed by upstream sinks before reaching the store
-    /// (`ShipPolicy::DropOldest`/`DropNewest` evictions, reported via
-    /// [`SampleStore::note_shed`]).
-    pub shed_batches: u64,
     /// Redelivered batches dropped by sequence-number dedup.
     pub duplicate_batches: u64,
     /// Batches known assigned by their shippers but never received — the
     /// gap ledger's missing total.
     pub missing_batches: u64,
-    /// Times a *source* crossed the gate policy's consecutive-quarantine
-    /// threshold and was source-quarantined.
-    pub source_quarantines: u64,
-    /// Times a source-quarantined source delivered enough consecutive
-    /// clean batches to rejoin.
-    pub source_rejoins: u64,
-}
-
-/// Policy for the per-source quarantine **gate**: batch-level quarantine
-/// is per-delivery, but a source that keeps shipping malformed batches is
-/// itself suspect. After [`GatePolicy::quarantine_after`] consecutive
-/// quarantined batches the source is marked gated; after
-/// [`GatePolicy::rejoin_after`] consecutive clean batches it rejoins (and
-/// the rejoin is counted — quarantine is no longer one-way). Gating is a
-/// *health verdict*, not a data filter: a gated source's valid batches are
-/// still merged, because refusing good data would turn a recovered switch
-/// into a permanent coverage hole.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatePolicy {
-    /// Consecutive quarantined batches before the source is gated.
-    pub quarantine_after: u32,
-    /// Consecutive clean batches a gated source must deliver to rejoin.
-    pub rejoin_after: u32,
-}
-
-impl Default for GatePolicy {
-    fn default() -> Self {
-        GatePolicy {
-            quarantine_after: 3,
-            rejoin_after: 4,
-        }
-    }
-}
-
-/// Per-source streak tracking behind [`GatePolicy`].
-#[derive(Debug, Clone, Copy, Default)]
-struct GateState {
-    consec_bad: u32,
-    consec_clean: u32,
-    gated: bool,
 }
 
 /// Outcome of [`SampleStore::ingest_seq`] for a batch that was not
@@ -149,33 +105,12 @@ pub struct SampleStore {
     quarantine: Mutex<Vec<(QuarantineReason, Batch)>>,
     /// Per-source receive coverage for sequenced ingest ([`SampleStore::ingest_seq`]).
     ledger: Mutex<GapLedger>,
-    /// Per-source batches shed upstream, reported by sinks via
-    /// [`SampleStore::note_shed`].
-    shed: Mutex<BTreeMap<SourceId, u64>>,
-    shed_total: AtomicU64,
-    /// Source-level quarantine gate ([`GatePolicy`]); `None` in the
-    /// default store keeps gate accounting out of pipelines that never
-    /// asked for it.
-    gate_policy: Option<GatePolicy>,
-    gates: Mutex<BTreeMap<SourceId, GateState>>,
-    source_quarantines: AtomicU64,
-    source_rejoins: AtomicU64,
 }
 
 impl SampleStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty store with the per-source quarantine gate enabled.
-    pub fn with_gate(policy: GatePolicy) -> Self {
-        assert!(policy.quarantine_after > 0, "zero quarantine threshold");
-        assert!(policy.rejoin_after > 0, "zero rejoin threshold");
-        SampleStore {
-            gate_policy: Some(policy),
-            ..Self::default()
-        }
     }
 
     fn read_lock(&self) -> RwLockReadGuard<'_, HashMap<SeriesKey, Series>> {
@@ -231,67 +166,12 @@ impl SampleStore {
                 q.remove(0);
             }
             q.push((reason, batch.clone()));
-            drop(q);
-            self.note_gate(batch.source, false);
             return Err(reason);
         }
         map.entry(key).or_default().merge_from(&batch.samples);
         drop(map);
         self.ingested.fetch_add(1, Ordering::Relaxed);
-        self.note_gate(batch.source, true);
         Ok(())
-    }
-
-    /// Feeds one ingest verdict into the source's quarantine gate.
-    fn note_gate(&self, source: SourceId, clean: bool) {
-        let Some(policy) = self.gate_policy else {
-            return;
-        };
-        let mut gates = self.gates.lock().unwrap_or_else(|e| e.into_inner());
-        let g = gates.entry(source).or_default();
-        if clean {
-            g.consec_bad = 0;
-            if g.gated {
-                g.consec_clean += 1;
-                if g.consec_clean >= policy.rejoin_after {
-                    g.gated = false;
-                    g.consec_clean = 0;
-                    self.source_rejoins.fetch_add(1, Ordering::Relaxed);
-                    uburst_obs::counter_add("uburst_store_source_rejoins_total", 1);
-                }
-            }
-        } else {
-            g.consec_clean = 0;
-            if !g.gated {
-                g.consec_bad += 1;
-                if g.consec_bad >= policy.quarantine_after {
-                    g.gated = true;
-                    g.consec_bad = 0;
-                    self.source_quarantines.fetch_add(1, Ordering::Relaxed);
-                    uburst_obs::counter_add("uburst_store_source_quarantines_total", 1);
-                }
-            }
-        }
-    }
-
-    /// Whether `source` is currently source-quarantined by the gate.
-    pub fn is_source_gated(&self, source: SourceId) -> bool {
-        self.gates
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&source)
-            .is_some_and(|g| g.gated)
-    }
-
-    /// Sources currently held by the quarantine gate, sorted.
-    pub fn gated_sources(&self) -> Vec<SourceId> {
-        self.gates
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .filter(|(_, g)| g.gated)
-            .map(|(&s, _)| s)
-            .collect()
     }
 
     /// Ingests one *sequenced* batch: sequence-number dedup against the
@@ -364,32 +244,6 @@ impl SampleStore {
         self.ledger_lock().clone()
     }
 
-    /// Records `n` batches from `source` shed upstream before reaching the
-    /// store (sink evictions under back-pressure). Keeps loss accounting
-    /// next to quarantine accounting, where analyses look for it.
-    pub fn note_shed(&self, source: SourceId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self
-            .shed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(source)
-            .or_insert(0) += n;
-        self.shed_total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Per-source shed counts, sorted by source.
-    pub fn shed_by_source(&self) -> Vec<(SourceId, u64)> {
-        self.shed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(&s, &n)| (s, n))
-            .collect()
-    }
-
     /// Ingest accounting so far.
     pub fn stats(&self) -> StoreStats {
         let (duplicate_batches, missing_batches) = {
@@ -399,11 +253,8 @@ impl SampleStore {
         StoreStats {
             ingested_batches: self.ingested.load(Ordering::Relaxed),
             quarantined_batches: self.quarantined.load(Ordering::Relaxed),
-            shed_batches: self.shed_total.load(Ordering::Relaxed),
             duplicate_batches,
             missing_batches,
-            source_quarantines: self.source_quarantines.load(Ordering::Relaxed),
-            source_rejoins: self.source_rejoins.load(Ordering::Relaxed),
         }
     }
 
@@ -809,20 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_accounting_is_per_source() {
-        let store = SampleStore::new();
-        store.note_shed(SourceId(1), 3);
-        store.note_shed(SourceId(2), 1);
-        store.note_shed(SourceId(1), 2);
-        store.note_shed(SourceId(9), 0); // no-op, no entry
-        assert_eq!(store.stats().shed_batches, 6);
-        assert_eq!(
-            store.shed_by_source(),
-            vec![(SourceId(1), 5), (SourceId(2), 1)]
-        );
-    }
-
-    #[test]
     fn import_accepts_crlf_rows() {
         let unix = "source,counter,timestamp_ns,value\n1,tx_bytes[0],5,50\n1,tx_bytes[0],6,60\n";
         let windows = unix.replace('\n', "\r\n");
@@ -898,86 +735,6 @@ mod tests {
             re.series(SourceId(0), CounterId::BufferLevel).is_none(),
             "an empty series has no rows to carry it through CSV"
         );
-    }
-
-    #[test]
-    fn gate_quarantines_source_and_releases_after_clean_streak() {
-        let store = SampleStore::with_gate(GatePolicy {
-            quarantine_after: 2,
-            rejoin_after: 3,
-        });
-        let c = CounterId::TxBytes(PortId(0));
-        let src = SourceId(7);
-        let mut bad = batch(7, c, &[(1, 1)]);
-        bad.samples.ts = vec![5, 3];
-        bad.samples.vs = vec![1, 2];
-        // One bad batch is a delivery problem, not a source problem.
-        assert!(store.ingest(&bad).is_err());
-        assert!(!store.is_source_gated(src));
-        // The second consecutive one gates the source.
-        assert!(store.ingest(&bad).is_err());
-        assert!(store.is_source_gated(src));
-        assert_eq!(store.gated_sources(), vec![src]);
-        assert_eq!(store.stats().source_quarantines, 1);
-        assert_eq!(store.stats().source_rejoins, 0);
-        // Gating is a verdict, not a filter: clean batches still merge.
-        for t in 0..3u64 {
-            store.ingest(&batch(7, c, &[(10 + t, t)])).unwrap();
-            let released = t == 2;
-            assert_eq!(!store.is_source_gated(src), released, "poll {t}");
-        }
-        assert_eq!(store.stats().source_rejoins, 1);
-        assert!(store.gated_sources().is_empty());
-        assert_eq!(store.series(src, c).unwrap().len(), 3);
-        // Quarantine is re-armed after rejoin: the cycle can repeat.
-        assert!(store.ingest(&bad).is_err());
-        assert!(store.ingest(&bad).is_err());
-        assert!(store.is_source_gated(src));
-        assert_eq!(store.stats().source_quarantines, 2);
-    }
-
-    #[test]
-    fn gate_streaks_reset_on_interleaved_outcomes() {
-        let store = SampleStore::with_gate(GatePolicy {
-            quarantine_after: 3,
-            rejoin_after: 2,
-        });
-        let c = CounterId::TxBytes(PortId(0));
-        let mut bad = batch(3, c, &[(1, 1)]);
-        bad.samples.ts = vec![5, 3];
-        bad.samples.vs = vec![1, 2];
-        // bad, bad, clean, bad, bad: never three *consecutive* bad.
-        assert!(store.ingest(&bad).is_err());
-        assert!(store.ingest(&bad).is_err());
-        store.ingest(&batch(3, c, &[(10, 1)])).unwrap();
-        assert!(store.ingest(&bad).is_err());
-        assert!(store.ingest(&bad).is_err());
-        assert!(!store.is_source_gated(SourceId(3)));
-        assert_eq!(store.stats().source_quarantines, 0);
-        // A bad batch mid-probation resets the clean streak too.
-        assert!(store.ingest(&bad).is_err());
-        assert!(store.is_source_gated(SourceId(3)));
-        store.ingest(&batch(3, c, &[(20, 1)])).unwrap();
-        assert!(store.ingest(&bad).is_err());
-        store.ingest(&batch(3, c, &[(30, 1)])).unwrap();
-        assert!(store.is_source_gated(SourceId(3)), "streak was reset");
-        store.ingest(&batch(3, c, &[(40, 1)])).unwrap();
-        assert!(!store.is_source_gated(SourceId(3)));
-        assert_eq!(store.stats().source_rejoins, 1);
-    }
-
-    #[test]
-    fn default_store_has_no_gate() {
-        let store = SampleStore::new();
-        let c = CounterId::TxBytes(PortId(0));
-        let mut bad = batch(0, c, &[(1, 1)]);
-        bad.samples.ts = vec![5, 3];
-        bad.samples.vs = vec![1, 2];
-        for _ in 0..10 {
-            let _ = store.ingest(&bad);
-        }
-        assert!(!store.is_source_gated(SourceId(0)));
-        assert_eq!(store.stats().source_quarantines, 0);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The full collection pipeline of §4.1: switch CPUs batch samples and
-//! ship them to a **distributed collector service** — real OS threads
-//! draining a bounded channel into a shared store — while the data center
-//! simulation runs. Ends with a CSV export, like the paper's published raw
-//! data.
+//! ship them to a **distributed collector service**. Each rack's poller
+//! records into memory, a `Batcher` cuts the samples into batches the way
+//! the switch CPU ships them, and the fleet tier carries them over lossy
+//! links into WAL-backed regional aggregators and on to one global store.
+//! Ends with the coverage ledger and a CSV export, like the paper's
+//! published raw data.
 //!
 //! Run with `cargo run --release --example collector_pipeline`. Pass a
 //! path argument to also write the full CSV to disk (feed it to the
 //! `analyze_csv` tool for offline re-analysis).
 
 use uburst::prelude::*;
-use uburst::telemetry::{BatchPolicy, ChannelSink, Collector, Poller, SourceId};
 
 fn main() {
-    // Record the pipeline's own behaviour (poll costs, batch flushes,
-    // collector ingest) alongside the measurement data it produces.
+    // Record the pipeline's own behaviour (poll costs, shipping,
+    // WAL appends) alongside the measurement data it produces.
     uburst::obs::enable();
 
     // A fleet of three measured racks, one per application type.
@@ -23,64 +24,79 @@ fn main() {
         (RackType::Hadoop, 33),
     ];
 
-    // The collector service: 2 worker threads, a bounded queue of 256
-    // batches (backpressure instead of loss).
-    let (collector, tx) = Collector::start(2, 256).expect("collector starts");
-
+    let mut streams = Vec::new();
     for (i, (rack_type, seed)) in fleet.iter().enumerate() {
         let mut s = build_scenario(ScenarioConfig::new(*rack_type, *seed));
         let warmup = s.recommended_warmup();
         s.sim.run_until(warmup);
 
         // One multi-counter campaign per switch: the four uplink byte
-        // counters at 40us, batched toward the collector.
+        // counters at 40us.
         let counters: Vec<CounterId> = s
             .uplink_ports()
             .iter()
             .map(|&p| CounterId::TxBytes(p))
             .collect();
-        let campaign = CampaignConfig::group(
-            format!("{}-uplinks", rack_type.name()),
-            counters.clone(),
-            Nanos::from_micros(40),
-        );
-        let sink = ChannelSink::new(
-            SourceId(i as u32),
-            format!("{}-uplinks", rack_type.name()),
-            counters,
-            BatchPolicy::default(),
-            tx.clone(),
-        );
-        let poller = Poller::new(
-            s.counters.clone(),
-            AccessModel::default(),
-            campaign,
-            *seed,
-            Box::new(sink),
-        )
-        .expect("valid campaign");
+        let name = format!("{}-uplinks", rack_type.name());
+        let campaign = CampaignConfig::group(&name, counters.clone(), Nanos::from_micros(40));
+        let poller = Poller::in_memory(s.counters.clone(), AccessModel::default(), campaign, *seed)
+            .expect("valid campaign");
         let stop = warmup + Nanos::from_millis(120);
         let id = poller
             .spawn(&mut s.sim, warmup, stop)
             .expect("valid window");
         s.sim.run_until(stop + Nanos::from_millis(1));
 
-        let stats = s.sim.node_mut::<Poller>(id).stats();
+        let p = s.sim.node_mut::<Poller>(id);
+        let stats = p.stats();
+        let series = p.take_series().expect("in-memory campaign");
+
+        // The switch CPU's batching: every poll goes through a Batcher,
+        // and each batch it cuts ships as one fleet round.
+        let source = SourceId(i as u32);
+        let policy = BatchPolicy {
+            max_samples: 512,
+            max_age: Nanos::from_millis(10),
+        };
+        let mut batcher = Batcher::new(source, name, counters, policy);
+        let mut rounds = Vec::new();
+        let mut values = vec![0; series.len()];
+        for (k, &t) in series[0].1.ts.iter().enumerate() {
+            for (v, (_, s)) in values.iter_mut().zip(&series) {
+                *v = s.vs[k];
+            }
+            rounds.push(batcher.record(Nanos(t), &values));
+        }
+        rounds.push(batcher.flush());
+        rounds.retain(|batches| !batches.is_empty());
         println!(
-            "{}: shipped {} polls ({:.2}% missed deadlines)",
+            "{}: polled {} times ({:.2}% missed deadlines), {} rounds to ship",
             rack_type.name(),
             stats.polls,
-            stats.deadline_miss_fraction() * 100.0
+            stats.deadline_miss_fraction() * 100.0,
+            rounds.len()
         );
+        streams.push(SwitchStream {
+            source,
+            link: LinkPlan::default(),
+            link_seed: *seed,
+            rounds: rounds
+                .into_iter()
+                .map(|batches| RoundInput {
+                    batches,
+                    degraded: false,
+                })
+                .collect(),
+        });
     }
 
-    // Structured shutdown: drop the last sender, then join the workers.
-    drop(tx);
-    let (store, report) = collector.shutdown().expect("clean shutdown");
+    // The collector service: sequenced shipping over a lossy link into
+    // regional write-ahead logs, forwarded to the global store.
+    let outcome = run_fleet(streams, &FleetConfig::default());
+    let store = &outcome.store;
+    print!("\n{}", outcome.coverage);
     println!(
-        "collector ingested {} batches ({} quarantined), {} samples across {} series",
-        report.ingested,
-        report.quarantined,
+        "global store: {} samples across {} series",
         store.total_samples(),
         store.keys().len()
     );

@@ -6,8 +6,8 @@
 //!
 //! * [`telemetry`] (`uburst-core`) — the paper's contribution: the
 //!   microsecond-scale counter collection framework (pollers, interval
-//!   auto-tuning, batching, the threaded collector service, and the
-//!   crash-safe WAL persistence tier with gap-accounted shipping).
+//!   auto-tuning, batching, and the fleet collection tier: gap-accounted
+//!   shipping into crash-safe regional WALs and a global store).
 //! * [`asic`] — the switch ASIC counter model the framework polls
 //!   (counter banks, storage classes, read latencies).
 //! * [`sim`] — the packet-level data center simulator underneath
@@ -75,14 +75,13 @@ pub mod prelude {
     pub use uburst_asic::{FaultInjector, FaultPlan, FaultStats};
     pub use uburst_core::{
         rendezvous_region, run_fleet, run_fleet_with_crashes, tune_min_interval, AckMsg, Batch,
-        BatchPolicy, CampaignConfig, ChannelSink, Collector, CollectorError, CollectorHealth,
+        BatchPolicy, Batcher, CampaignConfig, Collector, CollectorError, CollectorHealth,
         CollectorReport, CoreMode, CoverageLedger, CrashPlan, DegradationPolicy, DegradeMode,
         DirStorage, DurableStore, FleetConfig, FleetOutcome, FsyncPolicy, GapLedger, HealthPolicy,
         HealthState, LinkPlan, LossyLink, MemStorage, MemorySink, PollError, Poller, PollerStats,
         QuarantineReason, RecoveryReport, RegionCrashPlan, RetryPolicy, RoundInput, SampleStore,
-        SeqBatch, SeqIngest, Series, ShipPolicy, Shipment, Shipper, ShipperConfig, SourceId,
-        SwitchCoverage, SwitchStream, TornStorage, TuningConfig, UtilSample, WalConfig, WalError,
-        WrapDecoder,
+        SeqBatch, SeqIngest, Series, Shipment, Shipper, ShipperConfig, SourceId, SwitchCoverage,
+        SwitchStream, TornStorage, TuningConfig, UtilSample, WalConfig, WalError, WrapDecoder,
     };
     pub use uburst_sim::prelude::*;
     pub use uburst_workloads::{

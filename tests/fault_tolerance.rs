@@ -204,55 +204,54 @@ fn stale_snooped_reads_cannot_fake_counter_wraps() {
 
 #[test]
 fn hardened_pipeline_ships_faulted_samples_through_the_collector() {
-    // End to end: faulted poller -> bounded channel -> supervised collector
-    // -> store. Nothing may be quarantined or lost, and the shipped series
-    // must equal what an in-memory sink would have recorded.
-    let mut s = build_scenario(ScenarioConfig::new(RackType::Web, 29));
-    let warmup = s.recommended_warmup();
-    s.sim.run_until(warmup);
-    let port = s.host_ports()[0];
-    let campaign =
-        CampaignConfig::single("bytes", CounterId::TxBytes(port), Nanos::from_micros(50));
-    let (collector, tx) = Collector::start(2, 64).expect("collector starts");
-    let sink = ChannelSink::new(
-        SourceId(7),
-        "bytes",
-        vec![CounterId::TxBytes(port)],
-        BatchPolicy {
-            max_samples: 128,
-            max_age: Nanos::from_millis(2),
-        },
-        tx,
-    );
+    // End to end on the fleet path: faulted poller -> Batcher -> hostile
+    // link -> regional WAL -> global store. Nothing may be quarantined or
+    // lost, and the shipped series must equal what the poller recorded.
     let plan = FaultPlan::none(5)
         .with_transient_failure(0.01)
         .with_counter_bits(32);
-    let poller = Poller::new(
-        s.counters.clone(),
-        AccessModel::default(),
-        campaign,
-        29,
-        Box::new(sink),
-    )
-    .expect("valid campaign")
-    .with_faults(FaultInjector::new(plan));
-    let stop = warmup + Nanos::from_millis(60);
-    let id = poller
-        .spawn(&mut s.sim, warmup, stop)
-        .expect("valid window");
-    s.sim.run_until(stop + Nanos::from_millis(1));
-    let polls = s.sim.node_mut::<Poller>(id).stats().polls;
-    drop(s); // drops the poller's sink, flushing and closing the channel
+    let (stats, _, polled) = faulted_rack(29, Some(plan));
+    // The key the series ships under; the store needs no more of it.
+    let (source, counter) = (SourceId(7), CounterId::TxBytes(PortId(0)));
+    let policy = BatchPolicy {
+        max_samples: 128,
+        max_age: Nanos::from_millis(2),
+    };
+    let mut batcher = Batcher::new(source, "bytes", vec![counter], policy);
+    let mut cuts: Vec<Vec<Batch>> = polled
+        .ts
+        .iter()
+        .zip(&polled.vs)
+        .map(|(&t, &v)| batcher.record(Nanos(t), &[v]))
+        .collect();
+    cuts.push(batcher.flush());
+    let rounds = cuts
+        .into_iter()
+        .filter(|batches| !batches.is_empty())
+        .map(|batches| RoundInput {
+            batches,
+            degraded: false,
+        })
+        .collect();
+    let stream = SwitchStream {
+        source,
+        link: LinkPlan::HOSTILE,
+        link_seed: 29,
+        rounds,
+    };
+    let out = run_fleet(vec![stream], &FleetConfig::default());
 
-    let (store, report) = collector.shutdown().expect("clean shutdown");
     assert_eq!(
-        report.quarantined, 0,
+        out.store.stats().quarantined_batches,
+        0,
         "well-formed batches were quarantined"
     );
-    assert_eq!(report.restarts, 0);
-    let got = store
-        .series(SourceId(7), CounterId::TxBytes(port))
-        .expect("series shipped");
-    assert_eq!(got.len() as u64, polls, "samples lost in the pipeline");
+    let got = out.store.series(source, counter).expect("series shipped");
+    assert_eq!(
+        got.len() as u64,
+        stats.polls,
+        "samples lost in the pipeline"
+    );
     assert!(got.vs.windows(2).all(|w| w[1] >= w[0]), "wrap glitch");
+    assert_eq!((got.ts, got.vs), (polled.ts, polled.vs), "series changed");
 }
