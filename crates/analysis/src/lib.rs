@@ -15,7 +15,7 @@
 //! | Packet-size histograms inside/outside bursts (Fig. 5) | [`histogram`] |
 //! | Boxplots vs. hot-port count (Fig. 10) | [`summary`] |
 //! | Coarse SNMP-style windows (Figs. 1, 2) | [`resample`] |
-//! | O(n) nearest-rank quantiles for hot paths | [`mod@quantile`] |
+//! | Exact nearest-rank indexing behind every pXX | [`mod@quantile`] |
 //! | Bit-exact sort of f64 samples via integer keys | [`sortf64`] |
 
 #![forbid(unsafe_code)]
@@ -40,7 +40,7 @@ pub use kstest::{kolmogorov_sf, ks_test_exponential, ks_test_exponential_with_ec
 pub use mad::{coarsen, mad_per_period, relative_mad};
 pub use markov::{fit_transition_matrix, TransitionMatrix};
 pub use pearson::{correlation_matrix, mean_offdiagonal, pearson, CenteredMatrix};
-pub use quantile::{median, nearest_rank, quantile};
+pub use quantile::nearest_rank;
 pub use resample::{to_windows, Window};
 pub use sortf64::sort_f64;
 pub use summary::{grouped_summaries, Summary};

@@ -1,14 +1,5 @@
-//! Selection-based quantiles for callers that never need the full
-//! [`Ecdf`](crate::Ecdf).
-//!
-//! [`Ecdf::new`](crate::Ecdf::new) sorts its sample — O(n log n) — which is
-//! the right tool when a harness then evaluates a whole CDF curve. But the
-//! hot paths that ask for a single p50/p90 (auto-tuning probes, ablation
-//! sweeps, bench kernels) pay the full sort for one order statistic. These
-//! functions use `select_nth_unstable` (introselect, O(n)) instead, with
-//! the **same nearest-rank semantics**: for any sample and any `q`,
-//! `quantile(&mut xs, q) == Ecdf::new(xs).quantile(q)` (asserted by
-//! `agrees_with_ecdf_quantile` below).
+//! Exact nearest-rank indexing: the rank behind every pXX the analyses
+//! report through [`Ecdf::quantile`](crate::Ecdf::quantile).
 
 /// The 1-indexed nearest rank for quantile `q` of an `n`-sample:
 /// `ceil(q·n)` clamped to `[1, n]`, with `q = 0` meaning the minimum.
@@ -59,24 +50,6 @@ pub fn nearest_rank(q: f64, n: usize) -> usize {
     rank.clamp(1, n)
 }
 
-/// The `q`-quantile of `xs` by the nearest-rank method, in O(n) via
-/// selection. Reorders `xs` (that is what makes it cheap — no allocation,
-/// no full sort).
-///
-/// # Panics
-/// Panics on an empty sample, a NaN observation, or `q` outside [0, 1].
-pub fn quantile(xs: &mut [f64], q: f64) -> f64 {
-    assert!(!xs.is_empty(), "empty sample");
-    let idx = nearest_rank(q, xs.len()) - 1;
-    *xs.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("NaN observation"))
-        .1
-}
-
-/// The sample median, in O(n).
-pub fn median(xs: &mut [f64]) -> f64 {
-    quantile(xs, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,8 +67,9 @@ mod tests {
             .collect()
     }
 
-    /// The whole contract: selection must reproduce Ecdf::quantile exactly,
-    /// for every rank, including edge qs and heavily tied samples.
+    /// `Ecdf::quantile` is the order statistic at the nearest rank, as an
+    /// independent selection finds it, for every rank, including edge qs
+    /// and heavily tied samples.
     #[test]
     fn agrees_with_ecdf_quantile() {
         let qs = [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0];
@@ -107,8 +81,10 @@ mod tests {
                     let e = Ecdf::new(xs.clone());
                     for &q in &qs {
                         let mut scratch = xs.clone();
+                        let (_, selected, _) =
+                            scratch.select_nth_unstable_by(nearest_rank(q, n) - 1, f64::total_cmp);
                         assert_eq!(
-                            quantile(&mut scratch, q).to_bits(),
+                            selected.to_bits(),
                             e.quantile(q).to_bits(),
                             "n={n} seed={seed} q={q}"
                         );
@@ -187,20 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn median_of_odd_sample() {
-        let mut xs = vec![9.0, 1.0, 5.0];
-        assert_eq!(median(&mut xs), 5.0);
-    }
-
-    #[test]
     #[should_panic(expected = "empty sample")]
     fn empty_rejected() {
-        quantile(&mut [], 0.5);
+        nearest_rank(0.5, 0);
     }
 
     #[test]
     #[should_panic(expected = "quantile out of range")]
     fn out_of_range_rejected() {
-        quantile(&mut [1.0], 1.5);
+        nearest_rank(1.5, 1);
     }
 }

@@ -52,14 +52,7 @@ fn ablate_buffer_alpha() {
         let p90 = if a.bursts.is_empty() {
             0.0
         } else {
-            uburst_analysis::quantile(
-                &mut a
-                    .durations()
-                    .iter()
-                    .map(|d| d.as_micros_f64())
-                    .collect::<Vec<_>>(),
-                0.9,
-            )
+            Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
         };
         let drops = run.net.tor.dropped_packets;
         let dn_drops = run.net.downlink_drops(n);
@@ -228,14 +221,7 @@ fn ablate_pacing() {
             let p90 = if a.bursts.is_empty() {
                 0.0
             } else {
-                uburst_analysis::quantile(
-                    &mut a
-                        .durations()
-                        .iter()
-                        .map(|d| d.as_micros_f64())
-                        .collect::<Vec<_>>(),
-                    0.9,
-                )
+                Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
             };
             [
                 name.into(),

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_buffer_policy`.
 
-use uburst_analysis::{quantile, HOT_THRESHOLD};
+use uburst_analysis::{Ecdf, HOT_THRESHOLD};
 use uburst_asic::CounterId;
 use uburst_bench::campaign::{buffer_and_ports_spec, port_bps};
 use uburst_bench::report::{fmt_bytes, verdict, Table};
@@ -116,13 +116,13 @@ pub fn run() {
             .unwrap_or(0);
 
         // Occupancy tail straight from the peak-register samples.
-        let mut peaks: Vec<f64> = run
+        let peaks: Vec<f64> = run
             .series_for(CounterId::BufferPeak)
             .vs
             .iter()
             .map(|&v| v as f64)
             .collect();
-        let p99_occ = quantile(&mut peaks, 0.99) as u64;
+        let p99_occ = Ecdf::new(peaks).quantile(0.99) as u64;
 
         let stats = run.net.tor;
         let drop_pct = if stats.rx_packets == 0 {

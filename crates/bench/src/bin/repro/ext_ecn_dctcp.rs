@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_ecn_dctcp`.
 
-use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
+use uburst_analysis::{extract_bursts, Ecdf, HOT_THRESHOLD};
 use uburst_asic::CounterId;
 use uburst_bench::campaign::CampaignSpec;
 use uburst_bench::report::{fmt_bytes, verdict, Table};
@@ -59,14 +59,7 @@ pub fn run() {
         let p90 = if a.bursts.is_empty() {
             0.0
         } else {
-            uburst_analysis::quantile(
-                &mut a
-                    .durations()
-                    .iter()
-                    .map(|d| d.as_micros_f64())
-                    .collect::<Vec<_>>(),
-                0.9,
-            )
+            Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
         };
         let peak = run
             .series_for(CounterId::BufferPeak)

@@ -14,7 +14,7 @@
 
 use std::rc::Rc;
 
-use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
+use uburst_analysis::{extract_bursts, Ecdf, HOT_THRESHOLD};
 use uburst_asic::{AccessModel, AsicCounters, CounterId};
 use uburst_bench::report::{verdict, Table};
 use uburst_core::poller::Poller;
@@ -81,14 +81,7 @@ pub fn run() {
         let p90 = if a.bursts.is_empty() {
             0.0
         } else {
-            uburst_analysis::quantile(
-                &mut a
-                    .durations()
-                    .iter()
-                    .map(|d| d.as_micros_f64())
-                    .collect::<Vec<_>>(),
-                0.9,
-            )
+            Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
         };
         let drops = if round == 0 {
             s.sim.node::<Switch>(s.tor()).stats().dropped_packets

@@ -11,9 +11,10 @@
 //!
 //! Design notes:
 //!
-//! * **Std-only.** Workers are `std::thread::scope` threads; the work
-//!   queue and the result queue are [`uburst_core::channel`] MPMC channels
-//!   (the same bounded channel the collector tier ships batches on).
+//! * **Std-only.** Workers are `std::thread::scope` threads. They and the
+//!   calling thread claim `(index, input)` pairs from one `Mutex`-guarded
+//!   iterator and keep their own results, so no channel is involved; a
+//!   job's panic is re-raised once the scope has joined its workers.
 //!   Simulations are full of `Rc`/`Cell` and are **not** `Send`, so a job
 //!   builds, runs, and reduces its scenario entirely inside one worker and
 //!   only the reduced (`Send`) result crosses threads — see
@@ -37,9 +38,7 @@
 //!   permit).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-use uburst_core::channel;
+use std::sync::{Mutex, OnceLock};
 
 use crate::campaign::{plan_groups, run_group, CampaignRun, CampaignSpec};
 use crate::scale::Scale;
@@ -87,7 +86,7 @@ fn count_submitted(n: usize) {
 /// (`UBURST_THREADS=1`, a single core, or a drained nested budget).
 ///
 /// # Panics
-/// Propagates the first panicking job (the scope joins its workers).
+/// Re-raises a panicking job's own panic once every worker has stopped.
 pub fn run_jobs<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -147,36 +146,34 @@ where
     if extra == 0 || n <= 1 {
         return inputs.into_iter().map(f).collect();
     }
-    let (job_tx, job_rx) = channel::unbounded::<(usize, T)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-    for pair in inputs.into_iter().enumerate() {
-        if job_tx.send(pair).is_err() {
-            unreachable!("job receiver alive until the scope below");
+    let jobs = Mutex::new(inputs.into_iter().enumerate());
+    // Claims jobs until none are left. The lock is taken in a `let`, so it
+    // is released before `f` runs and a panicking job never holds it.
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = jobs
+                .lock()
+                .expect("the job lock is never held across a job")
+                .next();
+            let Some((i, t)) = next else {
+                return done;
+            };
+            done.push((i, f(t)));
         }
-    }
-    // Senders must be gone before workers drain the queue to completion.
-    drop(job_tx);
-
-    let f = &f;
+    };
     std::thread::scope(|s| {
-        for _ in 0..extra {
-            let rx = job_rx.clone();
-            let tx = res_tx.clone();
-            s.spawn(move || {
-                while let Ok((i, t)) = rx.recv() {
-                    if tx.send((i, f(t))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
+        let workers: Vec<_> = (0..extra).map(|_| s.spawn(work)).collect();
         // The caller is a worker too: progress never requires a spawn.
-        while let Ok((i, t)) = job_rx.recv() {
-            let _ = res_tx.send((i, f(t)));
+        let mut results = work();
+        for w in workers {
+            match w.join() {
+                Ok(done) => results.extend(done),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-    });
-    drop(res_tx);
-    in_submission_order(n, std::iter::from_fn(|| res_rx.try_recv()))
+        in_submission_order(n, results.into_iter())
+    })
 }
 
 /// Restores submission order: result `i` goes to slot `i`.
@@ -251,6 +248,25 @@ mod tests {
     #[should_panic(expected = "job 1 completed twice")]
     fn a_job_reporting_twice_is_refused_in_release() {
         in_submission_order(2, [(1, 'a'), (0, 'b'), (1, 'c')].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "job panicked on a worker")]
+    fn a_worker_panic_reraises_the_jobs_message() {
+        // Four jobs on four threads, each held at the barrier until all four
+        // are claimed, so every thread runs exactly one; the three on
+        // spawned workers panic, the caller's returns.
+        let caller = std::thread::current().id();
+        let all_claimed = std::sync::Barrier::new(4);
+        run_jobs_on(4, (0..4u32).collect(), |i| {
+            all_claimed.wait();
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "job panicked on a worker"
+            );
+            i
+        });
     }
 
     #[test]

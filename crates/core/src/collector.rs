@@ -2,8 +2,9 @@
 //!
 //! "The CPU batches the samples before sending them to a distributed
 //! collector service that is both fine-grained and scalable" (§4.1). Here
-//! the service is a pool of real OS threads draining a bounded channel of
-//! [`Batch`]es into a shared [`SampleStore`]. The simulation (producing
+//! the service is a pool of real OS threads sharing one bounded
+//! `std::sync::mpsc` queue of [`Batch`]es, which they drain into a shared
+//! [`SampleStore`]. The simulation (producing
 //! batches in simulated time) and the collector (consuming them in real
 //! time) overlap exactly the way switch CPUs and the collection tier do in
 //! production.
@@ -20,11 +21,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::batch::Batch;
-use crate::channel::{bounded, Receiver, Sender};
 use crate::errors::CollectorError;
 use crate::store::{QuarantineReason, SampleStore};
 
@@ -77,13 +78,14 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Starts `n_workers` collection threads draining a bounded channel of
+    /// Starts `n_workers` collection threads draining a bounded queue of
     /// `capacity` batches. Returns the service handle and the sender side
-    /// to clone into each switch's shipping path.
+    /// to clone into each switch's shipping path; `send` blocks while the
+    /// queue is full (backpressure, never loss).
     pub fn start(
         n_workers: usize,
         capacity: usize,
-    ) -> Result<(Collector, Sender<Batch>), CollectorError> {
+    ) -> Result<(Collector, SyncSender<Batch>), CollectorError> {
         Self::start_with(n_workers, capacity, Arc::new(|s, b| s.ingest(b)))
     }
 
@@ -93,19 +95,21 @@ impl Collector {
         n_workers: usize,
         capacity: usize,
         ingest: IngestFn,
-    ) -> Result<(Collector, Sender<Batch>), CollectorError> {
+    ) -> Result<(Collector, SyncSender<Batch>), CollectorError> {
         if n_workers == 0 {
             return Err(CollectorError::NoWorkers);
         }
         if capacity == 0 {
             return Err(CollectorError::ZeroCapacity);
         }
-        let (tx, rx) = bounded::<Batch>(capacity);
+        let (tx, rx) = sync_channel::<Batch>(capacity);
+        // std's receiver is single-consumer: the workers share it.
+        let rx = Arc::new(Mutex::new(rx));
         let store = Arc::new(SampleStore::new());
         let health = Arc::new(Health::default());
         let mut workers = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let store = Arc::clone(&store);
             let worker_health = Arc::clone(&health);
             let ingest = Arc::clone(&ingest);
@@ -143,7 +147,7 @@ impl Collector {
     }
 
     /// Waits for all workers to drain and exit, returning the store and the
-    /// ingest report. Callers must drop every `Sender` first or this blocks
+    /// ingest report. Callers must drop every `SyncSender` first or this blocks
     /// forever — that is the structured-shutdown contract, not a
     /// timeout-papered race. `Err(WorkerLost)` means a supervisor thread
     /// itself died, which no contained ingest panic can cause.
@@ -162,25 +166,36 @@ impl Collector {
 }
 
 /// One worker's supervisor: drain until the stream ends; if the drain loop
-/// panics, absorb it, count a restart, and drain again — the channel and the
-/// store both recover from lock poisoning, so the batch that killed the
-/// attempt is consumed and the rest of the stream survives.
-fn supervise(rx: Receiver<Batch>, store: Arc<SampleStore>, health: Arc<Health>, ingest: IngestFn) {
+/// panics, absorb it, count a restart, and drain again. No panic can hold
+/// the queue lock and the store recovers from lock poisoning, so the batch
+/// that killed the attempt is consumed and the rest of the stream survives.
+fn supervise(
+    rx: Arc<Mutex<Receiver<Batch>>>,
+    store: Arc<SampleStore>,
+    health: Arc<Health>,
+    ingest: IngestFn,
+) {
     let mut restarts = 0u64;
     loop {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            for batch in rx.iter() {
-                match ingest(&store, &batch) {
-                    Ok(()) => {
-                        health.ingested.fetch_add(1, Ordering::Relaxed);
-                        uburst_obs::counter_add("uburst_collector_batches_ingested_total", 1);
-                    }
-                    Err(_) => {
-                        health.quarantined.fetch_add(1, Ordering::Relaxed);
-                        uburst_obs::counter_add("uburst_collector_batches_quarantined_total", 1);
-                    }
-                };
-            }
+        let result = catch_unwind(AssertUnwindSafe(|| loop {
+            // The guard dies with this statement, before `ingest` runs.
+            let next = rx
+                .lock()
+                .expect("the queue lock is never held across ingest")
+                .recv();
+            let Ok(batch) = next else {
+                return;
+            };
+            match ingest(&store, &batch) {
+                Ok(()) => {
+                    health.ingested.fetch_add(1, Ordering::Relaxed);
+                    uburst_obs::counter_add("uburst_collector_batches_ingested_total", 1);
+                }
+                Err(_) => {
+                    health.quarantined.fetch_add(1, Ordering::Relaxed);
+                    uburst_obs::counter_add("uburst_collector_batches_quarantined_total", 1);
+                }
+            };
         }));
         match result {
             Ok(()) => break, // stream ended cleanly
@@ -344,6 +359,26 @@ mod tests {
         let (_store, report) = collector.shutdown().unwrap();
         assert_eq!(report.restarts, MAX_RESTARTS_PER_WORKER + 1);
         assert_eq!(report.ingested, 0);
+    }
+
+    #[test]
+    fn a_sender_outliving_every_retired_worker_is_refused_not_blocked() {
+        // Every batch is poison: the one worker spends its restart budget,
+        // retires and drops the queue. A later send must fail at once, even
+        // at capacity 1, rather than wait for a receiver that is gone.
+        let ingest: IngestFn = Arc::new(|_, _| panic!("always poison"));
+        let (collector, tx) = Collector::start_with(1, 1, ingest).unwrap();
+        for k in 0..=MAX_RESTARTS_PER_WORKER {
+            tx.send(batch(0, k * 10, 1)).unwrap();
+        }
+        let (_store, report) = collector.shutdown().unwrap();
+        assert_eq!(report.restarts, MAX_RESTARTS_PER_WORKER + 1);
+        for k in 0..2u64 {
+            assert!(
+                tx.send(batch(0, 1_000 + k, 1)).is_err(),
+                "send {k} after retirement"
+            );
+        }
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //!   loss (the paper's manual Table 1 procedure);
 //! * [`output`] / [`batch`] — the poller's in-memory sink, and the
 //!   switch-side batcher that cuts its samples into shippable batches;
-//! * [`channel`] — the in-repo MPMC channel the worker pool and the
-//!   threaded collector drain;
 //! * [`collector`] / [`store`] — a threaded collector service (supervised
-//!   workers that contain and survive panics) and the sample store every
+//!   workers on one bounded `std::sync::mpsc` queue that contain and
+//!   survive panics) and the sample store every
 //!   path ends in, which quarantines malformed batches and exports CSV;
 //! * [`series`] — timestamped cumulative-counter series, wrap-aware
 //!   decoding, and the delta-to-rate/utilization conversions the analyses
@@ -57,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod channel;
 pub mod collector;
 mod csv;
 pub mod degrade;

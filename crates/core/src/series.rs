@@ -81,27 +81,6 @@ impl Series {
         self.ts.is_empty()
     }
 
-    /// Appends all samples of `other` that start after this series ends.
-    /// Used when the collector stitches batches together. Samples at or
-    /// before the current tail timestamp are dropped and accounted in
-    /// `uburst_series_nonmonotonic_total` (callers that genuinely need to
-    /// interleave out-of-order batches use [`Series::merge_from`]).
-    /// Returns the number of dropped samples.
-    pub fn extend_from(&mut self, other: &Series) -> usize {
-        // The columns are `pub`: a ragged `other` would make `self` ragged.
-        assert_eq!(other.ts.len(), other.vs.len(), "ragged series");
-        let start = match self.ts.last() {
-            Some(&last) => other.ts.partition_point(|&t| t <= last),
-            None => 0,
-        };
-        if start > 0 {
-            note_nonmonotonic(start as u64);
-        }
-        self.ts.extend_from_slice(&other.ts[start..]);
-        self.vs.extend_from_slice(&other.vs[start..]);
-        start
-    }
-
     /// Merges `other`'s samples into this series, keeping timestamps sorted.
     /// Used by the collector, where worker threads may ingest a source's
     /// batches out of arrival order. Duplicate timestamps keep both samples
@@ -329,14 +308,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ragged series")]
-    fn extend_from_refuses_a_ragged_series_in_release() {
-        let mut ragged = series(&[(1, 10), (2, 20)]);
-        ragged.vs.pop();
-        Series::new().extend_from(&ragged);
-    }
-
-    #[test]
     fn rates_from_cumulative() {
         // 1000 bytes over 1us, then 0 bytes over 2us.
         let s = series(&[(0, 0), (1_000, 1_000), (3_000, 1_000)]);
@@ -369,25 +340,6 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert!((u[0].util - 1.0).abs() < 1e-9);
         assert!((u[1].util - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extend_from_stitches() {
-        let mut a = series(&[(0, 0), (10, 5)]);
-        let b = series(&[(20, 9)]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.vs, vec![0, 5, 9]);
-    }
-
-    #[test]
-    fn extend_from_drops_overlapping_prefix() {
-        let mut a = series(&[(0, 0), (10, 5)]);
-        // Two duplicates/regressions, then one genuinely new sample.
-        let b = series(&[(5, 2), (10, 9), (20, 11)]);
-        assert_eq!(a.extend_from(&b), 2, "overlapping prefix dropped");
-        assert_eq!(a.ts, vec![0, 10, 20]);
-        assert_eq!(a.vs, vec![0, 5, 11]);
     }
 
     /// Regression test for the release-mode monotonicity hole: the old code

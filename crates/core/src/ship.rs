@@ -408,18 +408,6 @@ impl GapLedger {
         self.sources.entry(source).or_default().note(seq)
     }
 
-    /// Whether `seq` has already been received from `source`, without
-    /// counting anything — the read-only probe a receiver uses to decide
-    /// "re-ack, don't re-persist" before touching durable storage.
-    pub fn is_received(&self, source: SourceId, seq: u64) -> bool {
-        self.sources.get(&source).is_some_and(|s| {
-            let i = s.received.partition_point(|&(_, hi)| hi < seq);
-            s.received
-                .get(i)
-                .is_some_and(|&(lo, hi)| lo <= seq && seq <= hi)
-        })
-    }
-
     /// Adopts `source` at sequence `upto`: every number below it is marked
     /// received (without counting duplicates) and the watermark is raised
     /// to cover the adopted range. Used when a receiver takes over a

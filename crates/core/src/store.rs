@@ -202,15 +202,8 @@ impl SampleStore {
         self.ledger.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether `seq` from `source` was already received (read-only; counts
-    /// nothing). Receivers probe this before durable persistence so a
-    /// redelivery is re-acked without being re-logged.
-    pub fn is_duplicate_seq(&self, source: SourceId, seq: u64) -> bool {
-        self.ledger_lock().is_received(source, seq)
-    }
-
     /// Counts a deduplicated redelivery of `seq` from `source` in the
-    /// ledger (the bookkeeping half of [`SampleStore::is_duplicate_seq`]).
+    /// ledger.
     pub fn count_duplicate(&self, source: SourceId, seq: u64) {
         self.ledger_lock().note_received(source, seq);
     }

@@ -152,8 +152,8 @@ impl Event {
     /// remains. The rank is a pure function of the event's content plus a
     /// within-class sequence, so both execution modes order the same
     /// physical coincidences identically (see the module docs). Public so
-    /// batch consumers (the simulator's slice loop) can compare a buffered
-    /// event against [`EventQueue::pop_if_before`].
+    /// a consumer of [`EventQueue::pop_batch`] can compare a buffered event
+    /// against [`EventQueue::pop_if_before`].
     pub fn key(&self) -> (u64, u64) {
         (self.time.0, self.ord)
     }
@@ -208,7 +208,6 @@ pub struct EventQueue {
     /// Total pending events across `cur`, the wheel, and the overflow.
     len: usize,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl Default for EventQueue {
@@ -242,7 +241,6 @@ impl EventQueue {
             overflow_min: Nanos::MAX,
             len: 0,
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -250,7 +248,6 @@ impl EventQueue {
     pub fn schedule(&mut self, time: Nanos, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.len += 1;
         let ev = Event {
             time,
@@ -326,6 +323,9 @@ impl EventQueue {
     /// everything batched) or merge-inserts into `cur` — consumers must
     /// therefore interleave [`Self::pop_if_before`] with the slice, which
     /// is an O(1) check per event.
+    ///
+    /// The simulator pops one event at a time ([`Self::pop_until`]); this
+    /// drain is kept for the benchmark's isolated event-queue row.
     pub fn pop_batch(&mut self, until: Nanos, buf: &mut Vec<Event>) -> usize {
         loop {
             if !self.cur.is_empty() {
@@ -397,11 +397,6 @@ impl EventQueue {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total events ever scheduled; used by throughput benchmarks.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// First occupied absolute bucket in `[next_abs, wheel_end)`.
@@ -528,7 +523,6 @@ mod tests {
         q.schedule(Nanos(1), timer(0, 0));
         q.schedule(Nanos(2), timer(0, 0));
         q.pop_until(Nanos::MAX);
-        assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.len(), 1);
     }
 

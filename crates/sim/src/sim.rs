@@ -1,13 +1,10 @@
 //! The simulator driver.
 //!
 //! Owns the nodes, the wiring, the packet arena, and the event calendar,
-//! and runs the discrete-event loop **batch-wise**: the calendar drains a
-//! whole activated bucket into a reusable buffer
-//! ([`EventQueue::pop_batch`]) and the loop consumes the slice, checking
-//! the queue's O(1) preemption channel ([`EventQueue::pop_if_before`])
-//! before each buffered event so mid-batch schedules still fire in exact
-//! `(time, seq)` order. Equivalence with pop-per-event is asserted by
-//! `tests/calendar_equivalence.rs`.
+//! and runs the discrete-event loop one event at a time: each
+//! [`EventQueue::pop_until`] yields the next event in exact `(time, seq)`
+//! order (pinned by `tests/calendar_equivalence.rs`), including events a
+//! handler scheduled a moment earlier.
 
 use crate::arena::PacketArena;
 use crate::events::{Event, EventKind, EventQueue};
@@ -22,9 +19,6 @@ pub struct Simulator {
     wiring: Wiring,
     queue: EventQueue,
     arena: PacketArena,
-    /// Reusable batch buffer for [`Self::run_until`]; holds the activated
-    /// bucket currently being consumed.
-    batch: Vec<Event>,
     now: Nanos,
     dispatched: u64,
     /// Lazy transmit stages (see [`crate::txstage`]): no `TxComplete`
@@ -56,7 +50,6 @@ impl Simulator {
             wiring: Wiring::new(),
             queue: EventQueue::with_capacity(event_capacity),
             arena: PacketArena::with_capacity(event_capacity / 2),
-            batch: Vec::new(),
             now: Nanos::ZERO,
             dispatched: 0,
             hybrid: crate::txstage::hybrid_default(),
@@ -172,29 +165,14 @@ impl Simulator {
     /// `until` (inclusive). Returns the number of events dispatched by this
     /// call.
     ///
-    /// The loop is batch-oriented: each iteration drains one activated
-    /// calendar bucket into the reusable `batch` buffer and consumes it as
-    /// a slice. A handler may schedule events that must fire *before* a
-    /// still-buffered event; those can only land in the queue's activated
-    /// bucket (see [`EventQueue::pop_batch`]), so one
-    /// [`EventQueue::pop_if_before`] probe per buffered event keeps the
-    /// dispatch order exactly `(time, seq)`-sorted.
+    /// Events are popped and dispatched one at a time, so an event a
+    /// handler schedules is visible to the very next pop and dispatch
+    /// follows `(time, seq)` order exactly.
     pub fn run_until(&mut self, until: Nanos) -> u64 {
         let start = self.dispatched;
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            batch.clear();
-            if self.queue.pop_batch(until, &mut batch) == 0 {
-                break;
-            }
-            for &ev in &batch {
-                while let Some(pre) = self.queue.pop_if_before(ev.key()) {
-                    self.step(pre);
-                }
-                self.step(ev);
-            }
+        while let Some(ev) = self.queue.pop_until(until) {
+            self.step(ev);
         }
-        self.batch = batch;
         // The loop stopped because no event fires at or before `until`;
         // advance the clock to the horizon so repeated calls line up.
         if self.now < until && until != Nanos::MAX {

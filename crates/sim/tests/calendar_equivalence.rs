@@ -140,8 +140,8 @@ fn run_equivalence(seed: u64, rounds: usize, max_step: u64) {
     assert_eq!(popped, next_token, "every scheduled event popped once");
 }
 
-/// Drives the calendar through the *batched* consumption protocol the
-/// simulator uses — [`EventQueue::pop_batch`] slices interleaved with
+/// Drives the calendar through the *batched* consumption protocol —
+/// [`EventQueue::pop_batch`] slices interleaved with
 /// [`EventQueue::pop_if_before`] preemption probes — against the reference
 /// heap popping one event at a time. "Handler" side effects are modeled by
 /// re-scheduling work mid-slice at the fired event's instant or just after
