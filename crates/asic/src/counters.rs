@@ -103,10 +103,7 @@ const OFF_TX_HIST: usize = 5 + N_SIZE_BINS;
 /// The full counter state of one ASIC.
 ///
 /// Implements [`CounterSink`] so a [`uburst_sim::switch::Switch`] writes it
-/// directly; the telemetry framework reads it through [`AsicCounters::read`]
-/// — or, on the polling hot path, through a pre-resolved
-/// [`ReadPlan`](crate::readplan::ReadPlan) that maps each counter to its
-/// cell once instead of per poll.
+/// directly; the telemetry framework reads it through [`AsicCounters::read`].
 ///
 /// Storage is one flat `Vec<Cell<u64>>` — `PORT_STRIDE` cells per port,
 /// then the buffer level and peak registers — so a resolved counter is a
@@ -193,8 +190,7 @@ impl AsicCounters {
         self.n_ports
     }
 
-    /// Total cells in the flat bank (used by read plans to verify they are
-    /// applied to a bank of the same geometry they were resolved against).
+    /// Total cells in the flat bank (a bank-geometry stamp).
     pub(crate) fn n_cells(&self) -> usize {
         self.cells.len()
     }
@@ -213,9 +209,25 @@ impl AsicCounters {
         self.level_slot() + 1
     }
 
-    /// The flat-cell index of a counter. Validates the port (and histogram
-    /// bin) once — this is what lets a [`ReadPlan`](crate::readplan::ReadPlan)
-    /// skip per-read dispatch.
+    /// Whether this bank has counter `id`: its port exists and, for a
+    /// histogram counter, so does its bin. Reads nothing, so it clears no
+    /// register; [`AsicCounters::read`] panics exactly where this is
+    /// `false`.
+    pub fn has(&self, id: CounterId) -> bool {
+        let (port, bin) = match id {
+            CounterId::RxBytes(p)
+            | CounterId::RxPackets(p)
+            | CounterId::TxBytes(p)
+            | CounterId::TxPackets(p)
+            | CounterId::Drops(p) => (Some(p), 0),
+            CounterId::RxSizeHist(p, b) | CounterId::TxSizeHist(p, b) => (Some(p), b),
+            CounterId::BufferLevel | CounterId::BufferPeak => (None, 0),
+        };
+        port.is_none_or(|p| usize::from(p.0) < self.n_ports) && usize::from(bin) < N_SIZE_BINS
+    }
+
+    /// The flat-cell index of a counter, validating its port (and
+    /// histogram bin).
     pub(crate) fn slot_of(&self, id: CounterId) -> usize {
         match id {
             CounterId::RxBytes(p) => self.port_base(p) + OFF_RX_BYTES,
@@ -426,6 +438,37 @@ mod tests {
             .sum();
         assert_eq!(hist_total, sizes.len() as u64);
         assert_eq!(c.read(CounterId::RxPackets(PortId(0))), sizes.len() as u64);
+    }
+
+    #[test]
+    fn has_agrees_with_read_without_reading() {
+        let c = AsicCounters::new(2);
+        c.buffer_level(3_000);
+        c.buffer_level(1_000);
+        for id in [
+            CounterId::TxBytes(PortId(1)),
+            CounterId::Drops(PortId(0)),
+            CounterId::RxSizeHist(PortId(1), (N_SIZE_BINS - 1) as u8),
+            CounterId::BufferLevel,
+            CounterId::BufferPeak,
+        ] {
+            assert!(c.has(id), "{id:?}");
+        }
+        for id in [
+            CounterId::TxBytes(PortId(2)),
+            CounterId::RxPackets(PortId(7)),
+            CounterId::TxSizeHist(PortId(0), N_SIZE_BINS as u8),
+            CounterId::RxSizeHist(PortId(9), 0),
+        ] {
+            assert!(!c.has(id), "{id:?}");
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.read(id)));
+            assert!(
+                read.is_err(),
+                "read({id:?}) must panic where has() is false"
+            );
+        }
+        // The query did not clear the read-and-clear peak register.
+        assert_eq!(c.peek_buffer_peak(), 3_000);
     }
 
     #[test]

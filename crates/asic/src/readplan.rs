@@ -1,19 +1,17 @@
 //! Pre-resolved batched counter reads.
 //!
-//! A poller reads the same counter list every interval, yet the naive path
-//! re-does the full per-counter work on every poll: match on the
-//! [`CounterId`] variant, bounds-check the port, and walk
-//! the access-latency model to price the batch. A [`ReadPlan`] hoists all
-//! of that out of the hot loop: it resolves each counter to its flat cell
-//! slot once, and tabulates the simulated cost of every counter-list
-//! prefix once, so a poll is an indexed gather plus a table lookup.
+//! Kept only for the standalone `benchmark/` workspace, which still links
+//! it for its `asic.read_planned_ns_*` rows; no product path calls it, and
+//! it retires with ROADMAP item 3. Its measured verdict is retire: the
+//! poller that read through it ran `rack_bulk` no faster than the poller
+//! that prices each poll with [`AccessModel::poll_cost`] and reads each
+//! counter with [`AsicCounters::read`], which is what the poller does.
 //!
-//! The prefix-cost table exists because load shedding (see
-//! `uburst-core`'s poller) always drops counters from the *tail* of the
-//! campaign list — every read set the poller can issue is a prefix of the
-//! plan, so one table covers all of them. Costs are computed with
-//! [`AccessModel::poll_cost`] itself, so planned costs are bit-identical
-//! to the unplanned path and simulated timelines do not move.
+//! A [`ReadPlan`] resolves each counter of a list to its flat cell slot
+//! once, and tabulates the simulated cost of every prefix of the list
+//! once (with [`AccessModel::poll_cost`] itself, so planned costs equal
+//! unplanned ones), so a planned read is an indexed gather plus a table
+//! lookup.
 
 use crate::access::AccessModel;
 use crate::counters::{AsicCounters, CounterId};

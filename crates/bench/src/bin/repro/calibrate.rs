@@ -7,8 +7,8 @@
 //! `cargo run --release -p uburst-bench --bin repro -- calibrate`.
 
 use uburst_analysis::{
-    extract_bursts, fit_transition_matrix, hot_chain, mean_offdiagonal, pearson, Ecdf,
-    HOT_THRESHOLD,
+    correlation_matrix, extract_bursts, fit_transition_matrix, hot_chain, mean_offdiagonal,
+    pearson, Ecdf, HOT_THRESHOLD,
 };
 use uburst_asic::CounterId;
 use uburst_bench::campaign::{port_bps, port_groups_spec, single_port_spec};
@@ -144,7 +144,7 @@ pub fn run() {
             hot_up as f64 / (hot_dn + hot_up) as f64
         };
         // Server correlation on downlink utilization.
-        let m = uburst_bench::correlation_matrix_pooled(&utils[..n]);
+        let m = correlation_matrix(&utils[..n]);
         let corr_all = mean_offdiagonal(&m);
         // Mean correlation within pods of 4 (cache structure).
         let mut pod_sum = 0.0;

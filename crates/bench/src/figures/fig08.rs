@@ -7,7 +7,7 @@
 
 use std::fmt::Write;
 
-use uburst_analysis::mean_offdiagonal;
+use uburst_analysis::{correlation_matrix, mean_offdiagonal};
 use uburst_asic::CounterId;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
@@ -94,9 +94,7 @@ pub fn run(scale: Scale) -> String {
                     .collect()
             })
             .collect();
-        // Pooled rows; bit-identical to the serial matrix (nested pools
-        // share one budget, so this never oversubscribes).
-        let m = crate::pearson_pool::correlation_matrix_pooled(&series);
+        let m = correlation_matrix(&series);
         let off = mean_offdiagonal(&m);
         let (same, cross) = pod_split(&m, pod_size);
         (off, same, cross, ascii_heatmap(&m))

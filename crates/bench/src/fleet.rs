@@ -20,13 +20,12 @@ use std::fmt::Write as _;
 
 use uburst_analysis::{correlation_matrix, mad_per_period, mean_offdiagonal, Ecdf};
 use uburst_asic::{CounterId, FaultPlan};
-use uburst_core::batch::{Batch, SourceId};
+use uburst_core::batch::{BatchPolicy, Batcher, SourceId};
 use uburst_core::failpoint::RegionCrashPlan;
 use uburst_core::fleet::{
     run_fleet_with_crashes, FleetConfig, FleetOutcome, HealthState, RoundInput, SwitchStream,
 };
 use uburst_core::link::LinkPlan;
-use uburst_core::series::Series;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
@@ -135,7 +134,8 @@ struct SwitchRun {
     stream: SwitchStream,
 }
 
-/// Runs one switch's campaign and cuts its series into shipping rounds.
+/// Runs one switch's campaign and has its `Batcher` cut the polls into
+/// shipping rounds.
 /// Pure in `(spec, index)` — the determinism anchor for the whole fleet.
 fn measure_switch(spec: &FleetSpec, index: u32) -> SwitchRun {
     let mut cfg = ScenarioConfig::for_fleet_switch(spec.fleet_seed, index);
@@ -160,41 +160,30 @@ fn measure_switch(spec: &FleetSpec, index: u32) -> SwitchRun {
     };
     let degraded = read_error_frac > DEGRADED_READ_ERROR_FRAC;
 
-    // Cut each counter's series into `rounds` shipping rounds. The whole
-    // round carries the switch-side degradation verdict: a poller whose
-    // reads are failing says so on every batch it sends.
+    // The switch's `Batcher` cuts the campaign into at most `rounds`
+    // shipping rounds of ⌈polls / rounds⌉ polls (the last may be shorter),
+    // one batch per counter each. The stream is padded with empty rounds
+    // to `rounds` because the fleet counts data rounds by the longest
+    // stream. The whole round carries the
+    // switch-side degradation verdict: a poller whose reads are failing
+    // says so on every batch it sends.
     let source = SourceId(index);
     let n_rounds = spec.rounds as usize;
-    let mut rounds: Vec<RoundInput> = (0..n_rounds)
-        .map(|_| RoundInput {
-            batches: Vec::new(),
-            degraded,
-        })
+    let polls = run.series.first().map_or(0, |(_, s)| s.len());
+    let policy = BatchPolicy {
+        max_samples: polls.div_ceil(n_rounds).max(1),
+        max_age: Nanos::MAX,
+    };
+    let ids = run.series.iter().map(|(c, _)| *c).collect();
+    let mut rounds: Vec<RoundInput> = Batcher::new(source, "fleet", ids, policy)
+        .cut_series(&run.series)
+        .into_iter()
+        .map(|batches| RoundInput { batches, degraded })
         .collect();
-    for (counter, series) in &run.series {
-        let n = series.len();
-        if n == 0 {
-            continue;
-        }
-        let per = n.div_ceil(n_rounds);
-        for (r, round) in rounds.iter_mut().enumerate() {
-            let lo = r * per;
-            let hi = ((r + 1) * per).min(n);
-            if lo >= hi {
-                break;
-            }
-            let mut chunk = Series::new();
-            for i in lo..hi {
-                chunk.push(Nanos(series.ts[i]), series.vs[i]);
-            }
-            round.batches.push(Batch {
-                source,
-                campaign: "fleet".into(),
-                counter: *counter,
-                samples: chunk,
-            });
-        }
-    }
+    rounds.resize_with(n_rounds, || RoundInput {
+        batches: Vec::new(),
+        degraded,
+    });
 
     // A flaky switch's management uplink is as sick as its ASIC bus; a
     // healthy switch ships clean. Link seeds derive from the fleet seed

@@ -25,7 +25,7 @@ pub use campaign::{port_bps, representative_port, CampaignRun, CampaignSpec, Net
 pub use fleet::{
     render_report, run_fleet_spec, run_fleet_spec_on, FleetRun, FleetSpec, SwitchMeta,
 };
-pub use pearson_pool::{correlation_matrix_pooled, correlation_matrix_pooled_on};
+pub use pearson_pool::correlation_matrix_pooled_on;
 pub use pool::{run_jobs, run_jobs_on, run_parallel, run_parallel_on};
 pub use report::{fmt_bytes, Table};
 pub use scale::Scale;

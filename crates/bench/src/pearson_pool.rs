@@ -1,32 +1,24 @@
-//! Pooled evaluation of the Pearson correlation matrix.
+//! The Pearson correlation matrix fanned over the worker pool.
 //!
-//! Fig. 8's heatmap and the calibration sweep compute k×k correlation
-//! matrices over campaign-length series — the O(k²·n) dot products
-//! dominate. `uburst-analysis` takes each series' mean and norm once
+//! Kept only for the standalone `benchmark/` workspace, which still links
+//! it for its pooled-speedup row; no `repro` path calls it, and it
+//! retires with ROADMAP item 3. Its measured verdict is retire: on two
+//! threads it was slower than the serial
+//! [`uburst_analysis::correlation_matrix`] at every matrix size, so Fig. 8
+//! and `calibrate` call that.
+//!
+//! `uburst-analysis` takes each series' mean and norm once
 //! ([`CenteredMatrix`]) and runs one blocked kernel over any contiguous
-//! range of the **linearized upper triangle**; this module fans such
-//! ranges across the campaign worker pool ([`crate::pool::run_jobs`]) and
-//! stitches the pieces back in submission order.
-//!
-//! The unit of work is a contiguous range of pair indices, not a row.
-//! Row-tail jobs are pathologically unbalanced — row 0 carries `k-1`
-//! dot products and row `k-1` carries none, so one worker drags the whole
-//! matrix while the rest idle. Every pair costs the same `O(n)`, so a
-//! fixed budget of near-equal pair ranges (`PAIR_CHUNKS`, several per
-//! worker at any realistic thread count, to absorb scheduling jitter)
-//! keeps all workers busy to the end.
-//!
-//! Bit-identity at any thread count comes for free from the split: the
+//! range of the **linearized upper triangle**; this module splits the
+//! triangle into `PAIR_CHUNKS` near-equal pair ranges, runs them with
+//! [`run_jobs_on`] and stitches the pieces back in submission order. The
 //! kernel runs each pair's float operations in the same order whatever
-//! other pairs share its range, so any partition of the pairs yields the
-//! same entries, and `run_jobs` returns chunks indexed by submission
-//! order, so concatenating them reproduces the row-major upper triangle
-//! exactly as the serial driver computes it. `UBURST_THREADS=1` runs the
-//! chunks inline on the caller.
+//! other pairs share its range, so the result is bit-identical to the
+//! serial matrix at any thread count.
 
 use uburst_analysis::CenteredMatrix;
 
-use crate::pool::{run_jobs, run_jobs_on};
+use crate::pool::run_jobs_on;
 
 /// Target number of pair-range chunks per matrix. Fixed — **not** derived
 /// from the thread count — for two reasons: the telemetry contract
@@ -57,22 +49,12 @@ fn pair_ranges(total: usize, chunks: usize) -> Vec<(usize, usize)> {
 }
 
 /// [`uburst_analysis::correlation_matrix`] with the upper triangle fanned
-/// over the worker pool in balanced pair ranges. Bit-identical to the
-/// serial function at any thread count (asserted by
+/// over `threads` workers (see [`run_jobs_on`]) in balanced pair ranges.
+/// Bit-identical to the serial function at any thread count (asserted by
 /// `pooled_matrix_is_thread_count_invariant` below).
 ///
 /// # Panics
 /// Panics if series lengths differ.
-pub fn correlation_matrix_pooled(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let c = CenteredMatrix::new(series);
-    let ranges = pair_ranges(c.pairs(), PAIR_CHUNKS);
-    let parts = run_jobs(ranges, |(s, e)| c.upper_triangle(s..e));
-    c.assemble(&parts.concat())
-}
-
-/// [`correlation_matrix_pooled`] with an explicit thread count (see
-/// [`run_jobs_on`]), bypassing `UBURST_THREADS` and the global budget.
-/// Tests use this to pin both sides of the invariance assertion.
 pub fn correlation_matrix_pooled_on(threads: usize, series: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let c = CenteredMatrix::new(series);
     let ranges = pair_ranges(c.pairs(), PAIR_CHUNKS);
@@ -198,12 +180,5 @@ mod tests {
                 assert_eq!(correlation_matrix_pooled_on(threads, &s), serial, "k={k}");
             }
         }
-    }
-
-    #[test]
-    fn pooled_matrix_uses_the_global_pool() {
-        let s = fixture(5, 101, 2);
-        assert_eq!(correlation_matrix_pooled(&s), correlation_matrix(&s));
-        assert!(correlation_matrix_pooled(&[]).is_empty());
     }
 }

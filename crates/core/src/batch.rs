@@ -57,6 +57,11 @@ impl Default for BatchPolicy {
 }
 
 /// Accumulates per-counter samples and cuts [`Batch`]es per the policy.
+///
+/// This is the switch side of the collection path: polls go in one at a
+/// time through [`Batcher::record`], or a finished campaign's series all
+/// at once through [`Batcher::cut_series`], and each cut is what the
+/// switch ships as one fleet round.
 #[derive(Debug)]
 pub struct Batcher {
     source: SourceId,
@@ -140,6 +145,33 @@ impl Batcher {
                 samples: std::mem::take(buf),
             })
             .collect()
+    }
+
+    /// Replays a finished campaign through [`Batcher::record`], poll by
+    /// poll, and returns one cut per flush, the final [`Batcher::flush`]
+    /// last. Empty cuts are dropped, so a campaign with no polls yields
+    /// none. `series` is what the poller recorded: one series per
+    /// campaign counter, in the batcher's counter order, all sharing the
+    /// poll timestamps of the first.
+    ///
+    /// # Panics
+    /// Panics if `series` does not name the batcher's counters in order.
+    pub fn cut_series(mut self, series: &[(CounterId, Series)]) -> Vec<Vec<Batch>> {
+        assert!(
+            series.iter().map(|(c, _)| c).eq(&self.counters),
+            "schema mismatch"
+        );
+        let mut cuts = Vec::new();
+        let mut values = vec![0; series.len()];
+        for (k, &t) in series[0].1.ts.iter().enumerate() {
+            for (v, (_, s)) in values.iter_mut().zip(series) {
+                *v = s.vs[k];
+            }
+            cuts.push(self.record(Nanos(t), &values));
+        }
+        cuts.push(self.flush());
+        cuts.retain(|cut| !cut.is_empty());
+        cuts
     }
 
     /// Samples currently buffered per counter.
@@ -273,6 +305,113 @@ mod tests {
         let s = stored_in_pairs(&[(10, 100), (10, 150), (20, 200), (30, 300)]);
         assert_eq!(s.ts, vec![10, 20, 30]);
         assert_eq!(s.vs, vec![100, 200, 300]);
+    }
+
+    /// `polls` seeded polls of three counters, as a poller records them:
+    /// one series per counter, all on the same strictly increasing times.
+    fn campaign(polls: usize, seed: u64) -> Vec<(CounterId, Series)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 40
+        };
+        let ids = [
+            CounterId::TxBytes(PortId(0)),
+            CounterId::TxBytes(PortId(3)),
+            CounterId::BufferPeak,
+        ];
+        let mut series: Vec<(CounterId, Series)> =
+            ids.iter().map(|&id| (id, Series::new())).collect();
+        let mut t = 0;
+        for _ in 0..polls {
+            t += 1 + next() % 50_000;
+            for (_, s) in &mut series {
+                s.push(Nanos(t), next());
+            }
+        }
+        series
+    }
+
+    fn batcher_for(series: &[(CounterId, Series)], policy: BatchPolicy) -> Batcher {
+        let ids = series.iter().map(|(c, _)| *c).collect();
+        Batcher::new(SourceId(4), "c", ids, policy)
+    }
+
+    /// The oracle: the `record`/`flush` loop a switch runs, written out.
+    fn cut_by_hand(series: &[(CounterId, Series)], policy: BatchPolicy) -> Vec<Vec<Batch>> {
+        let mut b = batcher_for(series, policy);
+        let mut cuts = Vec::new();
+        for k in 0..series[0].1.len() {
+            let values: Vec<u64> = series.iter().map(|(_, s)| s.vs[k]).collect();
+            let cut = b.record(Nanos(series[0].1.ts[k]), &values);
+            if !cut.is_empty() {
+                cuts.push(cut);
+            }
+        }
+        let last = b.flush();
+        if !last.is_empty() {
+            cuts.push(last);
+        }
+        cuts
+    }
+
+    #[test]
+    fn cut_series_equals_the_record_flush_loop() {
+        for seed in 1..=8u64 {
+            let series = campaign(300 + seed as usize * 37, seed);
+            for policy in [
+                BatchPolicy {
+                    max_samples: 64,
+                    max_age: Nanos::MAX,
+                },
+                BatchPolicy {
+                    max_samples: 1_000,
+                    max_age: Nanos::from_micros(900),
+                },
+                BatchPolicy::default(),
+            ] {
+                let got = batcher_for(&series, policy).cut_series(&series);
+                let want = cut_by_hand(&series, policy);
+                assert!(!got.is_empty());
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed} {policy:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_exact_multiple_of_max_samples_ends_without_an_empty_cut() {
+        let series = campaign(4 * 25, 9);
+        let policy = BatchPolicy {
+            max_samples: 25,
+            max_age: Nanos::MAX,
+        };
+        let cuts = batcher_for(&series, policy).cut_series(&series);
+        assert_eq!(cuts.len(), 4);
+        for cut in &cuts {
+            assert_eq!(cut.len(), 3, "one batch per counter");
+            assert!(cut.iter().all(|b| b.samples.len() == 25));
+        }
+    }
+
+    #[test]
+    fn an_empty_campaign_yields_no_cuts() {
+        let series = campaign(0, 1);
+        let cuts = batcher_for(&series, BatchPolicy::default()).cut_series(&series);
+        assert!(cuts.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "schema mismatch")]
+    fn cut_series_refuses_a_foreign_schema() {
+        let series = campaign(10, 2);
+        let b = Batcher::new(SourceId(0), "c", counters(), BatchPolicy::default());
+        b.cut_series(&series);
     }
 
     #[test]

@@ -16,6 +16,12 @@ pub enum PollError {
     EmptyCampaign,
     /// The campaign's target interval is zero.
     ZeroInterval,
+    /// The campaign polls a counter the bank does not have (a port past
+    /// the bank's width, or a histogram bin past the last).
+    UnknownCounter {
+        /// The first such counter in campaign order.
+        counter: uburst_asic::CounterId,
+    },
     /// `spawn` was asked for a campaign window with `stop <= start`.
     EmptyWindow {
         /// Requested campaign start.
@@ -37,6 +43,9 @@ impl fmt::Display for PollError {
         match self {
             PollError::EmptyCampaign => write!(f, "campaign with no counters"),
             PollError::ZeroInterval => write!(f, "zero sampling interval"),
+            PollError::UnknownCounter { counter } => {
+                write!(f, "counter {counter:?} is not on this bank")
+            }
             PollError::EmptyWindow { start, stop } => {
                 write!(f, "empty campaign window [{start}, {stop})")
             }
@@ -183,6 +192,11 @@ mod tests {
             PollError::EmptyCampaign.to_string(),
             "campaign with no counters"
         );
+        assert!(PollError::UnknownCounter {
+            counter: uburst_asic::CounterId::BufferPeak
+        }
+        .to_string()
+        .contains("BufferPeak"));
         let e = PollError::EmptyWindow {
             start: Nanos::from_micros(5),
             stop: Nanos::from_micros(5),

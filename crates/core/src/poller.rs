@@ -47,7 +47,7 @@
 
 use std::rc::Rc;
 
-use uburst_asic::{AccessModel, AsicCounters, FaultInjector, FaultStats, ReadPlan};
+use uburst_asic::{AccessModel, AsicCounters, FaultInjector, FaultStats};
 use uburst_sim::node::{Ctx, Node, NodeId, PortId};
 use uburst_sim::packet::Packet;
 use uburst_sim::rng::Rng;
@@ -188,14 +188,8 @@ impl PollerStats {
 /// The sampling loop, attached to one switch's counter bank.
 pub struct Poller {
     bank: Rc<AsicCounters>,
-    /// The campaign's counter list resolved against the bank and access
-    /// model once at construction: per-poll costs become a table lookup
-    /// and per-poll reads a batched slot gather (see
-    /// [`uburst_asic::ReadPlan`]). Shed read sets are prefixes of the
-    /// campaign list, so one plan covers every degradation level.
-    plan: ReadPlan,
-    /// Reusable buffer for batched counter reads.
-    read_buf: Vec<u64>,
+    /// Prices each poll's bus transaction over the active counters.
+    access: AccessModel,
     campaign: CampaignConfig,
     rng: Rng,
     /// Where each poll's values go, one series per campaign counter.
@@ -239,11 +233,12 @@ impl Poller {
         if campaign.interval.is_zero() {
             return Err(PollError::ZeroInterval);
         }
-        let plan = bank.read_plan(&campaign.counters, &access);
+        if let Some(&counter) = campaign.counters.iter().find(|&&id| !bank.has(id)) {
+            return Err(PollError::UnknownCounter { counter });
+        }
         Ok(Poller {
             bank,
-            plan,
-            read_buf: Vec::with_capacity(n),
+            access,
             sink: MemorySink::new(campaign.counters.clone()),
             campaign,
             rng: Rng::new(seed),
@@ -373,6 +368,14 @@ impl Poller {
         Ok(self.sink.take_all())
     }
 
+    /// The simulated bus cost of reading the active counters. Shedding
+    /// drops counters from the tail, so the read set is always a prefix
+    /// of the campaign list.
+    fn poll_cost(&self) -> Nanos {
+        self.access
+            .poll_cost(&self.campaign.counters[..self.active_n])
+    }
+
     /// The effective deadline spacing at the current degradation level.
     fn effective_interval(&self) -> Nanos {
         self.campaign.interval * self.controller.interval_multiplier()
@@ -409,7 +412,7 @@ impl Poller {
                     return;
                 }
                 Ok(extra) => {
-                    let work = self.plan.cost(self.active_n) + extra;
+                    let work = self.poll_cost() + extra;
                     let jitter = self.campaign.core_mode.sample_jitter(&mut self.rng);
                     self.stats.busy += work;
                     ctx.timer_in(work + jitter, TOKEN_POLL_DONE);
@@ -417,7 +420,7 @@ impl Poller {
                 }
             }
         }
-        let work = self.plan.cost(self.active_n);
+        let work = self.poll_cost();
         let jitter = self.campaign.core_mode.sample_jitter(&mut self.rng);
         // Only the bus transaction is *our* CPU time; jitter is time stolen
         // by the kernel / other work, which delays completion but is not
@@ -430,21 +433,19 @@ impl Poller {
         let now = ctx.now();
         // Snapshot the counters with the *actual* read time, not the
         // deadline: "we still capture ... the correct timestamp" (Table 1).
-        // The active prefix is gathered in one planned batch; shed tail
-        // counters keep schema alignment by carrying the last decoded value
-        // forward — no bytes are lost because the counter is cumulative and
-        // the next real read catches up the delta.
+        // Shed tail counters keep schema alignment by carrying the last
+        // decoded value forward — no bytes are lost because the counter is
+        // cumulative and the next real read catches up the delta.
         let shed = self.campaign.counters.len() - self.active_n;
         // Hybrid fast-forward defers datapath accounting; settle the bank
         // to the read instant so sampled values are byte-identical to
         // per-packet mode. No-op when nothing registered a flush hook.
         self.bank.flush_to(now);
-        self.bank
-            .read_planned(&self.plan, self.active_n, &mut self.read_buf);
         for i in 0..self.active_n {
-            let mut v = self.read_buf[i];
+            let id = self.campaign.counters[i];
+            let mut v = self.bank.read(id);
             if let Some(faults) = self.faults.as_mut() {
-                v = faults.filter_value(self.campaign.counters[i], v);
+                v = faults.filter_value(id, v);
             }
             if let Some(dec) = self.decoders[i].as_mut() {
                 let rejected_before = dec.regressions();
@@ -480,7 +481,7 @@ impl Poller {
     /// only the recorder's flag check.
     #[inline(never)]
     fn record_poll_telemetry(&self, now: Nanos) {
-        let cost = self.plan.cost(self.active_n).as_nanos();
+        let cost = self.poll_cost().as_nanos();
         let latency = now.saturating_sub(self.poll_started).as_nanos();
         match self.campaign.core_mode {
             CoreMode::Dedicated => {
@@ -542,15 +543,6 @@ impl Poller {
         uburst_obs::counter_add!("uburst_poller_shed_counters_total", s.shed_counters);
         uburst_obs::counter_add!("uburst_poller_degraded_polls_total", s.degraded_polls);
         uburst_obs::counter_add!("uburst_poller_wrap_regressions_total", s.wrap_regressions);
-        // Batched-read accounting, derived rather than counted so the
-        // read_planned hot path stays untouched: every completed poll is
-        // exactly one planned batch read of the active prefix, and the
-        // active prefix is the full group minus whatever degradation shed.
-        uburst_obs::counter_add!("uburst_readplan_batch_reads_total", s.polls);
-        uburst_obs::counter_add!(
-            "uburst_readplan_counters_read_total",
-            (s.polls * self.campaign.counters.len() as u64).saturating_sub(s.shed_counters),
-        );
         // Busy vs elapsed simulated time by core mode: the §4.1 overhead
         // split (a dedicated core burns 100% regardless; a shared core is
         // charged only for its transactions).
@@ -777,6 +769,35 @@ mod tests {
             p.spawn(&mut sim, Nanos(5), Nanos(5)).unwrap_err(),
             PollError::EmptyWindow { .. }
         ));
+    }
+
+    #[test]
+    fn a_counter_off_the_bank_is_a_typed_error_not_a_panic() {
+        let bank = AsicCounters::new_shared(1);
+        let reject = |counters: Vec<CounterId>| {
+            let campaign = CampaignConfig::group("x", counters, Nanos::from_micros(25));
+            Poller::in_memory(bank.clone(), AccessModel::default(), campaign, 0)
+                .err()
+                .expect("a counter off the bank must be rejected")
+        };
+        assert_eq!(
+            reject(vec![CounterId::TxBytes(PortId(7))]),
+            PollError::UnknownCounter {
+                counter: CounterId::TxBytes(PortId(7))
+            }
+        );
+        // The first offender in campaign order is named; a histogram bin
+        // past the last is as unknown as a port past the bank.
+        assert_eq!(
+            reject(vec![
+                CounterId::BufferPeak,
+                CounterId::RxSizeHist(PortId(0), 200),
+                CounterId::Drops(PortId(1)),
+            ]),
+            PollError::UnknownCounter {
+                counter: CounterId::RxSizeHist(PortId(0), 200)
+            }
+        );
     }
 
     #[test]

@@ -51,24 +51,14 @@ fn main() {
         let stats = p.stats();
         let series = p.take_series().expect("in-memory campaign");
 
-        // The switch CPU's batching: every poll goes through a Batcher,
-        // and each batch it cuts ships as one fleet round.
+        // The switch CPU's batching: a Batcher cuts the polls, and each
+        // cut ships as one fleet round.
         let source = SourceId(i as u32);
         let policy = BatchPolicy {
             max_samples: 512,
             max_age: Nanos::from_millis(10),
         };
-        let mut batcher = Batcher::new(source, name, counters, policy);
-        let mut rounds = Vec::new();
-        let mut values = vec![0; series.len()];
-        for (k, &t) in series[0].1.ts.iter().enumerate() {
-            for (v, (_, s)) in values.iter_mut().zip(&series) {
-                *v = s.vs[k];
-            }
-            rounds.push(batcher.record(Nanos(t), &values));
-        }
-        rounds.push(batcher.flush());
-        rounds.retain(|batches| !batches.is_empty());
+        let rounds = Batcher::new(source, name, counters, policy).cut_series(&series);
         println!(
             "{}: polled {} times ({:.2}% missed deadlines), {} rounds to ship",
             rack_type.name(),

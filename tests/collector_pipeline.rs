@@ -45,27 +45,17 @@ fn poll_rack(
     }
 }
 
-/// The switch CPU's shipping schedule: every poll goes through a
-/// `Batcher`, and each batch it cuts is one fleet round.
+/// The switch CPU's shipping schedule: a `Batcher` cuts the campaign,
+/// and each cut is one fleet round.
 fn stream(polled: &Polled, policy: BatchPolicy, link: LinkPlan) -> SwitchStream {
     let counters = polled.series.iter().map(|(c, _)| *c).collect();
-    let mut batcher = Batcher::new(polled.source, "pipeline", counters, policy);
-    let mut cuts = Vec::new();
-    let mut values = vec![0; polled.series.len()];
-    for (k, &t) in polled.series[0].1.ts.iter().enumerate() {
-        for (v, (_, s)) in values.iter_mut().zip(&polled.series) {
-            *v = s.vs[k];
-        }
-        cuts.push(batcher.record(Nanos(t), &values));
-    }
-    cuts.push(batcher.flush());
+    let cuts = Batcher::new(polled.source, "pipeline", counters, policy).cut_series(&polled.series);
     SwitchStream {
         source: polled.source,
         link,
         link_seed: 0xC011_EC70 ^ u64::from(polled.source.0),
         rounds: cuts
             .into_iter()
-            .filter(|batches| !batches.is_empty())
             .map(|batches| RoundInput {
                 batches,
                 degraded: false,
