@@ -47,7 +47,8 @@ pub fn is_injected_crash(e: &io::Error) -> bool {
 /// A [`WalStorage`] wrapper that kills the writer at a byte-granular
 /// offset: appends pass through until `budget` total bytes have been
 /// applied, the append that crosses the budget applies only its prefix,
-/// and everything after fails with [`crash_error`]. Reads, listing, and
+/// and everything after — segment removal included, since a dead process
+/// deletes nothing — fails with [`crash_error`]. Reads, listing, and
 /// truncation pass through untouched (the disk outlives the process).
 #[derive(Debug)]
 pub struct TornStorage<S: WalStorage> {
@@ -129,6 +130,13 @@ impl<S: WalStorage> WalStorage for TornStorage<S> {
 
     fn truncate(&mut self, index: u64, len: usize) -> io::Result<()> {
         self.inner.truncate(index, len)
+    }
+
+    fn remove(&mut self, index: u64) -> io::Result<()> {
+        if self.crashed {
+            return Err(crash_error());
+        }
+        self.inner.remove(index)
     }
 }
 

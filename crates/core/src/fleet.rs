@@ -3,8 +3,9 @@
 //!
 //! N switches each ship sequenced batches over their own lossy link — a
 //! [`Session`] per switch — to a **regional aggregator**, a WAL-backed
-//! [`crate::wal::DurableStore`], which forwards what it stored to one
-//! global [`SampleStore`] at the end of every round. A [`Fleet`] steps
+//! [`crate::wal::DurableReceiver`] keeping a gap ledger, which forwards
+//! what it stored to one global [`SampleStore`] at the end of every round
+//! and then drops the log segments that store now covers. A [`Fleet`] steps
 //! that machine one round at a time; each phase of a round is a method:
 //!
 //! * `health`: every switch carries a state machine (Healthy → Degraded
@@ -16,8 +17,10 @@
 //!   mid-round; its switches re-shard to the survivors by rendezvous hash
 //!   ([`rendezvous_region`]), each adopted at its shipper's acked prefix;
 //!   after a bounded downtime the region's WAL is replayed into the global
-//!   store — a superset of everything it ever acked — and its switches go
-//!   home.
+//!   store and its switches go home. A live region checkpoints its WAL at
+//!   every end-of-round forward, deleting the closed segments the global
+//!   store already holds, so the replayed suffix and the global store
+//!   together cover everything the region ever acked.
 //! * `coverage`: a figure computed under partial failure *says so*.
 //!   Every [`FleetOutcome`] carries a [`CoverageLedger`], and `produced =
 //!   stored + excluded + refused + undelivered` tiles exactly at every
@@ -497,7 +500,10 @@ pub fn run_fleet_with_crashes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::scan_segment;
     use crate::series::Series;
+    use crate::ship::GapLedger;
+    use crate::wal::{DurableReceiver, MemStorage, RecoveryReport, WalStorage};
     use uburst_asic::CounterId;
     use uburst_sim::node::PortId;
     use uburst_sim::time::Nanos;
@@ -905,6 +911,232 @@ mod tests {
             );
         }
         assert_eq!(out.coverage.sample_fraction(), 1.0);
+    }
+
+    /// 512-byte segments: a few rounds of traffic fill one, so a run
+    /// rotates and checkpoints many times.
+    fn small_segment_cfg(regions: usize) -> FleetConfig {
+        FleetConfig {
+            regions,
+            drain_rounds: 10,
+            region_wal: WalConfig {
+                segment_max_bytes: 512,
+                fsync: FsyncPolicy::Always,
+            },
+            ..FleetConfig::default()
+        }
+    }
+
+    /// `(source, seq)` of every clean record on a region's disk, in log
+    /// order — what a recovery of it would replay.
+    fn disk_records(disk: &MemStorage) -> Vec<(SourceId, u64)> {
+        let mut out = Vec::new();
+        for index in disk.list().unwrap() {
+            let scan = scan_segment(&disk.read(index).unwrap());
+            out.extend(scan.records.iter().map(|sb| (sb.batch.source, sb.seq)));
+        }
+        out
+    }
+
+    /// Each source's first sequence number in `records`: its base, where
+    /// a recovery of the log adopts it if the base is past 0.
+    fn bases(records: &[(SourceId, u64)]) -> BTreeMap<SourceId, u64> {
+        let mut bases = BTreeMap::new();
+        for &(src, seq) in records {
+            bases.entry(src).or_insert(seq);
+        }
+        bases
+    }
+
+    /// Recovers a copy of a region's disk, leaving the disk as it was.
+    fn recover_copy(
+        disk: &MemStorage,
+        cfg: &FleetConfig,
+    ) -> (DurableReceiver<MemStorage, GapLedger>, RecoveryReport) {
+        let mut copy = MemStorage::new();
+        for index in disk.list().unwrap() {
+            copy.open_segment(index).unwrap();
+            copy.append(&disk.read(index).unwrap()).unwrap();
+        }
+        DurableReceiver::recover(copy, cfg.region_wal).unwrap()
+    }
+
+    /// A region's log holds only what the global store may lack: after
+    /// every round each live region's disk is its one open segment, while
+    /// its write stream (`wal_bytes`, the crash-plan coordinates) keeps
+    /// growing — with and without a crash of region 0 mid-run.
+    #[test]
+    fn checkpointed_region_log_is_one_open_segment_at_every_round() {
+        let cfg = small_segment_cfg(2);
+        let build = || -> Vec<SwitchStream> {
+            (0..8)
+                .map(|s| stream(s, LinkPlan::default(), 20, 0))
+                .collect()
+        };
+        let reference = run_fleet(build(), &cfg);
+        let crash = RegionCrashPlan::kill(0, reference.regions[0].wal_bytes / 2);
+        for plan in [RegionCrashPlan::none(), crash] {
+            let mut fleet = Fleet::new(build(), &cfg, &plan);
+            let mut grew = vec![0u64; cfg.regions];
+            while fleet.step_round() {
+                let stats = fleet.regions();
+                for (r, region) in fleet.regions.iter().enumerate() {
+                    if !region.is_live() {
+                        continue;
+                    }
+                    let round = fleet.round;
+                    assert_eq!(
+                        region.disk.list().unwrap().len(),
+                        1,
+                        "region {r} round {round}"
+                    );
+                    assert!(
+                        region.disk.total_bytes() <= cfg.region_wal.segment_max_bytes,
+                        "region {r} round {round}: {} B on disk",
+                        region.disk.total_bytes()
+                    );
+                    if stats[r].recoveries == 0 {
+                        assert!(stats[r].wal_bytes >= grew[r], "region {r} round {round}");
+                        grew[r] = stats[r].wal_bytes;
+                    }
+                }
+            }
+            let out = fleet.finish();
+            for (r, stats) in out.regions.iter().enumerate() {
+                assert!(
+                    grew[r] > 4 * cfg.region_wal.segment_max_bytes as u64,
+                    "region {r} wrote only {} B",
+                    grew[r]
+                );
+                assert!(stats.segments_removed >= 4, "region {r}");
+            }
+            assert_eq!(out.coverage.sample_fraction(), 1.0);
+            let (mut csv_ref, mut csv_out) = (Vec::new(), Vec::new());
+            reference.store.export_csv(&mut csv_ref).unwrap();
+            out.store.export_csv(&mut csv_out).unwrap();
+            assert_eq!(csv_ref, csv_out);
+        }
+    }
+
+    /// Recovery from a checkpointed log. Region 0 dies after several
+    /// checkpoints; one of its switches went quiet early, so none of its
+    /// records survive on the disk. Recovery replays the suffix — each
+    /// other source re-adopted at its checkpoint base — and forgets the
+    /// quiet switch, which the re-homing adopts again at its acked prefix.
+    /// The quiet switch then resumes in sequence; once its new records
+    /// are on the log, a recovery counts it too, at the base the
+    /// checkpoint left. The store ends byte-identical to the crash-free run.
+    #[test]
+    fn checkpointed_region_recovers_a_switch_with_no_surviving_record() {
+        const SWITCHES: u32 = 6;
+        const ROUNDS: u32 = 16;
+        const QUIET: std::ops::Range<u32> = 3..12;
+        let cfg = small_segment_cfg(2);
+        let live = [true, true];
+        // Region 0's last switch in pump order: its record is the last
+        // one region 0 logs in a round, so it is in the open segment at
+        // the round's checkpoint.
+        let quiet = (0..SWITCHES)
+            .rev()
+            .map(SourceId)
+            .find(|&s| rendezvous_region(s, &live) == Some(0))
+            .unwrap();
+        let build = || -> Vec<SwitchStream> {
+            (0..SWITCHES)
+                .map(|s| {
+                    let mut st = stream(s, LinkPlan::IDEAL, ROUNDS, 0);
+                    if SourceId(s) == quiet {
+                        for r in QUIET {
+                            st.rounds[r as usize].batches.clear();
+                        }
+                    }
+                    st
+                })
+                .collect()
+        };
+        let reference = run_fleet(build(), &cfg);
+        let produced = (ROUNDS - QUIET.len() as u32) as u64;
+        let crash = RegionCrashPlan::kill(0, reference.regions[0].wal_bytes / 2);
+
+        let mut fleet = Fleet::new(build(), &cfg, &crash);
+        while fleet.regions[0].is_live() {
+            assert!(fleet.step_round(), "region 0 never crashed");
+        }
+        let crash_round = fleet.round - 1;
+        assert!(QUIET.contains(&crash_round), "crash in round {crash_round}");
+        assert!(
+            fleet.regions()[0].segments_removed > 0,
+            "crash before any checkpoint"
+        );
+        let surviving = disk_records(&fleet.regions[0].disk);
+        assert!(!surviving.is_empty());
+        assert!(
+            surviving.iter().all(|&(src, _)| src != quiet),
+            "the quiet switch has a record on the surviving disk"
+        );
+        // Every surviving source starts past seq 0, at its checkpoint
+        // base, and recovery counts one adoption for each.
+        let (rec, report) = recover_copy(&fleet.regions[0].disk, &cfg);
+        let at_crash = bases(&surviving);
+        assert!(at_crash.values().all(|&base| base > 0));
+        assert_eq!(report.adoptions, at_crash.len() as u64);
+        assert_eq!(report.records, surviving.len() as u64);
+        assert_eq!(
+            rec.keep().contiguous(quiet),
+            0,
+            "no record, no ledger entry"
+        );
+        assert!(rec
+            .keep()
+            .sources()
+            .into_iter()
+            .all(|src| at_crash.contains_key(&src)));
+
+        // Step until the quiet switch's first resumed record is logged:
+        // the home it came back to logs it at its acked prefix, which a
+        // recovery of that log counts as an adoption.
+        let base = QUIET.start as u64;
+        while fleet.round <= QUIET.end {
+            assert!(fleet.step_round());
+        }
+        assert_eq!(fleet.regions()[0].recoveries, 1);
+        let surviving = disk_records(&fleet.regions[0].disk);
+        let resumed = bases(&surviving);
+        assert_eq!(
+            resumed.get(&quiet),
+            Some(&base),
+            "resumed in sequence at its base"
+        );
+        let (rec, report) = recover_copy(&fleet.regions[0].disk, &cfg);
+        assert_eq!(
+            report.adoptions,
+            resumed.values().filter(|&&b| b > 0).count() as u64,
+            "one adoption per source the log starts past 0, the quiet one included"
+        );
+        let logged = surviving.iter().filter(|&&(src, _)| src == quiet).count() as u64;
+        assert_eq!(rec.keep().contiguous(quiet), base + logged);
+
+        while fleet.step_round() {}
+        let out = fleet.finish();
+        assert_eq!(out.regions[0].crashes, 1);
+        assert_eq!(out.regions[0].recoveries, 1);
+        let s = out
+            .coverage
+            .switches
+            .iter()
+            .find(|s| s.source == quiet)
+            .unwrap();
+        assert_eq!(s.produced, produced);
+        assert_eq!(s.stored, produced);
+        assert_eq!(s.contiguous, produced);
+        assert_eq!(s.missing, 0);
+        assert!(s.stored >= s.acked);
+        assert_eq!(s.resharded, 2, "away and back home");
+        assert_eq!(out.coverage.sample_fraction(), 1.0);
+        let (mut csv_ref, mut csv_out) = (Vec::new(), Vec::new());
+        reference.store.export_csv(&mut csv_ref).unwrap();
+        out.store.export_csv(&mut csv_out).unwrap();
+        assert_eq!(csv_ref, csv_out, "recovered fleet == crash-free fleet");
     }
 
     #[test]

@@ -74,7 +74,8 @@ pub struct RegionStats {
     /// Times its WAL was recovered (downtime elapsed, or the end-of-run
     /// failover sweep). The region is down while `crashes > recoveries`.
     pub recoveries: u64,
-    /// Clean records replayed from its WAL at recovery.
+    /// Clean records replayed from its WAL at recovery: those in the
+    /// segments its last checkpoint left (the then-open one and later).
     pub wal_records_recovered: u64,
     /// Replayed records that were new to the global store (acked by this
     /// region before the crash but never forwarded).
@@ -82,17 +83,24 @@ pub struct RegionStats {
     /// Bytes this region's WAL writer has pushed through storage — the
     /// coordinate system for crash-plan offsets (reference runs only: a
     /// recovered region's writer restarts its count; 0 while down).
+    /// Checkpoints delete bytes, never this count.
     pub wal_bytes: u64,
+    /// Closed WAL segments deleted at this region's checkpoints.
+    pub segments_removed: u64,
 }
 
 /// One regional aggregator: a WAL and a gap ledger over a disk image that
 /// survives the process ([`MemStorage`] semantics), crashable via the
 /// [`TornStorage`] byte budget. It holds no series: every sample it logs is
 /// merged exactly once, in the global store — from `pending` at
-/// [`Region::forward`], or from the log at [`Region::recover`].
+/// [`Region::forward`], or from the log at [`Region::recover`]. Nor does
+/// its disk keep what the global store already has: every forward ends in
+/// a checkpoint that deletes the log's closed segments, so the disk holds
+/// one open segment between rounds (plus, after a crash, the suffix the
+/// recovery will replay).
 pub(super) struct Region {
     /// The disk: shared image, outlives the writer — what recovery reads.
-    disk: MemStorage,
+    pub(super) disk: MemStorage,
     /// The live receiver; `None` while the region is down.
     ds: Option<DurableReceiver<TornStorage<MemStorage>, GapLedger>>,
     /// Records stored this round, awaiting the end-of-round push to the
@@ -213,19 +221,21 @@ impl Region {
         uburst_obs::counter_add!("uburst_fleet_region_crashes_total", 1);
     }
 
-    /// End-of-round durability point of a live region: the WAL syncs and
-    /// the round's stored records are pushed upstream to the global tier.
-    /// Returns the flush acks (`None` while down).
+    /// End-of-round durability point of a live region: the WAL syncs, the
+    /// round's stored records are pushed upstream to the global tier, and
+    /// the log is checkpointed. Every record it holds has now reached the
+    /// global store — this round's from `pending`, earlier rounds' at
+    /// their own forwards, a previous life's at its recovery — so its
+    /// closed segments go and only the open one stays. Returns the flush
+    /// acks (`None` while down).
     pub(super) fn forward(&mut self, global: &SampleStore) -> Option<Vec<AckMsg>> {
-        let acks = self
-            .ds
-            .as_mut()?
-            .flush()
-            .expect("live region flush cannot fail");
+        let ds = self.ds.as_mut()?;
+        let acks = ds.flush().expect("live region flush cannot fail");
         self.stats.forwarded += self.pending.len() as u64;
         for sb in self.pending.drain(..) {
             let _ = global.ingest_seq(&sb);
         }
+        self.stats.segments_removed += ds.checkpoint().expect("live region checkpoint cannot fail");
         Some(acks)
     }
 

@@ -14,7 +14,8 @@
 //!
 //! * [`WalStorage`] — the byte-level backend the log writes through.
 //!   [`DirStorage`] is the real thing (one `wal-NNNNNNNN.seg` file per
-//!   segment in a directory, `fsync` via `File::sync_data`);
+//!   segment in a directory, `fsync` via `File::sync_data`, plus a
+//!   directory fsync when a segment is created or removed);
 //!   [`MemStorage`] is a shared in-memory image with identical semantics,
 //!   used by the deterministic crash-injection harness
 //!   ([`crate::failpoint`]) and the durability experiments.
@@ -45,6 +46,16 @@
 //! covering sync, but bytes that reached the OS may still survive a crash.
 //! Invariants 2 and 3 are unconditional. `tests/crash_recovery.rs` sweeps
 //! hundreds of crash offsets asserting all three.
+//!
+//! A regional aggregator's log is checkpointed
+//! ([`DurableReceiver::checkpoint`]) once everything it holds has reached
+//! the global store, which deletes its closed segments. Recovery of such a
+//! log yields a *suffix* of the write stream, not the whole: each source
+//! is re-adopted at its first surviving record, and a source with none is
+//! absent until its stream is handed back. Invariant 1 then holds for the
+//! log and the global store together — every acked record is in one of
+//! them — and `tests/region_failover.rs` sweeps its crash offsets over
+//! checkpointed logs.
 //!
 //! [`SampleStore`]: crate::store::SampleStore
 
@@ -260,6 +271,23 @@ impl<S: WalStorage> Wal<S> {
         self.since_sync = 0;
         self.sync_due = false;
         Ok(())
+    }
+
+    /// Deletes every closed segment — all of them but the open one — and
+    /// returns how many went. The caller vouches that every record in
+    /// them is held somewhere else: after this the log is a suffix of the
+    /// write stream. Byte accounting ([`Wal::total_bytes`],
+    /// [`Wal::record_ends`]) still counts the deleted bytes.
+    fn checkpoint(&mut self) -> Result<u64, WalError> {
+        let mut removed = 0;
+        for index in self.storage.list()? {
+            if index >= self.segment {
+                break;
+            }
+            self.storage.remove(index)?;
+            removed += 1;
+        }
+        Ok(removed)
     }
 
     /// Total bytes this writer has pushed through the storage (headers

@@ -20,7 +20,10 @@ use crate::store::{QuarantineReason, SampleStore, SeqIngest};
 /// What recovery found and repaired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Clean records replayed into the store.
+    /// Clean records replayed into the store. For a checkpointed log these
+    /// are only the records in the segments the last
+    /// [`DurableReceiver::checkpoint`] left: the one open then and every
+    /// later one.
     pub records: u64,
     /// Segment files scanned.
     pub segments: u64,
@@ -42,10 +45,12 @@ pub struct RecoveryReport {
     /// Forward sequence jumps adopted during replay. A regional WAL that
     /// took over a stream mid-flight ([`DurableReceiver::adopt_source`])
     /// legitimately begins a source at a nonzero sequence (and may jump
-    /// again if the stream left and came back); recovery re-derives each
-    /// adoption point from the log itself — the first record of a run is
-    /// the handoff base. Always 0 for a WAL that owned its streams from
-    /// sequence 0.
+    /// again if the stream left and came back), and so does a log whose
+    /// closed segments a [`DurableReceiver::checkpoint`] deleted: its
+    /// first surviving record of a source is the checkpoint base. Recovery
+    /// re-derives each adoption point from the log itself — the first
+    /// record of a run is the base. Always 0 for a log that owned its
+    /// streams from sequence 0 and was never checkpointed.
     pub adoptions: u64,
 }
 
@@ -235,6 +240,31 @@ impl<S: WalStorage> DurableStore<S> {
     /// never reached the log.
     pub fn note_stream_state(&self, source: SourceId, next_seq: u64) {
         SampleStore::note_watermark(&self.keep, source, next_seq);
+    }
+}
+
+/// A regional aggregator's receiver: the ledger alone, its samples merged
+/// one tier up.
+impl<S: WalStorage> DurableReceiver<S, GapLedger> {
+    /// Deletes every closed segment of the log and returns how many went
+    /// (the open segment stays). Call it only once every record logged so
+    /// far has reached the tier above: the log then holds only what that
+    /// tier may lack. Recovery of the remaining suffix needs nothing new —
+    /// a source whose first surviving record is past sequence 0 is
+    /// re-adopted at it ([`RecoveryReport::adoptions`]), and a source with
+    /// no surviving record is adopted afresh when its stream is handed
+    /// back ([`DurableReceiver::adopt_source`]).
+    ///
+    /// Only a ledger-keeping receiver has this: a [`DurableStore`]'s log is
+    /// the only copy of its samples.
+    ///
+    /// ```compile_fail,E0599
+    /// use uburst_core::wal::{DurableStore, MemStorage, WalConfig};
+    /// let mut ds = DurableStore::create(MemStorage::new(), WalConfig::default()).unwrap();
+    /// ds.checkpoint().unwrap();
+    /// ```
+    pub fn checkpoint(&mut self) -> Result<u64, WalError> {
+        self.wal.checkpoint()
     }
 }
 

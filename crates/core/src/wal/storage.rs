@@ -10,7 +10,9 @@ use std::sync::{Arc, Mutex};
 
 /// The byte-level backend a [`Wal`](super::Wal) writes through.
 /// Implementations must apply `append` bytes in order and make everything
-/// appended before a successful `sync` survive a crash.
+/// appended before a successful `sync` survive a crash — the segment that
+/// holds them included — and a segment `remove` returned from must stay
+/// gone.
 pub trait WalStorage {
     /// Creates (or truncates) segment `index` and makes it current.
     fn open_segment(&mut self, index: u64) -> io::Result<()>;
@@ -25,13 +27,21 @@ pub trait WalStorage {
     fn read(&self, index: u64) -> io::Result<Vec<u8>>;
     /// Truncates segment `index` to `len` bytes (torn-tail removal).
     fn truncate(&mut self, index: u64, len: usize) -> io::Result<()>;
+    /// Deletes segment `index` (a checkpoint dropping a closed segment).
+    fn remove(&mut self, index: u64) -> io::Result<()>;
 }
 
 /// Real directory-of-files storage: `wal-NNNNNNNN.seg` under `dir`.
+///
+/// A file's bytes and its name are made durable apart: `sync_data` covers
+/// the bytes, and only an fsync of the directory covers the entry that
+/// names a new segment (or the absence of a removed one).
 #[derive(Debug)]
 pub struct DirStorage {
     dir: PathBuf,
     current: Option<fs::File>,
+    /// A segment was created since the directory was last synced.
+    dir_dirty: bool,
 }
 
 impl DirStorage {
@@ -39,11 +49,22 @@ impl DirStorage {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DirStorage> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(DirStorage { dir, current: None })
+        Ok(DirStorage {
+            dir,
+            current: None,
+            dir_dirty: false,
+        })
     }
 
     fn path(&self, index: u64) -> PathBuf {
         self.dir.join(format!("wal-{index:08}.seg"))
+    }
+
+    /// Makes the directory's entries durable.
+    fn sync_dir(&mut self) -> io::Result<()> {
+        fs::File::open(&self.dir)?.sync_all()?;
+        self.dir_dirty = false;
+        Ok(())
     }
 }
 
@@ -56,6 +77,7 @@ impl WalStorage for DirStorage {
                 .truncate(true)
                 .open(self.path(index))?,
         );
+        self.dir_dirty = true;
         Ok(())
     }
 
@@ -68,10 +90,13 @@ impl WalStorage for DirStorage {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        match self.current.as_mut() {
-            Some(f) => f.sync_data(),
-            None => Ok(()),
+        if let Some(f) = self.current.as_mut() {
+            f.sync_data()?;
         }
+        if self.dir_dirty {
+            self.sync_dir()?;
+        }
+        Ok(())
     }
 
     fn list(&self) -> io::Result<Vec<u64>> {
@@ -99,6 +124,11 @@ impl WalStorage for DirStorage {
         let f = fs::OpenOptions::new().write(true).open(self.path(index))?;
         f.set_len(len as u64)?;
         f.sync_data()
+    }
+
+    fn remove(&mut self, index: u64) -> io::Result<()> {
+        fs::remove_file(self.path(index))?;
+        self.sync_dir()
     }
 }
 
@@ -177,5 +207,13 @@ impl WalStorage for MemStorage {
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such segment"))?;
         seg.truncate(len);
         Ok(())
+    }
+
+    fn remove(&mut self, index: u64) -> io::Result<()> {
+        self.lock()
+            .segments
+            .remove(&index)
+            .map(drop)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such segment"))
     }
 }

@@ -10,7 +10,7 @@ use super::*;
 use crate::batch::{Batch, SourceId};
 use crate::errors::WalError;
 use crate::series::Series;
-use crate::ship::{AckMsg, SeqBatch};
+use crate::ship::{AckMsg, GapLedger, SeqBatch};
 use crate::store::SeqIngest;
 use uburst_asic::CounterId;
 use uburst_sim::node::PortId;
@@ -219,6 +219,89 @@ fn dir_storage_round_trips_on_disk() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The directory half of durability: a checkpoint's removals and the new
+/// segments it leaves are directory entries, synced with the directory.
+/// On disk the checkpointed log is its open segment alone, and it
+/// recovers a suffix: every source with a record left is re-adopted at
+/// the first one, a source whose records all went is forgotten, and
+/// re-adopting it at the shipper's acked prefix resumes it in sequence.
+#[test]
+fn dir_storage_checkpoint_keeps_the_open_segment_and_recovers() {
+    let dir = std::env::temp_dir().join(format!(
+        "uburst-wal-test-{}-{}",
+        std::process::id(),
+        line!()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let cfg = WalConfig {
+        segment_max_bytes: 512,
+        fsync: FsyncPolicy::Always,
+    };
+    {
+        let storage = DirStorage::open(&dir).unwrap();
+        let mut ds = DurableReceiver::<_, GapLedger>::create(storage, cfg).unwrap();
+        for i in 0..2 {
+            ds.ingest(&sb(i, 5, 50 * (i + 1))).unwrap();
+        }
+        for i in 0..20 {
+            ds.ingest(&sb(i, 3, 50 * (i + 1))).unwrap();
+            ds.ingest(&sb(i, 4, 50 * (i + 1))).unwrap();
+        }
+        ds.flush().unwrap();
+        let before = ds.wal().storage().list().unwrap();
+        assert!(before.len() > 2, "rotation happened");
+        assert_eq!(ds.checkpoint().unwrap(), before.len() as u64 - 1);
+        assert_eq!(
+            ds.wal().storage().list().unwrap(),
+            before[before.len() - 1..],
+            "only the open segment is left"
+        );
+        assert_eq!(ds.checkpoint().unwrap(), 0, "nothing closed to remove");
+        assert_eq!(
+            ds.wal().record_ends().len(),
+            42,
+            "removed records still counted"
+        );
+    } // writer gone; the open segment remains
+    let storage = DirStorage::open(&dir).unwrap();
+    assert_eq!(storage.list().unwrap().len(), 1);
+    let (mut rec, report) = DurableReceiver::<_, GapLedger>::recover(storage, cfg).unwrap();
+    assert!(report.records > 0 && report.records < 40);
+    assert_eq!(report.segments, 1);
+    assert_eq!(report.torn_tails, 0);
+    assert_eq!(report.adoptions, 2, "both kept sources start past seq 0");
+    assert_eq!(
+        report.duplicates, 0,
+        "a checkpoint base is adoption, not a bug"
+    );
+    assert_eq!(rec.keep().contiguous(SourceId(3)), 20);
+    assert_eq!(rec.keep().contiguous(SourceId(4)), 20);
+    assert_eq!(rec.keep().contiguous(SourceId(5)), 0, "forgotten");
+    rec.adopt_source(SourceId(5), 2);
+    let (outcome, ack) = rec.ingest(&sb(2, 5, 150)).unwrap();
+    assert_eq!(outcome, SeqIngest::Stored);
+    assert_eq!(ack.cum, 3);
+    drop(rec);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A dead process deletes nothing: after its crash a torn storage refuses
+/// `remove` like every other write, and the segment stays.
+#[test]
+fn torn_storage_refuses_remove_after_its_crash() {
+    let disk = MemStorage::new();
+    let mut torn = crate::failpoint::TornStorage::new(disk.clone(), 4);
+    torn.open_segment(0).unwrap();
+    torn.append(&[1, 2, 3]).unwrap();
+    torn.open_segment(1).unwrap();
+    torn.remove(0).unwrap();
+    assert_eq!(disk.list().unwrap(), vec![1]);
+    assert!(torn.append(&[4, 5]).is_err(), "budget crosses: crash");
+    let err = torn.remove(1).unwrap_err();
+    assert!(crate::failpoint::is_injected_crash(&err));
+    assert_eq!(disk.list().unwrap(), vec![1]);
+}
+
 /// The load-bearing identity behind group commit: for any window
 /// partition, `ingest_group` produces the same physical byte stream,
 /// the same record-end coordinates, the same outcomes, and the same
@@ -317,7 +400,6 @@ fn copy_image(disk: &MemStorage) -> MemStorage {
 fn store_keep_and_ledger_keep_are_one_receiver() {
     use crate::link::LinkPlan;
     use crate::session::Workload;
-    use crate::ship::GapLedger;
     const WORK: Workload = Workload {
         sources: 3,
         batches: 24,
@@ -745,6 +827,9 @@ impl WalStorage for CountingStorage {
     }
     fn truncate(&mut self, index: u64, len: usize) -> io::Result<()> {
         self.inner.truncate(index, len)
+    }
+    fn remove(&mut self, index: u64) -> io::Result<()> {
+        self.inner.remove(index)
     }
 }
 

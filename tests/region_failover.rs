@@ -22,7 +22,9 @@
 //!   the coverage ledger tiles (`produced = stored + excluded + refused +
 //!   undelivered`) at every offset, the no-acked-loss floor
 //!   (`stored >= acked` per switch), crash/recovery/re-shard accounting,
-//!   and full byte-identical convergence to the crash-free fleet.
+//!   and full byte-identical convergence to the crash-free fleet. Each
+//!   region checkpoints its log at every round's forward, so most crashes
+//!   recover a suffix of the write stream, not the whole of it.
 //!
 //! Everything is seeded and single-threaded; `UBURST_THREADS` cannot
 //! touch it (the bench suite separately diffs fleet reports across
@@ -294,6 +296,11 @@ fn fleet_crash_offset_sweep_tiles_and_converges() {
     assert!(
         reference.regions.iter().all(|r| r.switches > 0),
         "rendezvous homed switches on both regions (else the sweep is vacuous)"
+    );
+    assert!(
+        reference.regions.iter().all(|r| r.segments_removed > 0),
+        "every region checkpointed a closed segment (else no crash recovers \
+         a checkpointed log)"
     );
 
     for region in 0..cfg.regions {
