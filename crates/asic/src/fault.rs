@@ -10,9 +10,10 @@
 //! between the poller and [`crate::AsicCounters`], injecting
 //!
 //! * **transient read failures** — the bus transaction times out; the poll
-//!   burns [`FaultPlan::bus_timeout`] of simulated time and returns nothing,
+//!   burns `BUS_TIMEOUT` of simulated time and returns nothing,
 //! * **latency spikes** — the transaction completes but takes far longer
 //!   than the [`crate::AccessModel`] cost (arbitration, retried TLPs),
+//!   uniformly between `SPIKE_MIN` and `SPIKE_MAX`,
 //! * **stale reads** — the transaction returns the previously latched value
 //!   (a stuck read snoop), and
 //! * **narrow counters** — values wrap modulo `2^counter_bits`, as on real
@@ -23,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use uburst_sim::rng::Rng;
+use uburst_sim::rng::{mix64, Rng, GOLDEN_GAMMA};
 use uburst_sim::time::Nanos;
 
 use crate::counters::CounterId;
@@ -47,6 +48,15 @@ impl ReadFault {
     }
 }
 
+/// Simulated time a failed transaction burns before reporting failure: a
+/// read that dies on the bus holds the CPU for several transaction setups
+/// before it is abandoned.
+const BUS_TIMEOUT: Nanos = Nanos(9_000);
+/// Latency-spike magnitudes are uniform in `[SPIKE_MIN, SPIKE_MAX)`.
+const SPIKE_MIN: Nanos = Nanos::from_micros(20);
+/// See `SPIKE_MIN`.
+const SPIKE_MAX: Nanos = Nanos::from_micros(80);
+
 /// A seeded description of how reads misbehave.
 ///
 /// Probabilities are per *poll transaction* (failure, spike) or per
@@ -58,14 +68,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that a poll transaction fails with a bus timeout.
     pub transient_failure: f64,
-    /// Simulated time a failed transaction burns before reporting failure.
-    pub bus_timeout: Nanos,
     /// Probability that a successful transaction suffers a latency spike.
     pub latency_spike: f64,
-    /// Spike magnitude range, uniform in `[min, max)`.
-    pub spike_min: Nanos,
-    /// See [`FaultPlan::spike_min`].
-    pub spike_max: Nanos,
     /// Probability that a read value is the previously latched one.
     pub stale_read: f64,
     /// When set, stale reads are served from a single **bank-wide** read
@@ -84,12 +88,7 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             transient_failure: 0.0,
-            // A read that dies on the bus holds the CPU for several
-            // transaction setups before the driver gives up.
-            bus_timeout: Nanos(9_000),
             latency_spike: 0.0,
-            spike_min: Nanos::from_micros(20),
-            spike_max: Nanos::from_micros(80),
             stale_read: 0.0,
             shared_snoop: false,
             counter_bits: 64,
@@ -160,12 +159,7 @@ impl FaultPlan {
         );
         // splitmix64 finalizer over (seed, index): decorrelates adjacent
         // switch indices so "flaky" is not clustered by rack numbering.
-        let mut h = fleet_seed ^ (switch_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
+        let h = mix64(fleet_seed ^ (switch_index as u64).wrapping_mul(GOLDEN_GAMMA));
         let plan = FaultPlan::none(h);
         let draw = (h >> 11) as f64 / (1u64 << 53) as f64;
         if draw < flaky_rate {
@@ -248,16 +242,13 @@ impl FaultInjector {
     pub fn pre_read(&mut self) -> Result<Nanos, ReadFault> {
         if self.plan.transient_failure > 0.0 && self.rng.chance(self.plan.transient_failure) {
             self.stats.bus_timeouts += 1;
-            uburst_obs::counter_add("uburst_fault_bus_timeouts_total", 1);
-            return Err(ReadFault::BusTimeout {
-                cost: self.plan.bus_timeout,
-            });
+            uburst_obs::counter_add!("uburst_fault_bus_timeouts_total", 1);
+            return Err(ReadFault::BusTimeout { cost: BUS_TIMEOUT });
         }
         if self.plan.latency_spike > 0.0 && self.rng.chance(self.plan.latency_spike) {
             self.stats.latency_spikes += 1;
-            uburst_obs::counter_add("uburst_fault_latency_spikes_total", 1);
-            let lo = self.plan.spike_min.as_nanos();
-            let hi = self.plan.spike_max.as_nanos().max(lo + 1);
+            uburst_obs::counter_add!("uburst_fault_latency_spikes_total", 1);
+            let (lo, hi) = (SPIKE_MIN.as_nanos(), SPIKE_MAX.as_nanos());
             return Ok(Nanos(self.rng.range(lo, hi - 1)));
         }
         Ok(Nanos::ZERO)
@@ -276,7 +267,7 @@ impl FaultInjector {
             };
             if let Some(old) = old {
                 self.stats.stale_values += 1;
-                uburst_obs::counter_add("uburst_fault_stale_values_total", 1);
+                uburst_obs::counter_add!("uburst_fault_stale_values_total", 1);
                 return old;
             }
         }
@@ -390,7 +381,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan);
         for _ in 0..1000 {
             let extra = inj.pre_read().unwrap();
-            assert!(extra >= plan.spike_min && extra < plan.spike_max);
+            assert!(extra >= SPIKE_MIN && extra < SPIKE_MAX);
         }
     }
 

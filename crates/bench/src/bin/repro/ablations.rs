@@ -26,7 +26,7 @@ use uburst_bench::campaign::{single_port_spec, CampaignSpec};
 use uburst_bench::report::Table;
 use uburst_bench::run_jobs;
 use uburst_core::spec::CoreMode;
-use uburst_core::tuning::probe_loss_profile;
+use uburst_core::tuning::probe_idle_bank;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
 use uburst_sim::node::PortId;
 use uburst_sim::routing::EcmpMode;
@@ -131,7 +131,7 @@ fn ablate_poller_core() {
         }
     }
     let misses = run_jobs(jobs, |(mode, us)| {
-        probe_loss_profile(
+        probe_idle_bank(
             &[CounterId::TxBytes(PortId(0))],
             AccessModel::default(),
             Nanos::from_micros(us),
@@ -139,7 +139,7 @@ fn ablate_poller_core() {
             mode,
             us,
         )
-        .0
+        .deadline_miss_fraction()
     });
     for (mi, mode) in modes.into_iter().enumerate() {
         let m = &misses[mi * 3..mi * 3 + 3];

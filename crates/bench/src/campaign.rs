@@ -18,7 +18,7 @@
 //! results back.
 
 use uburst_asic::{AccessModel, CounterId, FaultInjector, FaultPlan, FaultStats};
-use uburst_core::degrade::DegradationPolicy;
+use uburst_core::degrade::DegradeMode;
 use uburst_core::poller::{Poller, RetryPolicy};
 use uburst_core::series::{Series, UtilSample};
 use uburst_core::spec::CampaignConfig;
@@ -49,7 +49,7 @@ pub struct CampaignSpec {
     /// Retry policy for failed read transactions.
     pub retry: RetryPolicy,
     /// Optional adaptive degradation under overload.
-    pub degradation: Option<DegradationPolicy>,
+    pub degradation: Option<DegradeMode>,
 }
 
 impl CampaignSpec {
@@ -84,8 +84,8 @@ impl CampaignSpec {
     }
 
     /// Arms adaptive degradation.
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = Some(policy);
+    pub fn with_degradation(mut self, mode: DegradeMode) -> Self {
+        self.degradation = Some(mode);
         self
     }
 
@@ -140,8 +140,8 @@ impl CampaignSpec {
                 .with_faults(FaultInjector::new(plan))
                 .with_wrap_guard(max_bps);
         }
-        if let Some(policy) = self.degradation {
-            poller = poller.with_degradation(policy);
+        if let Some(mode) = self.degradation {
+            poller = poller.with_degradation(mode);
         }
         poller
             .spawn(&mut scenario.sim, start, stop)
@@ -190,16 +190,16 @@ pub fn run_group(specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
         .map(|id| {
             let poller = scenario.sim.node_mut::<Poller>(id);
             let poller_stats = poller.stats();
-            if uburst_obs::enabled() {
-                // Simulated extent of the whole campaign task, as seen from
-                // the pool layer (the poller records its own "campaign"
-                // span). Once per campaign, however many share the run.
-                let extent = poller_stats
+            // Simulated extent of the whole campaign task, as seen from the
+            // pool layer (the poller records its own "campaign" span). Once
+            // per campaign, however many share the run.
+            uburst_obs::span_record!(
+                "pool/campaign_task",
+                poller_stats
                     .stopped_at
                     .as_nanos()
-                    .saturating_sub(poller_stats.started_at.as_nanos());
-                uburst_obs::span_record("pool/campaign_task", extent);
-            }
+                    .saturating_sub(poller_stats.started_at.as_nanos())
+            );
             CampaignRun {
                 series: poller.take_series().expect("in-memory campaign"),
                 poller_stats,

@@ -93,12 +93,10 @@ pub fn run(scale: Scale) -> String {
         // don't fill a window are excluded from the figure but reported
         // below, so truncation is never silent.
         let dropped = n_samples - n_windows * samples_per_window;
-        if uburst_obs::enabled() {
-            uburst_obs::counter_add(
-                "uburst_fig10_trailing_samples_dropped_total",
-                dropped as u64,
-            );
-        }
+        uburst_obs::counter_add!(
+            "uburst_fig10_trailing_samples_dropped_total",
+            dropped as u64
+        );
         let mut pairs = Vec::with_capacity(n_windows);
         for w in 0..n_windows {
             let lo = w * samples_per_window;

@@ -11,38 +11,20 @@
 //! accounting.
 //!
 //! No traffic is generated: overhead is a property of the sampling loop
-//! and the counter-access path, not of the workload (the same reason the
-//! tuner's probe campaigns poll an idle bank).
+//! and the counter-access path, not of the workload, so both placements
+//! run the tuner's idle-bank probe ([`probe_idle_bank`]).
 
 use std::fmt::Write;
-use std::rc::Rc;
 
-use uburst_asic::{AccessModel, AsicCounters, CounterId};
-use uburst_core::poller::{Poller, PollerStats};
-use uburst_core::spec::{CampaignConfig, CoreMode};
+use uburst_asic::{AccessModel, CounterId};
+use uburst_core::spec::CoreMode;
+use uburst_core::tuning::probe_idle_bank;
 use uburst_sim::node::PortId;
-use uburst_sim::sim::Simulator;
 use uburst_sim::time::Nanos;
 
 use crate::pool::run_jobs;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
-
-/// Runs one standalone polling campaign against an idle bank and returns
-/// the poller's full accounting.
-fn probe_stats(mode: CoreMode, interval: Nanos, duration: Nanos, seed: u64) -> PollerStats {
-    let mut sim = Simulator::new();
-    let bank: Rc<AsicCounters> = AsicCounters::new_shared(1);
-    let mut campaign =
-        CampaignConfig::single("overhead-probe", CounterId::TxBytes(PortId(0)), interval);
-    campaign.core_mode = mode;
-    let id = Poller::in_memory(bank, AccessModel::default(), campaign, seed)
-        .expect("probe campaign is well-formed")
-        .spawn(&mut sim, Nanos::ZERO, duration)
-        .expect("probe window is non-empty");
-    sim.run_until(Nanos::MAX);
-    sim.node_mut::<Poller>(id).stats()
-}
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
@@ -62,7 +44,10 @@ pub fn run(scale: Scale) -> String {
     // The two placements are independent simulated campaigns: pool them.
     let jobs = vec![(CoreMode::Dedicated, 0x0411u64), (CoreMode::Shared, 0x0412)];
     let probes = run_jobs(jobs, |(mode, seed)| {
-        (mode, probe_stats(mode, interval, duration, seed))
+        let counters = [CounterId::TxBytes(PortId(0))];
+        let access = AccessModel::default();
+        let stats = probe_idle_bank(&counters, access, interval, duration, mode, seed);
+        (mode, stats)
     });
 
     let mut table = Table::new(&[

@@ -10,7 +10,7 @@ use std::fmt::Write;
 
 use uburst_asic::{AccessModel, CounterId};
 use uburst_core::spec::CoreMode;
-use uburst_core::tuning::{probe_loss_profile, tune_min_interval, TuningConfig};
+use uburst_core::tuning::{probe_idle_bank, tune_min_interval, TuningConfig};
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
@@ -38,7 +38,7 @@ pub fn run(scale: Scale) -> String {
     let probe_cases = [(1u64, "100%"), (10, "~10%"), (25, "~1%")];
     // Each probe is an independent simulated campaign: run them on the pool.
     let profiles = run_jobs(probe_cases.map(|(us, _)| us).to_vec(), |us| {
-        probe_loss_profile(
+        probe_idle_bank(
             &byte_counter,
             access,
             Nanos::from_micros(us),
@@ -48,7 +48,8 @@ pub fn run(scale: Scale) -> String {
         )
     });
     let mut measured = Vec::new();
-    for ((us, paper), (miss, late)) in probe_cases.into_iter().zip(profiles) {
+    for ((us, paper), stats) in probe_cases.into_iter().zip(profiles) {
+        let (miss, late) = (stats.deadline_miss_fraction(), stats.late_fraction());
         measured.push((us, miss, late));
         table.row(&[
             format!("{us}us"),
@@ -73,8 +74,7 @@ pub fn run(scale: Scale) -> String {
     };
     let peak_tuning = TuningConfig {
         max_interval: Nanos::from_micros(400),
-        probe_duration: duration,
-        ..TuningConfig::default()
+        ..tuning
     };
     let four_bytes: Vec<CounterId> = (0..4).map(|p| CounterId::TxBytes(PortId(p))).collect();
     // The three tuner runs are independent probe sweeps: pool them too.

@@ -75,9 +75,7 @@ fn release_workers(n: usize) {
 /// whatever the thread budget resolves to and however campaigns share
 /// simulations.
 fn count_submitted(n: usize) {
-    if uburst_obs::enabled() {
-        uburst_obs::counter_add("uburst_pool_jobs_total", n as u64);
-    }
+    uburst_obs::counter_add!("uburst_pool_jobs_total", n as u64);
 }
 
 /// Runs `f` over every input on the worker pool, returning the results in

@@ -11,7 +11,7 @@ use uburst_bench::campaign::{
     buffer_and_ports_spec, plan_groups, run_group, single_port_spec, CampaignRun, CampaignSpec,
 };
 use uburst_bench::run_parallel_on;
-use uburst_core::degrade::{DegradationPolicy, DegradeMode};
+use uburst_core::degrade::DegradeMode;
 use uburst_core::poller::RetryPolicy;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
 use uburst_sim::node::PortId;
@@ -90,14 +90,7 @@ fn faulted_and_degraded_campaign_fuses_with_a_plain_one() {
             max_retries: 2,
             ..RetryPolicy::default()
         })
-        .with_degradation(DegradationPolicy {
-            mode: DegradeMode::ShedCounters,
-            window: 64,
-            high_watermark: 0.15,
-            low_watermark: 0.02,
-            max_level: 6,
-            cooldown: 16,
-        });
+        .with_degradation(DegradeMode::ShedCounters);
     let specs = vec![bytes_spec(&cfg, 3, 25), hardened];
     assert_eq!(plan(&specs), vec![vec![0, 1]]);
     let fused = run_parallel_on(1, specs.clone());

@@ -189,11 +189,11 @@ fn supervise(
             match ingest(&store, &batch) {
                 Ok(()) => {
                     health.ingested.fetch_add(1, Ordering::Relaxed);
-                    uburst_obs::counter_add("uburst_collector_batches_ingested_total", 1);
+                    uburst_obs::counter_add!("uburst_collector_batches_ingested_total", 1);
                 }
                 Err(_) => {
                     health.quarantined.fetch_add(1, Ordering::Relaxed);
-                    uburst_obs::counter_add("uburst_collector_batches_quarantined_total", 1);
+                    uburst_obs::counter_add!("uburst_collector_batches_quarantined_total", 1);
                 }
             };
         }));
@@ -202,7 +202,7 @@ fn supervise(
             Err(_) => {
                 restarts += 1;
                 health.restarts.fetch_add(1, Ordering::Relaxed);
-                uburst_obs::counter_add("uburst_collector_worker_restarts_total", 1);
+                uburst_obs::counter_add!("uburst_collector_worker_restarts_total", 1);
                 if restarts > MAX_RESTARTS_PER_WORKER {
                     break; // retire; the rest of the pool carries the load
                 }

@@ -4,9 +4,9 @@
 //! utilization" (§4.1) rather than stall the switch CPU. This module makes
 //! that trade automatic: a [`DegradationController`] watches the fraction of
 //! missed deadlines over a sliding window and, when sustained pressure
-//! exceeds a watermark, steps the campaign down — either **shedding**
+//! exceeds `HIGH_WATERMARK`, steps the campaign down — either **shedding**
 //! low-priority counters from the poll group or **stretching** the sampling
-//! interval. When pressure subsides below the low watermark it steps back
+//! interval. When pressure subsides below `LOW_WATERMARK` it steps back
 //! up, so transient congestion degrades resolution instead of losing the
 //! campaign, and the degradation is fully accounted in
 //! [`crate::PollerStats`].
@@ -26,67 +26,24 @@ pub enum DegradeMode {
     StretchInterval,
 }
 
-/// Watermarks and pacing for adaptive degradation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationPolicy {
-    /// Response to sustained overload.
-    pub mode: DegradeMode,
-    /// Sliding window length, in deadline outcomes.
-    pub window: usize,
-    /// Step down when the windowed miss fraction exceeds this.
-    pub high_watermark: f64,
-    /// Step back up when the windowed miss fraction falls below this.
-    pub low_watermark: f64,
-    /// Maximum degradation steps (shed counters or interval doublings).
-    pub max_level: u32,
-    /// Minimum outcomes between consecutive level changes, so one bad
-    /// window cannot slam the controller to the floor.
-    pub cooldown: usize,
-}
+/// Sliding window length, in deadline outcomes.
+const WINDOW: usize = 256;
+/// Step down when the windowed miss fraction exceeds this.
+const HIGH_WATERMARK: f64 = 0.25;
+/// Step back up when the windowed miss fraction falls below this.
+const LOW_WATERMARK: f64 = 0.05;
+/// Maximum degradation steps (shed counters or interval doublings).
+const MAX_LEVEL: u32 = 3;
+/// Minimum outcomes between consecutive level changes, so one bad window
+/// cannot slam the controller to the floor.
+const COOLDOWN: usize = 64;
 
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy {
-            mode: DegradeMode::Off,
-            window: 256,
-            high_watermark: 0.25,
-            low_watermark: 0.05,
-            max_level: 3,
-            cooldown: 64,
-        }
-    }
-}
-
-impl DegradationPolicy {
-    /// A shedding policy with default watermarks.
-    pub fn shed() -> Self {
-        DegradationPolicy {
-            mode: DegradeMode::ShedCounters,
-            ..DegradationPolicy::default()
-        }
-    }
-
-    /// A stretching policy with default watermarks.
-    pub fn stretch() -> Self {
-        DegradationPolicy {
-            mode: DegradeMode::StretchInterval,
-            ..DegradationPolicy::default()
-        }
-    }
-
-    fn validate(&self) {
-        assert!(self.window > 0, "zero degradation window");
-        assert!(
-            self.low_watermark <= self.high_watermark,
-            "watermarks inverted"
-        );
-    }
-}
+const _: () = assert!(WINDOW > 0 && LOW_WATERMARK <= HIGH_WATERMARK);
 
 /// Sliding-window controller deciding the current degradation level.
 #[derive(Debug, Clone)]
 pub struct DegradationController {
-    policy: DegradationPolicy,
+    mode: DegradeMode,
     outcomes: VecDeque<bool>, // true = deadline missed
     missed_in_window: usize,
     level: u32,
@@ -98,23 +55,17 @@ pub struct DegradationController {
 }
 
 impl DegradationController {
-    /// A controller executing `policy`.
-    pub fn new(policy: DegradationPolicy) -> Self {
-        policy.validate();
+    /// A controller responding to overload with `mode`.
+    pub fn new(mode: DegradeMode) -> Self {
         DegradationController {
-            policy,
-            outcomes: VecDeque::with_capacity(policy.window),
+            mode,
+            outcomes: VecDeque::with_capacity(WINDOW),
             missed_in_window: 0,
             level: 0,
             since_change: 0,
             steps_down: 0,
             steps_up: 0,
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &DegradationPolicy {
-        &self.policy
     }
 
     /// Current degradation level: 0 is full fidelity; each step sheds one
@@ -135,10 +86,10 @@ impl DegradationController {
     /// Feeds one deadline outcome (`missed = true` when the deadline got no
     /// sample) and re-evaluates the level.
     pub fn observe(&mut self, missed: bool) {
-        if self.policy.mode == DegradeMode::Off {
+        if self.mode == DegradeMode::Off {
             return;
         }
-        if self.outcomes.len() == self.policy.window && self.outcomes.pop_front() == Some(true) {
+        if self.outcomes.len() == WINDOW && self.outcomes.pop_front() == Some(true) {
             self.missed_in_window -= 1;
         }
         self.outcomes.push_back(missed);
@@ -148,28 +99,28 @@ impl DegradationController {
         self.since_change += 1;
 
         // Only act on a full window, and not more often than the cooldown.
-        if self.outcomes.len() < self.policy.window || self.since_change < self.policy.cooldown {
+        if self.outcomes.len() < WINDOW || self.since_change < COOLDOWN {
             return;
         }
         let pressure = self.pressure();
-        if pressure > self.policy.high_watermark && self.level < self.policy.max_level {
+        if pressure > HIGH_WATERMARK && self.level < MAX_LEVEL {
             self.level += 1;
             self.steps_down += 1;
             self.since_change = 0;
-            uburst_obs::counter_add("uburst_degrade_steps_down_total", 1);
-            uburst_obs::gauge_max("uburst_degrade_level_peak", u64::from(self.level));
-        } else if pressure < self.policy.low_watermark && self.level > 0 {
+            uburst_obs::counter_add!("uburst_degrade_steps_down_total", 1);
+            uburst_obs::gauge_max!("uburst_degrade_level_peak", u64::from(self.level));
+        } else if pressure < LOW_WATERMARK && self.level > 0 {
             self.level -= 1;
             self.steps_up += 1;
             self.since_change = 0;
-            uburst_obs::counter_add("uburst_degrade_steps_up_total", 1);
+            uburst_obs::counter_add!("uburst_degrade_steps_up_total", 1);
         }
     }
 
     /// How many counters of an `n`-counter campaign to poll at the current
     /// level (shedding mode; never below 1). Other modes poll all `n`.
     pub fn active_counters(&self, n: usize) -> usize {
-        match self.policy.mode {
+        match self.mode {
             DegradeMode::ShedCounters => n.saturating_sub(self.level as usize).max(1),
             _ => n,
         }
@@ -178,7 +129,7 @@ impl DegradationController {
     /// The interval multiplier at the current level (stretching mode
     /// doubles per step; other modes return 1).
     pub fn interval_multiplier(&self) -> u64 {
-        match self.policy.mode {
+        match self.mode {
             DegradeMode::StretchInterval => 1u64 << self.level.min(62),
             _ => 1,
         }
@@ -189,23 +140,17 @@ impl DegradationController {
 mod tests {
     use super::*;
 
-    fn controller(mode: DegradeMode) -> DegradationController {
-        DegradationController::new(DegradationPolicy {
-            mode,
-            window: 20,
-            high_watermark: 0.3,
-            low_watermark: 0.1,
-            max_level: 3,
-            cooldown: 5,
-        })
+    /// Feeds `n` identical outcomes.
+    fn feed(c: &mut DegradationController, n: usize, missed: bool) {
+        for _ in 0..n {
+            c.observe(missed);
+        }
     }
 
     #[test]
     fn off_mode_never_degrades() {
-        let mut c = controller(DegradeMode::Off);
-        for _ in 0..1000 {
-            c.observe(true);
-        }
+        let mut c = DegradationController::new(DegradeMode::Off);
+        feed(&mut c, 1000, true);
         assert_eq!(c.level(), 0);
         assert_eq!(c.interval_multiplier(), 1);
         assert_eq!(c.active_counters(4), 4);
@@ -213,61 +158,50 @@ mod tests {
 
     #[test]
     fn sustained_pressure_steps_down_then_recovers() {
-        let mut c = controller(DegradeMode::ShedCounters);
-        // 50% misses: pressure over the 0.3 watermark.
-        for i in 0..60 {
+        let mut c = DegradationController::new(DegradeMode::ShedCounters);
+        // 50% misses: pressure over HIGH_WATERMARK.
+        for i in 0..2 * WINDOW {
             c.observe(i % 2 == 0);
         }
         assert!(c.level() > 0, "sustained misses must degrade");
         let degraded = c.level();
-        // Clean stretch: pressure decays under 0.1 and the level recovers.
-        for _ in 0..200 {
-            c.observe(false);
-        }
+        // Clean stretch: the window drains under LOW_WATERMARK, then one
+        // step back up per cooldown.
+        feed(&mut c, WINDOW + MAX_LEVEL as usize * COOLDOWN, false);
         assert_eq!(c.level(), 0, "recovered from level {degraded}");
         assert!(c.steps_up >= degraded);
     }
 
     #[test]
     fn level_is_capped() {
-        let mut c = controller(DegradeMode::StretchInterval);
-        for _ in 0..10_000 {
-            c.observe(true);
-        }
-        assert_eq!(c.level(), 3);
-        assert_eq!(c.interval_multiplier(), 8);
+        let mut c = DegradationController::new(DegradeMode::StretchInterval);
+        feed(&mut c, 10_000, true);
+        assert_eq!(c.level(), MAX_LEVEL);
+        assert_eq!(c.interval_multiplier(), 1 << MAX_LEVEL);
     }
 
     #[test]
     fn cooldown_paces_changes() {
-        let mut c = controller(DegradeMode::ShedCounters);
-        for _ in 0..25 {
-            c.observe(true);
-        }
-        // All-missed window, but at most floor(25-20 / 5)+1 changes since
-        // the window filled; the cooldown spreads the descent.
-        assert!(c.level() <= 2, "level {} jumped too fast", c.level());
+        let mut c = DegradationController::new(DegradeMode::ShedCounters);
+        // Nothing happens before the window fills.
+        feed(&mut c, WINDOW - 1, true);
+        assert_eq!(c.level(), 0);
+        c.observe(true);
+        assert_eq!(c.level(), 1, "a full all-missed window steps down");
+        // The window stays all-missed, but the next step waits COOLDOWN
+        // outcomes.
+        feed(&mut c, COOLDOWN - 1, true);
+        assert_eq!(c.level(), 1, "stepped again inside the cooldown");
+        c.observe(true);
+        assert_eq!(c.level(), 2);
     }
 
     #[test]
     fn shed_keeps_at_least_one_counter() {
-        let mut c = controller(DegradeMode::ShedCounters);
-        for _ in 0..10_000 {
-            c.observe(true);
-        }
+        let mut c = DegradationController::new(DegradeMode::ShedCounters);
+        feed(&mut c, 10_000, true);
         assert_eq!(c.active_counters(2), 1);
         assert_eq!(c.active_counters(1), 1);
-        assert_eq!(c.active_counters(8), 5, "8 - level 3");
-    }
-
-    #[test]
-    #[should_panic(expected = "watermarks inverted")]
-    fn inverted_watermarks_rejected() {
-        DegradationController::new(DegradationPolicy {
-            high_watermark: 0.1,
-            low_watermark: 0.5,
-            mode: DegradeMode::ShedCounters,
-            ..DegradationPolicy::default()
-        });
+        assert_eq!(c.active_counters(8), 8 - MAX_LEVEL as usize);
     }
 }

@@ -47,11 +47,15 @@ mod health;
 mod region;
 
 pub use coverage::{CoverageLedger, SwitchCoverage};
-pub use health::{HealthPolicy, HealthState};
+pub use health::HealthState;
 pub use region::{rendezvous_region, RegionStats};
 
-use health::Health;
+use health::{Health, DEADLINE_ROUNDS, MISS_WATERMARK};
 use region::Region;
+
+/// Rounds a crashed region stays down before its WAL is recovered and it
+/// rejoins the rendezvous set.
+const RECOVERY_ROUNDS: u32 = 3;
 
 /// One round of input from one switch's poller.
 #[derive(Debug, Clone, Default)]
@@ -84,8 +88,6 @@ pub struct SwitchStream {
 pub struct FleetConfig {
     /// Per-switch shipper tuning (window, RTO, outstanding cap).
     pub shipper: ShipperConfig,
-    /// Health state machine tuning.
-    pub health: HealthPolicy,
     /// Regional aggregators sharding the fleet (switch → region by
     /// rendezvous hash over the live regions). Must be nonzero.
     pub regions: usize,
@@ -93,9 +95,6 @@ pub struct FleetConfig {
     pub ticks_per_round: u32,
     /// Extra data-free rounds at the end to let retransmits drain.
     pub drain_rounds: u32,
-    /// Rounds a crashed region stays down before its WAL is recovered and
-    /// it rejoins the rendezvous set.
-    pub recovery_rounds: u32,
     /// WAL tuning for each regional aggregator's durable store. The
     /// default matches the PR-7 group-commit profile
     /// ([`FsyncPolicy::EveryN`]); crash sweeps that want the exact
@@ -107,11 +106,9 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             shipper: ShipperConfig::default(),
-            health: HealthPolicy::default(),
             regions: 4,
             ticks_per_round: 8,
             drain_rounds: 6,
-            recovery_rounds: 3,
             region_wal: WalConfig {
                 segment_max_bytes: 1 << 20,
                 fsync: FsyncPolicy::EveryN(16),
@@ -215,7 +212,7 @@ impl Lane {
         let input = self.rounds.next().unwrap_or_default();
         let batches = input.batches.len() as u64;
         self.produced += batches;
-        let participating = batches > 0 && self.health.participates(round, &cfg.health);
+        let participating = batches > 0 && self.health.participates(round);
         let mut refused = 0u64;
         if participating {
             for b in input.batches {
@@ -249,7 +246,6 @@ impl Lane {
         &mut self,
         round: u32,
         bad_at_source: Option<bool>,
-        cfg: &FleetConfig,
         global: &SampleStore,
         regions: &mut [Region],
     ) {
@@ -261,7 +257,7 @@ impl Lane {
         } else if outstanding {
             self.rounds_since_progress += 1;
         }
-        let stalled = outstanding && self.rounds_since_progress >= cfg.health.deadline_rounds;
+        let stalled = outstanding && self.rounds_since_progress >= DEADLINE_ROUNDS;
         if stalled {
             regions[self.assigned.unwrap_or(self.home)]
                 .stats
@@ -277,8 +273,8 @@ impl Lane {
             } else {
                 missing as f64 / watermark as f64
             };
-            let bad = bad_at_source || stalled || miss_frac > cfg.health.miss_watermark;
-            self.health.observe(round, bad, &cfg.health);
+            let bad = bad_at_source || stalled || miss_frac > MISS_WATERMARK;
+            self.health.observe(round, bad);
         }
     }
 }
@@ -348,17 +344,11 @@ impl Fleet {
         if self.round >= self.data_rounds + self.cfg.drain_rounds {
             return false;
         }
-        self.recover_regions(self.cfg.recovery_rounds);
+        self.recover_regions(RECOVERY_ROUNDS);
         self.reshard();
         for lane in self.lanes.values_mut() {
             let verdict = lane.pump(self.round, &self.cfg, &mut self.regions);
-            lane.judge(
-                self.round,
-                verdict,
-                &self.cfg,
-                &self.global,
-                &mut self.regions,
-            );
+            lane.judge(self.round, verdict, &self.global, &mut self.regions);
         }
         self.forward();
         self.round += 1;
@@ -484,7 +474,7 @@ pub fn run_fleet(streams: Vec<SwitchStream>, cfg: &FleetConfig) -> FleetOutcome 
 
 /// [`run_fleet`] under a [`RegionCrashPlan`]: each listed region's WAL
 /// storage dies at its byte offset mid-round, its switches re-shard to
-/// the survivors, and after [`FleetConfig::recovery_rounds`] (or at run
+/// the survivors, and after `RECOVERY_ROUNDS` rounds down (or at run
 /// end — the final failover sweep) its WAL is recovered into the global
 /// store. See the module docs for the invariants this preserves.
 pub fn run_fleet_with_crashes(
@@ -675,7 +665,7 @@ mod tests {
         // max_probes probe rounds participate; everything else excluded.
         let participated = s.produced - s.excluded;
         assert!(
-            participated <= (cfg.health.quarantine_after + cfg.health.max_probes) as u64,
+            participated <= (health::QUARANTINE_AFTER + health::MAX_PROBES) as u64,
             "participated {participated} exceeds quarantine + probe budget"
         );
         assert_eq!(s.rejoins, 0);
@@ -895,7 +885,7 @@ mod tests {
     fn crash_at_round_zero_region_is_born_dead_and_still_converges() {
         // Budget 0: the region dies before writing its first segment
         // header. Its switches start on the survivor; the (empty) WAL
-        // recovers after recovery_rounds; nothing is lost.
+        // recovers after RECOVERY_ROUNDS; nothing is lost.
         let mut cfg = always_cfg(2);
         cfg.drain_rounds = 10;
         let streams: Vec<_> = (0..4).map(|s| stream(s, LinkPlan::IDEAL, 8, 0)).collect();

@@ -1,5 +1,5 @@
-//! Per-switch health: the state a switch is in, the policy that moves it,
-//! and the state machine a fleet lane feeds one round verdict at a time.
+//! Per-switch health: the state a switch is in, the thresholds that move
+//! it, and the state machine a fleet lane feeds one round verdict at a time.
 
 use std::fmt;
 
@@ -32,40 +32,23 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// Tuning for the per-switch health state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Known-missing fraction of a source's assigned batches above which a
-    /// round counts as bad (receiver-side coverage signal).
-    pub miss_watermark: f64,
-    /// Rounds a switch may hold outstanding batches without its contiguous
-    /// prefix advancing before it counts as a straggler (aggregator-side
-    /// deadline signal).
-    pub deadline_rounds: u32,
-    /// Consecutive bad rounds before a Degraded switch is quarantined.
-    pub quarantine_after: u32,
-    /// Consecutive clean rounds before a switch rejoins (Degraded →
-    /// Healthy, or Quarantined → Recovered via probes).
-    pub rejoin_after: u32,
-    /// Base spacing (rounds) between quarantine probes; doubles per failed
-    /// probe (capped) — bounded retry with backoff.
-    pub probe_backoff: u32,
-    /// Probes granted before a quarantined switch is left out for good.
-    pub max_probes: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            miss_watermark: 0.25,
-            deadline_rounds: 3,
-            quarantine_after: 3,
-            rejoin_after: 2,
-            probe_backoff: 2,
-            max_probes: 8,
-        }
-    }
-}
+/// Known-missing fraction of a source's assigned batches above which a
+/// round counts as bad (receiver-side coverage signal).
+pub(super) const MISS_WATERMARK: f64 = 0.25;
+/// Rounds a switch may hold outstanding batches without its contiguous
+/// prefix advancing before it counts as a straggler (aggregator-side
+/// deadline signal).
+pub(super) const DEADLINE_ROUNDS: u32 = 3;
+/// Consecutive bad rounds before a Degraded switch is quarantined.
+pub(super) const QUARANTINE_AFTER: u32 = 3;
+/// Consecutive clean rounds before a switch rejoins (Degraded → Healthy,
+/// or Quarantined → Recovered via probes).
+const REJOIN_AFTER: u32 = 2;
+/// Base spacing (rounds) between quarantine probes; doubles per failed
+/// probe (capped) — bounded retry with backoff.
+const PROBE_BACKOFF: u32 = 2;
+/// Probes granted before a quarantined switch is left out for good.
+pub(super) const MAX_PROBES: u32 = 8;
 
 /// One lane's health state machine: Healthy → Degraded → Quarantined →
 /// Recovered, driven by one verdict per round the switch took part in.
@@ -84,11 +67,11 @@ impl Health {
     /// Whether the lane offers data this round. Quarantined lanes take
     /// part only on scheduled probe rounds and only within their probe
     /// budget.
-    pub(super) fn participates(&mut self, round: u32, policy: &HealthPolicy) -> bool {
+    pub(super) fn participates(&mut self, round: u32) -> bool {
         if self.state != HealthState::Quarantined {
             return true;
         }
-        if self.probes_used >= policy.max_probes || round < self.next_probe {
+        if self.probes_used >= MAX_PROBES || round < self.next_probe {
             return false;
         }
         self.probes_used += 1;
@@ -97,7 +80,7 @@ impl Health {
     }
 
     /// Feeds one round's verdict into the state machine.
-    pub(super) fn observe(&mut self, round: u32, bad: bool, policy: &HealthPolicy) {
+    pub(super) fn observe(&mut self, round: u32, bad: bool) {
         if bad {
             self.consec_clean = 0;
             match self.state {
@@ -107,31 +90,31 @@ impl Health {
                 }
                 HealthState::Degraded => {
                     self.consec_bad += 1;
-                    if self.consec_bad >= policy.quarantine_after {
+                    if self.consec_bad >= QUARANTINE_AFTER {
                         self.state = HealthState::Quarantined;
                         self.quarantines += 1;
                         self.consec_bad = 0;
                         self.probes_used = 0;
-                        self.next_probe = round + policy.probe_backoff;
+                        self.next_probe = round + PROBE_BACKOFF;
                         uburst_obs::counter_add!("uburst_fleet_quarantines_total", 1);
                     }
                 }
                 HealthState::Quarantined => {
                     // A failed probe: back off (exponentially, capped).
                     let shift = self.probes_used.min(4);
-                    self.next_probe = round + (policy.probe_backoff << shift);
+                    self.next_probe = round + (PROBE_BACKOFF << shift);
                 }
             }
         } else {
             self.consec_bad = 0;
             self.consec_clean += 1;
             match self.state {
-                HealthState::Degraded if self.consec_clean >= policy.rejoin_after => {
+                HealthState::Degraded if self.consec_clean >= REJOIN_AFTER => {
                     // Never left service, so this is not a rejoin event.
                     self.state = HealthState::Healthy;
                 }
                 HealthState::Quarantined => {
-                    if self.consec_clean >= policy.rejoin_after {
+                    if self.consec_clean >= REJOIN_AFTER {
                         self.state = HealthState::Recovered;
                         self.rejoins += 1;
                         uburst_obs::counter_add!("uburst_fleet_rejoins_total", 1);

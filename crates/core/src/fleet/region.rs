@@ -1,6 +1,8 @@
 //! Regional aggregators: the rendezvous mapping of switches onto them, and
 //! one aggregator's life — receive, forward, crash, recover.
 
+use uburst_sim::rng::{mix64, GOLDEN_GAMMA};
+
 use super::FleetConfig;
 use crate::batch::SourceId;
 use crate::errors::WalError;
@@ -8,16 +10,6 @@ use crate::failpoint::TornStorage;
 use crate::ship::{AckMsg, GapLedger, Shipment};
 use crate::store::{SampleStore, SeqIngest};
 use crate::wal::{DurableReceiver, MemStorage, WalConfig};
-
-/// Splitmix64 finalizer: the mixing function under the rendezvous hash.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
 
 /// Rendezvous (highest-random-weight) assignment of a switch to a region:
 /// every `(switch, region)` pair gets an independent hash weight and the
@@ -35,7 +27,7 @@ pub fn rendezvous_region(source: SourceId, live: &[bool]) -> Option<usize> {
         }
         let w = mix64(
             (source.0 as u64 + 1)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_mul(GOLDEN_GAMMA)
                 .wrapping_add((r as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)),
         );
         // Strict > keeps the lowest region index on (never-observed) ties.

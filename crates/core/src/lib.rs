@@ -76,12 +76,12 @@ pub mod wal;
 
 pub use batch::{Batch, BatchPolicy, Batcher, SourceId};
 pub use collector::{Collector, CollectorHealth, CollectorReport};
-pub use degrade::{DegradationController, DegradationPolicy, DegradeMode};
+pub use degrade::{DegradationController, DegradeMode};
 pub use errors::{CollectorError, PollError, ShipError, WalError};
 pub use failpoint::{crash_error, is_injected_crash, CrashPlan, RegionCrashPlan, TornStorage};
 pub use fleet::{
     rendezvous_region, run_fleet, run_fleet_with_crashes, CoverageLedger, Fleet, FleetConfig,
-    FleetOutcome, HealthPolicy, HealthState, RegionStats, RoundInput, SwitchCoverage, SwitchStream,
+    FleetOutcome, HealthState, RegionStats, RoundInput, SwitchCoverage, SwitchStream,
 };
 pub use link::{LinkPlan, LinkStats, LossyLink};
 pub use output::MemorySink;
@@ -94,9 +94,7 @@ pub use store::{
     counter_label, parse_counter_label, QuarantineReason, SampleStore, SeqIngest, SeriesKey,
     StoreStats,
 };
-pub use tuning::{
-    probe_loss_profile, probe_miss_fraction, tune_min_interval, TuningConfig, TuningResult,
-};
+pub use tuning::{probe_idle_bank, tune_min_interval, TuningConfig, TuningResult};
 pub use wal::{
     DirStorage, DurableStore, FsyncPolicy, MemStorage, RecoveryReport, Wal, WalConfig, WalStorage,
 };

@@ -26,7 +26,7 @@
 //! * **wrap-aware decoding** ([`crate::series::WrapDecoder`]): narrow
 //!   cumulative counters are reconstructed to full width before recording,
 //!   so downstream rate math never sees a wrap;
-//! * **adaptive degradation** ([`DegradationPolicy`]): when the windowed
+//! * **adaptive degradation** ([`DegradeMode`]): when the windowed
 //!   deadline-miss fraction exceeds a watermark the loop sheds low-priority
 //!   counters or stretches the interval, recovering when pressure subsides.
 //!
@@ -54,7 +54,7 @@ use uburst_sim::rng::Rng;
 use uburst_sim::sim::Simulator;
 use uburst_sim::time::Nanos;
 
-use crate::degrade::{DegradationController, DegradationPolicy};
+use crate::degrade::{DegradationController, DegradeMode};
 use crate::errors::PollError;
 use crate::output::MemorySink;
 use crate::series::WrapDecoder;
@@ -244,7 +244,7 @@ impl Poller {
             rng: Rng::new(seed),
             faults: None,
             retry: RetryPolicy::default(),
-            controller: DegradationController::new(DegradationPolicy::default()),
+            controller: DegradationController::new(DegradeMode::Off),
             decoders: vec![None; n],
             last_values: vec![0; n],
             deadline: Nanos::ZERO,
@@ -302,8 +302,8 @@ impl Poller {
 
     /// Arms adaptive degradation (shed counters or stretch the interval
     /// under sustained deadline pressure).
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.controller = DegradationController::new(policy);
+    pub fn with_degradation(mut self, mode: DegradeMode) -> Self {
+        self.controller = DegradationController::new(mode);
         self
     }
 
@@ -585,7 +585,6 @@ impl Node for Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degrade::DegradeMode;
     use uburst_asic::{CounterId, FaultPlan};
     use uburst_sim::counters::CounterSink;
 
@@ -943,17 +942,9 @@ mod tests {
         // 8 memory-class reads ≈ 2.4+1.8+7*0.96 ≈ 11us deterministic; a
         // 12us interval drowns under jitter without shedding.
         let campaign = CampaignConfig::group("hists", counters, Nanos::from_micros(12));
-        let policy = DegradationPolicy {
-            mode: DegradeMode::ShedCounters,
-            window: 64,
-            high_watermark: 0.15,
-            low_watermark: 0.02,
-            max_level: 6,
-            cooldown: 16,
-        };
         let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 5)
             .unwrap()
-            .with_degradation(policy);
+            .with_degradation(DegradeMode::ShedCounters);
         let id = poller
             .spawn(&mut sim, Nanos::ZERO, Nanos::from_millis(100))
             .unwrap();
@@ -979,17 +970,9 @@ mod tests {
             CounterId::TxBytes(PortId(0)),
             Nanos::from_micros(4),
         );
-        let policy = DegradationPolicy {
-            mode: DegradeMode::StretchInterval,
-            window: 64,
-            high_watermark: 0.2,
-            low_watermark: 0.02,
-            max_level: 3,
-            cooldown: 16,
-        };
         let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 9)
             .unwrap()
-            .with_degradation(policy);
+            .with_degradation(DegradeMode::StretchInterval);
         let id = poller
             .spawn(&mut sim, Nanos::ZERO, Nanos::from_millis(50))
             .unwrap();

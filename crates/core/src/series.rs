@@ -47,7 +47,7 @@ impl RateSample {
 #[cold]
 #[inline(never)]
 pub(crate) fn note_nonmonotonic(n: u64) {
-    uburst_obs::counter_add("uburst_series_nonmonotonic_total", n);
+    uburst_obs::counter_add!("uburst_series_nonmonotonic_total", n);
 }
 
 impl Series {
@@ -267,7 +267,7 @@ impl WrapDecoder {
                 let delta = raw.wrapping_sub(prev) & self.mask();
                 if delta > self.max_step {
                     self.regressions += 1;
-                    uburst_obs::counter_add("uburst_decoder_wrap_regressions_total", 1);
+                    uburst_obs::counter_add!("uburst_decoder_wrap_regressions_total", 1);
                     return self.acc;
                 }
                 self.acc = self.acc.wrapping_add(delta);

@@ -19,7 +19,7 @@ use uburst_asic::{AccessModel, AsicCounters, CounterId};
 use uburst_sim::sim::Simulator;
 use uburst_sim::time::Nanos;
 
-use crate::poller::Poller;
+use crate::poller::{Poller, PollerStats};
 use crate::spec::{CampaignConfig, CoreMode};
 
 /// One probe measurement from the tuning run.
@@ -41,47 +41,44 @@ pub struct TuningResult {
     pub probes: Vec<ProbePoint>,
 }
 
+/// Acceptable miss fraction (paper: ~1 %).
+const TARGET_LOSS: f64 = 0.01;
+/// Lower end of the search range.
+const MIN_INTERVAL: Nanos = Nanos::from_micros(1);
+/// Bisection stops when the bracket is this tight.
+const RESOLUTION: Nanos = Nanos::from_micros(1);
+
 /// Tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TuningConfig {
-    /// Acceptable miss fraction (paper: ~1 %).
-    pub target_loss: f64,
-    /// Search range.
-    pub min_interval: Nanos,
-    /// Search range.
+    /// Upper end of the search range, probed first: it must meet the
+    /// target.
     pub max_interval: Nanos,
     /// Campaign length per probe — longer probes, steadier estimates.
     pub probe_duration: Nanos,
-    /// Bisection stops when the bracket is this tight.
-    pub resolution: Nanos,
-    /// CPU placement for the probes.
-    pub core_mode: CoreMode,
 }
 
 impl Default for TuningConfig {
     fn default() -> Self {
         TuningConfig {
-            target_loss: 0.01,
-            min_interval: Nanos::from_micros(1),
             max_interval: Nanos::from_micros(200),
             probe_duration: Nanos::from_millis(250),
-            resolution: Nanos::from_micros(1),
-            core_mode: CoreMode::Dedicated,
         }
     }
 }
 
-/// Runs one probe campaign against an idle counter bank and reports the
-/// deadline-miss fraction. Polling cost does not depend on traffic, so an
-/// idle bank probes exactly as a busy one would.
-pub fn probe_miss_fraction(
+/// Runs one probe campaign against an idle counter bank and returns the
+/// poller's accounting (its deadline-miss, late and CPU fractions). Polling
+/// cost does not depend on traffic, so an idle bank probes exactly as a
+/// busy one would.
+pub fn probe_idle_bank(
     counters: &[CounterId],
     access: AccessModel,
     interval: Nanos,
     duration: Nanos,
     core_mode: CoreMode,
     seed: u64,
-) -> f64 {
+) -> PollerStats {
     let n_ports = counters
         .iter()
         .map(|c| match *c {
@@ -105,48 +102,11 @@ pub fn probe_miss_fraction(
         .spawn(&mut sim, Nanos::ZERO, duration)
         .expect("probe window is non-empty");
     sim.run_until(Nanos::MAX);
-    sim.node_mut::<Poller>(id).stats().deadline_miss_fraction()
+    sim.node_mut::<Poller>(id).stats()
 }
 
-/// Like [`probe_miss_fraction`] but returns `(miss, late)` fractions:
-/// intervals with no sample at all, and samples landing off-schedule.
-pub fn probe_loss_profile(
-    counters: &[CounterId],
-    access: AccessModel,
-    interval: Nanos,
-    duration: Nanos,
-    core_mode: CoreMode,
-    seed: u64,
-) -> (f64, f64) {
-    let n_ports = counters
-        .iter()
-        .map(|c| match *c {
-            CounterId::RxBytes(p)
-            | CounterId::RxPackets(p)
-            | CounterId::TxBytes(p)
-            | CounterId::TxPackets(p)
-            | CounterId::Drops(p)
-            | CounterId::RxSizeHist(p, _)
-            | CounterId::TxSizeHist(p, _) => p.0 as usize + 1,
-            CounterId::BufferLevel | CounterId::BufferPeak => 1,
-        })
-        .max()
-        .unwrap_or(1);
-    let mut sim = Simulator::new();
-    let bank: Rc<AsicCounters> = AsicCounters::new_shared(n_ports);
-    let mut campaign = CampaignConfig::group("tuning-probe", counters.to_vec(), interval);
-    campaign.core_mode = core_mode;
-    let id = Poller::in_memory(bank, access, campaign, seed)
-        .expect("probe campaign is non-empty with a nonzero interval")
-        .spawn(&mut sim, Nanos::ZERO, duration)
-        .expect("probe window is non-empty");
-    sim.run_until(Nanos::MAX);
-    let stats = sim.node_mut::<Poller>(id).stats();
-    (stats.deadline_miss_fraction(), stats.late_fraction())
-}
-
-/// Finds the minimum interval with miss fraction ≤ `cfg.target_loss` for a
-/// campaign reading `counters` together.
+/// Finds the minimum interval with miss fraction ≤ `TARGET_LOSS` (1 %) for a
+/// campaign reading `counters` together, probing on a dedicated core.
 ///
 /// # Panics
 /// Panics if even `cfg.max_interval` cannot meet the target (the counter is
@@ -156,17 +116,18 @@ pub fn tune_min_interval(
     access: AccessModel,
     cfg: &TuningConfig,
 ) -> TuningResult {
-    assert!(cfg.min_interval < cfg.max_interval);
+    assert!(MIN_INTERVAL < cfg.max_interval);
     let mut probes = Vec::new();
     let mut probe = |interval: Nanos, salt: u64| -> f64 {
-        let f = probe_miss_fraction(
+        let f = probe_idle_bank(
             counters,
             access,
             interval,
             cfg.probe_duration,
-            cfg.core_mode,
+            CoreMode::Dedicated,
             0xF00D ^ salt,
-        );
+        )
+        .deadline_miss_fraction();
         probes.push(ProbePoint {
             interval,
             miss_fraction: f,
@@ -176,21 +137,21 @@ pub fn tune_min_interval(
 
     let hi_loss = probe(cfg.max_interval, 0);
     assert!(
-        hi_loss <= cfg.target_loss,
+        hi_loss <= TARGET_LOSS,
         "even {} misses {:.1}% > target {:.1}%",
         cfg.max_interval,
         hi_loss * 100.0,
-        cfg.target_loss * 100.0
+        TARGET_LOSS * 100.0
     );
 
     // Bisect [lo, hi] where lo fails (or is untested-and-assumed-failing)
     // and hi passes.
-    let mut lo = cfg.min_interval;
+    let mut lo = MIN_INTERVAL;
     let mut hi = cfg.max_interval;
     let mut salt = 1;
-    while hi.saturating_sub(lo) > cfg.resolution {
+    while hi.saturating_sub(lo) > RESOLUTION {
         let mid = Nanos((lo.as_nanos() + hi.as_nanos()) / 2);
-        if probe(mid, salt) <= cfg.target_loss {
+        if probe(mid, salt) <= TARGET_LOSS {
             hi = mid;
         } else {
             lo = mid;
@@ -267,23 +228,17 @@ mod tests {
 
     #[test]
     fn probe_is_deterministic_for_seed() {
-        let f1 = probe_miss_fraction(
-            &[CounterId::TxBytes(PortId(0))],
-            AccessModel::default(),
-            Nanos::from_micros(10),
-            Nanos::from_millis(50),
-            CoreMode::Dedicated,
-            1,
-        );
-        let f2 = probe_miss_fraction(
-            &[CounterId::TxBytes(PortId(0))],
-            AccessModel::default(),
-            Nanos::from_micros(10),
-            Nanos::from_millis(50),
-            CoreMode::Dedicated,
-            1,
-        );
-        assert_eq!(f1, f2);
+        let probe = || {
+            probe_idle_bank(
+                &[CounterId::TxBytes(PortId(0))],
+                AccessModel::default(),
+                Nanos::from_micros(10),
+                Nanos::from_millis(50),
+                CoreMode::Dedicated,
+                1,
+            )
+        };
+        assert_eq!(probe(), probe());
     }
 
     #[test]

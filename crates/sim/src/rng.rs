@@ -18,13 +18,24 @@ pub struct Rng {
     spare_normal: Option<f64>,
 }
 
-/// SplitMix64 step, used to expand a single `u64` seed into generator state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+/// SplitMix64's increment, the 64-bit golden ratio.
+pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output finalizer: a strong 64-bit bit mixer, and the one
+/// seed-mixing hash of the workspace. ECMP path choice, Hadoop wave
+/// schedules, per-rack ECMP seeds, rendezvous region weights and
+/// per-switch fault plans all derive from it, so changing it moves every
+/// report.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 step, used to expand a single `u64` seed into generator state.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 impl Rng {
@@ -47,7 +58,7 @@ impl Rng {
     /// Derives an independent child generator; used to give every node its own
     /// stream so that adding a node never perturbs another node's randomness.
     pub fn fork(&mut self, salt: u64) -> Rng {
-        Rng::new(self.next_u64() ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        Rng::new(self.next_u64() ^ salt.wrapping_mul(GOLDEN_GAMMA))
     }
 
     /// The next 64 uniformly random bits.

@@ -10,6 +10,7 @@
 use std::cell::Cell;
 
 use crate::node::{NodeId, PortId};
+use crate::rng::{mix64, GOLDEN_GAMMA};
 use crate::time::Nanos;
 
 /// Where a destination's traffic leaves the switch.
@@ -131,7 +132,7 @@ impl RoutingTable {
                 let group = &self.groups[g as usize];
                 match self.mode {
                     EcmpMode::FlowHash => {
-                        let h = mix64(ecmp_key ^ self.seed);
+                        let h = ecmp_hash(ecmp_key ^ self.seed);
                         group.ports[(h % group.ports.len() as u64) as usize]
                     }
                     EcmpMode::PacketSpray => {
@@ -143,15 +144,15 @@ impl RoutingTable {
                         let table = group
                             .flowlets
                             .get_or_init(|| vec![Cell::new((0u64, 0u16)); FLOWLET_SLOTS]);
-                        let slot =
-                            &table[(mix64(ecmp_key ^ self.seed) as usize) & (FLOWLET_SLOTS - 1)];
+                        let slot = &table
+                            [(ecmp_hash(ecmp_key ^ self.seed) as usize) & (FLOWLET_SLOTS - 1)];
                         let (last, member) = slot.get();
                         let expired =
                             last == 0 || now.as_nanos().saturating_sub(last) > gap.as_nanos();
                         let member = if expired {
                             // New flowlet: rehash including the time so
                             // successive flowlets can land on new members.
-                            (mix64(ecmp_key ^ self.seed ^ now.as_nanos())
+                            (ecmp_hash(ecmp_key ^ self.seed ^ now.as_nanos())
                                 % group.ports.len() as u64) as u16
                         } else {
                             member
@@ -170,13 +171,10 @@ impl RoutingTable {
     }
 }
 
-/// A strong 64-bit finalizer (splitmix64's), standing in for the CRC-based
+/// One SplitMix64 step over a header key, standing in for the CRC-based
 /// hash a switch ASIC applies to header fields.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn ecmp_hash(key: u64) -> u64 {
+    mix64(key.wrapping_add(GOLDEN_GAMMA))
 }
 
 #[cfg(test)]

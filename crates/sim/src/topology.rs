@@ -16,6 +16,7 @@ use crate::bufpolicy::BufferPolicyCfg;
 use crate::counters::{null_sink, SharedSink};
 use crate::link::LinkSpec;
 use crate::node::{NodeId, PortId};
+use crate::rng::{mix64, GOLDEN_GAMMA};
 use crate::routing::{EcmpMode, Route, RoutingTable};
 use crate::sim::Simulator;
 use crate::switch::{Switch, SwitchConfig};
@@ -80,14 +81,8 @@ impl ClosConfig {
     /// copies of one rack's hash luck instead of N draws. Deterministic:
     /// the same fleet seed and rack index always produce the same fabric.
     pub fn for_fleet_rack(mut self, fleet_seed: u64, rack_index: u32) -> ClosConfig {
-        let mut h =
-            fleet_seed ^ self.ecmp_seed ^ (rack_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        self.ecmp_seed = h;
+        self.ecmp_seed =
+            mix64(fleet_seed ^ self.ecmp_seed ^ (rack_index as u64).wrapping_mul(GOLDEN_GAMMA));
         self
     }
 }
@@ -154,7 +149,7 @@ pub fn build_clos_with_core_sinks(
     let n_racks = racks.len();
     let n_fabric = cfg.n_fabric;
 
-    let seed = |salt: u64| cfg.ecmp_seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let seed = |salt: u64| cfg.ecmp_seed ^ salt.wrapping_mul(GOLDEN_GAMMA);
 
     // --- Create switches -------------------------------------------------
     let mut tors = Vec::with_capacity(n_racks);

@@ -30,6 +30,11 @@ use crate::time::Nanos;
 /// High bit of a timer token marks it as owned by the transport.
 pub const TRANSPORT_TOKEN_BIT: u64 = 1 << 63;
 
+/// Fixed retransmission timeout (no RTT estimation).
+const RTO: Nanos = Nanos::from_millis(2);
+/// Duplicate-ACK threshold for fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
+
 /// Transport tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
@@ -38,10 +43,6 @@ pub struct TransportConfig {
     /// Hard window cap, in segments. Bounds per-flow buffer pressure the way
     /// receive windows do in production.
     pub max_cwnd: u32,
-    /// Fixed retransmission timeout.
-    pub rto: Nanos,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
     /// Enable ECN/DCTCP-style congestion response: switches with a marking
     /// threshold set CE on queued packets; the receiver echoes the mark and
     /// the sender scales its window down by an EWMA of the marked fraction
@@ -64,8 +65,6 @@ impl Default for TransportConfig {
         TransportConfig {
             init_cwnd: 10,
             max_cwnd: 64,
-            rto: Nanos::from_millis(2),
-            dupack_threshold: 3,
             ecn: false,
             ack_coalesce: Nanos::from_micros(25),
         }
@@ -257,7 +256,7 @@ impl TransportEndpoint {
             recover: 0,
             tag,
             started: ctx.now(),
-            rto_deadline: ctx.now() + self.cfg.rto,
+            rto_deadline: ctx.now() + RTO,
             timer_armed: false,
             backoff: 0,
             retransmits: 0,
@@ -329,7 +328,7 @@ impl TransportEndpoint {
         st.dup_acks = 0;
         st.recover = st.next;
         st.backoff = (st.backoff + 1).min(6);
-        st.rto_deadline = ctx.now() + Nanos(self.cfg.rto.as_nanos() << st.backoff);
+        st.rto_deadline = ctx.now() + Nanos(RTO.as_nanos() << st.backoff);
         self.retransmit(ctx, nic, flow);
         self.arm_timer(ctx, flow);
     }
@@ -428,7 +427,7 @@ impl TransportEndpoint {
             st.cum = cum;
             st.dup_acks = 0;
             st.backoff = 0;
-            st.rto_deadline = ctx.now() + self.cfg.rto;
+            st.rto_deadline = ctx.now() + RTO;
             if st.cwnd < st.ssthresh {
                 st.cwnd = (st.cwnd + newly).min(f64::from(self.cfg.max_cwnd));
             } else {
@@ -447,13 +446,13 @@ impl TransportEndpoint {
             self.send_window(ctx, nic, flow);
         } else if cum == st.cum && st.next > st.cum {
             st.dup_acks += 1;
-            if st.dup_acks >= self.cfg.dupack_threshold && st.cum >= st.recover {
+            if st.dup_acks >= DUPACK_THRESHOLD && st.cum >= st.recover {
                 // Fast retransmit + NewReno-style single halving per window.
                 st.ssthresh = (st.cwnd / 2.0).max(2.0);
                 st.cwnd = st.ssthresh;
                 st.recover = st.next;
                 st.dup_acks = 0;
-                st.rto_deadline = ctx.now() + self.cfg.rto;
+                st.rto_deadline = ctx.now() + RTO;
                 self.stats.fast_retransmits += 1;
                 self.retransmit(ctx, nic, flow);
             }

@@ -18,6 +18,7 @@
 //! for the job tracker.
 
 use uburst_sim::node::NodeId;
+use uburst_sim::rng::{mix64, GOLDEN_GAMMA};
 use uburst_sim::time::Nanos;
 
 use crate::host::{App, Env, Incoming};
@@ -111,13 +112,10 @@ pub struct HadoopApp {
     pub bytes_received: u64,
 }
 
-/// SplitMix64 finalizer for deriving per-wave pseudo-randomness that every
+/// One SplitMix64 step, deriving per-wave pseudo-randomness that every
 /// host agrees on.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 impl HadoopApp {

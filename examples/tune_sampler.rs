@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example tune_sampler`.
 
 use uburst::prelude::*;
-use uburst::telemetry::probe_loss_profile;
+use uburst::telemetry::probe_idle_bank;
 
 fn main() {
     let access = AccessModel::default();
@@ -21,7 +21,7 @@ fn main() {
         "interval", "empty_intervals", "late_samples"
     );
     for us in [1u64, 2, 5, 10, 15, 25, 50] {
-        let (miss, late) = probe_loss_profile(
+        let stats = probe_idle_bank(
             &[CounterId::TxBytes(PortId(0))],
             access,
             Nanos::from_micros(us),
@@ -32,8 +32,8 @@ fn main() {
         println!(
             "{:>9}us  {:>14.1}%  {:>11.1}%",
             us,
-            miss * 100.0,
-            late * 100.0
+            stats.deadline_miss_fraction() * 100.0,
+            stats.late_fraction() * 100.0
         );
     }
 
@@ -79,14 +79,15 @@ fn main() {
 
     println!("\nshared-core mode trades precision for CPU (paper: <=20% utilization):");
     for mode in [CoreMode::Dedicated, CoreMode::Shared] {
-        let (miss, _) = probe_loss_profile(
+        let miss = probe_idle_bank(
             &[CounterId::TxBytes(PortId(0))],
             access,
             Nanos::from_micros(25),
             duration,
             mode,
             99,
-        );
+        )
+        .deadline_miss_fraction();
         println!("  {mode:?}: miss fraction at 25us = {:.1}%", miss * 100.0);
     }
 }

@@ -76,12 +76,12 @@ pub mod prelude {
     pub use uburst_core::{
         rendezvous_region, run_fleet, run_fleet_with_crashes, tune_min_interval, AckMsg, Batch,
         BatchPolicy, Batcher, CampaignConfig, Collector, CollectorError, CollectorHealth,
-        CollectorReport, CoreMode, CoverageLedger, CrashPlan, DegradationPolicy, DegradeMode,
-        DirStorage, DurableStore, FleetConfig, FleetOutcome, FsyncPolicy, GapLedger, HealthPolicy,
-        HealthState, LinkPlan, LossyLink, MemStorage, MemorySink, PollError, Poller, PollerStats,
-        QuarantineReason, RecoveryReport, RegionCrashPlan, RetryPolicy, RoundInput, SampleStore,
-        SeqBatch, SeqIngest, Series, Shipment, Shipper, ShipperConfig, SourceId, SwitchCoverage,
-        SwitchStream, TornStorage, TuningConfig, UtilSample, WalConfig, WalError, WrapDecoder,
+        CollectorReport, CoreMode, CoverageLedger, CrashPlan, DegradeMode, DirStorage,
+        DurableStore, FleetConfig, FleetOutcome, FsyncPolicy, GapLedger, HealthState, LinkPlan,
+        LossyLink, MemStorage, MemorySink, PollError, Poller, PollerStats, QuarantineReason,
+        RecoveryReport, RegionCrashPlan, RetryPolicy, RoundInput, SampleStore, SeqBatch, SeqIngest,
+        Series, Shipment, Shipper, ShipperConfig, SourceId, SwitchCoverage, SwitchStream,
+        TornStorage, TuningConfig, UtilSample, WalConfig, WalError, WrapDecoder,
     };
     pub use uburst_sim::prelude::*;
     pub use uburst_workloads::{
