@@ -18,13 +18,10 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
+/// Campaign span of every probe.
+const SPAN: Nanos = Nanos::from_millis(300);
+
 pub fn run() {
-    let span = Nanos::from_millis(
-        std::env::var("CAL_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(300),
-    );
     let interval = Nanos::from_micros(25);
 
     let mut table = Table::new(&[
@@ -54,7 +51,7 @@ pub fn run() {
         let n_servers = cfg.n_servers;
         let port = uburst_bench::representative_port(&cfg);
         let port_speed = port_bps(&cfg, port);
-        let (spec, port) = single_port_spec(cfg, Some(port.0 as usize), interval, span);
+        let (spec, port) = single_port_spec(cfg, Some(port.0 as usize), interval, SPAN);
         let run = spec.run();
         let util = run.utilization(CounterId::TxBytes(port), port_speed);
         let mean_util: f64 = util.iter().map(|u| u.util).sum::<f64>() / util.len() as f64;
@@ -121,7 +118,7 @@ pub fn run() {
         let n = cfg.n_servers;
         let all_ports: Vec<PortId> = (0..(n + 4)).map(|i| PortId(i as u16)).collect();
         let bps: Vec<u64> = all_ports.iter().map(|&p| port_bps(&cfg, p)).collect();
-        let run = port_groups_spec(cfg, &all_ports, Nanos::from_micros(300), span).run();
+        let run = port_groups_spec(cfg, &all_ports, Nanos::from_micros(300), SPAN).run();
         let utils: Vec<Vec<f64>> = all_ports
             .iter()
             .zip(&bps)

@@ -160,7 +160,7 @@ fn differing_span_or_scenario_field_never_fuses() {
     assert_eq!(plan(&[reference.clone(), other_span]), [vec![0], vec![1]]);
 
     type Tweak = (&'static str, fn(&mut ScenarioConfig));
-    let tweaks: [Tweak; 26] = [
+    let tweaks: [Tweak; 36] = [
         ("rack_type", |c| c.rack_type = RackType::Cache),
         ("n_servers", |c| c.n_servers += 1),
         ("n_remotes", |c| c.n_remotes += 1),
@@ -169,11 +169,28 @@ fn differing_span_or_scenario_field_never_fuses() {
         ("hour", |c| c.hour = 8.0),
         ("web.req_rate", |c| c.web.req_rate_per_server += 1.0),
         ("web.fanout", |c| c.web.fanout.1 += 1),
+        ("web.think_median", |c| c.web.think_median += Nanos(1)),
         ("web.page", |c| c.web.page.sigma += 0.1),
+        ("web.train", |c| c.web.train.1 += 1),
+        ("web.train_gap", |c| c.web.train_gap += Nanos(1)),
+        ("web.responder", |c| c.web.responder.hit_prob = 0.5),
         ("cache.member_prob", |c| c.cache.member_prob = 0.5),
+        ("cache.req", |c| c.cache.req.median += 1),
         ("cache.resp", |c| c.cache.resp.cap += 1),
+        ("cache.write", |c| c.cache.write.sigma += 0.1),
+        ("cache.train", |c| c.cache.train.0 += 1),
+        ("cache.train_gap", |c| c.cache.train_gap += Nanos(1)),
+        ("cache.responder", |c| {
+            c.cache.responder.miss_median += Nanos(1)
+        }),
         ("hadoop.wave_period", |c| c.hadoop.wave_period += Nanos(1)),
         ("hadoop.transfer", |c| c.hadoop.transfer.median += 1),
+        ("hadoop.background_remote_prob", |c| {
+            c.hadoop.background_remote_prob = 0.5
+        }),
+        ("hadoop.remote_wave_prob", |c| {
+            c.hadoop.remote_wave_prob = 0.5
+        }),
         ("clos.n_fabric", |c| c.clos.n_fabric = 2),
         ("clos.server_link", |c| {
             c.clos.server_link.bandwidth_bps += 1
@@ -193,9 +210,6 @@ fn differing_span_or_scenario_field_never_fuses() {
             c.clos.ecmp_mode = EcmpMode::PacketSpray
         }),
         ("transport.max_cwnd", |c| c.transport.max_cwnd += 1),
-        ("transport.ack_coalesce", |c| {
-            c.transport.ack_coalesce = Nanos::ZERO
-        }),
         ("nic_pace_bps", |c| c.nic_pace_bps = Some(1_000_000_000)),
         ("instrument_fabric", |c| c.instrument_fabric = true),
         ("hybrid", |c| c.hybrid = Some(true)),

@@ -40,7 +40,7 @@
 //! 3. after the surviving shipper retransmits, the store converges to the
 //!    full sent set with duplicates deduplicated by sequence number.
 //!
-//! Under [`FsyncPolicy::EveryN`]/[`FsyncPolicy::Never`] invariant 1 weakens
+//! Under [`FsyncPolicy::EveryN`] invariant 1 weakens
 //! to "recovery yields a clean prefix of the received stream that is a
 //! superset of the acknowledged batches" — acks are withheld until the
 //! covering sync, but bytes that reached the OS may still survive a crash.
@@ -84,10 +84,6 @@ pub enum FsyncPolicy {
     /// Sync every `n` records (and at rotation/flush); acks are withheld
     /// until the covering sync. Trades ack latency for write throughput.
     EveryN(u32),
-    /// Sync only at rotation/flush. Maximum throughput; a crash may lose
-    /// every record since the last rotation — but never an *acked* one,
-    /// because acks wait for syncs here too.
-    Never,
 }
 
 /// Configuration for a [`Wal`].
@@ -227,7 +223,6 @@ impl<S: WalStorage> Wal<S> {
                     false
                 }
             }
-            FsyncPolicy::Never => false,
         };
         Ok(synced)
     }

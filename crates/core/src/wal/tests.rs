@@ -322,10 +322,6 @@ fn group_ingest_matches_per_record_ingest_bytes_and_acks() {
             segment_max_bytes: 1 << 20,
             fsync: FsyncPolicy::EveryN(16),
         },
-        WalConfig {
-            segment_max_bytes: 256,
-            fsync: FsyncPolicy::Never,
-        },
     ];
     for cfg in policies {
         let per_storage = MemStorage::new();
@@ -569,7 +565,6 @@ impl CloneModel {
                 }
                 due
             }
-            FsyncPolicy::Never => false,
         };
         if synced {
             self.synced = self.live.clone();
@@ -607,7 +602,6 @@ fn acks_match_the_full_map_clone_model() {
         FsyncPolicy::EveryN(1),
         FsyncPolicy::EveryN(3),
         FsyncPolicy::EveryN(16),
-        FsyncPolicy::Never,
     ];
     const SOURCES: u64 = 7;
     for fsync in policies {
@@ -704,7 +698,6 @@ fn owned_and_shared_windows_are_one_receiver() {
         FsyncPolicy::EveryN(1),
         FsyncPolicy::EveryN(3),
         FsyncPolicy::EveryN(16),
-        FsyncPolicy::Never,
     ];
     const SOURCES: u64 = 5;
     for fsync in policies {

@@ -24,74 +24,8 @@ use uburst_sim::node::NodeId;
 use uburst_sim::time::Nanos;
 
 use crate::host::{App, Env, Incoming};
+use crate::scenario::CacheParams;
 use crate::tags::MsgKind;
-use crate::web::SizeDist;
-
-/// Frontend tuning.
-#[derive(Debug, Clone)]
-pub struct CacheFrontendConfig {
-    /// The measured rack's cache servers, in rack order.
-    pub cache_nodes: Vec<NodeId>,
-    /// Correlated pods: index sets into `cache_nodes`. A scatter-gather
-    /// request targets one pod (the shards of one data set).
-    pub pods: Vec<Vec<usize>>,
-    /// Scatter-gather groups per second from this frontend
-    /// (diurnal-scaled by the scenario builder).
-    pub rate_per_s: f64,
-    /// Probability each pod member is actually queried per group
-    /// (sharding misses / request-dependent key sets).
-    pub member_prob: f64,
-    /// Request size, sampled **once per group** and shared by all members
-    /// (a multiget's key list goes to every shard), which is part of what
-    /// correlates pod members at small timescales.
-    pub req: SizeDist,
-    /// Per-shard response size. Cache responses dwarf requests.
-    pub resp: SizeDist,
-    /// Cache servers (indices) acting as leaders, receiving coherency
-    /// writes.
-    pub leaders: Vec<usize>,
-    /// Coherency writes per second toward a random leader.
-    pub write_rate_per_s: f64,
-    /// Coherency write size.
-    pub write: SizeDist,
-    /// Scatter-gather groups per frontend event, uniform in `[min, max]`.
-    /// Page assembly issues dependent lookup rounds back-to-back, so groups
-    /// arrive in micro-trains; the paper's Cache burst likelihood ratio
-    /// (Table 2) reflects exactly this clustering.
-    pub train: (usize, usize),
-    /// Mean spacing between groups within a train.
-    pub train_gap: Nanos,
-}
-
-impl Default for CacheFrontendConfig {
-    fn default() -> Self {
-        CacheFrontendConfig {
-            cache_nodes: Vec::new(),
-            pods: Vec::new(),
-            rate_per_s: 500.0,
-            member_prob: 0.9,
-            req: SizeDist {
-                median: 600,
-                sigma: 1.0,
-                cap: 20_000,
-            },
-            resp: SizeDist {
-                median: 12_000,
-                sigma: 1.2,
-                cap: 300_000,
-            },
-            leaders: Vec::new(),
-            write_rate_per_s: 50.0,
-            write: SizeDist {
-                median: 2_000,
-                sigma: 0.8,
-                cap: 50_000,
-            },
-            train: (1, 5),
-            train_gap: Nanos::from_micros(60),
-        }
-    }
-}
 
 const TOKEN_NEXT_READ: u64 = 1;
 const TOKEN_NEXT_WRITE: u64 = 2;
@@ -99,7 +33,20 @@ const TOKEN_TRAIN: u64 = 3;
 
 /// A remote web frontend driving the cache rack.
 pub struct CacheFrontendApp {
-    cfg: CacheFrontendConfig,
+    p: CacheParams,
+    /// The measured rack's cache servers, in rack order.
+    cache_nodes: Vec<NodeId>,
+    /// Correlated pods: index sets into `cache_nodes`. A scatter-gather
+    /// request targets one pod (the shards of one data set).
+    pods: Vec<Vec<usize>>,
+    /// Cache servers (indices) acting as leaders, receiving coherency
+    /// writes.
+    leaders: Vec<usize>,
+    /// Scatter-gather groups per second from this frontend
+    /// (diurnal-scaled by the scenario builder).
+    rate_per_s: f64,
+    /// Coherency writes per second toward a random leader.
+    write_rate_per_s: f64,
     next_group: u32,
     /// Groups left in the in-progress train and its pod.
     train_left: usize,
@@ -111,21 +58,35 @@ pub struct CacheFrontendApp {
 }
 
 impl CacheFrontendApp {
-    /// A frontend with the given tuning.
-    pub fn new(cfg: CacheFrontendConfig) -> Self {
-        assert!(!cfg.cache_nodes.is_empty(), "no cache servers");
-        assert!(!cfg.pods.is_empty(), "no pods defined");
-        for pod in &cfg.pods {
+    /// A frontend tuned by `p` that reads `rate_per_s` scatter-gather
+    /// groups per second from `pods` of `cache_nodes` and writes
+    /// `write_rate_per_s` coherency updates to its `leaders`.
+    pub fn new(
+        p: &CacheParams,
+        cache_nodes: Vec<NodeId>,
+        pods: Vec<Vec<usize>>,
+        leaders: Vec<usize>,
+        rate_per_s: f64,
+        write_rate_per_s: f64,
+    ) -> Self {
+        assert!(!cache_nodes.is_empty(), "no cache servers");
+        assert!(!pods.is_empty(), "no pods defined");
+        for pod in &pods {
             assert!(
-                pod.iter().all(|&i| i < cfg.cache_nodes.len()),
+                pod.iter().all(|&i| i < cache_nodes.len()),
                 "pod index out of range"
             );
             assert!(!pod.is_empty(), "empty pod");
         }
-        assert!(cfg.leaders.iter().all(|&i| i < cfg.cache_nodes.len()));
-        assert!(cfg.train.0 >= 1 && cfg.train.0 <= cfg.train.1);
+        assert!(leaders.iter().all(|&i| i < cache_nodes.len()));
+        assert!(p.train.0 >= 1 && p.train.0 <= p.train.1);
         CacheFrontendApp {
-            cfg,
+            p: p.clone(),
+            cache_nodes,
+            pods,
+            leaders,
+            rate_per_s,
+            write_rate_per_s,
             next_group: 0,
             train_left: 0,
             train_pod: 0,
@@ -135,12 +96,12 @@ impl CacheFrontendApp {
     }
 
     fn mean_train(&self) -> f64 {
-        (self.cfg.train.0 + self.cfg.train.1) as f64 / 2.0
+        (self.p.train.0 + self.p.train.1) as f64 / 2.0
     }
 
     fn schedule_read(&self, env: &mut Env<'_, '_>) {
         // Event rate = group rate / groups per event.
-        let event_rate = self.cfg.rate_per_s / self.mean_train();
+        let event_rate = self.rate_per_s / self.mean_train();
         let gap = env.rng.exp(1.0 / event_rate);
         env.timer_in(Nanos::from_secs_f64(gap), TOKEN_NEXT_READ);
     }
@@ -150,15 +111,15 @@ impl CacheFrontendApp {
             self.schedule_read(env);
             return;
         }
-        let gap = env.rng.exp(self.cfg.train_gap.as_secs_f64());
+        let gap = env.rng.exp(self.p.train_gap.as_secs_f64());
         env.timer_in(Nanos::from_secs_f64(gap), TOKEN_TRAIN);
     }
 
     fn schedule_write(&self, env: &mut Env<'_, '_>) {
-        if self.cfg.leaders.is_empty() || self.cfg.write_rate_per_s <= 0.0 {
+        if self.leaders.is_empty() || self.write_rate_per_s <= 0.0 {
             return;
         }
-        let gap = env.rng.exp(1.0 / self.cfg.write_rate_per_s);
+        let gap = env.rng.exp(1.0 / self.write_rate_per_s);
         env.timer_in(Nanos::from_secs_f64(gap), TOKEN_NEXT_WRITE);
     }
 
@@ -166,22 +127,22 @@ impl CacheFrontendApp {
         let group = self.next_group;
         self.next_group = self.next_group.wrapping_add(1);
         // Indexing a field while mutably borrowing env: copy the pod out.
-        let pod: Vec<usize> = self.cfg.pods[pod_idx].clone();
+        let pod: Vec<usize> = self.pods[pod_idx].clone();
         // The multiget's key list is the same for every shard.
-        let req_bytes = self.cfg.req.sample(env.rng);
+        let req_bytes = self.p.req.sample(env.rng);
         let mut any = false;
         for &member in &pod {
-            if env.rng.chance(self.cfg.member_prob) {
-                let bytes = self.cfg.resp.sample(env.rng);
-                env.send_request_sized(self.cfg.cache_nodes[member], req_bytes, bytes, group);
+            if env.rng.chance(self.p.member_prob) {
+                let bytes = self.p.resp.sample(env.rng);
+                env.send_request_sized(self.cache_nodes[member], req_bytes, bytes, group);
                 any = true;
             }
         }
         if !any {
             // Guarantee at least one shard read per group.
             let member = pod[env.rng.below(pod.len() as u64) as usize];
-            let bytes = self.cfg.resp.sample(env.rng);
-            env.send_request_sized(self.cfg.cache_nodes[member], req_bytes, bytes, group);
+            let bytes = self.p.resp.sample(env.rng);
+            env.send_request_sized(self.cache_nodes[member], req_bytes, bytes, group);
         }
         self.groups_sent += 1;
     }
@@ -198,11 +159,8 @@ impl App for CacheFrontendApp {
             TOKEN_NEXT_READ => {
                 // A new train: all its lookup rounds hit the same pod
                 // (dependent reads of one data set).
-                let len = env
-                    .rng
-                    .range(self.cfg.train.0 as u64, self.cfg.train.1 as u64)
-                    as usize;
-                self.train_pod = env.rng.below(self.cfg.pods.len() as u64) as usize;
+                let len = env.rng.range(self.p.train.0 as u64, self.p.train.1 as u64) as usize;
+                self.train_pod = env.rng.below(self.pods.len() as u64) as usize;
                 self.train_left = len - 1;
                 let pod = self.train_pod;
                 self.issue_scatter_gather(env, pod);
@@ -215,9 +173,9 @@ impl App for CacheFrontendApp {
                 self.continue_train(env);
             }
             TOKEN_NEXT_WRITE => {
-                let leader_idx = *env.rng.pick(&self.cfg.leaders);
-                let dst = self.cfg.cache_nodes[leader_idx];
-                let bytes = self.cfg.write.sample(env.rng);
+                let leader_idx = *env.rng.pick(&self.leaders);
+                let dst = self.cache_nodes[leader_idx];
+                let bytes = self.p.write.sample(env.rng);
                 env.send_data(dst, bytes, 0);
                 self.schedule_write(env);
             }
@@ -283,15 +241,17 @@ mod tests {
             .collect();
         let frontend = AppHost::spawn(
             &mut sim,
-            Box::new(CacheFrontendApp::new(CacheFrontendConfig {
-                cache_nodes: caches.clone(),
-                pods: contiguous_pods(6, 3),
-                rate_per_s: 3_000.0,
-                member_prob: 1.0,
-                leaders: vec![0],
-                write_rate_per_s: 500.0,
-                ..CacheFrontendConfig::default()
-            })),
+            Box::new(CacheFrontendApp::new(
+                &CacheParams {
+                    member_prob: 1.0,
+                    ..CacheParams::default()
+                },
+                caches.clone(),
+                contiguous_pods(6, 3),
+                vec![0],
+                3_000.0,
+                500.0,
+            )),
             NicConfig::default(),
             TransportConfig::default(),
             99,
@@ -338,10 +298,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "pod index out of range")]
     fn bad_pod_rejected() {
-        CacheFrontendApp::new(CacheFrontendConfig {
-            cache_nodes: vec![NodeId(0)],
-            pods: vec![vec![3]],
-            ..CacheFrontendConfig::default()
-        });
+        CacheFrontendApp::new(
+            &CacheParams::default(),
+            vec![NodeId(0)],
+            vec![vec![3]],
+            Vec::new(),
+            500.0,
+            0.0,
+        );
     }
 }

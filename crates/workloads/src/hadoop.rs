@@ -22,89 +22,22 @@ use uburst_sim::rng::{mix64, GOLDEN_GAMMA};
 use uburst_sim::time::Nanos;
 
 use crate::host::{App, Env, Incoming};
-use crate::web::SizeDist;
-
-/// Hadoop host tuning.
-#[derive(Debug, Clone)]
-pub struct HadoopConfig {
-    /// Rack-local peers (reduce targets live here).
-    pub rack_nodes: Vec<NodeId>,
-    /// Remote peers (cross-rack shuffle / HDFS replication targets).
-    pub remote_nodes: Vec<NodeId>,
-    /// Mean spacing between map waves.
-    pub wave_period: Nanos,
-    /// Probability this host participates in a given wave.
-    pub join_prob: f64,
-    /// Reducers drawn per wave from `rack_nodes`.
-    pub reducers_per_wave: usize,
-    /// Shuffle transfer size per mapper per wave.
-    pub transfer: SizeDist,
-    /// Independent background transfers per second (HDFS writes, spills).
-    pub background_rate_per_s: f64,
-    /// Background transfer size.
-    pub background: SizeDist,
-    /// Probability a background transfer leaves the rack.
-    pub background_remote_prob: f64,
-    /// Probability a wave transfer ships cross-rack (remote shuffle /
-    /// replication) instead of to this wave's in-rack reducers.
-    pub remote_wave_prob: f64,
-    /// Shared seed all hosts derive the wave schedule from.
-    pub schedule_seed: u64,
-}
-
-impl Default for HadoopConfig {
-    fn default() -> Self {
-        HadoopConfig {
-            rack_nodes: Vec::new(),
-            remote_nodes: Vec::new(),
-            wave_period: Nanos::from_millis(8),
-            join_prob: 0.55,
-            reducers_per_wave: 3,
-            transfer: SizeDist {
-                median: 600_000,
-                sigma: 1.0,
-                cap: 20_000_000,
-            },
-            background_rate_per_s: 40.0,
-            background: SizeDist {
-                median: 250_000,
-                sigma: 1.0,
-                cap: 5_000_000,
-            },
-            background_remote_prob: 0.5,
-            remote_wave_prob: 0.25,
-            schedule_seed: 0x4A0B,
-        }
-    }
-}
-
-impl HadoopConfig {
-    /// Analytic per-host offered rate in bytes/sec, from the closed-form
-    /// means of the wave and background processes:
-    ///
-    /// * waves fire every `wave_period` and this host joins with
-    ///   `join_prob`, shipping one `transfer`-distributed flow;
-    /// * background flows arrive Poisson at `background_rate_per_s`.
-    ///
-    /// This is steady-state metadata for the hybrid fast-forward engine
-    /// (`uburst_sim::txstage`): scenario builders use it to pre-size the
-    /// event calendar for the in-flight packet population instead of
-    /// growing through the doubling phase mid-campaign. It deliberately
-    /// ignores self-addressed draws (a host never sends to itself), so it
-    /// is a slight upper bound.
-    pub fn offered_bytes_per_sec(&self) -> f64 {
-        let wave = self.join_prob / self.wave_period.as_secs_f64() * self.transfer.mean_bytes();
-        let background = self.background_rate_per_s * self.background.mean_bytes();
-        wave + background
-    }
-}
+use crate::scenario::HadoopParams;
 
 const TOKEN_WAVE: u64 = 1;
 const TOKEN_BACKGROUND: u64 = 2;
 
 /// One Hadoop worker (mapper + reducer + HDFS node in one).
 pub struct HadoopApp {
-    cfg: HadoopConfig,
+    /// The tuning at this worker's rate factor: `wave_period` stretched
+    /// and `background_rate_per_host` multiplied by it.
+    p: HadoopParams,
+    /// Rack-local peers (reduce targets live here).
+    rack_nodes: Vec<NodeId>,
+    /// Remote peers (cross-rack shuffle / HDFS replication targets).
+    remote_nodes: Vec<NodeId>,
+    /// Shared seed all hosts derive the wave schedule from.
+    schedule_seed: u64,
     wave_index: u64,
     /// Shuffle transfers started (diagnostics).
     pub transfers_started: u64,
@@ -119,13 +52,30 @@ fn mix(z: u64) -> u64 {
 }
 
 impl HadoopApp {
-    /// A worker with the given tuning.
-    pub fn new(cfg: HadoopConfig) -> Self {
-        assert!(!cfg.rack_nodes.is_empty(), "no rack peers");
-        assert!(cfg.reducers_per_wave >= 1);
-        assert!(cfg.reducers_per_wave <= cfg.rack_nodes.len());
+    /// A worker tuned by `p` at `rate_factor`, shuffling within
+    /// `rack_nodes` and out to `remote_nodes` on the wave schedule every
+    /// host derives from `schedule_seed`. Waves are rate-scaled by
+    /// stretching the period, background traffic by its Poisson rate:
+    /// [`HadoopParams::offered_bytes_per_host`] is the closed form.
+    pub fn new(
+        p: &HadoopParams,
+        rate_factor: f64,
+        rack_nodes: Vec<NodeId>,
+        remote_nodes: Vec<NodeId>,
+        schedule_seed: u64,
+    ) -> Self {
+        assert!(!rack_nodes.is_empty(), "no rack peers");
+        assert!(p.reducers_per_wave >= 1);
+        assert!(p.reducers_per_wave <= rack_nodes.len());
         HadoopApp {
-            cfg,
+            p: HadoopParams {
+                wave_period: Nanos::from_secs_f64(p.wave_period.as_secs_f64() / rate_factor),
+                background_rate_per_host: p.background_rate_per_host * rate_factor,
+                ..p.clone()
+            },
+            rack_nodes,
+            remote_nodes,
+            schedule_seed,
             wave_index: 0,
             transfers_started: 0,
             bytes_received: 0,
@@ -135,19 +85,19 @@ impl HadoopApp {
     /// When wave `k` fires (same for every host): `k * period` plus a
     /// deterministic jitter of up to a quarter period.
     fn wave_time(&self, k: u64) -> Nanos {
-        let base = self.cfg.wave_period * k;
-        let jitter = mix(self.cfg.schedule_seed ^ k) % (self.cfg.wave_period.as_nanos() / 4 + 1);
+        let base = self.p.wave_period * k;
+        let jitter = mix(self.schedule_seed ^ k) % (self.p.wave_period.as_nanos() / 4 + 1);
         base + Nanos(jitter)
     }
 
     /// The reducers of wave `k` (indices into `rack_nodes`), identical on
     /// every host.
     fn wave_reducers(&self, k: u64) -> Vec<usize> {
-        let n = self.cfg.rack_nodes.len();
-        let mut picked = Vec::with_capacity(self.cfg.reducers_per_wave);
+        let n = self.rack_nodes.len();
+        let mut picked = Vec::with_capacity(self.p.reducers_per_wave);
         let mut salt = 0u64;
-        while picked.len() < self.cfg.reducers_per_wave {
-            let idx = (mix(self.cfg.schedule_seed ^ (k << 8) ^ salt) % n as u64) as usize;
+        while picked.len() < self.p.reducers_per_wave {
+            let idx = (mix(self.schedule_seed ^ (k << 8) ^ salt) % n as u64) as usize;
             if !picked.contains(&idx) {
                 picked.push(idx);
             }
@@ -164,30 +114,29 @@ impl HadoopApp {
     }
 
     fn schedule_background(&self, env: &mut Env<'_, '_>) {
-        if self.cfg.background_rate_per_s <= 0.0 {
+        if self.p.background_rate_per_host <= 0.0 {
             return;
         }
-        let gap = env.rng.exp(1.0 / self.cfg.background_rate_per_s);
+        let gap = env.rng.exp(1.0 / self.p.background_rate_per_host);
         env.timer_in(Nanos::from_secs_f64(gap), TOKEN_BACKGROUND);
     }
 
     fn run_wave(&mut self, env: &mut Env<'_, '_>) {
         let k = self.wave_index;
         self.wave_index += 1;
-        if env.rng.chance(self.cfg.join_prob) {
-            let remote =
-                !self.cfg.remote_nodes.is_empty() && env.rng.chance(self.cfg.remote_wave_prob);
+        if env.rng.chance(self.p.join_prob) {
+            let remote = !self.remote_nodes.is_empty() && env.rng.chance(self.p.remote_wave_prob);
             let dst = if remote {
                 // Cross-rack shuffle: this wave's output leaves the rack.
-                *env.rng.pick(&self.cfg.remote_nodes)
+                *env.rng.pick(&self.remote_nodes)
             } else {
                 // In-rack reduce: ship to one of this wave's reducers.
                 let reducers = self.wave_reducers(k);
                 let idx = reducers[env.rng.below(reducers.len() as u64) as usize];
-                self.cfg.rack_nodes[idx]
+                self.rack_nodes[idx]
             };
             if dst != env.host() {
-                let bytes = self.cfg.transfer.sample(env.rng);
+                let bytes = self.p.transfer.sample(env.rng);
                 env.send_data(dst, bytes, k as u32);
                 self.transfers_started += 1;
             }
@@ -196,15 +145,14 @@ impl HadoopApp {
     }
 
     fn run_background(&mut self, env: &mut Env<'_, '_>) {
-        let remote =
-            !self.cfg.remote_nodes.is_empty() && env.rng.chance(self.cfg.background_remote_prob);
+        let remote = !self.remote_nodes.is_empty() && env.rng.chance(self.p.background_remote_prob);
         let dst = if remote {
-            *env.rng.pick(&self.cfg.remote_nodes)
+            *env.rng.pick(&self.remote_nodes)
         } else {
-            *env.rng.pick(&self.cfg.rack_nodes)
+            *env.rng.pick(&self.rack_nodes)
         };
         if dst != env.host() {
-            let bytes = self.cfg.background.sample(env.rng);
+            let bytes = self.p.background.sample(env.rng);
             env.send_data(dst, bytes, 0);
             self.transfers_started += 1;
         }
@@ -216,7 +164,7 @@ impl App for HadoopApp {
     fn start(&mut self, env: &mut Env<'_, '_>) {
         // Wave schedule is absolute; figure out which wave is next.
         let now = env.now();
-        let mut k = now / self.cfg.wave_period;
+        let mut k = now / self.p.wave_period;
         while self.wave_time(k) < now {
             k += 1;
         }
@@ -241,7 +189,8 @@ impl App for HadoopApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::AppHost;
+    use crate::host::{AppHost, IdleApp};
+    use crate::web::SizeDist;
     use uburst_sim::counters::null_sink;
     use uburst_sim::link::LinkSpec;
     use uburst_sim::nic::NicConfig;
@@ -251,10 +200,10 @@ mod tests {
     use uburst_sim::switch::{Switch, SwitchConfig};
     use uburst_sim::transport::TransportConfig;
 
-    fn test_cfg(rack: Vec<NodeId>) -> HadoopConfig {
-        HadoopConfig {
-            rack_nodes: rack,
-            remote_nodes: Vec::new(),
+    const SCHEDULE_SEED: u64 = 0x4A0B;
+
+    fn test_params() -> HadoopParams {
+        HadoopParams {
             wave_period: Nanos::from_millis(2),
             join_prob: 0.9,
             reducers_per_wave: 2,
@@ -263,82 +212,24 @@ mod tests {
                 sigma: 0.5,
                 cap: 1_000_000,
             },
-            background_rate_per_s: 100.0,
-            ..HadoopConfig::default()
+            background_rate_per_host: 100.0,
+            ..HadoopParams::default()
         }
     }
 
-    #[test]
-    fn wave_schedule_is_identical_across_hosts() {
-        let rack = vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
-        let a = HadoopApp::new(test_cfg(rack.clone()));
-        let b = HadoopApp::new(test_cfg(rack));
-        for k in 0..100 {
-            assert_eq!(a.wave_time(k), b.wave_time(k));
-            assert_eq!(a.wave_reducers(k), b.wave_reducers(k));
-        }
+    fn worker(p: &HadoopParams, rack: Vec<NodeId>) -> HadoopApp {
+        HadoopApp::new(p, 1.0, rack, Vec::new(), SCHEDULE_SEED)
     }
 
-    #[test]
-    fn wave_reducers_are_distinct_and_vary() {
-        let rack: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let app = HadoopApp::new(test_cfg(rack));
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..50 {
-            let r = app.wave_reducers(k);
-            assert_eq!(r.len(), 2);
-            assert_ne!(r[0], r[1]);
-            seen.insert(r);
-        }
-        assert!(seen.len() > 10, "reducer sets should vary across waves");
-    }
-
-    #[test]
-    fn waves_are_monotone_in_time() {
-        let rack = vec![NodeId(0), NodeId(1)];
-        let app = HadoopApp::new(HadoopConfig {
-            reducers_per_wave: 1,
-            ..test_cfg(rack)
-        });
-        for k in 0..100 {
-            assert!(app.wave_time(k + 1) > app.wave_time(k));
-        }
-    }
-
-    #[test]
-    fn analytic_offered_rate_matches_sampled_means() {
-        let cfg = test_cfg(vec![NodeId(0), NodeId(1)]);
-        // Empirical mean of the transfer distribution vs the closed form.
-        let mut rng = uburst_sim::rng::Rng::new(7);
-        let n = 200_000;
-        let sum: u64 = (0..n).map(|_| cfg.transfer.sample(&mut rng)).sum();
-        let empirical = sum as f64 / n as f64;
-        let analytic = cfg.transfer.mean_bytes();
-        let err = (empirical - analytic).abs() / analytic;
-        assert!(
-            err < 0.05,
-            "transfer mean: empirical {empirical:.0} vs analytic {analytic:.0}"
-        );
-
-        // The offered rate is exactly the two-process composition.
-        let expect = cfg.join_prob / cfg.wave_period.as_secs_f64() * cfg.transfer.mean_bytes()
-            + cfg.background_rate_per_s * cfg.background.mean_bytes();
-        assert_eq!(cfg.offered_bytes_per_sec(), expect);
-        // Sanity: the default test tuning offers on the order of a few
-        // tens of MB/s per host — enough to congest a 10G link rack-wide.
-        assert!(cfg.offered_bytes_per_sec() > 10e6);
-    }
-
-    #[test]
-    fn cluster_moves_bytes() {
+    /// `n` workers tuned by `p` at `rate_factor`, one rack on one switch.
+    fn star_cluster(p: &HadoopParams, rate_factor: f64, n: u64) -> (Simulator, Vec<NodeId>) {
         let mut sim = Simulator::new();
-        let rack_size = 6;
-        // Create hosts with placeholder configs, then fix the peer lists.
-        let hosts: Vec<NodeId> = (0..rack_size)
+        // Spawn idle, then install the workers once every peer id exists.
+        let hosts: Vec<NodeId> = (0..n)
             .map(|i| {
                 AppHost::spawn(
                     &mut sim,
-                    Box::new(HadoopApp::new(test_cfg(vec![NodeId(998), NodeId(999)]))),
+                    Box::new(IdleApp),
                     NicConfig::default(),
                     TransportConfig::default(),
                     40 + i,
@@ -347,13 +238,8 @@ mod tests {
             })
             .collect();
         for &h in &hosts {
-            let cfg = test_cfg(hosts.clone());
-            let app: &mut HadoopApp = {
-                let host = sim.node_mut::<AppHost>(h);
-                // Reach into the app to swap the config before start fires.
-                (host_app_mut(host)) as _
-            };
-            app.cfg = cfg;
+            let app = HadoopApp::new(p, rate_factor, hosts.clone(), Vec::new(), SCHEDULE_SEED);
+            sim.node_mut::<AppHost>(h).set_app(Box::new(app));
         }
 
         let mut routing = RoutingTable::new(0);
@@ -372,7 +258,101 @@ mod tests {
                 LinkSpec::gbps(10.0, Nanos(500)),
             );
         }
+        (sim, hosts)
+    }
 
+    #[test]
+    fn wave_schedule_is_identical_across_hosts() {
+        let rack = vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+        let a = worker(&test_params(), rack.clone());
+        let b = worker(&test_params(), rack);
+        for k in 0..100 {
+            assert_eq!(a.wave_time(k), b.wave_time(k));
+            assert_eq!(a.wave_reducers(k), b.wave_reducers(k));
+        }
+    }
+
+    #[test]
+    fn wave_reducers_are_distinct_and_vary() {
+        let rack: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let app = worker(&test_params(), rack);
+        let mut seen = std::collections::HashSet::new();
+        for k in 0..50 {
+            let r = app.wave_reducers(k);
+            assert_eq!(r.len(), 2);
+            assert_ne!(r[0], r[1]);
+            seen.insert(r);
+        }
+        assert!(seen.len() > 10, "reducer sets should vary across waves");
+    }
+
+    #[test]
+    fn waves_are_monotone_in_time() {
+        let rack = vec![NodeId(0), NodeId(1)];
+        let p = HadoopParams {
+            reducers_per_wave: 1,
+            ..test_params()
+        };
+        let app = worker(&p, rack);
+        for k in 0..100 {
+            assert!(app.wave_time(k + 1) > app.wave_time(k));
+        }
+    }
+
+    #[test]
+    fn analytic_offered_rate_matches_sampled_means() {
+        let p = test_params();
+        // Empirical mean of the transfer distribution vs the closed form.
+        let mut rng = uburst_sim::rng::Rng::new(7);
+        let n = 200_000;
+        let sum: u64 = (0..n).map(|_| p.transfer.sample(&mut rng)).sum();
+        let empirical = sum as f64 / n as f64;
+        let analytic = p.transfer.mean_bytes();
+        let err = (empirical - analytic).abs() / analytic;
+        assert!(
+            err < 0.05,
+            "transfer mean: empirical {empirical:.0} vs analytic {analytic:.0}"
+        );
+
+        // The closed form against the bytes a rack's workers move over a
+        // long window, at a rate factor that stretches the waves tenfold.
+        let (factor, hosts, secs) = (0.1, 6u64, 2.0);
+        let (mut sim, rack) = star_cluster(&p, factor, hosts);
+        sim.run_until(Nanos::from_secs_f64(secs));
+        let moved: u64 = rack
+            .iter()
+            .flat_map(|&h| sim.node::<AppHost>(h).fcts())
+            .map(|r| r.bytes)
+            .sum();
+        let offered = p.offered_bytes_per_host(factor) * hosts as f64 * secs;
+        // σ of the bytes started: per host, waves are independent
+        // Bernoulli(join_prob) draws of one transfer, background flows a
+        // compound Poisson process. The uncapped lognormal second moment
+        // `median²·e^{2σ²}` bounds each capped one, so σ errs high.
+        let second = |d: SizeDist| (d.median as f64).powi(2) * (2.0 * d.sigma * d.sigma).exp();
+        let waves = secs * factor / p.wave_period.as_secs_f64();
+        let wave_var = waves
+            * (p.join_prob * second(p.transfer) - (p.join_prob * p.transfer.mean_bytes()).powi(2));
+        let background_var = p.background_rate_per_host * factor * secs * second(p.background);
+        let sigma = ((wave_var + background_var) * hosts as f64).sqrt();
+        // One-sided: a worker skips every draw addressed to itself, which
+        // the closed form ignores, so it bounds from above. A draw is
+        // self-addressed with probability 1/hosts (a uniform rack peer, or
+        // a wave's reducer), so the bytes expected are that much lower.
+        assert!(
+            moved as f64 <= offered,
+            "moved {moved} bytes, above the closed form {offered:.0}"
+        );
+        let expected = offered * (1.0 - 1.0 / hosts as f64);
+        assert!(
+            (moved as f64 - expected).abs() <= 4.0 * sigma,
+            "moved {moved} bytes, expected {expected:.0} ± 4σ ({sigma:.0})"
+        );
+    }
+
+    #[test]
+    fn cluster_moves_bytes() {
+        let (mut sim, hosts) = star_cluster(&test_params(), 1.0, 6);
         sim.run_until(Nanos::from_millis(60));
 
         let started: u64 = hosts
@@ -385,10 +365,5 @@ mod tests {
             .sum();
         assert!(started > 20, "only {started} transfers started");
         assert!(received > 5_000_000, "only {received} bytes moved in 60ms");
-    }
-
-    /// Test helper: mutable access to a host's HadoopApp before start.
-    fn host_app_mut(host: &mut AppHost) -> &mut HadoopApp {
-        host.app_mut::<HadoopApp>()
     }
 }

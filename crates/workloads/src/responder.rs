@@ -19,7 +19,7 @@ use crate::tags::MsgKind;
 /// waits, backing-store fills) with a wide spread ("misses"). The tight
 /// hit mode is what clusters a scatter/gather request's responses into a
 /// coherent burst; the miss mode is what smears the remainder out.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponderConfig {
     /// Fraction of requests on the fast path.
     pub hit_prob: f64,

@@ -25,12 +25,12 @@ use uburst_sim::time::Nanos;
 use uburst_sim::topology::{ClosConfig, ClosHandles, RackSpec};
 use uburst_sim::transport::TransportConfig;
 
-use crate::cache::{contiguous_pods, CacheFrontendApp, CacheFrontendConfig};
+use crate::cache::{contiguous_pods, CacheFrontendApp};
 use crate::diurnal;
-use crate::hadoop::{HadoopApp, HadoopConfig};
+use crate::hadoop::HadoopApp;
 use crate::host::{App, AppHost, IdleApp};
 use crate::responder::{ResponderApp, ResponderConfig};
-use crate::web::{SizeDist, UserGenApp, UserGenConfig, WebServerApp, WebServerConfig};
+use crate::web::{SizeDist, UserGenApp, WebServerApp};
 
 /// Which application the measured rack runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,12 +63,28 @@ impl RackType {
 pub struct WebParams {
     /// User requests per second per web server.
     pub req_rate_per_server: f64,
-    /// Cache subqueries per page.
+    /// Cache subqueries per page, uniform in `[min, max]`.
     pub fanout: (usize, usize),
     /// Per-subquery cache response size.
     pub cache_resp: SizeDist,
+    /// Median CPU think time between a page's last cache response and
+    /// the page send.
+    pub think_median: Nanos,
     /// Page size returned to the user.
     pub page: SizeDist,
+    /// Pages per user event, uniform in `[min, max]`. Sessions fetch
+    /// several objects back-to-back over a reused connection, so page
+    /// requests arrive in micro-trains rather than as a pure Poisson
+    /// stream — this temporal clustering is what gives Web its very high
+    /// burst likelihood ratio (Table 2).
+    pub train: (usize, usize),
+    /// Mean spacing between pages within a train.
+    pub train_gap: Nanos,
+    /// Service times of the remote cache tier. Moderate hit clustering
+    /// plus a wide miss tail: a page's fast responses arrive as a small
+    /// coherent clump (the 1-2 sampling-period Web bursts), the rest smear
+    /// out.
+    pub responder: ResponderConfig,
 }
 
 impl Default for WebParams {
@@ -81,10 +97,20 @@ impl Default for WebParams {
                 sigma: 0.9,
                 cap: 9_500,
             },
+            think_median: Nanos::from_micros(150),
             page: SizeDist {
                 median: 25_000,
                 sigma: 0.7,
                 cap: 300_000,
+            },
+            train: (2, 5),
+            train_gap: Nanos::from_micros(30),
+            responder: ResponderConfig {
+                hit_prob: 0.6,
+                hit_median: Nanos::from_micros(120),
+                hit_sigma: 0.45,
+                miss_median: Nanos::from_micros(800),
+                miss_sigma: 1.1,
             },
         }
     }
@@ -97,14 +123,32 @@ pub struct CacheParams {
     pub groups_per_s_total: f64,
     /// Servers per correlated pod.
     pub pod_size: usize,
-    /// Probability a pod member is queried in a group.
+    /// Probability a pod member is queried in a group (sharding misses /
+    /// request-dependent key sets).
     pub member_prob: f64,
-    /// Per-shard response size.
+    /// Request size, sampled **once per group** and shared by all members
+    /// (a multiget's key list goes to every shard), which is part of what
+    /// correlates pod members at small timescales.
+    pub req: SizeDist,
+    /// Per-shard response size. Cache responses dwarf requests.
     pub resp: SizeDist,
     /// Number of leader servers (receive coherency writes).
     pub n_leaders: usize,
     /// Coherency writes per second across all frontends.
     pub write_rate_total: f64,
+    /// Coherency write size.
+    pub write: SizeDist,
+    /// Scatter-gather groups per frontend event, uniform in `[min, max]`.
+    /// Page assembly issues dependent lookup rounds back-to-back, so groups
+    /// arrive in micro-trains; the paper's Cache burst likelihood ratio
+    /// (Table 2) reflects exactly this clustering.
+    pub train: (usize, usize),
+    /// Mean spacing between groups within a train.
+    pub train_gap: Nanos,
+    /// Service times of the rack's cache servers. A very tight hit path:
+    /// a scatter-gather group's shards answer near-simultaneously, which is
+    /// what makes pod members correlate and uplink trains overlap.
+    pub responder: ResponderConfig,
 }
 
 impl Default for CacheParams {
@@ -113,6 +157,11 @@ impl Default for CacheParams {
             groups_per_s_total: 2_200.0,
             pod_size: 4,
             member_prob: 0.9,
+            req: SizeDist {
+                median: 600,
+                sigma: 1.0,
+                cap: 20_000,
+            },
             resp: SizeDist {
                 median: 35_000,
                 sigma: 1.3,
@@ -120,25 +169,44 @@ impl Default for CacheParams {
             },
             n_leaders: 2,
             write_rate_total: 2_000.0,
+            write: SizeDist {
+                median: 2_000,
+                sigma: 0.8,
+                cap: 50_000,
+            },
+            train: (2, 6),
+            train_gap: Nanos::from_micros(60),
+            responder: ResponderConfig {
+                hit_prob: 0.85,
+                hit_median: Nanos::from_micros(80),
+                hit_sigma: 0.3,
+                miss_median: Nanos::from_micros(500),
+                miss_sigma: 0.8,
+            },
         }
     }
 }
 
-/// Hadoop-scenario tuning.
+/// Hadoop-scenario tuning (rates at rate factor 1.0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HadoopParams {
     /// Map-wave spacing.
     pub wave_period: Nanos,
     /// Per-host wave participation probability.
     pub join_prob: f64,
-    /// Reducers per wave.
+    /// Reducers drawn per wave from the rack.
     pub reducers_per_wave: usize,
-    /// Shuffle transfer size.
+    /// Shuffle transfer size per mapper per wave.
     pub transfer: SizeDist,
-    /// Background transfers per second per host.
+    /// Background transfers (HDFS writes, spills) per second per host.
     pub background_rate_per_host: f64,
     /// Background transfer size.
     pub background: SizeDist,
+    /// Probability a background transfer leaves the rack.
+    pub background_remote_prob: f64,
+    /// Probability a wave transfer ships cross-rack (remote shuffle /
+    /// replication) instead of to the wave's in-rack reducers.
+    pub remote_wave_prob: f64,
 }
 
 impl Default for HadoopParams {
@@ -158,17 +226,28 @@ impl Default for HadoopParams {
                 sigma: 0.9,
                 cap: 400_000,
             },
+            background_remote_prob: 0.35,
+            remote_wave_prob: 0.2,
         }
     }
 }
 
 impl HadoopParams {
-    /// Analytic per-host offered rate in bytes/sec at `rate_factor`,
-    /// mirroring how [`build_scenario`] rate-scales the app: the wave
-    /// period is stretched by the factor and the background Poisson rate
-    /// multiplied by it. See
-    /// [`HadoopConfig::offered_bytes_per_sec`](crate::hadoop::HadoopConfig::offered_bytes_per_sec)
-    /// for the closed form.
+    /// Analytic per-host offered rate in bytes/sec at `rate_factor`, from
+    /// the closed-form means of the two processes a
+    /// [`HadoopApp`] runs at that factor:
+    ///
+    /// * waves fire every `wave_period / rate_factor` and the host joins
+    ///   with `join_prob`, shipping one `transfer`-distributed flow;
+    /// * background flows arrive Poisson at
+    ///   `background_rate_per_host · rate_factor`.
+    ///
+    /// This is steady-state metadata for the hybrid fast-forward engine
+    /// (`uburst_sim::txstage`): [`build_scenario`] uses it to pre-size the
+    /// event calendar for the in-flight packet population instead of
+    /// growing through the doubling phase mid-campaign. It ignores
+    /// self-addressed draws (a host never sends to itself), so it is a
+    /// slight upper bound.
     pub fn offered_bytes_per_host(&self, rate_factor: f64) -> f64 {
         let wave = self.join_prob * rate_factor / self.wave_period.as_secs_f64()
             * self.transfer.mean_bytes();
@@ -446,29 +525,11 @@ fn install_apps(
                 set(
                     sim,
                     h,
-                    Box::new(WebServerApp::new(WebServerConfig {
-                        cache_nodes: cache_tier.to_vec(),
-                        fanout: cfg.web.fanout,
-                        cache_resp: cfg.web.cache_resp,
-                        ..WebServerConfig::default()
-                    })),
+                    Box::new(WebServerApp::new(&cfg.web, cache_tier.to_vec())),
                 );
             }
             for &h in cache_tier {
-                // Moderate hit clustering plus a wide miss tail: a page's
-                // fast responses arrive as a small coherent clump (the 1-2
-                // sampling-period Web bursts), the rest smear out.
-                set(
-                    sim,
-                    h,
-                    Box::new(ResponderApp::new(ResponderConfig {
-                        hit_prob: 0.6,
-                        hit_median: uburst_sim::time::Nanos::from_micros(120),
-                        hit_sigma: 0.45,
-                        miss_median: uburst_sim::time::Nanos::from_micros(800),
-                        miss_sigma: 1.1,
-                    })),
-                );
+                set(sim, h, Box::new(ResponderApp::new(cfg.web.responder)));
             }
             let total_rate = cfg.web.req_rate_per_server * rack.len() as f64 * factor;
             let per_user_node = total_rate / users.len() as f64;
@@ -476,32 +537,13 @@ fn install_apps(
                 set(
                     sim,
                     h,
-                    Box::new(UserGenApp::new(UserGenConfig {
-                        web_nodes: rack.to_vec(),
-                        rate_per_s: per_user_node,
-                        page: cfg.web.page,
-                        train: (2, 5),
-                        train_gap: uburst_sim::time::Nanos::from_micros(30),
-                    })),
+                    Box::new(UserGenApp::new(&cfg.web, rack.to_vec(), per_user_node)),
                 );
             }
         }
         RackType::Cache => {
             for &h in rack {
-                // Very tight hit path: a scatter-gather group's shards
-                // answer near-simultaneously, which is what makes pod
-                // members correlate and uplink trains overlap.
-                set(
-                    sim,
-                    h,
-                    Box::new(ResponderApp::new(ResponderConfig {
-                        hit_prob: 0.85,
-                        hit_median: uburst_sim::time::Nanos::from_micros(80),
-                        hit_sigma: 0.3,
-                        miss_median: uburst_sim::time::Nanos::from_micros(500),
-                        miss_sigma: 0.8,
-                    })),
-                );
+                set(sim, h, Box::new(ResponderApp::new(cfg.cache.responder)));
             }
             let pods = contiguous_pods(rack.len(), cfg.cache.pod_size);
             let leaders: Vec<usize> = (0..cfg.cache.n_leaders.min(rack.len())).collect();
@@ -511,47 +553,35 @@ fn install_apps(
                 set(
                     sim,
                     h,
-                    Box::new(CacheFrontendApp::new(CacheFrontendConfig {
-                        cache_nodes: rack.to_vec(),
-                        pods: pods.clone(),
-                        rate_per_s: per_frontend,
-                        member_prob: cfg.cache.member_prob,
-                        resp: cfg.cache.resp,
-                        leaders: leaders.clone(),
-                        write_rate_per_s: write_per_frontend,
-                        train: (2, 6),
-                        train_gap: uburst_sim::time::Nanos::from_micros(60),
-                        ..CacheFrontendConfig::default()
-                    })),
+                    Box::new(CacheFrontendApp::new(
+                        &cfg.cache,
+                        rack.to_vec(),
+                        pods.clone(),
+                        leaders.clone(),
+                        per_frontend,
+                        write_per_frontend,
+                    )),
                 );
             }
         }
         RackType::Hadoop => {
-            // Rack hosts and half the remotes are workers in one job;
-            // waves are rate-scaled by stretching the period.
-            let period = Nanos::from_secs_f64(cfg.hadoop.wave_period.as_secs_f64() / factor);
+            // Rack hosts and half the remotes are workers in one job.
             let schedule_seed = rng.next_u64();
             let (mappers_remote, other_remote) = remotes.split_at(remotes.len() / 2);
-            let mk = |rack_nodes: Vec<NodeId>, remote_nodes: Vec<NodeId>| {
-                Box::new(HadoopApp::new(HadoopConfig {
-                    rack_nodes,
-                    remote_nodes,
-                    wave_period: period,
-                    join_prob: cfg.hadoop.join_prob,
-                    reducers_per_wave: cfg.hadoop.reducers_per_wave,
-                    transfer: cfg.hadoop.transfer,
-                    background_rate_per_s: cfg.hadoop.background_rate_per_host * factor,
-                    background: cfg.hadoop.background,
-                    background_remote_prob: 0.35,
-                    remote_wave_prob: 0.2,
+            let mk = |remote_nodes: &[NodeId]| {
+                Box::new(HadoopApp::new(
+                    &cfg.hadoop,
+                    factor,
+                    rack.to_vec(),
+                    remote_nodes.to_vec(),
                     schedule_seed,
-                }))
+                ))
             };
             for &h in rack {
-                set(sim, h, mk(rack.to_vec(), remotes.to_vec()));
+                set(sim, h, mk(remotes));
             }
             for &h in mappers_remote {
-                set(sim, h, mk(rack.to_vec(), other_remote.to_vec()));
+                set(sim, h, mk(other_remote));
             }
             // Remaining remotes just absorb cross-rack background traffic.
             for &h in other_remote {

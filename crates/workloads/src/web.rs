@@ -22,6 +22,7 @@ use uburst_sim::packet::FlowId;
 use uburst_sim::time::Nanos;
 
 use crate::host::{App, Env, Incoming};
+use crate::scenario::WebParams;
 use crate::tags::MsgKind;
 
 /// Log-normal byte-size distribution parameterized by its median.
@@ -54,34 +55,6 @@ impl SizeDist {
     }
 }
 
-/// Web server tuning.
-#[derive(Debug, Clone)]
-pub struct WebServerConfig {
-    /// The remote cache tier this server fans out to.
-    pub cache_nodes: Vec<NodeId>,
-    /// Subqueries per page: uniform in `[min, max]`.
-    pub fanout: (usize, usize),
-    /// Per-subquery response size.
-    pub cache_resp: SizeDist,
-    /// CPU think time between the last cache response and the page send.
-    pub think_median: Nanos,
-}
-
-impl Default for WebServerConfig {
-    fn default() -> Self {
-        WebServerConfig {
-            cache_nodes: Vec::new(),
-            fanout: (8, 24),
-            cache_resp: SizeDist {
-                median: 6_000,
-                sigma: 1.0,
-                cap: 200_000,
-            },
-            think_median: Nanos::from_micros(150),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PageJob {
     user: NodeId,
@@ -92,7 +65,9 @@ struct PageJob {
 
 /// The measured rack's web server.
 pub struct WebServerApp {
-    cfg: WebServerConfig,
+    p: WebParams,
+    /// The remote cache tier this server fans out to.
+    cache_nodes: Vec<NodeId>,
     jobs: HashMap<u32, PageJob>,
     next_group: u32,
     /// Pages fully assembled and sent (diagnostics).
@@ -100,12 +75,13 @@ pub struct WebServerApp {
 }
 
 impl WebServerApp {
-    /// A web server fanning out to `cfg.cache_nodes`.
-    pub fn new(cfg: WebServerConfig) -> Self {
-        assert!(!cfg.cache_nodes.is_empty(), "web server needs a cache tier");
-        assert!(cfg.fanout.0 >= 1 && cfg.fanout.0 <= cfg.fanout.1);
+    /// A web server tuned by `p`, fanning out to `cache_nodes`.
+    pub fn new(p: &WebParams, cache_nodes: Vec<NodeId>) -> Self {
+        assert!(!cache_nodes.is_empty(), "web server needs a cache tier");
+        assert!(p.fanout.0 >= 1 && p.fanout.0 <= p.fanout.1);
         WebServerApp {
-            cfg,
+            p: p.clone(),
+            cache_nodes,
             jobs: HashMap::new(),
             next_group: 0,
             pages_served: 0,
@@ -124,14 +100,14 @@ impl App for WebServerApp {
                 self.next_group = self.next_group.wrapping_add(1);
                 let k = env
                     .rng
-                    .range(self.cfg.fanout.0 as u64, self.cfg.fanout.1 as u64)
+                    .range(self.p.fanout.0 as u64, self.p.fanout.1 as u64)
                     as usize;
                 // Each remote node stands in for a whole cache tier, so
                 // subqueries pick with replacement: k can exceed the node
                 // count, and several shards may live behind one node.
                 for _ in 0..k {
-                    let dst = *env.rng.pick(&self.cfg.cache_nodes);
-                    let bytes = self.cfg.cache_resp.sample(env.rng);
+                    let dst = *env.rng.pick(&self.cache_nodes);
+                    let bytes = self.p.cache_resp.sample(env.rng);
                     env.send_request(dst, bytes, group);
                 }
                 self.jobs.insert(
@@ -156,7 +132,7 @@ impl App for WebServerApp {
                 };
                 if done {
                     // Think, then ship the page (timer token = group).
-                    let mu = (self.cfg.think_median.as_nanos() as f64).ln();
+                    let mu = (self.p.think_median.as_nanos() as f64).ln();
                     let think = Nanos::from_secs_f64(env.rng.lognormal(mu, 0.4) * 1e-9);
                     env.timer_in(think, u64::from(msg.group));
                 }
@@ -175,29 +151,14 @@ impl App for WebServerApp {
     }
 }
 
-/// User population tuning.
-#[derive(Debug, Clone)]
-pub struct UserGenConfig {
-    /// The web servers users hit.
-    pub web_nodes: Vec<NodeId>,
-    /// Requests per second from this generator node (already
-    /// diurnal-scaled by the scenario builder).
-    pub rate_per_s: f64,
-    /// Page size asked of the web server.
-    pub page: SizeDist,
-    /// Pages per user event, uniform in `[min, max]`. Sessions fetch
-    /// several objects back-to-back over a reused connection, so page
-    /// requests arrive in micro-trains rather than as a pure Poisson
-    /// stream — this temporal clustering is what gives Web its very high
-    /// burst likelihood ratio (Table 2).
-    pub train: (usize, usize),
-    /// Mean spacing between pages within a train.
-    pub train_gap: Nanos,
-}
-
 /// Remote node playing many Internet users (a Poisson request stream).
 pub struct UserGenApp {
-    cfg: UserGenConfig,
+    p: WebParams,
+    /// The web servers users hit.
+    web_nodes: Vec<NodeId>,
+    /// Requests per second from this generator node (already
+    /// diurnal-scaled by the scenario builder).
+    rate_per_s: f64,
     next_group: u32,
     /// Pages left in the in-progress train and their target server.
     train_left: usize,
@@ -212,13 +173,16 @@ const TOKEN_NEXT_EVENT: u64 = 1;
 const TOKEN_TRAIN: u64 = 2;
 
 impl UserGenApp {
-    /// A user generator with the given tuning.
-    pub fn new(cfg: UserGenConfig) -> Self {
-        assert!(!cfg.web_nodes.is_empty(), "no web servers to hit");
-        assert!(cfg.rate_per_s > 0.0);
-        assert!(cfg.train.0 >= 1 && cfg.train.0 <= cfg.train.1);
+    /// A user generator tuned by `p`, asking `web_nodes` for
+    /// `rate_per_s` pages per second.
+    pub fn new(p: &WebParams, web_nodes: Vec<NodeId>, rate_per_s: f64) -> Self {
+        assert!(!web_nodes.is_empty(), "no web servers to hit");
+        assert!(rate_per_s > 0.0);
+        assert!(p.train.0 >= 1 && p.train.0 <= p.train.1);
         UserGenApp {
-            cfg,
+            p: p.clone(),
+            web_nodes,
+            rate_per_s,
             next_group: 0,
             train_left: 0,
             train_dst: None,
@@ -228,19 +192,19 @@ impl UserGenApp {
     }
 
     fn mean_train(&self) -> f64 {
-        (self.cfg.train.0 + self.cfg.train.1) as f64 / 2.0
+        (self.p.train.0 + self.p.train.1) as f64 / 2.0
     }
 
     fn schedule_next_event(&self, env: &mut Env<'_, '_>) {
         // Event rate = page rate / pages per event, so the configured page
         // rate is preserved regardless of train length.
-        let event_rate = self.cfg.rate_per_s / self.mean_train();
+        let event_rate = self.rate_per_s / self.mean_train();
         let gap = env.rng.exp(1.0 / event_rate);
         env.timer_in(Nanos::from_secs_f64(gap), TOKEN_NEXT_EVENT);
     }
 
     fn send_page(&mut self, env: &mut Env<'_, '_>, dst: NodeId) {
-        let page = self.cfg.page.sample(env.rng);
+        let page = self.p.page.sample(env.rng);
         let group = self.next_group;
         self.next_group = self.next_group.wrapping_add(1);
         env.send_request(dst, page, group);
@@ -253,7 +217,7 @@ impl UserGenApp {
             self.schedule_next_event(env);
             return;
         }
-        let gap = env.rng.exp(self.cfg.train_gap.as_secs_f64());
+        let gap = env.rng.exp(self.p.train_gap.as_secs_f64());
         env.timer_in(Nanos::from_secs_f64(gap), TOKEN_TRAIN);
     }
 }
@@ -266,11 +230,8 @@ impl App for UserGenApp {
     fn on_timer(&mut self, env: &mut Env<'_, '_>, token: u64) {
         match token {
             TOKEN_NEXT_EVENT => {
-                let dst = *env.rng.pick(&self.cfg.web_nodes);
-                let len = env
-                    .rng
-                    .range(self.cfg.train.0 as u64, self.cfg.train.1 as u64)
-                    as usize;
+                let dst = *env.rng.pick(&self.web_nodes);
+                let len = env.rng.range(self.p.train.0 as u64, self.p.train.1 as u64) as usize;
                 self.train_dst = Some(dst);
                 self.train_left = len - 1;
                 self.send_page(env, dst);
@@ -327,11 +288,13 @@ mod tests {
             .collect();
         let web = AppHost::spawn(
             &mut sim,
-            Box::new(WebServerApp::new(WebServerConfig {
-                cache_nodes: caches.clone(),
-                fanout: (2, 3),
-                ..WebServerConfig::default()
-            })),
+            Box::new(WebServerApp::new(
+                &WebParams {
+                    fanout: (2, 3),
+                    ..WebParams::default()
+                },
+                caches.clone(),
+            )),
             NicConfig::default(),
             TransportConfig::default(),
             200,
@@ -339,17 +302,20 @@ mod tests {
         );
         let user = AppHost::spawn(
             &mut sim,
-            Box::new(UserGenApp::new(UserGenConfig {
-                web_nodes: vec![web],
-                rate_per_s: 2_000.0,
-                page: SizeDist {
-                    median: 50_000,
-                    sigma: 0.5,
-                    cap: 500_000,
+            Box::new(UserGenApp::new(
+                &WebParams {
+                    page: SizeDist {
+                        median: 50_000,
+                        sigma: 0.5,
+                        cap: 500_000,
+                    },
+                    train: (1, 3),
+                    train_gap: Nanos::from_micros(40),
+                    ..WebParams::default()
                 },
-                train: (1, 3),
-                train_gap: Nanos::from_micros(40),
-            })),
+                vec![web],
+                2_000.0,
+            )),
             NicConfig::default(),
             TransportConfig::default(),
             300,

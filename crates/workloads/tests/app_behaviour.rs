@@ -3,16 +3,16 @@
 //! scaling — the mechanisms DESIGN.md §4b credits for the paper's shapes.
 
 use uburst_sim::prelude::*;
-use uburst_workloads::cache::{contiguous_pods, CacheFrontendApp, CacheFrontendConfig};
+use uburst_workloads::cache::{contiguous_pods, CacheFrontendApp};
 use uburst_workloads::host::AppHost;
 use uburst_workloads::responder::{ResponderApp, ResponderConfig};
-use uburst_workloads::scenario::{RackType, ScenarioConfig};
+use uburst_workloads::scenario::{CacheParams, RackType, ScenarioConfig};
 
 /// Builds a star topology: `n` responder hosts + one frontend, all on one
 /// switch, and returns (sim, responders, frontend).
 fn star_with_frontend(
     n: usize,
-    make_frontend: impl FnOnce(Vec<NodeId>) -> CacheFrontendConfig,
+    make_frontend: impl FnOnce(Vec<NodeId>) -> CacheFrontendApp,
 ) -> (Simulator, Vec<NodeId>, NodeId) {
     let mut sim = Simulator::new();
     let servers: Vec<NodeId> = (0..n)
@@ -29,7 +29,7 @@ fn star_with_frontend(
         .collect();
     let frontend = AppHost::spawn(
         &mut sim,
-        Box::new(CacheFrontendApp::new(make_frontend(servers.clone()))),
+        Box::new(make_frontend(servers.clone())),
         NicConfig::default(),
         TransportConfig::default(),
         999,
@@ -60,12 +60,18 @@ fn train_length_preserves_group_rate() {
     // Same configured group rate with trains of 1 vs trains of 4 must yield
     // comparable total groups over a long window.
     let groups_with = |train: (usize, usize)| {
-        let (mut sim, _servers, frontend) = star_with_frontend(8, |servers| CacheFrontendConfig {
-            cache_nodes: servers,
-            pods: contiguous_pods(8, 4),
-            rate_per_s: 5_000.0,
-            train,
-            ..CacheFrontendConfig::default()
+        let (mut sim, _servers, frontend) = star_with_frontend(8, |servers| {
+            CacheFrontendApp::new(
+                &CacheParams {
+                    train,
+                    ..CacheParams::default()
+                },
+                servers,
+                contiguous_pods(8, 4),
+                Vec::new(),
+                5_000.0,
+                0.0,
+            )
         });
         sim.run_until(Nanos::from_millis(400));
         sim.node::<AppHost>(frontend)
@@ -83,13 +89,19 @@ fn train_length_preserves_group_rate() {
 
 #[test]
 fn every_group_request_is_answered() {
-    let (mut sim, servers, frontend) = star_with_frontend(6, |servers| CacheFrontendConfig {
-        cache_nodes: servers,
-        pods: contiguous_pods(6, 3),
-        rate_per_s: 2_000.0,
-        member_prob: 1.0,
-        train: (2, 4),
-        ..CacheFrontendConfig::default()
+    let (mut sim, servers, frontend) = star_with_frontend(6, |servers| {
+        CacheFrontendApp::new(
+            &CacheParams {
+                member_prob: 1.0,
+                train: (2, 4),
+                ..CacheParams::default()
+            },
+            servers,
+            contiguous_pods(6, 3),
+            Vec::new(),
+            2_000.0,
+            0.0,
+        )
     });
     sim.run_until(Nanos::from_millis(300));
     let fe = sim.node::<AppHost>(frontend).app::<CacheFrontendApp>();

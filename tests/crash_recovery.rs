@@ -268,11 +268,7 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
 /// physical log — byte for byte, under every fsync policy.
 #[test]
 fn grouped_session_is_byte_identical_to_per_record_session() {
-    for fsync in [
-        FsyncPolicy::Always,
-        FsyncPolicy::EveryN(5),
-        FsyncPolicy::Never,
-    ] {
+    for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(5)] {
         let cfg = WalConfig {
             segment_max_bytes: SEGMENT_BYTES,
             fsync,
@@ -411,38 +407,37 @@ fn every_crash_point_recovers_identically_under_group_commit() {
 
 #[test]
 fn weaker_policies_still_never_lose_acked_records() {
-    // Under EveryN/Never, recovery may hold MORE than was acked (bytes can
+    // Under EveryN, recovery may hold MORE than was acked (bytes can
     // reach "media" before their covering sync) but never less, and never
-    // more than was sent. Sweep a thinner plan over each policy.
+    // more than was sent. Sweep a thinner plan over the policy.
     let (_, total_bytes, record_ends) = reference_run();
-    for fsync in [FsyncPolicy::EveryN(5), FsyncPolicy::Never] {
-        let cfg = WalConfig {
-            segment_max_bytes: SEGMENT_BYTES,
-            fsync,
-        };
-        let plan = CrashPlan::sweep(SEED ^ 0xF5, total_bytes, &record_ends, 50);
-        for &budget in plan.offsets().iter().step_by(4) {
-            let disk = MemStorage::new();
-            let torn = TornStorage::new(disk.clone(), budget);
-            let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
-            if let Ok(mut ds) = DurableStore::create(torn, cfg) {
-                let _ = fresh_session().run(receiver(&mut ds, &mut acked, Commit::PerRecord));
-            }
-            let (rec, report) = DurableStore::recover(disk, cfg).expect("recovery");
-            assert_eq!(report.duplicates, 0);
-            for src in 0..SOURCES {
-                let source = SourceId(src);
-                let got = rec.store().contiguous(source);
-                let floor = acked.get(&source).copied().unwrap_or(0);
-                assert!(
-                    got >= floor,
-                    "{fsync:?} crash@{budget}: acked record lost ({got} < {floor})"
-                );
-                assert!(
-                    got <= BATCHES_PER_SOURCE,
-                    "{fsync:?} crash@{budget}: phantom records"
-                );
-            }
+    let fsync = FsyncPolicy::EveryN(5);
+    let cfg = WalConfig {
+        segment_max_bytes: SEGMENT_BYTES,
+        fsync,
+    };
+    let plan = CrashPlan::sweep(SEED ^ 0xF5, total_bytes, &record_ends, 50);
+    for &budget in plan.offsets().iter().step_by(4) {
+        let disk = MemStorage::new();
+        let torn = TornStorage::new(disk.clone(), budget);
+        let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
+        if let Ok(mut ds) = DurableStore::create(torn, cfg) {
+            let _ = fresh_session().run(receiver(&mut ds, &mut acked, Commit::PerRecord));
+        }
+        let (rec, report) = DurableStore::recover(disk, cfg).expect("recovery");
+        assert_eq!(report.duplicates, 0);
+        for src in 0..SOURCES {
+            let source = SourceId(src);
+            let got = rec.store().contiguous(source);
+            let floor = acked.get(&source).copied().unwrap_or(0);
+            assert!(
+                got >= floor,
+                "{fsync:?} crash@{budget}: acked record lost ({got} < {floor})"
+            );
+            assert!(
+                got <= BATCHES_PER_SOURCE,
+                "{fsync:?} crash@{budget}: phantom records"
+            );
         }
     }
 }
