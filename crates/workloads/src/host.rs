@@ -193,14 +193,6 @@ impl AppHost {
         self.app = app;
     }
 
-    /// Mutable access to the app (e.g. to finish configuration between
-    /// spawn and the app's start time).
-    pub fn app_mut<A: App>(&mut self) -> &mut A {
-        (self.app.as_mut() as &mut dyn Any)
-            .downcast_mut::<A>()
-            .expect("app type mismatch")
-    }
-
     /// Transport diagnostics.
     pub fn transport_stats(&self) -> uburst_sim::transport::TransportStats {
         self.transport.as_ref().map(|t| t.stats).unwrap_or_default()
