@@ -267,6 +267,11 @@ mod tests {
         // is three-quarters empty.
         assert!(!p.admit(0, 1_000, &held, 30_000, 100_000));
         assert!(p.admit(1, 20_000, &held, 30_000, 100_000));
+        // The slice is inclusive: a frame that fills it exactly is
+        // admitted, one byte more is refused.
+        let held = [24_000u64, 0, 0, 0];
+        assert!(p.admit(0, 1_000, &held, 24_000, 100_000));
+        assert!(!p.admit(0, 1_001, &held, 24_000, 100_000));
     }
 
     #[test]
