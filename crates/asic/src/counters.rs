@@ -175,10 +175,13 @@ impl AsicCounters {
         self.claimed.borrow_mut().retain(|c| !ids.contains(c));
     }
 
-    /// Runs every registered flush hook so deferred (hybrid fast-forward)
-    /// writers settle their accounting into the bank up to `now`. The
-    /// poller calls this before sampling; in per-packet mode no hooks are
-    /// registered and this is a no-op.
+    /// Runs every registered flush hook, so each switch counting into this
+    /// bank settles the departures it parked up to `now`. The poller calls
+    /// this before sampling. A switch registers its hook when it is built,
+    /// under either engine, and both engines park departures in its book:
+    /// the lazy one parks them at admission, so the hook settles those due
+    /// by `now`; the per-packet one settles each at its own `TxComplete`,
+    /// so the hook finds none due.
     pub fn flush_to(&self, now: Nanos) {
         for hook in self.flush_hooks.borrow().iter() {
             hook(self, now);

@@ -393,34 +393,28 @@ impl Poller {
     /// One read transaction: consult the injector, then either schedule the
     /// completion, a backed-off retry, or abandon the deadline.
     fn start_attempt(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(faults) = self.faults.as_mut() {
-            match faults.pre_read() {
-                Err(fault) => {
-                    let cost = fault.cost();
-                    self.stats.read_errors += 1;
-                    self.stats.busy += cost;
-                    if self.attempt < self.retry.max_retries {
-                        let backoff = self.retry.backoff(self.attempt);
-                        self.attempt += 1;
-                        self.stats.retries += 1;
-                        ctx.timer_in(cost + backoff, TOKEN_POLL_RETRY);
-                    } else {
-                        // Out of retries: this deadline is abandoned. The
-                        // campaign itself survives — schedule the next one.
-                        self.abandon_poll(ctx, cost);
-                    }
-                    return;
+        // A fault-free read costs nothing extra.
+        let extra = match self.faults.as_mut().map(|f| f.pre_read()) {
+            Some(Err(fault)) => {
+                let cost = fault.cost();
+                self.stats.read_errors += 1;
+                self.stats.busy += cost;
+                if self.attempt < self.retry.max_retries {
+                    let backoff = self.retry.backoff(self.attempt);
+                    self.attempt += 1;
+                    self.stats.retries += 1;
+                    ctx.timer_in(cost + backoff, TOKEN_POLL_RETRY);
+                } else {
+                    // Out of retries: this deadline is abandoned. The
+                    // campaign itself survives — schedule the next one.
+                    self.abandon_poll(ctx, cost);
                 }
-                Ok(extra) => {
-                    let work = self.poll_cost() + extra;
-                    let jitter = self.campaign.core_mode.sample_jitter(&mut self.rng);
-                    self.stats.busy += work;
-                    ctx.timer_in(work + jitter, TOKEN_POLL_DONE);
-                    return;
-                }
+                return;
             }
-        }
-        let work = self.poll_cost();
+            Some(Ok(extra)) => extra,
+            None => Nanos::ZERO,
+        };
+        let work = self.poll_cost() + extra;
         let jitter = self.campaign.core_mode.sample_jitter(&mut self.rng);
         // Only the bus transaction is *our* CPU time; jitter is time stolen
         // by the kernel / other work, which delays completion but is not
@@ -437,9 +431,9 @@ impl Poller {
         // decoded value forward — no bytes are lost because the counter is
         // cumulative and the next real read catches up the delta.
         let shed = self.campaign.counters.len() - self.active_n;
-        // Hybrid fast-forward defers datapath accounting; settle the bank
-        // to the read instant so sampled values are byte-identical to
-        // per-packet mode. No-op when nothing registered a flush hook.
+        // Settle the bank to the read instant, so the sample counts every
+        // frame that left by `now`: under the lazy engine a switch's
+        // departures wait in its book until something settles them.
         self.bank.flush_to(now);
         for i in 0..self.active_n {
             let id = self.campaign.counters[i];

@@ -14,8 +14,8 @@ use std::rc::Rc;
 use crate::node::PortId;
 use crate::time::Nanos;
 
-/// A deferred-accounting hook registered by a switch running in hybrid
-/// fast-forward mode (see [`crate::txstage`]). Called with the sink itself
+/// A deferred-accounting hook every switch registers with its sink, under
+/// either engine (see [`crate::txstage`]). Called with the sink itself
 /// and a timestamp, it must apply every departure at or before that instant
 /// to the sink, so that a counter read at the instant observes values
 /// byte-identical to packet mode.
@@ -33,7 +33,7 @@ pub trait CounterSink {
     /// The shared buffer's occupancy changed to `used_bytes`. Sinks that
     /// model a peak register track the maximum between reads.
     fn buffer_level(&self, used_bytes: u64);
-    /// Registers a hybrid-mode flush hook (see [`FlushHook`]). Sinks that
+    /// Registers a switch's flush hook (see [`FlushHook`]). Sinks that
     /// are read mid-run at poll instants (the ASIC counter bank) store the
     /// hook and invoke it before every read; sinks nobody reads ignore it —
     /// their switches are settled by the simulator at run boundaries
