@@ -22,13 +22,6 @@ pub struct KsResult {
     pub n: usize,
 }
 
-impl KsResult {
-    /// Convenience: rejection at the given significance level.
-    pub fn rejects_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Tests whether `samples` are exponentially distributed, with the rate
 /// fitted as `1/mean` (the MLE).
 ///
@@ -161,7 +154,6 @@ mod tests {
         let xs: Vec<f64> = (0..5_000).map(|_| rng.pareto(1.0, 1.2)).collect();
         let r = ks_test_exponential(&xs);
         assert!(r.p_value < 1e-6, "pareto not rejected: p={}", r.p_value);
-        assert!(r.rejects_at(0.001));
     }
 
     #[test]

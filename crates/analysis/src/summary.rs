@@ -40,11 +40,6 @@ impl Summary {
             n: xs.len(),
         }
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Type-7 quantile of an already sorted slice.
@@ -90,7 +85,6 @@ mod tests {
         assert_eq!(s.max, 5.0);
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.n, 5);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]

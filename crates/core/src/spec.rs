@@ -97,12 +97,6 @@ impl CampaignConfig {
             core_mode: CoreMode::Dedicated,
         }
     }
-
-    /// Same campaign on a shared core.
-    pub fn on_shared_core(mut self) -> Self {
-        self.core_mode = CoreMode::Shared;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -184,10 +178,9 @@ mod tests {
             "uplinks",
             vec![CounterId::TxBytes(PortId(0)), CounterId::TxBytes(PortId(1))],
             Nanos::from_micros(40),
-        )
-        .on_shared_core();
+        );
         assert_eq!(g.counters.len(), 2);
-        assert_eq!(g.core_mode, CoreMode::Shared);
+        assert_eq!(g.core_mode, CoreMode::Dedicated);
     }
 
     #[test]

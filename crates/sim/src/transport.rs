@@ -207,11 +207,6 @@ impl TransportEndpoint {
         &self.fcts
     }
 
-    /// Moves the completion records out (clears the log).
-    pub fn take_fcts(&mut self) -> Vec<FctRecord> {
-        std::mem::take(&mut self.fcts)
-    }
-
     /// Does this timer token belong to the transport?
     pub fn owns_token(token: u64) -> bool {
         token & TRANSPORT_TOKEN_BIT != 0
@@ -754,17 +749,13 @@ mod tests {
         sim.node_mut::<Host>(a).to_send.push((b, 300_000));
         sim.schedule_timer(Nanos(0), a, 0);
         sim.run_until(Nanos::from_millis(100));
-        let fcts = sim.node::<Host>(a).transport.fcts().to_vec();
+        let fcts = sim.node::<Host>(a).transport.fcts();
         assert_eq!(fcts.len(), 1);
         assert_eq!(fcts[0].bytes, 300_000);
         assert_eq!(fcts[0].tag, 0xCAFE);
         // 300KB at 10G is ~240us minimum; through slow start it's more.
         assert!(fcts[0].fct > Nanos::from_micros(240), "{}", fcts[0].fct);
         assert!(fcts[0].fct < Nanos::from_millis(50), "{}", fcts[0].fct);
-        // take_fcts drains.
-        let taken = sim.node_mut::<Host>(a).transport.take_fcts();
-        assert_eq!(taken.len(), 1);
-        assert!(sim.node::<Host>(a).transport.fcts().is_empty());
     }
 
     #[test]
