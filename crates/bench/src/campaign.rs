@@ -18,7 +18,6 @@
 //! results back.
 
 use uburst_asic::{AccessModel, CounterId, FaultInjector, FaultPlan, FaultStats};
-use uburst_core::degrade::DegradeMode;
 use uburst_core::poller::{Poller, RetryPolicy};
 use uburst_core::series::{Series, UtilSample};
 use uburst_core::spec::CampaignConfig;
@@ -48,12 +47,13 @@ pub struct CampaignSpec {
     pub faults: Option<FaultPlan>,
     /// Retry policy for failed read transactions.
     pub retry: RetryPolicy,
-    /// Optional adaptive degradation under overload.
-    pub degradation: Option<DegradeMode>,
+    /// Always `None`: campaigns have no degradation. Kept only because
+    /// `benchmark/` destructures it (ROADMAP item 3a).
+    pub degradation: Option<std::convert::Infallible>,
 }
 
 impl CampaignSpec {
-    /// A plain campaign: no faults, default retries, no degradation.
+    /// A plain campaign: no faults, default retries.
     pub fn new(
         cfg: ScenarioConfig,
         counters: Vec<CounterId>,
@@ -80,12 +80,6 @@ impl CampaignSpec {
     /// Overrides the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Arms adaptive degradation.
-    pub fn with_degradation(mut self, mode: DegradeMode) -> Self {
-        self.degradation = Some(mode);
         self
     }
 
@@ -140,9 +134,6 @@ impl CampaignSpec {
                 .with_faults(FaultInjector::new(plan))
                 .with_wrap_guard(max_bps);
         }
-        if let Some(mode) = self.degradation {
-            poller = poller.with_degradation(mode);
-        }
         poller
             .spawn(&mut scenario.sim, start, stop)
             .expect("bench campaign window is non-empty and its registers unclaimed")
@@ -155,7 +146,7 @@ impl CampaignSpec {
 /// [`CampaignRun`] (in `specs` order) around one shared [`NetSnapshot`].
 ///
 /// Each run is byte-identical to the campaign's solo run. A poller is a
-/// passive observer: it owns its RNG and fault/retry/degradation state,
+/// passive observer: it owns its RNG and fault/retry state,
 /// injects no packets, and the simulator settles counter-visible state
 /// exactly at every read instant — so neither the network nor any other
 /// poller can tell how many campaigns are attached. The one shared mutable
@@ -204,7 +195,7 @@ pub fn run_group(specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
                 series: poller.take_series().expect("in-memory campaign"),
                 poller_stats,
                 fault_stats: poller.fault_stats(),
-                degrade_level: poller.degrade_level(),
+                degrade_level: 0,
                 net: net.clone(),
             }
         })
@@ -303,7 +294,8 @@ pub struct CampaignRun {
     pub poller_stats: uburst_core::poller::PollerStats,
     /// Injected-fault counts, when the campaign ran under a fault plan.
     pub fault_stats: Option<FaultStats>,
-    /// Final adaptive-degradation level (0 unless degradation was armed).
+    /// Always 0: the poller has no degradation levels. Kept only because
+    /// `benchmark/` builds this struct (ROADMAP item 3a).
     pub degrade_level: u32,
     /// Post-run network state (switch totals, drops, transport).
     pub net: NetSnapshot,

@@ -37,9 +37,9 @@ use crate::report::Table;
 use crate::scale::Scale;
 
 /// Poller read-error fraction above which a switch reports itself
-/// degraded to the fleet controller (the PR-1 signal, summarized per
-/// round). Flaky switches inject transient failures at 10%, so this
-/// cleanly separates them from fault-free neighbours.
+/// degraded to the fleet controller, once per round. Flaky switches
+/// inject transient failures at 10%, so this cleanly separates them from
+/// fault-free neighbours.
 const DEGRADED_READ_ERROR_FRAC: f64 = 0.02;
 
 /// Switches sampled for the inter-rack correlation matrix (pairwise cost

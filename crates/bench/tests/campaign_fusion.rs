@@ -3,7 +3,7 @@
 //!
 //! The oracle throughout is the unfused loop — every spec executed as a
 //! group of one (`CampaignSpec::run`) — compared field for field (series,
-//! `PollerStats`, `FaultStats`, degradation level, `NetSnapshot`) with the
+//! `PollerStats`, `FaultStats`, `NetSnapshot`) with the
 //! same specs handed to the pool together.
 
 use uburst_asic::{CounterId, FaultPlan};
@@ -11,7 +11,6 @@ use uburst_bench::campaign::{
     buffer_and_ports_spec, plan_groups, run_group, single_port_spec, CampaignRun, CampaignSpec,
 };
 use uburst_bench::run_parallel_on;
-use uburst_core::degrade::DegradeMode;
 use uburst_core::poller::RetryPolicy;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
 use uburst_sim::node::PortId;
@@ -69,15 +68,16 @@ fn fused_pair_equals_solo_runs_on_every_rack_type_and_engine() {
     }
 }
 
-/// Faults, retries and degradation are per-poller measurement-plane state:
-/// a hardened campaign and a plain one share a simulation unchanged.
+/// Faults and retries are per-poller measurement-plane state: a degraded
+/// campaign (failing reads, overrun deadlines) and a plain one share a
+/// simulation unchanged.
 #[test]
 fn faulted_and_degraded_campaign_fuses_with_a_plain_one() {
     let cfg = ScenarioConfig::new(RackType::Hadoop, 0xFA17);
     let counters: Vec<CounterId> = (0..8)
         .map(|p| CounterId::TxSizeHist(PortId(p), 0))
         .collect();
-    // Eight memory-class reads do not fit a 12 us interval: sheds.
+    // Eight memory-class reads do not fit a 12 us interval: it overruns.
     let hardened = CampaignSpec::new(cfg.clone(), counters, Nanos::from_micros(12), SPAN)
         .with_faults(
             FaultPlan::none(0x7E1E)
@@ -89,8 +89,7 @@ fn faulted_and_degraded_campaign_fuses_with_a_plain_one() {
         .with_retry(RetryPolicy {
             max_retries: 2,
             ..RetryPolicy::default()
-        })
-        .with_degradation(DegradeMode::ShedCounters);
+        });
     let specs = vec![bytes_spec(&cfg, 3, 25), hardened];
     assert_eq!(plan(&specs), vec![vec![0, 1]]);
     let fused = run_parallel_on(1, specs.clone());
@@ -98,8 +97,7 @@ fn faulted_and_degraded_campaign_fuses_with_a_plain_one() {
     // The robustness layer really was exercised, on the hardened run only.
     assert_eq!(fused[0].fault_stats, None);
     assert!(fused[1].fault_stats.expect("faulted").bus_timeouts > 0);
-    assert!(fused[1].poller_stats.shed_counters > 0);
-    assert!(fused[1].degrade_level > 0);
+    assert!(fused[1].poller_stats.missed_deadlines > 0);
 }
 
 #[test]

@@ -32,8 +32,8 @@ fn spec(rack_type: RackType, seed: u64) -> CampaignSpec {
 /// Everything observable about a run, flattened for byte comparison.
 fn fingerprint(run: &uburst_bench::campaign::CampaignRun) -> String {
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{}",
-        run.series, run.poller_stats, run.net.tor, run.net.port_drops, run.degrade_level
+        "{:?}|{:?}|{:?}|{:?}",
+        run.series, run.poller_stats, run.net.tor, run.net.port_drops
     )
 }
 

@@ -62,9 +62,9 @@ const RECOVERY_ROUNDS: u32 = 3;
 pub struct RoundInput {
     /// Batches the poller cut this round.
     pub batches: Vec<Batch>,
-    /// Switch-side degradation signal for the round (the PR-1 degradation
-    /// controller shed or stretched — the poller knows it is unhealthy
-    /// before the aggregator can).
+    /// Switch-side health signal for the round (its poller's reads are
+    /// failing, say — the switch knows it is unhealthy before the
+    /// aggregator can).
     pub degraded: bool,
 }
 

@@ -9,8 +9,6 @@
 //!   and suffering kernel-jitter-induced missed intervals; failed reads are
 //!   retried with bounded exponential backoff and narrow counters are
 //!   wrap-decoded to full width;
-//! * [`degrade`] — the adaptive controller that sheds counters or stretches
-//!   the interval when the loop cannot keep up, and recovers when it can;
 //! * [`errors`] — typed [`PollError`] / [`CollectorError`] values for every
 //!   configuration and runtime failure the pipeline can surface;
 //! * [`spec`] — measurement campaigns and the dedicated vs. shared core
@@ -58,7 +56,6 @@
 pub mod batch;
 pub mod collector;
 mod csv;
-pub mod degrade;
 pub mod errors;
 pub mod failpoint;
 pub mod fleet;
@@ -76,7 +73,6 @@ pub mod wal;
 
 pub use batch::{Batch, BatchPolicy, Batcher, SourceId};
 pub use collector::{Collector, CollectorHealth, CollectorReport};
-pub use degrade::{DegradationController, DegradeMode};
 pub use errors::{CollectorError, PollError, ShipError, WalError};
 pub use failpoint::{crash_error, is_injected_crash, CrashPlan, RegionCrashPlan, TornStorage};
 pub use fleet::{

@@ -25,14 +25,12 @@
 //!   after which the deadline is abandoned (accounted, never fatal);
 //! * **wrap-aware decoding** ([`crate::series::WrapDecoder`]): narrow
 //!   cumulative counters are reconstructed to full width before recording,
-//!   so downstream rate math never sees a wrap;
-//! * **adaptive degradation** ([`DegradeMode`]): when the windowed
-//!   deadline-miss fraction exceeds a watermark the loop sheds low-priority
-//!   counters or stretches the interval, recovering when pressure subsides.
+//!   so downstream rate math never sees a wrap.
 //!
 //! Every fault response is accounted in [`PollerStats`]:
-//! `read_errors = retries + abandoned_polls()`, and each shed counter-read
-//! increments `shed_counters`.
+//! `read_errors = retries + abandoned_polls()`. Overload changes nothing
+//! but the count: every poll reads every campaign counter, and the next
+//! deadline is always the current one plus the interval.
 //!
 //! ## Missed-interval metrics (Table 1)
 //!
@@ -54,7 +52,6 @@ use uburst_sim::rng::Rng;
 use uburst_sim::sim::Simulator;
 use uburst_sim::time::Nanos;
 
-use crate::degrade::{DegradationController, DegradeMode};
 use crate::errors::PollError;
 use crate::output::MemorySink;
 use crate::series::WrapDecoder;
@@ -122,11 +119,6 @@ pub struct PollerStats {
     pub retries: u64,
     /// Counter values served stale by the hardware (injector-detected).
     pub stale_reads: u64,
-    /// Counter-reads skipped by adaptive shedding (one per shed counter per
-    /// poll; the sink carries the last known value forward).
-    pub shed_counters: u64,
-    /// Polls taken at a degradation level above zero.
-    pub degraded_polls: u64,
     /// Regressed raw reads rejected by the wrap-plausibility guard (a
     /// stale/snooped value that would otherwise decode as a near-full
     /// counter wrap; see [`crate::series::WrapDecoder::with_max_step`]).
@@ -188,7 +180,7 @@ impl PollerStats {
 /// The sampling loop, attached to one switch's counter bank.
 pub struct Poller {
     bank: Rc<AsicCounters>,
-    /// Prices each poll's bus transaction over the active counters.
+    /// Prices each poll's bus transaction over the campaign's counters.
     access: AccessModel,
     campaign: CampaignConfig,
     rng: Rng,
@@ -196,12 +188,10 @@ pub struct Poller {
     sink: MemorySink,
     faults: Option<FaultInjector>,
     retry: RetryPolicy,
-    controller: DegradationController,
     /// Wrap decoder per campaign counter (`None` for gauges, which do not
     /// accumulate and therefore never wrap meaningfully).
     decoders: Vec<Option<WrapDecoder>>,
-    /// Last recorded (decoded) value per counter, carried forward for shed
-    /// counters so the sink's schema stays aligned.
+    /// The values of the poll being recorded, one per campaign counter.
     last_values: Vec<u64>,
     /// The deadline the in-progress/most recent poll was serving.
     deadline: Nanos,
@@ -212,8 +202,6 @@ pub struct Poller {
     stats: PollerStats,
     /// Read attempt number for the current deadline (0 = first try).
     attempt: u32,
-    /// Counters active for the in-flight poll (prefix of the campaign list).
-    active_n: usize,
     finished: bool,
 }
 
@@ -244,7 +232,6 @@ impl Poller {
             rng: Rng::new(seed),
             faults: None,
             retry: RetryPolicy::default(),
-            controller: DegradationController::new(DegradeMode::Off),
             decoders: vec![None; n],
             last_values: vec![0; n],
             deadline: Nanos::ZERO,
@@ -252,7 +239,6 @@ impl Poller {
             stop_at: Nanos::MAX,
             stats: PollerStats::default(),
             attempt: 0,
-            active_n: n,
             finished: false,
         })
     }
@@ -282,7 +268,7 @@ impl Poller {
 
     /// Tightens every armed decoder's wrap-plausibility guard to the
     /// largest delta a `link_bps` link can produce between polls (with
-    /// generous slack for missed deadlines and stretched intervals),
+    /// generous slack for missed deadlines),
     /// derived via [`crate::series::wrap_guard_threshold`]. A no-op for
     /// counters without decoders (gauges, or no fault injector attached).
     pub fn with_wrap_guard(mut self, link_bps: u64) -> Self {
@@ -297,13 +283,6 @@ impl Poller {
     /// Overrides the retry/backoff policy for failed reads.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Arms adaptive degradation (shed counters or stretch the interval
-    /// under sustained deadline pressure).
-    pub fn with_degradation(mut self, mode: DegradeMode) -> Self {
-        self.controller = DegradationController::new(mode);
         self
     }
 
@@ -345,9 +324,10 @@ impl Poller {
         self.faults.as_ref().map(|f| f.stats())
     }
 
-    /// The current adaptive-degradation level (0 = full fidelity).
+    /// Always 0: the poller has no degradation levels. Kept only because
+    /// `benchmark/` calls it (ROADMAP item 3a).
     pub fn degrade_level(&self) -> u32 {
-        self.controller.level()
+        0
     }
 
     /// The campaign being run.
@@ -368,25 +348,14 @@ impl Poller {
         Ok(self.sink.take_all())
     }
 
-    /// The simulated bus cost of reading the active counters. Shedding
-    /// drops counters from the tail, so the read set is always a prefix
-    /// of the campaign list.
+    /// The simulated bus cost of reading every campaign counter.
     fn poll_cost(&self) -> Nanos {
-        self.access
-            .poll_cost(&self.campaign.counters[..self.active_n])
-    }
-
-    /// The effective deadline spacing at the current degradation level.
-    fn effective_interval(&self) -> Nanos {
-        self.campaign.interval * self.controller.interval_multiplier()
+        self.access.poll_cost(&self.campaign.counters)
     }
 
     fn begin_poll(&mut self, ctx: &mut Ctx<'_>) {
         self.attempt = 0;
         self.poll_started = ctx.now();
-        self.active_n = self
-            .controller
-            .active_counters(self.campaign.counters.len());
         self.start_attempt(ctx);
     }
 
@@ -427,16 +396,11 @@ impl Poller {
         let now = ctx.now();
         // Snapshot the counters with the *actual* read time, not the
         // deadline: "we still capture ... the correct timestamp" (Table 1).
-        // Shed tail counters keep schema alignment by carrying the last
-        // decoded value forward — no bytes are lost because the counter is
-        // cumulative and the next real read catches up the delta.
-        let shed = self.campaign.counters.len() - self.active_n;
         // Settle the bank to the read instant, so the sample counts every
         // frame that left by `now`: under the lazy engine a switch's
         // departures wait in its book until something settles them.
         self.bank.flush_to(now);
-        for i in 0..self.active_n {
-            let id = self.campaign.counters[i];
+        for (i, &id) in self.campaign.counters.iter().enumerate() {
             let mut v = self.bank.read(id);
             if let Some(faults) = self.faults.as_mut() {
                 v = faults.filter_value(id, v);
@@ -450,22 +414,16 @@ impl Poller {
         }
         self.sink.record(now, &self.last_values);
         self.stats.polls += 1;
-        self.stats.shed_counters += shed as u64;
-        if self.controller.level() > 0 {
-            self.stats.degraded_polls += 1;
-        }
         if let Some(faults) = self.faults.as_ref() {
             self.stats.stale_reads = faults.stats().stale_values;
         }
-        let interval = self.effective_interval();
-        if now > self.deadline + interval {
+        if now > self.deadline + self.campaign.interval {
             // The sample landed after its own interval had elapsed.
             self.stats.late_polls += 1;
         }
         if uburst_obs::enabled() {
             self.record_poll_telemetry(now);
         }
-        self.controller.observe(false);
         self.advance_deadline(ctx, now);
     }
 
@@ -494,18 +452,16 @@ impl Poller {
     /// keep the schedule moving.
     fn abandon_poll(&mut self, ctx: &mut Ctx<'_>, final_cost: Nanos) {
         let now = ctx.now() + final_cost;
-        self.controller.observe(true);
         self.advance_deadline(ctx, now);
     }
 
     /// Advances to the next unexpired deadline; every one skipped was
     /// missed because this poll was still running when it arrived.
     fn advance_deadline(&mut self, ctx: &mut Ctx<'_>, now: Nanos) {
-        let interval = self.effective_interval();
+        let interval = self.campaign.interval;
         let mut next = self.deadline + interval;
         while next <= now {
             self.stats.missed_deadlines += 1;
-            self.controller.observe(true);
             next += interval;
         }
         if next >= self.stop_at {
@@ -534,8 +490,6 @@ impl Poller {
         uburst_obs::counter_add!("uburst_poller_read_errors_total", s.read_errors);
         uburst_obs::counter_add!("uburst_poller_retries_total", s.retries);
         uburst_obs::counter_add!("uburst_poller_stale_reads_total", s.stale_reads);
-        uburst_obs::counter_add!("uburst_poller_shed_counters_total", s.shed_counters);
-        uburst_obs::counter_add!("uburst_poller_degraded_polls_total", s.degraded_polls);
         uburst_obs::counter_add!("uburst_poller_wrap_regressions_total", s.wrap_regressions);
         // Busy vs elapsed simulated time by core mode: the §4.1 overhead
         // split (a dedicated core burns 100% regardless; a shared core is
@@ -552,10 +506,6 @@ impl Poller {
         uburst_obs::counter_add(
             &format!("uburst_poller_elapsed_ns_total{{mode=\"{mode}\"}}"),
             elapsed.as_nanos(),
-        );
-        uburst_obs::gauge_max!(
-            "uburst_degrade_level_peak",
-            u64::from(self.controller.level()),
         );
         uburst_obs::span_record!("campaign", elapsed.as_nanos());
     }
@@ -921,63 +871,6 @@ mod tests {
         // monotone and ends at the exact true total.
         assert!(series.vs.windows(2).all(|w| w[1] >= w[0]), "no wrap glitch");
         assert_eq!(*series.vs.last().unwrap(), 750_000);
-    }
-
-    #[test]
-    fn overload_sheds_counters_then_recovers() {
-        // An 8-counter campaign at an interval that cannot fit all 8 reads:
-        // with shedding armed, the controller must drop counters until the
-        // loop keeps up, and shed reads must be accounted.
-        let mut sim = Simulator::new();
-        let bank = AsicCounters::new_shared(8);
-        let counters: Vec<CounterId> = (0..8)
-            .map(|p| CounterId::TxSizeHist(PortId(p), 0))
-            .collect();
-        // 8 memory-class reads ≈ 2.4+1.8+7*0.96 ≈ 11us deterministic; a
-        // 12us interval drowns under jitter without shedding.
-        let campaign = CampaignConfig::group("hists", counters, Nanos::from_micros(12));
-        let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 5)
-            .unwrap()
-            .with_degradation(DegradeMode::ShedCounters);
-        let id = poller
-            .spawn(&mut sim, Nanos::ZERO, Nanos::from_millis(100))
-            .unwrap();
-        sim.run_until(Nanos::MAX);
-        let p = sim.node_mut::<Poller>(id);
-        let stats = p.stats();
-        assert!(stats.shed_counters > 0, "overload must shed");
-        assert!(stats.degraded_polls > 0);
-        assert!(p.degrade_level() > 0, "pressure persists at this interval");
-        // Schema stayed aligned the whole time.
-        let series = p.take_series().unwrap();
-        let n0 = series[0].1.len();
-        assert!(series.iter().all(|(_, s)| s.len() == n0));
-    }
-
-    #[test]
-    fn overload_stretch_mode_lengthens_interval() {
-        let mut sim = Simulator::new();
-        let bank = AsicCounters::new_shared(1);
-        // A 4us interval cannot fit a ~2.5us+jitter poll reliably.
-        let campaign = CampaignConfig::single(
-            "bytes",
-            CounterId::TxBytes(PortId(0)),
-            Nanos::from_micros(4),
-        );
-        let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 9)
-            .unwrap()
-            .with_degradation(DegradeMode::StretchInterval);
-        let id = poller
-            .spawn(&mut sim, Nanos::ZERO, Nanos::from_millis(50))
-            .unwrap();
-        sim.run_until(Nanos::MAX);
-        let p = sim.node_mut::<Poller>(id);
-        assert!(p.degrade_level() > 0, "stretch must engage");
-        let stats = p.stats();
-        assert!(stats.degraded_polls > 0);
-        // Stretched intervals space samples out: fewer polls than the
-        // undegraded deadline count, but the campaign completed.
-        assert!(p.is_finished());
     }
 
     #[test]

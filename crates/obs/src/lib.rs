@@ -117,8 +117,8 @@ pub fn counter_add(name: &str, n: u64) {
 ///
 /// Max is the only "current value" aggregation that is independent of
 /// update order, which the determinism contract requires; it suits the
-/// high-watermark quantities the pipeline exposes (peak degradation
-/// level, peak ship window, peak WAL segment count).
+/// high-watermark quantities the pipeline exposes (peak ship window,
+/// fleet width).
 #[inline]
 pub fn gauge_max(name: &str, v: u64) {
     if enabled() {

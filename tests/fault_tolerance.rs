@@ -1,4 +1,4 @@
-//! Acceptance tests for the fault-injection and graceful-degradation
+//! Acceptance tests for the fault-injection and fault-tolerance
 //! layer: a 25 µs campaign under realistic hardware faults must complete
 //! without stalls, reconstruct rates the wrap decoder cannot distinguish
 //! from fault-free hardware, and account for every injected fault.
