@@ -26,8 +26,6 @@ repro() { # <report file> <id> [VAR=value ...]
 repro all.t1.txt all UBURST_THREADS=1 UBURST_TELEMETRY_OUT=reports/telemetry.t1
 repro all.t4.txt all UBURST_TELEMETRY_OUT=reports/telemetry.t4
 repro all.eager.txt all UBURST_HYBRID=0
-# The .prom exposition is printed in full at the end of all's stdout.
-rm reports/telemetry.t1.prom reports/telemetry.t4.prom
 
 repro ext_buffer_policy.t1.txt ext_buffer_policy UBURST_THREADS=1
 repro ext_buffer_policy.t4.txt ext_buffer_policy

@@ -124,16 +124,14 @@ fn run_all() {
     print!("{}", snap.flame_rollup());
     println!("\nmetrics (Prometheus exposition):");
     print!("{}", snap.to_prometheus());
-    // UBURST_TELEMETRY_OUT=<prefix> additionally writes <prefix>.prom and
-    // <prefix>.json — what the CI snapshot-diff job compares across
-    // thread counts.
+    // UBURST_TELEMETRY_OUT=<prefix> also writes the snapshot as
+    // <prefix>.json (the Prometheus text is already above); REPORTS.sha256
+    // pins it.
     if let Ok(prefix) = std::env::var("UBURST_TELEMETRY_OUT") {
         if !prefix.is_empty() {
-            std::fs::write(format!("{prefix}.prom"), snap.to_prometheus())
-                .expect("write telemetry .prom");
             std::fs::write(format!("{prefix}.json"), snap.to_json())
                 .expect("write telemetry .json");
-            eprintln!("[telemetry written to {prefix}.prom / {prefix}.json]");
+            eprintln!("[telemetry written to {prefix}.json]");
         }
     }
 
