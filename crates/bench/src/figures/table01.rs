@@ -3,14 +3,14 @@
 //! Paper values: 1 µs → 100 % missed, 10 µs → ~10 %, 25 µs → ~1 %, which is
 //! why 25 µs was chosen for byte-counter campaigns. This harness reproduces
 //! the table with the poller + access-latency model, then runs the
-//! auto-tuner to confirm the ~1 %-loss interval, including for the slower
-//! counter classes (the buffer-peak register tuned to ~50 µs in the paper).
+//! auto-tuner, which computes each counter class's ~1 %-loss interval in
+//! closed form (the buffer-peak register tuned to ~50 µs in the paper).
 
 use std::fmt::Write;
 
 use uburst_asic::{AccessModel, CounterId};
 use uburst_core::spec::CoreMode;
-use uburst_core::tuning::{probe_idle_bank, tune_min_interval, TuningConfig};
+use uburst_core::tuning::{probe_idle_bank, tune_min_interval};
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
@@ -68,25 +68,10 @@ pub fn run(scale: Scale) -> String {
     // Auto-tuned minimum intervals at ~1% loss per counter class.
     writeln!(out, "\nauto-tuned minimum intervals at 1% target loss:").unwrap();
     let mut tune_table = Table::new(&["counter", "tuned_interval", "paper"]);
-    let tuning = TuningConfig {
-        probe_duration: duration,
-        ..TuningConfig::default()
-    };
-    let peak_tuning = TuningConfig {
-        max_interval: Nanos::from_micros(400),
-        ..tuning
-    };
     let four_bytes: Vec<CounterId> = (0..4).map(|p| CounterId::TxBytes(PortId(p))).collect();
-    // The three tuner runs are independent probe sweeps: pool them too.
-    let tune_jobs: Vec<(Vec<CounterId>, TuningConfig)> = vec![
-        (byte_counter.to_vec(), tuning),
-        (vec![CounterId::BufferPeak], peak_tuning),
-        (four_bytes, tuning),
-    ];
-    let tuned = run_jobs(tune_jobs, |(counters, tuning)| {
-        tune_min_interval(&counters, access, &tuning).min_interval
-    });
-    let (byte_tuned, peak_tuned, group_tuned) = (tuned[0], tuned[1], tuned[2]);
+    let byte_tuned = tune_min_interval(&byte_counter, access);
+    let peak_tuned = tune_min_interval(&[CounterId::BufferPeak], access);
+    let group_tuned = tune_min_interval(&four_bytes, access);
     tune_table.row(&[
         "byte counter".into(),
         format!("{byte_tuned}"),

@@ -13,10 +13,11 @@
 //!   configuration and runtime failure the pipeline can surface;
 //! * [`spec`] — measurement campaigns and the dedicated vs. shared core
 //!   timing model;
-//! * [`tuning`] — automated minimum-interval search at a target sampling
-//!   loss (the paper's manual Table 1 procedure);
-//! * [`output`] / [`batch`] — the poller's in-memory sink, and the
-//!   switch-side batcher that cuts its samples into shippable batches;
+//! * [`tuning`] — the minimum interval at a target sampling loss, computed
+//!   from the poller's closed-form miss law (the paper's manual Table 1
+//!   procedure);
+//! * [`batch`] — the switch-side batcher that cuts the poller's series into
+//!   shippable batches;
 //! * [`collector`] / [`store`] — a threaded collector service (supervised
 //!   workers on one bounded `std::sync::mpsc` queue that contain and
 //!   survive panics) and the sample store every
@@ -44,7 +45,7 @@
 //! ```text
 //! Switch (uburst-sim) ──writes──► AsicCounters (uburst-asic)
 //!                                     ▲ reads (AccessModel cost, faults)
-//!                               Poller (this crate, simulated CPU) ──► MemorySink
+//!                               Poller (this crate, simulated CPU) ──► Series
 //!                                     │ Batcher → RoundInput
 //!                                     ▼
 //!   Shipper ──► LossyLink ──► regional WAL ──► global SampleStore ──► CSV
@@ -60,7 +61,6 @@ pub mod errors;
 pub mod failpoint;
 pub mod fleet;
 pub mod link;
-pub mod output;
 pub mod poller;
 pub mod segment;
 pub mod series;
@@ -80,7 +80,6 @@ pub use fleet::{
     FleetOutcome, HealthState, RegionStats, RoundInput, SwitchCoverage, SwitchStream,
 };
 pub use link::{LinkPlan, LinkStats, LossyLink};
-pub use output::MemorySink;
 pub use poller::{Poller, PollerStats, RetryPolicy};
 pub use series::{RateSample, Series, UtilSample, WrapDecoder};
 pub use session::{Session, Workload};
@@ -90,7 +89,7 @@ pub use store::{
     counter_label, parse_counter_label, QuarantineReason, SampleStore, SeqIngest, SeriesKey,
     StoreStats,
 };
-pub use tuning::{probe_idle_bank, tune_min_interval, TuningConfig, TuningResult};
+pub use tuning::{probe_idle_bank, tune_min_interval};
 pub use wal::{
     DirStorage, DurableStore, FsyncPolicy, MemStorage, RecoveryReport, Wal, WalConfig, WalStorage,
 };

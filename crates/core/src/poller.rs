@@ -53,8 +53,7 @@ use uburst_sim::sim::Simulator;
 use uburst_sim::time::Nanos;
 
 use crate::errors::PollError;
-use crate::output::MemorySink;
-use crate::series::WrapDecoder;
+use crate::series::{Series, WrapDecoder};
 use crate::spec::{CampaignConfig, CoreMode};
 
 /// Timer token: a deadline arrived, begin a poll.
@@ -184,15 +183,14 @@ pub struct Poller {
     access: AccessModel,
     campaign: CampaignConfig,
     rng: Rng,
-    /// Where each poll's values go, one series per campaign counter.
-    sink: MemorySink,
+    /// What each poll read, one series per campaign counter, in campaign
+    /// order.
+    series: Vec<Series>,
     faults: Option<FaultInjector>,
     retry: RetryPolicy,
     /// Wrap decoder per campaign counter (`None` for gauges, which do not
     /// accumulate and therefore never wrap meaningfully).
     decoders: Vec<Option<WrapDecoder>>,
-    /// The values of the poll being recorded, one per campaign counter.
-    last_values: Vec<u64>,
     /// The deadline the in-progress/most recent poll was serving.
     deadline: Nanos,
     /// When the in-progress poll transaction began (its serving deadline);
@@ -206,7 +204,8 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates a poller recording into a [`MemorySink`]. Attach it with
+    /// Creates a poller recording into memory, one [`Series`] per campaign
+    /// counter. Attach it with
     /// [`Poller::spawn`]; read the series back with [`Poller::take_series`].
     pub fn in_memory(
         bank: Rc<AsicCounters>,
@@ -227,13 +226,12 @@ impl Poller {
         Ok(Poller {
             bank,
             access,
-            sink: MemorySink::new(campaign.counters.clone()),
+            series: vec![Series::new(); n],
             campaign,
             rng: Rng::new(seed),
             faults: None,
             retry: RetryPolicy::default(),
             decoders: vec![None; n],
-            last_values: vec![0; n],
             deadline: Nanos::ZERO,
             poll_started: Nanos::ZERO,
             stop_at: Nanos::MAX,
@@ -342,10 +340,14 @@ impl Poller {
 
     /// Moves the recorded series out, in campaign order. Never returns
     /// `Err`.
-    pub fn take_series(
-        &mut self,
-    ) -> Result<Vec<(uburst_asic::CounterId, crate::series::Series)>, PollError> {
-        Ok(self.sink.take_all())
+    pub fn take_series(&mut self) -> Result<Vec<(uburst_asic::CounterId, Series)>, PollError> {
+        Ok(self
+            .campaign
+            .counters
+            .iter()
+            .copied()
+            .zip(self.series.iter_mut().map(std::mem::take))
+            .collect())
     }
 
     /// The simulated bus cost of reading every campaign counter.
@@ -410,9 +412,8 @@ impl Poller {
                 v = dec.decode(v);
                 self.stats.wrap_regressions += dec.regressions() - rejected_before;
             }
-            self.last_values[i] = v;
+            self.series[i].push(now, v);
         }
-        self.sink.record(now, &self.last_values);
         self.stats.polls += 1;
         if let Some(faults) = self.faults.as_ref() {
             self.stats.stale_reads = faults.stats().stale_values;
@@ -494,20 +495,27 @@ impl Poller {
         // Busy vs elapsed simulated time by core mode: the §4.1 overhead
         // split (a dedicated core burns 100% regardless; a shared core is
         // charged only for its transactions).
-        let mode = match self.campaign.core_mode {
-            CoreMode::Dedicated => "dedicated",
-            CoreMode::Shared => "shared",
-        };
-        let elapsed = s.stopped_at.saturating_sub(s.started_at);
-        uburst_obs::counter_add(
-            &format!("uburst_poller_busy_ns_total{{mode=\"{mode}\"}}"),
+        let (busy, elapsed) = (
             s.busy.as_nanos(),
+            s.stopped_at.saturating_sub(s.started_at).as_nanos(),
         );
-        uburst_obs::counter_add(
-            &format!("uburst_poller_elapsed_ns_total{{mode=\"{mode}\"}}"),
-            elapsed.as_nanos(),
-        );
-        uburst_obs::span_record!("campaign", elapsed.as_nanos());
+        match self.campaign.core_mode {
+            CoreMode::Dedicated => {
+                uburst_obs::counter_add!("uburst_poller_busy_ns_total{mode=\"dedicated\"}", busy);
+                uburst_obs::counter_add!(
+                    "uburst_poller_elapsed_ns_total{mode=\"dedicated\"}",
+                    elapsed
+                );
+            }
+            CoreMode::Shared => {
+                uburst_obs::counter_add!("uburst_poller_busy_ns_total{mode=\"shared\"}", busy);
+                uburst_obs::counter_add!(
+                    "uburst_poller_elapsed_ns_total{mode=\"shared\"}",
+                    elapsed
+                );
+            }
+        }
+        uburst_obs::span_record!("campaign", elapsed);
     }
 }
 
@@ -670,7 +678,8 @@ mod tests {
         let mut sim = Simulator::new();
         let bank = AsicCounters::new_shared(4);
         let counters: Vec<CounterId> = (0..4).map(|p| CounterId::TxBytes(PortId(p))).collect();
-        let campaign = CampaignConfig::group("all-uplinks", counters, Nanos::from_micros(40));
+        let campaign =
+            CampaignConfig::group("all-uplinks", counters.clone(), Nanos::from_micros(40));
         let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 3).unwrap();
         let id = poller
             .spawn(&mut sim, Nanos::ZERO, Nanos::from_millis(100))
@@ -681,9 +690,12 @@ mod tests {
         // 4 registers batched ≈ 4.7us deterministic; 40us interval is easy.
         assert!(f < 0.2, "multi-counter 40us miss fraction {f}");
         let series = p.take_series().unwrap();
-        assert_eq!(series.len(), 4);
+        let ids: Vec<CounterId> = series.iter().map(|&(c, _)| c).collect();
+        assert_eq!(ids, counters, "campaign order");
         let n0 = series[0].1.len();
         assert!(series.iter().all(|(_, s)| s.len() == n0), "aligned series");
+        let again = p.take_series().unwrap();
+        assert!(again.iter().all(|(_, s)| s.is_empty()), "taken out");
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! The paper tuned each counter's polling interval by hand: "For the
 //! counters we measure, we manually determine the minimum sampling interval
 //! possible while maintaining ~1 % sampling loss" (§4.1), and Table 1 shows
-//! the loss-vs-interval curve for a byte counter. This module automates
-//! that procedure: run short probe campaigns at candidate intervals and
-//! binary-search the smallest interval whose deadline-miss fraction stays
-//! under the target.
-//!
-//! The miss fraction is monotonically non-increasing in the interval (a
-//! longer budget can only help), which is what makes bisection sound; the
-//! probe noise is handled by a tolerance band and by probing long enough
-//! windows.
+//! the loss-vs-interval curve for a byte counter. Here that loss is a law,
+//! not a measurement. A fault-free poll at deadline `d` completes at
+//! `d + c + J`, with `c` the campaign's `AccessModel::poll_cost` and `J` one
+//! `CoreMode::sample_jitter` draw, and misses `M = ⌊(c + J)/T⌋` deadlines.
+//! By renewal-reward the long-run deadline-miss fraction is
+//! `E[M]/(1 + E[M])`, with `E[M] = Σ_{k≥1} P(J ≥ kT − c)` on the
+//! nanosecond grid the jitter is drawn on. The tuner scans the 1 µs grid
+//! upward for the first interval whose miss fraction meets the target; the
+//! jitter is bounded, so the scan always stops.
+//! `crates/core/tests/miss_process.rs` holds the simulated poller to the
+//! same law.
 
 use std::rc::Rc;
 
@@ -22,50 +24,10 @@ use uburst_sim::time::Nanos;
 use crate::poller::{Poller, PollerStats};
 use crate::spec::{CampaignConfig, CoreMode};
 
-/// One probe measurement from the tuning run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbePoint {
-    /// Interval probed.
-    pub interval: Nanos,
-    /// Observed deadline-miss fraction.
-    pub miss_fraction: f64,
-}
-
-/// Result of a tuning run.
-#[derive(Debug, Clone)]
-pub struct TuningResult {
-    /// The smallest probed interval meeting the target.
-    pub min_interval: Nanos,
-    /// Every probe taken, in probing order (Table 1 is exactly this list
-    /// for intervals {1, 10, 25} µs).
-    pub probes: Vec<ProbePoint>,
-}
-
 /// Acceptable miss fraction (paper: ~1 %).
 const TARGET_LOSS: f64 = 0.01;
-/// Lower end of the search range.
-const MIN_INTERVAL: Nanos = Nanos::from_micros(1);
-/// Bisection stops when the bracket is this tight.
-const RESOLUTION: Nanos = Nanos::from_micros(1);
-
-/// Tuning parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct TuningConfig {
-    /// Upper end of the search range, probed first: it must meet the
-    /// target.
-    pub max_interval: Nanos,
-    /// Campaign length per probe — longer probes, steadier estimates.
-    pub probe_duration: Nanos,
-}
-
-impl Default for TuningConfig {
-    fn default() -> Self {
-        TuningConfig {
-            max_interval: Nanos::from_micros(200),
-            probe_duration: Nanos::from_millis(250),
-        }
-    }
-}
+/// The tuner's interval grid.
+const GRID: Nanos = Nanos::from_micros(1);
 
 /// Runs one probe campaign against an idle counter bank and returns the
 /// poller's accounting (its deadline-miss, late and CPU fractions). Polling
@@ -105,64 +67,34 @@ pub fn probe_idle_bank(
     sim.node_mut::<Poller>(id).stats()
 }
 
-/// Finds the minimum interval with miss fraction ≤ `TARGET_LOSS` (1 %) for a
-/// campaign reading `counters` together, probing on a dedicated core.
-///
-/// # Panics
-/// Panics if even `cfg.max_interval` cannot meet the target (the counter is
-/// unpollable at the asked loss level — widen the range).
-pub fn tune_min_interval(
-    counters: &[CounterId],
-    access: AccessModel,
-    cfg: &TuningConfig,
-) -> TuningResult {
-    assert!(MIN_INTERVAL < cfg.max_interval);
-    let mut probes = Vec::new();
-    let mut probe = |interval: Nanos, salt: u64| -> f64 {
-        let f = probe_idle_bank(
-            counters,
-            access,
-            interval,
-            cfg.probe_duration,
-            CoreMode::Dedicated,
-            0xF00D ^ salt,
-        )
-        .deadline_miss_fraction();
-        probes.push(ProbePoint {
-            interval,
-            miss_fraction: f,
-        });
-        f
-    };
+/// `E[M]`: the expected number of deadlines one fault-free poll of cost
+/// `cost` misses at interval `interval`, `Σ_{k≥1} P(J ≥ kT − c)`.
+pub fn expected_misses(mode: CoreMode, cost: Nanos, interval: Nanos) -> f64 {
+    let (c, t) = (cost.as_nanos() as i64, interval.as_nanos() as i64);
+    (1..)
+        .map(|k| mode.p_jitter_at_least(k * t - c))
+        .take_while(|&p| p > 0.0)
+        .sum()
+}
 
-    let hi_loss = probe(cfg.max_interval, 0);
-    assert!(
-        hi_loss <= TARGET_LOSS,
-        "even {} misses {:.1}% > target {:.1}%",
-        cfg.max_interval,
-        hi_loss * 100.0,
-        TARGET_LOSS * 100.0
-    );
+/// The long-run deadline-miss fraction of a fault-free campaign,
+/// `E[M]/(1 + E[M])`: what [`PollerStats::deadline_miss_fraction`]
+/// converges to.
+pub fn miss_fraction(mode: CoreMode, cost: Nanos, interval: Nanos) -> f64 {
+    let m = expected_misses(mode, cost, interval);
+    m / (1.0 + m)
+}
 
-    // Bisect [lo, hi] where lo fails (or is untested-and-assumed-failing)
-    // and hi passes.
-    let mut lo = MIN_INTERVAL;
-    let mut hi = cfg.max_interval;
-    let mut salt = 1;
-    while hi.saturating_sub(lo) > RESOLUTION {
-        let mid = Nanos((lo.as_nanos() + hi.as_nanos()) / 2);
-        if probe(mid, salt) <= TARGET_LOSS {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        salt += 1;
-    }
-
-    TuningResult {
-        min_interval: hi,
-        probes,
-    }
+/// The smallest interval on the 1 µs grid whose miss fraction on a
+/// dedicated core is at most `TARGET_LOSS` (1 %), for a campaign reading
+/// `counters` together. The dedicated jitter is below 60 µs, so the scan
+/// stops by `c + 61 µs` at the latest.
+pub fn tune_min_interval(counters: &[CounterId], access: AccessModel) -> Nanos {
+    let cost = access.poll_cost(counters);
+    (1..)
+        .map(|k| GRID * k)
+        .find(|&t| miss_fraction(CoreMode::Dedicated, cost, t) <= TARGET_LOSS)
+        .expect("bounded jitter: some grid interval meets the target")
 }
 
 #[cfg(test)]
@@ -171,51 +103,51 @@ mod tests {
     use uburst_sim::node::PortId;
 
     #[test]
-    fn byte_counter_tunes_near_25us() {
-        // The headline calibration: ~1% loss lands in the neighbourhood the
-        // paper chose (25us) for a single byte counter.
-        let r = tune_min_interval(
-            &[CounterId::TxBytes(PortId(0))],
-            AccessModel::default(),
-            &TuningConfig::default(),
-        );
-        let us = r.min_interval.as_micros_f64();
-        assert!(
-            (18.0..=40.0).contains(&us),
-            "tuned interval {us}us should be near the paper's 25us"
-        );
-        assert!(r.probes.len() >= 3);
+    fn byte_counter_tunes_to_30us() {
+        // The paper chose 25us for a byte counter; the law puts 1% loss
+        // between 29us (1.02%) and 30us (0.94%).
+        let t = tune_min_interval(&[CounterId::TxBytes(PortId(0))], AccessModel::default());
+        assert_eq!(t, Nanos::from_micros(30));
     }
 
     #[test]
-    fn buffer_peak_tunes_near_50us() {
-        let cfg = TuningConfig {
-            max_interval: Nanos::from_micros(400),
-            ..TuningConfig::default()
-        };
-        let r = tune_min_interval(&[CounterId::BufferPeak], AccessModel::default(), &cfg);
-        let us = r.min_interval.as_micros_f64();
-        assert!(
-            (45.0..=90.0).contains(&us),
-            "peak register tuned to {us}us; paper used 50us"
-        );
+    fn buffer_peak_tunes_to_64us() {
+        // The paper used 50us for the peak register.
+        let t = tune_min_interval(&[CounterId::BufferPeak], AccessModel::default());
+        assert_eq!(t, Nanos::from_micros(64));
+    }
+
+    #[test]
+    fn tuned_interval_is_the_first_grid_point_meeting_the_target() {
+        let access = AccessModel::default();
+        for counters in [
+            vec![CounterId::TxBytes(PortId(0))],
+            vec![CounterId::BufferPeak],
+            (0..4).map(|p| CounterId::TxBytes(PortId(p))).collect(),
+        ] {
+            let cost = access.poll_cost(&counters);
+            let t = tune_min_interval(&counters, access);
+            let f = |t| miss_fraction(CoreMode::Dedicated, cost, t);
+            assert!(
+                f(t) <= TARGET_LOSS && TARGET_LOSS < f(t - GRID),
+                "{counters:?}: f({t}) = {}, f({}) = {}",
+                f(t),
+                t - GRID,
+                f(t - GRID)
+            );
+        }
     }
 
     #[test]
     fn multi_counter_needs_longer_interval_than_single_but_sublinear() {
-        // Memory-class counters make the deterministic gap large enough to
-        // dominate probe noise: 1 read ≈ 4.2us vs 8 batched ≈ 10.9us.
-        let single = tune_min_interval(
-            &[CounterId::TxSizeHist(PortId(0), 0)],
-            AccessModel::default(),
-            &TuningConfig::default(),
-        )
-        .min_interval;
+        // Memory-class counters make the deterministic gap large: 1 read ≈
+        // 4.2us vs 8 batched ≈ 10.9us.
+        let access = AccessModel::default();
+        let single = tune_min_interval(&[CounterId::TxSizeHist(PortId(0), 0)], access);
         let eight: Vec<CounterId> = (0..8)
             .map(|b| CounterId::TxSizeHist(PortId(0), b % 7))
             .collect();
-        let grouped = tune_min_interval(&eight, AccessModel::default(), &TuningConfig::default())
-            .min_interval;
+        let grouped = tune_min_interval(&eight, access);
         assert!(
             grouped.as_nanos() >= single.as_nanos() + 3_000,
             "8 counters ({grouped}) should need a clearly longer interval than 1 ({single})"
@@ -239,20 +171,5 @@ mod tests {
             )
         };
         assert_eq!(probe(), probe());
-    }
-
-    #[test]
-    #[should_panic(expected = "misses")]
-    fn impossible_target_panics() {
-        let cfg = TuningConfig {
-            max_interval: Nanos::from_micros(2),
-            ..TuningConfig::default()
-        };
-        // A 2us budget can never fit a ~2.5us+jitter poll at 1% loss.
-        tune_min_interval(
-            &[CounterId::TxBytes(PortId(0))],
-            AccessModel::default(),
-            &cfg,
-        );
     }
 }

@@ -41,13 +41,12 @@
 //!
 //! Recording is a method on a cell — [`Counter::add`], [`Gauge::max`],
 //! [`Histogram::observe`], [`SpanStat::record`] — reached through an
-//! `Arc` handle the [`Registry`] hands out by name. The by-name functions
-//! ([`counter_add()`] …) look the handle up (a read-locked map probe) and
-//! make that call; they serve cold sites and names built at run time. A
-//! site whose name is a literal uses the macro of the same name
-//! ([`counter_add!`] …): it resolves the handle once into a `OnceLock` of
-//! its own, and every later call is the enabled check plus the atomic
-//! update. Both land in the same cell.
+//! `Arc` handle the [`Registry`] hands out by name. Every recording site
+//! names its metric with a literal and uses the macro of the same name
+//! ([`counter_add!`], [`gauge_max!`], [`hist_observe!`], [`span_record!`]):
+//! it resolves the handle once into a `OnceLock` of its own, and every
+//! later call is the enabled check plus the atomic update. A name that
+//! takes a label's value picks among literal sites with a `match`.
 //!
 //! [`reset`] zeroes cells in place and drops them out of snapshots until
 //! they are recorded into again; it never removes one, so a handle taken
@@ -55,8 +54,8 @@
 //!
 //! ```
 //! uburst_obs::enable();
-//! uburst_obs::counter_add("uburst_demo_events_total", 3);
-//! uburst_obs::span_record("campaign/poll", 25_000);
+//! uburst_obs::counter_add!("uburst_demo_events_total", 3);
+//! uburst_obs::span_record!("campaign/poll", 25_000);
 //! let snap = uburst_obs::snapshot();
 //! assert!(snap.to_prometheus().contains("uburst_demo_events_total 3"));
 //! # uburst_obs::reset();
@@ -105,36 +104,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Adds `n` to the counter `name`, creating it at zero on first use.
-#[inline]
-pub fn counter_add(name: &str, n: u64) {
-    if enabled() {
-        registry().counter(name).add(n);
-    }
-}
-
-/// Raises the gauge `name` to `v` if `v` exceeds its current value.
-///
-/// Max is the only "current value" aggregation that is independent of
-/// update order, which the determinism contract requires; it suits the
-/// high-watermark quantities the pipeline exposes (peak ship window,
-/// fleet width).
-#[inline]
-pub fn gauge_max(name: &str, v: u64) {
-    if enabled() {
-        registry().gauge(name).max(v);
-    }
-}
-
-/// Records `v` (nanoseconds of simulated time, or any u64 measure) into
-/// the fixed-bucket histogram `name`.
-#[inline]
-pub fn hist_observe(name: &str, v: u64) {
-    if enabled() {
-        registry().histogram(name).observe(v);
-    }
-}
-
 /// Records one completed span on `path` with a **simulated-time**
 /// duration of `dur_ns` nanoseconds.
 ///
@@ -144,6 +113,9 @@ pub fn hist_observe(name: &str, v: u64) {
 /// simulated clocks live in the simulator, not in a thread-local, and an
 /// explicit handoff keeps wall-clock time out of the registry by
 /// construction.
+///
+/// The product records spans through [`span_record!`]; this by-name form
+/// is kept only because `benchmark/` calls it (ROADMAP item 3a).
 #[inline]
 pub fn span_record(path: &str, dur_ns: u64) {
     if enabled() {
@@ -163,9 +135,9 @@ macro_rules! __site_handle {
     }};
 }
 
-/// [`counter_add`](fn@counter_add) for a literal name: the handle is
-/// resolved once per call site. The value expression is evaluated only
-/// when the recorder is enabled.
+/// Adds the value to the counter named by the literal, creating it at zero
+/// on first use. The handle is resolved once per call site; the value
+/// expression is evaluated only when the recorder is enabled.
 #[macro_export]
 macro_rules! counter_add {
     ($name:literal, $n:expr $(,)?) => {
@@ -175,7 +147,13 @@ macro_rules! counter_add {
     };
 }
 
-/// [`gauge_max`](fn@gauge_max) for a literal name (see [`counter_add!`]).
+/// Raises the gauge named by the literal to the value if it exceeds the
+/// gauge's current one (see [`counter_add!`]).
+///
+/// Max is the only "current value" aggregation that is independent of
+/// update order, which the determinism contract requires; it suits the
+/// high-watermark quantities the pipeline exposes (peak ship window,
+/// fleet width).
 #[macro_export]
 macro_rules! gauge_max {
     ($name:literal, $v:expr $(,)?) => {
@@ -185,7 +163,8 @@ macro_rules! gauge_max {
     };
 }
 
-/// [`hist_observe`](fn@hist_observe) for a literal name (see
+/// Records the value (nanoseconds of simulated time, or any u64 measure)
+/// into the fixed-bucket histogram named by the literal (see
 /// [`counter_add!`]).
 #[macro_export]
 macro_rules! hist_observe {
@@ -196,8 +175,8 @@ macro_rules! hist_observe {
     };
 }
 
-/// [`span_record`](fn@span_record) for a literal path (see
-/// [`counter_add!`]).
+/// [`span_record`](fn@span_record) for a literal path, the form every
+/// product site uses (see [`counter_add!`]).
 #[macro_export]
 macro_rules! span_record {
     ($path:literal, $dur_ns:expr $(,)?) => {
@@ -239,8 +218,8 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let _g = fresh();
         disable();
-        counter_add("uburst_test_off_total", 5);
-        hist_observe("uburst_test_off_ns", 100);
+        counter_add!("uburst_test_off_total", 5);
+        hist_observe!("uburst_test_off_ns", 100);
         span_record("off/span", 10);
         let snap = snapshot();
         assert!(snap.counters.is_empty());
@@ -251,8 +230,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_expose() {
         let _g = fresh();
-        counter_add("uburst_test_events_total", 2);
-        counter_add("uburst_test_events_total", 3);
+        for n in [2, 3] {
+            counter_add!("uburst_test_events_total", n);
+        }
         let snap = snapshot();
         assert_eq!(snap.counters["uburst_test_events_total"], 5);
         let text = snap.to_prometheus();
@@ -264,9 +244,9 @@ mod tests {
     #[test]
     fn gauge_keeps_the_maximum() {
         let _g = fresh();
-        gauge_max("uburst_test_level", 2);
-        gauge_max("uburst_test_level", 7);
-        gauge_max("uburst_test_level", 4);
+        for v in [2, 7, 4] {
+            gauge_max!("uburst_test_level", v);
+        }
         assert_eq!(snapshot().gauges["uburst_test_level"], 7);
         disable();
     }
@@ -274,9 +254,9 @@ mod tests {
     #[test]
     fn histogram_buckets_sum_and_max() {
         let _g = fresh();
-        hist_observe("uburst_test_cost_ns", 300);
-        hist_observe("uburst_test_cost_ns", 30_000);
-        hist_observe("uburst_test_cost_ns", u64::MAX / 2);
+        for v in [300, 30_000, u64::MAX / 2] {
+            hist_observe!("uburst_test_cost_ns", v);
+        }
         let snap = snapshot();
         let h = &snap.hists["uburst_test_cost_ns"];
         assert_eq!(h.count, 3);
@@ -296,14 +276,14 @@ mod tests {
             ("uburst_a_total", 2),
         ];
         for &(n, v) in updates {
-            counter_add(n, v);
-            hist_observe("uburst_order_ns", v);
+            registry().counter(n).add(v);
+            hist_observe!("uburst_order_ns", v);
         }
         let fwd = snapshot();
         reset();
         for &(n, v) in updates.iter().rev() {
-            counter_add(n, v);
-            hist_observe("uburst_order_ns", v);
+            registry().counter(n).add(v);
+            hist_observe!("uburst_order_ns", v);
         }
         let rev = snapshot();
         assert_eq!(fwd.to_prometheus(), rev.to_prometheus());
@@ -372,8 +352,8 @@ mod tests {
     #[test]
     fn recording_zero_still_lists_the_name() {
         let _g = fresh();
-        counter_add("uburst_test_zero_total", 0);
-        gauge_max("uburst_test_zero_peak", 0);
+        counter_add!("uburst_test_zero_total", 0);
+        gauge_max!("uburst_test_zero_peak", 0);
         let snap = snapshot();
         assert_eq!(snap.counters["uburst_test_zero_total"], 0);
         assert_eq!(snap.gauges["uburst_test_zero_peak"], 0);
@@ -385,16 +365,15 @@ mod tests {
     fn handle_and_by_name_calls_land_in_one_cell() {
         let _g = fresh();
         counter_add!("uburst_test_shared_total", 3);
-        counter_add("uburst_test_shared_total", 4);
         registry().counter("uburst_test_shared_total").add(5);
         gauge_max!("uburst_test_shared_peak", 9);
-        gauge_max("uburst_test_shared_peak", 6);
+        registry().gauge("uburst_test_shared_peak").max(6);
         hist_observe!("uburst_test_shared_ns", 300);
-        hist_observe("uburst_test_shared_ns", 700);
+        registry().histogram("uburst_test_shared_ns").observe(700);
         span_record!("shared/span", 10);
         span_record("shared/span", 30);
         let snap = snapshot();
-        assert_eq!(snap.counters["uburst_test_shared_total"], 12);
+        assert_eq!(snap.counters["uburst_test_shared_total"], 8);
         assert_eq!(snap.gauges["uburst_test_shared_peak"], 9);
         assert_eq!(snap.hists["uburst_test_shared_ns"].count, 2);
         assert_eq!(snap.spans["shared/span"].total_ns, 40);

@@ -900,6 +900,130 @@ mod tests {
         }
     }
 
+    /// A DCTCP sender whose ACKs come from a script: timer 0 starts one
+    /// flow, timer `i ≥ 1` feeds it script entry `i − 1` as `(cum, ece)`,
+    /// and `seen` logs the sender's `(α, cwnd, ssthresh)` after each ACK.
+    struct AckScript {
+        nic: HostNic,
+        transport: TransportEndpoint,
+        peer: NodeId,
+        flow: Option<FlowId>,
+        script: Vec<(u32, bool)>,
+        seen: Vec<(f64, f64, f64)>,
+    }
+
+    impl Node for AckScript {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+        fn on_tx_complete(&mut self, ctx: &mut Ctx<'_>, _port: PortId) {
+            self.nic.on_tx_complete(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            if token == NIC_PACE_TOKEN {
+                self.nic.on_timer(ctx);
+            } else if TransportEndpoint::owns_token(token) {
+                self.transport.on_timer(ctx, &mut self.nic, token);
+            } else if let Some(flow) = self.flow {
+                let (cum, ece) = self.script[token as usize - 1];
+                self.transport.on_ack(ctx, &mut self.nic, flow, cum, ece);
+                let st = &self.transport.sends[&flow];
+                self.seen.push((st.ecn_alpha, st.cwnd, st.ssthresh));
+            } else {
+                let flow = self
+                    .transport
+                    .start_flow(ctx, &mut self.nic, self.peer, 10_000_000, 0);
+                self.flow = Some(flow);
+            }
+        }
+        fn settle_lazy(&mut self, now: Nanos) {
+            self.nic.settle_to(now);
+        }
+    }
+
+    /// Receives and discards: the scripted sender's data goes nowhere.
+    struct Discard;
+
+    impl Node for Discard {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {}
+    }
+
+    #[test]
+    fn dctcp_window_follows_its_law_ack_by_ack() {
+        // ACKs advance by 1, 2, 0 (a lone duplicate) and 1 segment; ECE
+        // comes in runs of 8 ACKs out of every 24.
+        let script: Vec<(u32, bool)> = (0..240u32)
+            .scan(0, |cum, i| {
+                *cum += [1, 2, 0, 1][i as usize % 4];
+                Some((*cum, (i / 8) % 3 == 1))
+            })
+            .collect();
+        let cfg = TransportConfig {
+            ecn: true,
+            ..TransportConfig::default()
+        };
+        let mut sim = Simulator::new();
+        let peer = sim.add_node(Box::new(Discard));
+        let a = sim.add_node(Box::new(AckScript {
+            nic: HostNic::new(NicConfig::default()),
+            transport: TransportEndpoint::new(NodeId(1), cfg),
+            peer,
+            flow: None,
+            script: script.clone(),
+            seen: Vec::new(),
+        }));
+        sim.node_mut::<AckScript>(a).transport.host = a;
+        sim.connect(
+            (a, PortId(0)),
+            (peer, PortId(0)),
+            LinkSpec::gbps(10.0, Nanos(500)),
+        );
+        // One ACK a microsecond: the script ends long before the RTO.
+        for i in 0..=script.len() as u64 {
+            sim.schedule_timer(Nanos::from_micros(i), a, i);
+        }
+        sim.run_until(Nanos::from_micros(script.len() as u64 + 1));
+        let seen = &sim.node::<AckScript>(a).seen;
+        assert_eq!(seen.len(), script.len());
+
+        // The documented update, replayed: the EWMA, then at most one cut
+        // per window on an ECE ACK at or past the recovery point, then the
+        // usual growth (and the window the sender fills after it).
+        const G: f64 = 1.0 / 16.0;
+        let total = segments_for(10_000_000);
+        let max = f64::from(cfg.max_cwnd);
+        let (mut alpha, mut cwnd, mut ssthresh) = (1.0, f64::from(cfg.init_cwnd), max);
+        let (mut cum, mut next, mut recover) = (0, cfg.init_cwnd.min(total), 0);
+        let (mut cuts, mut held) = (0, 0);
+        for (i, (&(ack, ece), &got)) in script.iter().zip(seen).enumerate() {
+            alpha = (1.0 - G) * alpha + G * f64::from(u8::from(ece));
+            if ece && ack >= recover {
+                cwnd = (cwnd * (1.0 - alpha / 2.0)).max(2.0);
+                ssthresh = cwnd;
+                recover = next;
+                cuts += 1;
+            } else if ece {
+                held += 1;
+            }
+            if ack > cum {
+                let newly = f64::from(ack - cum);
+                cum = ack;
+                let grown = if cwnd < ssthresh {
+                    cwnd + newly
+                } else {
+                    cwnd + newly / cwnd
+                };
+                cwnd = grown.min(max);
+                next = next.max((cum + cwnd as u32).min(total));
+            }
+            assert_eq!(
+                got,
+                (alpha, cwnd, ssthresh),
+                "ACK {i} (cum {ack}, ece {ece}): (alpha, cwnd, ssthresh)"
+            );
+        }
+        assert!(cuts >= 3 && held >= 3, "{cuts} cuts, {held} held ECE ACKs");
+    }
+
     #[test]
     #[should_panic(expected = "packet for another host")]
     fn misdelivered_packet_is_refused_in_release() {

@@ -2,9 +2,9 @@
 //!
 //! "For the counters we measure, we manually determine the minimum sampling
 //! interval possible while maintaining ~1% sampling loss" (§4.1). This
-//! example probes the loss curve for three counter classes and then lets
-//! the auto-tuner find each one's minimum interval — including the shared
-//! dedicated-core vs. low-CPU shared-core tradeoff.
+//! example probes the loss curve for a byte counter, lets the auto-tuner
+//! compute each counter class's minimum interval from the miss law, and
+//! shows the dedicated-core vs. low-CPU shared-core tradeoff.
 //!
 //! Run with `cargo run --release --example tune_sampler`.
 
@@ -38,43 +38,23 @@ fn main() {
     }
 
     println!("\nauto-tuned minimum intervals at 1% target loss:");
-    let tuning = TuningConfig {
-        probe_duration: duration,
-        ..TuningConfig::default()
-    };
-    let classes: Vec<(&str, Vec<CounterId>, Nanos)> = vec![
+    let classes: Vec<(&str, Vec<CounterId>)> = vec![
         (
             "byte counter (register)",
             vec![CounterId::TxBytes(PortId(0))],
-            Nanos::from_micros(200),
         ),
         (
             "size-histogram bin (memory)",
             vec![CounterId::TxSizeHist(PortId(0), 0)],
-            Nanos::from_micros(200),
         ),
-        (
-            "buffer peak (wide memory)",
-            vec![CounterId::BufferPeak],
-            Nanos::from_micros(400),
-        ),
+        ("buffer peak (wide memory)", vec![CounterId::BufferPeak]),
         (
             "4 byte counters in one campaign",
             (0..4).map(|p| CounterId::TxBytes(PortId(p))).collect(),
-            Nanos::from_micros(200),
         ),
     ];
-    for (name, counters, max) in classes {
-        let cfg = TuningConfig {
-            max_interval: max,
-            ..tuning
-        };
-        let r = tune_min_interval(&counters, access, &cfg);
-        println!(
-            "  {name:<32} -> {} ({} probes)",
-            r.min_interval,
-            r.probes.len()
-        );
+    for (name, counters) in classes {
+        println!("  {name:<32} -> {}", tune_min_interval(&counters, access));
     }
 
     println!("\nshared-core mode trades precision for CPU (paper: <=20% utilization):");

@@ -78,10 +78,10 @@ pub mod prelude {
         BatchPolicy, Batcher, CampaignConfig, Collector, CollectorError, CollectorHealth,
         CollectorReport, CoreMode, CoverageLedger, CrashPlan, DirStorage, DurableStore,
         FleetConfig, FleetOutcome, FsyncPolicy, GapLedger, HealthState, LinkPlan, LossyLink,
-        MemStorage, MemorySink, PollError, Poller, PollerStats, QuarantineReason, RecoveryReport,
+        MemStorage, PollError, Poller, PollerStats, QuarantineReason, RecoveryReport,
         RegionCrashPlan, RetryPolicy, RoundInput, SampleStore, SeqBatch, SeqIngest, Series,
         Shipment, Shipper, ShipperConfig, SourceId, SwitchCoverage, SwitchStream, TornStorage,
-        TuningConfig, UtilSample, WalConfig, WalError, WrapDecoder,
+        UtilSample, WalConfig, WalError, WrapDecoder,
     };
     pub use uburst_sim::prelude::*;
     pub use uburst_workloads::{
