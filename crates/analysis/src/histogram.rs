@@ -38,17 +38,15 @@ impl NormalizedHistogram {
 }
 
 /// Splits per-interval histogram deltas by the hot/cold flag and returns
-/// `(inside_bursts, outside_bursts)` normalized histograms.
+/// the summed `(inside_bursts, outside_bursts)` bin counts; normalize with
+/// [`NormalizedHistogram::from_counts`] once every count is in.
 ///
 /// `deltas[i]` are the per-bin packet counts observed during interval `i`;
 /// `hot[i]` says whether that interval was part of a burst.
 ///
 /// # Panics
 /// Panics if lengths differ or bin counts are inconsistent.
-pub fn split_by_burst(
-    deltas: &[Vec<u64>],
-    hot: &[bool],
-) -> (NormalizedHistogram, NormalizedHistogram) {
+pub fn split_by_burst(deltas: &[Vec<u64>], hot: &[bool]) -> (Vec<u64>, Vec<u64>) {
     assert_eq!(deltas.len(), hot.len(), "length mismatch");
     let n_bins = deltas.first().map_or(0, Vec::len);
     let mut inside = vec![0u64; n_bins];
@@ -60,10 +58,7 @@ pub fn split_by_burst(
             *a += c;
         }
     }
-    (
-        NormalizedHistogram::from_counts(&inside),
-        NormalizedHistogram::from_counts(&outside),
-    )
+    (inside, outside)
 }
 
 /// Differences consecutive snapshots of cumulative per-bin counters into
@@ -116,10 +111,8 @@ mod tests {
         let deltas = vec![vec![1, 0], vec![0, 4], vec![3, 0]];
         let hot = vec![false, true, false];
         let (inside, outside) = split_by_burst(&deltas, &hot);
-        assert_eq!(inside.total, 4);
-        assert_eq!(inside.fractions, vec![0.0, 1.0]);
-        assert_eq!(outside.total, 4);
-        assert_eq!(outside.fractions, vec![1.0, 0.0]);
+        assert_eq!(inside, vec![0, 4]);
+        assert_eq!(outside, vec![4, 0]);
     }
 
     #[test]

@@ -242,12 +242,10 @@ impl FaultInjector {
     pub fn pre_read(&mut self) -> Result<Nanos, ReadFault> {
         if self.plan.transient_failure > 0.0 && self.rng.chance(self.plan.transient_failure) {
             self.stats.bus_timeouts += 1;
-            uburst_obs::counter_add!("uburst_fault_bus_timeouts_total", 1);
             return Err(ReadFault::BusTimeout { cost: BUS_TIMEOUT });
         }
         if self.plan.latency_spike > 0.0 && self.rng.chance(self.plan.latency_spike) {
             self.stats.latency_spikes += 1;
-            uburst_obs::counter_add!("uburst_fault_latency_spikes_total", 1);
             let (lo, hi) = (SPIKE_MIN.as_nanos(), SPIKE_MAX.as_nanos());
             return Ok(Nanos(self.rng.range(lo, hi - 1)));
         }
@@ -267,7 +265,6 @@ impl FaultInjector {
             };
             if let Some(old) = old {
                 self.stats.stale_values += 1;
-                uburst_obs::counter_add!("uburst_fault_stale_values_total", 1);
                 return old;
             }
         }

@@ -120,9 +120,7 @@ fn run_all() {
 
     let snap = uburst_obs::snapshot();
     println!("\n### telemetry: pipeline self-observability\n");
-    println!("stage latency rollup (simulated time):");
-    print!("{}", snap.flame_rollup());
-    println!("\nmetrics (Prometheus exposition):");
+    println!("metrics (Prometheus exposition):");
     print!("{}", snap.to_prometheus());
     // UBURST_TELEMETRY_OUT=<prefix> also writes the snapshot as
     // <prefix>.json (the Prometheus text is already above); REPORTS.sha256

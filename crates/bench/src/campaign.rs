@@ -180,20 +180,9 @@ pub fn run_group(specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
         .into_iter()
         .map(|id| {
             let poller = scenario.sim.node_mut::<Poller>(id);
-            let poller_stats = poller.stats();
-            // Simulated extent of the whole campaign task, as seen from the
-            // pool layer (the poller records its own "campaign" span). Once
-            // per campaign, however many share the run.
-            uburst_obs::span_record!(
-                "pool/campaign_task",
-                poller_stats
-                    .stopped_at
-                    .as_nanos()
-                    .saturating_sub(poller_stats.started_at.as_nanos())
-            );
             CampaignRun {
                 series: poller.take_series().expect("in-memory campaign"),
-                poller_stats,
+                poller_stats: poller.stats(),
                 fault_stats: poller.fault_stats(),
                 degrade_level: 0,
                 net: net.clone(),

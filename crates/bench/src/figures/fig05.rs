@@ -76,15 +76,7 @@ pub fn run(scale: Scale) -> String {
                     .collect()
             })
             .collect();
-        let deltas = diff_histogram_snapshots(&snaps);
-        let (inside, outside) = split_by_burst(&deltas, &hot);
-        // Recover raw counts from the normalized fractions via totals.
-        let mut counts = (vec![0u64; N_SIZE_BINS], vec![0u64; N_SIZE_BINS]);
-        for b in 0..N_SIZE_BINS {
-            counts.0[b] = (inside.fractions[b] * inside.total as f64).round() as u64;
-            counts.1[b] = (outside.fractions[b] * outside.total as f64).round() as u64;
-        }
-        counts
+        split_by_burst(&diff_histogram_snapshots(&snaps), &hot)
     });
 
     for (ti, rack_type) in RackType::ALL.into_iter().enumerate() {

@@ -8,7 +8,8 @@
 //!    show through.
 //! 2. Nor can fusion: the pool simulates campaigns that share a scenario
 //!    once, yet the snapshot equals that of a loop running every campaign
-//!    alone (jobs and `pool/campaign_task` count campaigns, not groups).
+//!    alone (jobs and `uburst_poller_campaigns_total` count campaigns, not
+//!    groups).
 //! 3. A WAL session that crashes, recovers, and resumes produces the same
 //!    snapshot every time the same crash is replayed.
 //!
@@ -46,7 +47,8 @@ fn with_registry<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// A small campaign set that exercises the instrumented paths: plain
-/// polling, faulted reads with narrow counters (wrap decoding), and the
+/// polling, faulted reads (bus timeouts, latency spikes, stale values)
+/// with narrow counters (wrap decoding), and the
 /// buffer-peak register — with two racks measured more than once, so the
 /// pool fuses (a byte campaign joins Hadoop 203) and must split (a second
 /// peak reader on Web 201).
@@ -68,6 +70,7 @@ fn specs() -> Vec<CampaignSpec> {
     .with_faults(
         FaultPlan::none(0x7E1E)
             .with_transient_failure(0.02)
+            .with_latency_spike(0.02)
             .with_stale_read(0.01)
             .with_counter_bits(32),
     );
@@ -92,33 +95,52 @@ fn snapshots_are_byte_identical_across_thread_counts() {
         with_registry(|| {
             let runs = run_parallel_on(threads, specs());
             assert_eq!(runs.len(), specs().len());
-            let snap = uburst_obs::snapshot();
-            (snap.to_prometheus(), snap.to_json())
+            (uburst_obs::snapshot(), runs)
         })
     };
-    let sequential = measure(1);
-    let parallel = measure(8);
+    let (sequential, runs) = measure(1);
+    let (parallel, _) = measure(8);
+    let prom = sequential.to_prometheus();
     assert_eq!(
-        sequential.0, parallel.0,
+        prom,
+        parallel.to_prometheus(),
         "Prometheus exposition differs between 1 and 8 worker threads"
     );
     assert_eq!(
-        sequential.1, parallel.1,
+        sequential.to_json(),
+        parallel.to_json(),
         "JSON exposition differs between 1 and 8 worker threads"
     );
     // Sanity: the snapshot actually observed the pipeline.
     for metric in [
         "uburst_poller_polls_total",
         "uburst_poll_cost_ns_bucket{mode=\"dedicated\"",
-        "uburst_fault_bus_timeouts_total",
         "uburst_pool_jobs_total",
     ] {
         assert!(
-            sequential.0.contains(metric),
-            "snapshot is missing {metric}:\n{}",
-            sequential.0
+            prom.contains(metric),
+            "snapshot is missing {metric}:\n{prom}"
         );
     }
+    // Each fault the injector counted is published once, by the poller.
+    let (timeouts, spikes) = runs
+        .iter()
+        .filter_map(|r| r.fault_stats)
+        .fold((0, 0), |(t, s), f| {
+            (t + f.bus_timeouts, s + f.latency_spikes)
+        });
+    assert!(timeouts > 0 && spikes > 0, "the faulted spec injects both");
+    let counter = |name: &str| sequential.counters[name];
+    assert_eq!(counter("uburst_poller_read_errors_total"), timeouts);
+    assert_eq!(counter("uburst_poller_latency_spikes_total"), spikes);
+    // Every poll lands in exactly one of the per-mode latency histograms.
+    let latency_polls: u64 = sequential
+        .hists
+        .iter()
+        .filter(|(name, _)| name.starts_with("uburst_poll_latency_ns{mode="))
+        .map(|(_, h)| h.count)
+        .sum();
+    assert_eq!(latency_polls, counter("uburst_poller_polls_total"));
 }
 
 #[test]
@@ -128,12 +150,19 @@ fn fused_snapshot_equals_the_unfused_loop() {
         uburst_obs::snapshot().to_prometheus()
     });
     assert!(unfused.contains("uburst_pool_jobs_total 6"), "{unfused}");
-    assert!(unfused.contains("uburst_span_count{path=\"pool/campaign_task\"} 6"));
+    assert!(
+        unfused.contains("uburst_poller_campaigns_total 6\n"),
+        "{unfused}"
+    );
     for threads in [1, 8] {
         let fused = with_registry(|| {
             run_parallel_on(threads, specs());
             uburst_obs::snapshot().to_prometheus()
         });
+        assert!(
+            fused.contains("uburst_poller_campaigns_total 6\n"),
+            "{fused}"
+        );
         assert_eq!(
             fused, unfused,
             "fused snapshot on {threads} thread(s) differs from the solo loop's"

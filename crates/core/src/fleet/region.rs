@@ -274,10 +274,10 @@ impl Region {
             uburst_obs::counter_add!("uburst_fleet_region_recoveries_total", 1);
             uburst_obs::counter_add!("uburst_fleet_replayed_batches_total", replayed_new);
             uburst_obs::counter_add!("uburst_fleet_replay_records_total", report.records);
-            // Span duration in the fleet tier's simulated clock: transport
-            // ticks of downtime (never wall time).
+            // Downtime in the fleet tier's simulated clock: transport ticks
+            // (never wall time).
             let downtime_ticks = (round - since) as u64 * cfg.ticks_per_round as u64;
-            uburst_obs::span_record!("fleet/region_recovery", downtime_ticks);
+            uburst_obs::hist_observe!("uburst_fleet_region_downtime_ticks", downtime_ticks);
         }
     }
 }

@@ -446,7 +446,6 @@ impl Poller {
                 uburst_obs::hist_observe!("uburst_poll_latency_ns{mode=\"shared\"}", latency);
             }
         }
-        uburst_obs::span_record!("campaign/poll", latency);
     }
 
     /// A deadline whose read failed through every retry: account it and
@@ -492,6 +491,8 @@ impl Poller {
         uburst_obs::counter_add!("uburst_poller_retries_total", s.retries);
         uburst_obs::counter_add!("uburst_poller_stale_reads_total", s.stale_reads);
         uburst_obs::counter_add!("uburst_poller_wrap_regressions_total", s.wrap_regressions);
+        let spikes = self.fault_stats().map_or(0, |f| f.latency_spikes);
+        uburst_obs::counter_add!("uburst_poller_latency_spikes_total", spikes);
         // Busy vs elapsed simulated time by core mode: the §4.1 overhead
         // split (a dedicated core burns 100% regardless; a shared core is
         // charged only for its transactions).
@@ -515,7 +516,7 @@ impl Poller {
                 );
             }
         }
-        uburst_obs::span_record!("campaign", elapsed);
+        uburst_obs::counter_add!("uburst_poller_campaigns_total", 1);
     }
 }
 

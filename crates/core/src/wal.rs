@@ -201,12 +201,12 @@ impl<S: WalStorage> Wal<S> {
         if uburst_obs::enabled() {
             uburst_obs::counter_add!("uburst_wal_appends_total", 1);
             uburst_obs::counter_add!("uburst_wal_bytes_total", frame_len as u64);
-            // The span's duration is the simulated-time extent the batch
-            // covers — the WAL itself runs on the wall clock, which must
-            // never leak into deterministic telemetry.
+            // The simulated-time extent the batch covers — the WAL itself
+            // runs on the wall clock, which must never leak into
+            // deterministic telemetry.
             let ts = &sb.payload().samples.ts;
             let covered = ts.first().zip(ts.last()).map_or(0, |(&f, &l)| l - f);
-            uburst_obs::span_record!("wal/append", covered);
+            uburst_obs::hist_observe!("uburst_wal_append_extent_ns", covered);
         }
         let synced = match self.cfg.fsync {
             FsyncPolicy::Always => {

@@ -1,4 +1,4 @@
-//! Snapshot rendering: Prometheus text, JSON, and the flamegraph rollup.
+//! Snapshot rendering: Prometheus text, JSON, and the prefix rollup.
 //!
 //! All three renderings iterate `BTreeMap`s, so output is a pure function
 //! of the recorded multiset of updates — the property the telemetry
@@ -46,17 +46,6 @@ impl HistSnapshot {
     }
 }
 
-/// Immutable view of one span path's aggregate stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanSnapshot {
-    /// Completed spans on this path.
-    pub count: u64,
-    /// Total simulated time across them, nanoseconds.
-    pub total_ns: u64,
-    /// Longest single span, nanoseconds.
-    pub max_ns: u64,
-}
-
 /// An ordered, immutable view of the whole registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
@@ -66,8 +55,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Histograms by name.
     pub hists: BTreeMap<String, HistSnapshot>,
-    /// Span stats by `/`-separated path.
-    pub spans: BTreeMap<String, SpanSnapshot>,
 }
 
 /// Splits `name{label="x"}` into `("name", Some("label=\"x\""))`.
@@ -83,20 +70,6 @@ fn with_label(base: &str, labels: Option<&str>, extra: &str) -> String {
     match labels {
         Some(l) => format!("{base}{{{l},{extra}}}"),
         None => format!("{base}{{{extra}}}"),
-    }
-}
-
-/// Fixed-format human duration used by the rollup: deterministic for a
-/// given input, scaled to s/ms/µs/ns.
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
     }
 }
 
@@ -122,8 +95,7 @@ impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format.
     ///
     /// Histograms emit cumulative `_bucket{le=...}` series plus `_sum`
-    /// and `_count`; spans emit `uburst_span_{count,total_ns,max_ns}`
-    /// families keyed by a `path` label.
+    /// and `_count`.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_type_line = String::new();
@@ -168,24 +140,6 @@ impl Snapshot {
             };
             let _ = writeln!(out, "{sum_name} {}", h.sum);
             let _ = writeln!(out, "{count_name} {}", h.count);
-        }
-        if !self.spans.is_empty() {
-            out.push_str("# TYPE uburst_span_count counter\n");
-            for (path, s) in &self.spans {
-                let _ = writeln!(out, "uburst_span_count{{path=\"{path}\"}} {}", s.count);
-            }
-            out.push_str("# TYPE uburst_span_total_ns counter\n");
-            for (path, s) in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "uburst_span_total_ns{{path=\"{path}\"}} {}",
-                    s.total_ns
-                );
-            }
-            out.push_str("# TYPE uburst_span_max_ns gauge\n");
-            for (path, s) in &self.spans {
-                let _ = writeln!(out, "uburst_span_max_ns{{path=\"{path}\"}} {}", s.max_ns);
-            }
         }
         out
     }
@@ -232,24 +186,6 @@ impl Snapshot {
                 h.max
             );
         }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"spans\": {");
-        first = true;
-        for (k, s) in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-                json_escape(k),
-                s.count,
-                s.total_ns,
-                s.max_ns
-            );
-        }
         out.push_str(if first { "}\n" } else { "\n  }\n" });
         out.push('}');
         out.push('\n');
@@ -287,62 +223,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Flamegraph-style rollup of the recorded spans: paths nested by
-    /// `/` prefix, each line showing count, total simulated time, and
-    /// self time (total minus direct children).
-    ///
-    /// Ancestor paths that were never recorded directly appear as
-    /// synthetic group nodes whose totals are the sum of their children.
-    pub fn flame_rollup(&self) -> String {
-        if self.spans.is_empty() {
-            return String::new();
-        }
-        // Every node that must appear: recorded paths plus all ancestors.
-        let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new(); // path -> (count, total)
-        for (path, s) in &self.spans {
-            totals
-                .entry(path.clone())
-                .and_modify(|e| {
-                    e.0 += s.count;
-                    e.1 += s.total_ns;
-                })
-                .or_insert((s.count, s.total_ns));
-            let mut p = path.as_str();
-            while let Some((parent, _)) = p.rsplit_once('/') {
-                let e = totals.entry(parent.to_owned()).or_insert((0, 0));
-                if !self.spans.contains_key(parent) {
-                    // Synthetic group: aggregate the child into it.
-                    e.0 += s.count;
-                    e.1 += s.total_ns;
-                }
-                p = parent;
-            }
-        }
-        // Direct-children totals, for self-time.
-        let mut child_total: BTreeMap<&str, u64> = BTreeMap::new();
-        for (path, &(_, total)) in &totals {
-            if let Some((parent, _)) = path.rsplit_once('/') {
-                *child_total.entry(parent).or_default() += total;
-            }
-        }
-        let mut out = String::new();
-        for (path, &(count, total)) in &totals {
-            let depth = path.matches('/').count();
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let self_ns =
-                total.saturating_sub(child_total.get(path.as_str()).copied().unwrap_or(0));
-            let indent = "  ".repeat(depth);
-            let label = format!("{indent}{name}");
-            let _ = writeln!(
-                out,
-                "  {label:<28} count {count:>9}  total {:>12}  self {:>12}",
-                fmt_ns(total),
-                fmt_ns(self_ns)
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -364,14 +244,6 @@ mod tests {
             with_label("a_ns_bucket", None, "le=\"+Inf\""),
             "a_ns_bucket{le=\"+Inf\"}"
         );
-    }
-
-    #[test]
-    fn fmt_ns_scales() {
-        assert_eq!(fmt_ns(5), "5ns");
-        assert_eq!(fmt_ns(2_500), "2.500us");
-        assert_eq!(fmt_ns(1_234_567), "1.235ms");
-        assert_eq!(fmt_ns(16_000_000_000), "16.000s");
     }
 
     #[test]
@@ -406,66 +278,5 @@ mod tests {
         assert!(!single.contains("(sum)"));
         // Empty prefix space renders empty, not a header.
         assert_eq!(s.prefix_rollup("nope_"), "");
-    }
-
-    #[test]
-    fn flame_rollup_nests_and_computes_self_time() {
-        let mut s = Snapshot::default();
-        s.spans.insert(
-            "campaign".into(),
-            SpanSnapshot {
-                count: 2,
-                total_ns: 1_000,
-                max_ns: 600,
-            },
-        );
-        s.spans.insert(
-            "campaign/poll".into(),
-            SpanSnapshot {
-                count: 10,
-                total_ns: 700,
-                max_ns: 90,
-            },
-        );
-        let flame = s.flame_rollup();
-        let lines: Vec<String> = flame
-            .lines()
-            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
-            .collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("campaign"));
-        assert!(lines[0].contains("self 300ns"), "{}", lines[0]);
-        assert!(lines[1].contains("poll"));
-        assert!(lines[1].contains("self 700ns"));
-    }
-
-    #[test]
-    fn flame_rollup_synthesizes_missing_parents() {
-        let mut s = Snapshot::default();
-        s.spans.insert(
-            "wal/append".into(),
-            SpanSnapshot {
-                count: 4,
-                total_ns: 400,
-                max_ns: 100,
-            },
-        );
-        s.spans.insert(
-            "wal/fsync".into(),
-            SpanSnapshot {
-                count: 2,
-                total_ns: 100,
-                max_ns: 50,
-            },
-        );
-        let flame = s.flame_rollup();
-        let lines: Vec<String> = flame
-            .lines()
-            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
-            .collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("wal"));
-        assert!(lines[0].contains("total 500ns"));
-        assert!(lines[0].contains("self 0ns"), "group node has no self time");
     }
 }

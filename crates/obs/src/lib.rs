@@ -5,9 +5,8 @@
 //! dedicated-vs-shared-core tradeoff, because a µs-scale measurement
 //! system is only trustworthy if its own overhead is accounted. This
 //! crate is the reproduction's version of that discipline: a metrics
-//! registry, lightweight tracing spans, and text/JSON exposition that
-//! every pipeline stage (poller → collector → WAL → shipper → campaign
-//! pool) reports into.
+//! registry and text/JSON exposition that every pipeline stage (poller →
+//! collector → WAL → shipper → campaign pool) reports into.
 //!
 //! ## Determinism contract
 //!
@@ -18,8 +17,7 @@
 //! * counters — atomic add;
 //! * gauges — atomic max (`fetch_max`), the only order-free "last value";
 //! * histograms — fixed bucket bounds, atomic per-bucket counts, an
-//!   atomic sum and max;
-//! * spans — count / total / max of **simulated-time** durations.
+//!   atomic sum and max.
 //!
 //! Values recorded are always simulated time or event counts, never
 //! wall-clock readings, and exposition renders from `BTreeMap`s so output
@@ -40,13 +38,13 @@
 //! ## Handles: one recording path
 //!
 //! Recording is a method on a cell — [`Counter::add`], [`Gauge::max`],
-//! [`Histogram::observe`], [`SpanStat::record`] — reached through an
-//! `Arc` handle the [`Registry`] hands out by name. Every recording site
-//! names its metric with a literal and uses the macro of the same name
-//! ([`counter_add!`], [`gauge_max!`], [`hist_observe!`], [`span_record!`]):
-//! it resolves the handle once into a `OnceLock` of its own, and every
-//! later call is the enabled check plus the atomic update. A name that
-//! takes a label's value picks among literal sites with a `match`.
+//! [`Histogram::observe`] — reached through an `Arc` handle the
+//! [`Registry`] hands out by name. Every recording site names its metric
+//! with a literal and uses the macro of the same name ([`counter_add!`],
+//! [`gauge_max!`], [`hist_observe!`]): it resolves the handle once into a
+//! `OnceLock` of its own, and every later call is the enabled check plus
+//! the atomic update. A name that takes a label's value picks among
+//! literal sites with a `match`.
 //!
 //! [`reset`] zeroes cells in place and drops them out of snapshots until
 //! they are recorded into again; it never removes one, so a handle taken
@@ -55,7 +53,7 @@
 //! ```
 //! uburst_obs::enable();
 //! uburst_obs::counter_add!("uburst_demo_events_total", 3);
-//! uburst_obs::span_record!("campaign/poll", 25_000);
+//! uburst_obs::hist_observe!("uburst_demo_poll_ns", 25_000);
 //! let snap = uburst_obs::snapshot();
 //! assert!(snap.to_prometheus().contains("uburst_demo_events_total 3"));
 //! # uburst_obs::reset();
@@ -68,8 +66,8 @@
 mod expose;
 mod registry;
 
-pub use expose::{HistSnapshot, Snapshot, SpanSnapshot};
-pub use registry::{Counter, Gauge, Histogram, Registry, SpanStat, NS_BOUNDS};
+pub use expose::{HistSnapshot, Snapshot};
+pub use registry::{Counter, Gauge, Histogram, Registry, NS_BOUNDS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -104,24 +102,10 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Records one completed span on `path` with a **simulated-time**
-/// duration of `dur_ns` nanoseconds.
-///
-/// Paths are `/`-separated (e.g. `campaign/poll/read`); the snapshot's
-/// flamegraph rollup nests children under parents by path prefix. Spans
-/// deliberately take an explicit duration instead of an RAII guard:
-/// simulated clocks live in the simulator, not in a thread-local, and an
-/// explicit handoff keeps wall-clock time out of the registry by
-/// construction.
-///
-/// The product records spans through [`span_record!`]; this by-name form
-/// is kept only because `benchmark/` calls it (ROADMAP item 3a).
+/// Does nothing: the registry has no span kind. Kept only because
+/// `benchmark/` calls it (ROADMAP item 3a).
 #[inline]
-pub fn span_record(path: &str, dur_ns: u64) {
-    if enabled() {
-        registry().span(path).record(dur_ns);
-    }
-}
+pub fn span_record(_path: &str, _dur_ns: u64) {}
 
 /// The global handle a literal-name site records through, resolved on
 /// the site's first enabled call.
@@ -175,24 +159,13 @@ macro_rules! hist_observe {
     };
 }
 
-/// [`span_record`](fn@span_record) for a literal path, the form every
-/// product site uses (see [`counter_add!`]).
-#[macro_export]
-macro_rules! span_record {
-    ($path:literal, $dur_ns:expr $(,)?) => {
-        if $crate::enabled() {
-            $crate::__site_handle!(SpanStat, span, $path).record($dur_ns);
-        }
-    };
-}
-
 /// Renders an immutable snapshot of everything recorded since the last
 /// [`reset`].
 pub fn snapshot() -> Snapshot {
     registry().snapshot()
 }
 
-/// Zeroes every metric and span and drops it out of snapshots until it is
+/// Zeroes every metric and drops it out of snapshots until it is
 /// recorded into again ([`Registry::reset`]). Intended for tests and
 /// multi-phase harnesses that want per-phase snapshots from one process.
 pub fn reset() {
@@ -219,12 +192,11 @@ mod tests {
         let _g = fresh();
         disable();
         counter_add!("uburst_test_off_total", 5);
+        gauge_max!("uburst_test_off_peak", 7);
         hist_observe!("uburst_test_off_ns", 100);
-        span_record("off/span", 10);
         let snap = snapshot();
-        assert!(snap.counters.is_empty());
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
         assert!(snap.hists.is_empty());
-        assert!(snap.spans.is_empty());
     }
 
     #[test]
@@ -305,7 +277,6 @@ mod tests {
                             counter_add!("uburst_mt_total", 1);
                             gauge_max!("uburst_mt_peak", t * 1000 + i);
                             hist_observe!("uburst_mt_ns", (t * 1000 + i) % 70_000);
-                            span_record!("mt/work", 25_000);
                         }
                     });
                 }
@@ -327,15 +298,14 @@ mod tests {
             counter_add!("uburst_test_reset_total", n);
             gauge_max!("uburst_test_reset_peak", n);
             hist_observe!("uburst_test_reset_ns", n);
-            span_record!("reset/span", n);
         };
         record(40);
         reset();
         let empty = snapshot();
         assert!(empty.counters.is_empty() && empty.gauges.is_empty());
-        assert!(empty.hists.is_empty() && empty.spans.is_empty());
+        assert!(empty.hists.is_empty());
         assert_eq!(empty.to_prometheus(), Snapshot::default().to_prometheus());
-        // The same four sites, so the same four handles: each cell comes
+        // The same three sites, so the same three handles: each cell comes
         // back holding only what was recorded after the reset.
         record(2);
         let snap = snapshot();
@@ -343,9 +313,10 @@ mod tests {
         assert_eq!(snap.gauges["uburst_test_reset_peak"], 2);
         let h = &snap.hists["uburst_test_reset_ns"];
         assert_eq!((h.count, h.sum, h.max), (1, 2, 2));
-        let s = &snap.spans["reset/span"];
-        assert_eq!((s.count, s.total_ns, s.max_ns), (1, 2, 2));
-        assert_eq!(snap.counters.len() + snap.gauges.len(), 2);
+        assert_eq!(
+            snap.counters.len() + snap.gauges.len() + snap.hists.len(),
+            3
+        );
         disable();
     }
 
@@ -370,23 +341,31 @@ mod tests {
         registry().gauge("uburst_test_shared_peak").max(6);
         hist_observe!("uburst_test_shared_ns", 300);
         registry().histogram("uburst_test_shared_ns").observe(700);
-        span_record!("shared/span", 10);
-        span_record("shared/span", 30);
         let snap = snapshot();
         assert_eq!(snap.counters["uburst_test_shared_total"], 8);
         assert_eq!(snap.gauges["uburst_test_shared_peak"], 9);
-        assert_eq!(snap.hists["uburst_test_shared_ns"].count, 2);
-        assert_eq!(snap.spans["shared/span"].total_ns, 40);
+        let h = &snap.hists["uburst_test_shared_ns"];
+        assert_eq!((h.count, h.sum), (2, 1_000));
         disable();
     }
 
     #[test]
     fn handle_sites_record_nothing_while_disabled() {
         let _g = fresh();
+        let record = |n: u64| {
+            counter_add!("uburst_test_off_site_total", n);
+            hist_observe!("uburst_test_off_site_ns", n);
+        };
+        // The sites resolve their handles while enabled; disabling still
+        // silences them.
+        record(1);
         disable();
-        counter_add!("uburst_test_off_site_total", 5);
-        span_record!("off/site", 10);
+        record(5);
+        enable();
+        record(2);
         let snap = snapshot();
-        assert!(snap.counters.is_empty() && snap.spans.is_empty());
+        assert_eq!(snap.counters["uburst_test_off_site_total"], 3);
+        assert_eq!(snap.hists["uburst_test_off_site_ns"].count, 2);
+        disable();
     }
 }

@@ -1,4 +1,4 @@
-//! The metric store: named counters, gauges, histograms, and span stats.
+//! The metric store: named counters, gauges and histograms.
 //!
 //! Every aggregation here is commutative and associative over atomic u64
 //! cells, which is what makes snapshots independent of thread count and
@@ -14,9 +14,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::expose::{HistSnapshot, Snapshot, SpanSnapshot};
+use crate::expose::{HistSnapshot, Snapshot};
 
-/// Fixed histogram bucket upper bounds, in nanoseconds of simulated time.
+/// Fixed histogram bucket upper bounds, in the unit the metric's name
+/// carries: nanoseconds of simulated time for every `_ns` histogram.
 ///
 /// Spans the pipeline's dynamic range: sub-µs bus transactions through
 /// second-scale campaign windows. Fixed (rather than per-metric) bounds
@@ -201,42 +202,6 @@ impl Metric for Histogram {
     }
 }
 
-/// Aggregate statistics for one span path.
-#[derive(Debug, Default)]
-pub struct SpanStat {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl SpanStat {
-    /// Records one completed span.
-    pub fn record(&self, dur_ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(dur_ns, Ordering::Relaxed);
-    }
-}
-
-impl Metric for SpanStat {
-    type Snap = SpanSnapshot;
-
-    fn snapshot(&self) -> Option<SpanSnapshot> {
-        let count = self.count.load(Ordering::Relaxed);
-        (count > 0).then(|| SpanSnapshot {
-            count,
-            total_ns: self.total_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-        })
-    }
-
-    fn reset(&self) {
-        for c in [&self.count, &self.total_ns, &self.max_ns] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Named metric store. One lives as the process global (see
 /// [`crate::registry`]); tests may build private ones.
 #[derive(Debug, Default)]
@@ -244,7 +209,6 @@ pub struct Registry {
     counters: Cells<Counter>,
     gauges: Cells<Gauge>,
     hists: Cells<Histogram>,
-    spans: Cells<SpanStat>,
 }
 
 type Cells<T> = RwLock<BTreeMap<String, Arc<T>>>;
@@ -291,11 +255,6 @@ impl Registry {
         intern(&self.hists, name)
     }
 
-    /// The span-stat accumulator for `path`.
-    pub fn span(&self, path: &str) -> Arc<SpanStat> {
-        intern(&self.spans, path)
-    }
-
     /// Renders everything recorded since the last reset into an
     /// immutable, ordered snapshot.
     pub fn snapshot(&self) -> Snapshot {
@@ -303,11 +262,10 @@ impl Registry {
             counters: snapshot_cells(&self.counters),
             gauges: snapshot_cells(&self.gauges),
             hists: snapshot_cells(&self.hists),
-            spans: snapshot_cells(&self.spans),
         }
     }
 
-    /// Zeroes every metric and span in place and drops it out of
+    /// Zeroes every metric in place and drops it out of
     /// snapshots until it is recorded into again. Cells are never
     /// removed, so handles taken before a reset keep recording into the
     /// cell their name resolves to. Not atomic against concurrent
@@ -316,7 +274,6 @@ impl Registry {
         reset_cells(&self.counters);
         reset_cells(&self.gauges);
         reset_cells(&self.hists);
-        reset_cells(&self.spans);
     }
 }
 

@@ -72,20 +72,8 @@ impl Wiring {
 
     /// Installs a bidirectional link with symmetric spec.
     pub fn connect(&mut self, a: (NodeId, PortId), b: (NodeId, PortId), spec: LinkSpec) {
-        self.connect_asymmetric(a, b, spec, spec);
-    }
-
-    /// Installs a bidirectional link with per-direction specs
-    /// (`ab` is used for traffic from `a` to `b`).
-    pub fn connect_asymmetric(
-        &mut self,
-        a: (NodeId, PortId),
-        b: (NodeId, PortId),
-        ab: LinkSpec,
-        ba: LinkSpec,
-    ) {
-        self.set(a, DirectedLink { spec: ab, peer: b });
-        self.set(b, DirectedLink { spec: ba, peer: a });
+        self.set(a, DirectedLink { spec, peer: b });
+        self.set(b, DirectedLink { spec, peer: a });
     }
 
     fn set(&mut self, from: (NodeId, PortId), link: DirectedLink) {

@@ -107,19 +107,6 @@ impl Simulator {
         self.wiring.connect(a, b, spec);
     }
 
-    /// Wires `a` and `b` with per-direction specs (`ab` carries a→b traffic).
-    pub fn connect_asymmetric(
-        &mut self,
-        a: (NodeId, PortId),
-        b: (NodeId, PortId),
-        ab: LinkSpec,
-        ba: LinkSpec,
-    ) {
-        self.check_node(a.0);
-        self.check_node(b.0);
-        self.wiring.connect_asymmetric(a, b, ab, ba);
-    }
-
     fn check_node(&self, id: NodeId) {
         assert!((id.0 as usize) < self.nodes.len(), "unknown node {:?}", id);
     }

@@ -119,22 +119,13 @@ pub struct ClosHandles {
 /// Builds the fabric. `remotes` are endpoint nodes representing the rest of
 /// the data center (web frontends, cache tiers in other pods, users).
 ///
+/// `fabric_sinks[f]` is the counter sink of fabric switch `f` (missing
+/// entries get null sinks). Lets experiments measure beyond the ToR — the
+/// paper left "the study of other network tiers to future work" (§4.2).
+///
 /// # Panics
 /// Panics on an empty rack list, empty racks, or zero fabric switches.
 pub fn build_clos(
-    sim: &mut Simulator,
-    cfg: &ClosConfig,
-    racks: Vec<RackSpec>,
-    remotes: &[NodeId],
-) -> ClosHandles {
-    build_clos_with_core_sinks(sim, cfg, racks, remotes, &[])
-}
-
-/// [`build_clos`] with counter sinks for the fabric tier: `fabric_sinks[f]`
-/// is attached to fabric switch `f` (missing entries get null sinks). Lets
-/// experiments measure beyond the ToR — the paper left "the study of other
-/// network tiers to future work" (§4.2).
-pub fn build_clos_with_core_sinks(
     sim: &mut Simulator,
     cfg: &ClosConfig,
     racks: Vec<RackSpec>,
@@ -347,6 +338,7 @@ mod tests {
                 },
             ],
             &remotes,
+            &[],
         );
         (sim, rack_a, rack_b, remotes, handles)
     }

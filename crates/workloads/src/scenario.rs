@@ -478,7 +478,7 @@ pub fn build_scenario(cfg: ScenarioConfig) -> Scenario {
         .iter()
         .map(|c| c.clone() as uburst_sim::counters::SharedSink)
         .collect();
-    let handles = uburst_sim::topology::build_clos_with_core_sinks(
+    let handles = uburst_sim::topology::build_clos(
         &mut sim,
         &cfg.clos,
         vec![RackSpec {

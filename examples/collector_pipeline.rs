@@ -106,12 +106,9 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // The pipeline watching itself: simulated-time latency rollup plus the
-    // full metric set, Prometheus-style. Byte-identical across runs — every
-    // aggregate is commutative and clocked on simulated time.
-    let snap = uburst::obs::snapshot();
-    println!("\npipeline telemetry (simulated time):");
-    print!("{}", snap.flame_rollup());
+    // The pipeline watching itself: the full metric set, Prometheus-style.
+    // Byte-identical across runs — every aggregate is commutative and
+    // clocked on simulated time.
     println!("\nmetrics:");
-    print!("{}", snap.to_prometheus());
+    print!("{}", uburst::obs::snapshot().to_prometheus());
 }

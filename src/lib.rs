@@ -15,9 +15,9 @@
 //! * [`workloads`] — the Web / Cache / Hadoop rack traffic models.
 //! * [`analysis`] — the paper's statistics (burst extraction, ECDFs,
 //!   Markov fits, KS tests, correlation, MAD, resampling).
-//! * [`obs`] — the pipeline's self-observability layer (counters, gauges,
-//!   latency histograms, and tracing spans recorded in simulated time;
-//!   deterministic snapshots with Prometheus/JSON exposition). Disabled
+//! * [`obs`] — the pipeline's self-observability layer (counters, gauges
+//!   and latency histograms recorded in simulated time; deterministic
+//!   snapshots with Prometheus/JSON exposition). Disabled
 //!   by default; call [`obs::enable`] to record.
 //!
 //! ## Quickstart
