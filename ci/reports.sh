@@ -35,7 +35,7 @@ repro ext_durability.t4.txt ext_durability
 repro ext_fleet.t1.txt ext_fleet UBURST_THREADS=1 UBURST_FLEET_SWITCHES=32
 repro ext_fleet.t4.txt ext_fleet UBURST_FLEET_SWITCHES=32
 for id in ablations ext_ecn_dctcp ext_fabric_tier ext_fault_tolerance ext_fct_tail \
-    ext_flowlet_lb calibrate; do
+    ext_flowlet_lb; do
     repro "$id.t4.txt" "$id"
 done
 

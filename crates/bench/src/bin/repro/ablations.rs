@@ -4,15 +4,14 @@
 //! measured microburst phenomenology depends on it:
 //!
 //! 1. **Shared-buffer alpha** — dynamic-threshold aggressiveness vs. drops.
-//! 2. **ECMP flow hashing vs. per-packet spraying** — Fig. 7's imbalance
-//!    disappears under spraying, at the price of reordering-induced
-//!    spurious retransmits.
-//! 3. **Dedicated vs. shared poller core** — the paper's precision/CPU
-//!    tradeoff (§4.1).
-//! 4. **Read-and-clear peak register vs. sampled level** — why the paper
+//! 2. **Read-and-clear peak register vs. sampled level** — why the paper
 //!    polls a peak register "so that we do not miss any congestion events".
-//! 5. **NIC pacing** — the §7 pacing discussion: pacing the rack's servers
-//!    shaves the burst tail.
+//! 3. **NIC pacing** — the §7 pacing discussion: pacing the rack's servers
+//!    cools the uplink.
+//!
+//! ECMP flow hashing vs. per-packet spraying is `ext_flowlet_lb` panel A;
+//! dedicated vs. shared poller core is §4.1. Each ablation ends in a
+//! checked claim.
 //!
 //! Each sweep's points are independent campaigns, so they run on the
 //! parallel engine (`uburst_bench::run_jobs`); rows are assembled in sweep
@@ -20,20 +19,25 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ablations`.
 
-use uburst_analysis::{extract_bursts, mad_per_period, Ecdf, HOT_THRESHOLD};
-use uburst_asic::{AccessModel, CounterId};
+use uburst_analysis::{extract_bursts, BurstAnalysis, Ecdf, HOT_THRESHOLD};
+use uburst_asic::CounterId;
 use uburst_bench::campaign::{single_port_spec, CampaignSpec};
-use uburst_bench::report::Table;
+use uburst_bench::report::{verdict, Table};
 use uburst_bench::run_jobs;
-use uburst_core::spec::CoreMode;
-use uburst_core::tuning::probe_idle_bank;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
-use uburst_sim::node::PortId;
-use uburst_sim::routing::EcmpMode;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 const SPAN: Nanos = Nanos::from_millis(150);
+
+/// The 90th-percentile burst duration in µs, 0 when there is no burst.
+fn burst_p90_us(a: &BurstAnalysis) -> f64 {
+    if a.bursts.is_empty() {
+        0.0
+    } else {
+        Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
+    }
+}
 
 fn ablate_buffer_alpha() {
     println!("## ablation 1: dynamic-threshold alpha (Hadoop rack, load 1.6)\n");
@@ -48,15 +52,13 @@ fn ablate_buffer_alpha() {
         let (spec, port) = single_port_spec(cfg, Some(2), Nanos::from_micros(25), SPAN);
         let run = spec.run();
         let utils = run.utilization(CounterId::TxBytes(port), 10_000_000_000);
-        let a = extract_bursts(&utils, HOT_THRESHOLD);
-        let p90 = if a.bursts.is_empty() {
-            0.0
-        } else {
-            Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
-        };
+        let p90 = burst_p90_us(&extract_bursts(&utils, HOT_THRESHOLD));
         let drops = run.net.tor.dropped_packets;
         let dn_drops = run.net.downlink_drops(n);
-        [
+        (alpha, drops, dn_drops, p90)
+    });
+    for &(alpha, drops, dn_drops, p90) in &rows {
+        t.row(&[
             format!("{alpha}"),
             format!("{drops}"),
             format!(
@@ -68,98 +70,20 @@ fn ablate_buffer_alpha() {
                 }
             ),
             format!("{p90:.0}"),
-        ]
-    });
-    for row in &rows {
-        t.row(row);
-    }
-    t.print();
-    println!("smaller alpha carves tighter per-port limits -> more (earlier) drops;\nlarge alpha shares the pool -> fewer drops, longer uninterrupted bursts.\n");
-}
-
-fn ablate_ecmp() {
-    println!("## ablation 2: ECMP flow hashing vs per-packet spraying (Hadoop)\n");
-    let mut t = Table::new(&["mode", "mad_p50@40us", "mad_p90@40us", "retransmits"]);
-    let rows = run_jobs(
-        vec![
-            ("flow-hash", EcmpMode::FlowHash),
-            ("packet-spray", EcmpMode::PacketSpray),
-        ],
-        |(name, mode)| {
-            let mut cfg = ScenarioConfig::new(RackType::Hadoop, 40_002);
-            cfg.clos.ecmp_mode = mode;
-            let n = cfg.n_servers;
-            let uplink_bps = cfg.clos.uplink.bandwidth_bps;
-            let counters: Vec<CounterId> = (0..4)
-                .map(|f| CounterId::TxBytes(PortId((n + f) as u16)))
-                .collect();
-            let run = CampaignSpec::new(cfg, counters.clone(), Nanos::from_micros(40), SPAN).run();
-            let series: Vec<Vec<f64>> = counters
-                .iter()
-                .map(|&c| {
-                    run.utilization(c, uplink_bps)
-                        .iter()
-                        .map(|u| u.util)
-                        .collect()
-                })
-                .collect();
-            let mad = Ecdf::new(mad_per_period(&series));
-            [
-                name.into(),
-                format!("{:.2}", mad.quantile(0.5)),
-                format!("{:.2}", mad.quantile(0.9)),
-                format!("{}", run.net.transport.retransmits),
-            ]
-        },
-    );
-    for row in &rows {
-        t.row(row);
-    }
-    t.print();
-    println!("spraying balances the uplinks almost perfectly but reorders flows,\nwhich the transport pays for in spurious retransmissions.\n");
-}
-
-fn ablate_poller_core() {
-    println!("## ablation 3: dedicated vs shared poller core (byte counter)\n");
-    let mut t = Table::new(&["core", "miss@10us", "miss@25us", "miss@100us", "cpu"]);
-    // 2 modes x 3 intervals = 6 independent probe campaigns.
-    let modes = [CoreMode::Dedicated, CoreMode::Shared];
-    let mut jobs = Vec::new();
-    for &mode in &modes {
-        for us in [10u64, 25, 100] {
-            jobs.push((mode, us));
-        }
-    }
-    let misses = run_jobs(jobs, |(mode, us)| {
-        probe_idle_bank(
-            &[CounterId::TxBytes(PortId(0))],
-            AccessModel::default(),
-            Nanos::from_micros(us),
-            Nanos::from_millis(300),
-            mode,
-            us,
-        )
-        .deadline_miss_fraction()
-    });
-    for (mi, mode) in modes.into_iter().enumerate() {
-        let m = &misses[mi * 3..mi * 3 + 3];
-        t.row(&[
-            format!("{mode:?}"),
-            format!("{:.1}%", m[0] * 100.0),
-            format!("{:.1}%", m[1] * 100.0),
-            format!("{:.1}%", m[2] * 100.0),
-            match mode {
-                CoreMode::Dedicated => "1 full core".into(),
-                CoreMode::Shared => "<20% of a core".into(),
-            },
         ]);
     }
     t.print();
-    println!("the paper's tradeoff: precise timing costs a dedicated core; sharing\nthe core drops CPU below 20% but inflates missed intervals (§4.1).\n");
+    println!("smaller alpha carves tighter per-port limits -> more (earlier) drops;\nlarge alpha shares the pool -> fewer drops.");
+    let drops: Vec<String> = rows.iter().map(|r| r.1.to_string()).collect();
+    println!(
+        "  [{}] drops are non-increasing in alpha ({})\n",
+        verdict(rows.windows(2).all(|w| w[1].1 <= w[0].1)),
+        drops.join(" -> ")
+    );
 }
 
 fn ablate_peak_register() {
-    println!("## ablation 4: read-and-clear peak register vs sampled level\n");
+    println!("## ablation 2: read-and-clear peak register vs sampled level\n");
     let cfg = ScenarioConfig::new(RackType::Hadoop, 40_004);
     let run = CampaignSpec::new(
         cfg,
@@ -195,13 +119,17 @@ fn ablate_peak_register() {
         "underestimate of the true maximum with sampled levels: {:.0}%\n\
 the read-and-clear register never misses an excursion between reads —\n\
 \"even when the sampling loop misses a sampling period, our results\n\
-will still reflect bursts\" (§4.1).\n",
+will still reflect bursts\" (§4.1).",
         (1.0 - max_level as f64 / max_peak.max(1) as f64) * 100.0
+    );
+    println!(
+        "  [{}] the peak register's maximum is at least the sampled level's ({max_peak} >= {max_level})\n",
+        verdict(max_peak >= max_level)
     );
 }
 
 fn ablate_pacing() {
-    println!("## ablation 5: NIC pacing on the rack's servers (Cache rack)\n");
+    println!("## ablation 3: NIC pacing on the rack's servers (Cache rack)\n");
     let mut t = Table::new(&["pacing", "uplink_hot%", "burst_p90us", "drops"]);
     let rows = run_jobs(
         vec![
@@ -218,31 +146,35 @@ fn ablate_pacing() {
             let run = spec.run();
             let utils = run.utilization(CounterId::TxBytes(port), uplink_bps);
             let a = extract_bursts(&utils, HOT_THRESHOLD);
-            let p90 = if a.bursts.is_empty() {
-                0.0
-            } else {
-                Ecdf::new(a.durations().iter().map(|d| d.as_micros_f64()).collect()).quantile(0.9)
-            };
-            [
-                name.into(),
-                format!("{:.1}", a.hot_fraction() * 100.0),
-                format!("{p90:.0}"),
-                format!("{}", run.net.tor.dropped_packets),
-            ]
+            (
+                name,
+                a.hot_fraction() * 100.0,
+                burst_p90_us(&a),
+                run.net.tor.dropped_packets,
+            )
         },
     );
-    for row in &rows {
-        t.row(row);
+    for &(name, hot, p90, drops) in &rows {
+        t.row(&[
+            name.into(),
+            format!("{hot:.1}"),
+            format!("{p90:.0}"),
+            format!("{drops}"),
+        ]);
     }
     t.print();
-    println!("pacing smears the line-rate trains out: hot fraction and burst tails\nshrink — the effect the hardware/software pacing proposals of §7 target.\n");
+    println!("pacing smears the line-rate trains out: the uplink's hot fraction falls\nas pacing tightens — the effect the hardware/software pacing proposals\nof §7 target.");
+    let hot: Vec<String> = rows.iter().map(|r| format!("{:.1}", r.1)).collect();
+    println!(
+        "  [{}] the hot share is non-increasing as pacing tightens ({})\n",
+        verdict(rows.windows(2).all(|w| w[1].1 <= w[0].1)),
+        hot.join(" -> ")
+    );
 }
 
 pub fn run() {
     println!("design-choice ablations (see DESIGN.md section 4)\n");
     ablate_buffer_alpha();
-    ablate_ecmp();
-    ablate_poller_core();
     ablate_peak_register();
     ablate_pacing();
 }

@@ -4,8 +4,8 @@
 //!   `figures::all_experiments()` and prints the combined report — the
 //!   data behind EXPERIMENTS.md.
 //! * `repro <id>` runs one entry: a table/figure id of that registry, or
-//!   one of the [`HARNESSES`] (extension experiments, ablations, the
-//!   calibration probe), which print their own report.
+//!   one of the [`HARNESSES`] (extension experiments, ablations), which
+//!   print their own report.
 //! * `repro list` prints the ids; an unknown id exits 2 with the list.
 //!
 //! The process exits 1 if any shape check printed `[MISS]`.
@@ -17,7 +17,6 @@
 //! timings go to stderr so stdout stays deterministic.
 
 mod ablations;
-mod calibrate;
 mod ext_buffer_policy;
 mod ext_durability;
 mod ext_ecn_dctcp;
@@ -36,7 +35,7 @@ use uburst_bench::Scale;
 
 /// The harnesses that are not a paper table/figure: `(id, run)`. Each
 /// prints its own report.
-const HARNESSES: [(&str, fn()); 10] = [
+const HARNESSES: [(&str, fn()); 9] = [
     ("ext_buffer_policy", ext_buffer_policy::run),
     ("ext_durability", ext_durability::run),
     ("ext_ecn_dctcp", ext_ecn_dctcp::run),
@@ -46,7 +45,6 @@ const HARNESSES: [(&str, fn()); 10] = [
     ("ext_fleet", ext_fleet::run),
     ("ext_flowlet_lb", ext_flowlet_lb::run),
     ("ablations", ablations::run),
-    ("calibrate", calibrate::run),
 ];
 
 fn main() -> ExitCode {

@@ -264,13 +264,6 @@ impl NetSnapshot {
             .iter()
             .sum()
     }
-
-    /// Drops summed over the uplink ports `n_servers..`.
-    pub fn uplink_drops(&self, n_servers: usize) -> u64 {
-        self.port_drops[n_servers.min(self.port_drops.len())..]
-            .iter()
-            .sum()
-    }
 }
 
 /// The outcome of one campaign on one rack instance. Plain data (`Send`):

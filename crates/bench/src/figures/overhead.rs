@@ -7,8 +7,9 @@
 //! which drops CPU use to the polling transactions themselves (well under
 //! 20 %) at the price of scheduler jitter that inflates missed intervals.
 //! This harness runs the same single-byte-counter campaign in both
-//! placements and reproduces that overhead split from the poller's own
-//! accounting.
+//! placements at 10, 25 and 100 µs, reproduces that overhead split from
+//! the poller's own accounting, and holds every cell's missed and late
+//! fractions to the miss law ([`miss_law`]) within 4σ.
 //!
 //! No traffic is generated: overhead is a property of the sampling loop
 //! and the counter-access path, not of the workload, so both placements
@@ -18,50 +19,67 @@ use std::fmt::Write;
 
 use uburst_asic::{AccessModel, CounterId};
 use uburst_core::spec::CoreMode;
-use uburst_core::tuning::probe_idle_bank;
+use uburst_core::tuning::{miss_law, probe_idle_bank};
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
 use crate::pool::run_jobs;
-use crate::report::{verdict, Table};
+use crate::report::{law_check, verdict, Table};
 use crate::scale::Scale;
+
+/// The interval the paper's §4.1 numbers are for.
+const PAPER_INTERVAL_US: u64 = 25;
 
 /// Runs the experiment and renders the report.
 pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(25);
     let duration = match scale {
         Scale::Quick => Nanos::from_millis(200),
         Scale::Full => Nanos::from_millis(2_000),
     };
+    let counters = [CounterId::TxBytes(PortId(0))];
+    let access = AccessModel::default();
     let mut out = String::new();
     writeln!(
         out,
-        "Section 4.1: collection overhead by core placement, byte counter at {interval} ({} scale)",
+        "Section 4.1: collection overhead by core placement, byte counter at 10/25/100us ({} scale)",
         scale.label()
     )
     .unwrap();
 
-    // The two placements are independent simulated campaigns: pool them.
-    let jobs = vec![(CoreMode::Dedicated, 0x0411u64), (CoreMode::Shared, 0x0412)];
-    let probes = run_jobs(jobs, |(mode, seed)| {
-        let counters = [CounterId::TxBytes(PortId(0))];
-        let access = AccessModel::default();
+    // The cells are independent simulated campaigns: pool them.
+    let jobs = vec![
+        (CoreMode::Dedicated, 10u64, 0x0413u64),
+        (CoreMode::Dedicated, 25, 0x0411),
+        (CoreMode::Dedicated, 100, 0x0414),
+        (CoreMode::Shared, 10, 0x0415),
+        (CoreMode::Shared, 25, 0x0412),
+        (CoreMode::Shared, 100, 0x0416),
+    ];
+    let probes = run_jobs(jobs, |(mode, us, seed)| {
+        let interval = Nanos::from_micros(us);
         let stats = probe_idle_bank(&counters, access, interval, duration, mode, seed);
-        (mode, stats)
+        (mode, us, stats)
     });
 
     let mut table = Table::new(&[
         "core",
+        "interval",
         "polls",
         "cpu",
         "missed",
+        "law",
         "late",
+        "law",
         "mean_poll_cost",
         "paper",
     ]);
-    let mut by_mode = Vec::new();
-    for (mode, stats) in &probes {
-        let cpu = stats.cpu_utilization(*mode);
+    let cost = access.poll_cost(&counters);
+    // The (cpu, missed, cost) of each placement's 25us cell, dedicated first.
+    let mut at_25us = Vec::new();
+    let mut law_checks = Vec::new();
+    for &(mode, us, ref stats) in &probes {
+        let law = miss_law(mode, cost, Nanos::from_micros(us));
+        let cpu = stats.cpu_utilization(mode);
         let miss = stats.deadline_miss_fraction();
         let cost_us = if stats.polls == 0 {
             0.0
@@ -72,16 +90,23 @@ pub fn run(scale: Scale) -> String {
             CoreMode::Dedicated => ("dedicated", "full core, ~1% missed"),
             CoreMode::Shared => ("shared", "<20% CPU, misses inflate"),
         };
+        let at_paper = us == PAPER_INTERVAL_US;
+        law_checks.push(law_check(&format!("{label} {us}us"), stats, &law));
         table.row(&[
             label.to_string(),
+            format!("{us}us"),
             format!("{}", stats.polls),
             format!("{:.0}%", cpu * 100.0),
             format!("{:.1}%", miss * 100.0),
+            format!("{:.1}%", law.fraction() * 100.0),
             format!("{:.1}%", stats.late_fraction() * 100.0),
+            format!("{:.1}%", law.late * 100.0),
             format!("{cost_us:.1}us"),
-            paper.to_string(),
+            if at_paper { paper } else { "-" }.to_string(),
         ]);
-        by_mode.push((*mode, cpu, miss, cost_us));
+        if at_paper {
+            at_25us.push((cpu, miss, cost_us));
+        }
     }
     writeln!(out, "{}", table.render()).unwrap();
     writeln!(
@@ -90,18 +115,14 @@ pub fn run(scale: Scale) -> String {
     )
     .unwrap();
 
-    let ded = by_mode
-        .iter()
-        .find(|(m, ..)| *m == CoreMode::Dedicated)
-        .copied()
-        .expect("dedicated probe ran");
-    let shared = by_mode
-        .iter()
-        .find(|(m, ..)| *m == CoreMode::Shared)
-        .copied()
-        .expect("shared probe ran");
-    let (_, ded_cpu, ded_miss, ded_cost) = ded;
-    let (_, sh_cpu, sh_miss, sh_cost) = shared;
+    writeln!(out, "\nmiss-law checks:").unwrap();
+    for (desc, ok) in law_checks {
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
+    }
+
+    let [(ded_cpu, ded_miss, ded_cost), (sh_cpu, sh_miss, sh_cost)] = at_25us[..] else {
+        unreachable!("one 25us cell per placement")
+    };
 
     writeln!(out, "\npaper-shape checks:").unwrap();
     let checks = [

@@ -2,20 +2,22 @@
 //!
 //! Paper values: 1 µs → 100 % missed, 10 µs → ~10 %, 25 µs → ~1 %, which is
 //! why 25 µs was chosen for byte-counter campaigns. This harness reproduces
-//! the table with the poller + access-latency model, then runs the
-//! auto-tuner, which computes each counter class's ~1 %-loss interval in
-//! closed form (the buffer-peak register tuned to ~50 µs in the paper).
+//! the table with the poller + access-latency model, prints the miss law
+//! ([`miss_law`]) beside each measured rate and checks it within 4σ, then
+//! runs the auto-tuner, which computes each counter class's ~1 %-loss
+//! interval from the same law (the buffer-peak register tuned to ~50 µs in
+//! the paper).
 
 use std::fmt::Write;
 
 use uburst_asic::{AccessModel, CounterId};
 use uburst_core::spec::CoreMode;
-use uburst_core::tuning::{probe_idle_bank, tune_min_interval};
+use uburst_core::tuning::{miss_law, probe_idle_bank, tune_min_interval};
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
 use crate::pool::run_jobs;
-use crate::report::{verdict, Table};
+use crate::report::{law_check, verdict, Table};
 use crate::scale::Scale;
 
 /// Runs the experiment and renders the report.
@@ -34,7 +36,14 @@ pub fn run(scale: Scale) -> String {
     )
     .unwrap();
 
-    let mut table = Table::new(&["interval", "empty_intervals", "late_samples", "paper"]);
+    let mut table = Table::new(&[
+        "interval",
+        "empty_intervals",
+        "law",
+        "late_samples",
+        "law",
+        "paper",
+    ]);
     let probe_cases = [(1u64, "100%"), (10, "~10%"), (25, "~1%")];
     // Each probe is an independent simulated campaign: run them on the pool.
     let profiles = run_jobs(probe_cases.map(|(us, _)| us).to_vec(), |us| {
@@ -47,14 +56,20 @@ pub fn run(scale: Scale) -> String {
             42 + us,
         )
     });
+    let cost = access.poll_cost(&byte_counter);
     let mut measured = Vec::new();
+    let mut law_checks = Vec::new();
     for ((us, paper), stats) in probe_cases.into_iter().zip(profiles) {
         let (miss, late) = (stats.deadline_miss_fraction(), stats.late_fraction());
+        let law = miss_law(CoreMode::Dedicated, cost, Nanos::from_micros(us));
         measured.push((us, miss, late));
+        law_checks.push(law_check(&format!("{us}us"), &stats, &law));
         table.row(&[
             format!("{us}us"),
             format!("{:.1}%", miss * 100.0),
+            format!("{:.1}%", law.fraction() * 100.0),
             format!("{:.1}%", late * 100.0),
+            format!("{:.1}%", law.late * 100.0),
             paper.to_string(),
         ]);
     }
@@ -88,6 +103,11 @@ pub fn run(scale: Scale) -> String {
         "sublinear vs 4x single".into(),
     ]);
     writeln!(out, "{}", tune_table.render()).unwrap();
+
+    writeln!(out, "\nmiss-law checks:").unwrap();
+    for (desc, ok) in law_checks {
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
+    }
 
     writeln!(out, "\npaper-shape checks:").unwrap();
     let checks = [

@@ -5,7 +5,7 @@
 //! retires with ROADMAP item 3. Its measured verdict is retire: on two
 //! threads it was slower than the serial
 //! [`uburst_analysis::correlation_matrix`] at every matrix size, so Fig. 8
-//! and `calibrate` call that.
+//! calls that.
 //!
 //! `uburst-analysis` takes each series' mean and norm once
 //! ([`CenteredMatrix`]) and runs one blocked kernel over any contiguous

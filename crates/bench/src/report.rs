@@ -2,6 +2,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use uburst_core::tuning::MissLaw;
+use uburst_core::PollerStats;
+
 /// Shape checks that failed in this process (see [`verdict`]).
 static MISSES: AtomicUsize = AtomicUsize::new(0);
 
@@ -19,6 +22,25 @@ pub fn verdict(ok: bool) -> &'static str {
 /// How many [`verdict`]s have come back `MISS` so far.
 pub fn misses() -> usize {
     MISSES.load(Ordering::Relaxed)
+}
+
+/// One probe held to its campaign's miss law: its deadline-miss fraction
+/// within [`MissLaw::fraction_band`] and its late fraction within 4σ of the
+/// law's, σ = `√(p(1 − p)/n)` over `n` polls. A zero-variance cell must
+/// match exactly. Returns the check line's text and whether it holds.
+pub fn law_check(cell: &str, stats: &PollerStats, law: &MissLaw) -> (String, bool) {
+    let (miss, late) = (stats.deadline_miss_fraction(), stats.late_fraction());
+    let late_band = 4.0 * (law.late * (1.0 - law.late) / stats.polls as f64).sqrt();
+    let ok = (miss - law.fraction()).abs() <= law.fraction_band(stats.polls)
+        && (late - law.late).abs() <= late_band;
+    let text = format!(
+        "{cell}: missed {:.2}% and late {:.2}% lie within 4σ of the law's {:.2}% and {:.2}%",
+        miss * 100.0,
+        late * 100.0,
+        law.fraction() * 100.0,
+        law.late * 100.0
+    );
+    (text, ok)
 }
 
 /// A simple fixed-width text table.

@@ -21,7 +21,7 @@ fn list_starts_with_the_registry_and_ids_are_unique() {
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     let listed: Vec<&str> = stdout.lines().collect();
     // Tables and figures first, in registry order; the harnesses that live
-    // in the binary (extensions, ablations, calibrate) follow.
+    // in the binary (extensions, ablations) follow.
     let registry: Vec<&str> = all_experiments().into_iter().map(|e| e.0).collect();
     assert_eq!(listed[..registry.len()], registry[..]);
     assert!(listed.len() > registry.len(), "no harness listed");

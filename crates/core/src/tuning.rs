@@ -6,14 +6,14 @@
 //! the loss-vs-interval curve for a byte counter. Here that loss is a law,
 //! not a measurement. A fault-free poll at deadline `d` completes at
 //! `d + c + J`, with `c` the campaign's `AccessModel::poll_cost` and `J` one
-//! `CoreMode::sample_jitter` draw, and misses `M = ⌊(c + J)/T⌋` deadlines.
-//! By renewal-reward the long-run deadline-miss fraction is
-//! `E[M]/(1 + E[M])`, with `E[M] = Σ_{k≥1} P(J ≥ kT − c)` on the
-//! nanosecond grid the jitter is drawn on. The tuner scans the 1 µs grid
-//! upward for the first interval whose miss fraction meets the target; the
-//! jitter is bounded, so the scan always stops.
-//! `crates/core/tests/miss_process.rs` holds the simulated poller to the
-//! same law.
+//! `CoreMode::sample_jitter` draw. It is late iff `c + J > T` and misses
+//! `M = ⌊(c + J)/T⌋` deadlines, so `P(M ≥ k) = P(J ≥ kT − c)` on the
+//! nanosecond grid the jitter is drawn on ([`miss_law`]). By
+//! renewal-reward the long-run deadline-miss fraction is `E[M]/(1 + E[M])`.
+//! The tuner scans the 1 µs grid upward for the first interval whose miss
+//! fraction meets the target; the jitter is bounded, so the scan always
+//! stops. `crates/core/tests/miss_process.rs` holds the simulated poller to
+//! the same law, and Table 1 and §4.1 check their probes against it.
 
 use std::rc::Rc;
 
@@ -67,22 +67,51 @@ pub fn probe_idle_bank(
     sim.node_mut::<Poller>(id).stats()
 }
 
-/// `E[M]`: the expected number of deadlines one fault-free poll of cost
-/// `cost` misses at interval `interval`, `Σ_{k≥1} P(J ≥ kT − c)`.
-pub fn expected_misses(mode: CoreMode, cost: Nanos, interval: Nanos) -> f64 {
-    let (c, t) = (cost.as_nanos() as i64, interval.as_nanos() as i64);
-    (1..)
-        .map(|k| mode.p_jitter_at_least(k * t - c))
-        .take_while(|&p| p > 0.0)
-        .sum()
+/// The miss process of one fault-free poll of cost `c` at interval `T`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MissLaw {
+    /// `P(c + J > T)`: the poll completes after its own interval.
+    pub late: f64,
+    /// `E[M]`, the deadlines one poll misses on average.
+    pub mean: f64,
+    /// `Var[M]`.
+    pub var: f64,
 }
 
-/// The long-run deadline-miss fraction of a fault-free campaign,
-/// `E[M]/(1 + E[M])`: what [`PollerStats::deadline_miss_fraction`]
-/// converges to.
-pub fn miss_fraction(mode: CoreMode, cost: Nanos, interval: Nanos) -> f64 {
-    let m = expected_misses(mode, cost, interval);
-    m / (1.0 + m)
+impl MissLaw {
+    /// The long-run deadline-miss fraction, `E[M]/(1 + E[M])`: what
+    /// [`PollerStats::deadline_miss_fraction`] converges to.
+    pub fn fraction(&self) -> f64 {
+        self.mean / (1.0 + self.mean)
+    }
+
+    /// 4σ of the deadline-miss fraction measured over `polls` polls:
+    /// `M̄/(1 + M̄)` has σ = `√(Var[M]/n)/(1 + E[M])²` by the delta method.
+    pub fn fraction_band(&self, polls: u64) -> f64 {
+        4.0 * (self.var / polls as f64).sqrt() / (1.0 + self.mean).powi(2)
+    }
+}
+
+/// The law of `M` for a poll of cost `cost` at interval `interval` on
+/// `mode`: `E[M] = Σ_{k≥1} P(J ≥ kT − c)` and
+/// `E[M²] = Σ_{k≥1} (2k − 1)·P(J ≥ kT − c)`.
+pub fn miss_law(mode: CoreMode, cost: Nanos, interval: Nanos) -> MissLaw {
+    let (c, t) = (cost.as_nanos() as i64, interval.as_nanos() as i64);
+    // From +0.0: an empty sum must not print as -0.
+    let (mut mean, mut second) = (0.0, 0.0);
+    for k in 1.. {
+        let p = mode.p_jitter_at_least(k * t - c);
+        if p == 0.0 {
+            break;
+        }
+        mean += p;
+        second += (2 * k - 1) as f64 * p;
+    }
+    MissLaw {
+        late: mode.p_jitter_at_least(t - c + 1),
+        mean,
+        var: second - mean * mean,
+    }
 }
 
 /// The smallest interval on the 1 µs grid whose miss fraction on a
@@ -93,7 +122,7 @@ pub fn tune_min_interval(counters: &[CounterId], access: AccessModel) -> Nanos {
     let cost = access.poll_cost(counters);
     (1..)
         .map(|k| GRID * k)
-        .find(|&t| miss_fraction(CoreMode::Dedicated, cost, t) <= TARGET_LOSS)
+        .find(|&t| miss_law(CoreMode::Dedicated, cost, t).fraction() <= TARGET_LOSS)
         .expect("bounded jitter: some grid interval meets the target")
 }
 
@@ -127,7 +156,7 @@ mod tests {
         ] {
             let cost = access.poll_cost(&counters);
             let t = tune_min_interval(&counters, access);
-            let f = |t| miss_fraction(CoreMode::Dedicated, cost, t);
+            let f = |t| miss_law(CoreMode::Dedicated, cost, t).fraction();
             assert!(
                 f(t) <= TARGET_LOSS && TARGET_LOSS < f(t - GRID),
                 "{counters:?}: f({t}) = {}, f({}) = {}",
@@ -156,6 +185,14 @@ mod tests {
             grouped.as_nanos() < single.as_nanos() * 4,
             "grouped {grouped} must stay far below 8x the single-counter interval {single}"
         );
+    }
+
+    #[test]
+    fn no_miss_is_a_positive_zero() {
+        // The dedicated jitter stays below 60us: nothing to sum at 100us.
+        let f = miss_law(CoreMode::Dedicated, Nanos(2_500), Nanos::from_micros(100)).fraction();
+        assert_eq!(f, 0.0);
+        assert!(f.is_sign_positive());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   nanosecond grid that `sample_jitter` rounds to.
 
 use uburst_asic::{AccessModel, CounterId};
-use uburst_core::tuning::expected_misses;
+use uburst_core::tuning::miss_law;
 use uburst_core::{probe_idle_bank, CoreMode, PollerStats};
 use uburst_sim::node::PortId;
 use uburst_sim::rng::Rng;
@@ -69,8 +69,14 @@ const GRID_NS: [u64; 6] = [2_500, 5_000, 10_000, 25_000, 50_000, 100_000];
 fn check_cell(mode: CoreMode, t: Nanos, counters: &[CounterId], seed: u64) {
     let c = AccessModel::default().poll_cost(counters);
     let (late, mean_m, var_m) = law(mode, c.as_nanos() as i64, t.as_nanos() as i64);
-    // The tuner picks intervals by this same E[M].
-    assert_eq!(mean_m, expected_misses(mode, c, t));
+    // The product's law (the tuner's, Table 1's and §4.1's) is this one,
+    // bit for bit.
+    let product = miss_law(mode, c, t);
+    assert_eq!(
+        [product.late, product.mean, product.var].map(f64::to_bits),
+        [late, mean_m, var_m].map(f64::to_bits),
+        "{mode:?} T={t}: miss_law"
+    );
     // A poll cycle lasts T·(1 + M): size the window for POLLS.
     let duration = Nanos::from_secs_f64(1.1 * POLLS as f64 * t.as_secs_f64() * (1.0 + mean_m));
     let cell = format!("{mode:?} T={t} n={}", counters.len());
