@@ -11,7 +11,7 @@
 # and say why in the change's description.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-unset UBURST_HYBRID UBURST_TELEMETRY_OUT UBURST_FLEET_SWITCHES
+unset UBURST_HYBRID
 export EXP_SCALE=quick UBURST_THREADS=4
 cargo build -q --release --workspace --examples
 rm -rf reports
@@ -23,8 +23,8 @@ repro() { # <report file> <id> [VAR=value ...]
     env "$@" cargo run -q --release -p uburst-bench --bin repro -- "$id" > "reports/$file"
 }
 
-repro all.t1.txt all UBURST_THREADS=1 UBURST_TELEMETRY_OUT=reports/telemetry.t1
-repro all.t4.txt all UBURST_TELEMETRY_OUT=reports/telemetry.t4
+repro all.t1.txt all UBURST_THREADS=1
+repro all.t4.txt all
 repro all.eager.txt all UBURST_HYBRID=0
 
 repro ext_buffer_policy.t1.txt ext_buffer_policy UBURST_THREADS=1
@@ -32,8 +32,8 @@ repro ext_buffer_policy.t4.txt ext_buffer_policy
 repro ext_buffer_policy.eager.txt ext_buffer_policy UBURST_HYBRID=0
 repro ext_durability.t1.txt ext_durability UBURST_THREADS=1
 repro ext_durability.t4.txt ext_durability
-repro ext_fleet.t1.txt ext_fleet UBURST_THREADS=1 UBURST_FLEET_SWITCHES=32
-repro ext_fleet.t4.txt ext_fleet UBURST_FLEET_SWITCHES=32
+repro ext_fleet.t1.txt ext_fleet UBURST_THREADS=1
+repro ext_fleet.t4.txt ext_fleet
 for id in ablations ext_ecn_dctcp ext_fabric_tier ext_fault_tolerance ext_fct_tail \
     ext_flowlet_lb; do
     repro "$id.t4.txt" "$id"

@@ -14,8 +14,8 @@
 //! * **latency spikes** — the transaction completes but takes far longer
 //!   than the [`crate::AccessModel`] cost (arbitration, retried TLPs),
 //!   uniformly between `SPIKE_MIN` and `SPIKE_MAX`,
-//! * **stale reads** — the transaction returns the previously latched value
-//!   (a stuck read snoop), and
+//! * **stale reads** — the transaction returns the value that counter last
+//!   latched (a stuck read), never another counter's or a backwards one, and
 //! * **narrow counters** — values wrap modulo `2^counter_bits`, as on real
 //!   register banks; the collection tier must decode the wraps.
 //!
@@ -70,15 +70,8 @@ pub struct FaultPlan {
     pub transient_failure: f64,
     /// Probability that a successful transaction suffers a latency spike.
     pub latency_spike: f64,
-    /// Probability that a read value is the previously latched one.
+    /// Probability that a read value is the counter's previously latched one.
     pub stale_read: f64,
-    /// When set, stale reads are served from a single **bank-wide** read
-    /// snoop register (the last value any counter latched through the
-    /// bus) instead of a per-counter latch. In a multi-counter campaign
-    /// this leaks one counter's value into another's read — the raw
-    /// stream can *regress*, which is exactly the failure a
-    /// wrap-plausibility guard must distinguish from a genuine wrap.
-    pub shared_snoop: bool,
     /// Counter register width in bits (1..=64); values wrap mod `2^bits`.
     pub counter_bits: u32,
 }
@@ -90,7 +83,6 @@ impl Default for FaultPlan {
             transient_failure: 0.0,
             latency_spike: 0.0,
             stale_read: 0.0,
-            shared_snoop: false,
             counter_bits: 64,
         }
     }
@@ -123,13 +115,6 @@ impl FaultPlan {
     pub fn with_stale_read(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.stale_read = p;
-        self
-    }
-
-    /// Serves stale reads from one bank-wide snoop register instead of a
-    /// per-counter latch (see [`FaultPlan::shared_snoop`]).
-    pub fn with_shared_snoop(mut self) -> Self {
-        self.shared_snoop = true;
         self
     }
 
@@ -212,9 +197,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     rng: Rng,
     latched: HashMap<CounterId, u64>,
-    /// The bank-wide read snoop: last value *any* counter latched through
-    /// the bus. Only consulted when [`FaultPlan::shared_snoop`] is set.
-    bus_latch: Option<u64>,
     stats: FaultStats,
 }
 
@@ -225,7 +207,6 @@ impl FaultInjector {
             rng: Rng::new(plan.seed ^ 0xFA17_1A7E_C0DE_CAFE),
             plan,
             latched: HashMap::new(),
-            bus_latch: None,
             stats: FaultStats::default(),
         }
     }
@@ -254,22 +235,18 @@ impl FaultInjector {
 
     /// Filters one raw 64-bit counter value through the plan: wraps it to
     /// the register width and possibly replaces it with the previously
-    /// latched (stale) value. Returns what the "hardware" hands the driver.
+    /// latched (stale) value of the same counter, so the served stream of
+    /// each counter is monotone mod `2^bits`. Returns what the "hardware"
+    /// hands the driver.
     pub fn filter_value(&mut self, id: CounterId, raw: u64) -> u64 {
         let wrapped = raw & self.plan.value_mask();
         if self.plan.stale_read > 0.0 && self.rng.chance(self.plan.stale_read) {
-            let old = if self.plan.shared_snoop {
-                self.bus_latch
-            } else {
-                self.latched.get(&id).copied()
-            };
-            if let Some(old) = old {
+            if let Some(&old) = self.latched.get(&id) {
                 self.stats.stale_values += 1;
                 return old;
             }
         }
         self.latched.insert(id, wrapped);
-        self.bus_latch = Some(wrapped);
         wrapped
     }
 
@@ -351,25 +328,6 @@ mod tests {
         // A different counter has its own latch.
         let other = CounterId::RxBytes(PortId(1));
         assert_eq!(inj.filter_value(other, 777), 777);
-    }
-
-    #[test]
-    fn shared_snoop_leaks_across_counters() {
-        // With one bank-wide snoop register, a stale read on counter B
-        // returns whatever counter A last latched — the raw stream for B
-        // regresses, which is indistinguishable from a wrap without a
-        // plausibility guard.
-        let mut inj =
-            FaultInjector::new(FaultPlan::none(9).with_stale_read(1.0).with_shared_snoop());
-        let a = CounterId::TxBytes(PortId(0));
-        let b = CounterId::RxBytes(PortId(1));
-        assert_eq!(inj.filter_value(a, 500_000), 500_000, "first read latches");
-        assert_eq!(
-            inj.filter_value(b, 900_000),
-            500_000,
-            "B's read serves A's latched value"
-        );
-        assert_eq!(inj.stats().stale_values, 1);
     }
 
     #[test]

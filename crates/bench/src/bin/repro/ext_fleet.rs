@@ -21,9 +21,8 @@
 //! Deterministic from the fleet seed: the same report prints byte for
 //! byte under any `UBURST_THREADS` (CI diffs it).
 //!
-//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fleet`.
-//! `UBURST_FLEET_SWITCHES` overrides the fleet width (default 200; CI
-//! uses 32 to stay fast).
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fleet`:
+//! 32 switches per fleet at quick scale, 200 under `EXP_SCALE=full`.
 
 use uburst_bench::fleet::{render_report, run_fleet_spec, FleetSpec};
 use uburst_bench::report::{verdict, Table};
@@ -42,22 +41,9 @@ const RATES: [f64; 3] = [0.0, 0.05, 0.20];
 /// late, and near the end of the write stream.
 const CRASH_FRACTIONS: [f64; 3] = [0.25, 0.60, 0.90];
 
-fn fleet_width() -> u32 {
-    match std::env::var("UBURST_FLEET_SWITCHES") {
-        Ok(s) => match s.trim().parse::<u32>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("UBURST_FLEET_SWITCHES={s:?} not a positive integer; using 200");
-                200
-            }
-        },
-        Err(_) => 200,
-    }
-}
-
 pub fn run() {
     let scale = Scale::from_env();
-    let n = fleet_width();
+    let n = scale.fleet_switches();
     uburst_obs::enable();
     println!(
         "extension: fleet-scale collection with partial-failure tolerance ({} scale)",

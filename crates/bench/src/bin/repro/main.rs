@@ -120,16 +120,6 @@ fn run_all() {
     println!("\n### telemetry: pipeline self-observability\n");
     println!("metrics (Prometheus exposition):");
     print!("{}", snap.to_prometheus());
-    // UBURST_TELEMETRY_OUT=<prefix> also writes the snapshot as
-    // <prefix>.json (the Prometheus text is already above); REPORTS.sha256
-    // pins it.
-    if let Ok(prefix) = std::env::var("UBURST_TELEMETRY_OUT") {
-        if !prefix.is_empty() {
-            std::fs::write(format!("{prefix}.json"), snap.to_json())
-                .expect("write telemetry .json");
-            eprintln!("[telemetry written to {prefix}.json]");
-        }
-    }
 
     eprintln!(
         "[all experiments completed in {:.1}s on {} thread(s)]",

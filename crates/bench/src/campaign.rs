@@ -120,19 +120,7 @@ impl CampaignSpec {
         .expect("bench campaign is well-formed")
         .with_retry(self.retry);
         if let Some(plan) = self.faults {
-            // Fastest link the campaign can observe: bounds the plausible
-            // per-interval byte delta for the wrap-regression guard.
-            let clos = &scenario.cfg.clos;
-            let max_bps = clos
-                .server_link
-                .bandwidth_bps
-                .max(clos.uplink.bandwidth_bps);
-            // Fault plans can serve stale (even cross-counter) raws; tighten
-            // the decoders' wrap guard to the link-rate-derived threshold so
-            // a regressed raw is rejected instead of decoded as a wrap.
-            poller = poller
-                .with_faults(FaultInjector::new(plan))
-                .with_wrap_guard(max_bps);
+            poller = poller.with_faults(FaultInjector::new(plan));
         }
         poller
             .spawn(&mut scenario.sim, start, stop)

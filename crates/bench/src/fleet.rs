@@ -284,25 +284,6 @@ fn uplink_utils(run: &FleetRun, meta: &SwitchMeta) -> Option<Vec<Vec<f64>>> {
     Some(series)
 }
 
-/// Mean absolute off-diagonal entry of a correlation matrix.
-fn mean_abs_offdiag(m: &[Vec<f64>]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (i, row) in m.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            if i != j {
-                sum += v.abs();
-                n += 1;
-            }
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Renders the fleet report: coverage ledger first (the headline), then
 /// region stats, ECMP balance per rack type, and the cross-rack
 /// correlation readout, each computed only over included switches.
@@ -457,7 +438,11 @@ pub fn render_report(run: &FleetRun) -> String {
         for s in &mut agg_series {
             s.truncate(min);
         }
-        mean_abs_offdiag(&correlation_matrix(&agg_series))
+        let abs: Vec<Vec<f64>> = correlation_matrix(&agg_series)
+            .into_iter()
+            .map(|row| row.into_iter().map(f64::abs).collect())
+            .collect();
+        mean_offdiagonal(&abs)
     };
     writeln!(
         out,

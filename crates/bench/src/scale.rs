@@ -51,6 +51,15 @@ impl Scale {
         }
     }
 
+    /// Switches per fleet in `ext_fleet` (the paper's fleet was thousands
+    /// of ToRs; quick keeps CI fast).
+    pub fn fleet_switches(self) -> u32 {
+        match self {
+            Scale::Quick => 32,
+            Scale::Full => 200,
+        }
+    }
+
     /// Human-readable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -97,6 +106,7 @@ mod tests {
         assert!(Scale::Full.racks_per_type() > Scale::Quick.racks_per_type());
         assert!(Scale::Full.campaign_span() > Scale::Quick.campaign_span());
         assert!(Scale::Full.hours().len() > Scale::Quick.hours().len());
+        assert!(Scale::Full.fleet_switches() > Scale::Quick.fleet_switches());
         assert_eq!(Scale::Quick.label(), "quick");
     }
 

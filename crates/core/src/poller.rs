@@ -118,10 +118,6 @@ pub struct PollerStats {
     pub retries: u64,
     /// Counter values served stale by the hardware (injector-detected).
     pub stale_reads: u64,
-    /// Regressed raw reads rejected by the wrap-plausibility guard (a
-    /// stale/snooped value that would otherwise decode as a near-full
-    /// counter wrap; see [`crate::series::WrapDecoder::with_max_step`]).
-    pub wrap_regressions: u64,
 }
 
 impl PollerStats {
@@ -244,37 +240,12 @@ impl Poller {
     /// Attaches a fault injector. Wrap decoders are armed for every
     /// cumulative counter at the plan's register width, so recorded series
     /// stay full-width even on 32-bit banks.
-    ///
-    /// Each decoder's wrap-plausibility guard defaults to half the wrap
-    /// period: a per-read delta in the upper half of the modulus can only
-    /// come from a *regressed* raw value (stale or snooped read), never
-    /// from traffic, so it is clamped rather than decoded as a wrap.
-    /// Tighten the bound with [`Poller::with_wrap_guard`] when the link
-    /// rate is known.
     pub fn with_faults(mut self, injector: FaultInjector) -> Self {
         let bits = injector.plan().counter_bits;
         for (slot, &id) in self.decoders.iter_mut().zip(&self.campaign.counters) {
-            *slot = id.is_cumulative().then(|| {
-                let dec = WrapDecoder::new(bits);
-                let half_period = (dec.mask() / 2).max(1);
-                dec.with_max_step(half_period)
-            });
+            *slot = id.is_cumulative().then(|| WrapDecoder::new(bits));
         }
         self.faults = Some(injector);
-        self
-    }
-
-    /// Tightens every armed decoder's wrap-plausibility guard to the
-    /// largest delta a `link_bps` link can produce between polls (with
-    /// generous slack for missed deadlines),
-    /// derived via [`crate::series::wrap_guard_threshold`]. A no-op for
-    /// counters without decoders (gauges, or no fault injector attached).
-    pub fn with_wrap_guard(mut self, link_bps: u64) -> Self {
-        let step = crate::series::wrap_guard_threshold(link_bps, self.campaign.interval, 64);
-        for dec in self.decoders.iter_mut().flatten() {
-            let half_period = (dec.mask() / 2).max(1);
-            *dec = dec.clone().with_max_step(step.min(half_period));
-        }
         self
     }
 
@@ -408,9 +379,7 @@ impl Poller {
                 v = faults.filter_value(id, v);
             }
             if let Some(dec) = self.decoders[i].as_mut() {
-                let rejected_before = dec.regressions();
                 v = dec.decode(v);
-                self.stats.wrap_regressions += dec.regressions() - rejected_before;
             }
             self.series[i].push(now, v);
         }
@@ -490,7 +459,6 @@ impl Poller {
         uburst_obs::counter_add!("uburst_poller_read_errors_total", s.read_errors);
         uburst_obs::counter_add!("uburst_poller_retries_total", s.retries);
         uburst_obs::counter_add!("uburst_poller_stale_reads_total", s.stale_reads);
-        uburst_obs::counter_add!("uburst_poller_wrap_regressions_total", s.wrap_regressions);
         let spikes = self.fault_stats().map_or(0, |f| f.latency_spikes);
         uburst_obs::counter_add!("uburst_poller_latency_spikes_total", spikes);
         // Busy vs elapsed simulated time by core mode: the §4.1 overhead
@@ -842,48 +810,71 @@ mod tests {
 
     #[test]
     fn wrapped_counters_record_full_width_series() {
-        // Feed enough bytes through a 16-bit counter to wrap many times;
-        // the recorded series must match the true cumulative stream.
+        // A feeder writes `count` frames of `bytes`, `gap` apart from
+        // `start`, into a 16-bit counter polled every 25us; the recorded
+        // series must be monotone and end at the exact true total.
         struct Feeder {
             bank: Rc<AsicCounters>,
+            bytes: u32,
+            gap: Nanos,
             left: u32,
         }
         impl Node for Feeder {
             fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-                // 1500 B / 5us ≈ 7.5 KB per 25us interval: far enough under
-                // the 64 KB wrap period that poll jitter cannot hide a wrap.
-                self.bank.count_tx(PortId(0), 1_500);
+                self.bank.count_tx(PortId(0), self.bytes);
                 self.left -= 1;
                 if self.left > 0 {
-                    ctx.timer_in(Nanos::from_micros(5), 0);
+                    ctx.timer_in(self.gap, 0);
                 }
             }
         }
-        let mut sim = Simulator::new();
-        let bank = AsicCounters::new_shared(1);
-        let feeder = sim.add_node(Box::new(Feeder {
-            bank: bank.clone(),
-            left: 500,
-        }));
-        sim.schedule_timer(Nanos(0), feeder, 0);
-        let campaign = CampaignConfig::single(
-            "bytes",
-            CounterId::TxBytes(PortId(0)),
-            Nanos::from_micros(25),
+        let run = |bytes: u32, gap: Nanos, count: u32, start: Nanos, stop: Nanos| {
+            let mut sim = Simulator::new();
+            let bank = AsicCounters::new_shared(1);
+            let feeder = sim.add_node(Box::new(Feeder {
+                bank: bank.clone(),
+                bytes,
+                gap,
+                left: count,
+            }));
+            sim.schedule_timer(start, feeder, 0);
+            let campaign = CampaignConfig::single(
+                "bytes",
+                CounterId::TxBytes(PortId(0)),
+                Nanos::from_micros(25),
+            );
+            let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 11)
+                .unwrap()
+                .with_faults(FaultInjector::new(FaultPlan::none(0).with_counter_bits(16)));
+            let id = poller.spawn(&mut sim, Nanos::ZERO, stop).unwrap();
+            sim.run_until(Nanos::MAX);
+            let series = sim.node_mut::<Poller>(id).take_series().unwrap()[0]
+                .1
+                .clone();
+            assert!(series.vs.windows(2).all(|w| w[1] >= w[0]), "no wrap glitch");
+            *series.vs.last().unwrap()
+        };
+        // 1500 B / 5us ≈ 7.5 KB per interval, 500 * 1500 = 750 KB >> 65536:
+        // eleven wraps.
+        let steady = run(
+            1_500,
+            Nanos::from_micros(5),
+            500,
+            Nanos::ZERO,
+            Nanos::from_millis(5),
         );
-        let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 11)
-            .unwrap()
-            .with_faults(FaultInjector::new(FaultPlan::none(0).with_counter_bits(16)));
-        let id = poller
-            .spawn(&mut sim, Nanos::ZERO, Nanos::from_millis(5))
-            .unwrap();
-        sim.run_until(Nanos::MAX);
-        let series = &sim.node_mut::<Poller>(id).take_series().unwrap()[0].1;
-        // 500 * 1500 = 750 KB >> 65536: eleven wraps, yet the series is
-        // monotone and ends at the exact true total.
-        assert!(series.vs.windows(2).all(|w| w[1] >= w[0]), "no wrap glitch");
-        assert_eq!(*series.vs.last().unwrap(), 750_000);
+        assert_eq!(steady, 750_000);
+        // One 40 KB burst: a single delta above half the modulus but below
+        // 2^16 is still a delta, not a regressed read.
+        let burst = run(
+            40_000,
+            Nanos::ZERO,
+            1,
+            Nanos::from_micros(130),
+            Nanos::from_millis(1),
+        );
+        assert_eq!(burst, 40_000);
     }
 
     #[test]

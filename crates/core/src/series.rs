@@ -167,41 +167,14 @@ impl Series {
 /// frequent relative to the wrap period, the true delta between consecutive
 /// reads is their difference **modulo `2^bits`** — exact as long as fewer
 /// than `2^bits` units accumulate between reads (guaranteed by any interval
-/// that satisfies Table 1-style loss targets).
-/// ## Stale reads are not wraps
-///
-/// Modular decoding has a failure mode: a raw read that *regresses* — a
-/// stale value served by the bus, or another counter's value leaking
-/// through a shared read-snoop register — decodes as a near-full-period
-/// "wrap", inflating the accumulator by up to `2^bits`. A plausibility
-/// guard ([`WrapDecoder::with_max_step`]) rejects deltas larger than any
-/// amount the link could have carried between reads: the delta is clamped
-/// to zero, the previous raw value is kept (so the next genuine read
-/// recovers exactly), and the event is counted.
+/// that satisfies Table 1-style loss targets). A stale read repeats the
+/// counter's own last value and decodes as a zero delta, so a late or
+/// missed read loses no bytes: the next fresh read carries them all.
 #[derive(Debug, Clone)]
 pub struct WrapDecoder {
     bits: u32,
     last_raw: Option<u64>,
     acc: u64,
-    /// Largest per-read delta accepted as genuine; anything above is a
-    /// regressed read. Defaults to the full mask (guard disabled).
-    max_step: u64,
-    regressions: u64,
-}
-
-/// The largest byte-counter delta a `link_bps` link can plausibly produce
-/// between two reads `interval` apart, with `slack_intervals` of headroom
-/// for missed deadlines and retries.
-///
-/// This is the wrap-plausibility threshold fed to
-/// [`WrapDecoder::with_max_step`]: a decoded delta above it cannot be
-/// traffic (the link is not that fast), so it must be a regressed raw
-/// read masquerading as a wrap.
-pub fn wrap_guard_threshold(link_bps: u64, interval: Nanos, slack_intervals: u64) -> u64 {
-    let bytes_per_interval =
-        (link_bps as u128 / 8).saturating_mul(interval.as_nanos() as u128) / 1_000_000_000;
-    let guarded = bytes_per_interval.saturating_mul(slack_intervals as u128);
-    u64::try_from(guarded).unwrap_or(u64::MAX).max(1)
 }
 
 impl WrapDecoder {
@@ -214,32 +187,11 @@ impl WrapDecoder {
             (1..=64).contains(&bits),
             "counter width {bits} out of range"
         );
-        let mask = if bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
         WrapDecoder {
             bits,
             last_raw: None,
             acc: 0,
-            max_step: mask,
-            regressions: 0,
         }
-    }
-
-    /// Arms the regression guard: deltas above `max_step` are treated as
-    /// regressed reads, not wraps (clamped to zero and counted). The
-    /// threshold is clamped into `1..=mask` — derive it with
-    /// [`wrap_guard_threshold`] from the poll interval and link rate.
-    pub fn with_max_step(mut self, max_step: u64) -> Self {
-        self.max_step = max_step.clamp(1, self.mask());
-        self
-    }
-
-    /// Regressed reads rejected by the guard so far.
-    pub fn regressions(&self) -> u64 {
-        self.regressions
     }
 
     /// The modulus mask for this register width.
@@ -253,24 +205,11 @@ impl WrapDecoder {
 
     /// Feeds one raw register read and returns the reconstructed 64-bit
     /// cumulative value. The first read seeds the accumulator.
-    ///
-    /// With the guard armed, an implausibly large delta leaves both the
-    /// accumulator **and** the remembered raw value untouched: the bogus
-    /// read is discarded wholesale, so the next genuine read computes its
-    /// delta against the last trusted value and no bytes are double- or
-    /// under-counted.
     pub fn decode(&mut self, raw: u64) -> u64 {
         let raw = raw & self.mask();
         match self.last_raw {
             None => self.acc = raw,
-            Some(prev) => {
-                let delta = raw.wrapping_sub(prev) & self.mask();
-                if delta > self.max_step {
-                    self.regressions += 1;
-                    return self.acc;
-                }
-                self.acc = self.acc.wrapping_add(delta);
-            }
+            Some(prev) => self.acc = self.acc.wrapping_add(raw.wrapping_sub(prev) & self.mask()),
         }
         self.last_raw = Some(raw);
         self.acc
@@ -438,65 +377,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn wrap_decoder_rejects_zero_bits() {
         WrapDecoder::new(0);
-    }
-
-    #[test]
-    fn guarded_decoder_rejects_regressed_reads() {
-        // 10G link, 25us interval: a real inter-read delta is ~31 KB. A
-        // stale/snooped read that regresses the raw value by 60_000 would
-        // decode as a ~4.2 GB "wrap" without the guard.
-        let step = wrap_guard_threshold(10_000_000_000, Nanos(25_000), 64);
-        let mut d = WrapDecoder::new(32).with_max_step(step);
-        assert_eq!(d.decode(100_000), 100_000);
-        assert_eq!(d.decode(40_000), 100_000, "regression clamps to zero delta");
-        assert_eq!(d.regressions(), 1);
-        // The next genuine read recovers against the last *trusted* value.
-        assert_eq!(d.decode(131_250), 131_250);
-        assert_eq!(d.regressions(), 1);
-    }
-
-    #[test]
-    fn guarded_decoder_still_accepts_true_wraps() {
-        // 16-bit register, ~7.5 KB per interval: wraps every ~9 reads.
-        let step = wrap_guard_threshold(10_000_000_000, Nanos(25_000), 64);
-        let mut d = WrapDecoder::new(16).with_max_step(step);
-        let mut truth = 0u64;
-        assert_eq!(d.decode(0), 0);
-        for _ in 0..100 {
-            truth += 7_500;
-            assert_eq!(d.decode(truth & 0xFFFF), truth, "wrap decoded exactly");
-        }
-        assert_eq!(d.regressions(), 0, "no genuine delta was rejected");
-    }
-
-    #[test]
-    fn wrap_guard_threshold_scales_with_link_and_interval() {
-        // 10G × 25us × 1 slack = 31250 bytes.
-        assert_eq!(
-            wrap_guard_threshold(10_000_000_000, Nanos(25_000), 1),
-            31_250
-        );
-        assert_eq!(
-            wrap_guard_threshold(10_000_000_000, Nanos(25_000), 64),
-            2_000_000
-        );
-        // Degenerate inputs stay sane: never zero, never overflowing.
-        assert_eq!(wrap_guard_threshold(0, Nanos(25_000), 64), 1);
-        assert_eq!(
-            wrap_guard_threshold(u64::MAX, Nanos(u64::MAX), u64::MAX),
-            u64::MAX
-        );
-    }
-
-    #[test]
-    fn unguarded_decoder_behaviour_is_unchanged() {
-        // Without an explicit guard the decoder accepts any modular delta —
-        // the bare-decoder contract the many-wraps test above relies on.
-        let mut d = WrapDecoder::new(32);
-        assert_eq!(d.decode(100), 100);
-        assert_eq!(
-            d.decode(50),
-            100 + ((50u64.wrapping_sub(100)) & 0xFFFF_FFFF)
-        );
     }
 }

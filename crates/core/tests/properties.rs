@@ -191,36 +191,49 @@ fn utilization_is_rate_over_capacity() {
 #[test]
 fn wrap_decoding_recovers_the_true_byte_stream() {
     // The core wraparound property: for any counter width and any monotone
-    // true stream whose per-read increments stay below 2^bits, reading the
-    // masked (hardware-width) value through a WrapDecoder reconstructs the
-    // full-width cumulative stream exactly — however many times it wrapped.
+    // true stream, reading the hardware-width value through a
+    // FaultInjector that serves stale reads, then through a WrapDecoder,
+    // reconstructs the full-width stream exactly — however many times it
+    // wrapped. After every read the decoded advance equals the true bytes
+    // up to the last *fresh* read (a stale read repeats that counter's own
+    // latch, so it adds nothing and loses nothing). The decoder's domain:
+    // fewer than 2^bits bytes accumulate between fresh reads.
     let mut rng = Rng::new(0xc0_4e_06);
+    let id = CounterId::TxBytes(PortId(0));
     for case in 0..CASES {
-        let bits = rng.range(8, 48) as u32;
-        let mask = (1u64 << bits) - 1;
+        let bits = rng.range(8, 64) as u32;
+        let mask = u64::MAX >> (64 - bits);
+        let stale = rng.range(0, 20) as f64 / 100.0;
+        let plan = FaultPlan::none(rng.next_u64())
+            .with_stale_read(stale)
+            .with_counter_bits(bits);
+        let mut inj = FaultInjector::new(plan);
         let n_reads = rng.range(10, 400) as usize;
         let mut truth = rng.below(1 << 20); // random non-zero origin
         let mut dec = WrapDecoder::new(bits);
-        // Seed the decoder with the first masked read, offset-corrected the
-        // same way the poller does: the first decode returns the masked
-        // value, so track the offset between truth and the decoded stream.
-        let first = dec.decode(truth & mask);
-        let offset = truth - first;
+        // The first read is always fresh: nothing is latched yet.
+        let decoded0 = dec.decode(inj.filter_value(id, truth));
+        let (truth0, mut fresh_truth) = (truth, truth);
         for _ in 1..n_reads {
-            // Increments biased toward the wrap point to exercise it often.
+            // Increments biased toward the decodable limit to exercise it.
+            let budget = mask - truth.wrapping_sub(fresh_truth);
             let inc = if rng.chance(0.3) {
-                mask.saturating_sub(rng.below(1 + mask / 4))
+                budget.saturating_sub(rng.below(1 + budget / 4))
             } else {
-                rng.below(1 + mask / 2)
+                rng.below(1 + budget / 2)
             };
-            truth += inc;
-            let got = dec.decode(truth & mask);
+            truth = truth.wrapping_add(inc);
+            let stale_before = inj.stats().stale_values;
+            let got = dec.decode(inj.filter_value(id, truth));
+            if inj.stats().stale_values == stale_before {
+                fresh_truth = truth;
+            }
             assert_eq!(
-                got + offset,
-                truth,
-                "case {case}: {bits}-bit decode diverged from truth"
+                got.wrapping_sub(decoded0),
+                fresh_truth.wrapping_sub(truth0),
+                "case {case}: {bits}-bit decode at stale rate {stale} diverged from truth"
             );
-            assert_eq!(dec.unwrapped() + offset, truth);
+            assert_eq!(dec.unwrapped(), got);
         }
     }
 }

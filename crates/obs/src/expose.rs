@@ -1,6 +1,6 @@
-//! Snapshot rendering: Prometheus text, JSON, and the prefix rollup.
+//! Snapshot rendering: Prometheus text and the prefix rollup.
 //!
-//! All three renderings iterate `BTreeMap`s, so output is a pure function
+//! Both renderings iterate `BTreeMap`s, so output is a pure function
 //! of the recorded multiset of updates — the property the telemetry
 //! determinism CI job diffs across thread counts. No wall-clock
 //! timestamps appear anywhere in the output.
@@ -20,8 +20,6 @@ pub struct HistSnapshot {
     pub sum: u64,
     /// Number of observations.
     pub count: u64,
-    /// Largest observation.
-    pub max: u64,
 }
 
 impl HistSnapshot {
@@ -34,15 +32,6 @@ impl HistSnapshot {
                 Some(*acc)
             })
             .collect()
-    }
-
-    /// Mean observation, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 }
 
@@ -71,24 +60,6 @@ fn with_label(base: &str, labels: Option<&str>, extra: &str) -> String {
         Some(l) => format!("{base}{{{l},{extra}}}"),
         None => format!("{base}{{{extra}}}"),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Snapshot {
@@ -144,54 +115,6 @@ impl Snapshot {
         out
     }
 
-    /// Renders the snapshot as a single stable JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": {v}", json_escape(k));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": {v}", json_escape(k));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.hists {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"buckets\": [{}], \"sum\": {}, \"count\": {}, \"max\": {}}}",
-                json_escape(k),
-                buckets.join(", "),
-                h.sum,
-                h.count,
-                h.max
-            );
-        }
-        out.push_str(if first { "}\n" } else { "\n  }\n" });
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
     /// Rolls every counter and gauge under a name prefix into one
     /// deterministic text block — the per-fleet summary `ext_fleet`
     /// stamps onto its reports (e.g. `prefix_rollup("uburst_fleet_")`).
@@ -244,17 +167,6 @@ mod tests {
             with_label("a_ns_bucket", None, "le=\"+Inf\""),
             "a_ns_bucket{le=\"+Inf\"}"
         );
-    }
-
-    #[test]
-    fn json_is_well_formed_for_empty_and_escaped_names() {
-        let empty = Snapshot::default();
-        let j = empty.to_json();
-        assert!(j.contains("\"counters\": {}"));
-        let mut s = Snapshot::default();
-        s.counters.insert("weird{q=\"a\\b\"}".into(), 1);
-        let j = s.to_json();
-        assert!(j.contains("weird{q=\\\"a\\\\b\\\"}"));
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Metric for Gauge {
     }
 }
 
-/// A fixed-bucket histogram with atomic bucket counts, sum, and max.
+/// A fixed-bucket histogram with atomic bucket counts and sum.
 #[derive(Debug)]
 pub struct Histogram {
     /// Per-bucket counts; `counts[NS_BOUNDS.len()]` is the overflow
@@ -149,7 +149,6 @@ pub struct Histogram {
     counts: Vec<AtomicU64>,
     sum: AtomicU64,
     count: AtomicU64,
-    max: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -158,7 +157,6 @@ impl Default for Histogram {
             counts: (0..=NS_BOUNDS.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
-            max: AtomicU64::new(0),
         }
     }
 }
@@ -170,7 +168,6 @@ impl Histogram {
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
     }
 }
 
@@ -187,16 +184,11 @@ impl Metric for Histogram {
                 .collect(),
             sum: self.sum.load(Ordering::Relaxed),
             count,
-            max: self.max.load(Ordering::Relaxed),
         })
     }
 
     fn reset(&self) {
-        for c in self
-            .counts
-            .iter()
-            .chain([&self.sum, &self.count, &self.max])
-        {
+        for c in self.counts.iter().chain([&self.sum, &self.count]) {
             c.store(0, Ordering::Relaxed);
         }
     }

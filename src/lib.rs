@@ -17,8 +17,8 @@
 //!   Markov fits, KS tests, correlation, MAD, resampling).
 //! * [`obs`] — the pipeline's self-observability layer (counters, gauges
 //!   and latency histograms recorded in simulated time; deterministic
-//!   snapshots with Prometheus/JSON exposition). Disabled
-//!   by default; call [`obs::enable`] to record.
+//!   snapshots with Prometheus text exposition). Disabled by default;
+//!   call [`obs::enable`] to record.
 //!
 //! ## Quickstart
 //!

@@ -135,74 +135,6 @@ fn faulted_campaign_is_identical_across_execution_modes() {
 }
 
 #[test]
-fn stale_snooped_reads_cannot_fake_counter_wraps() {
-    // The stale x wrap interaction: with a shared read-snoop register
-    // (one bank-wide latch), a stale read on counter B can return counter
-    // A's older, *smaller* raw. A bare modular decoder cannot tell that
-    // regression from a genuine 32-bit wrap and would jump the series by
-    // nearly 2^32; the plausibility guard (armed from the link rate)
-    // rejects it and the next genuine read recovers exactly.
-    let run = |plan: Option<FaultPlan>| -> (PollerStats, Vec<(CounterId, Series)>, u64) {
-        let mut s = build_scenario(ScenarioConfig::new(RackType::Hadoop, 31));
-        let warmup = s.recommended_warmup();
-        s.sim.run_until(warmup);
-        let ports = s.host_ports();
-        let counters = vec![CounterId::TxBytes(ports[0]), CounterId::TxBytes(ports[1])];
-        let link_bps = s.server_link_bps();
-        let campaign = CampaignConfig::group("snoop", counters, Nanos::from_micros(25));
-        let mut poller =
-            Poller::in_memory(s.counters.clone(), AccessModel::default(), campaign, 31)
-                .expect("valid campaign");
-        if let Some(plan) = plan {
-            poller = poller
-                .with_faults(FaultInjector::new(plan))
-                .with_wrap_guard(link_bps);
-        }
-        let stop = warmup + Nanos::from_millis(100);
-        let id = poller
-            .spawn(&mut s.sim, warmup, stop)
-            .expect("valid window");
-        s.sim.run_until(stop + Nanos::from_millis(1));
-        let p = s.sim.node_mut::<Poller>(id);
-        let stats = p.stats();
-        let series = p.take_series().expect("in-memory");
-        (stats, series, link_bps)
-    };
-
-    let (_, clean, _) = run(None);
-    let plan = FaultPlan::none(0x5A0F)
-        .with_stale_read(0.05)
-        .with_shared_snoop()
-        .with_counter_bits(32);
-    let (stats, series, _) = run(Some(plan));
-
-    // The snoop produced at least one regressed raw, and every one was
-    // rejected by the guard rather than decoded as a wrap.
-    assert!(stats.stale_reads > 0, "5% stale plan injected nothing");
-    assert!(
-        stats.wrap_regressions > 0,
-        "shared snoop never regressed a raw in 100ms"
-    );
-
-    for ((counter, got), (_, want)) in series.iter().zip(clean.iter()) {
-        // No fake wraps: the decoded series never jumps anywhere near 2^32.
-        let max_jump = got.vs.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        assert!(
-            max_jump < 1 << 31,
-            "{counter:?}: fake wrap jump of {max_jump}"
-        );
-        assert!(got.vs.windows(2).all(|w| w[1] >= w[0]), "wrap glitch");
-        // And the reconstructed rate stays close to the fault-free run.
-        let err = (mean_rate(got) - mean_rate(want)).abs() / mean_rate(want);
-        assert!(
-            err < 0.10,
-            "{counter:?}: rate error {:.1}% under stale+snoop",
-            err * 100.0
-        );
-    }
-}
-
-#[test]
 fn hardened_pipeline_ships_faulted_samples_through_the_collector() {
     // End to end on the fleet path: faulted poller -> Batcher -> hostile
     // link -> regional WAL -> global store. Nothing may be quarantined or
