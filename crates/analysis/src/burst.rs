@@ -120,17 +120,43 @@ pub fn hot_chain(samples: &[UtilSample], threshold: f64) -> Vec<bool> {
 /// # Panics
 /// Panics if series lengths differ.
 pub fn hot_port_counts(port_series: &[Vec<UtilSample>], threshold: f64) -> Vec<usize> {
-    let Some(first) = port_series.first() else {
-        return Vec::new();
-    };
-    let n = first.len();
+    (0..aligned_len(port_series))
+        .map(|i| port_series.iter().filter(|s| s[i].util > threshold).count())
+        .collect()
+}
+
+/// Counts, for each full window of `window_len` aligned sampling periods,
+/// how many ports were hot in any of its periods — Fig. 10's hot-port
+/// count per buffer-peak window. Trailing periods that do not fill a
+/// window are not counted; the caller reports them.
+///
+/// # Panics
+/// Panics if series lengths differ or `window_len` is 0.
+pub fn hot_ports_per_window(
+    port_series: &[Vec<UtilSample>],
+    window_len: usize,
+    threshold: f64,
+) -> Vec<usize> {
+    assert!(window_len > 0, "a window holds at least one period");
+    (0..aligned_len(port_series) / window_len)
+        .map(|w| {
+            let window = w * window_len..(w + 1) * window_len;
+            port_series
+                .iter()
+                .filter(|s| s[window.clone()].iter().any(|u| u.util > threshold))
+                .count()
+        })
+        .collect()
+}
+
+/// The common length of aligned port series (0 for none).
+fn aligned_len(port_series: &[Vec<UtilSample>]) -> usize {
+    let n = port_series.first().map_or(0, Vec::len);
     assert!(
         port_series.iter().all(|s| s.len() == n),
         "unaligned port series"
     );
-    (0..n)
-        .map(|i| port_series.iter().filter(|s| s[i].util > threshold).count())
-        .collect()
+    n
 }
 
 #[cfg(test)]
@@ -218,6 +244,20 @@ mod tests {
         let counts = hot_port_counts(&[a, b], HOT_THRESHOLD);
         assert_eq!(counts, vec![2, 1, 1]);
         assert!(hot_port_counts(&[], HOT_THRESHOLD).is_empty());
+    }
+
+    #[test]
+    fn hot_ports_per_window_counts_any_hot_period_in_full_windows() {
+        // Windows of 2: [0,1] [2,3]; period 4 is a partial window.
+        let ports = [
+            series(&[0.9, 0.1, 0.1, 0.1, 0.9]),
+            series(&[0.1, 0.9, 0.1, 0.9, 0.9]),
+            series(&[0.1, 0.1, 0.1, 0.1, 0.9]),
+        ];
+        assert_eq!(hot_ports_per_window(&ports, 2, HOT_THRESHOLD), vec![2, 1]);
+        assert_eq!(hot_ports_per_window(&ports, 5, HOT_THRESHOLD), vec![3]);
+        assert!(hot_ports_per_window(&ports, 6, HOT_THRESHOLD).is_empty());
+        assert!(hot_ports_per_window(&[], 2, HOT_THRESHOLD).is_empty());
     }
 
     #[test]

@@ -33,7 +33,10 @@ pub mod resample;
 pub mod sortf64;
 pub mod summary;
 
-pub use burst::{extract_bursts, hot_chain, hot_port_counts, Burst, BurstAnalysis, HOT_THRESHOLD};
+pub use burst::{
+    extract_bursts, hot_chain, hot_port_counts, hot_ports_per_window, Burst, BurstAnalysis,
+    HOT_THRESHOLD,
+};
 pub use ecdf::Ecdf;
 pub use histogram::{diff_histogram_snapshots, split_by_burst, NormalizedHistogram};
 pub use kstest::{kolmogorov_sf, ks_test_exponential, ks_test_exponential_with_ecdf, KsResult};

@@ -11,9 +11,9 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_buffer_policy`.
 
-use uburst_analysis::{Ecdf, HOT_THRESHOLD};
+use uburst_analysis::{hot_ports_per_window, Ecdf, HOT_THRESHOLD};
 use uburst_asic::CounterId;
-use uburst_bench::campaign::{buffer_and_ports_spec, port_bps};
+use uburst_bench::campaign::{buffer_and_ports_spec, tx_utilization};
 use uburst_bench::report::{fmt_bytes, verdict, Table};
 use uburst_bench::run_jobs;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
@@ -83,35 +83,14 @@ pub fn run() {
         let mut cfg = ScenarioConfig::new(rack, 77_000);
         cfg.clos.tor_switch.buffer_bytes = buffer;
         cfg.clos.tor_switch.policy = cfgs[pi];
-        let n_ports = cfg.n_servers + cfg.clos.n_fabric;
-        let bps: Vec<u64> = (0..n_ports)
-            .map(|i| port_bps(&cfg, uburst_sim::node::PortId(i as u16)))
-            .collect();
-        let (spec, ports) = buffer_and_ports_spec(cfg, INTERVAL, SPAN);
-        let run = spec.run();
+        let (spec, _) = buffer_and_ports_spec(cfg, INTERVAL, SPAN);
+        let run = spec.clone().run();
 
         // Max concurrent hot ports over full fig10 windows.
-        let port_utils: Vec<Vec<f64>> = ports
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                run.utilization(CounterId::TxBytes(p), bps[i])
-                    .iter()
-                    .map(|u| u.util)
-                    .collect()
-            })
-            .collect();
+        let port_utils = tx_utilization(&spec, &run);
         let samples_per_window = (WINDOW.as_nanos() / INTERVAL.as_nanos()) as usize;
-        let n_windows = port_utils[0].len() / samples_per_window;
-        let max_hot = (0..n_windows)
-            .map(|w| {
-                let lo = w * samples_per_window;
-                let hi = lo + samples_per_window;
-                port_utils
-                    .iter()
-                    .filter(|u| u[lo..hi].iter().any(|&x| x > HOT_THRESHOLD))
-                    .count()
-            })
+        let max_hot = hot_ports_per_window(&port_utils, samples_per_window, HOT_THRESHOLD)
+            .into_iter()
             .max()
             .unwrap_or(0);
 

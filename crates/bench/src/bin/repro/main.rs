@@ -10,11 +10,12 @@
 //!
 //! The process exits 1 if any shape check printed `[MISS]`.
 //!
-//! Experiments run on the parallel engine (experiment-level jobs on top of
-//! each harness's campaign-level jobs; the shared worker budget caps total
-//! threads at `Scale::threads()`). Reports are printed in paper order and
-//! are byte-identical for any `UBURST_THREADS` value; per-experiment
-//! timings go to stderr so stdout stays deterministic.
+//! Tables and figures share one driver, `figures::run_experiments`: the
+//! campaigns every selected entry declares run in one `run_parallel` call
+//! on `Scale::threads()` threads, and each entry renders its runs as soon
+//! as they are in. Reports are printed in paper order and are
+//! byte-identical for any `UBURST_THREADS` value; the suite's wall time
+//! goes to stderr so stdout stays deterministic.
 
 mod ablations;
 mod ext_buffer_policy;
@@ -29,8 +30,7 @@ mod ext_flowlet_lb;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use uburst_bench::figures::all_experiments;
-use uburst_bench::figures::common::SinglePortData;
+use uburst_bench::figures::{all_experiments, run_experiments};
 use uburst_bench::Scale;
 
 /// The harnesses that are not a paper table/figure: `(id, run)`. Each
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
 
 /// One id per line, tables/figures first.
 fn list() -> String {
-    let figures = all_experiments().into_iter().map(|e| e.0);
+    let figures = all_experiments().into_iter().map(|e| e.id);
     let harnesses = HARNESSES.iter().map(|h| h.0);
     figures
         .chain(harnesses)
@@ -77,8 +77,11 @@ fn list() -> String {
 
 /// Runs the entry named `id`, or returns `false` if there is none.
 fn run_one(id: &str) -> bool {
-    if let Some((_, _, runner)) = all_experiments().into_iter().find(|e| e.0 == id) {
-        print!("{}", runner.run(Scale::from_env()));
+    if let Some(experiment) = all_experiments().into_iter().find(|e| e.id == id) {
+        print!(
+            "{}",
+            run_experiments(Scale::from_env(), &[experiment]).concat()
+        );
         true
     } else if let Some((_, run)) = HARNESSES.iter().find(|h| h.0 == id) {
         run();
@@ -98,21 +101,9 @@ fn run_all() {
     let t0 = Instant::now();
     println!("uburst reproduction report (scale: {})", scale.label());
     println!("====================================================");
-    // Figs. 3, 4, 6 and Table 2 read the same campaigns: measure once.
-    let t = Instant::now();
-    let single_port = SinglePortData::collect(scale);
-    eprintln!(
-        "[single-port dataset collected in {:.1}s]",
-        t.elapsed().as_secs_f64()
-    );
-    let reports = uburst_bench::run_jobs(all_experiments(), |(id, title, runner)| {
-        let t = Instant::now();
-        let report = runner.report(scale, &single_port);
-        eprintln!("[{id} completed in {:.1}s]", t.elapsed().as_secs_f64());
-        (id, title, report)
-    });
-    for (id, title, report) in reports {
-        println!("\n### {id}: {title}\n");
+    let experiments = all_experiments();
+    for (e, report) in experiments.iter().zip(run_experiments(scale, &experiments)) {
+        println!("\n### {}: {}\n", e.id, e.title);
         print!("{report}");
     }
 

@@ -33,7 +33,7 @@ use uburst_workloads::scenario::{build_scenario, Scenario, ScenarioConfig};
 /// up front, then execute them one at a time ([`CampaignSpec::run`]) or on
 /// the worker pool ([`crate::pool::run_parallel`]), which simulates specs
 /// sharing a `cfg` and `span` once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// The scenario to measure.
     pub cfg: ScenarioConfig,
@@ -312,6 +312,18 @@ pub fn port_bps(cfg: &ScenarioConfig, port: PortId) -> u64 {
     } else {
         cfg.clos.uplink.bandwidth_bps
     }
+}
+
+/// Per-interval utilization of every TX byte counter `spec` polled, in
+/// campaign order, each at its port's link rate.
+pub fn tx_utilization(spec: &CampaignSpec, run: &CampaignRun) -> Vec<Vec<UtilSample>> {
+    spec.counters
+        .iter()
+        .filter_map(|&counter| match counter {
+            CounterId::TxBytes(port) => Some(run.utilization(counter, port_bps(&spec.cfg, port))),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The spec for a single-port, single-counter campaign at the paper's

@@ -17,19 +17,44 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::CampaignSpec;
-use crate::pool::run_jobs;
+use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(500);
+/// Offered loads, swept per rack type.
+const LOADS: [f64; 4] = [0.5, 0.8, 1.1, 1.4];
+
+/// One campaign per (rack type, load): every downlink's byte and drop
+/// counters at 500 µs.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    let span = scale.campaign_span();
+    let mut specs = Vec::new();
+    for rack_type in RackType::ALL {
+        for (li, &load) in LOADS.iter().enumerate() {
+            let mut cfg = ScenarioConfig::new(rack_type, 20_000 + li as u64);
+            cfg.load = load;
+            let mut counters = Vec::new();
+            for i in 0..cfg.n_servers {
+                counters.push(CounterId::TxBytes(PortId(i as u16)));
+                counters.push(CounterId::Drops(PortId(i as u16)));
+            }
+            specs.push(CampaignSpec::new(
+                cfg,
+                counters,
+                Nanos::from_micros(500),
+                span,
+            ));
+        }
+    }
+    specs
+}
+
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let window = match scale {
         Scale::Quick => Nanos::from_millis(20),
         Scale::Full => Nanos::from_millis(100),
     };
-    let loads = [0.5, 0.8, 1.1, 1.4];
     let mut out = String::new();
     writeln!(
         out,
@@ -38,26 +63,11 @@ pub fn run(scale: Scale) -> String {
     )
     .unwrap();
 
-    // One campaign per (rack type, load); each worker reduces its run to
-    // (util, drop rate, drops) window triples. Job order matches the old
-    // nested loop, so the folded sample vectors are identical.
-    let mut jobs = Vec::new();
-    for rack_type in RackType::ALL {
-        for (li, &load) in loads.iter().enumerate() {
-            jobs.push((rack_type, li, load));
-        }
-    }
-    let samples: Vec<Vec<(f64, f64, u64)>> = run_jobs(jobs, |(rack_type, li, load)| {
-        let mut cfg = ScenarioConfig::new(rack_type, 20_000 + li as u64);
-        cfg.load = load;
-        let n = cfg.n_servers;
-        let bps = cfg.clos.server_link.bandwidth_bps;
-        let mut counters = Vec::new();
-        for i in 0..n {
-            counters.push(CounterId::TxBytes(PortId(i as u16)));
-            counters.push(CounterId::Drops(PortId(i as u16)));
-        }
-        let run = CampaignSpec::new(cfg, counters, interval, scale.campaign_span()).run();
+    // Every run reduces to (util, drop rate, drops) window triples, folded
+    // in campaign order.
+    let samples = specs.iter().zip(runs).map(|(spec, run)| {
+        let n = spec.cfg.n_servers;
+        let bps = spec.cfg.clos.server_link.bandwidth_bps;
         let mut triples = Vec::new();
         for i in 0..n {
             let p = PortId(i as u16);
@@ -83,7 +93,7 @@ pub fn run(scale: Scale) -> String {
     let mut drop_rates: Vec<f64> = Vec::new();
     let mut windows_with_drops = 0usize;
     let mut low_util_drop_windows = 0usize;
-    for (util, rate, delta) in samples.into_iter().flatten() {
+    for (util, rate, delta) in samples.flatten() {
         utils.push(util);
         drop_rates.push(rate);
         if delta > 0 {
@@ -100,7 +110,7 @@ pub fn run(scale: Scale) -> String {
         out,
         "{} (port x window) samples across 3 rack types x {} loads",
         n,
-        loads.len()
+        LOADS.len()
     )
     .unwrap();
 

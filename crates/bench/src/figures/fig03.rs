@@ -10,18 +10,17 @@ use std::fmt::Write;
 use uburst_analysis::{Ecdf, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::{all_burst_durations_us, SinglePortData};
+use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::figures::common::{all_burst_durations_us, port_utils};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
+
+/// The shared single-port dataset.
+pub use crate::figures::common::single_port_campaigns as campaigns;
 use crate::DURATION_POINTS_US;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    super::Runner::SinglePort(render).run(scale)
-}
-
-/// Renders the report from an already collected dataset.
-pub fn render(scale: Scale, data: &SinglePortData) -> String {
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -38,7 +37,7 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut p90s = Vec::new();
 
     for rack_type in RackType::ALL {
-        let durations = all_burst_durations_us(data.runs(rack_type), HOT_THRESHOLD);
+        let durations = all_burst_durations_us(&port_utils(specs, runs, rack_type), HOT_THRESHOLD);
         let ecdf = Ecdf::new(durations);
         table.row(&[
             rack_type.name().to_string(),

@@ -10,22 +10,21 @@ use std::fmt::Write;
 use uburst_analysis::{ks_test_exponential_with_ecdf, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::{all_gaps_us, SinglePortData};
+use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::figures::common::{all_gaps_us, port_utils};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
+
+/// The shared single-port dataset.
+pub use crate::figures::common::single_port_campaigns as campaigns;
 
 /// Gap CDF evaluation points in microseconds.
 const GAP_POINTS_US: [f64; 10] = [
     25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 5_000.0, 20_000.0, 50_000.0, 200_000.0,
 ];
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    super::Runner::SinglePort(render).run(scale)
-}
-
-/// Renders the report from an already collected dataset.
-pub fn render(scale: Scale, data: &SinglePortData) -> String {
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -41,7 +40,7 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut checks: Vec<(String, bool)> = Vec::new();
 
     for rack_type in RackType::ALL {
-        let gaps = all_gaps_us(data.runs(rack_type), HOT_THRESHOLD);
+        let gaps = all_gaps_us(&port_utils(specs, runs, rack_type), HOT_THRESHOLD);
         // One shared sort for the test and the CDF (bit-identical to the
         // separate ks_test_exponential + Ecdf::new pair it replaces).
         let (ks, ecdf) = ks_test_exponential_with_ecdf(gaps);

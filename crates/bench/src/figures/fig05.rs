@@ -14,17 +14,36 @@ use uburst_asic::{CounterId, N_SIZE_BINS, SIZE_BIN_LABELS};
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::{port_bps, representative_port, CampaignSpec};
-use crate::pool::run_jobs;
+use crate::campaign::{representative_port, tx_utilization, CampaignRun, CampaignSpec};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
 /// Index of the first "large" bin (1024–1518 bytes).
 const FIRST_LARGE_BIN: usize = 5;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(100);
+/// One campaign per (rack type, instance): the representative port's
+/// size histogram and byte counter at 100 µs.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    let (interval, span) = (Nanos::from_micros(100), scale.campaign_span());
+    let mut specs = Vec::new();
+    for rack_type in RackType::ALL {
+        for r in 0..scale.racks_per_type() {
+            let cfg = ScenarioConfig::new(rack_type, 7_000 + r as u64);
+            let port = representative_port(&cfg);
+            // The paper's multi-counter campaign: histogram bins polled
+            // alongside the byte counter.
+            let mut counters: Vec<CounterId> = (0..N_SIZE_BINS as u8)
+                .map(|b| CounterId::TxSizeHist(port, b))
+                .collect();
+            counters.push(CounterId::TxBytes(port));
+            specs.push(CampaignSpec::new(cfg, counters, interval, span));
+        }
+    }
+    specs
+}
+
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -44,46 +63,25 @@ pub fn run(scale: Scale) -> String {
     let mut hists = String::new();
     let mut rel_increases = Vec::new();
 
-    // One campaign per (rack type, instance); workers reduce each run to
-    // its inside/outside bin counts, folded per rack type afterwards.
     let racks = scale.racks_per_type();
-    let mut jobs = Vec::new();
-    for rack_type in RackType::ALL {
-        for r in 0..racks {
-            jobs.push((rack_type, r));
-        }
-    }
-    let per_rack_counts = run_jobs(jobs, |(rack_type, r)| {
-        let cfg = ScenarioConfig::new(rack_type, 7_000 + r as u64);
-        let port = representative_port(&cfg);
-        let bps = port_bps(&cfg, port);
-        // The paper's multi-counter campaign: histogram bins polled
-        // alongside the byte counter.
-        let mut counters: Vec<CounterId> = (0..N_SIZE_BINS as u8)
-            .map(|b| CounterId::TxSizeHist(port, b))
-            .collect();
-        counters.push(CounterId::TxBytes(port));
-        let run = CampaignSpec::new(cfg, counters, interval, scale.campaign_span()).run();
-
-        let utils = run.utilization(CounterId::TxBytes(port), bps);
-        let hot = hot_chain(&utils, HOT_THRESHOLD);
-        // Interval-aligned histogram snapshots -> per-interval deltas.
-        let n = utils.len() + 1;
-        let snaps: Vec<Vec<u64>> = (0..n)
-            .map(|i| {
-                (0..N_SIZE_BINS as u8)
-                    .map(|b| run.series_for(CounterId::TxSizeHist(port, b)).vs[i])
-                    .collect()
-            })
-            .collect();
-        split_by_burst(&diff_histogram_snapshots(&snaps), &hot)
-    });
-
-    for (ti, rack_type) in RackType::ALL.into_iter().enumerate() {
+    let per_type = specs.chunks(racks).zip(runs.chunks(racks));
+    for (rack_type, (specs, runs)) in RackType::ALL.into_iter().zip(per_type) {
         // Accumulate inside/outside bin counts across rack instances.
         let mut inside_acc = vec![0u64; N_SIZE_BINS];
         let mut outside_acc = vec![0u64; N_SIZE_BINS];
-        for (inside, outside) in &per_rack_counts[ti * racks..(ti + 1) * racks] {
+        for (spec, run) in specs.iter().zip(runs) {
+            let port = representative_port(&spec.cfg);
+            let utils = tx_utilization(spec, run).remove(0);
+            // Interval-aligned histogram snapshots -> per-interval deltas.
+            let snaps: Vec<Vec<u64>> = (0..=utils.len())
+                .map(|i| {
+                    (0..N_SIZE_BINS as u8)
+                        .map(|b| run.series_for(CounterId::TxSizeHist(port, b)).vs[i])
+                        .collect()
+                })
+                .collect();
+            let hot = hot_chain(&utils, HOT_THRESHOLD);
+            let (inside, outside) = split_by_burst(&diff_histogram_snapshots(&snaps), &hot);
             for b in 0..N_SIZE_BINS {
                 inside_acc[b] += inside[b];
                 outside_acc[b] += outside[b];

@@ -10,20 +10,19 @@ use std::fmt::Write;
 use uburst_analysis::{Ecdf, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::SinglePortData;
+use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::figures::common::port_utils;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
+
+/// The shared single-port dataset.
+pub use crate::figures::common::single_port_campaigns as campaigns;
 
 /// Utilization CDF evaluation points.
 const UTIL_POINTS: [f64; 9] = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0];
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    super::Runner::SinglePort(render).run(scale)
-}
-
-/// Renders the report from an already collected dataset.
-pub fn render(scale: Scale, data: &SinglePortData) -> String {
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -46,10 +45,9 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
     let mut near_full = Vec::new();
 
     for rack_type in RackType::ALL {
-        let utils: Vec<f64> = data
-            .runs(rack_type)
+        let utils: Vec<f64> = port_utils(specs, runs, rack_type)
             .iter()
-            .flat_map(|r| r.utils.iter().map(|u| u.util.min(1.0)))
+            .flat_map(|r| r.iter().map(|u| u.util.min(1.0)))
             .collect();
         let hot = utils.iter().filter(|&&u| u > HOT_THRESHOLD).count() as f64 / utils.len() as f64;
         let near = utils.iter().filter(|&&u| u > 0.9).count() as f64 / utils.len() as f64;

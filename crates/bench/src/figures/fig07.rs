@@ -13,11 +13,11 @@ use std::fmt::Write;
 
 use uburst_analysis::{coarsen, mad_per_period, Ecdf};
 use uburst_asic::CounterId;
+use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::port_groups_spec;
-use crate::pool::run_jobs;
+use crate::campaign::{port_groups_spec, CampaignRun, CampaignSpec};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
@@ -25,11 +25,29 @@ use crate::scale::Scale;
 const MAD_POINTS: [f64; 7] = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5];
 
 /// Maps a port to the counter measured for one traffic direction.
-type DirectionCounter = fn(uburst_sim::node::PortId) -> CounterId;
+type DirectionCounter = fn(PortId) -> CounterId;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(40);
+/// The uplinks of a rack: ToR ports `n_servers..n_servers + n_fabric`.
+fn uplinks(cfg: &ScenarioConfig) -> Vec<PortId> {
+    (0..cfg.clos.n_fabric)
+        .map(|f| PortId((cfg.n_servers + f) as u16))
+        .collect()
+}
+
+/// One campaign per rack type: TX and RX bytes of every uplink at 40 µs.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    RackType::ALL
+        .into_iter()
+        .map(|rack_type| {
+            let cfg = ScenarioConfig::new(rack_type, 4_321);
+            let ports = uplinks(&cfg);
+            port_groups_spec(cfg, &ports, Nanos::from_micros(40), scale.campaign_span())
+        })
+        .collect()
+}
+
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let coarse_factor: usize = match scale {
         Scale::Quick => 250,  // 40us * 250 = 10ms
         Scale::Full => 1_250, // 50ms
@@ -60,29 +78,10 @@ pub fn run(scale: Scale) -> String {
     let mut fine_p50s = Vec::new();
     let mut curves = String::new();
 
-    // One campaign per rack type; workers render both directions' rows,
-    // curves, and checks, folded below in rack-type order.
-    struct RackPanel {
-        rows: Vec<[String; 6]>,
-        curves: String,
-        checks: Vec<(String, bool)>,
-        egress_fine_p50: f64,
-    }
-    let panels = run_jobs(RackType::ALL.to_vec(), |rack_type| {
-        let cfg = ScenarioConfig::new(rack_type, 4_321);
-        let n = cfg.n_servers;
-        let uplink_bps = cfg.clos.uplink.bandwidth_bps;
-        let uplinks: Vec<_> = (0..cfg.clos.n_fabric)
-            .map(|f| uburst_sim::node::PortId((n + f) as u16))
-            .collect();
-        let run = port_groups_spec(cfg, &uplinks, interval, scale.campaign_span()).run();
-
-        let mut panel = RackPanel {
-            rows: Vec::new(),
-            curves: String::new(),
-            checks: Vec::new(),
-            egress_fine_p50: 0.0,
-        };
+    for (spec, run) in specs.iter().zip(runs) {
+        let rack_type = spec.cfg.rack_type;
+        let uplink_bps = spec.cfg.clos.uplink.bandwidth_bps;
+        let uplinks = uplinks(&spec.cfg);
         let directions: [(&str, DirectionCounter); 2] = [
             ("egress", CounterId::TxBytes),
             ("ingress", CounterId::RxBytes),
@@ -107,11 +106,11 @@ pub fn run(scale: Scale) -> String {
             let coarse = mad_per_period(&coarse_series);
             let fine_ecdf = Ecdf::new(fine);
             let coarse_ecdf = Ecdf::new(coarse);
-            writeln!(panel.curves, "\n{} {dir} MAD CDF (40us):", rack_type.name()).unwrap();
+            writeln!(curves, "\n{} {dir} MAD CDF (40us):", rack_type.name()).unwrap();
             for (x, f) in fine_ecdf.curve(&MAD_POINTS) {
-                writeln!(panel.curves, "  {x:>5.2}  {f:.3}").unwrap();
+                writeln!(curves, "  {x:>5.2}  {f:.3}").unwrap();
             }
-            panel.rows.push([
+            table.row(&[
                 rack_type.name().to_string(),
                 dir.to_string(),
                 format!("{:.2}", fine_ecdf.quantile(0.5)),
@@ -120,8 +119,8 @@ pub fn run(scale: Scale) -> String {
                 format!("{:.2}", coarse_ecdf.quantile(0.9)),
             ]);
             if dir == "egress" {
-                panel.egress_fine_p50 = fine_ecdf.quantile(0.5);
-                panel.checks.push((
+                fine_p50s.push((rack_type, fine_ecdf.quantile(0.5)));
+                checks.push((
                     format!(
                         "{rack} egress: median fine MAD > 25% (got {got:.0}%)",
                         rack = rack_type.name(),
@@ -129,7 +128,7 @@ pub fn run(scale: Scale) -> String {
                     ),
                     fine_ecdf.quantile(0.5) > 0.25,
                 ));
-                panel.checks.push((
+                checks.push((
                     format!(
                         "{rack}: coarse windows look balanced (coarse p50 {c:.2} << fine p50 {f:.2})",
                         rack = rack_type.name(),
@@ -139,7 +138,7 @@ pub fn run(scale: Scale) -> String {
                     coarse_ecdf.quantile(0.5) < 0.5 * fine_ecdf.quantile(0.5),
                 ));
             } else {
-                panel.checks.push((
+                checks.push((
                     format!(
                         "{rack} ingress disperses like egress (fine p50 {got:.2})",
                         rack = rack_type.name(),
@@ -149,15 +148,6 @@ pub fn run(scale: Scale) -> String {
                 ));
             }
         }
-        panel
-    });
-    for (rack_type, panel) in RackType::ALL.into_iter().zip(panels) {
-        for row in &panel.rows {
-            table.row(row);
-        }
-        curves.push_str(&panel.curves);
-        checks.extend(panel.checks);
-        fine_p50s.push((rack_type, panel.egress_fine_p50));
     }
 
     let hadoop_p90_hint = fine_p50s

@@ -8,13 +8,11 @@
 use std::fmt::Write;
 
 use uburst_analysis::{correlation_matrix, mean_offdiagonal};
-use uburst_asic::CounterId;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::port_groups_spec;
-use crate::pool::run_jobs;
+use crate::campaign::{port_groups_spec, tx_utilization, CampaignRun, CampaignSpec};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
@@ -62,9 +60,21 @@ fn pod_split(m: &[Vec<f64>], pod_size: usize) -> (f64, f64) {
     )
 }
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(250);
+/// One campaign per rack type: TX bytes of every downlink at 250 µs.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    RackType::ALL
+        .into_iter()
+        .map(|rack_type| {
+            let cfg = ScenarioConfig::new(rack_type, 8_642);
+            let downlinks: Vec<PortId> = (0..cfg.n_servers).map(|i| PortId(i as u16)).collect();
+            let span = scale.campaign_span();
+            port_groups_spec(cfg, &downlinks, Nanos::from_micros(250), span)
+        })
+        .collect()
+}
+
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -77,29 +87,16 @@ pub fn run(scale: Scale) -> String {
     let mut maps = String::new();
     let mut summary = Vec::new();
 
-    // One campaign + 24x24 correlation matrix per rack type, in workers.
-    let panels = run_jobs(RackType::ALL.to_vec(), |rack_type| {
-        let cfg = ScenarioConfig::new(rack_type, 8_642);
-        let n = cfg.n_servers;
-        let pod_size = cfg.cache.pod_size;
-        let bps = cfg.clos.server_link.bandwidth_bps;
-        let downlinks: Vec<PortId> = (0..n).map(|i| PortId(i as u16)).collect();
-        let run = port_groups_spec(cfg, &downlinks, interval, scale.campaign_span()).run();
-        let series: Vec<Vec<f64>> = downlinks
+    // One 24x24 correlation matrix per rack type.
+    for (spec, run) in specs.iter().zip(runs) {
+        let rack_type = spec.cfg.rack_type;
+        let series: Vec<Vec<f64>> = tx_utilization(spec, run)
             .iter()
-            .map(|&p| {
-                run.utilization(CounterId::TxBytes(p), bps)
-                    .iter()
-                    .map(|u| u.util)
-                    .collect()
-            })
+            .map(|utils| utils.iter().map(|u| u.util).collect())
             .collect();
         let m = correlation_matrix(&series);
         let off = mean_offdiagonal(&m);
-        let (same, cross) = pod_split(&m, pod_size);
-        (off, same, cross, ascii_heatmap(&m))
-    });
-    for (rack_type, (off, same, cross, heatmap)) in RackType::ALL.into_iter().zip(panels) {
+        let (same, cross) = pod_split(&m, spec.cfg.cache.pod_size);
         summary.push((rack_type, off, same, cross));
         table.row(&[
             rack_type.name().to_string(),
@@ -108,7 +105,7 @@ pub fn run(scale: Scale) -> String {
             format!("{cross:.3}"),
         ]);
         writeln!(maps, "\n{} server x server heatmap:", rack_type.name()).unwrap();
-        maps.push_str(&heatmap);
+        maps.push_str(&ascii_heatmap(&m));
     }
 
     writeln!(out, "{}", table.render()).unwrap();

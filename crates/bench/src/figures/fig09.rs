@@ -8,18 +8,37 @@
 use std::fmt::Write;
 
 use uburst_analysis::HOT_THRESHOLD;
-use uburst_asic::CounterId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::{buffer_and_ports_spec, port_bps};
-use crate::pool::run_jobs;
+use crate::campaign::{buffer_and_ports_spec, tx_utilization, CampaignRun, CampaignSpec};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(300);
+/// Rack types in report order, with the paper's uplink share.
+const RACK_CASES: [(RackType, &str); 3] = [
+    (RackType::Web, "<0.18"),
+    (RackType::Cache, ">0.5 (majority)"),
+    (RackType::Hadoop, "~0.18"),
+];
+
+/// One campaign per (rack type, instance): every port's TX bytes and the
+/// buffer-peak register at 300 µs.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    let span = scale.campaign_span();
+    let mut specs = Vec::new();
+    for (rack_type, _) in RACK_CASES {
+        for r in 0..scale.racks_per_type() {
+            let cfg = ScenarioConfig::new(rack_type, 9_100 + r as u64);
+            let (spec, _) = buffer_and_ports_spec(cfg, Nanos::from_micros(300), span);
+            specs.push(spec);
+        }
+    }
+    specs
+}
+
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -37,48 +56,21 @@ pub fn run(scale: Scale) -> String {
     ]);
     let mut checks: Vec<(String, bool)> = Vec::new();
 
-    let rack_cases = [
-        (RackType::Web, "<0.18"),
-        (RackType::Cache, ">0.5 (majority)"),
-        (RackType::Hadoop, "~0.18"),
-    ];
-    // One campaign per (rack type, instance); workers count hot samples.
     let racks = scale.racks_per_type();
-    let mut jobs = Vec::new();
-    for (rack_type, _) in rack_cases {
-        for r in 0..racks {
-            jobs.push((rack_type, r));
-        }
-    }
-    let hot_counts = run_jobs(jobs, |(rack_type, r)| {
-        let cfg = ScenarioConfig::new(rack_type, 9_100 + r as u64);
-        let n = cfg.n_servers;
-        let bps: Vec<u64> = (0..(n + cfg.clos.n_fabric))
-            .map(|i| port_bps(&cfg, uburst_sim::node::PortId(i as u16)))
-            .collect();
-        let (spec, ports) = buffer_and_ports_spec(cfg, interval, scale.campaign_span());
-        let run = spec.run();
-        let mut hot_dn = 0usize;
-        let mut hot_up = 0usize;
-        for (i, &p) in ports.iter().enumerate() {
-            let hot = run
-                .utilization(CounterId::TxBytes(p), bps[i])
-                .iter()
-                .filter(|u| u.util > HOT_THRESHOLD)
-                .count();
-            if i < n {
-                hot_dn += hot;
-            } else {
-                hot_up += hot;
+    let per_rack = specs.chunks(racks).zip(runs.chunks(racks));
+    for ((rack_type, paper_share), (specs, runs)) in RACK_CASES.into_iter().zip(per_rack) {
+        // Hot samples, split into downlinks and uplinks.
+        let (mut hot_dn, mut hot_up) = (0usize, 0usize);
+        for (spec, run) in specs.iter().zip(runs) {
+            for (i, utils) in tx_utilization(spec, run).iter().enumerate() {
+                let hot = utils.iter().filter(|u| u.util > HOT_THRESHOLD).count();
+                if i < spec.cfg.n_servers {
+                    hot_dn += hot;
+                } else {
+                    hot_up += hot;
+                }
             }
         }
-        (hot_dn, hot_up)
-    });
-
-    for (ti, (rack_type, paper_share)) in rack_cases.into_iter().enumerate() {
-        let (hot_dn, hot_up) = hot_counts[ti * racks..(ti + 1) * racks]
-            .iter()
-            .fold((0usize, 0usize), |(dn, up), &(d, u)| (dn + d, up + u));
         let total = hot_dn + hot_up;
         let share = if total == 0 {
             0.0

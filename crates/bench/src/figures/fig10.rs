@@ -14,13 +14,12 @@
 
 use std::fmt::Write;
 
-use uburst_analysis::{grouped_summaries, HOT_THRESHOLD};
+use uburst_analysis::{grouped_summaries, hot_ports_per_window, Summary, HOT_THRESHOLD};
 use uburst_asic::CounterId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::{buffer_and_ports_spec, port_bps};
-use crate::pool::run_jobs;
+use crate::campaign::{buffer_and_ports_spec, tx_utilization, CampaignRun, CampaignSpec};
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
 
@@ -28,13 +27,24 @@ use crate::scale::Scale;
 /// count, collected before cross-rack normalization.
 type RackOccupancy = (RackType, Vec<(usize, f64)>, usize);
 
-/// One instance's window pairs, port count, and how many trailing samples
-/// fell outside the last full window (counted, never silently dropped).
-type InstancePairs = (Vec<(usize, f64)>, usize, usize);
+/// The sampling interval that classifies ports hot.
+const INTERVAL: Nanos = Nanos::from_micros(300);
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    let interval = Nanos::from_micros(300);
+/// One campaign per (rack type, instance): every port's TX bytes and the
+/// buffer-peak register at 300 µs.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    let mut specs = Vec::new();
+    for rack_type in RackType::ALL {
+        for r in 0..scale.racks_per_type() {
+            let cfg = ScenarioConfig::new(rack_type, 10_500 + r as u64);
+            specs.push(buffer_and_ports_spec(cfg, INTERVAL, scale.campaign_span()).0);
+        }
+    }
+    specs
+}
+
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let window = Nanos::from_millis(match scale {
         Scale::Quick => 10, // scaled-down 50ms windows so quick runs have enough of them
         Scale::Full => 50,
@@ -55,78 +65,39 @@ pub fn run(scale: Scale) -> String {
     let mut per_rack: Vec<RackOccupancy> = Vec::new();
     let mut global_max = 0.0f64;
 
-    // One campaign per (rack type, instance); workers produce that
-    // instance's (hot ports, window peak) pairs, folded per rack type in
-    // submission order below.
+    // Each rack type's (hot ports, window peak) pairs over its instances.
     let racks = scale.racks_per_type();
-    let mut jobs = Vec::new();
-    for rack_type in RackType::ALL {
-        for r in 0..racks {
-            jobs.push((rack_type, r));
-        }
-    }
-    let instance_pairs: Vec<InstancePairs> = run_jobs(jobs, |(rack_type, r)| {
-        let cfg = ScenarioConfig::new(rack_type, 10_500 + r as u64);
-        let n_ports = cfg.n_servers + cfg.clos.n_fabric;
-        let bps: Vec<u64> = (0..n_ports)
-            .map(|i| port_bps(&cfg, uburst_sim::node::PortId(i as u16)))
-            .collect();
-        let (spec, ports) = buffer_and_ports_spec(cfg, interval, scale.campaign_span());
-        let run = spec.run();
-
-        // Per-port hot flags per sampling period.
-        let port_utils: Vec<Vec<f64>> = ports
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                run.utilization(CounterId::TxBytes(p), bps[i])
-                    .iter()
-                    .map(|u| u.util)
-                    .collect()
-            })
-            .collect();
-        let peaks = run.series_for(CounterId::BufferPeak);
-        let n_samples = port_utils[0].len();
-        let samples_per_window = (window.as_nanos() / interval.as_nanos()) as usize;
-        let n_windows = n_samples / samples_per_window;
-        // The paper's windows are full-width only; trailing samples that
-        // don't fill a window are excluded from the figure but reported
-        // below, so truncation is never silent.
-        let dropped = n_samples - n_windows * samples_per_window;
-        uburst_obs::counter_add!(
-            "uburst_fig10_trailing_samples_dropped_total",
-            dropped as u64
-        );
-        let mut pairs = Vec::with_capacity(n_windows);
-        for w in 0..n_windows {
-            let lo = w * samples_per_window;
-            let hi = lo + samples_per_window;
-            // A port is hot in the window if any of its periods was hot.
-            let hot_ports = port_utils
-                .iter()
-                .filter(|u| u[lo..hi].iter().any(|&x| x > HOT_THRESHOLD))
-                .count();
+    let samples_per_window = (window.as_nanos() / INTERVAL.as_nanos()) as usize;
+    let mut trailing_dropped: Vec<(RackType, usize)> = Vec::new();
+    let per_type = specs.chunks(racks).zip(runs.chunks(racks));
+    for (rack_type, (specs, runs)) in RackType::ALL.into_iter().zip(per_type) {
+        let mut pairs: Vec<(usize, f64)> = Vec::new();
+        let mut n_ports = 0;
+        let mut dropped_total = 0usize;
+        for (spec, run) in specs.iter().zip(runs) {
+            let port_utils = tx_utilization(spec, run);
+            n_ports = port_utils.len();
+            let hot_ports = hot_ports_per_window(&port_utils, samples_per_window, HOT_THRESHOLD);
+            // The paper's windows are full-width only; trailing samples
+            // that don't fill a window are excluded from the figure but
+            // reported below, so truncation is never silent.
+            let dropped = port_utils[0].len() - hot_ports.len() * samples_per_window;
+            uburst_obs::counter_add!(
+                "uburst_fig10_trailing_samples_dropped_total",
+                dropped as u64
+            );
+            dropped_total += dropped;
             // Window peak = max of the read-and-clear register's reads.
             // The peak series has one more sample than the rate series.
-            let peak = peaks.vs[lo + 1..=hi].iter().copied().max().unwrap_or(0) as f64;
-            pairs.push((hot_ports, peak));
-        }
-        (pairs, n_ports, dropped)
-    });
-    let mut trailing_dropped: Vec<(RackType, usize)> = Vec::new();
-    for (ti, rack_type) in RackType::ALL.into_iter().enumerate() {
-        let mut pairs: Vec<(usize, f64)> = Vec::new();
-        let mut n_ports_total = 0usize;
-        let mut dropped_total = 0usize;
-        for (instance, n_ports, dropped) in &instance_pairs[ti * racks..(ti + 1) * racks] {
-            for &(k, peak) in instance {
+            let peaks = &run.series_for(CounterId::BufferPeak).vs;
+            for (w, k) in hot_ports.into_iter().enumerate() {
+                let (lo, hi) = (w * samples_per_window, (w + 1) * samples_per_window);
+                let peak = peaks[lo + 1..=hi].iter().copied().max().unwrap_or(0) as f64;
                 global_max = global_max.max(peak);
                 pairs.push((k, peak));
             }
-            n_ports_total = *n_ports;
-            dropped_total += dropped;
         }
-        per_rack.push((rack_type, pairs, n_ports_total));
+        per_rack.push((rack_type, pairs, n_ports));
         trailing_dropped.push((rack_type, dropped_total));
     }
 
@@ -166,17 +137,7 @@ pub fn run(scale: Scale) -> String {
             format!("{share:.2}"),
             format!("{}", pairs.len()),
         ]);
-        // Leveling off: median occupancy of the top-third hot-port groups
-        // grows less than proportionally.
-        if groups.len() >= 3 {
-            let lo_group = &groups[groups.len() / 3].1;
-            let hi_group = &groups[groups.len() - 1].1;
-            let k_lo = groups[groups.len() / 3].0.max(1);
-            let k_hi = groups[groups.len() - 1].0.max(1);
-            let occupancy_ratio = hi_group.median / lo_group.median.max(1e-9);
-            let count_ratio = k_hi as f64 / k_lo as f64;
-            level_off.push((*rack_type, occupancy_ratio, count_ratio));
-        }
+        level_off.push(level_off_check(rack_type.name(), &groups));
     }
 
     writeln!(out, "{}", table.render()).unwrap();
@@ -204,16 +165,53 @@ pub fn run(scale: Scale) -> String {
         hadoop * 100.0
     )
     .unwrap();
-    for (rt, occ_ratio, cnt_ratio) in &level_off {
-        writeln!(
-            out,
-            "  [{}] {}: occupancy grows sublinearly with hot ports (occupancy x{:.1} vs ports x{:.1})",
-            verdict(occ_ratio < cnt_ratio),
-            rt.name(),
-            occ_ratio,
-            cnt_ratio
-        )
-        .unwrap();
+    for (desc, ok) in level_off {
+        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
     }
     out
+}
+
+/// Leveling off: the median occupancy of the top hot-port group grows less
+/// than proportionally over the group a third of the way up. A rack type
+/// with fewer than three groups cannot show it, and fails the check.
+fn level_off_check(rack: &str, groups: &[(usize, Summary)]) -> (String, bool) {
+    let claim = format!("{rack}: occupancy grows sublinearly with hot ports");
+    if groups.len() < 3 {
+        let n = groups.len();
+        return (
+            format!("{claim} (untestable: {n} hot-port group(s), the check needs 3)"),
+            false,
+        );
+    }
+    let (k_lo, lo_group) = &groups[groups.len() / 3];
+    let (k_hi, hi_group) = &groups[groups.len() - 1];
+    let occupancy_ratio = hi_group.median / lo_group.median.max(1e-9);
+    let count_ratio = (*k_hi).max(1) as f64 / (*k_lo).max(1) as f64;
+    (
+        format!("{claim} (occupancy x{occupancy_ratio:.1} vs ports x{count_ratio:.1})"),
+        occupancy_ratio < count_ratio,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn level_off_needs_three_groups_and_misses_without_them() {
+        // Groups 1, 2, 4: group 2 (median 0.2) against group 4 (median 0.3).
+        let (desc, ok) =
+            level_off_check("Web", &grouped_summaries(&[(1, 0.1), (2, 0.2), (4, 0.3)]));
+        assert!(
+            ok && desc.ends_with("(occupancy x1.5 vs ports x2.0)"),
+            "{desc}"
+        );
+        let steep = grouped_summaries(&[(1, 0.1), (2, 0.1), (4, 0.4)]);
+        assert!(!level_off_check("Web", &steep).1);
+        let (desc, ok) = level_off_check("Hadoop", &grouped_summaries(&[(3, 0.5), (4, 0.6)]));
+        assert!(
+            !ok && desc.contains("untestable: 2 hot-port group(s)"),
+            "{desc}"
+        );
+    }
 }

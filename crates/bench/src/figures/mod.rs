@@ -1,12 +1,15 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Every module exposes `run(scale) -> String`, returning the report
-//! `repro <id>` prints; `repro all` concatenates them in the order of
-//! [`all_experiments`], the registry the `repro` binary dispatches on.
-//! Figs. 3, 4, 6 and Table 2 are four readings of one dataset (the paper's
-//! 25 µs single-port campaigns), so those modules also expose
-//! `render(scale, &SinglePortData)` and the suite collects the dataset
-//! once for all four.
+//! Every module has two functions: `campaigns(scale)` declares the rack
+//! campaigns it measures, and `render(scale, specs, runs)` turns the
+//! declared specs and their runs (in declaration order) into the report
+//! `repro <id>` prints. [`run_experiments`] is the one driver behind
+//! `repro all` and `repro <id>`: it submits every declared spec in one
+//! [`run_parallel`] call, which fuses campaigns on one simulation, and
+//! renders each experiment as soon as its runs are in. Figs. 3, 4, 6 and
+//! Table 2 are four readings of one dataset (the paper's 25 µs
+//! single-port campaigns), so they all declare
+//! [`common::single_port_campaigns`], and the suite measures it once.
 
 pub mod common;
 pub mod fig01;
@@ -23,94 +26,113 @@ pub mod overhead;
 pub mod table01;
 pub mod table02;
 
+use std::sync::Mutex;
+
+use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::pool::run_parallel;
 use crate::scale::Scale;
-use common::SinglePortData;
 
-/// How an experiment produces its report.
-#[derive(Clone, Copy)]
-pub enum Runner {
-    /// Runs its own campaigns.
-    Own(fn(Scale) -> String),
-    /// Renders the shared 25 µs single-port dataset.
-    SinglePort(fn(Scale, &SinglePortData) -> String),
+/// One paper table or figure.
+pub struct Experiment {
+    /// The id `repro` takes.
+    pub id: &'static str,
+    /// The section title of `repro all`'s report.
+    pub title: &'static str,
+    /// The rack campaigns the experiment measures.
+    pub campaigns: fn(Scale) -> Vec<CampaignSpec>,
+    /// The report, a pure function of the declared campaigns and their
+    /// runs.
+    pub render: fn(Scale, &[CampaignSpec], &[CampaignRun]) -> String,
 }
 
-impl Runner {
-    /// Produces the report, reading `data` if this experiment renders the
-    /// shared dataset.
-    pub fn report(self, scale: Scale, data: &SinglePortData) -> String {
-        match self {
-            Runner::Own(run) => run(scale),
-            Runner::SinglePort(render) => render(scale, data),
+/// The registry entry for figure module `$m`: its `campaigns` and its
+/// `render`.
+macro_rules! experiment {
+    ($id:literal, $title:literal, $m:ident) => {
+        Experiment {
+            id: $id,
+            title: $title,
+            campaigns: $m::campaigns,
+            render: $m::render,
         }
-    }
-
-    /// Produces the report standalone — what the module's `run(scale)`
-    /// returns: an experiment that renders the shared dataset collects it
-    /// for itself.
-    pub fn run(self, scale: Scale) -> String {
-        match self {
-            Runner::Own(run) => run(scale),
-            Runner::SinglePort(_) => self.report(scale, &SinglePortData::collect(scale)),
-        }
-    }
+    };
 }
-
-/// One experiment's `(id, title, runner)`.
-pub type Experiment = (&'static str, &'static str, Runner);
 
 /// Every experiment, in paper order.
 pub fn all_experiments() -> Vec<Experiment> {
-    use Runner::{Own, SinglePort};
     vec![
-        (
+        experiment!(
             "fig01",
             "Drop rate vs utilization at SNMP granularity",
-            Own(fig01::run),
+            fig01
         ),
-        ("fig02", "Drop time series on two ports", Own(fig02::run)),
-        (
-            "sec4.1",
-            "Self-measurement overhead accounting",
-            Own(overhead::run),
-        ),
-        (
-            "table01",
-            "Sampling interval vs miss rate",
-            Own(table01::run),
-        ),
-        (
-            "fig03",
-            "CDF of uburst durations",
-            SinglePort(fig03::render),
-        ),
-        ("table02", "Burst Markov model", SinglePort(table02::render)),
-        (
-            "fig04",
-            "CDF of inter-burst times",
-            SinglePort(fig04::render),
-        ),
-        (
-            "fig05",
-            "Packet sizes inside/outside bursts",
-            Own(fig05::run),
-        ),
-        (
-            "fig06",
-            "CDF of link utilization",
-            SinglePort(fig06::render),
-        ),
-        ("fig07", "Uplink load balance (MAD)", Own(fig07::run)),
-        (
-            "fig08",
-            "Server-to-server correlation heatmaps",
-            Own(fig08::run),
-        ),
-        ("fig09", "Directionality of bursts", Own(fig09::run)),
-        (
-            "fig10",
-            "Shared-buffer occupancy vs hot ports",
-            Own(fig10::run),
-        ),
+        experiment!("fig02", "Drop time series on two ports", fig02),
+        experiment!("sec4.1", "Self-measurement overhead accounting", overhead),
+        experiment!("table01", "Sampling interval vs miss rate", table01),
+        experiment!("fig03", "CDF of uburst durations", fig03),
+        experiment!("table02", "Burst Markov model", table02),
+        experiment!("fig04", "CDF of inter-burst times", fig04),
+        experiment!("fig05", "Packet sizes inside/outside bursts", fig05),
+        experiment!("fig06", "CDF of link utilization", fig06),
+        experiment!("fig07", "Uplink load balance (MAD)", fig07),
+        experiment!("fig08", "Server-to-server correlation heatmaps", fig08),
+        experiment!("fig09", "Directionality of bursts", fig09),
+        experiment!("fig10", "Shared-buffer occupancy vs hot ports", fig10),
     ]
+}
+
+/// Runs `experiments` and returns their reports, in order. Every declared
+/// spec goes into one [`run_parallel`] call, and an experiment renders on
+/// the worker that completes its runs, which it then drops, so the suite
+/// holds the runs of the few experiments in flight, not all of them. An
+/// experiment that declares exactly an earlier one's campaigns (Figs. 3, 4,
+/// 6 and Table 2 all declare the single-port dataset) submits nothing and
+/// renders that one's runs.
+pub fn run_experiments(scale: Scale, experiments: &[Experiment]) -> Vec<String> {
+    let declared: Vec<Vec<CampaignSpec>> =
+        experiments.iter().map(|e| (e.campaigns)(scale)).collect();
+    // Experiment `i` renders declaration `first[i]`: the first experiment
+    // that declares exactly its specs.
+    let first: Vec<usize> = declared
+        .iter()
+        .map(|d| declared.iter().position(|e| e == d).expect("d is declared"))
+        .collect();
+    let reports: Vec<Mutex<String>> = experiments.iter().map(|_| Mutex::default()).collect();
+    let render = |d: usize, runs: &[CampaignRun]| {
+        for i in (0..experiments.len()).filter(|&i| first[i] == d) {
+            *reports[i].lock().expect("no render panicked") =
+                (experiments[i].render)(scale, &declared[d], runs);
+        }
+    };
+    // Each submitted spec's (declaration, position); a declaration's runs
+    // wait in `pending` until its last one arrives.
+    let owner: Vec<(usize, usize)> = (0..declared.len())
+        .filter(|&d| first[d] == d)
+        .flat_map(|d| (0..declared[d].len()).map(move |k| (d, k)))
+        .collect();
+    let pending: Vec<Mutex<Vec<Option<CampaignRun>>>> = declared
+        .iter()
+        .map(|d| Mutex::new(d.iter().map(|_| None).collect()))
+        .collect();
+    for d in (0..declared.len()).filter(|&d| first[d] == d && declared[d].is_empty()) {
+        render(d, &[]);
+    }
+    let submitted = owner.iter().map(|&(d, k)| declared[d][k].clone()).collect();
+    run_parallel(submitted, |slot, run| {
+        let (d, k) = owner[slot];
+        let complete: Option<Vec<CampaignRun>> = {
+            let mut runs = pending[d].lock().expect("held only to store a run");
+            runs[k] = Some(run);
+            runs.iter()
+                .all(Option::is_some)
+                .then(|| runs.drain(..).flatten().collect())
+        };
+        if let Some(runs) = complete {
+            render(d, &runs);
+        }
+    });
+    reports
+        .into_iter()
+        .map(|r| r.into_inner().expect("no render panicked"))
+        .collect()
 }

@@ -23,15 +23,20 @@ use uburst_core::tuning::{miss_law, probe_idle_bank};
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
-use crate::pool::run_jobs;
+use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::report::{law_check, verdict, Table};
 use crate::scale::Scale;
 
 /// The interval the paper's §4.1 numbers are for.
 const PAPER_INTERVAL_US: u64 = 25;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
+/// None: §4.1's probes poll an idle counter bank inside [`render`].
+pub fn campaigns(_: Scale) -> Vec<CampaignSpec> {
+    Vec::new()
+}
+
+/// Renders the report, running its own probes.
+pub fn render(scale: Scale, _specs: &[CampaignSpec], _runs: &[CampaignRun]) -> String {
     let duration = match scale {
         Scale::Quick => Nanos::from_millis(200),
         Scale::Full => Nanos::from_millis(2_000),
@@ -46,8 +51,7 @@ pub fn run(scale: Scale) -> String {
     )
     .unwrap();
 
-    // The cells are independent simulated campaigns: pool them.
-    let jobs = vec![
+    let cells = [
         (CoreMode::Dedicated, 10u64, 0x0413u64),
         (CoreMode::Dedicated, 25, 0x0411),
         (CoreMode::Dedicated, 100, 0x0414),
@@ -55,7 +59,7 @@ pub fn run(scale: Scale) -> String {
         (CoreMode::Shared, 25, 0x0412),
         (CoreMode::Shared, 100, 0x0416),
     ];
-    let probes = run_jobs(jobs, |(mode, us, seed)| {
+    let probes = cells.map(|(mode, us, seed)| {
         let interval = Nanos::from_micros(us);
         let stats = probe_idle_bank(&counters, access, interval, duration, mode, seed);
         (mode, us, stats)

@@ -16,12 +16,17 @@ use uburst_core::tuning::{miss_law, probe_idle_bank, tune_min_interval};
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
-use crate::pool::run_jobs;
+use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::report::{law_check, verdict, Table};
 use crate::scale::Scale;
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
+/// None: Table 1's probes poll an idle counter bank inside [`render`].
+pub fn campaigns(_: Scale) -> Vec<CampaignSpec> {
+    Vec::new()
+}
+
+/// Renders the report, running its own probes.
+pub fn render(scale: Scale, _specs: &[CampaignSpec], _runs: &[CampaignRun]) -> String {
     let duration = match scale {
         Scale::Quick => Nanos::from_millis(200),
         Scale::Full => Nanos::from_millis(2_000),
@@ -45,8 +50,7 @@ pub fn run(scale: Scale) -> String {
         "paper",
     ]);
     let probe_cases = [(1u64, "100%"), (10, "~10%"), (25, "~1%")];
-    // Each probe is an independent simulated campaign: run them on the pool.
-    let profiles = run_jobs(probe_cases.map(|(us, _)| us).to_vec(), |us| {
+    let profiles = probe_cases.map(|(us, _)| {
         probe_idle_bank(
             &byte_counter,
             access,

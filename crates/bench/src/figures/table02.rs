@@ -10,9 +10,13 @@ use std::fmt::Write;
 use uburst_analysis::{fit_transition_matrix, hot_chain, HOT_THRESHOLD};
 use uburst_workloads::scenario::RackType;
 
-use crate::figures::common::SinglePortData;
+use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::figures::common::port_utils;
 use crate::report::{verdict, Table};
 use crate::scale::Scale;
+
+/// The shared single-port dataset.
+pub use crate::figures::common::single_port_campaigns as campaigns;
 
 /// Paper's likelihood ratios for reference.
 pub const PAPER_R: [(RackType, f64); 3] = [
@@ -21,13 +25,8 @@ pub const PAPER_R: [(RackType, f64); 3] = [
     (RackType::Hadoop, 15.6),
 ];
 
-/// Runs the experiment and renders the report.
-pub fn run(scale: Scale) -> String {
-    super::Runner::SinglePort(render).run(scale)
-}
-
-/// Renders the report from an already collected dataset.
-pub fn render(scale: Scale, data: &SinglePortData) -> String {
+/// Renders the report from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -54,8 +53,8 @@ pub fn render(scale: Scale, data: &SinglePortData) -> String {
         let mut n0 = 0.0;
         let mut n11 = 0.0;
         let mut n1 = 0.0;
-        for r in data.runs(rack_type) {
-            let chain = hot_chain(&r.utils, HOT_THRESHOLD);
+        for utils in &port_utils(specs, runs, rack_type) {
+            let chain = hot_chain(utils, HOT_THRESHOLD);
             let m = fit_transition_matrix(&chain);
             if m.from0 > 0 {
                 n01 += m.p01 * m.from0 as f64;

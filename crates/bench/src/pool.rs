@@ -25,63 +25,56 @@
 //!   rack polled by several campaigns is built and simulated once. The
 //!   plan is made per call from spec equality; nothing is cached.
 //! * **Determinism.** Jobs are seeded and independent; results are
-//!   reordered by submission index before they are returned. A run with
+//!   reordered by submission index before they are returned, or handed
+//!   out with it ([`run_parallel`]). A run with
 //!   `UBURST_THREADS=1` executes the jobs inline on the caller, which is
 //!   exactly the old sequential code path.
-//! * **Nesting.** Harnesses compose (`repro all` parallelizes
-//!   over experiments, each experiment over campaigns), so a global permit
-//!   budget of `Scale::threads() - 1` extra workers caps the total number
-//!   of live worker threads across nested [`run_jobs`] calls. A nested
-//!   call that finds the budget drained simply runs its jobs inline on the
-//!   worker it already owns — no oversubscription, no deadlock (the caller
-//!   always participates, so progress never depends on acquiring a
-//!   permit).
+//! * **Nesting runs inline.** A pool call made from inside a pool job
+//!   runs its jobs on the job's own thread (one `thread_local!` flag), so
+//!   nesting can never multiply threads or wait on a worker. No product
+//!   path nests: `repro` submits every figure's campaigns in one
+//!   [`run_parallel`] call and renders each figure on the worker that
+//!   completes its runs.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::cell::Cell;
+use std::sync::Mutex;
 
 use crate::campaign::{plan_groups, run_group, CampaignRun, CampaignSpec};
 use crate::scale::Scale;
 
-/// Permits for *extra* worker threads, shared across nested pools.
-static EXTRA_WORKERS: OnceLock<AtomicUsize> = OnceLock::new();
-
-fn budget() -> &'static AtomicUsize {
-    EXTRA_WORKERS.get_or_init(|| AtomicUsize::new(Scale::threads().saturating_sub(1)))
+thread_local! {
+    /// Set while this thread runs a pool job.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Takes up to `want` permits from the global budget, returning how many
-/// were actually acquired.
-fn acquire_workers(want: usize) -> usize {
-    if want == 0 {
-        return 0;
+/// Marks the current thread as running pool jobs until dropped, also
+/// when a job panics.
+struct JobMark;
+
+impl JobMark {
+    fn set() -> Self {
+        IN_JOB.with(|j| j.set(true));
+        JobMark
     }
-    let mut got = 0;
-    let _ = budget().fetch_update(Ordering::AcqRel, Ordering::Acquire, |avail| {
-        got = avail.min(want);
-        Some(avail - got)
-    });
-    got
 }
 
-fn release_workers(n: usize) {
-    if n > 0 {
-        budget().fetch_add(n, Ordering::AcqRel);
+impl Drop for JobMark {
+    fn drop(&mut self) {
+        IN_JOB.with(|j| j.set(false));
     }
 }
 
 /// Submitted-job accounting: counts what the caller handed in (inputs,
 /// campaigns), never workers or fused groups, so the total is identical
-/// whatever the thread budget resolves to and however campaigns share
-/// simulations.
+/// whatever the thread count and however campaigns share simulations.
 fn count_submitted(n: usize) {
     uburst_obs::counter_add!("uburst_pool_jobs_total", n as u64);
 }
 
-/// Runs `f` over every input on the worker pool, returning the results in
-/// submission order. The calling thread always participates, so this is
-/// exactly sequential execution when no extra workers are available
-/// (`UBURST_THREADS=1`, a single core, or a drained nested budget).
+/// Runs `f` over every input on `Scale::threads()` threads, returning the
+/// results in submission order. The calling thread always participates,
+/// so this is exactly sequential execution with one thread, and a call
+/// from inside a pool job runs inline on that job's thread.
 ///
 /// # Panics
 /// Re-raises a panicking job's own panic once every worker has stopped.
@@ -91,28 +84,13 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    count_submitted(inputs.len());
-    run_budgeted(inputs, f)
+    run_jobs_on(Scale::threads(), inputs, f)
 }
 
-/// Runs the jobs with as many extra workers as the global budget grants.
-fn run_budgeted<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let want = inputs.len().min(Scale::threads()).saturating_sub(1);
-    let extra = acquire_workers(want);
-    let out = run_jobs_with_extra_workers(extra, inputs, f);
-    release_workers(extra);
-    out
-}
-
-/// [`run_jobs`] with an explicit worker-thread count, bypassing both
-/// `UBURST_THREADS` and the global budget. `threads` counts the calling
-/// thread, so `threads = 1` is sequential. Tests use this to exercise the
-/// cross-thread path regardless of the host's core count.
+/// [`run_jobs`] with an explicit thread count, bypassing
+/// `UBURST_THREADS`. `threads` counts the calling thread, so `threads = 1`
+/// is sequential. Tests use this to exercise the cross-thread path
+/// regardless of the host's core count.
 pub fn run_jobs_on<T, R, F>(threads: usize, inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -123,25 +101,21 @@ where
     run_on(threads, inputs, f)
 }
 
-/// Runs the jobs on exactly `threads` threads (the caller included).
+/// Runs the jobs on at most `threads` threads (the caller included), or
+/// inline if the caller is itself a pool job.
 fn run_on<T, R, F>(threads: usize, inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let extra = threads.max(1).min(inputs.len().max(1)) - 1;
-    run_jobs_with_extra_workers(extra, inputs, f)
-}
-
-fn run_jobs_with_extra_workers<T, R, F>(extra: usize, inputs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
     let n = inputs.len();
-    if extra == 0 || n <= 1 {
+    if IN_JOB.with(Cell::get) {
+        return inputs.into_iter().map(f).collect();
+    }
+    let _mark = JobMark::set();
+    let extra = threads.max(1).min(n.max(1)) - 1;
+    if extra == 0 {
         return inputs.into_iter().map(f).collect();
     }
     let jobs = Mutex::new(inputs.into_iter().enumerate());
@@ -161,7 +135,14 @@ where
         }
     };
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..extra).map(|_| s.spawn(work)).collect();
+        let workers: Vec<_> = (0..extra)
+            .map(|_| {
+                s.spawn(|| {
+                    let _mark = JobMark::set();
+                    work()
+                })
+            })
+            .collect();
         // The caller is a worker too: progress never requires a spawn.
         let mut results = work();
         for w in workers {
@@ -192,39 +173,39 @@ fn in_submission_order<R>(n: usize, results: impl Iterator<Item = (usize, R)>) -
         .collect()
 }
 
-/// Runs every campaign spec on the pool, returning the runs in submission
-/// order. Campaigns that measure the same simulation are planned into one
-/// group ([`plan_groups`]) and ride one build + one simulation; each group
-/// is one pool job, built, run and reduced to `Send` [`CampaignRun`]s
-/// inside one worker. Byte-for-byte the same results as calling
-/// [`CampaignSpec::run`] in a loop. Nothing is remembered between calls.
-pub fn run_parallel(specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
-    run_grouped(specs, |groups| run_budgeted(groups, run_group))
+/// Runs every campaign spec on `Scale::threads()` threads and hands each
+/// run to `done`, with its submission index, as soon as its group has run
+/// (on the thread that ran it), so the caller can use and drop runs while
+/// later groups still simulate. Campaigns that measure the same simulation
+/// are planned into one group ([`plan_groups`]) and ride one build + one
+/// simulation; each group is one pool job, built, run and reduced to
+/// `Send` [`CampaignRun`]s inside one worker. Each run is byte-for-byte
+/// the one [`CampaignSpec::run`] returns. Nothing is remembered between
+/// calls.
+pub fn run_parallel(specs: Vec<CampaignSpec>, done: impl Fn(usize, CampaignRun) + Sync) {
+    run_groups(Scale::threads(), specs, done);
 }
 
-/// [`run_parallel`] with an explicit thread count (see [`run_jobs_on`]).
+/// [`run_parallel`]'s runs on an explicit thread count (see
+/// [`run_jobs_on`]), collected in submission order.
 pub fn run_parallel_on(threads: usize, specs: Vec<CampaignSpec>) -> Vec<CampaignRun> {
-    run_grouped(specs, |groups| run_on(threads, groups, run_group))
+    let n = specs.len();
+    let runs = Mutex::new(Vec::with_capacity(n));
+    run_groups(threads, specs, |i, run| {
+        runs.lock().expect("no job panicked").push((i, run));
+    });
+    in_submission_order(n, runs.into_inner().expect("no job panicked").into_iter())
 }
 
-/// Plans `specs` into groups, hands the groups to `exec` (one job each),
-/// and scatters the runs back to submission order.
-fn run_grouped(
-    specs: Vec<CampaignSpec>,
-    exec: impl FnOnce(Vec<Vec<CampaignSpec>>) -> Vec<Vec<CampaignRun>>,
-) -> Vec<CampaignRun> {
-    let n = specs.len();
-    count_submitted(n);
-    let (slots, groups): (Vec<_>, Vec<_>) = plan_groups(specs).into_iter().unzip();
-    let mut out: Vec<Option<CampaignRun>> = (0..n).map(|_| None).collect();
-    for (slots, runs) in slots.into_iter().zip(exec(groups)) {
-        for (slot, run) in slots.into_iter().zip(runs) {
-            out[slot] = Some(run);
+/// Plans `specs` into groups and runs one pool job per group on `threads`
+/// threads, handing each run to `done` with its submission index.
+fn run_groups(threads: usize, specs: Vec<CampaignSpec>, done: impl Fn(usize, CampaignRun) + Sync) {
+    count_submitted(specs.len());
+    run_on(threads, plan_groups(specs), |(slots, group)| {
+        for (slot, run) in slots.into_iter().zip(run_group(group)) {
+            done(slot, run);
         }
-    }
-    out.into_iter()
-        .map(|run| run.expect("every spec is planned into exactly one group"))
-        .collect()
+    });
 }
 
 #[cfg(test)]
@@ -290,21 +271,23 @@ mod tests {
     #[test]
     fn nested_pools_do_not_deadlock() {
         let out = run_jobs_on(3, (0..6u32).collect(), |i| {
-            run_jobs((0..4u32).collect(), move |j| i * 10 + j)
+            let outer = std::thread::current().id();
+            let inner = run_jobs_on(4, (0..4u32).collect(), move |j| {
+                (i * 10 + j, std::thread::current().id())
+            });
+            (inner, outer)
         });
         assert_eq!(out.len(), 6);
-        for (i, inner) in out.iter().enumerate() {
+        for (i, (inner, outer)) in out.iter().enumerate() {
+            let values: Vec<u32> = inner.iter().map(|&(v, _)| v).collect();
             assert_eq!(
-                *inner,
+                values,
                 (0..4).map(|j| i as u32 * 10 + j).collect::<Vec<_>>()
             );
+            assert!(
+                inner.iter().all(|(_, t)| t == outer),
+                "inner jobs ran off their outer job's thread"
+            );
         }
-    }
-
-    #[test]
-    fn budget_is_restored_after_use() {
-        let before = budget().load(Ordering::Acquire);
-        let _ = run_jobs((0..8u32).collect(), |x| x * 2);
-        assert_eq!(budget().load(Ordering::Acquire), before);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
-use uburst_bench::figures::{all_experiments, fig03};
+use uburst_bench::figures::{all_experiments, run_experiments};
 use uburst_bench::Scale;
 
 fn repro(args: &[&str]) -> Output {
@@ -22,7 +22,7 @@ fn list_starts_with_the_registry_and_ids_are_unique() {
     let listed: Vec<&str> = stdout.lines().collect();
     // Tables and figures first, in registry order; the harnesses that live
     // in the binary (extensions, ablations) follow.
-    let registry: Vec<&str> = all_experiments().into_iter().map(|e| e.0).collect();
+    let registry: Vec<&str> = all_experiments().into_iter().map(|e| e.id).collect();
     assert_eq!(listed[..registry.len()], registry[..]);
     assert!(listed.len() > registry.len(), "no harness listed");
     let unique: BTreeSet<&str> = listed.iter().copied().collect();
@@ -46,5 +46,9 @@ fn one_id_prints_that_experiments_report() {
     let out = repro(&["fig03"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
-    assert_eq!(stdout, fig03::run(Scale::Quick));
+    let fig03 = all_experiments()
+        .into_iter()
+        .find(|e| e.id == "fig03")
+        .expect("fig03 is registered");
+    assert_eq!(stdout, run_experiments(Scale::Quick, &[fig03]).concat());
 }

@@ -14,7 +14,8 @@
 //!    snapshot every time the same crash is replayed.
 //!
 //! A pooled Pearson matrix, likewise, counts the same 64 jobs on any
-//! number of threads.
+//! number of threads, and an experiment that repeats an earlier one's
+//! declaration adds no campaign.
 //!
 //! The registry is a process-global, so the tests serialize on one lock
 //! and reset it around each measurement.
@@ -22,7 +23,10 @@
 use std::sync::Mutex;
 
 use uburst_asic::{CounterId, FaultPlan};
-use uburst_bench::{correlation_matrix_pooled_on, run_jobs_on, run_parallel_on, CampaignSpec};
+use uburst_bench::figures::{run_experiments, Experiment};
+use uburst_bench::{
+    correlation_matrix_pooled_on, run_jobs_on, run_parallel_on, CampaignSpec, Scale,
+};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
     Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipment, Shipper, ShipperConfig,
@@ -162,6 +166,30 @@ fn fused_snapshot_equals_the_unfused_loop() {
             "fused snapshot on {threads} thread(s) differs from the solo loop's"
         );
     }
+}
+
+/// An experiment that declares exactly an earlier one's campaigns renders
+/// that one's runs, as Figs. 3, 4, 6 and Table 2 share the single-port
+/// dataset: the repeat submits no job and polls no campaign. (Submitted
+/// again, its buffer-peak readers would each need a simulation of their
+/// own, since the planner never gives a read-and-clear register two
+/// readers.)
+#[test]
+fn a_repeated_declaration_is_measured_once() {
+    let experiment = |id| Experiment {
+        id,
+        title: "",
+        campaigns: |_| specs(),
+        render: |_, specs, runs| format!("{} campaigns: {runs:?}", specs.len()),
+    };
+    let (reports, prom) = with_registry(|| {
+        let reports = run_experiments(Scale::Quick, &[experiment("a"), experiment("b")]);
+        (reports, uburst_obs::snapshot().to_prometheus())
+    });
+    assert!(prom.contains("uburst_poller_campaigns_total 6\n"), "{prom}");
+    assert!(prom.contains("uburst_pool_jobs_total 6\n"), "{prom}");
+    assert!(reports[0].starts_with("6 campaigns: "));
+    assert_eq!(reports[0], reports[1]);
 }
 
 /// A pooled Pearson matrix submits its fixed budget of 64 pair-range
