@@ -340,6 +340,28 @@ mod tests {
         }
     }
 
+    /// Spikes are uniform over the documented [20, 80) µs: the mean of
+    /// 20 000 draws lies within 4σ of 50 µs, and both end microseconds of
+    /// the range are hit. The bounds are the documented literals, not the
+    /// constants, so a narrowed range fails here.
+    #[test]
+    fn spike_magnitudes_are_uniform_over_20_to_80_us() {
+        let mut inj = FaultInjector::new(FaultPlan::none(12).with_latency_spike(1.0));
+        let n = 20_000u32;
+        let draws: Vec<u64> = (0..n).map(|_| inj.pre_read().unwrap().as_nanos()).collect();
+        assert_eq!(inj.stats().latency_spikes, u64::from(n));
+        let (lo, hi) = (20_000.0f64, 80_000.0f64);
+        let sigma = (hi - lo) / 12f64.sqrt() / f64::from(n).sqrt(); // ≈ 0.12 µs
+        let mean = draws.iter().sum::<u64>() as f64 / f64::from(n);
+        assert!(
+            (mean - 50_000.0).abs() < 4.0 * sigma,
+            "mean spike {mean} ns, 4σ = {} ns",
+            4.0 * sigma
+        );
+        assert!(draws.iter().any(|d| (20_000..21_000).contains(d)));
+        assert!(draws.iter().any(|d| (79_000..80_000).contains(d)));
+    }
+
     #[test]
     fn fleet_plans_are_deterministic_and_rate_bounded() {
         // Rate endpoints are exact.

@@ -86,11 +86,11 @@ impl<S: WalStorage> TornStorage<S> {
 }
 
 impl<S: WalStorage> WalStorage for TornStorage<S> {
-    fn open_segment(&mut self, index: u64) -> io::Result<()> {
+    fn open_segment_sized(&mut self, index: u64, max_bytes: usize) -> io::Result<()> {
         if self.crashed {
             return Err(crash_error());
         }
-        self.inner.open_segment(index)
+        self.inner.open_segment_sized(index, max_bytes)
     }
 
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {

@@ -793,6 +793,52 @@ mod tests {
         );
     }
 
+    /// A bus that always times out: every deadline burns the documented
+    /// 9 µs per attempt, first try and every retry, and waits out each
+    /// backoff between them before it is abandoned. Busy time holds only
+    /// the timeouts; the schedule also carries the backoffs.
+    #[test]
+    fn always_failing_reads_cost_exactly_the_timeouts_and_backoffs() {
+        const TIMEOUT: Nanos = Nanos(9_000);
+        let interval = Nanos::from_micros(25);
+        let stop = Nanos::from_millis(10);
+        let mut sim = Simulator::new();
+        let bank = AsicCounters::new_shared(1);
+        let campaign = CampaignConfig::single("bytes", CounterId::TxBytes(PortId(0)), interval);
+        let plan = FaultPlan::none(0xDEAD).with_transient_failure(1.0);
+        let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 42)
+            .unwrap()
+            .with_faults(FaultInjector::new(plan));
+        let id = poller.spawn(&mut sim, Nanos::ZERO, stop).unwrap();
+        sim.run_until(Nanos::MAX);
+        let p = sim.node_mut::<Poller>(id);
+        assert!(p.is_finished());
+        let stats = p.stats();
+
+        let retry = RetryPolicy::default();
+        let attempts = u64::from(retry.max_retries) + 1;
+        let waits = (0..retry.max_retries)
+            .map(|k| retry.backoff(k).as_nanos())
+            .sum::<u64>();
+        // One deadline's occupancy, and the deadline after it: the first
+        // one strictly later than the abandon instant.
+        let occupied = attempts * TIMEOUT.as_nanos() + waits;
+        let stride = (occupied / interval.as_nanos() + 1) * interval.as_nanos();
+        let served = stop.as_nanos().div_ceil(stride);
+
+        assert_eq!(stats.polls, 0, "no read ever completes");
+        assert_eq!(stats.read_errors, served * attempts);
+        assert_eq!(stats.retries, served * u64::from(retry.max_retries));
+        assert_eq!(stats.abandoned_polls(), served);
+        assert_eq!(stats.busy, Nanos(stats.read_errors * TIMEOUT.as_nanos()));
+        assert_eq!(
+            stats.missed_deadlines,
+            served * (stride / interval.as_nanos() - 1)
+        );
+        assert_eq!(stats.stopped_at, Nanos((served - 1) * stride + occupied));
+        assert_eq!(p.fault_stats().unwrap().bus_timeouts, stats.read_errors);
+    }
+
     #[test]
     fn backoff_is_bounded_exponential() {
         let r = RetryPolicy {

@@ -325,6 +325,100 @@ mod tests {
             .all(|s| store.contiguous(s.source()) == WORK.batches));
     }
 
+    /// A link's traffic is conserved: every copy offered or duplicated was
+    /// delivered, dropped, or is still on the wire.
+    fn assert_conserved<T: Clone>(link: &LossyLink<T>, what: &str) {
+        let s = link.stats();
+        assert_eq!(
+            s.offered + s.duplicated,
+            s.delivered + s.dropped + link.in_flight() as u64,
+            "{what} link: {s:?} with {} in flight",
+            link.in_flight()
+        );
+    }
+
+    /// The collection path's conservation laws against a durable store, on
+    /// the default and the hostile link, never cut: each link conserves its
+    /// traffic at every tick, each delivery window splits exactly into
+    /// stored, duplicate and reordered batches, and at idle every shipper's
+    /// acked prefix is the store's contiguous prefix and everything it was
+    /// offered — each batch stored exactly once.
+    #[test]
+    fn links_receiver_and_shippers_conserve_every_batch() {
+        use crate::errors::WalError;
+        use crate::wal::{DurableStore, MemStorage, WalConfig};
+        for (plan, name) in [
+            (LinkPlan::default(), "default"),
+            (LinkPlan::HOSTILE, "hostile"),
+        ] {
+            for seed in 1..=4u64 {
+                let cfg = WalConfig {
+                    segment_max_bytes: 512,
+                    ..WalConfig::default()
+                };
+                let mut ds = DurableStore::create(MemStorage::new(), cfg).unwrap();
+                let mut session = WORK.session(plan, seed);
+                let mut outcomes = Vec::new();
+                let (mut delivered, mut stored) = (0u64, 0u64);
+                let mut redelivered = [0u64; 2];
+                let mut ticks = 0;
+                while !session.idle() {
+                    ticks += 1;
+                    assert!(ticks < 10_000, "{name}/{seed}: never drained");
+                    session
+                        .tick(|window, acks| {
+                            ds.ingest_group(&window, &mut outcomes)?;
+                            let count = |k| outcomes.iter().filter(|(o, _)| *o == k).count();
+                            let (s, d, r) = (
+                                count(SeqIngest::Stored),
+                                count(SeqIngest::Duplicate),
+                                count(SeqIngest::Reordered),
+                            );
+                            assert_eq!(window.len(), s + d + r, "{name}/{seed} tick {ticks}");
+                            delivered += window.len() as u64;
+                            stored += s as u64;
+                            redelivered[0] += d as u64;
+                            redelivered[1] += r as u64;
+                            acks.extend(outcomes.iter().map(|&(_, ack)| ack));
+                            Ok::<(), WalError>(())
+                        })
+                        .unwrap();
+                    assert_conserved(&session.data, "data");
+                    assert_conserved(&session.acks, "ack");
+                }
+                let sent: u64 = session
+                    .shippers()
+                    .iter()
+                    .map(|s| s.stats().transmissions + s.stats().retransmits)
+                    .sum();
+                assert_eq!(session.data.stats().offered, sent, "{name}/{seed}");
+                assert_eq!(session.data.stats().delivered, delivered, "{name}/{seed}");
+                assert_eq!(
+                    session.acks.stats().offered,
+                    delivered,
+                    "one ack per delivery"
+                );
+                assert_eq!(
+                    stored,
+                    u64::from(WORK.sources) * WORK.batches,
+                    "{name}/{seed}"
+                );
+                if name == "hostile" {
+                    assert!(redelivered.iter().all(|&n| n > 0), "{redelivered:?}");
+                }
+                for shipper in session.shippers() {
+                    let source = shipper.source();
+                    assert_eq!(shipper.cum_acked(), ds.store().contiguous(source));
+                    assert_eq!(
+                        shipper.cum_acked(),
+                        WORK.batches,
+                        "{name}/{seed} {source:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "shipper for every source")]
     fn an_ack_for_a_stranger_is_a_receiver_bug() {

@@ -132,7 +132,7 @@ impl<S: WalStorage> Wal<S> {
             cfg.segment_max_bytes > SEGMENT_HEADER_LEN,
             "segment size smaller than its header"
         );
-        storage.open_segment(first_segment)?;
+        storage.open_segment_sized(first_segment, cfg.segment_max_bytes)?;
         storage.append(&segment_header())?;
         Ok(Wal {
             storage,
@@ -187,7 +187,8 @@ impl<S: WalStorage> Wal<S> {
             uburst_obs::counter_add!("uburst_wal_fsyncs_total", 1);
             uburst_obs::counter_add!("uburst_wal_rotations_total", 1);
             self.segment += 1;
-            self.storage.open_segment(self.segment)?;
+            self.storage
+                .open_segment_sized(self.segment, self.cfg.segment_max_bytes)?;
             self.storage.append(&segment_header())?;
             self.segment_len = SEGMENT_HEADER_LEN;
             self.total_bytes += SEGMENT_HEADER_LEN as u64;

@@ -14,8 +14,16 @@ use std::sync::{Arc, Mutex};
 /// holds them included — and a segment `remove` returned from must stay
 /// gone.
 pub trait WalStorage {
-    /// Creates (or truncates) segment `index` and makes it current.
-    fn open_segment(&mut self, index: u64) -> io::Result<()>;
+    /// Creates (or truncates) segment `index` and makes it current. The
+    /// writer rotates before the segment grows past `max_bytes` (unless a
+    /// single record is larger), so an in-memory backend sizes the
+    /// segment once; a file backend ignores it.
+    fn open_segment_sized(&mut self, index: u64, max_bytes: usize) -> io::Result<()>;
+    /// [`WalStorage::open_segment_sized`] for a segment of unknown size
+    /// (a copy of an image, a test planting bytes).
+    fn open_segment(&mut self, index: u64) -> io::Result<()> {
+        self.open_segment_sized(index, 0)
+    }
     /// Appends bytes to the current segment. May apply a prefix and then
     /// fail — that is the torn write recovery must survive.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
@@ -69,7 +77,7 @@ impl DirStorage {
 }
 
 impl WalStorage for DirStorage {
-    fn open_segment(&mut self, index: u64) -> io::Result<()> {
+    fn open_segment_sized(&mut self, index: u64, _max_bytes: usize) -> io::Result<()> {
         self.current = Some(
             fs::OpenOptions::new()
                 .create(true)
@@ -164,8 +172,10 @@ impl MemStorage {
 }
 
 impl WalStorage for MemStorage {
-    fn open_segment(&mut self, index: u64) -> io::Result<()> {
-        self.lock().segments.insert(index, Vec::new());
+    fn open_segment_sized(&mut self, index: u64, max_bytes: usize) -> io::Result<()> {
+        self.lock()
+            .segments
+            .insert(index, Vec::with_capacity(max_bytes));
         self.current = Some(index);
         Ok(())
     }

@@ -801,8 +801,8 @@ impl CountingStorage {
 }
 
 impl WalStorage for CountingStorage {
-    fn open_segment(&mut self, index: u64) -> io::Result<()> {
-        self.inner.open_segment(index)
+    fn open_segment_sized(&mut self, index: u64, max_bytes: usize) -> io::Result<()> {
+        self.inner.open_segment_sized(index, max_bytes)
     }
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
         *self.appends.lock().unwrap() += 1;
