@@ -82,6 +82,6 @@ fn main() {
     if analyzed == 0 {
         println!("no byte-counter series found — nothing to analyze");
     } else {
-        t.print();
+        print!("{}", t.render());
     }
 }

@@ -1,0 +1,180 @@
+//! Design-choice ablations called out in DESIGN.md §4.
+//!
+//! Not paper figures — these vary one mechanism at a time and show how the
+//! measured microburst phenomenology depends on it:
+//!
+//! 1. **Shared-buffer alpha** — dynamic-threshold aggressiveness vs. drops.
+//! 2. **Read-and-clear peak register vs. sampled level** — why the paper
+//!    polls a peak register "so that we do not miss any congestion events".
+//! 3. **NIC pacing** — the §7 pacing discussion: pacing the rack's servers
+//!    cools the uplink.
+//!
+//! ECMP flow hashing vs. per-packet spraying is `ext_flowlet_lb` panel A;
+//! dedicated vs. shared poller core is §4.1. Each ablation ends in a
+//! checked claim.
+//!
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ablations`.
+
+use std::fmt::Write;
+
+use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
+use uburst_asic::CounterId;
+use uburst_sim::bufpolicy::BufferPolicyCfg;
+use uburst_sim::time::Nanos;
+use uburst_workloads::scenario::{RackType, ScenarioConfig};
+
+use crate::campaign::{single_port_spec, CampaignRun, CampaignSpec};
+use crate::figures::common::burst_p90_us;
+use crate::report::{verdict, Table};
+use crate::scale::Scale;
+
+const SPAN: Nanos = Nanos::from_millis(150);
+const INTERVAL: Nanos = Nanos::from_micros(25);
+/// Ablation 1's dynamic-threshold alphas.
+const ALPHAS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
+/// Ablation 3's NIC pacing rates.
+const PACING: [(&str, Option<u64>); 3] = [
+    ("none (TSO bursts)", None),
+    ("5 Gbps", Some(5_000_000_000)),
+    ("2.5 Gbps", Some(2_500_000_000)),
+];
+
+/// Ablation 1's campaigns (one per alpha, on downlink 2), ablation 2's
+/// (peak and level registers together), then ablation 3's (one per pacing
+/// rate, on the first uplink).
+pub fn campaigns(_: Scale) -> Vec<CampaignSpec> {
+    let alphas = ALPHAS.map(|alpha| {
+        let mut cfg = ScenarioConfig::new(RackType::Hadoop, 40_001);
+        cfg.load = 1.6;
+        // Routed through the carving-policy trait: the sweep is over the
+        // DynamicThreshold aggressiveness knob, not a raw switch field.
+        cfg.clos.tor_switch.policy = BufferPolicyCfg::DynamicThreshold { alpha };
+        single_port_spec(cfg, Some(2), INTERVAL, SPAN).0
+    });
+    let peak = CampaignSpec::new(
+        ScenarioConfig::new(RackType::Hadoop, 40_004),
+        vec![CounterId::BufferPeak, CounterId::BufferLevel],
+        Nanos::from_micros(300),
+        SPAN,
+    );
+    let pacing = PACING.map(|(_, pace)| {
+        let mut cfg = ScenarioConfig::new(RackType::Cache, 40_005);
+        cfg.nic_pace_bps = pace;
+        let uplink = cfg.n_servers;
+        single_port_spec(cfg, Some(uplink), INTERVAL, SPAN).0
+    });
+    alphas.into_iter().chain([peak]).chain(pacing).collect()
+}
+
+fn ablate_buffer_alpha(out: &mut String, specs: &[CampaignSpec], runs: &[CampaignRun]) {
+    out.push_str("## ablation 1: dynamic-threshold alpha (Hadoop rack, load 1.6)\n\n");
+    let mut t = Table::new(&["alpha", "drops", "drop_dir_dn%", "burst_p90us"]);
+    let mut drops = Vec::new();
+    for ((alpha, spec), run) in ALPHAS.into_iter().zip(specs).zip(runs) {
+        let utils = run.utilization(spec.counters[0], 10_000_000_000);
+        let p90 = burst_p90_us(&extract_bursts(&utils, HOT_THRESHOLD));
+        let dropped = run.net.tor.dropped_packets;
+        let dn_drops = run.net.downlink_drops(spec.cfg.n_servers) as f64;
+        let dn_pct = if dropped == 0 {
+            0.0
+        } else {
+            dn_drops / dropped as f64 * 100.0
+        };
+        t.row(&[
+            format!("{alpha}"),
+            format!("{dropped}"),
+            format!("{dn_pct:.0}"),
+            format!("{p90:.0}"),
+        ]);
+        drops.push(dropped);
+    }
+    out.push_str(&t.render());
+    out.push_str("smaller alpha carves tighter per-port limits -> more (earlier) drops;\nlarge alpha shares the pool -> fewer drops.\n");
+    let shown: Vec<String> = drops.iter().map(u64::to_string).collect();
+    writeln!(
+        out,
+        "  [{}] drops are non-increasing in alpha ({})\n",
+        verdict(drops.windows(2).all(|w| w[1] <= w[0])),
+        shown.join(" -> ")
+    )
+    .unwrap();
+}
+
+fn ablate_peak_register(out: &mut String, run: &CampaignRun) {
+    out.push_str("## ablation 2: read-and-clear peak register vs sampled level\n\n");
+    let peaks = run.series_for(CounterId::BufferPeak);
+    let levels = run.series_for(CounterId::BufferLevel);
+    let max_peak = peaks.vs.iter().copied().max().unwrap_or(0);
+    let max_level = levels.vs.iter().copied().max().unwrap_or(0);
+    // How much buffer excursion does level-sampling miss per interval?
+    let mut missed_excursion = 0u64;
+    let mut intervals = 0u64;
+    for (&p, &l) in peaks.vs.iter().zip(&levels.vs).skip(1) {
+        missed_excursion += p.saturating_sub(l);
+        intervals += 1;
+    }
+    let mut t = Table::new(&["metric", "peak_register", "sampled_level"]);
+    t.row(&[
+        "max observed (bytes)".into(),
+        format!("{max_peak}"),
+        format!("{max_level}"),
+    ]);
+    t.row(&[
+        "mean missed excursion/interval".into(),
+        "0 (by construction)".into(),
+        format!("{}", missed_excursion / intervals.max(1)),
+    ]);
+    out.push_str(&t.render());
+    writeln!(
+        out,
+        "underestimate of the true maximum with sampled levels: {:.0}%\n\
+the read-and-clear register never misses an excursion between reads —\n\
+\"even when the sampling loop misses a sampling period, our results\n\
+will still reflect bursts\" (§4.1).",
+        (1.0 - max_level as f64 / max_peak.max(1) as f64) * 100.0
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "  [{}] the peak register's maximum is at least the sampled level's ({max_peak} >= {max_level})\n",
+        verdict(max_peak >= max_level)
+    )
+    .unwrap();
+}
+
+fn ablate_pacing(out: &mut String, specs: &[CampaignSpec], runs: &[CampaignRun]) {
+    out.push_str("## ablation 3: NIC pacing on the rack's servers (Cache rack)\n\n");
+    let mut t = Table::new(&["pacing", "uplink_hot%", "burst_p90us", "drops"]);
+    let mut hot = Vec::new();
+    for (((name, _), spec), run) in PACING.into_iter().zip(specs).zip(runs) {
+        let utils = run.utilization(spec.counters[0], spec.cfg.clos.uplink.bandwidth_bps);
+        let a = extract_bursts(&utils, HOT_THRESHOLD);
+        t.row(&[
+            name.into(),
+            format!("{:.1}", a.hot_fraction() * 100.0),
+            format!("{:.0}", burst_p90_us(&a)),
+            format!("{}", run.net.tor.dropped_packets),
+        ]);
+        hot.push(a.hot_fraction() * 100.0);
+    }
+    out.push_str(&t.render());
+    out.push_str("pacing smears the line-rate trains out: the uplink's hot fraction falls\nas pacing tightens — the effect the hardware/software pacing proposals\nof §7 target.\n");
+    let shown: Vec<String> = hot.iter().map(|h| format!("{h:.1}")).collect();
+    writeln!(
+        out,
+        "  [{}] the hot share is non-increasing as pacing tightens ({})\n",
+        verdict(hot.windows(2).all(|w| w[1] <= w[0])),
+        shown.join(" -> ")
+    )
+    .unwrap();
+}
+
+/// Renders the three ablations from the runs of [`campaigns`].
+pub fn render(_: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
+    let mut out = String::from("design-choice ablations (see DESIGN.md section 4)\n\n");
+    let n = ALPHAS.len();
+    ablate_buffer_alpha(&mut out, &specs[..n], &runs[..n]);
+    ablate_peak_register(&mut out, &runs[n]);
+    ablate_pacing(&mut out, &specs[n + 1..], &runs[n + 1..]);
+    out
+}

@@ -55,6 +55,16 @@ pub fn port_utils(
         .collect()
 }
 
+/// The 90th-percentile burst duration in µs, 0 when there is no burst.
+pub fn burst_p90_us(a: &uburst_analysis::BurstAnalysis) -> f64 {
+    if a.bursts.is_empty() {
+        0.0
+    } else {
+        let durations = a.durations().iter().map(|d| d.as_micros_f64()).collect();
+        uburst_analysis::Ecdf::new(durations).quantile(0.9)
+    }
+}
+
 /// Flattens burst durations (µs) across rack instances.
 pub fn all_burst_durations_us(runs: &[Vec<UtilSample>], threshold: f64) -> Vec<f64> {
     runs.iter()

@@ -1,0 +1,177 @@
+//! Extension experiment: the collection pipeline under hardware faults.
+//!
+//! The paper's framework runs on production switch CPUs where counter
+//! reads ride real bus transactions: they time out, stall, and return
+//! stale data, and many register banks are only 32 bits wide (§4.1). This
+//! harness arms the fault-injection layer and sweeps the transient-failure
+//! rate on a fixed 25 µs byte-counter campaign, reporting
+//!
+//! * **sampling loss** — the Table-1 metric (deadline misses) plus polls
+//!   abandoned after retry exhaustion,
+//! * **accuracy** — the reconstructed mean rate vs. the fault-free run
+//!   (wrap decoding must hide the 32-bit wraps entirely), and
+//! * **accounting** — every injected fault must appear in the poller's
+//!   stats (`read_errors == retries + abandoned`, injector and poller
+//!   agree on timeouts and stale reads).
+//!
+//! The sweep's campaigns poll one rack, so they ride one simulation.
+//! Everything is deterministic from the printed seeds.
+//!
+//! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fault_tolerance`.
+
+use std::fmt::Write;
+
+use uburst_asic::{CounterId, FaultPlan};
+use uburst_sim::node::PortId;
+use uburst_sim::time::Nanos;
+use uburst_workloads::scenario::{RackType, ScenarioConfig};
+
+use crate::campaign::{CampaignRun, CampaignSpec};
+use crate::report::{verdict, Table};
+use crate::scale::Scale;
+
+const SEED: u64 = 90_210;
+const PORT: PortId = PortId(2);
+/// Transient-failure rates swept; the first is the fault-free baseline.
+const RATES: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.10];
+/// The sweep point replayed alone for the determinism check (1 %).
+const REPLAYED: usize = 2;
+
+/// One campaign per swept fault rate, in `RATES` order.
+pub fn campaigns(scale: Scale) -> Vec<CampaignSpec> {
+    RATES
+        .iter()
+        .map(|&fault_rate| {
+            let cfg = ScenarioConfig::new(RackType::Hadoop, SEED);
+            let counters = vec![CounterId::TxBytes(PORT)];
+            let interval = Nanos::from_micros(25);
+            let mut spec = CampaignSpec::new(cfg, counters, interval, scale.campaign_span());
+            // The fault-free baseline uses full-width registers; every
+            // faulted run also narrows the counters to 32 bits, so accuracy
+            // checks cover the wrap decoder too.
+            spec.faults = (fault_rate > 0.0).then(|| {
+                FaultPlan::none(SEED ^ 0xFA17)
+                    .with_transient_failure(fault_rate)
+                    .with_stale_read(fault_rate / 4.0)
+                    .with_latency_spike(fault_rate / 2.0)
+                    .with_counter_bits(32)
+            });
+            spec
+        })
+        .collect()
+}
+
+/// Mean rate in bytes/sec reconstructed from the campaign's series.
+fn mean_rate(run: &CampaignRun) -> f64 {
+    let s = &run.series[0].1;
+    let dv = s.vs.last().unwrap() - s.vs[0];
+    let dt = Nanos(s.ts.last().unwrap() - s.ts[0]).as_secs_f64();
+    dv as f64 / dt
+}
+
+/// Renders the sweep from the runs of [`campaigns`].
+pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String {
+    let mut out = format!(
+        "extension: fault tolerance of the collection pipeline ({} scale)\n\
+         Hadoop rack seed {SEED}, port {}, 25us byte campaign, {} span\n\
+         faulted runs add 32-bit counter wrap + stale reads + latency spikes\n\n",
+        scale.label(),
+        PORT.0,
+        specs[0].span
+    );
+    let base_rate = mean_rate(&runs[0]);
+
+    let mut t = Table::new(&[
+        "fault%",
+        "polls",
+        "loss%",
+        "errors",
+        "retries",
+        "abandoned",
+        "stale",
+        "rate_MBs",
+        "err%",
+        "books",
+    ]);
+    let mut all_accounted = true;
+    for (&rate, run) in RATES.iter().zip(runs) {
+        let st = run.poller_stats;
+        let abandoned = st.abandoned_polls();
+        let r = mean_rate(run);
+        // Every fault the injector recorded must be visible in the
+        // poller's own books.
+        let books = match run.fault_stats {
+            None => st.read_errors == 0 && st.stale_reads == 0,
+            Some(f) => {
+                f.bus_timeouts == st.read_errors
+                    && f.stale_values == st.stale_reads
+                    && st.read_errors == st.retries + abandoned
+            }
+        };
+        all_accounted &= books;
+        t.row(&[
+            format!("{:.1}", rate * 100.0),
+            format!("{}", st.polls),
+            format!("{:.2}", loss(run) * 100.0),
+            format!("{}", st.read_errors),
+            format!("{}", st.retries),
+            format!("{abandoned}"),
+            format!("{}", st.stale_reads),
+            format!("{:.2}", r / 1e6),
+            format!("{:.3}", (r - base_rate).abs() / base_rate * 100.0),
+            if books { "ok".into() } else { "BAD".into() },
+        ]);
+    }
+    out.push_str(&t.render());
+    let one_pct = &runs[REPLAYED];
+    let one_pct_err = (mean_rate(one_pct) - base_rate).abs() / base_rate;
+    let one_pct_loss = loss(one_pct);
+
+    // Determinism: the 1% campaign, replayed alone from the same seeds on
+    // a simulation of its own, must be bit-identical down to its fault
+    // stream.
+    let deterministic = *one_pct == specs[REPLAYED].clone().run();
+
+    out.push_str(
+        "\nreading: retries absorb transient bus timeouts (loss stays near the\n\
+         fault-free Table-1 level until the fault rate swamps the retry\n\
+         budget), and wrap decoding makes 32-bit registers invisible in the\n\
+         reconstructed rates.\n\nchecks:\n",
+    );
+    writeln!(
+        out,
+        "  [{}] 1% faults + 32-bit wrap keeps rate error under 1% ({:.3}%)\n  \
+         [{}] 1% faults keeps sampling loss under 5% ({:.2}%)\n  \
+         [{}] every injected fault is accounted in poller stats\n  \
+         [{}] replay from seed {SEED} is bit-identical",
+        verdict(one_pct_err < 0.01),
+        one_pct_err * 100.0,
+        verdict(one_pct_loss < 0.05),
+        one_pct_loss * 100.0,
+        verdict(all_accounted),
+        verdict(deterministic)
+    )
+    .unwrap();
+    out
+}
+
+/// Deadline misses plus polls abandoned after retry exhaustion, over
+/// deadlines.
+fn loss(run: &CampaignRun) -> f64 {
+    let st = run.poller_stats;
+    let deadlines = st.polls + st.missed_deadlines;
+    (st.missed_deadlines + st.abandoned_polls()) as f64 / deadlines as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::plan_groups;
+
+    #[test]
+    fn the_sweep_rides_one_simulation() {
+        let specs = campaigns(Scale::Quick);
+        assert_eq!(specs.len(), RATES.len());
+        assert_eq!(plan_groups(specs).len(), 1);
+    }
+}

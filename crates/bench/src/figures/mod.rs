@@ -1,4 +1,5 @@
-//! One module per table/figure of the paper's evaluation.
+//! One module per `repro` id: the paper's tables and figures, then the
+//! extension experiments (`ext_*`) and the design ablations.
 //!
 //! Every module has two functions: `campaigns(scale)` declares the rack
 //! campaigns it measures, and `render(scale, specs, runs)` turns the
@@ -6,12 +7,23 @@
 //! `repro <id>` prints. [`run_experiments`] is the one driver behind
 //! `repro all` and `repro <id>`: it submits every declared spec in one
 //! [`run_parallel`] call, which fuses campaigns on one simulation, and
-//! renders each experiment as soon as its runs are in. Figs. 3, 4, 6 and
+//! renders each experiment as soon as its runs are in. An experiment that
+//! declares none does its own measuring in `render`, on the caller's
+//! thread, where its pool calls fan out. Figs. 3, 4, 6 and
 //! Table 2 are four readings of one dataset (the paper's 25 µs
 //! single-port campaigns), so they all declare
 //! [`common::single_port_campaigns`], and the suite measures it once.
 
+pub mod ablations;
 pub mod common;
+pub mod ext_buffer_policy;
+pub mod ext_durability;
+pub mod ext_ecn_dctcp;
+pub mod ext_fabric_tier;
+pub mod ext_fault_tolerance;
+pub mod ext_fct_tail;
+pub mod ext_fleet;
+pub mod ext_flowlet_lb;
 pub mod fig01;
 pub mod fig02;
 pub mod fig03;
@@ -32,21 +44,20 @@ use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::pool::run_parallel;
 use crate::scale::Scale;
 
-/// One paper table or figure.
+/// One `repro` id.
 pub struct Experiment {
     /// The id `repro` takes.
     pub id: &'static str,
-    /// The section title of `repro all`'s report.
+    /// The section title in a combined report.
     pub title: &'static str,
     /// The rack campaigns the experiment measures.
     pub campaigns: fn(Scale) -> Vec<CampaignSpec>,
-    /// The report, a pure function of the declared campaigns and their
-    /// runs.
+    /// The report, from the declared campaigns and their runs; one that
+    /// declares none measures here.
     pub render: fn(Scale, &[CampaignSpec], &[CampaignRun]) -> String,
 }
 
-/// The registry entry for figure module `$m`: its `campaigns` and its
-/// `render`.
+/// The registry entry for module `$m`: its `campaigns` and its `render`.
 macro_rules! experiment {
     ($id:literal, $title:literal, $m:ident) => {
         Experiment {
@@ -58,7 +69,12 @@ macro_rules! experiment {
     };
 }
 
-/// Every experiment, in paper order.
+/// How many of [`all_experiments`] are the paper's tables and figures:
+/// the entries `repro all` runs.
+pub const PAPER_EXPERIMENTS: usize = 13;
+
+/// Every `repro` id, in `repro list` order: the paper's tables and figures
+/// in paper order, then the extension experiments and the ablations.
 pub fn all_experiments() -> Vec<Experiment> {
     vec![
         experiment!(
@@ -78,6 +94,27 @@ pub fn all_experiments() -> Vec<Experiment> {
         experiment!("fig08", "Server-to-server correlation heatmaps", fig08),
         experiment!("fig09", "Directionality of bursts", fig09),
         experiment!("fig10", "Shared-buffer occupancy vs hot ports", fig10),
+        experiment!(
+            "ext_buffer_policy",
+            "Buffer carving policies",
+            ext_buffer_policy
+        ),
+        experiment!("ext_durability", "Crash-safe persistence", ext_durability),
+        experiment!(
+            "ext_ecn_dctcp",
+            "ECN marking + DCTCP response",
+            ext_ecn_dctcp
+        ),
+        experiment!("ext_fabric_tier", "ToR vs fabric tier", ext_fabric_tier),
+        experiment!(
+            "ext_fault_tolerance",
+            "Hardware faults",
+            ext_fault_tolerance
+        ),
+        experiment!("ext_fct_tail", "FCT slowdown vs load", ext_fct_tail),
+        experiment!("ext_fleet", "Fleet-scale collection", ext_fleet),
+        experiment!("ext_flowlet_lb", "Flowlet load balancing", ext_flowlet_lb),
+        experiment!("ablations", "Design-choice ablations", ablations),
     ]
 }
 

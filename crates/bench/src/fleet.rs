@@ -1,20 +1,21 @@
 //! Fleet-scale measurement campaigns (the `ext_fleet` experiment).
 //!
 //! The paper's framework polled thousands of ToRs; the figures so far
-//! measured one rack at a time. This module runs the whole pipeline at
-//! fleet width: N per-switch campaigns fan out on the worker pool (each
-//! switch is an independent seeded rack simulation with its own fault
-//! plan), their sample streams feed the aggregation tier in
-//! [`uburst_core::fleet`], and the cross-rack readouts (ECMP uplink
-//! balance, inter-rack correlation) are computed from the **merged global
-//! store** — so every figure inherits the coverage ledger that says which
-//! switches the data actually includes.
+//! measured one rack at a time. A [`FleetSpec`] declares one campaign per
+//! switch ([`FleetSpec::campaigns`]: an independent seeded rack with its
+//! own fault plan), which the caller runs like any other campaigns.
+//! [`FleetRun::assemble`] cuts their runs into sample streams and feeds
+//! them through the aggregation tier in [`uburst_core::fleet`], and the
+//! cross-rack readouts (ECMP uplink balance, inter-rack correlation) are
+//! computed from the **merged global store** — so every figure inherits
+//! the coverage ledger that says which switches the data actually
+//! includes.
 //!
 //! Determinism: per-switch campaigns are pure functions of
-//! `(fleet_seed, switch_index, flaky_rate)` and the pool returns them in
-//! submission order; the aggregation tier is pumped single-threaded in
-//! source order. A fleet report is therefore byte-identical across
-//! `UBURST_THREADS` — including under injected failures.
+//! `(fleet_seed, switch_index, flaky_rate, policy)`, and the aggregation
+//! tier is pumped single-threaded in source order. A fleet report is
+//! therefore byte-identical across `UBURST_THREADS` — including under
+//! injected failures.
 
 use std::fmt::Write as _;
 
@@ -31,8 +32,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
-use crate::campaign::CampaignSpec;
-use crate::pool::{run_jobs, run_jobs_on};
+use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::report::Table;
 use crate::scale::Scale;
 
@@ -93,6 +93,27 @@ impl FleetSpec {
         self.policy = policy;
         self
     }
+
+    /// The fleet's per-switch campaigns, in switch order: each rack's
+    /// uplink byte counters, read through the fault plan the seed deals
+    /// the switch. Pure in `(spec, index)`, the determinism anchor for the
+    /// whole fleet; rate and crash plan live outside the switch, so fleets
+    /// that differ only there share most campaigns.
+    pub fn campaigns(&self) -> Vec<CampaignSpec> {
+        (0..self.n_switches)
+            .map(|index| {
+                let mut cfg = ScenarioConfig::for_fleet_switch(self.fleet_seed, index);
+                cfg.clos.tor_switch.policy = self.policy;
+                let counters = (0..cfg.clos.n_fabric)
+                    .map(|f| CounterId::TxBytes(PortId((cfg.n_servers + f) as u16)))
+                    .collect();
+                let plan = FaultPlan::for_fleet_switch(self.fleet_seed, index, self.flaky_rate);
+                let mut campaign = CampaignSpec::new(cfg, counters, self.interval, self.span);
+                campaign.faults = (!plan.is_benign()).then_some(plan);
+                campaign
+            })
+            .collect()
+    }
 }
 
 /// Per-switch facts the report needs beyond what the aggregation tier
@@ -128,30 +149,45 @@ pub struct FleetRun {
     pub switches: Vec<SwitchMeta>,
 }
 
-/// What one pool worker ships back: metadata plus the round stream.
-struct SwitchRun {
-    meta: SwitchMeta,
-    stream: SwitchStream,
+impl FleetRun {
+    /// Assembles the fleet from the runs of `spec.campaigns()`, in switch
+    /// order: each switch's `Batcher` cuts its run into shipping rounds,
+    /// then the aggregation tier runs single-threaded over the streams,
+    /// with `crashes` ([`RegionCrashPlan::none`] for a clean run) killing
+    /// regional aggregators at byte-granular WAL offsets. The aggregation
+    /// tier is pumped in source order, so a fleet report is byte-identical
+    /// however the runs were simulated, even mid-crash.
+    pub fn assemble<'a>(
+        spec: &FleetSpec,
+        runs: impl IntoIterator<Item = &'a CampaignRun>,
+        crashes: &RegionCrashPlan,
+    ) -> FleetRun {
+        let (switches, streams) = spec
+            .campaigns()
+            .into_iter()
+            .zip(runs)
+            .zip(0..)
+            .map(|((campaign, run), index)| switch_stream(spec, index, campaign, run))
+            .unzip();
+        FleetRun {
+            spec: *spec,
+            crashes: crashes.clone(),
+            outcome: run_fleet_with_crashes(streams, &FleetConfig::default(), crashes),
+            switches,
+        }
+    }
 }
 
-/// Runs one switch's campaign and has its `Batcher` cut the polls into
-/// shipping rounds.
-/// Pure in `(spec, index)` — the determinism anchor for the whole fleet.
-fn measure_switch(spec: &FleetSpec, index: u32) -> SwitchRun {
-    let mut cfg = ScenarioConfig::for_fleet_switch(spec.fleet_seed, index);
-    cfg.clos.tor_switch.policy = spec.policy;
-    let rack = cfg.rack_type;
-    let uplink_bps = cfg.clos.uplink.bandwidth_bps;
-    let uplinks: Vec<PortId> = (0..cfg.clos.n_fabric)
-        .map(|f| PortId((cfg.n_servers + f) as u16))
-        .collect();
-    let plan = FaultPlan::for_fleet_switch(spec.fleet_seed, index, spec.flaky_rate);
-    let flaky = !plan.is_benign();
-    let counters: Vec<CounterId> = uplinks.iter().map(|&p| CounterId::TxBytes(p)).collect();
-    let mut campaign = CampaignSpec::new(cfg, counters, spec.interval, spec.span);
-    campaign.faults = flaky.then_some(plan);
-    let run = campaign.run();
-    let drops = run.net.tor.dropped_packets;
+/// One switch's metadata and the shipping rounds its `Batcher` cuts from
+/// `run`, the run of `campaign`.
+fn switch_stream(
+    spec: &FleetSpec,
+    index: u32,
+    campaign: CampaignSpec,
+    run: &CampaignRun,
+) -> (SwitchMeta, SwitchStream) {
+    let cfg = campaign.cfg;
+    let flaky = campaign.faults.is_some();
     let st = run.poller_stats;
     let read_error_frac = if st.polls == 0 {
         1.0
@@ -193,65 +229,24 @@ fn measure_switch(spec: &FleetSpec, index: u32) -> SwitchRun {
     } else {
         LinkPlan::IDEAL
     };
-    SwitchRun {
-        meta: SwitchMeta {
-            source,
-            rack,
-            flaky,
-            read_error_frac,
-            uplinks,
-            uplink_bps,
-            drops,
-        },
-        stream: SwitchStream {
-            source,
-            link,
-            link_seed: spec.fleet_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            rounds,
-        },
-    }
-}
-
-/// Runs the fleet campaign: per-switch simulations on the worker pool,
-/// then the aggregation tier single-threaded over the collected streams,
-/// with `crashes` ([`RegionCrashPlan::none`] for a clean run) killing
-/// regional aggregators at byte-granular WAL offsets. The crash plan only
-/// touches the aggregation tier, which is pumped in source order — the
-/// report stays byte-identical across `UBURST_THREADS` even mid-crash.
-pub fn run_fleet_spec(spec: &FleetSpec, crashes: &RegionCrashPlan) -> FleetRun {
-    assemble(
-        spec,
-        run_jobs((0..spec.n_switches).collect(), |i| measure_switch(spec, i)),
-        crashes,
-    )
-}
-
-/// [`run_fleet_spec`] with an explicit worker-thread count — the
-/// determinism test harness (`threads = 1` is the sequential baseline).
-pub fn run_fleet_spec_on(threads: usize, spec: &FleetSpec, crashes: &RegionCrashPlan) -> FleetRun {
-    assemble(
-        spec,
-        run_jobs_on(threads, (0..spec.n_switches).collect(), |i| {
-            measure_switch(spec, i)
-        }),
-        crashes,
-    )
-}
-
-fn assemble(spec: &FleetSpec, runs: Vec<SwitchRun>, crashes: &RegionCrashPlan) -> FleetRun {
-    let mut switches = Vec::with_capacity(runs.len());
-    let mut streams = Vec::with_capacity(runs.len());
-    for r in runs {
-        switches.push(r.meta);
-        streams.push(r.stream);
-    }
-    let outcome = run_fleet_with_crashes(streams, &FleetConfig::default(), crashes);
-    FleetRun {
-        spec: *spec,
-        crashes: crashes.clone(),
-        outcome,
-        switches,
-    }
+    let meta = SwitchMeta {
+        source,
+        rack: cfg.rack_type,
+        flaky,
+        read_error_frac,
+        uplinks: (cfg.n_servers..cfg.n_servers + cfg.clos.n_fabric)
+            .map(|p| PortId(p as u16))
+            .collect(),
+        uplink_bps: cfg.clos.uplink.bandwidth_bps,
+        drops: run.net.tor.dropped_packets,
+    };
+    let stream = SwitchStream {
+        source,
+        link,
+        link_seed: spec.fleet_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        rounds,
+    };
+    (meta, stream)
 }
 
 /// Per-uplink utilization series for one switch, read back from the
@@ -274,13 +269,8 @@ fn uplink_utils(run: &FleetRun, meta: &SwitchMeta) -> Option<Vec<Vec<f64>>> {
                 .collect(),
         );
     }
-    let min = series.iter().map(Vec::len).min().unwrap_or(0);
-    if min == 0 {
-        return None;
-    }
-    for s in &mut series {
-        s.truncate(min);
-    }
+    let min = series.iter().map(Vec::len).min().filter(|&m| m > 0)?;
+    series.iter_mut().for_each(|s| s.truncate(min));
     Some(series)
 }
 
@@ -289,26 +279,18 @@ fn uplink_utils(run: &FleetRun, meta: &SwitchMeta) -> Option<Vec<Vec<f64>>> {
 /// correlation readout, each computed only over included switches.
 pub fn render_report(run: &FleetRun) -> String {
     let spec = &run.spec;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "fleet campaign: {} switches, flaky rate {:.0}%, {} interval, {} span, {} rounds",
+    let flaky_count = run.switches.iter().filter(|s| s.flaky).count();
+    let mut out = format!(
+        "fleet campaign: {} switches, flaky rate {:.0}%, {} interval, {} span, {} rounds\n\
+         fleet seed {:#x}; {flaky_count} switches dealt the flaky profile; buffer policy {}\n",
         spec.n_switches,
         spec.flaky_rate * 100.0,
         spec.interval,
         spec.span,
-        spec.rounds
-    )
-    .unwrap();
-    let flaky_count = run.switches.iter().filter(|s| s.flaky).count();
-    writeln!(
-        out,
-        "fleet seed {:#x}; {} switches dealt the flaky profile; buffer policy {}",
+        spec.rounds,
         spec.fleet_seed,
-        flaky_count,
         spec.policy.label()
-    )
-    .unwrap();
+    );
     for region in run.crashes.regions() {
         writeln!(
             out,
@@ -376,7 +358,7 @@ pub fn render_report(run: &FleetRun) -> String {
         }
         if pooled.is_empty() {
             ecmp.row(&[
-                rack.name().to_string(),
+                rack.name().into(),
                 "0".into(),
                 "0".into(),
                 "-".into(),
@@ -401,12 +383,12 @@ pub fn render_report(run: &FleetRun) -> String {
             ecdf.quantile(0.5) > 0.25,
         ));
     }
+    let ecmp = ecmp.render();
     writeln!(
         out,
-        "ECMP balance across uplinks (relative MAD per 40us period):"
+        "ECMP balance across uplinks (relative MAD per 40us period):\n{ecmp}"
     )
     .unwrap();
-    writeln!(out, "{}", ecmp.render()).unwrap();
 
     // Cross-rack correlation: racks are independent tenants, so the
     // fleet-level null is ~0 between switches, while a ToR's own uplinks
@@ -426,18 +408,12 @@ pub fn render_report(run: &FleetRun) -> String {
             agg_series.push(mean);
         }
     }
-    let intra = if intra_n == 0 {
-        0.0
-    } else {
-        intra_sum / intra_n as f64
-    };
+    let intra = intra_sum / intra_n.max(1) as f64;
     let inter = if agg_series.len() < 2 {
         0.0
     } else {
         let min = agg_series.iter().map(Vec::len).min().unwrap_or(0);
-        for s in &mut agg_series {
-            s.truncate(min);
-        }
+        agg_series.iter_mut().for_each(|s| s.truncate(min));
         let abs: Vec<Vec<f64>> = correlation_matrix(&agg_series)
             .into_iter()
             .map(|row| row.into_iter().map(f64::abs).collect())
@@ -460,25 +436,18 @@ pub fn render_report(run: &FleetRun) -> String {
     ));
 
     // Coverage invariants, regardless of fault rate.
-    let tiled = run
-        .outcome
-        .coverage
-        .switches
+    let cov = &run.outcome.coverage;
+    let ledger = &cov.switches;
+    let tiled = ledger
         .iter()
         .all(|s| s.produced == s.stored + s.excluded + s.refused + s.undelivered());
     checks.push((
         "every produced batch lands in exactly one coverage column".into(),
         tiled,
     ));
-    let acked_floor = run
-        .outcome
-        .coverage
-        .switches
-        .iter()
-        .all(|s| s.stored >= s.acked);
     checks.push((
         "no acked batch is lost (stored >= shipper acked prefix)".into(),
-        acked_floor,
+        ledger.iter().all(|s| s.stored >= s.acked),
     ));
     if !run.crashes.is_empty() {
         let crashed: u64 = run.outcome.regions.iter().map(|r| r.crashes).sum();
@@ -490,45 +459,33 @@ pub fn render_report(run: &FleetRun) -> String {
         checks.push((
             format!(
                 "crashed regions' switches re-sharded and returned ({} re-shard events)",
-                run.outcome.coverage.resharded()
+                cov.resharded()
             ),
-            run.outcome.coverage.resharded() > 0,
+            cov.resharded() > 0,
         ));
     }
     if spec.flaky_rate == 0.0 {
         checks.push((
             format!(
                 "fault-free fleet has full coverage (fraction {:.4})",
-                run.outcome.coverage.sample_fraction()
+                cov.sample_fraction()
             ),
-            run.outcome.coverage.sample_fraction() == 1.0
-                && run.outcome.coverage.included() == run.switches.len(),
+            cov.sample_fraction() == 1.0 && cov.included() == run.switches.len(),
         ));
     } else {
-        let quarantined = run
-            .outcome
-            .coverage
-            .switches
+        let quarantined: Vec<_> = ledger
             .iter()
             .filter(|s| s.state == HealthState::Quarantined)
-            .count();
+            .collect();
         checks.push((
-            format!("flaky switches ({flaky_count}) are quarantined ({quarantined}) and excluded"),
-            quarantined == flaky_count
-                && run
-                    .outcome
-                    .coverage
-                    .switches
-                    .iter()
-                    .filter(|s| s.state == HealthState::Quarantined)
-                    .all(|s| s.excluded > 0),
+            format!(
+                "flaky switches ({flaky_count}) are quarantined ({}) and excluded",
+                quarantined.len()
+            ),
+            quarantined.len() == flaky_count && quarantined.iter().all(|s| s.excluded > 0),
         ));
-        let clean_full = run
-            .switches
-            .iter()
-            .zip(&run.outcome.coverage.switches)
-            .filter(|(m, _)| !m.flaky)
-            .all(|(_, c)| c.fraction() == 1.0);
+        let clean_full =
+            std::iter::zip(&run.switches, ledger).all(|(m, c)| m.flaky || c.fraction() == 1.0);
         checks.push((
             "fault-free neighbours keep full coverage despite flaky peers".into(),
             clean_full,

@@ -1,9 +1,9 @@
 //! # uburst-bench — experiment harnesses
 //!
-//! Shared machinery for the reproduction harnesses (the `repro` binary,
-//! see `src/bin/repro/`). `repro <id>` rebuilds one table or figure from
-//! the paper by running measured-rack scenarios, attaching the collection
-//! framework, and printing the same rows/series the paper reports.
+//! Every reproduction experiment ([`figures`], one registry run by the
+//! `repro` binary) and the machinery they share. `repro <id>` rebuilds one
+//! table or figure by running measured-rack scenarios, attaching the
+//! collection framework, and printing the rows/series the paper reports.
 //! Performance is measured by the separate `benchmark/` package, which
 //! links this crate for the campaign engine, the pool and the report kit.
 //!
@@ -22,9 +22,7 @@ pub mod report;
 pub mod scale;
 
 pub use campaign::{port_bps, representative_port, CampaignRun, CampaignSpec, NetSnapshot};
-pub use fleet::{
-    render_report, run_fleet_spec, run_fleet_spec_on, FleetRun, FleetSpec, SwitchMeta,
-};
+pub use fleet::{render_report, FleetRun, FleetSpec, SwitchMeta};
 pub use pearson_pool::correlation_matrix_pooled_on;
 pub use pool::{run_jobs, run_jobs_on, run_parallel, run_parallel_on};
 pub use report::{fmt_bytes, Table};

@@ -32,9 +32,9 @@
 //! * **Nesting runs inline.** A pool call made from inside a pool job
 //!   runs its jobs on the job's own thread (one `thread_local!` flag), so
 //!   nesting can never multiply threads or wait on a worker. No product
-//!   path nests: `repro` submits every figure's campaigns in one
-//!   [`run_parallel`] call and renders each figure on the worker that
-//!   completes its runs.
+//!   path nests: every `repro` id runs through one driver, which submits
+//!   the declared campaigns in one [`run_parallel`] call; only an
+//!   experiment that declares none makes pool calls, from the caller.
 
 use std::cell::Cell;
 use std::sync::Mutex;

@@ -91,11 +91,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders and prints.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Human-readable byte count.

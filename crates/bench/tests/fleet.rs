@@ -4,8 +4,8 @@
 //! silently dropped).
 
 use uburst_asic::CounterId;
-use uburst_bench::fleet::{render_report, run_fleet_spec_on, FleetSpec};
-use uburst_bench::Scale;
+use uburst_bench::fleet::{render_report, FleetRun, FleetSpec};
+use uburst_bench::{run_parallel_on, Scale};
 use uburst_core::batch::{Batch, SourceId};
 use uburst_core::failpoint::RegionCrashPlan;
 use uburst_core::fleet::HealthState;
@@ -19,6 +19,11 @@ fn tiny(n: u32, flaky_rate: f64) -> FleetSpec {
     spec.span = Nanos::from_millis(5);
     spec.rounds = 6;
     spec
+}
+
+/// The fleet's campaigns on `threads` threads, assembled under `crashes`.
+fn run_fleet_spec_on(threads: usize, spec: &FleetSpec, crashes: &RegionCrashPlan) -> FleetRun {
+    FleetRun::assemble(spec, &run_parallel_on(threads, spec.campaigns()), crashes)
 }
 
 #[test]
