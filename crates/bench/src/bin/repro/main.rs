@@ -7,7 +7,8 @@
 //!   extension experiment or the ablations.
 //! * `repro list` prints the ids; an unknown id exits 2 with the list.
 //!
-//! The process exits 1 if any shape check printed `[MISS]`.
+//! The process exits 1 iff what it printed holds a `[MISS]` check line,
+//! counted from that text by `report::misses`.
 //!
 //! Every entry runs through one driver, `figures::run_experiments`: the
 //! campaigns every selected entry declares run in one `run_parallel` call
@@ -20,30 +21,29 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use uburst_bench::figures::{all_experiments, run_experiments, Experiment, PAPER_EXPERIMENTS};
+use uburst_bench::report::misses;
 use uburst_bench::Scale;
 
 fn main() -> ExitCode {
     let arg = std::env::args().nth(1);
     let mut experiments = all_experiments();
     let ids: String = experiments.iter().map(|e| format!("{}\n", e.id)).collect();
-    match arg.as_deref().unwrap_or("all") {
+    let out = match arg.as_deref().unwrap_or("all") {
         "all" => {
             experiments.truncate(PAPER_EXPERIMENTS);
-            run_all(&experiments);
+            run_all(&experiments)
         }
-        "list" => print!("{ids}"),
+        "list" => ids,
         id => match experiments.iter().position(|e| e.id == id) {
-            Some(i) => print!("{}", run(id, &experiments[i..=i]).concat()),
+            Some(i) => run(id, &experiments[i..=i]).concat(),
             None => {
                 eprint!("unknown experiment {id:?}; known ids:\n{ids}");
                 return ExitCode::from(2);
             }
         },
-    }
-    if uburst_bench::report::misses() > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    };
+    print!("{out}");
+    ExitCode::from(u8::from(misses(&out) > 0))
 }
 
 /// Runs `experiments` through the one driver and returns their reports;
@@ -59,24 +59,22 @@ fn run(label: &str, experiments: &[Experiment]) -> Vec<String> {
     reports
 }
 
-/// Runs the paper's tables and figures and prints the combined report.
-fn run_all(experiments: &[Experiment]) {
+/// Runs the paper's tables and figures and returns the combined report.
+fn run_all(experiments: &[Experiment]) -> String {
     // Record pipeline telemetry for the whole run. Every metric is a
     // commutative aggregate over simulated time, so the snapshot printed
     // below is byte-identical for any UBURST_THREADS value.
     uburst_obs::enable();
-    println!(
-        "uburst reproduction report (scale: {})",
+    let mut out = format!(
+        "uburst reproduction report (scale: {})\n\
+         ====================================================\n",
         Scale::from_env().label()
     );
-    println!("====================================================");
     for (e, report) in experiments.iter().zip(run("all experiments", experiments)) {
-        println!("\n### {}: {}\n", e.id, e.title);
-        print!("{report}");
+        out += &format!("\n### {}: {}\n\n{report}", e.id, e.title);
     }
 
     let snap = uburst_obs::snapshot();
-    println!("\n### telemetry: pipeline self-observability\n");
-    println!("metrics (Prometheus exposition):");
-    print!("{}", snap.to_prometheus());
+    out += "\n### telemetry: pipeline self-observability\n\nmetrics (Prometheus exposition):\n";
+    out + &snap.to_prometheus()
 }

@@ -25,7 +25,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{single_port_spec, CampaignRun, CampaignSpec};
 use crate::figures::common::burst_p90_us;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 const SPAN: Nanos = Nanos::from_millis(150);
@@ -91,13 +91,9 @@ fn ablate_buffer_alpha(out: &mut String, specs: &[CampaignSpec], runs: &[Campaig
     out.push_str(&t.render());
     out.push_str("smaller alpha carves tighter per-port limits -> more (earlier) drops;\nlarge alpha shares the pool -> fewer drops.\n");
     let shown: Vec<String> = drops.iter().map(u64::to_string).collect();
-    writeln!(
-        out,
-        "  [{}] drops are non-increasing in alpha ({})\n",
-        verdict(drops.windows(2).all(|w| w[1] <= w[0])),
-        shown.join(" -> ")
-    )
-    .unwrap();
+    let claim = format!("drops are non-increasing in alpha ({})", shown.join(" -> "));
+    write_checks(out, 2, [(claim, drops.windows(2).all(|w| w[1] <= w[0]))]);
+    out.push('\n');
 }
 
 fn ablate_peak_register(out: &mut String, run: &CampaignRun) {
@@ -134,12 +130,11 @@ will still reflect bursts\" (§4.1).",
         (1.0 - max_level as f64 / max_peak.max(1) as f64) * 100.0
     )
     .unwrap();
-    writeln!(
-        out,
-        "  [{}] the peak register's maximum is at least the sampled level's ({max_peak} >= {max_level})\n",
-        verdict(max_peak >= max_level)
-    )
-    .unwrap();
+    let claim = format!(
+        "the peak register's maximum is at least the sampled level's ({max_peak} >= {max_level})"
+    );
+    write_checks(out, 2, [(claim, max_peak >= max_level)]);
+    out.push('\n');
 }
 
 fn ablate_pacing(out: &mut String, specs: &[CampaignSpec], runs: &[CampaignRun]) {
@@ -160,13 +155,12 @@ fn ablate_pacing(out: &mut String, specs: &[CampaignSpec], runs: &[CampaignRun])
     out.push_str(&t.render());
     out.push_str("pacing smears the line-rate trains out: the uplink's hot fraction falls\nas pacing tightens — the effect the hardware/software pacing proposals\nof §7 target.\n");
     let shown: Vec<String> = hot.iter().map(|h| format!("{h:.1}")).collect();
-    writeln!(
-        out,
-        "  [{}] the hot share is non-increasing as pacing tightens ({})\n",
-        verdict(hot.windows(2).all(|w| w[1] <= w[0])),
+    let claim = format!(
+        "the hot share is non-increasing as pacing tightens ({})",
         shown.join(" -> ")
-    )
-    .unwrap();
+    );
+    write_checks(out, 2, [(claim, hot.windows(2).all(|w| w[1] <= w[0]))]);
+    out.push('\n');
 }
 
 /// Renders the three ablations from the runs of [`campaigns`].

@@ -12,6 +12,7 @@
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_buffer_policy`.
 
 use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_analysis::{hot_ports_per_window, Ecdf, HOT_THRESHOLD};
 use uburst_asic::CounterId;
@@ -20,7 +21,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{buffer_and_ports_spec, tx_utilization, CampaignRun, CampaignSpec};
-use crate::report::{fmt_bytes, verdict, Table};
+use crate::report::{fmt_bytes, write_checks, Table};
 use crate::scale::Scale;
 
 /// Sampling period for hot-port classification (the paper's 300 µs).
@@ -148,30 +149,31 @@ pub fn render(_: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String 
     let (dt_small, sp_small) = (cell(0, hadoop, 0), cell(1, hadoop, 0));
     let (dt_mid, bs_mid, fb_mid) = (cell(0, hadoop, 1), cell(2, hadoop, 1), cell(3, hadoop, 1));
     let hot = |r: usize| cell(0, r, 1).max_hot;
-    writeln!(
-        out,
-        "  [{}] static partitioning drops earliest (Hadoop@{}: {} vs DT {})\n  \
-         [{}] BShare bounds the occupancy tail below DT (Hadoop@{}: p99 {} vs {})\n  \
-         [{}] flexible buffering bounds the occupancy tail below DT (Hadoop@{}: p99 {} vs {})\n  \
-         [{}] Hadoop still drives the most concurrent hot ports under the default carve \
+    let claims = format!(
+        "static partitioning drops earliest (Hadoop@{}: {} vs DT {})\n\
+         BShare bounds the occupancy tail below DT (Hadoop@{}: p99 {} vs {})\n\
+         flexible buffering bounds the occupancy tail below DT (Hadoop@{}: p99 {} vs {})\n\
+         Hadoop still drives the most concurrent hot ports under the default carve \
          ({} vs web {} / cache {})",
-        verdict(sp_small.drops > dt_small.drops),
         fmt_bytes(small),
         sp_small.drops,
         dt_small.drops,
-        verdict(bs_mid.p99_occ < dt_mid.p99_occ),
         fmt_bytes(mid),
         fmt_bytes(bs_mid.p99_occ),
         fmt_bytes(dt_mid.p99_occ),
-        verdict(fb_mid.p99_occ < dt_mid.p99_occ),
         fmt_bytes(mid),
         fmt_bytes(fb_mid.p99_occ),
         fmt_bytes(dt_mid.p99_occ),
-        verdict(hot(hadoop) >= hot(web) && hot(hadoop) >= hot(cache)),
         hot(hadoop),
         hot(web),
-        hot(cache)
-    )
-    .unwrap();
+        hot(cache),
+    );
+    let holds = [
+        sp_small.drops > dt_small.drops,
+        bs_mid.p99_occ < dt_mid.p99_occ,
+        fb_mid.p99_occ < dt_mid.p99_occ,
+        hot(hadoop) >= hot(web) && hot(hadoop) >= hot(cache),
+    ];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }

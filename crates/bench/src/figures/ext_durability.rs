@@ -22,7 +22,7 @@
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_durability`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_core::{
     AckMsg, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, MemStorage, Shipment, SourceId,
@@ -31,7 +31,7 @@ use uburst_core::{
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::pool::run_jobs;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 const SEED: u64 = 0xD00B_1E55;
@@ -243,17 +243,13 @@ pub fn render(scale: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
          torn tails are truncated, and retransmit refills every gap afterwards.\n\
          Link hostility costs only time (ticks, retransmits), never durability.\n\nchecks:\n",
     );
-    writeln!(
-        out,
-        "  [{}] every crash point recovers to exactly the acked prefix\n  \
-         [{}] every resumed session converges to the crash-free reference\n  \
-         [{}] the sweep produced mid-record tears (torn-tail coverage)\n  \
-         [{}] replay from seed {SEED:#x} is bit-identical",
-        verdict(all_exact),
-        verdict(all_converged),
-        verdict(any_torn),
-        verdict(deterministic)
-    )
-    .unwrap();
+    let claims = format!(
+        "every crash point recovers to exactly the acked prefix\n\
+         every resumed session converges to the crash-free reference\n\
+         the sweep produced mid-record tears (torn-tail coverage)\n\
+         replay from seed {SEED:#x} is bit-identical"
+    );
+    let holds = [all_exact, all_converged, any_torn, deterministic];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }

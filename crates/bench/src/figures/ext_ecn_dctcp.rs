@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_ecn_dctcp`.
 
-use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
 use uburst_asic::CounterId;
@@ -23,7 +23,7 @@ use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::figures::common::burst_p90_us;
-use crate::report::{fmt_bytes, verdict, Table};
+use crate::report::{fmt_bytes, write_checks, Table};
 use crate::scale::Scale;
 
 /// The measured ToR downlink.
@@ -98,19 +98,20 @@ pub fn render(_: Scale, _: &[CampaignSpec], runs: &[CampaignRun]) -> String {
     );
     let (drops0, peak0, good0) = rows[0];
     let (drops_k, peak_k, good_k) = rows[3]; // K=25KB, the aggressive mark
-    writeln!(
-        out,
-        "  [{}] ECN cuts drops sharply ({drops0} -> {drops_k})\n  \
-         [{}] ECN lowers peak buffer occupancy ({} -> {})\n  \
-         [{}] goodput holds within 15% ({} -> {})",
-        verdict(drops_k < drops0 / 2 || drops0 == 0),
-        verdict(peak_k < peak0 || drops0 == 0),
+    let claims = format!(
+        "ECN cuts drops sharply ({drops0} -> {drops_k})\n\
+         ECN lowers peak buffer occupancy ({} -> {})\n\
+         goodput holds within 15% ({} -> {})",
         fmt_bytes(peak0),
         fmt_bytes(peak_k),
-        verdict((good_k as f64) > 0.85 * good0 as f64),
         fmt_bytes(good0),
-        fmt_bytes(good_k)
-    )
-    .unwrap();
+        fmt_bytes(good_k),
+    );
+    let holds = [
+        drops_k < drops0 / 2 || drops0 == 0,
+        peak_k < peak0 || drops0 == 0,
+        (good_k as f64) > 0.85 * good0 as f64,
+    ];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }

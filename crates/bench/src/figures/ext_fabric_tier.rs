@@ -12,8 +12,6 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fabric_tier`.
 
-use std::fmt::Write;
-
 use uburst_analysis::{extract_bursts, HOT_THRESHOLD};
 use uburst_asic::{AccessModel, CounterId};
 use uburst_core::poller::Poller;
@@ -25,7 +23,7 @@ use uburst_workloads::scenario::{build_scenario, RackType, ScenarioConfig};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::figures::common::burst_p90_us;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// None: both vantage points poll one scenario of their own, with a poller
@@ -105,13 +103,11 @@ pub fn render(_: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
          fewer drops than the ToR edge, confirming the prior-work claim the\n\
          paper relies on to justify measuring ToRs.\n\nchecks:\n",
     );
-    writeln!(
-        out,
-        "  [{}] ToR is burstier than the fabric tier (hot {:.1}% vs {:.1}%)",
-        verdict(hot[0] > hot[1]),
+    let claim = format!(
+        "ToR is burstier than the fabric tier (hot {:.1}% vs {:.1}%)",
         hot[0] * 100.0,
         hot[1] * 100.0
-    )
-    .unwrap();
+    );
+    write_checks(&mut out, 2, [(claim, hot[0] > hot[1])]);
     out
 }

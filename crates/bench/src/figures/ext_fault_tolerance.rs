@@ -19,7 +19,7 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fault_tolerance`.
 
-use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_asic::{CounterId, FaultPlan};
 use uburst_sim::node::PortId;
@@ -27,7 +27,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 const SEED: u64 = 90_210;
@@ -138,20 +138,21 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
          budget), and wrap decoding makes 32-bit registers invisible in the\n\
          reconstructed rates.\n\nchecks:\n",
     );
-    writeln!(
-        out,
-        "  [{}] 1% faults + 32-bit wrap keeps rate error under 1% ({:.3}%)\n  \
-         [{}] 1% faults keeps sampling loss under 5% ({:.2}%)\n  \
-         [{}] every injected fault is accounted in poller stats\n  \
-         [{}] replay from seed {SEED} is bit-identical",
-        verdict(one_pct_err < 0.01),
+    let claims = format!(
+        "1% faults + 32-bit wrap keeps rate error under 1% ({:.3}%)\n\
+         1% faults keeps sampling loss under 5% ({:.2}%)\n\
+         every injected fault is accounted in poller stats\n\
+         replay from seed {SEED} is bit-identical",
         one_pct_err * 100.0,
-        verdict(one_pct_loss < 0.05),
         one_pct_loss * 100.0,
-        verdict(all_accounted),
-        verdict(deterministic)
-    )
-    .unwrap();
+    );
+    let holds = [
+        one_pct_err < 0.01,
+        one_pct_loss < 0.05,
+        all_accounted,
+        deterministic,
+    ];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_fct_tail`.
 
-use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_analysis::Ecdf;
 use uburst_sim::time::Nanos;
@@ -23,7 +23,7 @@ use uburst_workloads::tags::{decode, MsgKind};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::pool::run_jobs;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// Ideal time for `bytes` at 10 Gbps plus a 60 µs base RTT/service floor.
@@ -110,21 +110,22 @@ pub fn render(_: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
                       // lost whole windows to a uburst; the p99 is queueing-dominated and
                       // barely moves — the RTT-scale-signal limitation the paper predicts.
     let ((drop_p99, drop_max), (ecn_p99, ecn_max)) = (at(2.0, false), at(2.0, true));
-    writeln!(
-        out,
-        "  [{}] the FCT tail grows with load ({lo:.2} -> {hi:.2} at p99)\n  \
-         [{}] medians stay near ideal while the tail inflates \
-         (tail/median gap at load 2.0: {:.1}x)\n  \
-         [{}] ECN removes drop/RTO stragglers at the extreme tail \
-         (max {drop_max:.0}x -> {ecn_max:.0}x)\n  \
-         [{}] but p99 is queueing-dominated and barely moves \
+    let claims = format!(
+        "the FCT tail grows with load ({lo:.2} -> {hi:.2} at p99)\n\
+         medians stay near ideal while the tail inflates \
+         (tail/median gap at load 2.0: {:.1}x)\n\
+         ECN removes drop/RTO stragglers at the extreme tail \
+         (max {drop_max:.0}x -> {ecn_max:.0}x)\n\
+         but p99 is queueing-dominated and barely moves \
          ({drop_p99:.2} vs {ecn_p99:.2}) — ubursts outpace RTT-scale signals",
-        verdict(hi > lo),
-        verdict(hi > 2.0 * med_lo),
         hi / med_lo,
-        verdict(ecn_max * 5.0 < drop_max),
-        verdict((ecn_p99 - drop_p99).abs() < 0.3 * drop_p99)
-    )
-    .unwrap();
+    );
+    let holds = [
+        hi > lo,
+        hi > 2.0 * med_lo,
+        ecn_max * 5.0 < drop_max,
+        (ecn_p99 - drop_p99).abs() < 0.3 * drop_p99,
+    ];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }

@@ -30,6 +30,7 @@
 //! 32 switches per fleet at quick scale, 200 under `EXP_SCALE=full`.
 
 use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_core::failpoint::RegionCrashPlan;
 use uburst_sim::bufpolicy::BufferPolicyCfg;
@@ -38,7 +39,7 @@ use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::figures::ext_buffer_policy::policies;
 use crate::fleet::{render_report, FleetRun, FleetSpec};
 use crate::pool::run_parallel_on;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 const FLEET_SEED: u64 = 0x000F_1EE7_CAFE;
@@ -83,13 +84,7 @@ fn distinct_campaigns(fleets: &[FleetSpec]) -> Vec<CampaignSpec> {
 /// what assembles any of those fleets, under any crash plan, from the runs.
 fn measure(fleets: &[FleetSpec]) -> impl Fn(&FleetSpec, &RegionCrashPlan) -> FleetRun {
     let specs = distinct_campaigns(fleets);
-    let mut runs = run_parallel_on(Scale::threads(), specs.clone());
-    // A poller's series grow by doubling; these runs outlive every fleet
-    // of the policy, so they keep only their samples.
-    for (_, series) in runs.iter_mut().flat_map(|run| &mut run.series) {
-        series.ts.shrink_to_fit();
-        series.vs.shrink_to_fit();
-    }
+    let runs = run_parallel_on(Scale::threads(), specs.clone());
     move |fleet, crashes| {
         let campaigns = fleet.campaigns();
         let run_of = |c| &runs[specs.iter().position(|s| s == c).expect("measured")];
@@ -178,17 +173,15 @@ pub fn render(scale: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
     }
     out.push_str(&t.render());
     let drops = |i: usize| sweep[i].1;
-    writeln!(
-        out,
-        "\npolicy-sweep checks:\n  \
-         [{}] collection tier is carving-agnostic (full coverage under every policy)\n  \
-         [{}] static partitioning drops most at fleet width too ({} vs DT {})",
-        verdict(sweep.iter().all(|&(_, _, f)| f == 1.0)),
-        verdict(drops(1) > drops(0)),
+    out.push_str("\npolicy-sweep checks:\n");
+    let claims = format!(
+        "collection tier is carving-agnostic (full coverage under every policy)\n\
+         static partitioning drops most at fleet width too ({} vs DT {})",
         drops(1),
-        drops(0)
-    )
-    .unwrap();
+        drops(0),
+    );
+    let holds = [sweep.iter().all(|&(_, _, f)| f == 1.0), drops(1) > drops(0)];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }
 

@@ -17,6 +17,7 @@
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_flowlet_lb`.
 
 use std::fmt::Write;
+use std::iter::zip;
 
 use uburst_analysis::{coarsen, mad_per_period, Ecdf};
 use uburst_asic::CounterId;
@@ -26,7 +27,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{tx_utilization, CampaignRun, CampaignSpec};
-use crate::report::{fmt_bytes, verdict, Table};
+use crate::report::{fmt_bytes, write_checks, Table};
 use crate::scale::Scale;
 
 const SPAN: Nanos = Nanos::from_millis(200);
@@ -139,25 +140,20 @@ pub fn render(_: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> String 
          column) but cannot beat one-flowlet-per-sample at 40us: microflow LB\n\
          improves balance exactly down to the flowlet timescale, no further.\n\nchecks:\n",
     );
-    writeln!(
-        out,
-        "  [{}] panel A: flowlets == flows for backlogged traffic (MAD {:.2} vs {:.2})\n  \
-         [{}] panel B: sub-stall flowlets improve fine balance (MAD@40us {:.2} -> {:.2})\n  \
-         [{}] panel B: flowlets approach balance at coarser-than-flowlet scales \
-         (MAD@1ms {:.2} -> {:.2})\n  \
-         [{}] spraying still balances best but relies on reordering tolerance ({:.2})",
-        verdict((a[2].0 - a[0].0).abs() < 0.25),
-        a[2].0,
-        a[0].0,
-        verdict(b[3].0 < b[0].0 - 0.03),
-        b[0].0,
-        b[3].0,
-        verdict(b[3].1 < 0.7 * b[0].1),
-        b[0].1,
-        b[3].1,
-        verdict(a[4].0 < 0.3),
-        a[4].0
-    )
-    .unwrap();
+    let claims = format!(
+        "panel A: flowlets == flows for backlogged traffic (MAD {:.2} vs {:.2})\n\
+         panel B: sub-stall flowlets improve fine balance (MAD@40us {:.2} -> {:.2})\n\
+         panel B: flowlets approach balance at coarser-than-flowlet scales \
+         (MAD@1ms {:.2} -> {:.2})\n\
+         spraying still balances best but relies on reordering tolerance ({:.2})",
+        a[2].0, a[0].0, b[0].0, b[3].0, b[0].1, b[3].1, a[4].0,
+    );
+    let holds = [
+        (a[2].0 - a[0].0).abs() < 0.25,
+        b[3].0 < b[0].0 - 0.03,
+        b[3].1 < 0.7 * b[0].1,
+        a[4].0 < 0.3,
+    ];
+    write_checks(&mut out, 2, zip(claims.lines(), holds));
     out
 }

@@ -18,7 +18,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// Offered loads, swept per rack type.
@@ -139,18 +139,19 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
     )
     .unwrap();
     writeln!(out, "\npaper-shape checks:").unwrap();
-    writeln!(
-        out,
-        "  [{}] utilization is a weak predictor of drops (|corr| = {:.3} < 0.3)",
-        verdict(corr.abs() < 0.3),
-        corr.abs()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  [{}] drops occur even in low-utilization windows ({low_util_drop_windows} of {windows_with_drops} drop windows below 30% util)",
-        verdict(windows_with_drops == 0 || low_util_drop_windows > 0)
-    )
-    .unwrap();
+    let checks = [
+        (
+            format!(
+                "utilization is a weak predictor of drops (|corr| = {:.3} < 0.3)",
+                corr.abs()
+            ),
+            corr.abs() < 0.3,
+        ),
+        (
+            format!("drops occur even in low-utilization windows ({low_util_drop_windows} of {windows_with_drops} drop windows below 30% util)"),
+            windows_with_drops == 0 || low_util_drop_windows > 0,
+        ),
+    ];
+    write_checks(&mut out, 2, checks);
     out
 }

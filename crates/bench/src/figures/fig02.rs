@@ -18,7 +18,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
-use crate::report::verdict;
+use crate::report::write_checks;
 use crate::scale::Scale;
 
 /// `(label, rack type, load)` per panel — Web needs extra load to
@@ -127,19 +127,18 @@ fn render_panel(out: &mut String, label: &str, spec: &CampaignSpec, run: &Campai
     )
     .unwrap();
     writeln!(out, "\n  paper-shape checks:").unwrap();
-    writeln!(
-        out,
-        "    [{}] the port experienced drops (total {total_drops})",
-        verdict(total_drops > 0)
-    )
-    .unwrap();
     let bursty = total_drops == 0
         || (zero_windows as f64 > 0.3 * dw.len() as f64
             && max_window as f64 > 2.0 * total_drops as f64 / dw.len() as f64);
-    writeln!(
-        out,
-        "    [{}] drops are bursty: many empty windows, spiky occupied ones",
-        verdict(bursty)
-    )
-    .unwrap();
+    let checks = [
+        (
+            format!("the port experienced drops (total {total_drops})"),
+            total_drops > 0,
+        ),
+        (
+            "drops are bursty: many empty windows, spiky occupied ones".into(),
+            bursty,
+        ),
+    ];
+    write_checks(out, 4, checks);
 }

@@ -12,7 +12,7 @@ use uburst_workloads::scenario::RackType;
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::figures::common::{all_gaps_us, port_utils};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// The shared single-port dataset.
@@ -80,8 +80,6 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
     writeln!(out, "{}", table.render()).unwrap();
     out.push_str(&curves);
     writeln!(out, "\npaper-shape checks:").unwrap();
-    for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, checks);
     out
 }

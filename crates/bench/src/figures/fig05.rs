@@ -15,7 +15,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{representative_port, tx_utilization, CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// Index of the first "large" bin (1024–1518 bytes).
@@ -115,7 +115,7 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
     writeln!(out, "{}", table.render()).unwrap();
     out.push_str(&hists);
     writeln!(out, "\npaper-shape checks:").unwrap();
-    for (rt, rel, baseline) in &rel_increases {
+    let checks = rel_increases.iter().map(|(rt, rel, baseline)| {
         let ok = match rt {
             RackType::Hadoop => *baseline > 0.5 && rel.abs() < 0.5,
             _ => *rel > 0.0,
@@ -133,7 +133,8 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
                 rel * 100.0
             ),
         };
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+        (desc, ok)
+    });
+    write_checks(&mut out, 2, checks);
     out
 }

@@ -12,7 +12,7 @@ use uburst_workloads::scenario::RackType;
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::figures::common::port_utils;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// The shared single-port dataset.
@@ -77,30 +77,31 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
         .find(|(rt, _)| *rt == RackType::Hadoop)
         .map(|(_, h)| *h)
         .unwrap_or(0.0);
-    writeln!(
-        out,
-        "  [{}] Hadoop spends the most time in bursts (got {:.1}%; paper ~15%)",
-        verdict(hot_fracs.iter().all(|(_, h)| hadoop_hot >= *h)),
-        hadoop_hot * 100.0
-    )
-    .unwrap();
     let hadoop_near = near_full
         .iter()
         .find(|(rt, _)| *rt == RackType::Hadoop)
         .map(|(_, h)| *h)
         .unwrap_or(0.0);
-    writeln!(
-        out,
-        "  [{}] Hadoop has a mode near 100% utilization (got {:.1}% of periods >90%; paper ~10%)",
-        verdict(hadoop_near > 0.02),
-        hadoop_near * 100.0
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  [{}] bursts are intense: hot periods exist while medians stay low",
-        verdict(hot_fracs.iter().all(|(_, h)| *h > 0.001))
-    )
-    .unwrap();
+    let checks = [
+        (
+            format!(
+                "Hadoop spends the most time in bursts (got {:.1}%; paper ~15%)",
+                hadoop_hot * 100.0
+            ),
+            hot_fracs.iter().all(|(_, h)| hadoop_hot >= *h),
+        ),
+        (
+            format!(
+                "Hadoop has a mode near 100% utilization (got {:.1}% of periods >90%; paper ~10%)",
+                hadoop_near * 100.0
+            ),
+            hadoop_near > 0.02,
+        ),
+        (
+            "bursts are intense: hot periods exist while medians stay low".into(),
+            hot_fracs.iter().all(|(_, h)| *h > 0.001),
+        ),
+    ];
+    write_checks(&mut out, 2, checks);
     out
 }

@@ -18,7 +18,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{port_groups_spec, CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// MAD CDF evaluation points.
@@ -165,8 +165,6 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
     writeln!(out, "{}", table.render()).unwrap();
     out.push_str(&curves);
     writeln!(out, "\npaper-shape checks:").unwrap();
-    for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, checks);
     out
 }

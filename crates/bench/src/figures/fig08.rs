@@ -13,7 +13,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{port_groups_spec, tx_utilization, CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// Renders a correlation matrix as an ASCII heatmap.
@@ -114,27 +114,26 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
     let web = summary.iter().find(|s| s.0 == RackType::Web).unwrap();
     let cache = summary.iter().find(|s| s.0 == RackType::Cache).unwrap();
     let hadoop = summary.iter().find(|s| s.0 == RackType::Hadoop).unwrap();
-    writeln!(
-        out,
-        "  [{}] Web: almost no correlation (mean offdiag {:.3})",
-        verdict(web.1.abs() < 0.05),
-        web.1
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  [{}] Cache: strong same-pod correlation, weak cross-pod ({:.2} vs {:.2})",
-        verdict(cache.2 > 0.4 && cache.2 > 3.0 * cache.3.max(0.01)),
-        cache.2,
-        cache.3
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  [{}] Hadoop: modest correlation, between Web and Cache ({:.3})",
-        verdict(hadoop.1 > web.1 && hadoop.1 < cache.2),
-        hadoop.1
-    )
-    .unwrap();
+    let checks = [
+        (
+            format!("Web: almost no correlation (mean offdiag {:.3})", web.1),
+            web.1.abs() < 0.05,
+        ),
+        (
+            format!(
+                "Cache: strong same-pod correlation, weak cross-pod ({:.2} vs {:.2})",
+                cache.2, cache.3
+            ),
+            cache.2 > 0.4 && cache.2 > 3.0 * cache.3.max(0.01),
+        ),
+        (
+            format!(
+                "Hadoop: modest correlation, between Web and Cache ({:.3})",
+                hadoop.1
+            ),
+            hadoop.1 > web.1 && hadoop.1 < cache.2,
+        ),
+    ];
+    write_checks(&mut out, 2, checks);
     out
 }

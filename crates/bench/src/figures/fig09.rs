@@ -12,7 +12,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{buffer_and_ports_spec, tx_utilization, CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// Rack types in report order, with the paper's uplink share.
@@ -100,8 +100,6 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
 
     writeln!(out, "{}", table.render()).unwrap();
     writeln!(out, "\npaper-shape checks:").unwrap();
-    for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, checks);
     out
 }

@@ -20,7 +20,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{buffer_and_ports_spec, tx_utilization, CampaignRun, CampaignSpec};
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// One rack type's `(hot-port count, peak occupancy)` pairs plus its port
@@ -158,16 +158,14 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
         .find(|(rt, _)| *rt == RackType::Hadoop)
         .map(|(_, s)| *s)
         .unwrap_or(0.0);
-    writeln!(
-        out,
-        "  [{}] Hadoop drives the largest share of ports hot ({:.0}%; paper 100%)",
-        verdict(max_share.iter().all(|(_, s)| hadoop >= *s)),
-        hadoop * 100.0
-    )
-    .unwrap();
-    for (desc, ok) in level_off {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    let hadoop_most = (
+        format!(
+            "Hadoop drives the largest share of ports hot ({:.0}%; paper 100%)",
+            hadoop * 100.0
+        ),
+        max_share.iter().all(|(_, s)| hadoop >= *s),
+    );
+    write_checks(&mut out, 2, std::iter::once(hadoop_most).chain(level_off));
     out
 }
 

@@ -24,7 +24,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
 use crate::campaign::{CampaignRun, CampaignSpec};
-use crate::report::{law_check, verdict, Table};
+use crate::report::{law_check, write_checks, Table};
 use crate::scale::Scale;
 
 /// The interval the paper's §4.1 numbers are for.
@@ -120,9 +120,7 @@ pub fn render(scale: Scale, _specs: &[CampaignSpec], _runs: &[CampaignRun]) -> S
     .unwrap();
 
     writeln!(out, "\nmiss-law checks:").unwrap();
-    for (desc, ok) in law_checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, law_checks);
 
     let [(ded_cpu, ded_miss, ded_cost), (sh_cpu, sh_miss, sh_cost)] = at_25us[..] else {
         unreachable!("one 25us cell per placement")
@@ -163,8 +161,6 @@ pub fn render(scale: Scale, _specs: &[CampaignSpec], _runs: &[CampaignRun]) -> S
             (0.5..=10.0).contains(&ded_cost) && (0.5..=10.0).contains(&sh_cost),
         ),
     ];
-    for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, checks);
     out
 }

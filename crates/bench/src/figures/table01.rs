@@ -17,7 +17,7 @@ use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
 
 use crate::campaign::{CampaignRun, CampaignSpec};
-use crate::report::{law_check, verdict, Table};
+use crate::report::{law_check, write_checks, Table};
 use crate::scale::Scale;
 
 /// None: Table 1's probes poll an idle counter bank inside [`render`].
@@ -109,9 +109,7 @@ pub fn render(scale: Scale, _specs: &[CampaignSpec], _runs: &[CampaignRun]) -> S
     writeln!(out, "{}", tune_table.render()).unwrap();
 
     writeln!(out, "\nmiss-law checks:").unwrap();
-    for (desc, ok) in law_checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, law_checks);
 
     writeln!(out, "\npaper-shape checks:").unwrap();
     let checks = [
@@ -144,8 +142,6 @@ pub fn render(scale: Scale, _specs: &[CampaignSpec], _runs: &[CampaignRun]) -> S
             group_tuned < Nanos::from_micros(70),
         ),
     ];
-    for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, checks);
     out
 }

@@ -12,7 +12,7 @@ use uburst_workloads::scenario::RackType;
 
 use crate::campaign::{CampaignRun, CampaignSpec};
 use crate::figures::common::port_utils;
-use crate::report::{verdict, Table};
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// The shared single-port dataset.
@@ -82,22 +82,19 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
 
     writeln!(out, "{}", table.render()).unwrap();
     writeln!(out, "paper-shape checks:").unwrap();
-    let all_gt_one = measured.iter().all(|(_, r)| *r > 5.0);
-    writeln!(
-        out,
-        "  [{}] every ratio >> 1: hot intervals are temporally correlated",
-        verdict(all_gt_one)
-    )
-    .unwrap();
-    let ordered = measured[0].1 > measured[1].1 && measured[1].1 > measured[2].1;
-    writeln!(
-        out,
-        "  [{}] ordering r_web > r_cache > r_hadoop (got {:.1} / {:.1} / {:.1})",
-        verdict(ordered),
-        measured[0].1,
-        measured[1].1,
-        measured[2].1
-    )
-    .unwrap();
+    let checks = [
+        (
+            "every ratio >> 1: hot intervals are temporally correlated".into(),
+            measured.iter().all(|(_, r)| *r > 5.0),
+        ),
+        (
+            format!(
+                "ordering r_web > r_cache > r_hadoop (got {:.1} / {:.1} / {:.1})",
+                measured[0].1, measured[1].1, measured[2].1
+            ),
+            measured[0].1 > measured[1].1 && measured[1].1 > measured[2].1,
+        ),
+    ];
+    write_checks(&mut out, 2, checks);
     out
 }

@@ -33,7 +33,7 @@ use uburst_sim::time::Nanos;
 use uburst_workloads::scenario::{RackType, ScenarioConfig};
 
 use crate::campaign::{CampaignRun, CampaignSpec};
-use crate::report::Table;
+use crate::report::{write_checks, Table};
 use crate::scale::Scale;
 
 /// Poller read-error fraction above which a switch reports itself
@@ -493,8 +493,6 @@ pub fn render_report(run: &FleetRun) -> String {
     }
 
     writeln!(out, "\nfleet checks:").unwrap();
-    for (desc, ok) in checks {
-        writeln!(out, "  [{}] {desc}", crate::report::verdict(ok)).unwrap();
-    }
+    write_checks(&mut out, 2, checks);
     out
 }

@@ -1,27 +1,41 @@
 //! Plain-text reporting helpers shared by the figure harnesses.
+//!
+//! Every report states the paper's claims as check lines, `[ok] <claim>`
+//! or `[MISS] <claim>`. [`write_checks`] is the one writer of those lines,
+//! and [`misses`] counts the `[MISS]` lines of a printed report: `repro`
+//! exits 1 iff its stdout holds one, whatever the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::fmt::{Display, Write};
 
 use uburst_core::tuning::MissLaw;
 use uburst_core::PollerStats;
 
-/// Shape checks that failed in this process (see [`verdict`]).
-static MISSES: AtomicUsize = AtomicUsize::new(0);
+/// The tag of a check line whose claim the run bears out.
+const OK: &str = "[ok]";
+/// The tag of a check line whose claim the run contradicts.
+const MISS: &str = "[MISS]";
 
-/// The `ok` / `MISS` tag every shape-check line prints. A miss is also
-/// counted, so the harness binary can turn it into its exit status.
-pub fn verdict(ok: bool) -> &'static str {
-    if ok {
-        "ok"
-    } else {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        "MISS"
+/// Appends one check line per `(claim, holds)` to `out`, `indent` spaces
+/// in: `[ok] <claim>` if it holds, else `[MISS] <claim>`.
+pub fn write_checks<C: Display>(
+    out: &mut String,
+    indent: usize,
+    checks: impl IntoIterator<Item = (C, bool)>,
+) {
+    for (claim, holds) in checks {
+        let tag = if holds { OK } else { MISS };
+        writeln!(out, "{:indent$}{tag} {claim}", "").unwrap();
     }
 }
 
-/// How many [`verdict`]s have come back `MISS` so far.
-pub fn misses() -> usize {
-    MISSES.load(Ordering::Relaxed)
+/// The check lines of `report` that read `[MISS]`: lines whose first
+/// non-blank token is the tag. A claim that quotes a tag mid-line is not
+/// one.
+pub fn misses(report: &str) -> usize {
+    report
+        .lines()
+        .filter(|line| line.split_whitespace().next() == Some(MISS))
+        .count()
 }
 
 /// One probe held to its campaign's miss law: its deadline-miss fraction
@@ -132,13 +146,39 @@ mod tests {
 
     #[test]
     fn verdict_tags_and_counts_misses() {
-        // Other tests in this binary may record misses concurrently, so
-        // the count is only bounded below.
-        let before = misses();
-        assert_eq!(verdict(true), "ok");
-        assert_eq!(verdict(false), "MISS");
-        assert_eq!(verdict(false), "MISS");
-        assert!(misses() >= before + 2);
+        let mut out = String::new();
+        write_checks(&mut out, 2, [("holds", true), ("fails", false)]);
+        write_checks(&mut out, 4, [("fails deeper", false)]);
+        assert_eq!(
+            out,
+            "  [ok] holds\n  [MISS] fails\n    [MISS] fails deeper\n"
+        );
+        assert_eq!(misses(&out), 2);
+    }
+
+    #[test]
+    fn misses_counts_miss_lines_at_any_indent() {
+        assert_eq!(misses("  [MISS] a\n    [MISS] b\n"), 2);
+        assert_eq!(misses("[MISS] at the margin"), 1);
+    }
+
+    #[test]
+    fn ok_lines_are_not_misses() {
+        assert_eq!(misses("  [ok] a\n    [ok] b\n"), 0);
+    }
+
+    #[test]
+    fn a_claim_quoting_a_tag_is_not_a_miss() {
+        assert_eq!(
+            misses("  [ok] no line reads [MISS] here\nnote: [MISS] counts\n"),
+            0
+        );
+    }
+
+    #[test]
+    fn a_report_without_checks_has_no_misses() {
+        assert_eq!(misses(""), 0);
+        assert_eq!(misses("table\n-----\n  1  2\n"), 0);
     }
 
     #[test]

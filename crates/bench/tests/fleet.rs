@@ -5,6 +5,7 @@
 
 use uburst_asic::CounterId;
 use uburst_bench::fleet::{render_report, FleetRun, FleetSpec};
+use uburst_bench::report::misses;
 use uburst_bench::{run_parallel_on, Scale};
 use uburst_core::batch::{Batch, SourceId};
 use uburst_core::failpoint::RegionCrashPlan;
@@ -117,18 +118,21 @@ fn fleet_report_says_when_payloads_were_quarantined() {
 
 #[test]
 fn a_failed_fleet_check_is_a_recorded_miss() {
-    // `repro ext_fleet` exits non-zero on `report::misses() > 0`, so a
-    // failed fleet check has to go through `report::verdict` like every
-    // other shape check. Break the no-acked-loss floor by hand.
+    // `repro ext_fleet` exits non-zero iff its report holds a `[MISS]`
+    // line, so a failed fleet check has to be written as one. Break the
+    // no-acked-loss floor by hand.
     let mut run = run_fleet_spec_on(1, &tiny(3, 0.0), &RegionCrashPlan::none());
+    let clean = render_report(&run);
     let s = &mut run.outcome.coverage.switches[0];
     s.acked = s.stored + 1;
-    // Other tests in this binary render reports concurrently, so the
-    // counter is only known to grow.
-    let before = uburst_bench::report::misses();
     let report = render_report(&run);
-    assert!(report.contains("[MISS] no acked batch is lost"));
-    assert!(uburst_bench::report::misses() > before);
+    assert!(
+        report.contains("\n  [MISS] no acked batch is lost"),
+        "{report}"
+    );
+    // Three switches over 5ms are too few for the correlation claims, so
+    // the clean report already misses those; the break adds exactly one.
+    assert_eq!(misses(&report), misses(&clean) + 1, "{report}");
 }
 
 #[test]

@@ -63,6 +63,13 @@ const TOKEN_POLL_DONE: u64 = 0x504f_4c4c_444f_4e45; // "POLLDONE"
 /// Timer token: retry a failed read after its backoff.
 const TOKEN_POLL_RETRY: u64 = 0x504f_4c4c_5254_5259; // "POLLRTRY"
 
+/// The most samples [`Poller::spawn`] reserves per counter. An open-ended
+/// window (`stop = Nanos::MAX`) bounds its samples at ~10¹⁴, so it reserves
+/// this many and grows by doubling past them. Every window `repro` declares
+/// fits: the largest is Table 1's 2 s probe at 1 µs under `EXP_SCALE=full`,
+/// at most 800 001 samples, so a finite campaign never regrows its series.
+const MAX_RESERVED_SAMPLES: u64 = 1 << 20;
+
 /// Bounded exponential backoff for failed counter reads, in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -193,6 +200,8 @@ pub struct Poller {
     /// retries do not reset it, so completion latency includes backoff.
     poll_started: Nanos,
     stop_at: Nanos,
+    /// Most samples the window can hold (see [`Poller::spawn`]).
+    sample_bound: u64,
     stats: PollerStats,
     /// Read attempt number for the current deadline (0 = first try).
     attempt: u32,
@@ -231,6 +240,7 @@ impl Poller {
             deadline: Nanos::ZERO,
             poll_started: Nanos::ZERO,
             stop_at: Nanos::MAX,
+            sample_bound: u64::MAX,
             stats: PollerStats::default(),
             attempt: 0,
             finished: false,
@@ -263,6 +273,12 @@ impl Poller {
     /// register takes one reader at a time: the campaign claims those it
     /// polls until its window closes, and a second live campaign asking
     /// for one gets [`PollError::RegisterClaimed`].
+    ///
+    /// Each counter's series is reserved once, at the window's sample
+    /// bound `⌊(stop − start) / max(interval, poll cost)⌋ + 1` (capped at
+    /// `MAX_RESERVED_SAMPLES`): deadlines step by the interval, and a
+    /// poll holds the bus for at least its cost before the next deadline
+    /// is picked, so no window takes more samples.
     pub fn spawn(
         mut self,
         sim: &mut Simulator,
@@ -278,6 +294,13 @@ impl Poller {
         self.deadline = start;
         self.stop_at = stop;
         self.stats.started_at = start;
+        let step = self.campaign.interval.max(self.poll_cost());
+        self.sample_bound = (stop - start).as_nanos() / step.as_nanos() + 1;
+        let reserved = self.sample_bound.min(MAX_RESERVED_SAMPLES) as usize;
+        for series in &mut self.series {
+            series.ts.reserve_exact(reserved);
+            series.vs.reserve_exact(reserved);
+        }
         let id = sim.add_node(Box::new(self));
         sim.schedule_timer(start, id, TOKEN_POLL_START);
         Ok(id)
@@ -373,6 +396,11 @@ impl Poller {
         // frame that left by `now`: under the lazy engine a switch's
         // departures wait in its book until something settles them.
         self.bank.flush_to(now);
+        debug_assert!(
+            self.stats.polls < self.sample_bound,
+            "a poll past the window's sample bound {}",
+            self.sample_bound
+        );
         for (i, &id) in self.campaign.counters.iter().enumerate() {
             let mut v = self.bank.read(id);
             if let Some(faults) = self.faults.as_mut() {
@@ -570,6 +598,71 @@ mod tests {
         assert_eq!(stats.polls as usize, n);
         // ~2000 deadlines in 50ms at 25us; nearly all polled.
         assert!(n > 1800, "expected ~2000 samples, got {n}");
+    }
+
+    /// Runs a one-counter campaign over `[0, span)` and checks that its
+    /// series was reserved once, at the window's sample bound, and never
+    /// regrew: its capacity is the bound before and after the run, and the
+    /// bound exceeds the samples taken by at most the deadlines that got
+    /// none, plus one.
+    fn assert_reserved_once(interval: Nanos, span: Nanos) {
+        let mut sim = Simulator::new();
+        let campaign = CampaignConfig::single("bytes", CounterId::TxBytes(PortId(0)), interval);
+        let bank = AsicCounters::new_shared(1);
+        let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 42).unwrap();
+        let bound = span.as_nanos() / interval.max(poller.poll_cost()).as_nanos() + 1;
+        let id = poller.spawn(&mut sim, Nanos::ZERO, span).unwrap();
+        let capacity = |s: &Series| {
+            assert_eq!(s.ts.capacity(), s.vs.capacity());
+            s.ts.capacity() as u64
+        };
+        assert_eq!(capacity(&sim.node_mut::<Poller>(id).series[0]), bound);
+        sim.run_until(Nanos::MAX);
+        let p = sim.node_mut::<Poller>(id);
+        let stats = p.stats();
+        let series = p.take_series().unwrap().remove(0).1;
+        assert_eq!(capacity(&series), bound, "the series regrew");
+        let len = series.len() as u64;
+        assert!(len <= bound);
+        assert!(bound - len <= stats.missed_deadlines + stats.abandoned_polls() + 1);
+    }
+
+    #[test]
+    fn series_are_reserved_once_at_the_sample_bound() {
+        // A fault-free 25us campaign: about one sample per deadline.
+        assert_reserved_once(Nanos::from_micros(25), Nanos::from_millis(50));
+        // Table 1's 1us row: the 2.5us poll cost, not the interval, bounds it.
+        assert_reserved_once(Nanos::from_micros(1), Nanos::from_millis(20));
+    }
+
+    #[test]
+    fn an_open_ended_window_reserves_the_cap_and_still_records() {
+        let mut sim = Simulator::new();
+        let campaign = CampaignConfig::single(
+            "bytes",
+            CounterId::TxBytes(PortId(0)),
+            Nanos::from_micros(25),
+        );
+        let bank = AsicCounters::new_shared(1);
+        let poller = Poller::in_memory(bank, AccessModel::default(), campaign, 42).unwrap();
+        let id = poller.spawn(&mut sim, Nanos::ZERO, Nanos::MAX).unwrap();
+        sim.run_until(Nanos::from_millis(3));
+        let p = sim.node_mut::<Poller>(id);
+        assert!(!p.is_finished());
+        assert_eq!(p.series[0].ts.capacity() as u64, MAX_RESERVED_SAMPLES);
+        assert!(
+            p.series[0].len() > 100,
+            "{} samples in 3ms",
+            p.series[0].len()
+        );
+    }
+
+    #[test]
+    fn the_reservation_cap_covers_table1_at_full_scale() {
+        // Table 1's 1us probe over its 2s `EXP_SCALE=full` window.
+        let cost = AccessModel::default().poll_cost(&[CounterId::TxBytes(PortId(0))]);
+        let bound = Nanos::from_secs(2).as_nanos() / cost.max(Nanos::from_micros(1)).as_nanos() + 1;
+        assert!(bound <= MAX_RESERVED_SAMPLES, "bound {bound}");
     }
 
     #[test]
