@@ -42,7 +42,7 @@ pub use histogram::{diff_histogram_snapshots, split_by_burst, NormalizedHistogra
 pub use kstest::{kolmogorov_sf, ks_test_exponential, ks_test_exponential_with_ecdf, KsResult};
 pub use mad::{coarsen, mad_per_period, relative_mad};
 pub use markov::{fit_transition_matrix, TransitionMatrix};
-pub use pearson::{correlation_matrix, mean_offdiagonal, pearson, CenteredMatrix};
+pub use pearson::{correlation_matrix, mean_offdiagonal, pearson};
 pub use quantile::nearest_rank;
 pub use resample::{to_windows, Window};
 pub use sortf64::sort_f64;

@@ -10,15 +10,14 @@ use std::ops::Range;
 /// add latency. Four interleaved lanes keep the FP adder pipeline full.
 /// The lane split and the combine order `(a0+a2)+(a1+a3)` then the tail
 /// are part of the *defined* summation order: [`pearson`] and the matrix
-/// kernel behind [`CenteredMatrix`] use the same scheme, which is what
+/// kernel behind [`correlation_matrix`] use the same scheme, which is what
 /// keeps them bit-identical to each other.
 const LANES: usize = 4;
 
 /// Samples per block of the matrix kernel, a multiple of [`LANES`]. The
-/// centred block of every series a range touches (32 series × 1 KiB for
-/// the benchmark's 32×160 k matrix) stays in L1 while each pair of the
-/// range reads it, so a series is streamed from memory once per range
-/// instead of once per pair. 256 and 512 measured slower on a 48 KiB L1.
+/// centred block of every series (32 series × 1 KiB for the benchmark's
+/// 32×160 k matrix) stays in L1 while each pair reads it, so a series is
+/// streamed from memory once per matrix instead of once per pair. 256 and 512 measured slower on a 48 KiB L1.
 const BLOCK: usize = 128;
 
 /// Pairs per register tile: up to four pairs that share a row load the
@@ -71,121 +70,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
         return 0.0;
     }
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
-}
-
-/// The O(k·n) part of [`correlation_matrix`] — each series' mean and norm,
-/// computed once — and the matrix kernel over any contiguous range of the
-/// row-major strict upper triangle `(0,1), (0,2), …, (0,k-1), (1,2), …`.
-///
-/// Holds no copy of the series: the kernel centres them block by block
-/// as it goes. Splitting the two lets callers distribute the O(k²·n) part
-/// however they like — one range covering every pair, or a worker pool
-/// fanning pair ranges (the bench crate's pooled driver) — while every
-/// entry stays bit-identical to [`pearson`]: the kernel runs each pair's
-/// float operations in `pearson`'s order whatever other pairs share its
-/// range, so any partition of the pairs yields the same bits.
-pub struct CenteredMatrix<'a> {
-    series: &'a [Vec<f64>],
-    means: Vec<f64>,
-    norms: Vec<f64>,
-}
-
-impl<'a> CenteredMatrix<'a> {
-    /// Takes every series' mean (the serial sum [`pearson`] takes) and
-    /// norm (the root of the kernel's diagonal sum, which is `pearson`'s
-    /// `sxx`).
-    ///
-    /// # Panics
-    /// Panics if series lengths differ.
-    pub fn new(series: &'a [Vec<f64>]) -> Self {
-        let n = series.first().map_or(0, Vec::len);
-        assert!(series.iter().all(|s| s.len() == n), "unaligned series");
-        let means: Vec<f64> = series
-            .iter()
-            .map(|s| s.iter().sum::<f64>() / n as f64)
-            .collect();
-        let diagonal: Vec<(usize, usize)> = (0..series.len()).map(|i| (i, i)).collect();
-        let norms = centered_dots(series, &means, &diagonal)
-            .into_iter()
-            .map(f64::sqrt)
-            .collect();
-        Self {
-            series,
-            means,
-            norms,
-        }
-    }
-
-    /// Number of pairs in the strict upper triangle, `k(k-1)/2`.
-    pub fn pairs(&self) -> usize {
-        let k = self.series.len();
-        k * k.saturating_sub(1) / 2
-    }
-
-    /// The correlations at linear indices `range` of the strict upper
-    /// triangle, in order — entry `(i, j)` bit-identical to
-    /// `pearson(&series[i], &series[j])`.
-    ///
-    /// # Panics
-    /// Panics if `range` reaches past [`Self::pairs`].
-    pub fn upper_triangle(&self, range: Range<usize>) -> Vec<f64> {
-        assert!(range.end <= self.pairs(), "pair index out of range");
-        let pairs = pairs_in(self.series.len(), range);
-        let dots = centered_dots(self.series, &self.means, &pairs);
-        pairs
-            .iter()
-            .zip(dots)
-            .map(|(&(i, j), sxy)| {
-                let (ni, nj) = (self.norms[i], self.norms[j]);
-                if ni == 0.0 || nj == 0.0 {
-                    0.0
-                } else {
-                    (sxy / (ni * nj)).clamp(-1.0, 1.0)
-                }
-            })
-            .collect()
-    }
-
-    /// The full symmetric matrix, unit diagonal, from the whole strict
-    /// upper triangle in order (the concatenation of
-    /// [`Self::upper_triangle`] over ranges tiling `0..pairs()`).
-    ///
-    /// # Panics
-    /// Panics if `upper` is not [`Self::pairs`] long.
-    pub fn assemble(&self, upper: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(upper.len(), self.pairs(), "not a whole upper triangle");
-        let k = self.series.len();
-        let mut m = vec![vec![0.0; k]; k];
-        for (i, row) in m.iter_mut().enumerate() {
-            row[i] = 1.0;
-        }
-        for (&(i, j), &r) in pairs_in(k, 0..upper.len()).iter().zip(upper) {
-            m[i][j] = r;
-            m[j][i] = r;
-        }
-        m
-    }
-}
-
-/// The pairs at linear indices `range` of a `k`-series strict upper
-/// triangle, in row-major order.
-fn pairs_in(k: usize, range: Range<usize>) -> Vec<(usize, usize)> {
-    let (mut i, mut skip) = (0, range.start);
-    while i < k && skip >= k - 1 - i {
-        skip -= k - 1 - i;
-        i += 1;
-    }
-    let mut j = i + 1 + skip;
-    let mut out = Vec::with_capacity(range.len());
-    for _ in range {
-        out.push((i, j));
-        j += 1;
-        if j == k {
-            i += 1;
-            j = i + 1;
-        }
-    }
-    out
 }
 
 /// The matrix kernel: `Σ_t (x_i[t] − m_i)·(x_j[t] − m_j)` for every listed
@@ -288,17 +172,47 @@ fn tile<const W: usize>(
 /// server heatmap of Fig. 8.
 ///
 /// Calling [`pearson`] per pair re-derives each series' mean and centred
-/// values once per *pair* and streams two whole series per pair. This is
-/// [`CenteredMatrix`]'s kernel over the whole upper triangle, which reads
-/// every series from memory once; every entry is bit-identical to the
-/// naive pairwise evaluation (asserted by `matches_naive_pairwise_pearson`
-/// below).
+/// values once per *pair* and streams two whole series per pair. This
+/// takes each series' mean (the serial sum `pearson` takes) and norm (the
+/// root of the kernel's diagonal sum, which is `pearson`'s `sxx`) once,
+/// then runs the kernel over the row-major strict upper triangle
+/// `(0,1), (0,2), …, (1,2), …`, which reads every series from memory
+/// once; every entry is bit-identical to the naive pairwise evaluation
+/// (asserted by `matches_naive_pairwise_pearson` below).
 ///
 /// # Panics
 /// Panics if series lengths differ.
 pub fn correlation_matrix(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let c = CenteredMatrix::new(series);
-    c.assemble(&c.upper_triangle(0..c.pairs()))
+    let k = series.len();
+    let n = series.first().map_or(0, Vec::len);
+    assert!(series.iter().all(|s| s.len() == n), "unaligned series");
+    let means: Vec<f64> = series
+        .iter()
+        .map(|s| s.iter().sum::<f64>() / n as f64)
+        .collect();
+    let diagonal: Vec<(usize, usize)> = (0..k).map(|i| (i, i)).collect();
+    let norms: Vec<f64> = centered_dots(series, &means, &diagonal)
+        .into_iter()
+        .map(f64::sqrt)
+        .collect();
+    let pairs: Vec<(usize, usize)> = (0..k)
+        .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
+        .collect();
+    let mut m = vec![vec![0.0; k]; k];
+    for (i, row) in m.iter_mut().enumerate() {
+        row[i] = 1.0;
+    }
+    for (&(i, j), sxy) in pairs.iter().zip(centered_dots(series, &means, &pairs)) {
+        let (ni, nj) = (norms[i], norms[j]);
+        let r = if ni == 0.0 || nj == 0.0 {
+            0.0
+        } else {
+            (sxy / (ni * nj)).clamp(-1.0, 1.0)
+        };
+        m[i][j] = r;
+        m[j][i] = r;
+    }
+    m
 }
 
 /// Mean of the off-diagonal entries — a scalar "how correlated is this
@@ -485,29 +399,6 @@ mod tests {
         }
     }
 
-    /// Any partition of the pairs into ranges gives the same entries as
-    /// one range over all of them — what the pooled driver relies on.
-    #[test]
-    fn any_partition_of_the_pairs_gives_the_same_bits() {
-        let s = fixture(9, BLOCK + 7, 4);
-        let c = CenteredMatrix::new(&s);
-        let whole = c.upper_triangle(0..c.pairs());
-        for cut in 0..=c.pairs() {
-            let mut parts = c.upper_triangle(0..cut);
-            parts.extend(c.upper_triangle(cut..c.pairs()));
-            assert!(
-                parts
-                    .iter()
-                    .zip(&whole)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "cut at {cut}"
-            );
-        }
-        for (p, r) in whole.iter().enumerate() {
-            assert_eq!(c.upper_triangle(p..p + 1)[0].to_bits(), r.to_bits());
-        }
-    }
-
     /// Series of length 0 (the fleet report can truncate its aggregates
     /// that far) give the identity, with no NaN in it.
     #[test]
@@ -522,12 +413,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "pair index out of range")]
-    fn ranges_past_the_triangle_panic() {
-        let s = fixture(3, 8, 0);
-        CenteredMatrix::new(&s).upper_triangle(2..4);
     }
 }

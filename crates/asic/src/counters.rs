@@ -193,22 +193,17 @@ impl AsicCounters {
         self.n_ports
     }
 
-    /// Total cells in the flat bank (a bank-geometry stamp).
-    pub(crate) fn n_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     fn port_base(&self, port: PortId) -> usize {
         let p = port.0 as usize;
         assert!(p < self.n_ports, "port {p} out of range");
         p * PORT_STRIDE
     }
 
-    pub(crate) fn level_slot(&self) -> usize {
+    fn level_slot(&self) -> usize {
         self.n_ports * PORT_STRIDE
     }
 
-    pub(crate) fn peak_slot(&self) -> usize {
+    fn peak_slot(&self) -> usize {
         self.level_slot() + 1
     }
 
@@ -231,7 +226,7 @@ impl AsicCounters {
 
     /// The flat-cell index of a counter, validating its port (and
     /// histogram bin).
-    pub(crate) fn slot_of(&self, id: CounterId) -> usize {
+    fn slot_of(&self, id: CounterId) -> usize {
         match id {
             CounterId::RxBytes(p) => self.port_base(p) + OFF_RX_BYTES,
             CounterId::RxPackets(p) => self.port_base(p) + OFF_RX_PACKETS,
@@ -251,32 +246,16 @@ impl AsicCounters {
         }
     }
 
-    /// Reads the cell at a resolved slot, honoring read-and-clear
-    /// semantics for the peak register.
-    pub(crate) fn read_slot(&self, slot: usize) -> u64 {
+    /// Reads one counter. `BufferPeak` is destructive: it returns the peak
+    /// since the previous read and re-seeds the register with the current
+    /// level, exactly like the hardware register the paper used.
+    pub fn read(&self, id: CounterId) -> u64 {
+        let slot = self.slot_of(id);
         let v = self.cells[slot].get();
         if slot == self.peak_slot() {
             self.cells[slot].set(self.cells[self.level_slot()].get());
         }
         v
-    }
-
-    /// Reads one counter. `BufferPeak` is destructive: it returns the peak
-    /// since the previous read and re-seeds the register with the current
-    /// level, exactly like the hardware register the paper used.
-    pub fn read(&self, id: CounterId) -> u64 {
-        self.read_slot(self.slot_of(id))
-    }
-
-    /// Reads a group of counters in order (one "poll" worth).
-    pub fn read_group(&self, ids: &[CounterId]) -> Vec<u64> {
-        ids.iter().map(|&id| self.read(id)).collect()
-    }
-
-    /// Peeks at the peak register without clearing (diagnostics only; the
-    /// hardware analogue does not exist).
-    pub fn peek_buffer_peak(&self) -> u64 {
-        self.cells[self.peak_slot()].get()
     }
 
     /// One port's cells as a fixed-size window: a single bounds check per
@@ -417,19 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn read_group_orders_values() {
-        let c = AsicCounters::new(2);
-        c.count_rx(PortId(0), 10);
-        c.count_tx(PortId(1), 20);
-        let vals = c.read_group(&[
-            CounterId::RxBytes(PortId(0)),
-            CounterId::TxBytes(PortId(1)),
-            CounterId::Drops(PortId(0)),
-        ]);
-        assert_eq!(vals, vec![10, 20, 0]);
-    }
-
-    #[test]
     fn histogram_totals_match_packet_counts() {
         let c = AsicCounters::new(1);
         let sizes = [64, 65, 100, 300, 700, 1400, 1514, 2000];
@@ -471,7 +437,7 @@ mod tests {
             );
         }
         // The query did not clear the read-and-clear peak register.
-        assert_eq!(c.peek_buffer_peak(), 3_000);
+        assert_eq!(c.read(CounterId::BufferPeak), 3_000);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! 3. A WAL session that crashes, recovers, and resumes produces the same
 //!    snapshot every time the same crash is replayed.
 //!
-//! A pooled Pearson matrix, likewise, counts the same 64 jobs on any
-//! number of threads, and an experiment that repeats an earlier one's
-//! declaration adds no campaign.
+//! An experiment that repeats an earlier one's declaration adds no
+//! campaign.
 //!
 //! The registry is a process-global, so the tests serialize on one lock
 //! and reset it around each measurement.
@@ -24,9 +23,7 @@ use std::sync::Mutex;
 
 use uburst_asic::{CounterId, FaultPlan};
 use uburst_bench::figures::{run_experiments, Experiment};
-use uburst_bench::{
-    correlation_matrix_pooled_on, run_jobs_on, run_parallel_on, CampaignSpec, Scale,
-};
+use uburst_bench::{run_jobs_on, run_parallel_on, CampaignSpec, Scale};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
     Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipment, Shipper, ShipperConfig,
@@ -190,30 +187,6 @@ fn a_repeated_declaration_is_measured_once() {
     assert!(prom.contains("uburst_pool_jobs_total 6\n"), "{prom}");
     assert!(reports[0].starts_with("6 campaigns: "));
     assert_eq!(reports[0], reports[1]);
-}
-
-/// A pooled Pearson matrix submits its fixed budget of 64 pair-range
-/// jobs whatever the thread count, so `uburst_pool_jobs_total` stays a
-/// function of the work.
-#[test]
-fn pooled_pearson_submits_64_jobs_at_any_thread_count() {
-    let series: Vec<Vec<f64>> = (0..32u32)
-        .map(|i| {
-            (0..300u32)
-                .map(|t| f64::from((i * 7 + t * 13) % 29))
-                .collect()
-        })
-        .collect();
-    for threads in [1, 2, 8] {
-        let prom = with_registry(|| {
-            correlation_matrix_pooled_on(threads, &series);
-            uburst_obs::snapshot().to_prometheus()
-        });
-        assert!(
-            prom.contains("uburst_pool_jobs_total 64\n"),
-            "{threads} thread(s):\n{prom}"
-        );
-    }
 }
 
 // ---- WAL crash/recovery determinism ------------------------------------

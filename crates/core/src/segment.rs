@@ -33,7 +33,7 @@ use std::borrow::Borrow;
 use crate::batch::{Batch, SourceId};
 use crate::series::Series;
 use crate::ship::SeqBatch;
-use crate::store::{label_parts, parse_counter_label};
+use crate::store::{label_bytes, parse_counter_label, LABEL_MAX};
 use uburst_asic::CounterId;
 
 /// Magic bytes opening every segment file.
@@ -209,47 +209,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     let len = u16::try_from(s.len()).expect("string field longer than its u16 length prefix");
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-/// The longest label: `rx_size_hist[65535:255]`.
-const LABEL_MAX: usize = 23;
-
-/// The decimal digits of `v` (what `format!("{v}")` emits), for `v` up to
-/// a `u16`, written at the back of `digits`.
-fn dec(mut v: u32, digits: &mut [u8; 5]) -> &[u8] {
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            return &digits[at..];
-        }
-    }
-}
-
-/// The counter's label — the bytes of `counter_label(c)`, from the same
-/// [`label_parts`] row — rendered on the stack, since the encoder writes
-/// one and the decoder checks one per record.
-fn label_bytes(c: CounterId) -> ([u8; LABEL_MAX], usize) {
-    let mut buf = [0u8; LABEL_MAX];
-    let mut n = 0;
-    let mut put = |bytes: &[u8]| {
-        buf[n..n + bytes.len()].copy_from_slice(bytes);
-        n += bytes.len();
-    };
-    let (prefix, port, bin) = label_parts(c);
-    put(prefix.as_bytes());
-    if let Some(p) = port {
-        put(b"[");
-        put(dec(p as u32, &mut [0; 5]));
-        if let Some(b) = bin {
-            put(b":");
-            put(dec(b as u32, &mut [0; 5]));
-        }
-        put(b"]");
-    }
-    (buf, n)
 }
 
 /// Appends the length-prefixed counter label.
@@ -559,12 +518,18 @@ mod tests {
         );
     }
 
-    /// The manual label writer must emit exactly what the `format!`-based
-    /// `counter_label` string would have — the on-disk format and the CSV
-    /// dump share the label syntax, so drift here is format drift.
+    /// The framed label must be exactly the `format!` rendering of the
+    /// counter's `label_parts` row that `counter_label` returns — the
+    /// on-disk format and the CSV dump share the label syntax, so drift
+    /// here is format drift.
     #[test]
     fn put_counter_label_matches_counter_label_strings() {
-        use crate::store::counter_label;
+        use crate::store::{counter_label, label_parts};
+        let formatted = |c| match label_parts(c) {
+            (prefix, None, _) => prefix.to_string(),
+            (prefix, Some(port), None) => format!("{prefix}[{port}]"),
+            (prefix, Some(port), Some(bin)) => format!("{prefix}[{port}:{bin}]"),
+        };
         let cases = [
             CounterId::RxBytes(PortId(0)),
             CounterId::RxPackets(PortId(7)),
@@ -580,8 +545,9 @@ mod tests {
             let mut fast = vec![0xEE];
             let mut slow = vec![0xEE];
             put_counter_label(&mut fast, c);
-            put_str(&mut slow, &counter_label(c));
-            assert_eq!(fast, slow, "{}", counter_label(c));
+            put_str(&mut slow, &formatted(c));
+            assert_eq!(fast, slow, "{}", formatted(c));
+            assert_eq!(counter_label(c), formatted(c));
         }
     }
 

@@ -88,7 +88,9 @@ impl CoreMode {
 /// One measurement campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Campaign label, carried into exported data.
+    /// Campaign label, for the reader. The collection path never reads
+    /// it: the campaign a WAL record carries is the name given to
+    /// [`crate::Batcher::new`].
     pub name: String,
     /// Counters read together on every poll.
     pub counters: Vec<CounterId>,

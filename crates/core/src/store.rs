@@ -301,8 +301,8 @@ impl SampleStore {
 }
 
 /// The label text format's one table: every counter is written `prefix`,
-/// `prefix[port]` or `prefix[port:bin]`. [`counter_label`], the segment
-/// encoder and [`parse_counter_label`] all read it.
+/// `prefix[port]` or `prefix[port:bin]`. [`label_bytes`] writes it and
+/// [`parse_counter_label`] reads it.
 ///
 /// ':' separates port and bin, NOT ',': every label must stay comma-free
 /// so CSV rows always split into exactly four columns (guarded by test).
@@ -366,13 +366,52 @@ pub fn parse_counter_label(label: &str) -> Option<CounterId> {
     Some(counter_kinds(PortId(port), bin)[kind])
 }
 
-/// Stable text label for a counter (used in CSV export).
-pub fn counter_label(c: CounterId) -> String {
-    match label_parts(c) {
-        (prefix, None, _) => prefix.to_string(),
-        (prefix, Some(port), None) => format!("{prefix}[{port}]"),
-        (prefix, Some(port), Some(bin)) => format!("{prefix}[{port}:{bin}]"),
+/// The longest label: `rx_size_hist[65535:255]`.
+pub(crate) const LABEL_MAX: usize = 23;
+
+/// The decimal digits of `v` (what `format!("{v}")` emits), for `v` up to
+/// a `u16`, written at the back of `digits`.
+fn dec(mut v: u32, digits: &mut [u8; 5]) -> &[u8] {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &digits[at..];
+        }
     }
+}
+
+/// The counter's label rendered from its [`label_parts`] row on the
+/// stack: the bytes and their length. The segment encoder writes one and
+/// its decoder checks one per record; [`counter_label`] returns a copy.
+pub(crate) fn label_bytes(c: CounterId) -> ([u8; LABEL_MAX], usize) {
+    let mut buf = [0u8; LABEL_MAX];
+    let mut n = 0;
+    let mut put = |bytes: &[u8]| {
+        buf[n..n + bytes.len()].copy_from_slice(bytes);
+        n += bytes.len();
+    };
+    let (prefix, port, bin) = label_parts(c);
+    put(prefix.as_bytes());
+    if let Some(p) = port {
+        put(b"[");
+        put(dec(p as u32, &mut [0; 5]));
+        if let Some(b) = bin {
+            put(b":");
+            put(dec(b as u32, &mut [0; 5]));
+        }
+        put(b"]");
+    }
+    (buf, n)
+}
+
+/// Stable text label for a counter (used in CSV export and in WAL
+/// records).
+pub fn counter_label(c: CounterId) -> String {
+    let (bytes, len) = label_bytes(c);
+    String::from_utf8(bytes[..len].to_vec()).expect("labels are ASCII")
 }
 
 #[cfg(test)]

@@ -151,9 +151,7 @@ impl Event {
     /// `(node, port)`, then timers — with schedule order breaking what
     /// remains. The rank is a pure function of the event's content plus a
     /// within-class sequence, so both execution modes order the same
-    /// physical coincidences identically (see the module docs). Public so
-    /// a consumer of [`EventQueue::pop_batch`] can compare a buffered event
-    /// against [`EventQueue::pop_if_before`].
+    /// physical coincidences identically (see the module docs).
     pub fn key(&self) -> (u64, u64) {
         (self.time.0, self.ord)
     }
@@ -308,70 +306,17 @@ impl EventQueue {
         }
     }
 
-    /// Drains every event firing at or before `until` from the earliest
-    /// pending tier into `buf`, in exactly the order repeated
-    /// [`Self::pop_until`] calls would produce them, and returns how many
-    /// were appended. At most one wheel bucket is activated per call, so
-    /// the batch is the activated bucket's eligible suffix — the unit the
-    /// calendar already sorts — and `buf` can be reused across calls
-    /// without growing past the busiest bucket.
+    /// Pushes every event firing at or before `until` onto `buf` — one
+    /// [`Self::pop_until`] per event — and returns how many were pushed.
     ///
-    /// Batching is only equivalent to pop-per-event if events scheduled
-    /// *while the batch is being consumed* cannot be overtaken. Every
-    /// batched event comes from a bucket below `next_abs`, so a new event
-    /// either lands at `abs >= next_abs` (a strictly later time than
-    /// everything batched) or merge-inserts into `cur` — consumers must
-    /// therefore interleave [`Self::pop_if_before`] with the slice, which
-    /// is an O(1) check per event.
-    ///
-    /// The simulator pops one event at a time ([`Self::pop_until`]); this
-    /// drain is kept for the benchmark's isolated event-queue row.
+    /// Kept only because `benchmark/` links it, ROADMAP item 3a; the
+    /// simulator calls [`Self::pop_until`].
     pub fn pop_batch(&mut self, until: Nanos, buf: &mut Vec<Event>) -> usize {
-        loop {
-            if !self.cur.is_empty() {
-                // `cur` is sorted descending, so the eligible events
-                // (time <= until) are a suffix; reverse it into `buf`.
-                let idx = self.cur.partition_point(|e| e.time > until);
-                let n = self.cur.len() - idx;
-                if n == 0 {
-                    return 0;
-                }
-                self.len -= n;
-                buf.extend(self.cur.drain(idx..).rev());
-                return n;
-            }
-            if self.len == 0 {
-                return 0;
-            }
-            if self.wheel_len == 0 {
-                if self.overflow_min > until {
-                    return 0;
-                }
-                self.refill_from(self.overflow_min.0 >> BUCKET_SHIFT);
-                continue;
-            }
-            let abs = self.find_next_occupied();
-            if abs << BUCKET_SHIFT > until.0 {
-                return 0;
-            }
-            self.activate(abs);
+        let start = buf.len();
+        while let Some(e) = self.pop_until(until) {
+            buf.push(e);
         }
-    }
-
-    /// Pops the next event only if its `(time, seq)` key precedes `key`.
-    ///
-    /// This is the preemption channel for batch consumers: mid-batch
-    /// schedules that must fire before a still-buffered event can only
-    /// live in the activated bucket (see [`Self::pop_batch`]), so one
-    /// comparison against `cur`'s back decides.
-    pub fn pop_if_before(&mut self, key: (u64, u64)) -> Option<Event> {
-        match self.cur.last() {
-            Some(e) if e.key() < key => {
-                self.len -= 1;
-                self.cur.pop()
-            }
-            _ => None,
-        }
+        buf.len() - start
     }
 
     /// Time of the next pending event, if any. Non-destructive: scans the
@@ -426,6 +371,11 @@ impl EventQueue {
     /// Activates bucket `abs`: swap it into `cur`, sort descending by
     /// `(time, seq)`, advance the cursor past it. The old `cur` allocation
     /// is recycled as the (now empty) bucket's storage.
+    ///
+    /// Kept out of line, like [`Self::refill_from`], so that
+    /// [`Self::pop_until`], which every simulated event goes through, stays
+    /// a small function around its `Vec::pop` fast path.
+    #[inline(never)]
     fn activate(&mut self, abs: u64) {
         let slot = (abs & BUCKET_MASK) as usize;
         debug_assert!(self.cur.is_empty());
@@ -443,6 +393,7 @@ impl EventQueue {
 
     /// Re-anchors the wheel window at `from_abs` and pulls every overflow
     /// event that now falls inside it into its bucket.
+    #[inline(never)]
     fn refill_from(&mut self, from_abs: u64) {
         debug_assert!(from_abs >= self.next_abs);
         self.next_abs = from_abs;
@@ -528,42 +479,41 @@ mod tests {
 
     #[test]
     fn pop_batch_drains_bucket_in_order_and_respects_horizon() {
-        let mut q = EventQueue::new();
-        // Same bucket (256 ns wide): 100, 130; different bucket: 300.
-        q.schedule(Nanos(130), timer(0, 2));
-        q.schedule(Nanos(100), timer(0, 1));
-        q.schedule(Nanos(300), timer(0, 3));
+        // Two identical calendars: same-bucket ties, neighbouring buckets
+        // and far-future overflow events.
+        let mut batched = EventQueue::new();
+        let mut single = EventQueue::new();
+        let times = [
+            130,
+            100,
+            100,
+            255,
+            256,
+            300,
+            5_000,
+            50_000_000,
+            2_000_000_000,
+        ];
+        for (i, t) in times.into_iter().enumerate() {
+            batched.schedule(Nanos(t), timer(i as u32 % 3, i as u64));
+            single.schedule(Nanos(t), timer(i as u32 % 3, i as u64));
+        }
         let mut buf = Vec::new();
-        assert_eq!(q.pop_batch(Nanos(120), &mut buf), 1);
-        assert_eq!(buf.len(), 1);
-        assert!(matches!(buf[0].kind, EventKind::Timer { token: 1, .. }));
-        assert_eq!(q.len(), 2);
-        // Remaining activated-bucket event becomes eligible once the
-        // horizon moves; the next bucket needs another call.
-        assert_eq!(q.pop_batch(Nanos::MAX, &mut buf), 1);
-        assert!(matches!(buf[1].kind, EventKind::Timer { token: 2, .. }));
-        assert_eq!(q.pop_batch(Nanos::MAX, &mut buf), 1);
-        assert!(matches!(buf[2].kind, EventKind::Timer { token: 3, .. }));
-        assert_eq!(q.pop_batch(Nanos::MAX, &mut buf), 0);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_if_before_only_yields_preempting_events() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos(100), timer(0, 1));
-        q.schedule(Nanos(200), timer(0, 2));
-        let mut buf = Vec::new();
-        // Activate the bucket holding t=100 and buffer it.
-        assert_eq!(q.pop_batch(Nanos(100), &mut buf), 1);
-        // Mid-batch schedule at t=150: merges into the activated bucket.
-        q.schedule(Nanos(150), timer(0, 3));
-        // Not before the buffered event's key → no preemption.
-        assert!(q.pop_if_before(buf[0].key()).is_none());
-        // Before the pending t=200 event's key → yields the t=150 event.
-        let pre = q.pop_if_before((200, u64::MAX)).expect("preempts");
-        assert!(matches!(pre.kind, EventKind::Timer { token: 3, .. }));
-        assert_eq!(q.len(), 1);
+        // Mid-bucket, a bucket boundary, past the overflow, then the rest.
+        for until in [Nanos(120), Nanos(256), Nanos::from_millis(60), Nanos::MAX] {
+            let start = buf.len();
+            let n = batched.pop_batch(until, &mut buf);
+            let mut want = Vec::new();
+            while let Some(e) = single.pop_until(until) {
+                want.push(e.key());
+            }
+            let got: Vec<_> = buf[start..].iter().map(Event::key).collect();
+            assert_eq!(n, got.len(), "until {until:?}");
+            assert_eq!(got, want, "until {until:?}");
+            assert_eq!(batched.len(), single.len(), "until {until:?}");
+        }
+        assert_eq!(buf.len(), 9);
+        assert!(batched.is_empty());
     }
 
     #[test]

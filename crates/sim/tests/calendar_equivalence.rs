@@ -140,114 +140,6 @@ fn run_equivalence(seed: u64, rounds: usize, max_step: u64) {
     assert_eq!(popped, next_token, "every scheduled event popped once");
 }
 
-/// Drives the calendar through the *batched* consumption protocol —
-/// [`EventQueue::pop_batch`] slices interleaved with
-/// [`EventQueue::pop_if_before`] preemption probes — against the reference
-/// heap popping one event at a time. "Handler" side effects are modeled by
-/// re-scheduling work mid-slice at the fired event's instant or just after
-/// it, which is exactly the pattern that makes naive bucket batching
-/// unsound: the new event may have to fire *before* events still sitting
-/// in the consumer's buffer.
-fn run_batched_equivalence(seed: u64, rounds: usize, max_step: u64) {
-    let mut rng = Rng::new(seed);
-    let mut cal = EventQueue::new();
-    let mut heap = HeapQueue::default();
-    let mut now = 0u64;
-    let mut next_token = 0u64;
-    let mut popped = 0u64;
-    let mut buf = Vec::new();
-
-    let mut drain = |cal: &mut EventQueue,
-                     heap: &mut HeapQueue,
-                     rng: &mut Rng,
-                     next_token: &mut u64,
-                     popped: &mut u64,
-                     horizon: Nanos,
-                     round: usize| {
-        loop {
-            buf.clear();
-            if cal.pop_batch(horizon, &mut buf) == 0 {
-                break;
-            }
-            for &ev in &buf {
-                // Preemption channel: anything scheduled mid-slice that
-                // precedes the next buffered event must surface here.
-                while let Some(pre) = cal.pop_if_before(ev.key()) {
-                    let (ht, htok) = heap
-                        .pop_until(horizon)
-                        .unwrap_or_else(|| panic!("round {round}: heap lacks preempting event"));
-                    assert_eq!(pre.time, ht, "round {round}: preempt time");
-                    assert_eq!(token_of(&pre.kind), htok, "round {round}: preempt order");
-                    *popped += 1;
-                }
-                let (ht, htok) = heap
-                    .pop_until(horizon)
-                    .unwrap_or_else(|| panic!("round {round}: heap exhausted early"));
-                assert_eq!(ev.time, ht, "round {round}: batched pop time");
-                assert_eq!(token_of(&ev.kind), htok, "round {round}: batched pop order");
-                *popped += 1;
-                // Handler side effect: same-instant or near-future schedule
-                // while later events are still buffered.
-                if rng.chance(0.2) {
-                    let dt = if rng.chance(0.4) { 0 } else { rng.below(2_000) };
-                    let t = Nanos(ev.time.0 + dt);
-                    cal.schedule(t, timer(*next_token));
-                    heap.schedule(t, *next_token);
-                    *next_token += 1;
-                }
-            }
-        }
-        assert!(
-            heap.pop_until(horizon).is_none(),
-            "round {round}: batched drain left eligible events behind"
-        );
-    };
-
-    for round in 0..rounds {
-        let burst = rng.range(1, 40) as usize;
-        for _ in 0..burst {
-            let dt = if rng.chance(0.05) {
-                rng.range(2_000_000, 3_000_000_000) // cross the overflow
-            } else if rng.chance(0.15) {
-                0
-            } else {
-                rng.below(max_step)
-            };
-            let t = Nanos(now + dt);
-            cal.schedule(t, timer(next_token));
-            heap.schedule(t, next_token);
-            next_token += 1;
-        }
-        assert_eq!(cal.len(), heap.len(), "round {round}: pending count");
-
-        now += rng.below(max_step * 2) + 1;
-        drain(
-            &mut cal,
-            &mut heap,
-            &mut rng,
-            &mut next_token,
-            &mut popped,
-            Nanos(now),
-            round,
-        );
-        if let Some(t) = cal.peek_time() {
-            assert!(t > Nanos(now), "round {round}: unpopped event at {t:?}");
-        }
-    }
-
-    drain(
-        &mut cal,
-        &mut heap,
-        &mut rng,
-        &mut next_token,
-        &mut popped,
-        Nanos::MAX,
-        usize::MAX,
-    );
-    assert!(cal.is_empty());
-    assert_eq!(popped, next_token, "every scheduled event popped once");
-}
-
 #[test]
 fn equivalent_on_dense_near_future_mix() {
     // Steps within one wheel day: exercises bucket hashing and ties.
@@ -271,28 +163,6 @@ fn equivalent_on_microsecond_polling_cadence() {
 fn equivalent_across_many_seeds() {
     for seed in 0..20u64 {
         run_equivalence(0x5EED_0000 + seed, 60, 300_000);
-    }
-}
-
-#[test]
-fn batched_drain_equivalent_on_dense_mix() {
-    run_batched_equivalence(0xBA7C_0001, 400, 50_000);
-}
-
-#[test]
-fn batched_drain_equivalent_on_sparse_multi_day_mix() {
-    run_batched_equivalence(0xBA7C_0002, 200, 5_000_000);
-}
-
-#[test]
-fn batched_drain_equivalent_on_polling_cadence() {
-    run_batched_equivalence(0xBA7C_0003, 600, 25_000);
-}
-
-#[test]
-fn batched_drain_equivalent_across_many_seeds() {
-    for seed in 0..20u64 {
-        run_batched_equivalence(0xBA7C_5EED + seed, 60, 300_000);
     }
 }
 
