@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Profiles one `repro` run and prints where its CPU time goes: the top 30
-# functions by exclusive and by inclusive CPU time.
+# functions by exclusive and by inclusive CPU time. First it says how thin
+# the profile is: the run's duration, the CPU the run used (getrusage of
+# its children), the CPU gprofng captured and how many clock samples that
+# is, plus the collector's own warnings. Below ~1000 samples a percentage
+# in the tables rests on too few samples to cite; loop the id or aggregate
+# several experiments (`gprofng display text ... a.er b.er`).
 #
 #   bash ci/profile.sh <repro-id> [EXP_SCALE etc. from the environment]
 #
@@ -21,7 +26,32 @@ CARGO_PROFILE_RELEASE_DEBUG=true RUSTFLAGS="-C force-frame-pointers=yes" \
     -p uburst-bench --bin repro --target-dir "$target"
 exp="$target/$1.er"
 rm -rf "$exp"
+# CPU seconds of this shell's waited-for children: line 2 of bash `times`,
+# which must run in this shell (a subshell's children start at zero).
+children_cpu() {
+    awk 'NR == 2 { split($1, u, /[ms]/); split($2, s, /[ms]/);
+        printf "%.3f", u[1] * 60 + u[2] + s[1] * 60 + s[2] }' "$1"
+}
+times > "$target/$1.times"
+cpu_before=$(children_cpu "$target/$1.times")
 gprofng collect app -O "$exp" "$target/release/repro" "$1" > "$target/$1.stdout"
+times > "$target/$1.times"
+cpu_after=$(children_cpu "$target/$1.times")
+overview=$(gprofng display text -overview "$exp" 2>&1)
+header=$(gprofng display text -header "$exp" 2>&1)
+duration=$(sed -n 's/^ *Duration *: *\([0-9.]*\).*/\1/p' <<< "$overview" | head -n 1)
+captured=$(sed -n 's/.*Total CPU Time.*\[\**\([0-9.]*\)\].*/\1/p' <<< "$overview" | head -n 1)
+interval_us=$(sed -n 's/.*Clock-profiling, interval = \([0-9]*\) microsecs.*/\1/p' <<< "$header" | head -n 1)
+echo "== profile depth"
+awk -v d="${duration:-?}" -v c="${captured:-0}" -v i="${interval_us:-10000}" \
+    -v b="$cpu_before" -v a="$cpu_after" 'BEGIN {
+    run = a - b; n = int(c * 1e6 / i + 0.5)
+    printf "duration %s s; run CPU (getrusage) %.3f s; captured Total CPU %.3f s", d, run, c
+    if (run > 0) printf " (%.0f %%)", 100 * c / run
+    printf "; %d samples of %d us\n", n, i
+    if (n < 1000) printf "warning: only %d samples (< 1000): loop the id or aggregate several experiments before citing a percentage\n", n
+}'
+grep -o 'Collector Warning: .*' <<< "$header" || true
 for sort in exclusive:e.totalcpu inclusive:i.totalcpu; do
     echo "== top 30 functions by ${sort%%:*} CPU time"
     gprofng display text -metrics e.%totalcpu:i.%totalcpu -sort "${sort#*:}" \

@@ -41,26 +41,29 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&buf[at..]);
 }
 
-/// Writes `map` as `source,counter,timestamp_ns,value` rows, series in key
-/// order.
-pub(crate) fn export<W: Write>(map: &HashMap<SeriesKey, Series>, mut w: W) -> io::Result<()> {
+/// Writes `source,counter,timestamp_ns,value` rows: `series` in the order
+/// given (the store hands them over in key order), each key's parts one
+/// after another.
+pub(crate) fn export<'a, W: Write>(
+    series: impl IntoIterator<Item = (SeriesKey, impl IntoIterator<Item = &'a Series>)>,
+    mut w: W,
+) -> io::Result<()> {
     let mut out = Vec::with_capacity(STAGE_BYTES + 128);
     out.extend_from_slice(HEADER.as_bytes());
     out.push(b'\n');
-    let mut keys: Vec<&SeriesKey> = map.keys().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let s = &map[key];
+    for (key, parts) in series {
         let prefix = format!("{},{},", key.source.0, counter_label(key.counter));
-        for (&t, &v) in s.ts.iter().zip(&s.vs) {
-            out.extend_from_slice(prefix.as_bytes());
-            push_decimal(&mut out, t);
-            out.push(b',');
-            push_decimal(&mut out, v);
-            out.push(b'\n');
-            if out.len() >= STAGE_BYTES {
-                w.write_all(&out)?;
-                out.clear();
+        for s in parts {
+            for (&t, &v) in s.ts.iter().zip(&s.vs) {
+                out.extend_from_slice(prefix.as_bytes());
+                push_decimal(&mut out, t);
+                out.push(b',');
+                push_decimal(&mut out, v);
+                out.push(b'\n');
+                if out.len() >= STAGE_BYTES {
+                    w.write_all(&out)?;
+                    out.clear();
+                }
             }
         }
     }
@@ -330,9 +333,16 @@ mod tests {
         r.map_err(|e| (e.kind(), e.to_string()))
     }
 
+    /// [`export`] of a map of one-part series, in key order.
+    fn export_map<W: Write>(map: &Map, w: W) -> io::Result<()> {
+        let mut keys: Vec<&SeriesKey> = map.keys().collect();
+        keys.sort_unstable();
+        export(keys.into_iter().map(|key| (*key, [&map[key]])), w)
+    }
+
     fn exported(map: &Map) -> Vec<u8> {
         let mut out = Vec::new();
-        export(map, &mut out).expect("writing to memory cannot fail");
+        export_map(map, &mut out).expect("writing to memory cannot fail");
         out
     }
 
@@ -771,23 +781,23 @@ mod tests {
         let want = exported(&map);
         assert!(want.len() > 2 * STAGE_BYTES);
         let mut short = Choppy::new(5, usize::MAX);
-        export(&map, &mut short).unwrap();
+        export_map(&map, &mut short).unwrap();
         assert!(short.taken == want, "short writes changed the bytes");
         for fail_after in [0, 10, STAGE_BYTES, STAGE_BYTES + 1, want.len() - 1] {
             let mut w = Choppy::new(usize::MAX, fail_after);
-            let err = export(&map, &mut w).expect_err("the writer failed");
+            let err = export_map(&map, &mut w).expect_err("the writer failed");
             assert_eq!(err.kind(), io::ErrorKind::StorageFull, "after {fail_after}");
             assert!(w.taken == want[..fail_after], "after {fail_after}");
         }
         let mut w = Choppy::new(usize::MAX, want.len());
-        export(&map, &mut w).expect("exactly enough room");
+        export_map(&map, &mut w).expect("exactly enough room");
     }
 
     #[test]
     fn export_of_a_million_rows_is_a_few_hundred_writes() {
         let map = grid(1024, 1024);
         let mut w = Choppy::new(usize::MAX, usize::MAX);
-        export(&map, &mut w).unwrap();
+        export_map(&map, &mut w).unwrap();
         assert_eq!(
             w.taken.iter().filter(|&&b| b == b'\n').count(),
             1 + (1 << 20)

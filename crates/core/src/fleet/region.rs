@@ -97,9 +97,10 @@ pub(super) struct Region {
     ds: Option<DurableReceiver<TornStorage<MemStorage>, GapLedger>>,
     /// Records stored this round, awaiting the end-of-round push to the
     /// global tier: the very handles that arrived, which share their
-    /// samples with the shippers' windows. In-memory state: a crash loses
-    /// it — which is exactly why recovery must replay the WAL (acked
-    /// records can exist nowhere but the dead region's log).
+    /// samples with the shippers' windows and become the global store's
+    /// chunks. In-memory state: a crash loses it — which is exactly why
+    /// recovery must replay the WAL (acked records can exist nowhere but
+    /// the dead region's log).
     pending: Vec<Shipment>,
     /// One window's ingest results, reused across windows: no per-tick
     /// allocation once the fleet warms up.

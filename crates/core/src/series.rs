@@ -82,22 +82,17 @@ impl Series {
     }
 
     /// Merges `other`'s samples into this series, keeping timestamps sorted.
-    /// Used by the collector, where worker threads may ingest a source's
-    /// batches out of arrival order. Duplicate timestamps keep both samples
-    /// in `other`-after-`self` order (they cannot occur from a single
-    /// poller, which stamps strictly increasing times).
+    /// It is not on the collection hot path: the store keeps in-order
+    /// batches as chunks and calls this only for a batch that does not
+    /// start after what it holds (collector workers racing one source's
+    /// stream, a receiver fed out of order). Duplicate timestamps keep both
+    /// samples in `other`-after-`self` order (they cannot occur from a
+    /// single poller, which stamps strictly increasing times).
     pub fn merge_from(&mut self, other: &Series) {
         if other.is_empty() {
             return;
         }
-        // Fast path: strictly after everything we have (the common case —
-        // batches usually arrive in order).
-        if self.ts.last().is_none_or(|&last| other.ts[0] > last) {
-            self.ts.extend_from_slice(&other.ts);
-            self.vs.extend_from_slice(&other.vs);
-            return;
-        }
-        // Slow path: stable two-way merge.
+        // Stable two-way merge.
         let mut ts = Vec::with_capacity(self.ts.len() + other.ts.len());
         let mut vs = Vec::with_capacity(ts.capacity());
         let (mut i, mut j) = (0, 0);

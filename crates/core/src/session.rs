@@ -265,7 +265,8 @@ mod tests {
     }
 
     /// Every transmission, retransmission and link duplicate of a batch is
-    /// the shipper's one allocation, and nothing holds it after its ack.
+    /// the shipper's one allocation. After its ack only the store holds it
+    /// (it keeps the batch as a chunk), and dropping the store frees it.
     #[test]
     fn a_batch_is_one_allocation_on_the_wire_and_freed_after_its_ack() {
         use std::collections::BTreeMap;
@@ -292,11 +293,15 @@ mod tests {
         assert_eq!(seen.len() as u64, u64::from(WORK.sources) * WORK.batches);
         assert!(seen.values().any(|&(_, deliveries)| deliveries > 2));
         for ((source, seq), (batch, _)) in &seen {
-            assert!(
-                batch.upgrade().is_none(),
-                "{source:?} seq {seq} outlived its ack"
+            assert_eq!(
+                batch.strong_count(),
+                1,
+                "{source:?} seq {seq}: something besides the store outlived its ack"
             );
         }
+        drop(inner);
+        drop(store);
+        assert!(seen.values().all(|(batch, _)| batch.upgrade().is_none()));
     }
 
     #[test]

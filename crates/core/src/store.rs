@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use uburst_asic::CounterId;
 use uburst_sim::node::PortId;
@@ -95,10 +95,71 @@ pub enum SeqIngest {
 /// How many quarantined batches are retained for post-mortem inspection.
 const QUARANTINE_KEEP: usize = 64;
 
+/// One stored series: a compacted `head`, then the in-order batches
+/// accepted after it, each kept as the very chunk it arrived in. A
+/// [`Shipment`](crate::ship::Shipment)'s chunk is the shipper's own
+/// allocation, so keeping it costs a refcount. The chunks are copied into
+/// the head only when a batch that does not start after the tail needs a
+/// merge.
+#[derive(Debug, Default)]
+struct Stored {
+    head: Series,
+    tail: Vec<Arc<Batch>>,
+}
+
+impl Stored {
+    fn last(&self) -> Option<u64> {
+        let newest = self.tail.last().map_or(&self.head, |chunk| &chunk.samples);
+        newest.ts.last().copied()
+    }
+
+    fn len(&self) -> usize {
+        self.parts().map(Series::len).sum()
+    }
+
+    /// The head, then every chunk: the series in timestamp order.
+    fn parts(&self) -> impl Iterator<Item = &Series> {
+        std::iter::once(&self.head).chain(self.tail.iter().map(|chunk| &chunk.samples))
+    }
+
+    /// A contiguous copy of the whole series, sized once.
+    fn to_series(&self) -> Series {
+        let n = self.len();
+        let mut out = Series {
+            ts: Vec::with_capacity(n),
+            vs: Vec::with_capacity(n),
+        };
+        for part in self.parts() {
+            out.ts.extend_from_slice(&part.ts);
+            out.vs.extend_from_slice(&part.vs);
+        }
+        out
+    }
+
+    /// Folds the chunks into the head and returns it.
+    fn compact(&mut self) -> &mut Series {
+        if !self.tail.is_empty() {
+            self.head = self.to_series();
+            self.tail.clear();
+        }
+        &mut self.head
+    }
+}
+
+/// A series with no chunks yet (an imported dump).
+impl From<Series> for Stored {
+    fn from(head: Series) -> Stored {
+        Stored {
+            head,
+            tail: Vec::new(),
+        }
+    }
+}
+
 /// Thread-safe store of collected series.
 #[derive(Debug, Default)]
 pub struct SampleStore {
-    inner: RwLock<HashMap<SeriesKey, Series>>,
+    inner: RwLock<HashMap<SeriesKey, Stored>>,
     ingested: AtomicU64,
     quarantined: AtomicU64,
     /// The most recent quarantined batches (bounded; oldest evicted).
@@ -113,20 +174,22 @@ impl SampleStore {
         Self::default()
     }
 
-    fn read_lock(&self) -> RwLockReadGuard<'_, HashMap<SeriesKey, Series>> {
+    fn read_lock(&self) -> RwLockReadGuard<'_, HashMap<SeriesKey, Stored>> {
         self.inner.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_lock(&self) -> RwLockWriteGuard<'_, HashMap<SeriesKey, Series>> {
+    fn write_lock(&self) -> RwLockWriteGuard<'_, HashMap<SeriesKey, Stored>> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Validates `batch` against the stored series it targets. Batches of
-    /// the same series may arrive out of order when several collector
-    /// workers share a source's stream — that is legal and merged back into
+    /// Validates `batch` against the stored series it targets and says
+    /// whether it starts after everything stored (`true`: it is kept as a
+    /// chunk) or must be merged into the head (`false`). Batches of the
+    /// same series may arrive out of order when several collector workers
+    /// share a source's stream — that is legal and merged back into
     /// timestamp order; what is *not* legal is internal disorder or exact
     /// timestamp duplication (a re-delivered batch).
-    fn validate(batch: &Batch, existing: Option<&Series>) -> Result<(), QuarantineReason> {
+    fn validate(batch: &Batch, existing: Option<&mut Stored>) -> Result<bool, QuarantineReason> {
         let ts = &batch.samples.ts;
         if ts.is_empty() || ts.len() != batch.samples.vs.len() {
             return Err(QuarantineReason::Empty);
@@ -134,23 +197,36 @@ impl SampleStore {
         if ts.windows(2).any(|w| w[1] <= w[0]) {
             return Err(QuarantineReason::NonMonotonic);
         }
-        if let Some(s) = existing {
-            // In-order appends — the overwhelmingly common shape once a
-            // stream is flowing — start strictly after the stored tail, so
-            // no timestamp can collide and the per-timestamp probe is
-            // skipped entirely.
-            let disjoint = s.ts.last().is_none_or(|&last| ts[0] > last);
-            if !disjoint && ts.iter().any(|t| s.ts.binary_search(t).is_ok()) {
-                return Err(QuarantineReason::DuplicateTimestamp);
-            }
+        let Some(s) = existing else {
+            return Ok(true);
+        };
+        // In-order appends — the overwhelmingly common shape once a
+        // stream is flowing — start strictly after the stored tail, so no
+        // timestamp can collide and the per-timestamp probe is skipped.
+        if s.last().is_none_or(|last| ts[0] > last) {
+            return Ok(true);
         }
-        Ok(())
+        let head = s.compact();
+        if ts.iter().any(|t| head.ts.binary_search(t).is_ok()) {
+            return Err(QuarantineReason::DuplicateTimestamp);
+        }
+        Ok(false)
     }
 
     /// Ingests one batch, or quarantines it if malformed. The rejected
     /// batch is retained (up to a bounded backlog) for inspection via
     /// [`SampleStore::quarantined`].
-    pub fn ingest(&self, batch: &Batch) -> Result<(), QuarantineReason> {
+    ///
+    /// A batch that starts after its series' last sample is kept whole as
+    /// the series' next chunk: a shared `Arc<Batch>` by one more refcount,
+    /// an owned [`Batch`] by one copy of exactly its size. Any other batch
+    /// folds the chunks into one contiguous series and merges into it
+    /// ([`Series::merge_from`]).
+    pub fn ingest<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
+        &self,
+        payload: &B,
+    ) -> Result<(), QuarantineReason> {
+        let batch = payload.borrow();
         let key = SeriesKey {
             source: batch.source,
             counter: batch.counter,
@@ -158,17 +234,25 @@ impl SampleStore {
         // Validate under the same write lock that merges, so two workers
         // racing duplicate deliveries of one batch cannot both pass.
         let mut map = self.write_lock();
-        if let Err(reason) = Self::validate(batch, map.get(&key)) {
-            drop(map);
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            let mut q = self.quarantine.lock().unwrap_or_else(|e| e.into_inner());
-            if q.len() >= QUARANTINE_KEEP {
-                q.remove(0);
+        let appends = match Self::validate(batch, map.get_mut(&key)) {
+            Ok(appends) => appends,
+            Err(reason) => {
+                drop(map);
+                self.quarantined.fetch_add(1, Ordering::Relaxed);
+                let mut q = self.quarantine.lock().unwrap_or_else(|e| e.into_inner());
+                if q.len() >= QUARANTINE_KEEP {
+                    q.remove(0);
+                }
+                q.push((reason, batch.clone()));
+                return Err(reason);
             }
-            q.push((reason, batch.clone()));
-            return Err(reason);
+        };
+        let stored = map.entry(key).or_default();
+        if appends {
+            stored.tail.push(payload.clone().into());
+        } else {
+            stored.head.merge_from(&batch.samples);
         }
-        map.entry(key).or_default().merge_from(&batch.samples);
         drop(map);
         self.ingested.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -183,7 +267,7 @@ impl SampleStore {
     /// A quarantined batch still occupies its sequence number (it was
     /// *delivered* — redelivering it forever would not make it well
     /// formed), so `Err` here means quarantined-but-accounted.
-    pub fn ingest_seq<B: Borrow<Batch>>(
+    pub fn ingest_seq<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &self,
         sb: &SeqBatch<B>,
     ) -> Result<SeqIngest, QuarantineReason> {
@@ -195,7 +279,7 @@ impl SampleStore {
                 return Ok(SeqIngest::Duplicate);
             }
         }
-        self.ingest(batch).map(|()| SeqIngest::Stored)
+        self.ingest(&sb.batch).map(|()| SeqIngest::Stored)
     }
 
     fn ledger_lock(&self) -> std::sync::MutexGuard<'_, GapLedger> {
@@ -259,11 +343,11 @@ impl SampleStore {
             .clone()
     }
 
-    /// Snapshot of one series.
+    /// One series as a contiguous copy: its head and chunks, concatenated.
     pub fn series(&self, source: SourceId, counter: CounterId) -> Option<Series> {
         self.read_lock()
             .get(&SeriesKey { source, counter })
-            .cloned()
+            .map(Stored::to_series)
     }
 
     /// All keys currently stored, sorted for deterministic iteration.
@@ -275,13 +359,16 @@ impl SampleStore {
 
     /// Total samples across all series.
     pub fn total_samples(&self) -> usize {
-        self.read_lock().values().map(Series::len).sum()
+        self.read_lock().values().map(Stored::len).sum()
     }
 
     /// Writes every series as CSV rows:
     /// `source,counter,timestamp_ns,value`.
     pub fn export_csv<W: Write>(&self, w: W) -> io::Result<()> {
-        csv::export(&self.read_lock(), w)
+        let map = self.read_lock();
+        let mut series: Vec<(&SeriesKey, &Stored)> = map.iter().collect();
+        series.sort_unstable_by_key(|&(key, _)| key);
+        csv::export(series.into_iter().map(|(&key, s)| (key, s.parts())), w)
     }
 
     /// Reads a CSV previously produced by [`SampleStore::export_csv`] (the
@@ -294,7 +381,12 @@ impl SampleStore {
     /// Windows-saved dump imports identically.
     pub fn import_csv<R: BufRead>(r: R) -> io::Result<SampleStore> {
         Ok(SampleStore {
-            inner: RwLock::new(csv::import(r)?),
+            inner: RwLock::new(
+                csv::import(r)?
+                    .into_iter()
+                    .map(|(key, head)| (key, Stored::from(head)))
+                    .collect(),
+            ),
             ..Self::default()
         })
     }
@@ -683,6 +775,56 @@ mod tests {
         assert!(store.ledger().gaps(SourceId(0)).is_empty());
     }
 
+    /// A shipment's batch is kept by one more refcount on the shipper's
+    /// allocation; an overlapping batch folds it into the head and lets it
+    /// go; an owned batch is copied into a chunk of its own.
+    #[test]
+    fn shared_batches_are_kept_and_owned_ones_copied() {
+        let store = SampleStore::new();
+        let c = CounterId::TxBytes(PortId(0));
+        let key = SeriesKey {
+            source: SourceId(0),
+            counter: c,
+        };
+        let shipment = SeqBatch {
+            seq: 0,
+            watermark: 1,
+            batch: Arc::new(batch(0, c, &[(10, 1), (20, 2)])),
+        };
+        assert_eq!(store.ingest_seq(&shipment), Ok(SeqIngest::Stored));
+        assert_eq!(Arc::strong_count(&shipment.batch), 2, "kept, not copied");
+        assert!(Arc::ptr_eq(
+            &store.read_lock()[&key].tail[0],
+            &shipment.batch
+        ));
+
+        // Owned: a chunk of exactly its size, sharing nothing with the caller.
+        let owned = seq_batch(1, 2, batch(0, c, &[(30, 3), (40, 4)]));
+        assert_eq!(store.ingest_seq(&owned), Ok(SeqIngest::Stored));
+        {
+            let map = store.read_lock();
+            let chunk = &map[&key].tail[1];
+            assert_eq!(Arc::strong_count(chunk), 1);
+            assert!(!std::ptr::eq(
+                chunk.samples.ts.as_ptr(),
+                owned.batch.samples.ts.as_ptr()
+            ));
+            assert_eq!(chunk.samples.ts.capacity(), 2);
+        }
+
+        // Overlapping (interleaves, no duplicate): the tail is compacted.
+        store.ingest(&batch(0, c, &[(15, 9)])).unwrap();
+        assert_eq!(
+            Arc::strong_count(&shipment.batch),
+            1,
+            "compaction let it go"
+        );
+        assert!(store.read_lock()[&key].tail.is_empty());
+        let s = store.series(SourceId(0), c).unwrap();
+        assert_eq!(s.ts, vec![10, 15, 20, 30, 40]);
+        assert_eq!(s.vs, vec![1, 9, 2, 3, 4]);
+    }
+
     #[test]
     fn watermark_from_reconnect_exposes_pre_crash_loss() {
         let store = SampleStore::new();
@@ -754,7 +896,7 @@ mod tests {
                 source: SourceId(0),
                 counter: CounterId::BufferLevel,
             },
-            Series::new(),
+            Stored::default(),
         );
         store
             .ingest(&batch(1, CounterId::BufferPeak, &[(5, 7)]))

@@ -152,7 +152,7 @@ pub trait Keep: Default {
     fn adopt_prefix(&mut self, source: SourceId, upto: u64);
     /// Takes one logged, in-sequence record: the ledger advances either
     /// way; `Err` is a verdict on the payload.
-    fn ingest_seq<B: Borrow<Batch>>(
+    fn ingest_seq<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         sb: &SeqBatch<B>,
     ) -> Result<SeqIngest, QuarantineReason>;
@@ -174,7 +174,7 @@ impl Keep for Arc<SampleStore> {
     fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
         SampleStore::adopt_prefix(self, source, upto);
     }
-    fn ingest_seq<B: Borrow<Batch>>(
+    fn ingest_seq<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         sb: &SeqBatch<B>,
     ) -> Result<SeqIngest, QuarantineReason> {
@@ -201,7 +201,7 @@ impl Keep for GapLedger {
     fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
         GapLedger::adopt_prefix(self, source, upto);
     }
-    fn ingest_seq<B: Borrow<Batch>>(
+    fn ingest_seq<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         sb: &SeqBatch<B>,
     ) -> Result<SeqIngest, QuarantineReason> {
@@ -389,7 +389,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// whose write failed, so a later redelivery would be acked past the
     /// durable prefix. Drop it and rebuild from the log with
     /// [`DurableReceiver::recover`], as a restarted process would.
-    pub fn ingest<B: Borrow<Batch>>(
+    pub fn ingest<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         sb: &SeqBatch<B>,
     ) -> Result<(SeqIngest, AckMsg), WalError> {
@@ -417,7 +417,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// The window may own its batches or share them with the shippers
     /// ([`crate::ship::Shipment`]): outcomes, acks and log bytes depend only
     /// on the batches themselves.
-    pub fn ingest_group<B: Borrow<Batch>>(
+    pub fn ingest_group<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         window: &[SeqBatch<B>],
         out: &mut Vec<(SeqIngest, AckMsg)>,
@@ -436,7 +436,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// Shared receiver body. The WAL append buffers into the current
     /// group; the caller owns the covering flush and must not release acks
     /// before it returns.
-    fn ingest_one<B: Borrow<Batch>>(
+    fn ingest_one<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         sb: &SeqBatch<B>,
     ) -> Result<(SeqIngest, AckMsg), WalError> {

@@ -6,11 +6,18 @@
 //! Each test drives a seeded `Rng` through a fixed number of randomized
 //! cases — deterministic across runs, no external dependencies.
 
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::sync::Arc;
+
 use uburst_asic::{CounterId, FaultInjector, FaultPlan};
-use uburst_core::batch::{BatchPolicy, Batcher, SourceId};
+use uburst_core::batch::{Batch, BatchPolicy, Batcher, SourceId};
 use uburst_core::poller::RetryPolicy;
 use uburst_core::series::{Series, WrapDecoder};
-use uburst_core::store::SampleStore;
+use uburst_core::ship::{SeqBatch, Shipment};
+use uburst_core::store::{
+    counter_label, QuarantineReason, SampleStore, SeqIngest, SeriesKey, StoreStats,
+};
 use uburst_sim::node::PortId;
 use uburst_sim::rng::Rng;
 use uburst_sim::time::Nanos;
@@ -168,6 +175,253 @@ fn store_merges_batches_in_any_order() {
             assert_eq!(got.vs[i], v);
         }
     }
+}
+
+/// The store as it was specified before it kept batches as chunks: one
+/// contiguous [`Series`] per key, grown by [`Series::merge_from`], and the
+/// same validation rules, checked the plain way.
+#[derive(Default)]
+struct StoreModel {
+    series: BTreeMap<SeriesKey, Series>,
+    stats: StoreStats,
+    quarantined: Vec<(QuarantineReason, Batch)>,
+    /// Next sequence number per source, for sequenced ingest.
+    next_seq: BTreeMap<SourceId, u64>,
+}
+
+impl StoreModel {
+    fn ingest(&mut self, b: &Batch) -> Result<(), QuarantineReason> {
+        let key = SeriesKey {
+            source: b.source,
+            counter: b.counter,
+        };
+        let (ts, vs) = (&b.samples.ts, &b.samples.vs);
+        let verdict = if ts.is_empty() || ts.len() != vs.len() {
+            Err(QuarantineReason::Empty)
+        } else if (1..ts.len()).any(|i| ts[i] <= ts[i - 1]) {
+            Err(QuarantineReason::NonMonotonic)
+        } else if self
+            .series
+            .get(&key)
+            .is_some_and(|s| ts.iter().any(|t| s.ts.contains(t)))
+        {
+            Err(QuarantineReason::DuplicateTimestamp)
+        } else {
+            Ok(())
+        };
+        match verdict {
+            Ok(()) => {
+                self.series.entry(key).or_default().merge_from(&b.samples);
+                self.stats.ingested_batches += 1;
+            }
+            Err(reason) => {
+                self.stats.quarantined_batches += 1;
+                self.quarantined.push((reason, b.clone()));
+            }
+        }
+        verdict
+    }
+
+    /// A sequenced delivery of `b` as `seq`: a sequence number already
+    /// received is a duplicate, the next one is ingested.
+    fn ingest_seq(&mut self, b: &Batch, seq: u64) -> Result<SeqIngest, QuarantineReason> {
+        let next = self.next_seq.entry(b.source).or_default();
+        if seq < *next {
+            self.stats.duplicate_batches += 1;
+            return Ok(SeqIngest::Duplicate);
+        }
+        assert_eq!(seq, *next, "the schedule sends sequence numbers densely");
+        *next += 1;
+        self.ingest(b).map(|()| SeqIngest::Stored)
+    }
+
+    fn export_csv(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        writeln!(out, "source,counter,timestamp_ns,value").unwrap();
+        for (key, s) in &self.series {
+            let label = counter_label(key.counter);
+            for (t, v) in s.ts.iter().zip(&s.vs) {
+                writeln!(out, "{},{label},{t},{v}", key.source.0).unwrap();
+            }
+        }
+        out
+    }
+}
+
+/// A batch as the comparison sees it.
+fn batch_view(b: &Batch) -> (SourceId, CounterId, &str, &Series) {
+    (b.source, b.counter, &b.campaign, &b.samples)
+}
+
+fn assert_store_matches(store: &SampleStore, model: &StoreModel, at: &str) {
+    let keys: Vec<SeriesKey> = model.series.keys().copied().collect();
+    assert_eq!(store.keys(), keys, "{at}: keys");
+    for (key, want) in &model.series {
+        let got = store.series(key.source, key.counter);
+        assert_eq!(got.as_ref(), Some(want), "{at}: series {key:?}");
+    }
+    let total: usize = model.series.values().map(Series::len).sum();
+    assert_eq!(store.total_samples(), total, "{at}: total_samples");
+    assert_eq!(store.stats(), model.stats, "{at}: stats");
+    // A case quarantines fewer batches than the store's backlog keeps.
+    let got = store.quarantined();
+    assert!(
+        got.iter()
+            .map(|(r, b)| (*r, batch_view(b)))
+            .eq(model.quarantined.iter().map(|(r, b)| (*r, batch_view(b)))),
+        "{at}: quarantined"
+    );
+    let mut csv = Vec::new();
+    store.export_csv(&mut csv).unwrap();
+    assert!(csv == model.export_csv(), "{at}: export_csv bytes");
+}
+
+/// Strictly increasing timestamps drawn from `lo..hi`, at most `n`, none in
+/// `taken`.
+fn fresh_times(rng: &mut Rng, lo: u64, hi: u64, n: usize, taken: &[u64]) -> Vec<u64> {
+    let mut ts: Vec<u64> = (0..n)
+        .map(|_| rng.range(lo, hi))
+        .filter(|t| taken.binary_search(t).is_err())
+        .collect();
+    ts.sort_unstable();
+    ts.dedup();
+    ts
+}
+
+/// Seeded schedules of every batch shape the store can be sent, in owned
+/// and shared handles, sequenced or not, with reads in between: after
+/// every step the store reads exactly as the contiguous reference model.
+#[test]
+fn store_reads_as_the_contiguous_model_under_any_schedule() {
+    let mut rng = Rng::new(0xc0_4e_0a);
+    let keys: Vec<SeriesKey> = (0..3)
+        .flat_map(|source| {
+            [CounterId::TxBytes(PortId(0)), CounterId::BufferPeak].map(|counter| SeriesKey {
+                source: SourceId(source),
+                counter,
+            })
+        })
+        .collect();
+    // Sequenced deliveries so far, for redelivery.
+    let mut sent: Vec<(Batch, u64)> = Vec::new();
+    // Every verdict the schedules reached.
+    let mut verdicts = Vec::new();
+    for case in 0..CASES {
+        let store = SampleStore::new();
+        let mut model = StoreModel::default();
+        sent.clear();
+        for step in 0..40 {
+            let at = format!("case {case} step {step}");
+            let key = *rng.pick(&keys);
+            let stored: &[u64] = model.series.get(&key).map_or(&[], |s| &s.ts);
+            let last = stored.last().copied().unwrap_or(0);
+            let mut short = false;
+            let ts: Vec<u64> = match rng.below(10) {
+                // In order: after the stored tail, with gaps wide enough
+                // for later out-of-order batches to interleave.
+                0..=3 => {
+                    let mut t = last;
+                    (0..rng.range(1, 8))
+                        .map(|_| {
+                            t += rng.range(1, 6);
+                            t
+                        })
+                        .collect()
+                }
+                // Out of order and disjoint: fresh timestamps below the tail.
+                4 | 5 => fresh_times(&mut rng, 1, last.max(1), 6, stored),
+                // Overlapping: fresh timestamps across the tail, plus one
+                // already stored when there is one (a duplicate).
+                6 => {
+                    let mut ts = fresh_times(&mut rng, last.saturating_sub(8), last + 8, 5, stored);
+                    if !stored.is_empty() {
+                        ts.push(*rng.pick(stored));
+                        ts.sort_unstable();
+                        ts.dedup();
+                    }
+                    ts
+                }
+                7 => Vec::new(),
+                // Non-monotonic: a repeated or a falling timestamp.
+                8 => vec![last + 3, last + 2 + rng.below(2)],
+                // Columns of different lengths.
+                _ => {
+                    short = true;
+                    vec![last + 1, last + 2]
+                }
+            };
+            let mut vs: Vec<u64> = ts.iter().map(|_| rng.next_u64()).collect();
+            if short {
+                vs.pop();
+            }
+            let fresh = Batch {
+                source: key.source,
+                campaign: "prop".into(),
+                counter: key.counter,
+                samples: Series { ts, vs },
+            };
+            // Owned or shared, plain or sequenced; now and then a sequenced
+            // redelivery of an earlier batch.
+            let (batch, seq) = if !sent.is_empty() && rng.chance(0.1) {
+                let (old, seq) = rng.pick(&sent).clone();
+                (old, Some(seq))
+            } else if rng.chance(0.5) {
+                let seq = model.next_seq.get(&key.source).copied().unwrap_or(0);
+                sent.push((fresh.clone(), seq));
+                (fresh, Some(seq))
+            } else {
+                (fresh, None)
+            };
+            let shared = rng.chance(0.5);
+            let (got, want) = match seq {
+                None => {
+                    let got = if shared {
+                        store.ingest(&Arc::new(batch.clone()))
+                    } else {
+                        store.ingest(&batch)
+                    };
+                    (
+                        got.map(|()| SeqIngest::Stored),
+                        model.ingest(&batch).map(|()| SeqIngest::Stored),
+                    )
+                }
+                Some(seq) => {
+                    let next = model.next_seq.get(&batch.source).copied().unwrap_or(0);
+                    let watermark = next.max(seq + 1);
+                    let got = if shared {
+                        let shipment: Shipment = SeqBatch {
+                            seq,
+                            watermark,
+                            batch: Arc::new(batch.clone()),
+                        };
+                        store.ingest_seq(&shipment)
+                    } else {
+                        store.ingest_seq(&SeqBatch {
+                            seq,
+                            watermark,
+                            batch: batch.clone(),
+                        })
+                    };
+                    (got, model.ingest_seq(&batch, seq))
+                }
+            };
+            assert_eq!(got, want, "{at}: verdict");
+            if !verdicts.contains(&got) {
+                verdicts.push(got);
+            }
+            if got.is_err() && !model.series.contains_key(&key) {
+                assert!(
+                    store.series(key.source, key.counter).is_none(),
+                    "{at}: a quarantined batch created its key"
+                );
+            }
+            // A read between ingests must not disturb what follows.
+            let probe = rng.pick(&keys);
+            let _ = store.series(probe.source, probe.counter);
+            assert_store_matches(&store, &model, &at);
+        }
+    }
+    assert_eq!(verdicts.len(), 5, "every verdict reached: {verdicts:?}");
 }
 
 #[test]
