@@ -129,20 +129,31 @@ impl Batcher {
     }
 
     /// Cuts batches from whatever is buffered (used at campaign end).
+    ///
+    /// Each buffer handed over is replaced by one reserved at the cut's
+    /// length, so a run of equal cuts hands over batches with no spare
+    /// capacity after the first: the store keeps each batch whole.
     pub fn flush(&mut self) -> Vec<Batch> {
         self.oldest = None;
-        if self.bufs[0].is_empty() {
+        let cut = self.bufs[0].len();
+        if cut == 0 {
             return Vec::new();
         }
         self.batches_cut += self.counters.len() as u64;
         self.counters
             .iter()
             .zip(self.bufs.iter_mut())
-            .map(|(&counter, buf)| Batch {
-                source: self.source,
-                campaign: self.campaign.clone(),
-                counter,
-                samples: std::mem::take(buf),
+            .map(|(&counter, buf)| {
+                let fresh = Series {
+                    ts: Vec::with_capacity(cut),
+                    vs: Vec::with_capacity(cut),
+                };
+                Batch {
+                    source: self.source,
+                    campaign: self.campaign.clone(),
+                    counter,
+                    samples: std::mem::replace(buf, fresh),
+                }
             })
             .collect()
     }
@@ -396,6 +407,20 @@ mod tests {
         for cut in &cuts {
             assert_eq!(cut.len(), 3, "one batch per counter");
             assert!(cut.iter().all(|b| b.samples.len() == 25));
+        }
+    }
+
+    #[test]
+    fn cuts_after_the_first_carry_no_spare_capacity() {
+        let series = campaign(4 * 25, 9);
+        let policy = BatchPolicy {
+            max_samples: 25,
+            max_age: Nanos::MAX,
+        };
+        let cuts = batcher_for(&series, policy).cut_series(&series);
+        for batch in cuts[1..].iter().flatten() {
+            let s = &batch.samples;
+            assert_eq!((s.ts.capacity(), s.vs.capacity()), (25, 25));
         }
     }
 

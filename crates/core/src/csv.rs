@@ -24,21 +24,31 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 6061626364656667686970717273747576777879\
 8081828384858687888990919293949596979899";
 
-fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
+/// The longest `timestamp,value\n`: two 20-digit numbers and two bytes.
+const ROW_TAIL: usize = 42;
+
+/// Writes `t,v\n` backwards into the end of `buf`; returns where it starts.
+fn row_tail(buf: &mut [u8; ROW_TAIL], t: u64, v: u64) -> usize {
+    buf[ROW_TAIL - 1] = b'\n';
+    let comma = decimal_before(buf, ROW_TAIL - 1, v) - 1;
+    buf[comma] = b',';
+    decimal_before(buf, comma, t)
+}
+
+/// Writes `n` in decimal so that it ends just before `buf[end]`; returns
+/// where it starts.
+fn decimal_before(buf: &mut [u8; ROW_TAIL], mut end: usize, mut n: u64) -> usize {
     loop {
         let pair = (n % 100) as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
         n /= 100;
         if n == 0 {
             break;
         }
     }
     // The leading pair may be "0d".
-    at += usize::from(buf[at] == b'0');
-    out.extend_from_slice(&buf[at..]);
+    end + usize::from(buf[end] == b'0')
 }
 
 /// Writes `source,counter,timestamp_ns,value` rows: `series` in the order
@@ -51,15 +61,14 @@ pub(crate) fn export<'a, W: Write>(
     let mut out = Vec::with_capacity(STAGE_BYTES + 128);
     out.extend_from_slice(HEADER.as_bytes());
     out.push(b'\n');
+    let mut tail = [0; ROW_TAIL];
     for (key, parts) in series {
         let prefix = format!("{},{},", key.source.0, counter_label(key.counter));
         for s in parts {
             for (&t, &v) in s.ts.iter().zip(&s.vs) {
+                let at = row_tail(&mut tail, t, v);
                 out.extend_from_slice(prefix.as_bytes());
-                push_decimal(&mut out, t);
-                out.push(b',');
-                push_decimal(&mut out, v);
-                out.push(b'\n');
+                out.extend_from_slice(&tail[at..]);
                 if out.len() >= STAGE_BYTES {
                     w.write_all(&out)?;
                     out.clear();
@@ -70,7 +79,7 @@ pub(crate) fn export<'a, W: Write>(
     w.write_all(&out)
 }
 
-/// Reads a dump back into series. Lines are taken straight out of the
+/// Reads a dump back into series. Rows are parsed straight out of the
 /// reader's buffer; only a line that straddles a refill is copied.
 pub(crate) fn import<R: BufRead>(mut r: R) -> io::Result<HashMap<SeriesKey, Series>> {
     let mut rows = Rows::default();
@@ -86,7 +95,16 @@ pub(crate) fn import<R: BufRead>(mut r: R) -> io::Result<HashMap<SeriesKey, Seri
             break;
         }
         let mut rest = buf;
-        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+        while !rest.is_empty() {
+            if straddling.is_empty() {
+                if let Some(taken) = rows.row(rest) {
+                    rest = &rest[taken..];
+                    continue;
+                }
+            }
+            let Some(end) = rest.iter().position(|&b| b == b'\n') else {
+                break;
+            };
             let line = if straddling.is_empty() {
                 &rest[..end]
             } else {
@@ -146,13 +164,6 @@ fn plain_u64(s: &[u8]) -> Option<(u64, &[u8])> {
     (len > 0).then(|| (n, &s[len..]))
 }
 
-/// `timestamp,value`, both plain, and nothing after.
-fn plain_pair(s: &[u8]) -> Option<(u64, u64)> {
-    let (t, s) = plain_u64(s)?;
-    let (v, s) = plain_u64(s.strip_prefix(b",")?)?;
-    s.is_empty().then_some((t, v))
-}
-
 /// The import's state between lines.
 #[derive(Default)]
 struct Rows {
@@ -161,12 +172,36 @@ struct Rows {
     series: Vec<(SeriesKey, Series)>,
     /// The `source,counter,` bytes of the last row that went through
     /// [`Rows::resolve`], and the slot they resolved to: a row that starts
-    /// with the same bytes belongs to the same series.
+    /// with the same bytes belongs to the same series. Empty before the
+    /// first row.
     prefix: Vec<u8>,
     current: usize,
 }
 
 impl Rows {
+    /// The row at the front of `buf`, if it is spelled the way the exporter
+    /// spells a row of the series before it: the remembered prefix, two
+    /// plain numbers and a `\n`, `\r\n` or `\r\r\n` inside `buf`. Returns
+    /// the bytes it took, terminator included. Any other line is left to
+    /// [`Rows::line`], which reads such a row the same way.
+    fn row(&mut self, buf: &[u8]) -> Option<usize> {
+        if self.prefix.is_empty() {
+            return None;
+        }
+        let s = buf.strip_prefix(self.prefix.as_slice())?;
+        let (t, s) = plain_u64(s)?;
+        let (v, s) = plain_u64(s.strip_prefix(b",")?)?;
+        let ends = match s {
+            [b'\n', ..] => 1,
+            [b'\r', b'\n', ..] => 2,
+            [b'\r', b'\r', b'\n', ..] => 3,
+            _ => return None,
+        };
+        self.lines += 1;
+        self.push(t, v);
+        Some(buf.len() - s.len() + ends)
+    }
+
     /// One line without its `\n`; `terminated` says whether it had one.
     fn line(&mut self, raw: &[u8], terminated: bool) -> io::Result<()> {
         self.lines += 1;
@@ -182,22 +217,15 @@ impl Rows {
             if header.strip_prefix('\u{feff}').unwrap_or(header).trim() != HEADER {
                 return Err(invalid(format!("unexpected header: {header}")));
             }
-        } else if let Some((t, v)) = self.same_series(line).and_then(plain_pair) {
-            self.push(t, v);
+            Ok(())
         } else {
-            self.resolve(line)?;
+            self.resolve(line)
         }
-        Ok(())
     }
 
-    /// What follows the remembered prefix, if `line` starts with it.
-    fn same_series<'a>(&self, line: &'a [u8]) -> Option<&'a [u8]> {
-        line.strip_prefix(self.prefix.as_slice())
-            .filter(|_| !self.prefix.is_empty())
-    }
-
-    /// Every row the prefix shortcut did not take: the first of a run,
-    /// blank lines, and anything not spelled the way the exporter spells it.
+    /// Every line [`Rows::row`] did not take: the first row of a run, a
+    /// row that straddles a refill, blank lines, and anything not spelled
+    /// the way the exporter spells it.
     fn resolve(&mut self, line: &[u8]) -> io::Result<()> {
         let line = as_text(line)?;
         if line.trim().is_empty() {
@@ -733,6 +761,92 @@ mod tests {
         let crlf = String::from_utf8(lf.clone()).unwrap().replace('\n', "\r\n");
         for dump in [lf.as_slice(), crlf.as_bytes(), &lf[..lf.len() - 1]] {
             assert_eq!(import_all_ways(dump), Ok(map.clone()));
+        }
+    }
+
+    /// Series whose rows carry 0, 9, 10, 10^k ± 1, the largest 19-digit
+    /// number and the 20-digit `u64::MAX` (which [`Rows::row`] leaves to
+    /// [`Rows::resolve`]) as timestamp and as value, in rows of every
+    /// length.
+    fn edge_grid() -> Map {
+        let mut numbers = vec![0];
+        let mut p = 1u64;
+        for _ in 0..19 {
+            p *= 10;
+            numbers.extend([p - 1, p, p + 1]);
+        }
+        numbers.push(u64::MAX);
+        let mut map = grid(12, 3);
+        let mut keys: Vec<SeriesKey> = map.keys().copied().collect();
+        keys.sort_unstable();
+        for (i, key) in keys.iter().enumerate() {
+            let series = map.get_mut(key).unwrap();
+            series.ts = numbers.clone();
+            series.vs = numbers
+                .iter()
+                .cycle()
+                .skip(i)
+                .take(numbers.len())
+                .copied()
+                .collect();
+        }
+        map
+    }
+
+    /// Every read size from one byte to a few rows, and `BufReader::new`'s.
+    fn capacities() -> impl Iterator<Item = usize> {
+        (1..=96).chain([8192])
+    }
+
+    #[test]
+    fn import_through_every_buffer_size_equals_import_from_a_slice() {
+        let map = edge_grid();
+        let lf = String::from_utf8(exported(&map)).unwrap();
+        assert!(
+            lf.len() > 8192,
+            "a refill of `BufReader::new` falls inside a row"
+        );
+        for ending in ["\n", "\r\n", "\r\r\n"] {
+            let dump = lf.replace('\n', ending);
+            let unterminated = &dump[..dump.len() - ending.len()];
+            for dump in [dump.as_bytes(), unterminated.as_bytes()] {
+                assert_eq!(outcome(import(dump)), Ok(map.clone()), "{ending:?}");
+                for capacity in capacities() {
+                    let got = outcome(import(BufReader::with_capacity(capacity, dump)));
+                    assert_eq!(got, Ok(map.clone()), "{ending:?}, capacity {capacity}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_the_fast_parser_refuses_fail_alike_at_every_buffer_size() {
+        let lf = String::from_utf8(exported(&edge_grid())).unwrap();
+        // Row 3 is the second row of the first series: one that
+        // `Rows::row` reads when it is whole in the buffer.
+        let third = lf.split('\n').nth(2).unwrap();
+        let prefix = &third[..third.rfind(',').unwrap()];
+        let prefix = &prefix[..=prefix.rfind(',').unwrap()];
+        let over = "18446744073709551616";
+        for (row, error) in [
+            // Two '\r' are dropped before a row is read, not three.
+            (format!("{third}\r\r\r"), format!("bad value: {third}\r")),
+            (
+                format!("{prefix}{over},1"),
+                format!("bad timestamp: {prefix}{over},1"),
+            ),
+            (
+                format!("{prefix}1,{over}"),
+                format!("bad value: {prefix}1,{over}"),
+            ),
+        ] {
+            let dump = lf.replacen(&format!("\n{third}\n"), &format!("\n{row}\n"), 1);
+            let want = Err((io::ErrorKind::InvalidData, format!("row 3: {error}")));
+            assert_eq!(outcome(import(dump.as_bytes())), want);
+            for capacity in capacities() {
+                let got = outcome(import(BufReader::with_capacity(capacity, dump.as_bytes())));
+                assert_eq!(got, want, "capacity {capacity}");
+            }
         }
     }
 
