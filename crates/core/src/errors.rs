@@ -101,9 +101,7 @@ pub enum CollectorError {
     ZeroCapacity,
     /// The OS refused to spawn a worker thread.
     Spawn(String),
-    /// A worker could not be joined at shutdown. Contained panics inside
-    /// the ingest loop do **not** produce this — the supervisor absorbs
-    /// those and restarts the worker; this is the outer join failing.
+    /// A worker could not be joined at shutdown: it panicked.
     WorkerLost {
         /// Index of the unjoinable worker.
         worker: usize,
@@ -129,20 +127,13 @@ impl std::error::Error for CollectorError {}
 
 /// Errors raised by the write-ahead log ([`crate::wal`]). Not `Clone`/
 /// `PartialEq` like its siblings: it wraps [`std::io::Error`], which is
-/// neither — callers match on the variant (or on
-/// [`crate::failpoint::is_injected_crash`] for the `Io` payload) instead.
+/// neither — callers probe it with [`WalError::is_injected_crash`]
+/// instead.
 #[derive(Debug)]
 pub enum WalError {
     /// The storage backend failed (includes injected crashes from the
     /// fault harness; probe with [`crate::failpoint::is_injected_crash`]).
     Io(std::io::Error),
-    /// A segment was structurally unusable beyond torn-tail repair.
-    BadSegment {
-        /// Index of the offending segment.
-        index: u64,
-        /// What was wrong with it.
-        reason: String,
-    },
 }
 
 impl WalError {
@@ -151,7 +142,6 @@ impl WalError {
     pub fn is_injected_crash(&self) -> bool {
         match self {
             WalError::Io(e) => crate::failpoint::is_injected_crash(e),
-            WalError::BadSegment { .. } => false,
         }
     }
 }
@@ -160,9 +150,6 @@ impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WalError::Io(e) => write!(f, "wal storage error: {e}"),
-            WalError::BadSegment { index, reason } => {
-                write!(f, "wal segment {index} unusable: {reason}")
-            }
         }
     }
 }
@@ -171,7 +158,6 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io(e) => Some(e),
-            WalError::BadSegment { .. } => None,
         }
     }
 }
@@ -208,11 +194,8 @@ mod tests {
         assert!(CollectorError::WorkerLost { worker: 3 }
             .to_string()
             .contains('3'));
-        let w = WalError::BadSegment {
-            index: 4,
-            reason: "magic mismatch".into(),
-        };
-        assert!(w.to_string().contains("segment 4"));
+        let w = WalError::Io(std::io::Error::other("disk on fire"));
+        assert!(w.to_string().contains("disk on fire"));
         assert!(!w.is_injected_crash());
         let crash = WalError::Io(crate::failpoint::crash_error());
         assert!(crash.is_injected_crash());

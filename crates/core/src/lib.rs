@@ -18,10 +18,11 @@
 //!   procedure);
 //! * [`batch`] — the switch-side batcher that cuts the poller's series into
 //!   shippable batches;
-//! * [`collector`] / [`store`] — a threaded collector service (supervised
-//!   workers on one bounded `std::sync::mpsc` queue that contain and
-//!   survive panics) and the sample store every
-//!   path ends in, which quarantines malformed batches and exports CSV;
+//! * [`store`] — the sample store every path ends in, which quarantines
+//!   malformed batches and exports CSV;
+//! * [`collector`] — threads draining one bounded queue into a store,
+//!   kept only because `benchmark/` links it (ROADMAP item 3a); the
+//!   collector service is [`fleet`];
 //! * [`series`] — timestamped cumulative-counter series, wrap-aware
 //!   decoding, and the delta-to-rate/utilization conversions the analyses
 //!   build on;
@@ -72,7 +73,7 @@ pub mod tuning;
 pub mod wal;
 
 pub use batch::{Batch, BatchPolicy, Batcher, SourceId};
-pub use collector::{Collector, CollectorHealth, CollectorReport};
+pub use collector::{Collector, CollectorReport};
 pub use errors::{CollectorError, PollError, ShipError, WalError};
 pub use failpoint::{crash_error, is_injected_crash, CrashPlan, RegionCrashPlan, TornStorage};
 pub use fleet::{

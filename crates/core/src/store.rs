@@ -1,4 +1,4 @@
-//! The sample store behind the collector service.
+//! The sample store every collection path ends in.
 //!
 //! Thread-safe, keyed by `(source, counter)`, stitched from batches in
 //! arrival order. Offers CSV export so campaign data can leave the process
@@ -9,8 +9,8 @@
 //! batch (timestamps out of order within the batch, or timestamps that
 //! duplicate samples already stored for the same source/counter) is
 //! **quarantined** — counted, kept out of the series, and never allowed to
-//! corrupt downstream rate math. Ingest never panics; locks recover from
-//! poisoning so one crashed worker cannot wedge the tier.
+//! corrupt downstream rate math. Ingest never panics, and locks recover
+//! from poisoning.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

@@ -25,10 +25,6 @@ impl Nanos {
     /// Largest representable time; used as an "infinitely far" deadline.
     pub const MAX: Nanos = Nanos(u64::MAX);
 
-    /// Wraps a raw nanosecond count.
-    pub const fn from_nanos(ns: u64) -> Self {
-        Nanos(ns)
-    }
     /// `us` microseconds.
     pub const fn from_micros(us: u64) -> Self {
         Nanos(us * 1_000)
