@@ -22,11 +22,12 @@
 //! Run with `cargo run --release -p uburst-bench --bin repro -- ext_durability`.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::iter::zip;
 
 use uburst_core::{
     AckMsg, CrashPlan, DurableStore, FsyncPolicy, LinkPlan, MemStorage, Shipment, SourceId,
-    TornStorage, WalConfig, WalError, WalStorage, Workload,
+    TornStorage, WalConfig, WalStorage, Workload,
 };
 
 use crate::campaign::{CampaignRun, CampaignSpec};
@@ -50,19 +51,22 @@ fn wal_config() -> WalConfig {
     }
 }
 
-/// The session's receiver: per-record WAL ingest (under fsync-always the
-/// mode where recovery is *exactly* the acked prefix), tracking the
-/// highest ack issued per source.
+/// The session's receiver: one WAL commit per record, `chunks(1)` of each
+/// window (under fsync-always the cut where recovery is *exactly* the
+/// acked prefix), tracking the highest ack issued per source.
 fn receiver<'a, S: WalStorage>(
     ds: &'a mut DurableStore<S>,
     acked: &'a mut BTreeMap<SourceId, u64>,
-) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> io::Result<()> + 'a {
+    let mut out = Vec::new();
     move |window, acks| {
-        for sb in &window {
-            let (_, ack) = ds.ingest(sb)?;
-            let best = acked.entry(ack.source).or_insert(0);
-            *best = (*best).max(ack.cum);
-            acks.push(ack);
+        for record in window.chunks(1) {
+            ds.ingest_group(record, &mut out)?;
+            for &(_, ack) in &out {
+                let best = acked.entry(ack.source).or_insert(0);
+                *best = (*best).max(ack.cum);
+                acks.push(ack);
+            }
         }
         Ok(())
     }
@@ -141,7 +145,7 @@ fn sweep_at(loss_pct: f64, crash_points: usize) -> SweepResult {
 
         // Resume: surviving shippers re-deliver every gap over a fresh link.
         for sh in session.shippers() {
-            rec.note_stream_state(sh.source(), sh.next_seq());
+            rec.store().note_watermark(sh.source(), sh.next_seq());
         }
         let mut rec = rec;
         let resume_seed = link_seed ^ 0xDEAD;

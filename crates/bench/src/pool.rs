@@ -29,40 +29,15 @@
 //!   out with it ([`run_parallel`]). A run with
 //!   `UBURST_THREADS=1` executes the jobs inline on the caller, which is
 //!   exactly the old sequential code path.
-//! * **Nesting runs inline.** A pool call made from inside a pool job
-//!   runs its jobs on the job's own thread (one `thread_local!` flag), so
-//!   nesting can never multiply threads or wait on a worker. No product
-//!   path nests: every `repro` id runs through one driver, which submits
-//!   the declared campaigns in one [`run_parallel`] call; only an
-//!   experiment that declares none makes pool calls, from the caller.
+//! * **No product path nests.** Every `repro` id runs through one
+//!   driver, which submits the declared campaigns in one [`run_parallel`]
+//!   call; only an experiment that declares none makes pool calls, from
+//!   the caller, before that call.
 
-use std::cell::Cell;
 use std::sync::Mutex;
 
 use crate::campaign::{plan_groups, run_group, CampaignRun, CampaignSpec};
 use crate::scale::Scale;
-
-thread_local! {
-    /// Set while this thread runs a pool job.
-    static IN_JOB: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks the current thread as running pool jobs until dropped, also
-/// when a job panics.
-struct JobMark;
-
-impl JobMark {
-    fn set() -> Self {
-        IN_JOB.with(|j| j.set(true));
-        JobMark
-    }
-}
-
-impl Drop for JobMark {
-    fn drop(&mut self) {
-        IN_JOB.with(|j| j.set(false));
-    }
-}
 
 /// Submitted-job accounting: counts what the caller handed in (inputs,
 /// campaigns), never workers or fused groups, so the total is identical
@@ -73,8 +48,7 @@ fn count_submitted(n: usize) {
 
 /// Runs `f` over every input on `Scale::threads()` threads, returning the
 /// results in submission order. The calling thread always participates,
-/// so this is exactly sequential execution with one thread, and a call
-/// from inside a pool job runs inline on that job's thread.
+/// so this is exactly sequential execution with one thread.
 ///
 /// # Panics
 /// Re-raises a panicking job's own panic once every worker has stopped.
@@ -101,8 +75,7 @@ where
     run_on(threads, inputs, f)
 }
 
-/// Runs the jobs on at most `threads` threads (the caller included), or
-/// inline if the caller is itself a pool job.
+/// Runs the jobs on at most `threads` threads (the caller included).
 fn run_on<T, R, F>(threads: usize, inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -110,10 +83,6 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = inputs.len();
-    if IN_JOB.with(Cell::get) {
-        return inputs.into_iter().map(f).collect();
-    }
-    let _mark = JobMark::set();
     let extra = threads.max(1).min(n.max(1)) - 1;
     if extra == 0 {
         return inputs.into_iter().map(f).collect();
@@ -135,14 +104,7 @@ where
         }
     };
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..extra)
-            .map(|_| {
-                s.spawn(|| {
-                    let _mark = JobMark::set();
-                    work()
-                })
-            })
-            .collect();
+        let workers: Vec<_> = (0..extra).map(|_| s.spawn(work)).collect();
         // The caller is a worker too: progress never requires a spawn.
         let mut results = work();
         for w in workers {
@@ -266,28 +228,5 @@ mod tests {
         let none: Vec<u32> = run_jobs_on(4, Vec::<u32>::new(), |x| x);
         assert!(none.is_empty());
         assert_eq!(run_jobs_on(4, vec![7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn nested_pools_do_not_deadlock() {
-        let out = run_jobs_on(3, (0..6u32).collect(), |i| {
-            let outer = std::thread::current().id();
-            let inner = run_jobs_on(4, (0..4u32).collect(), move |j| {
-                (i * 10 + j, std::thread::current().id())
-            });
-            (inner, outer)
-        });
-        assert_eq!(out.len(), 6);
-        for (i, (inner, outer)) in out.iter().enumerate() {
-            let values: Vec<u32> = inner.iter().map(|&(v, _)| v).collect();
-            assert_eq!(
-                values,
-                (0..4).map(|j| i as u32 * 10 + j).collect::<Vec<_>>()
-            );
-            assert!(
-                inner.iter().all(|(_, t)| t == outer),
-                "inner jobs ran off their outer job's thread"
-            );
-        }
     }
 }

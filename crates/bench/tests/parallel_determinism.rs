@@ -71,8 +71,8 @@ fn results_keep_submission_order_under_oversubscription() {
 
 #[test]
 fn nested_run_jobs_does_not_deadlock() {
-    // A job that itself fans out runs its inner jobs inline on its own
-    // thread, so nesting never waits on a worker.
+    // A job that itself fans out runs its inner jobs on a pool of its
+    // own; the caller works too, so nesting never waits on a worker.
     let outer = run_jobs_on(2, vec![10u64, 20, 30], |base| {
         run_jobs_on(2, vec![1u64, 2, 3], move |off| base + off)
             .into_iter()

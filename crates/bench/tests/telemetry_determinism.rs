@@ -26,8 +26,8 @@ use uburst_bench::figures::{run_experiments, Experiment};
 use uburst_bench::{run_jobs_on, run_parallel_on, CampaignSpec, Scale};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
-    Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipment, Shipper, ShipperConfig,
-    SourceId, TornStorage, WalConfig,
+    is_injected_crash, Batch, DurableStore, FsyncPolicy, MemStorage, Series, Shipment, Shipper,
+    ShipperConfig, SourceId, TornStorage, WalConfig,
 };
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
@@ -228,17 +228,17 @@ fn crash_and_resume(budget: u64) -> String {
     // fault under test). Returns whether the storage crashed.
     fn drive<S: WalStorage>(ds: &mut DurableStore<S>, shipper: &mut Shipper) -> bool {
         let mut tx: Vec<Shipment> = Vec::new();
+        let mut out = Vec::new();
         for _tick in 0..10_000 {
             shipper.tick_into(&mut tx);
-            for sb in tx.drain(..) {
-                match ds.ingest(&sb) {
-                    Ok((_, ack)) => shipper.on_ack(ack),
-                    Err(e) => {
-                        assert!(e.is_injected_crash(), "unexpected real error: {e}");
-                        return true;
-                    }
+            for record in tx.chunks(1) {
+                if let Err(e) = ds.ingest_group(record, &mut out) {
+                    assert!(is_injected_crash(&e), "unexpected real error: {e}");
+                    return true;
                 }
+                out.iter().for_each(|&(_, ack)| shipper.on_ack(ack));
             }
+            tx.clear();
             if shipper.done() {
                 return false;
             }

@@ -125,49 +125,6 @@ impl fmt::Display for CollectorError {
 
 impl std::error::Error for CollectorError {}
 
-/// Errors raised by the write-ahead log ([`crate::wal`]). Not `Clone`/
-/// `PartialEq` like its siblings: it wraps [`std::io::Error`], which is
-/// neither — callers probe it with [`WalError::is_injected_crash`]
-/// instead.
-#[derive(Debug)]
-pub enum WalError {
-    /// The storage backend failed (includes injected crashes from the
-    /// fault harness; probe with [`crate::failpoint::is_injected_crash`]).
-    Io(std::io::Error),
-}
-
-impl WalError {
-    /// Whether this error is a deterministic crash injected by the fault
-    /// harness (as opposed to a real storage failure).
-    pub fn is_injected_crash(&self) -> bool {
-        match self {
-            WalError::Io(e) => crate::failpoint::is_injected_crash(e),
-        }
-    }
-}
-
-impl fmt::Display for WalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalError::Io(e) => write!(f, "wal storage error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WalError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for WalError {
-    fn from(e: std::io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,11 +151,5 @@ mod tests {
         assert!(CollectorError::WorkerLost { worker: 3 }
             .to_string()
             .contains('3'));
-        let w = WalError::Io(std::io::Error::other("disk on fire"));
-        assert!(w.to_string().contains("disk on fire"));
-        assert!(!w.is_injected_crash());
-        let crash = WalError::Io(crate::failpoint::crash_error());
-        assert!(crash.is_injected_crash());
-        assert!(std::error::Error::source(&crash).is_some());
     }
 }

@@ -1,12 +1,13 @@
 //! Regional aggregators: the rendezvous mapping of switches onto them, and
 //! one aggregator's life — receive, forward, crash, recover.
 
+use std::io;
+
 use uburst_sim::rng::{mix64, GOLDEN_GAMMA};
 
 use super::FleetConfig;
 use crate::batch::SourceId;
-use crate::errors::WalError;
-use crate::failpoint::TornStorage;
+use crate::failpoint::{is_injected_crash, TornStorage};
 use crate::ship::{AckMsg, GapLedger, Shipment};
 use crate::store::{SampleStore, SeqIngest};
 use crate::wal::{DurableReceiver, MemStorage, WalConfig};
@@ -172,7 +173,7 @@ impl Region {
     /// The receiver half of a lane's transport tick. One delivery window
     /// is one WAL commit window: `ingest_group` coalesces it into a single
     /// physical write (and at most one sync) while issuing per-frame acks
-    /// identical to per-record ingest. Stored records queue in `pending`
+    /// identical to committing each frame alone. Stored records queue in `pending`
     /// (the same handles: the samples are framed into the log, not copied
     /// into the queue) and reach the global tier at [`Region::forward`] —
     /// so a mid-round crash leaves records that were acked to switches but
@@ -183,7 +184,7 @@ impl Region {
         &mut self,
         window: Vec<Shipment>,
         acks: &mut Vec<AckMsg>,
-    ) -> Result<(), WalError> {
+    ) -> io::Result<()> {
         let Some(ds) = self.ds.as_mut() else {
             return Ok(());
         };
@@ -205,8 +206,8 @@ impl Region {
     /// The byte-granular crash: the fatal write applied a prefix and the
     /// region died in `round`. The un-pushed pending buffer dies with the
     /// process; the disk image stays.
-    pub(super) fn crash(&mut self, round: u32, cause: &WalError) {
-        assert!(cause.is_injected_crash(), "regional WAL failed: {cause}");
+    pub(super) fn crash(&mut self, round: u32, cause: &io::Error) {
+        assert!(is_injected_crash(cause), "regional WAL failed: {cause}");
         self.ds = None;
         self.pending.clear();
         self.down_since = Some(round);

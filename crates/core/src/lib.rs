@@ -74,7 +74,7 @@ pub mod wal;
 
 pub use batch::{Batch, BatchPolicy, Batcher, SourceId};
 pub use collector::{Collector, CollectorReport};
-pub use errors::{CollectorError, PollError, ShipError, WalError};
+pub use errors::{CollectorError, PollError, ShipError};
 pub use failpoint::{crash_error, is_injected_crash, CrashPlan, RegionCrashPlan, TornStorage};
 pub use fleet::{
     rendezvous_region, run_fleet, run_fleet_with_crashes, CoverageLedger, Fleet, FleetConfig,

@@ -350,7 +350,6 @@ mod tests {
     /// offered — each batch stored exactly once.
     #[test]
     fn links_receiver_and_shippers_conserve_every_batch() {
-        use crate::errors::WalError;
         use crate::wal::{DurableStore, MemStorage, WalConfig};
         for (plan, name) in [
             (LinkPlan::default(), "default"),
@@ -385,7 +384,7 @@ mod tests {
                             redelivered[0] += d as u64;
                             redelivered[1] += r as u64;
                             acks.extend(outcomes.iter().map(|&(_, ack)| ack));
-                            Ok::<(), WalError>(())
+                            Ok::<(), std::io::Error>(())
                         })
                         .unwrap();
                     assert_conserved(&session.data, "data");

@@ -21,11 +21,15 @@
 //!   ([`crate::failpoint`]) and the durability experiments.
 //! * [`Wal`] — the appender: frames records, rotates segments at
 //!   [`WalConfig::segment_max_bytes`], and syncs per [`FsyncPolicy`].
+//!   Only a [`DurableReceiver`] builds and writes one.
 //! * [`DurableReceiver`] — WAL + gap ledger glued into the receiver side
 //!   of the shipping protocol: dedup **before** append (so the log never
 //!   stores a batch twice), append + sync **before** ack (so an issued ack
 //!   is a durability promise), and [`DurableReceiver::recover`] to rebuild
-//!   the whole thing after a crash. What it holds besides the log is its
+//!   the whole thing after a crash. Batches go in one delivery window at
+//!   a time ([`DurableReceiver::ingest_group`]; a caller that commits per
+//!   record walks `window.chunks(1)`), and every failure is the storage's
+//!   own [`std::io::Error`]. What it holds besides the log is its
 //!   [`Keep`]: [`DurableStore`] keeps a [`SampleStore`] (series and
 //!   ledger); a regional aggregator keeps the ledger alone.
 //!
@@ -60,9 +64,9 @@
 //! [`SampleStore`]: crate::store::SampleStore
 
 use std::borrow::Borrow;
+use std::io;
 
 use crate::batch::Batch;
-use crate::errors::WalError;
 use crate::segment::{frame_record_into, segment_header, SEGMENT_HEADER_LEN};
 use crate::ship::SeqBatch;
 
@@ -104,7 +108,9 @@ impl Default for WalConfig {
     }
 }
 
-/// The appender: frames records, rotates segments, syncs per policy.
+/// The appender under a [`DurableReceiver`]: frames records, rotates
+/// segments, syncs per policy. Only its receiver builds and writes it;
+/// [`DurableReceiver::wal`] lends it out for byte accounting.
 #[derive(Debug)]
 pub struct Wal<S: WalStorage> {
     storage: S,
@@ -127,7 +133,7 @@ pub struct Wal<S: WalStorage> {
 
 impl<S: WalStorage> Wal<S> {
     /// A fresh log writing its first segment at `first_segment`.
-    fn start(mut storage: S, cfg: WalConfig, first_segment: u64) -> Result<Self, WalError> {
+    fn start(mut storage: S, cfg: WalConfig, first_segment: u64) -> io::Result<Self> {
         assert!(
             cfg.segment_max_bytes > SEGMENT_HEADER_LEN,
             "segment size smaller than its header"
@@ -147,11 +153,6 @@ impl<S: WalStorage> Wal<S> {
         })
     }
 
-    /// A fresh log on empty storage, starting at segment 0.
-    pub fn create(storage: S, cfg: WalConfig) -> Result<Self, WalError> {
-        Self::start(storage, cfg, 0)
-    }
-
     /// Frames one record into the group buffer, rotating first if the
     /// current segment is full, without touching storage (except at
     /// rotation — see below). Returns `true` when the record lands on a
@@ -162,14 +163,12 @@ impl<S: WalStorage> Wal<S> {
     ///
     /// Rotation is a flush boundary: the buffered prefix is pushed and
     /// synced before the next segment opens, in exactly the byte order a
-    /// writer that flushes after every record produces. Identity of the
+    /// writer that commits after every record produces. Identity of the
     /// physical byte stream is what makes crash recovery independent of
-    /// commit grouping (`tests/crash_recovery.rs` sweeps both modes over
-    /// the same plans).
-    pub fn append_deferred<B: Borrow<Batch>>(
-        &mut self,
-        sb: &SeqBatch<B>,
-    ) -> Result<bool, WalError> {
+    /// how the stream is cut into commit windows (`tests/crash_recovery.rs`
+    /// runs one session at several cuts and sweeps two of them with
+    /// crashes).
+    fn append_deferred<B: Borrow<Batch>>(&mut self, sb: &SeqBatch<B>) -> io::Result<bool> {
         let frame_start = self.group_buf.len();
         let frame_len = frame_record_into(sb, &mut self.group_buf);
         if self.segment_len + frame_len > self.cfg.segment_max_bytes
@@ -229,7 +228,7 @@ impl<S: WalStorage> Wal<S> {
     }
 
     /// Pushes buffered record bytes to storage without syncing.
-    fn flush_bytes(&mut self) -> Result<(), WalError> {
+    fn flush_bytes(&mut self) -> io::Result<()> {
         if !self.group_buf.is_empty() {
             self.storage.append(&self.group_buf)?;
             self.group_buf.clear();
@@ -237,9 +236,14 @@ impl<S: WalStorage> Wal<S> {
         Ok(())
     }
 
-    /// Flushes the group buffer; physically syncs only if a deferred
-    /// record crossed a logical sync point since the last physical sync.
-    fn flush_group(&mut self) -> Result<(), WalError> {
+    /// Commits a group of deferred appends: one physical write for all
+    /// buffered frames and at most one physical sync — none unless a
+    /// deferred record crossed a logical sync point since the last one —
+    /// after which every `true` returned by the group's
+    /// [`Wal::append_deferred`] calls is a durability promise and the
+    /// corresponding acks may be released.
+    fn commit_group(&mut self) -> io::Result<()> {
+        uburst_obs::counter_add!("uburst_wal_group_commits_total", 1);
         self.flush_bytes()?;
         if self.sync_due {
             self.storage.sync()?;
@@ -249,18 +253,9 @@ impl<S: WalStorage> Wal<S> {
         Ok(())
     }
 
-    /// Commits a group of deferred appends: one physical write for all
-    /// buffered frames and at most one physical sync, after which every
-    /// `true` returned by the group's [`Wal::append_deferred`] calls is a
-    /// durability promise and the corresponding acks may be released.
-    pub fn commit_group(&mut self) -> Result<(), WalError> {
-        uburst_obs::counter_add!("uburst_wal_group_commits_total", 1);
-        self.flush_group()
-    }
-
     /// Forces everything appended so far to stable storage (deferred
     /// records are pushed first).
-    pub fn sync(&mut self) -> Result<(), WalError> {
+    fn sync(&mut self) -> io::Result<()> {
         self.flush_bytes()?;
         self.storage.sync()?;
         uburst_obs::counter_add!("uburst_wal_fsyncs_total", 1);
@@ -274,7 +269,7 @@ impl<S: WalStorage> Wal<S> {
     /// them is held somewhere else: after this the log is a suffix of the
     /// write stream. Byte accounting ([`Wal::total_bytes`],
     /// [`Wal::record_ends`]) still counts the deleted bytes.
-    fn checkpoint(&mut self) -> Result<u64, WalError> {
+    fn checkpoint(&mut self) -> io::Result<u64> {
         let mut removed = 0;
         for index in self.storage.list()? {
             if index >= self.segment {

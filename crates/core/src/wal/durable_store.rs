@@ -8,11 +8,11 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::Arc;
 
 use super::{Wal, WalConfig, WalStorage};
 use crate::batch::{Batch, SourceId};
-use crate::errors::WalError;
 use crate::segment::{scan_segment, SegmentScan, TearReason};
 use crate::ship::{AckMsg, GapLedger, SeqBatch};
 use crate::store::{QuarantineReason, SampleStore, SeqIngest};
@@ -234,13 +234,6 @@ impl<S: WalStorage> DurableStore<S> {
     pub fn store(&self) -> Arc<SampleStore> {
         Arc::clone(&self.keep)
     }
-
-    /// Records a reconnecting source's transmit watermark (`next_seq`), so
-    /// the gap ledger can account batches assigned before the crash that
-    /// never reached the log.
-    pub fn note_stream_state(&self, source: SourceId, next_seq: u64) {
-        SampleStore::note_watermark(&self.keep, source, next_seq);
-    }
 }
 
 /// A regional aggregator's receiver: the ledger alone, its samples merged
@@ -263,16 +256,16 @@ impl<S: WalStorage> DurableReceiver<S, GapLedger> {
     /// let mut ds = DurableStore::create(MemStorage::new(), WalConfig::default()).unwrap();
     /// ds.checkpoint().unwrap();
     /// ```
-    pub fn checkpoint(&mut self) -> Result<u64, WalError> {
+    pub fn checkpoint(&mut self) -> io::Result<u64> {
         self.wal.checkpoint()
     }
 }
 
 impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// A fresh receiver over empty storage, keeping `K::default()`.
-    pub fn create(storage: S, cfg: WalConfig) -> Result<Self, WalError> {
+    pub fn create(storage: S, cfg: WalConfig) -> io::Result<Self> {
         Ok(DurableReceiver {
-            wal: Wal::create(storage, cfg)?,
+            wal: Wal::start(storage, cfg, 0)?,
             keep: K::default(),
             acks: AckBook::default(),
         })
@@ -282,7 +275,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     /// segment, truncates torn tails, replays clean records into a fresh
     /// keep (dedup and quarantine re-applied), and resumes logging in a new
     /// segment after the highest surviving one.
-    pub fn recover(storage: S, cfg: WalConfig) -> Result<(Self, RecoveryReport), WalError> {
+    pub fn recover(storage: S, cfg: WalConfig) -> io::Result<(Self, RecoveryReport)> {
         Self::recover_replay(storage, cfg, &mut |_| {})
     }
 
@@ -295,7 +288,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
         mut storage: S,
         cfg: WalConfig,
         on_record: &mut dyn FnMut(&SeqBatch),
-    ) -> Result<(Self, RecoveryReport), WalError> {
+    ) -> io::Result<(Self, RecoveryReport)> {
         let mut report = RecoveryReport::default();
         let mut keep = K::default();
         let indices = storage.list()?;
@@ -366,8 +359,10 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
         Ok((DurableReceiver { wal, keep, acks }, report))
     }
 
-    /// Ingests one sequenced batch — the go-back-N receiver. Exactly one
-    /// of three things happens:
+    /// Ingests a delivery window — the go-back-N receiver — with **one**
+    /// physical write and at most one physical sync, pushing one
+    /// `(outcome, ack)` pair per batch onto `out` (cleared first, in window
+    /// order). For each batch exactly one of three things happens:
     ///
     /// * `seq` below the contiguous prefix: a redelivery. Deduplicated and
     ///   re-acked (the original ack may have been lost); never re-logged.
@@ -382,37 +377,21 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     ///   under [`FsyncPolicy::Always`](super::FsyncPolicy::Always) that is
     ///   everything through this batch.
     ///
-    /// This is [`DurableReceiver::ingest_group`]'s per-batch body followed
-    /// by one flush. An error means the write failed partway (a crash): the
-    /// ack must not be released, and **this receiver must not be used
-    /// again** — the in-memory keep and ack floor already hold the batch
+    /// How a stream is cut into windows is invisible: classification, the
+    /// gap ledger, every ack **value** and every log byte are the same for
+    /// any cut (`window.chunks(1)` commits per record). The logical sync
+    /// cadence ([`FsyncPolicy`](super::FsyncPolicy)) is tracked per record;
+    /// only the physical write/sync is coalesced, and it completes before
+    /// this method returns, so releasing the acks afterwards preserves
+    /// durability-before-ack.
+    ///
+    /// An error means the write failed partway (a crash): no ack from the
+    /// window may be released, and **this receiver must not be used
+    /// again** — the in-memory keep and ack floor already hold the batches
     /// whose write failed, so a later redelivery would be acked past the
     /// durable prefix. Drop it and rebuild from the log with
-    /// [`DurableReceiver::recover`], as a restarted process would.
-    pub fn ingest<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
-        &mut self,
-        sb: &SeqBatch<B>,
-    ) -> Result<(SeqIngest, AckMsg), WalError> {
-        let res = self.ingest_one(sb)?;
-        self.wal.flush_group()?;
-        Ok(res)
-    }
-
-    /// Ingests a whole delivery window with **one** physical write and at
-    /// most one physical sync ([`Wal::commit_group`]), pushing one
-    /// `(outcome, ack)` pair per batch onto `out` (cleared first, in window
-    /// order).
-    ///
-    /// Classification, the gap ledger, and every ack **value** are
-    /// bit-identical to calling [`DurableReceiver::ingest`] per batch: the
-    /// logical sync cadence ([`FsyncPolicy`](super::FsyncPolicy)) is tracked
-    /// per record, only the physical write/sync is coalesced — and it
-    /// completes before this method returns, so releasing the acks
-    /// afterwards preserves durability-before-ack. On `Err` (a crash
-    /// mid-group) no ack from the window may be released and the receiver
-    /// is dead, as for [`DurableReceiver::ingest`]; the log is the source of
-    /// truth on restart and the shipper's retransmit re-delivers whatever
-    /// didn't survive.
+    /// [`DurableReceiver::recover`], as a restarted process would; the
+    /// shipper's retransmit re-delivers whatever didn't survive.
     ///
     /// The window may own its batches or share them with the shippers
     /// ([`crate::ship::Shipment`]): outcomes, acks and log bytes depend only
@@ -421,7 +400,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
         &mut self,
         window: &[SeqBatch<B>],
         out: &mut Vec<(SeqIngest, AckMsg)>,
-    ) -> Result<(), WalError> {
+    ) -> io::Result<()> {
         out.clear();
         if window.is_empty() {
             return Ok(());
@@ -439,7 +418,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
     fn ingest_one<B: Borrow<Batch> + Clone + Into<Arc<Batch>>>(
         &mut self,
         sb: &SeqBatch<B>,
-    ) -> Result<(SeqIngest, AckMsg), WalError> {
+    ) -> io::Result<(SeqIngest, AckMsg)> {
         let source = sb.payload().source;
         let cum = self.keep.contiguous(source);
         if sb.seq != cum {
@@ -471,7 +450,7 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
 
     /// Forces a sync and returns the acks it released (one per source
     /// whose durable cumulative count advanced, in source order).
-    pub fn flush(&mut self) -> Result<Vec<AckMsg>, WalError> {
+    pub fn flush(&mut self) -> io::Result<Vec<AckMsg>> {
         self.wal.sync()?;
         Ok(self.acks.flush())
     }

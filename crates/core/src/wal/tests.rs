@@ -8,7 +8,6 @@ use std::sync::{Arc, Mutex};
 
 use super::*;
 use crate::batch::{Batch, SourceId};
-use crate::errors::WalError;
 use crate::series::Series;
 use crate::ship::{AckMsg, GapLedger, SeqBatch};
 use crate::store::SeqIngest;
@@ -33,12 +32,22 @@ fn sb(seq: u64, source: u32, base_t: u64) -> SeqBatch {
     }
 }
 
+/// `sb` alone as a delivery window: one commit per record.
+fn ingest<K: Keep>(
+    ds: &mut DurableReceiver<impl WalStorage, K>,
+    sb: &SeqBatch,
+) -> io::Result<(SeqIngest, AckMsg)> {
+    let mut out = Vec::new();
+    ds.ingest_group(std::slice::from_ref(sb), &mut out)?;
+    Ok(out[0])
+}
+
 #[test]
 fn append_recover_round_trips() {
     let storage = MemStorage::new();
     let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
     for i in 0..10 {
-        let (outcome, ack) = ds.ingest(&sb(i, 0, 100 * (i + 1))).unwrap();
+        let (outcome, ack) = ingest(&mut ds, &sb(i, 0, 100 * (i + 1))).unwrap();
         assert_eq!(outcome, SeqIngest::Stored);
         assert_eq!(ack.cum, i + 1, "Always policy acks immediately");
     }
@@ -65,7 +74,7 @@ fn segments_rotate_and_all_replay() {
     };
     let mut ds = DurableStore::create(storage.clone(), cfg).unwrap();
     for i in 0..50 {
-        ds.ingest(&sb(i, 0, 100 * (i + 1))).unwrap();
+        ingest(&mut ds, &sb(i, 0, 100 * (i + 1))).unwrap();
     }
     let segments = storage.list().unwrap();
     assert!(
@@ -83,9 +92,9 @@ fn segments_rotate_and_all_replay() {
 fn duplicate_is_reacked_not_relogged() {
     let storage = MemStorage::new();
     let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
-    ds.ingest(&sb(0, 0, 100)).unwrap();
+    ingest(&mut ds, &sb(0, 0, 100)).unwrap();
     let bytes_once = ds.wal().total_bytes();
-    let (outcome, ack) = ds.ingest(&sb(0, 0, 100)).unwrap();
+    let (outcome, ack) = ingest(&mut ds, &sb(0, 0, 100)).unwrap();
     assert_eq!(outcome, SeqIngest::Duplicate);
     assert_eq!(ack.cum, 1, "duplicate still re-acks current progress");
     assert_eq!(ds.wal().total_bytes(), bytes_once, "no second log record");
@@ -104,13 +113,13 @@ fn every_n_policy_withholds_acks_until_sync() {
         fsync: FsyncPolicy::EveryN(3),
     };
     let mut ds = DurableStore::create(storage, cfg).unwrap();
-    let (_, a0) = ds.ingest(&sb(0, 0, 100)).unwrap();
-    let (_, a1) = ds.ingest(&sb(1, 0, 200)).unwrap();
+    let (_, a0) = ingest(&mut ds, &sb(0, 0, 100)).unwrap();
+    let (_, a1) = ingest(&mut ds, &sb(1, 0, 200)).unwrap();
     assert_eq!(a0.cum, 0, "unsynced: ack withheld");
     assert_eq!(a1.cum, 0);
-    let (_, a2) = ds.ingest(&sb(2, 0, 300)).unwrap();
+    let (_, a2) = ingest(&mut ds, &sb(2, 0, 300)).unwrap();
     assert_eq!(a2.cum, 3, "third record triggers the covering sync");
-    let (_, a3) = ds.ingest(&sb(3, 0, 400)).unwrap();
+    let (_, a3) = ingest(&mut ds, &sb(3, 0, 400)).unwrap();
     assert_eq!(a3.cum, 3);
     let released = ds.flush().unwrap();
     assert_eq!(
@@ -128,7 +137,7 @@ fn recovery_truncates_torn_tail_in_place() {
     let storage = MemStorage::new();
     let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
     for i in 0..5 {
-        ds.ingest(&sb(i, 0, 100 * (i + 1))).unwrap();
+        ingest(&mut ds, &sb(i, 0, 100 * (i + 1))).unwrap();
     }
     drop(ds);
     // Tear the last record by hand: chop 7 bytes off the segment.
@@ -154,14 +163,17 @@ fn failed_ingest_kills_the_store_and_recovery_acks_only_the_durable_prefix() {
     use crate::failpoint::TornStorage;
     let disk = MemStorage::new();
     let mut probe = DurableStore::create(MemStorage::new(), WalConfig::default()).unwrap();
-    probe.ingest(&sb(0, 0, 100)).unwrap();
-    probe.ingest(&sb(1, 0, 200)).unwrap();
+    ingest(&mut probe, &sb(0, 0, 100)).unwrap();
+    ingest(&mut probe, &sb(1, 0, 200)).unwrap();
     // Die a few bytes into the second record.
     let budget = probe.wal().record_ends()[0] + 5;
     let mut ds =
         DurableStore::create(TornStorage::new(disk.clone(), budget), WalConfig::default()).unwrap();
-    assert_eq!(ds.ingest(&sb(0, 0, 100)).unwrap().1.cum, 1);
-    assert!(ds.ingest(&sb(1, 0, 200)).is_err(), "the write was torn");
+    assert_eq!(ingest(&mut ds, &sb(0, 0, 100)).unwrap().1.cum, 1);
+    assert!(
+        ingest(&mut ds, &sb(1, 0, 200)).is_err(),
+        "the write was torn"
+    );
     // The contract: `ds` is dead from here on. Its memory ran ahead of
     // the log, which is why it may not answer the redelivery.
     assert_eq!(ds.store().contiguous(SourceId(0)), 2);
@@ -169,10 +181,10 @@ fn failed_ingest_kills_the_store_and_recovery_acks_only_the_durable_prefix() {
 
     let (mut rec, report) = DurableStore::recover(disk, WalConfig::default()).unwrap();
     assert_eq!((report.records, report.torn_tails), (1, 1));
-    let (outcome, ack) = rec.ingest(&sb(0, 0, 100)).unwrap();
+    let (outcome, ack) = ingest(&mut rec, &sb(0, 0, 100)).unwrap();
     assert_eq!(outcome, SeqIngest::Duplicate);
     assert_eq!(ack.cum, 1, "redelivery is acked at the durable prefix");
-    let (outcome, ack) = rec.ingest(&sb(1, 0, 200)).unwrap();
+    let (outcome, ack) = ingest(&mut rec, &sb(1, 0, 200)).unwrap();
     assert_eq!((outcome, ack.cum), (SeqIngest::Stored, 2));
 }
 
@@ -199,7 +211,7 @@ fn dir_storage_round_trips_on_disk() {
         };
         let mut ds = DurableStore::create(storage, cfg).unwrap();
         for i in 0..20 {
-            ds.ingest(&sb(i, 3, 50 * (i + 1))).unwrap();
+            ingest(&mut ds, &sb(i, 3, 50 * (i + 1))).unwrap();
         }
     } // writer gone; files remain
     let storage = DirStorage::open(&dir).unwrap();
@@ -241,11 +253,11 @@ fn dir_storage_checkpoint_keeps_the_open_segment_and_recovers() {
         let storage = DirStorage::open(&dir).unwrap();
         let mut ds = DurableReceiver::<_, GapLedger>::create(storage, cfg).unwrap();
         for i in 0..2 {
-            ds.ingest(&sb(i, 5, 50 * (i + 1))).unwrap();
+            ingest(&mut ds, &sb(i, 5, 50 * (i + 1))).unwrap();
         }
         for i in 0..20 {
-            ds.ingest(&sb(i, 3, 50 * (i + 1))).unwrap();
-            ds.ingest(&sb(i, 4, 50 * (i + 1))).unwrap();
+            ingest(&mut ds, &sb(i, 3, 50 * (i + 1))).unwrap();
+            ingest(&mut ds, &sb(i, 4, 50 * (i + 1))).unwrap();
         }
         ds.flush().unwrap();
         let before = ds.wal().storage().list().unwrap();
@@ -278,11 +290,30 @@ fn dir_storage_checkpoint_keeps_the_open_segment_and_recovers() {
     assert_eq!(rec.keep().contiguous(SourceId(4)), 20);
     assert_eq!(rec.keep().contiguous(SourceId(5)), 0, "forgotten");
     rec.adopt_source(SourceId(5), 2);
-    let (outcome, ack) = rec.ingest(&sb(2, 5, 150)).unwrap();
+    let (outcome, ack) = ingest(&mut rec, &sb(2, 5, 150)).unwrap();
     assert_eq!(outcome, SeqIngest::Stored);
     assert_eq!(ack.cum, 3);
     drop(rec);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A real storage failure is the backend's own `io::Error`, returned as
+/// it is — not wrapped, and not mistaken for an injected crash.
+#[test]
+fn a_storage_error_reaches_the_caller_unwrapped() {
+    let dir = std::env::temp_dir().join(format!(
+        "uburst-wal-test-{}-{}",
+        std::process::id(),
+        line!()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let storage = DirStorage::open(&dir).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    let err = DurableStore::create(storage, WalConfig::default())
+        .err()
+        .expect("the directory is gone");
+    assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+    assert!(!crate::failpoint::is_injected_crash(&err));
 }
 
 /// A dead process deletes nothing: after its crash a torn storage refuses
@@ -305,7 +336,7 @@ fn torn_storage_refuses_remove_after_its_crash() {
 /// The load-bearing identity behind group commit: for any window
 /// partition, `ingest_group` produces the same physical byte stream,
 /// the same record-end coordinates, the same outcomes, and the same
-/// ack values as per-record `ingest` — under every fsync policy and
+/// ack values as one-record windows — under every fsync policy and
 /// across segment rotations.
 #[test]
 fn group_ingest_matches_per_record_ingest_bytes_and_acks() {
@@ -337,7 +368,10 @@ fn group_ingest_matches_per_record_ingest_bytes_and_acks() {
         batches.push(sb(2, 0, 300)); // duplicate redelivery
         batches.push(sb(99, 1, 12_345)); // reordered: ahead of prefix
 
-        let per_acks: Vec<_> = batches.iter().map(|b| per.ingest(b).unwrap()).collect();
+        let per_acks: Vec<_> = batches
+            .iter()
+            .map(|b| ingest(&mut per, b).unwrap())
+            .collect();
 
         // Varying window sizes so group boundaries land everywhere
         // relative to sync points and rotations.
@@ -439,7 +473,7 @@ fn store_keep_and_ledger_keep_are_one_receiver() {
                         assert_eq!(released, with_ledger.flush()?, "{at} tick {tick}");
                         acks.extend(released);
                     }
-                    Ok::<(), WalError>(())
+                    Ok::<(), io::Error>(())
                 })
                 .unwrap();
             assert!(tick > 6, "{at}: the adoption happened mid-run");
@@ -498,8 +532,8 @@ fn store_keep_and_ledger_keep_are_one_receiver() {
                 assert!(store_report.records > 0 && store_report.adoptions > 0);
                 for source in 0..WORK.sources {
                     assert_eq!(
-                        rec_store.ingest(&probe(source)).unwrap(),
-                        rec_ledger.ingest(&probe(source)).unwrap(),
+                        ingest(&mut rec_store, &probe(source)).unwrap(),
+                        ingest(&mut rec_ledger, &probe(source)).unwrap(),
                         "{at}: first ack of source {source}"
                     );
                 }
@@ -545,7 +579,7 @@ impl CloneModel {
         }
     }
 
-    fn ingest(&mut self, source: SourceId, seq: u64) -> (SeqIngest, AckMsg) {
+    fn receive(&mut self, source: SourceId, seq: u64) -> (SeqIngest, AckMsg) {
         let cum = self.contiguous.entry(source).or_insert(0);
         if seq < *cum {
             return (SeqIngest::Duplicate, self.ack(source));
@@ -633,7 +667,7 @@ fn acks_match_the_full_map_clone_model() {
                                 _ => next,
                             };
                             window.push(sb(seq, source.0, 10 * (seq + 1)));
-                            expect.push(model.ingest(source, seq));
+                            expect.push(model.receive(source, seq));
                         }
                         ds.ingest_group(&window, &mut out).unwrap();
                         assert_eq!(out, expect, "{at}");
@@ -828,8 +862,8 @@ impl WalStorage for CountingStorage {
 
 #[test]
 fn commit_group_coalesces_physical_writes_and_syncs() {
-    // Under Always, per-record ingest physically syncs per record;
-    // group ingest must reach the same durable, fully-acked state with
+    // Under Always, one-record windows physically sync per record; a
+    // wider window must reach the same durable, fully-acked state with
     // one physical write and one physical sync per window.
     let storage = CountingStorage::new();
     let mut ds = DurableStore::create(
@@ -858,11 +892,11 @@ fn commit_group_coalesces_physical_writes_and_syncs() {
 fn quarantined_batches_replay_as_quarantined() {
     let storage = MemStorage::new();
     let mut ds = DurableStore::create(storage.clone(), WalConfig::default()).unwrap();
-    ds.ingest(&sb(0, 0, 100)).unwrap();
+    ingest(&mut ds, &sb(0, 0, 100)).unwrap();
     // Seq 1 carries timestamps duplicating seq 0's: quarantined, but
     // logged and acked (it was delivered; retransmitting it forever
     // would not make it well-formed).
-    let (outcome, ack) = ds.ingest(&sb(1, 0, 100)).unwrap();
+    let (outcome, ack) = ingest(&mut ds, &sb(1, 0, 100)).unwrap();
     assert_eq!(outcome, SeqIngest::Stored);
     assert_eq!(ack.cum, 2);
     assert_eq!(ds.store().stats().quarantined_batches, 1);
@@ -881,13 +915,13 @@ fn adopted_stream_acks_from_handoff_point() {
     // handoff): the first in-sequence delivery is 7, acked as 8.
     ds.adopt_source(SourceId(0), 7);
     assert_eq!(ds.store().contiguous(SourceId(0)), 7);
-    let (outcome, ack) = ds.ingest(&sb(7, 0, 100)).unwrap();
+    let (outcome, ack) = ingest(&mut ds, &sb(7, 0, 100)).unwrap();
     assert_eq!(outcome, SeqIngest::Stored);
     assert_eq!(ack.cum, 8);
     // A straggling redelivery from inside the adopted range is
     // re-acked without being logged.
     let bytes = ds.wal().total_bytes();
-    let (outcome, ack) = ds.ingest(&sb(3, 0, 50)).unwrap();
+    let (outcome, ack) = ingest(&mut ds, &sb(3, 0, 50)).unwrap();
     assert_eq!(outcome, SeqIngest::Duplicate);
     assert_eq!(ack.cum, 8);
     assert_eq!(ds.wal().total_bytes(), bytes, "duplicate not re-logged");
@@ -912,13 +946,13 @@ fn adoption_does_not_promote_unsynced_tail_to_acked() {
         fsync: FsyncPolicy::EveryN(10),
     };
     let mut ds = DurableStore::create(MemStorage::new(), cfg).unwrap();
-    let (_, a0) = ds.ingest(&sb(0, 0, 100)).unwrap();
-    let (_, a1) = ds.ingest(&sb(1, 0, 200)).unwrap();
+    let (_, a0) = ingest(&mut ds, &sb(0, 0, 100)).unwrap();
+    let (_, a1) = ingest(&mut ds, &sb(1, 0, 200)).unwrap();
     assert_eq!((a0.cum, a1.cum), (0, 0), "unsynced: acks withheld");
     // A re-adoption at the shipper's acked prefix (0 — nothing acked
     // yet) must not leak the stored-but-unsynced records into acks.
     ds.adopt_source(SourceId(0), 0);
-    let (_, ack) = ds.ingest(&sb(5, 0, 900)).unwrap(); // reordered probe
+    let (_, ack) = ingest(&mut ds, &sb(5, 0, 900)).unwrap(); // reordered probe
     assert_eq!(ack.cum, 0, "own unsynced tail still gated");
     let released = ds.flush().unwrap();
     assert_eq!(released.len(), 1);
@@ -935,7 +969,7 @@ fn recover_replay_surfaces_every_clean_record_in_order() {
     let mut ds = DurableStore::create(storage.clone(), cfg).unwrap();
     ds.adopt_source(SourceId(1), 4);
     for i in 0..6u64 {
-        ds.ingest(&sb(4 + i, 1, 100 * (i + 1))).unwrap();
+        ingest(&mut ds, &sb(4 + i, 1, 100 * (i + 1))).unwrap();
     }
     drop(ds);
     let mut seen = Vec::new();

@@ -31,6 +31,7 @@ const WAL: WalConfig = WalConfig {
 fn corpus() -> Vec<Vec<u8>> {
     let disk = MemStorage::new();
     let mut ds = DurableStore::create(disk.clone(), WAL).expect("create");
+    let mut out = Vec::new();
     for seq in 0..12u64 {
         for source in 0..3u32 {
             let counter = match (seq + source as u64) % 4 {
@@ -43,7 +44,7 @@ fn corpus() -> Vec<Vec<u8>> {
             for k in 0..(seq + source as u64) % 6 {
                 samples.push(Nanos(1 + seq * 100 + k), seq * 7 + k);
             }
-            ds.ingest(&SeqBatch {
+            let record = SeqBatch {
                 seq,
                 watermark: seq + 1,
                 batch: Batch {
@@ -52,8 +53,9 @@ fn corpus() -> Vec<Vec<u8>> {
                     counter,
                     samples,
                 },
-            })
-            .expect("intact storage");
+            };
+            ds.ingest_group(&[record], &mut out)
+                .expect("intact storage");
         }
     }
     let segments = disk.list().expect("list");

@@ -80,7 +80,7 @@ pub mod prelude {
         FsyncPolicy, GapLedger, HealthState, LinkPlan, LossyLink, MemStorage, PollError, Poller,
         PollerStats, QuarantineReason, RecoveryReport, RegionCrashPlan, RetryPolicy, RoundInput,
         SampleStore, SeqBatch, SeqIngest, Series, Shipment, Shipper, ShipperConfig, SourceId,
-        SwitchCoverage, SwitchStream, TornStorage, UtilSample, WalConfig, WalError, WrapDecoder,
+        SwitchCoverage, SwitchStream, TornStorage, UtilSample, WalConfig, WrapDecoder,
     };
     pub use uburst_sim::prelude::*;
     pub use uburst_workloads::{

@@ -26,11 +26,12 @@
 mod common;
 
 use std::collections::BTreeMap;
+use std::io;
 
 use common::*;
 use uburst::prelude::*;
 use uburst::telemetry::wal::WalStorage;
-use uburst::telemetry::{Session, Workload};
+use uburst::telemetry::{is_injected_crash, Session, Workload};
 
 const SEED: u64 = 0x5EED_C4A5;
 const WORK: Workload = Workload {
@@ -54,42 +55,34 @@ fn resume(session: &mut Session) {
     session.relink(link_plan(), seed, seed ^ 1);
 }
 
-/// How the aggregator commits a delivery window to its WAL.
-#[derive(Clone, Copy)]
-enum Commit {
-    /// One [`DurableStore::ingest`] (write + policy sync) per record.
-    PerRecord,
-    /// The whole window as one [`DurableStore::ingest_group`] — the fleet
-    /// aggregator's shape. Its per-frame acks are bit-identical to
-    /// sequential ingest; any divergence would desynchronize the seeded
-    /// ack link's fault pattern and fail the equivalence assertions below.
-    Grouped,
-}
+/// How the aggregator cuts each delivery window into WAL commits: every
+/// `window.chunks(cut)` is one [`DurableStore::ingest_group`]. Committing
+/// each record alone is the cut where, under fsync-always, recovery is
+/// *exactly* the acked prefix; committing the whole window is the fleet
+/// aggregator's shape. Every cut issues bit-identical acks: any divergence
+/// would desynchronize the seeded ack link's fault pattern and fail the
+/// equivalence assertions below.
+const PER_RECORD: usize = 1;
+const WHOLE: usize = usize::MAX;
 
 /// The receiver a [`Session`] drives until every batch is acknowledged or
-/// the store's storage crashes: commits each window per `commit`, records
-/// the highest ack issued per source in `acked`, and every seventh tick
-/// flushes explicitly — under EveryN/Never that is what releases the
-/// withheld acks (a real collector would flush on a timer too).
+/// the store's storage crashes: commits each window in `cut`-record
+/// pieces, records the highest ack issued per source in `acked`, and every
+/// seventh tick flushes explicitly — under EveryN/Never that is what
+/// releases the withheld acks (a real collector would flush on a timer
+/// too).
 fn receiver<'a, S: WalStorage>(
     ds: &'a mut DurableStore<S>,
     acked: &'a mut BTreeMap<SourceId, u64>,
-    commit: Commit,
-) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+    cut: usize,
+) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> io::Result<()> + 'a {
     let mut tick = 0u64;
-    let mut grouped = Vec::new();
+    let mut out = Vec::new();
     move |window, acks| {
         let mut send = |ack| issue(acked, acks, ack);
-        match commit {
-            Commit::PerRecord => {
-                for sb in &window {
-                    send(ds.ingest(sb)?.1);
-                }
-            }
-            Commit::Grouped => {
-                ds.ingest_group(&window, &mut grouped)?;
-                grouped.drain(..).for_each(|(_, ack)| send(ack));
-            }
+        for piece in window.chunks(cut) {
+            ds.ingest_group(piece, &mut out)?;
+            out.drain(..).for_each(|(_, ack)| send(ack));
         }
         if tick % 7 == 6 {
             ds.flush()?.into_iter().for_each(send);
@@ -106,7 +99,7 @@ fn reference_run() -> (Vec<u8>, u64, Vec<u64>) {
     let mut ds = DurableStore::create(MemStorage::new(), wal_config()).expect("create");
     let mut acked = BTreeMap::new();
     fresh_session()
-        .run(receiver(&mut ds, &mut acked, Commit::PerRecord))
+        .run(receiver(&mut ds, &mut acked, PER_RECORD))
         .expect("no crash on intact storage");
     for src in 0..SOURCES {
         assert_eq!(
@@ -156,16 +149,16 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
         let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
         let mut session = fresh_session();
         let crashed = match DurableStore::create(torn, wal_config()) {
-            Ok(mut ds) => match session.run(receiver(&mut ds, &mut acked, Commit::PerRecord)) {
+            Ok(mut ds) => match session.run(receiver(&mut ds, &mut acked, PER_RECORD)) {
                 Ok(_) => false,
                 Err(e) => {
-                    assert!(e.is_injected_crash(), "unexpected real error: {e}");
+                    assert!(is_injected_crash(&e), "unexpected real error: {e}");
                     true
                 }
             },
             // Budget below the first segment header: died at birth.
             Err(e) => {
-                assert!(e.is_injected_crash(), "unexpected real error: {e}");
+                assert!(is_injected_crash(&e), "unexpected real error: {e}");
                 true
             }
         };
@@ -213,7 +206,7 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
         // (3) Gap accounting: with the shippers' watermarks announced,
         // received + missing tile the assigned range exactly.
         for sh in session.shippers() {
-            rec.note_stream_state(sh.source(), sh.next_seq());
+            rec.store().note_watermark(sh.source(), sh.next_seq());
         }
         let ledger = rec.store().ledger();
         for sh in session.shippers() {
@@ -241,7 +234,7 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
         let mut rec = rec;
         resume(&mut session);
         session
-            .run(receiver(&mut rec, &mut acked, Commit::PerRecord))
+            .run(receiver(&mut rec, &mut acked, PER_RECORD))
             .expect("no second crash on intact storage");
         let final_csv = csv(&rec.store());
         assert_eq!(
@@ -262,10 +255,12 @@ fn every_crash_point_recovers_to_exactly_the_acked_prefix() {
     );
 }
 
-/// Group commit must be *invisible* to everything downstream of the WAL's
-/// byte stream: a full grouped session produces the same acks (so the
-/// seeded links draw the same faults), the same store, and the same
-/// physical log — byte for byte, under every fsync policy.
+/// How a stream is cut into commit windows must be *invisible* to
+/// everything downstream of the WAL's byte stream: a full session
+/// committed one record at a time, two, three, or a whole delivery window
+/// at a time produces the same acks (so the seeded links draw the same
+/// faults), the same store, and the same physical log — byte for byte,
+/// under every fsync policy.
 #[test]
 fn grouped_session_is_byte_identical_to_per_record_session() {
     for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(5)] {
@@ -273,49 +268,45 @@ fn grouped_session_is_byte_identical_to_per_record_session() {
             segment_max_bytes: SEGMENT_BYTES,
             fsync,
         };
-        let per_disk = MemStorage::new();
-        let mut per = DurableStore::create(per_disk.clone(), cfg).expect("create");
-        let mut per_acked = BTreeMap::new();
-        fresh_session()
-            .run(receiver(&mut per, &mut per_acked, Commit::PerRecord))
-            .expect("intact storage");
-
-        let grp_disk = MemStorage::new();
-        let mut grp = DurableStore::create(grp_disk.clone(), cfg).expect("create");
-        let mut grp_acked = BTreeMap::new();
-        fresh_session()
-            .run(receiver(&mut grp, &mut grp_acked, Commit::Grouped))
-            .expect("intact storage");
-
-        assert_eq!(per_acked, grp_acked, "{fsync:?}: ack streams diverged");
-        assert_eq!(
-            per.wal().total_bytes(),
-            grp.wal().total_bytes(),
-            "{fsync:?}: byte streams diverged"
-        );
-        assert_eq!(
-            per.wal().record_ends(),
-            grp.wal().record_ends(),
-            "{fsync:?}: record layout diverged"
-        );
-        let per_segs = per_disk.list().expect("list");
-        assert_eq!(
-            per_segs,
-            grp_disk.list().expect("list"),
-            "{fsync:?}: rotations"
-        );
-        for idx in per_segs {
+        // Every ack issued, in order, and what the session left behind.
+        let session_at = |cut: usize| {
+            let disk = MemStorage::new();
+            let mut ds = DurableStore::create(disk.clone(), cfg).expect("create");
+            let (mut acked, mut issued) = (BTreeMap::new(), Vec::new());
+            {
+                let mut receive = receiver(&mut ds, &mut acked, cut);
+                fresh_session()
+                    .run(|window, acks: &mut Vec<AckMsg>| {
+                        receive(window, acks)?;
+                        issued.extend_from_slice(acks);
+                        io::Result::Ok(())
+                    })
+                    .expect("intact storage");
+            }
+            let segments: Vec<_> = disk
+                .list()
+                .expect("list")
+                .into_iter()
+                .map(|idx| (idx, disk.read(idx).expect("read")))
+                .collect();
+            let ends = ds.wal().record_ends().to_vec();
+            (issued, segments, ends, csv(&ds.store()))
+        };
+        let (per_acks, per_segs, per_ends, per_csv) = session_at(PER_RECORD);
+        assert!(per_segs.len() > 4, "{fsync:?}: the log rotates");
+        for cut in [2, 3, WHOLE] {
+            let (acks, segs, ends, csv) = session_at(cut);
+            assert_eq!(acks, per_acks, "{fsync:?} cut {cut}: ack streams diverged");
             assert_eq!(
-                per_disk.read(idx).expect("read"),
-                grp_disk.read(idx).expect("read"),
-                "{fsync:?}: segment {idx} differs"
+                ends, per_ends,
+                "{fsync:?} cut {cut}: record layout diverged"
             );
+            assert_eq!(
+                segs, per_segs,
+                "{fsync:?} cut {cut}: segment bytes diverged"
+            );
+            assert_eq!(csv, per_csv, "{fsync:?} cut {cut}: stores diverged");
         }
-        assert_eq!(
-            csv(&per.store()),
-            csv(&grp.store()),
-            "{fsync:?}: stores diverged"
-        );
     }
 }
 
@@ -339,7 +330,7 @@ fn every_crash_point_recovers_identically_under_group_commit() {
         {
             let torn = TornStorage::new(per_disk.clone(), budget);
             if let Ok(mut ds) = DurableStore::create(torn, wal_config()) {
-                let _ = fresh_session().run(receiver(&mut ds, &mut per_acked, Commit::PerRecord));
+                let _ = fresh_session().run(receiver(&mut ds, &mut per_acked, PER_RECORD));
             }
         }
         // Grouped session up to the same crash.
@@ -350,7 +341,7 @@ fn every_crash_point_recovers_identically_under_group_commit() {
             let torn = TornStorage::new(grp_disk.clone(), budget);
             match DurableStore::create(torn, wal_config()) {
                 Ok(mut ds) => grp_session
-                    .run(receiver(&mut ds, &mut grp_acked, Commit::Grouped))
+                    .run(receiver(&mut ds, &mut grp_acked, WHOLE))
                     .is_err(),
                 Err(_) => true,
             }
@@ -394,7 +385,7 @@ fn every_crash_point_recovers_identically_under_group_commit() {
             let mut rec = grp_rec;
             resume(&mut grp_session);
             grp_session
-                .run(receiver(&mut rec, &mut grp_acked, Commit::Grouped))
+                .run(receiver(&mut rec, &mut grp_acked, WHOLE))
                 .expect("no second crash on intact storage");
             let final_csv = csv(&rec.store());
             assert_eq!(
@@ -422,7 +413,7 @@ fn weaker_policies_still_never_lose_acked_records() {
         let torn = TornStorage::new(disk.clone(), budget);
         let mut acked: BTreeMap<SourceId, u64> = BTreeMap::new();
         if let Ok(mut ds) = DurableStore::create(torn, cfg) {
-            let _ = fresh_session().run(receiver(&mut ds, &mut acked, Commit::PerRecord));
+            let _ = fresh_session().run(receiver(&mut ds, &mut acked, PER_RECORD));
         }
         let (rec, report) = DurableStore::recover(disk, cfg).expect("recovery");
         assert_eq!(report.duplicates, 0);

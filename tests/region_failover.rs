@@ -33,12 +33,13 @@
 mod common;
 
 use std::collections::BTreeMap;
+use std::io;
 
 use common::*;
 use uburst::prelude::*;
 use uburst::sim::node::PortId;
 use uburst::telemetry::wal::WalStorage;
-use uburst::telemetry::{Fleet, Session, Workload};
+use uburst::telemetry::{is_injected_crash, Fleet, Session, Workload};
 
 const SEED: u64 = 0x0FA1_70FF;
 const WORK: Workload = Workload {
@@ -61,17 +62,20 @@ fn fresh_session() -> Session {
 /// it dies (the ack may still be lost on the wire before the shipper sees
 /// it).
 ///
-/// Per-record ingest: under fsync-always this is the mode where "recovery
-/// == acked prefix" is *exact* (a torn group can leave clean records
-/// whose acks were withheld; PR 7's suite pins the containment story for
-/// the grouped mode, and its byte-stream equivalence to this one).
+/// One commit per record, `chunks(1)` of each window: under fsync-always
+/// this is the cut where "recovery == acked prefix" is *exact* (a torn
+/// wider window can leave clean records whose acks were withheld;
+/// `tests/crash_recovery.rs` pins the containment story for whole-window
+/// commits, and their byte-stream equivalence to this cut).
 fn aggregator<'a, S: WalStorage>(
     ds: &'a mut DurableStore<S>,
     acked: &'a mut BTreeMap<SourceId, u64>,
-) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> Result<(), WalError> + 'a {
+) -> impl FnMut(Vec<Shipment>, &mut Vec<AckMsg>) -> io::Result<()> + 'a {
+    let mut out = Vec::new();
     move |window, acks| {
-        for sb in &window {
-            issue(acked, acks, ds.ingest(sb)?.1);
+        for record in window.chunks(1) {
+            ds.ingest_group(record, &mut out)?;
+            out.iter().for_each(|&(_, ack)| issue(acked, acks, ack));
         }
         Ok(())
     }
@@ -126,7 +130,7 @@ fn failover_sweep_recovers_acked_prefix_and_converges() {
             match DurableStore::create(TornStorage::new(a_disk.clone(), budget), wal_config()) {
                 Ok(mut ds) => session.run(aggregator(&mut ds, &mut acked_at_a)).is_err(),
                 Err(e) => {
-                    assert!(e.is_injected_crash(), "unexpected real error: {e}");
+                    assert!(is_injected_crash(&e), "unexpected real error: {e}");
                     true
                 }
             };
