@@ -31,7 +31,6 @@ pub use counters::{
     size_bin, AsicCounters, CounterId, N_SIZE_BINS, SIZE_BIN_EDGES, SIZE_BIN_LABELS,
 };
 pub use fault::{FaultInjector, FaultPlan, FaultStats, ReadFault};
-pub use readplan::ReadPlan;
 
 #[cfg(test)]
 mod integration {

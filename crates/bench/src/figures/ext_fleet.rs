@@ -9,7 +9,7 @@
 //! the cross-rack readouts (ECMP uplink balance, inter-rack correlation)
 //! at several injected failure rates. Every report carries the coverage
 //! ledger saying which switches (and what fraction of their samples) the
-//! figures include, plus the fleet's `uburst-obs` rollup.
+//! figures include, and where every batch they produced ended up.
 //!
 //! The second half is the **aggregator crash matrix**: the busiest
 //! regional aggregator's WAL storage is killed at byte offsets swept
@@ -96,7 +96,6 @@ fn measure(fleets: &[FleetSpec]) -> impl Fn(&FleetSpec, &RegionCrashPlan) -> Fle
 /// policy sweep.
 pub fn render(scale: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
     let n = scale.fleet_switches();
-    uburst_obs::enable();
     let mut out = format!(
         "extension: fleet-scale collection with partial-failure tolerance ({} scale)\n\
          {n} switches per fleet, rack types rotating Web/Cache/Hadoop, seed {FLEET_SEED:#x}\n\
@@ -112,13 +111,14 @@ pub fn render(scale: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
     let mut reference_wal_bytes: Vec<u64> = Vec::new();
     let mut sweep = Vec::new();
     for fleet in &rate_fleets {
-        let heading = format!(
-            "\n=== fleet at {:.0}% flaky rate ===\n\n",
-            fleet.flaky_rate * 100.0
-        );
-        let run = section(&mut out, heading, || {
-            fleet_run(fleet, &RegionCrashPlan::none())
-        });
+        let run = fleet_run(fleet, &RegionCrashPlan::none());
+        write!(
+            out,
+            "\n=== fleet at {:.0}% flaky rate ===\n\n{}",
+            fleet.flaky_rate * 100.0,
+            render_report(&run)
+        )
+        .unwrap();
         if fleet.flaky_rate == 0.0 {
             reference_wal_bytes = run.outcome.regions.iter().map(|r| r.wal_bytes).collect();
             sweep.push(policy_row(&run));
@@ -145,12 +145,14 @@ pub fn render(scale: Scale, _: &[CampaignSpec], _: &[CampaignRun]) -> String {
     .unwrap();
     for frac in CRASH_FRACTIONS {
         let offset = (victim_bytes as f64 * frac) as u64;
-        let heading = format!(
-            "\n=== aggregator crash at {:.0}% of region {victim}'s WAL (byte {offset}) ===\n\n",
-            frac * 100.0
-        );
-        let crash = RegionCrashPlan::kill(victim, offset);
-        section(&mut out, heading, || fleet_run(&rate_fleets[0], &crash));
+        let run = fleet_run(&rate_fleets[0], &RegionCrashPlan::kill(victim, offset));
+        write!(
+            out,
+            "\n=== aggregator crash at {:.0}% of region {victim}'s WAL (byte {offset}) ===\n\n{}",
+            frac * 100.0,
+            render_report(&run)
+        )
+        .unwrap();
     }
     drop(fleet_run); // frees the default carve's runs before the next carve simulates
 
@@ -191,32 +193,14 @@ fn policy_row(run: &FleetRun) -> ([String; 4], u64, f64) {
     let drops: u64 = run.switches.iter().map(|s| s.drops).sum();
     let coverage = &run.outcome.coverage;
     let produced: u64 = coverage.switches.iter().map(|s| s.produced).sum();
-    let stored: u64 = coverage.switches.iter().map(|s| s.stored).sum();
     let fraction = coverage.sample_fraction();
     let row = [
         run.spec.policy.label(),
         format!("{drops}"),
-        format!("{stored}/{produced}"),
+        format!("{}/{produced}", coverage.stored()),
         format!("{fraction:.4}"),
     ];
     (row, drops, fraction)
-}
-
-/// Appends `heading` and the report of the fleet `assemble` returns, with
-/// fresh telemetry so the report's obs rollup is this fleet's.
-fn section(out: &mut String, heading: String, assemble: impl FnOnce() -> FleetRun) -> FleetRun {
-    uburst_obs::reset();
-    let run = assemble();
-    out.push_str(&heading);
-    out.push_str(&render_report(&run));
-    let rollup = uburst_obs::snapshot().prefix_rollup("uburst_fleet_");
-    let rollup = if rollup.is_empty() {
-        " <empty>\n".into()
-    } else {
-        format!("\n{rollup}\n")
-    };
-    write!(out, "\nobs rollup (uburst_fleet_*):{rollup}").unwrap();
-    run
 }
 
 #[cfg(test)]

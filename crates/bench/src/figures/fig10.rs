@@ -81,12 +81,7 @@ pub fn render(scale: Scale, specs: &[CampaignSpec], runs: &[CampaignRun]) -> Str
             // The paper's windows are full-width only; trailing samples
             // that don't fill a window are excluded from the figure but
             // reported below, so truncation is never silent.
-            let dropped = port_utils[0].len() - hot_ports.len() * samples_per_window;
-            uburst_obs::counter_add!(
-                "uburst_fig10_trailing_samples_dropped_total",
-                dropped as u64
-            );
-            dropped_total += dropped;
+            dropped_total += port_utils[0].len() - hot_ports.len() * samples_per_window;
             // Window peak = max of the read-and-clear register's reads.
             // The peak series has one more sample than the rate series.
             let peaks = &run.series_for(CounterId::BufferPeak).vs;

@@ -23,7 +23,6 @@ pub mod scale;
 
 pub use campaign::{port_bps, representative_port, CampaignRun, CampaignSpec, NetSnapshot};
 pub use fleet::{render_report, FleetRun, FleetSpec, SwitchMeta};
-pub use pearson_pool::correlation_matrix_pooled_on;
 pub use pool::{run_jobs, run_jobs_on, run_parallel, run_parallel_on};
 pub use report::{fmt_bytes, Table};
 pub use scale::Scale;

@@ -92,7 +92,7 @@ impl fmt::Display for ShipError {
 
 impl std::error::Error for ShipError {}
 
-/// Errors raised while starting or stopping a [`crate::Collector`].
+/// Errors raised while starting or stopping a [`crate::collector::Collector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CollectorError {
     /// `start` was asked for a pool of zero workers.

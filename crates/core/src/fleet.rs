@@ -198,7 +198,6 @@ impl Lane {
         if let Some(t) = target {
             regions[t].adopt(self.source, self.shipper().cum_acked());
         }
-        uburst_obs::counter_add!("uburst_fleet_reshards_total", 1);
     }
 
     /// Offers the lane's next round of input (drain rounds, and a lane
@@ -326,7 +325,6 @@ impl Fleet {
             data_rounds = data_rounds.max(s.rounds.len() as u32);
             lanes.insert(s.source, Lane::new(s, home, cfg));
         }
-        uburst_obs::gauge_max!("uburst_fleet_switches", lanes.len() as u64);
         Fleet {
             cfg: *cfg,
             global: Arc::new(SampleStore::new()),
@@ -429,6 +427,7 @@ impl Fleet {
                 resharded: lane.resharded,
                 replayed: lane.replayed,
                 quarantines: lane.health.quarantines,
+                probes: lane.health.probes,
                 rejoins: lane.health.rejoins,
             })
             .collect();
@@ -451,13 +450,8 @@ impl Fleet {
     /// coverage is judged — no crash offset loses acked data.
     pub fn finish(mut self) -> FleetOutcome {
         self.recover_regions(0);
-        let coverage = self.coverage();
-        for s in &coverage.switches {
-            uburst_obs::counter_add!("uburst_fleet_batches_stored_total", s.stored);
-            uburst_obs::counter_add!("uburst_fleet_batches_excluded_total", s.excluded);
-        }
         FleetOutcome {
-            coverage,
+            coverage: self.coverage(),
             regions: self.regions(),
             region_record_ends: self.regions.iter().map(Region::record_ends).collect(),
             rounds: self.data_rounds,
@@ -621,6 +615,10 @@ mod tests {
         assert_eq!(s1.state, HealthState::Recovered);
         assert_eq!(s1.quarantines, 1);
         assert_eq!(s1.rejoins, 1);
+        // Quarantined at round 2; probes at round 4 (still degraded: back
+        // off to round 8), 8 (clean: probe again at once) and 9 (the
+        // second clean round rejoins).
+        assert_eq!(s1.probes, 3);
         assert!(s1.excluded > 0, "quarantined rounds were excluded");
         assert!(
             s1.stored > 0,
@@ -668,8 +666,29 @@ mod tests {
             participated <= (health::QUARANTINE_AFTER + health::MAX_PROBES) as u64,
             "participated {participated} exceeds quarantine + probe budget"
         );
+        // Quarantined at round 2, then every probe fails and the spacing
+        // doubles up to its cap: probes at rounds 4, 8, 16, 32 and 64; the
+        // next would be round 96, past the stream's 80 rounds.
+        assert_eq!(s.probes, 5);
+        assert!(s.probes <= health::MAX_PROBES as u64);
+        assert_eq!(participated, health::QUARANTINE_AFTER as u64 + s.probes);
         assert_eq!(s.rejoins, 0);
         assert_eq!(out.coverage.included(), 0);
+    }
+
+    #[test]
+    fn probe_count_spans_quarantines() {
+        // Degraded for rounds 0–5, rejoined at round 9 after 3 probes,
+        // then degraded again for rounds 20–25: the second quarantine's
+        // probes add to the first's, where the budget's count restarts.
+        let mut s = stream(1, LinkPlan::IDEAL, 40, 6);
+        for round in &mut s.rounds[20..26] {
+            round.degraded = true;
+        }
+        let out = run_fleet(vec![s], &FleetConfig::default());
+        let s = &out.coverage.switches[0];
+        assert_eq!((s.quarantines, s.rejoins), (2, 2));
+        assert_eq!(s.probes, 6);
     }
 
     #[test]
@@ -724,6 +743,7 @@ mod tests {
             resharded: 0,
             replayed: 0,
             quarantines: 0,
+            probes: 0,
             rejoins: 0,
         };
         assert_eq!(empty.fraction(), 0.0);

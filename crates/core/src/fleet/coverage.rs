@@ -46,6 +46,9 @@ pub struct SwitchCoverage {
     pub replayed: u64,
     /// Times this switch was quarantined.
     pub quarantines: u64,
+    /// Probe rounds it took while quarantined, across every quarantine:
+    /// the rounds its backoff schedule let it offer data.
+    pub probes: u64,
     /// Times it rejoined after quarantine.
     pub rejoins: u64,
 }
@@ -91,11 +94,20 @@ impl CoverageLedger {
     /// one that produced nothing — crash-at-round-0) covers nothing: 0.0.
     pub fn sample_fraction(&self) -> f64 {
         let produced: u64 = self.switches.iter().map(|s| s.produced).sum();
-        let stored: u64 = self.switches.iter().map(|s| s.stored).sum();
         if produced == 0 {
             return 0.0;
         }
-        stored as f64 / produced as f64
+        self.stored() as f64 / produced as f64
+    }
+
+    /// Total batches the global store's ledger received across the fleet.
+    pub fn stored(&self) -> u64 {
+        self.switches.iter().map(|s| s.stored).sum()
+    }
+
+    /// Total batches never offered because their switch was quarantined.
+    pub fn excluded(&self) -> u64 {
+        self.switches.iter().map(|s| s.excluded).sum()
     }
 
     /// Switch counts per health state, in state order.
@@ -140,10 +152,12 @@ impl fmt::Display for CoverageLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "coverage: {}/{} switches included, sample fraction {:.4}",
+            "coverage: {}/{} switches included, sample fraction {:.4}, {} batches stored, {} excluded",
             self.included(),
             self.switches.len(),
-            self.sample_fraction()
+            self.sample_fraction(),
+            self.stored(),
+            self.excluded()
         )?;
         let counts = self.state_counts();
         writeln!(
@@ -169,7 +183,7 @@ impl fmt::Display for CoverageLedger {
             }
             writeln!(
                 f,
-                "  switch {}: {}, produced {}, stored {}, missing {}, excluded {}, refused {}, undelivered {}, acked {}, resharded {}, replayed {}, quarantines {}, rejoins {}",
+                "  switch {}: {}, produced {}, stored {}, missing {}, excluded {}, refused {}, undelivered {}, acked {}, resharded {}, replayed {}, quarantines {}, probes {}, rejoins {}",
                 s.source.0,
                 s.state,
                 s.produced,
@@ -182,6 +196,7 @@ impl fmt::Display for CoverageLedger {
                 s.resharded,
                 s.replayed,
                 s.quarantines,
+                s.probes,
                 s.rejoins
             )?;
         }

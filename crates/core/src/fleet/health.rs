@@ -59,6 +59,9 @@ pub(super) struct Health {
     consec_clean: u32,
     pub(super) quarantines: u64,
     pub(super) rejoins: u64,
+    /// Probe rounds taken across every quarantine of the run.
+    pub(super) probes: u64,
+    /// Probe rounds taken in the current quarantine (the budget's count).
     probes_used: u32,
     next_probe: u32,
 }
@@ -75,7 +78,7 @@ impl Health {
             return false;
         }
         self.probes_used += 1;
-        uburst_obs::counter_add!("uburst_fleet_probe_rounds_total", 1);
+        self.probes += 1;
         true
     }
 
@@ -96,7 +99,6 @@ impl Health {
                         self.consec_bad = 0;
                         self.probes_used = 0;
                         self.next_probe = round + PROBE_BACKOFF;
-                        uburst_obs::counter_add!("uburst_fleet_quarantines_total", 1);
                     }
                 }
                 HealthState::Quarantined => {
@@ -117,7 +119,6 @@ impl Health {
                     if self.consec_clean >= REJOIN_AFTER {
                         self.state = HealthState::Recovered;
                         self.rejoins += 1;
-                        uburst_obs::counter_add!("uburst_fleet_rejoins_total", 1);
                     } else {
                         // A clean probe: probe again immediately.
                         self.next_probe = round + 1;

@@ -212,7 +212,6 @@ impl Region {
         self.pending.clear();
         self.down_since = Some(round);
         self.stats.crashes += 1;
-        uburst_obs::counter_add!("uburst_fleet_region_crashes_total", 1);
     }
 
     /// End-of-round durability point of a live region: the WAL syncs, the
@@ -272,14 +271,9 @@ impl Region {
         self.stats.recoveries += 1;
         self.stats.wal_records_recovered += report.records;
         self.stats.replayed += replayed_new;
-        if uburst_obs::enabled() {
-            uburst_obs::counter_add!("uburst_fleet_region_recoveries_total", 1);
-            uburst_obs::counter_add!("uburst_fleet_replayed_batches_total", replayed_new);
-            uburst_obs::counter_add!("uburst_fleet_replay_records_total", report.records);
-            // Downtime in the fleet tier's simulated clock: transport ticks
-            // (never wall time).
-            let downtime_ticks = (round - since) as u64 * cfg.ticks_per_round as u64;
-            uburst_obs::hist_observe!("uburst_fleet_region_downtime_ticks", downtime_ticks);
-        }
+        // Downtime in the fleet tier's simulated clock: transport ticks
+        // (never wall time). No returned struct carries it.
+        let downtime_ticks = (round - since) as u64 * cfg.ticks_per_round as u64;
+        uburst_obs::hist_observe!("uburst_fleet_region_downtime_ticks", downtime_ticks);
     }
 }

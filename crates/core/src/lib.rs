@@ -9,8 +9,8 @@
 //!   and suffering kernel-jitter-induced missed intervals; failed reads are
 //!   retried with bounded exponential backoff and narrow counters are
 //!   wrap-decoded to full width;
-//! * [`errors`] — typed [`PollError`] / [`CollectorError`] values for every
-//!   configuration and runtime failure the pipeline can surface;
+//! * [`errors`] — typed [`PollError`] / [`errors::CollectorError`] values
+//!   for every configuration and runtime failure the pipeline can surface;
 //! * [`spec`] — measurement campaigns and the dedicated vs. shared core
 //!   timing model;
 //! * [`tuning`] — the minimum interval at a target sampling loss, computed
@@ -73,8 +73,7 @@ pub mod tuning;
 pub mod wal;
 
 pub use batch::{Batch, BatchPolicy, Batcher, SourceId};
-pub use collector::{Collector, CollectorReport};
-pub use errors::{CollectorError, PollError, ShipError};
+pub use errors::{PollError, ShipError};
 pub use failpoint::{crash_error, is_injected_crash, CrashPlan, RegionCrashPlan, TornStorage};
 pub use fleet::{
     rendezvous_region, run_fleet, run_fleet_with_crashes, CoverageLedger, Fleet, FleetConfig,

@@ -123,8 +123,6 @@ pub struct PollerStats {
     pub read_errors: u64,
     /// Failed transactions that were retried after backoff.
     pub retries: u64,
-    /// Counter values served stale by the hardware (injector-detected).
-    pub stale_reads: u64,
 }
 
 impl PollerStats {
@@ -412,9 +410,6 @@ impl Poller {
             self.series[i].push(now, v);
         }
         self.stats.polls += 1;
-        if let Some(faults) = self.faults.as_ref() {
-            self.stats.stale_reads = faults.stats().stale_values;
-        }
         if now > self.deadline + self.campaign.interval {
             // The sample landed after its own interval had elapsed.
             self.stats.late_polls += 1;
@@ -486,9 +481,9 @@ impl Poller {
         uburst_obs::counter_add!("uburst_poller_late_polls_total", s.late_polls);
         uburst_obs::counter_add!("uburst_poller_read_errors_total", s.read_errors);
         uburst_obs::counter_add!("uburst_poller_retries_total", s.retries);
-        uburst_obs::counter_add!("uburst_poller_stale_reads_total", s.stale_reads);
-        let spikes = self.fault_stats().map_or(0, |f| f.latency_spikes);
-        uburst_obs::counter_add!("uburst_poller_latency_spikes_total", spikes);
+        let faults = self.fault_stats().unwrap_or_default();
+        uburst_obs::counter_add!("uburst_poller_stale_reads_total", faults.stale_values);
+        uburst_obs::counter_add!("uburst_poller_latency_spikes_total", faults.latency_spikes);
         // Busy vs elapsed simulated time by core mode: the §4.1 overhead
         // split (a dedicated core burns 100% regardless; a shared core is
         // charged only for its transactions).

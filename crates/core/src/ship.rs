@@ -102,8 +102,6 @@ pub struct ShipperStats {
     pub transmissions: u64,
     /// Retransmissions triggered by ack timeouts.
     pub retransmits: u64,
-    /// Highest cumulative ack received.
-    pub acked: u64,
     /// Offers refused because the outstanding cap was reached
     /// ([`ShipError::WindowExhausted`]).
     pub refused: u64,
@@ -230,7 +228,6 @@ impl Shipper {
         if ack.cum > self.cum_acked {
             uburst_obs::counter_add!("uburst_ship_acked_total", ack.cum - self.cum_acked);
             self.cum_acked = ack.cum;
-            self.stats.acked = ack.cum;
             self.ticks_since_progress = 0;
             while self.window.front().is_some_and(|&(seq, _)| seq < ack.cum) {
                 self.window.pop_front();

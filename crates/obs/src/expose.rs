@@ -1,6 +1,7 @@
-//! Snapshot rendering: Prometheus text and the prefix rollup.
+//! Snapshot rendering: Prometheus text, the one published form of a
+//! snapshot.
 //!
-//! Both renderings iterate `BTreeMap`s, so output is a pure function
+//! The rendering iterates `BTreeMap`s, so output is a pure function
 //! of the recorded multiset of updates — the property the telemetry
 //! determinism CI job diffs across thread counts. No wall-clock
 //! timestamps appear anywhere in the output.
@@ -114,38 +115,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Rolls every counter and gauge under a name prefix into one
-    /// deterministic text block — the per-fleet summary `ext_fleet`
-    /// stamps onto its reports (e.g. `prefix_rollup("uburst_fleet_")`).
-    ///
-    /// Counters render in name order with a trailing sum; gauges follow
-    /// (max-aggregated values, so no sum — adding maxima means nothing).
-    /// Pure function of the snapshot: thread-count invariant like every
-    /// other rendering here.
-    pub fn prefix_rollup(&self, prefix: &str) -> String {
-        let mut out = String::new();
-        let mut total = 0u64;
-        let mut n = 0usize;
-        for (name, v) in self.counters.range(prefix.to_owned()..) {
-            if !name.starts_with(prefix) {
-                break;
-            }
-            let _ = writeln!(out, "  counter {name} {v}");
-            total += v;
-            n += 1;
-        }
-        if n > 1 {
-            let _ = writeln!(out, "  counter {prefix}* (sum) {total}");
-        }
-        for (name, v) in self.gauges.range(prefix.to_owned()..) {
-            if !name.starts_with(prefix) {
-                break;
-            }
-            let _ = writeln!(out, "  gauge {name} {v}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -167,28 +136,5 @@ mod tests {
             with_label("a_ns_bucket", None, "le=\"+Inf\""),
             "a_ns_bucket{le=\"+Inf\"}"
         );
-    }
-
-    #[test]
-    fn prefix_rollup_selects_and_sums() {
-        let mut s = Snapshot::default();
-        s.counters.insert("uburst_fleet_rejoins_total".into(), 3);
-        s.counters
-            .insert("uburst_fleet_quarantines_total".into(), 5);
-        s.counters.insert("uburst_ship_acked_total".into(), 99);
-        s.gauges.insert("uburst_fleet_switches".into(), 200);
-        s.gauges.insert("uburst_ship_window_peak".into(), 32);
-        let r = s.prefix_rollup("uburst_fleet_");
-        assert!(r.contains("counter uburst_fleet_quarantines_total 5"));
-        assert!(r.contains("counter uburst_fleet_rejoins_total 3"));
-        assert!(r.contains("counter uburst_fleet_* (sum) 8"));
-        assert!(r.contains("gauge uburst_fleet_switches 200"));
-        assert!(!r.contains("ship"), "prefix filter is exact");
-        // A single matching counter gets no redundant sum line.
-        let single = s.prefix_rollup("uburst_ship_acked");
-        assert!(single.contains("counter uburst_ship_acked_total 99"));
-        assert!(!single.contains("(sum)"));
-        // Empty prefix space renders empty, not a header.
-        assert_eq!(s.prefix_rollup("nope_"), "");
     }
 }

@@ -7,6 +7,10 @@
 //! crate is the reproduction's version of that discipline: a metrics
 //! registry and Prometheus text exposition that every pipeline stage
 //! (poller → collector → WAL → shipper → campaign pool) reports into.
+//! It holds the facts no returned struct carries — process-wide totals
+//! and distributions across campaigns, sessions and regions. A fact a
+//! stage already returns (a fleet's coverage ledger, a report's own
+//! lines) is read from that struct, not mirrored here.
 //!
 //! ## Determinism contract
 //!

@@ -52,8 +52,6 @@ pub struct ResponderApp {
     pending: Vec<Option<PendingReply>>,
     /// Requests served (diagnostics).
     pub served: u64,
-    /// Bytes of response payload sent (diagnostics).
-    pub bytes_served: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +68,6 @@ impl ResponderApp {
             cfg,
             pending: Vec::new(),
             served: 0,
-            bytes_served: 0,
         }
     }
 
@@ -120,7 +117,6 @@ impl App for ResponderApp {
         };
         env.send_response(reply.dst, reply.bytes, reply.group);
         self.served += 1;
-        self.bytes_served += reply.bytes;
     }
 }
 

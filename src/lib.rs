@@ -75,12 +75,12 @@ pub mod prelude {
     pub use uburst_asic::{FaultInjector, FaultPlan, FaultStats};
     pub use uburst_core::{
         rendezvous_region, run_fleet, run_fleet_with_crashes, tune_min_interval, AckMsg, Batch,
-        BatchPolicy, Batcher, CampaignConfig, Collector, CollectorError, CollectorReport, CoreMode,
-        CoverageLedger, CrashPlan, DirStorage, DurableStore, FleetConfig, FleetOutcome,
-        FsyncPolicy, GapLedger, HealthState, LinkPlan, LossyLink, MemStorage, PollError, Poller,
-        PollerStats, QuarantineReason, RecoveryReport, RegionCrashPlan, RetryPolicy, RoundInput,
-        SampleStore, SeqBatch, SeqIngest, Series, Shipment, Shipper, ShipperConfig, SourceId,
-        SwitchCoverage, SwitchStream, TornStorage, UtilSample, WalConfig, WrapDecoder,
+        BatchPolicy, Batcher, CampaignConfig, CoreMode, CoverageLedger, CrashPlan, DirStorage,
+        DurableStore, FleetConfig, FleetOutcome, FsyncPolicy, GapLedger, HealthState, LinkPlan,
+        LossyLink, MemStorage, PollError, Poller, PollerStats, QuarantineReason, RecoveryReport,
+        RegionCrashPlan, RetryPolicy, RoundInput, SampleStore, SeqBatch, SeqIngest, Series,
+        Shipment, Shipper, ShipperConfig, SourceId, SwitchCoverage, SwitchStream, TornStorage,
+        UtilSample, WalConfig, WrapDecoder,
     };
     pub use uburst_sim::prelude::*;
     pub use uburst_workloads::{
