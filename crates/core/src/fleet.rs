@@ -360,7 +360,7 @@ impl Fleet {
         let lanes = &mut self.lanes;
         for region in &mut self.regions {
             if region.recovery_due(self.round, downtime) {
-                region.recover(&self.global, &self.cfg, self.round, &mut |source| {
+                region.recover(&self.global, self.cfg.region_wal, &mut |source| {
                     if let Some(lane) = lanes.get_mut(&source) {
                         lane.replayed += 1;
                     }

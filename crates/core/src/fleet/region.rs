@@ -5,7 +5,6 @@ use std::io;
 
 use uburst_sim::rng::{mix64, GOLDEN_GAMMA};
 
-use super::FleetConfig;
 use crate::batch::SourceId;
 use crate::failpoint::{is_injected_crash, TornStorage};
 use crate::ship::{AckMsg, GapLedger, Shipment};
@@ -241,17 +240,16 @@ impl Region {
     pub(super) fn recover(
         &mut self,
         global: &SampleStore,
-        cfg: &FleetConfig,
-        round: u32,
+        wal: WalConfig,
         replayed: &mut dyn FnMut(SourceId),
     ) {
-        let since = self.down_since.take().expect("recover on a live region");
+        self.down_since.take().expect("recover on a live region");
         let mut replayed_new = 0u64;
         let (ds, report) = DurableReceiver::recover_replay(
             // The recovered process gets a fresh, un-budgeted storage handle
             // over the same disk: one crash per region per run.
             TornStorage::new(self.disk.clone(), u64::MAX),
-            cfg.region_wal,
+            wal,
             &mut |sb| {
                 match global.ingest_seq(sb) {
                     // Stored: new to the global tier — the crash window this
@@ -271,9 +269,5 @@ impl Region {
         self.stats.recoveries += 1;
         self.stats.wal_records_recovered += report.records;
         self.stats.replayed += replayed_new;
-        // Downtime in the fleet tier's simulated clock: transport ticks
-        // (never wall time). No returned struct carries it.
-        let downtime_ticks = (round - since) as u64 * cfg.ticks_per_round as u64;
-        uburst_obs::hist_observe!("uburst_fleet_region_downtime_ticks", downtime_ticks);
     }
 }

@@ -26,6 +26,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::batch::{Batch, SourceId};
@@ -301,6 +302,99 @@ impl Shipper {
     }
 }
 
+/// Per-source state on the receive path: the books of [`GapLedger`] and
+/// of the durable receiver's acks. Entries sit in dense slots in the order
+/// their sources were first seen; an ordered index maps each [`SourceId`]
+/// to its slot, so iteration is in `SourceId` order and an insert costs
+/// O(log n) whatever order the ids arrive in. Those ids are read from the
+/// wire and from logs, so nothing here hashes them. A one-entry last-hit
+/// slot serves the run of lookups one message makes for one source
+/// without touching the index.
+#[derive(Debug, Default)]
+pub(crate) struct SourceTable<V> {
+    slots: Vec<(SourceId, V)>,
+    index: BTreeMap<SourceId, u32>,
+    /// The slot last looked up or inserted: a hint, trusted only when that
+    /// slot's own id matches. Atomic so that lookups through `&self` may
+    /// move it and the table stays `Sync`.
+    last: AtomicU32,
+}
+
+impl<V: Clone> Clone for SourceTable<V> {
+    fn clone(&self) -> Self {
+        SourceTable {
+            slots: self.slots.clone(),
+            index: self.index.clone(),
+            last: AtomicU32::new(self.last.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl<V> SourceTable<V> {
+    /// `source`'s slot, through the last-hit slot and then the index.
+    fn slot(&self, source: SourceId) -> Option<usize> {
+        let last = self.last.load(Ordering::Relaxed) as usize;
+        if self.slots.get(last).is_some_and(|&(id, _)| id == source) {
+            return Some(last);
+        }
+        let slot = *self.index.get(&source)?;
+        self.last.store(slot, Ordering::Relaxed);
+        Some(slot as usize)
+    }
+
+    /// `source`'s entry, if it has one.
+    pub(crate) fn get(&self, source: SourceId) -> Option<&V> {
+        self.slot(source).map(|i| &self.slots[i].1)
+    }
+
+    /// `source`'s entry for update, if it has one.
+    pub(crate) fn get_mut(&mut self, source: SourceId) -> Option<&mut V> {
+        self.slot(source).map(|i| &mut self.slots[i].1)
+    }
+
+    /// `source`'s entry, inserted as `V::default()` at first sight.
+    pub(crate) fn get_or_default(&mut self, source: SourceId) -> &mut V
+    where
+        V: Default,
+    {
+        let i = match self.slot(source) {
+            Some(i) => i,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 sources");
+                self.index.insert(source, slot);
+                self.slots.push((source, V::default()));
+                *self.last.get_mut() = slot;
+                slot as usize
+            }
+        };
+        &mut self.slots[i].1
+    }
+
+    /// Every entry, in `SourceId` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SourceId, &V)> {
+        self.index
+            .iter()
+            .map(|(&source, &slot)| (source, &self.slots[slot as usize].1))
+    }
+
+    /// Every source, in `SourceId` order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = SourceId> + '_ {
+        self.index.keys().copied()
+    }
+
+    /// Every entry, in first-seen order (for order-free sums).
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().map(|(_, v)| v)
+    }
+
+    /// The source the last-hit slot names, if any.
+    #[cfg(test)]
+    fn last_hit(&self) -> Option<SourceId> {
+        let last = self.last.load(Ordering::Relaxed) as usize;
+        self.slots.get(last).map(|&(id, _)| id)
+    }
+}
+
 /// Per-source record of which sequence numbers have been received, which
 /// are known missing, and how many redeliveries were deduplicated.
 #[derive(Debug, Clone, Default)]
@@ -390,7 +484,7 @@ impl SourceLedger {
 /// were deduplicated.
 #[derive(Debug, Clone, Default)]
 pub struct GapLedger {
-    sources: BTreeMap<SourceId, SourceLedger>,
+    sources: SourceTable<SourceLedger>,
 }
 
 impl GapLedger {
@@ -402,7 +496,7 @@ impl GapLedger {
     /// Records one received sequence number. Returns `false` (and counts a
     /// duplicate) when `seq` was already received — the dedup decision.
     pub fn note_received(&mut self, source: SourceId, seq: u64) -> bool {
-        self.sources.entry(source).or_default().note(seq)
+        self.sources.get_or_default(source).note(seq)
     }
 
     /// Adopts `source` at sequence `upto`: every number below it is marked
@@ -413,29 +507,25 @@ impl GapLedger {
     /// one must neither report it as a gap nor wait for a retransmit the
     /// shipper (whose acked prefix is exactly `upto`) will never send.
     pub fn adopt_prefix(&mut self, source: SourceId, upto: u64) {
-        self.sources.entry(source).or_default().adopt_prefix(upto);
+        self.sources.get_or_default(source).adopt_prefix(upto);
     }
 
     /// Raises the source's known transmit watermark (never lowers it).
     pub fn note_watermark(&mut self, source: SourceId, watermark: u64) {
-        let s = self.sources.entry(source).or_default();
+        let s = self.sources.get_or_default(source);
         s.watermark = s.watermark.max(watermark);
     }
 
     /// Contiguous received prefix for `source` — the cumulative ack value.
     pub fn contiguous(&self, source: SourceId) -> u64 {
-        self.sources
-            .get(&source)
-            .map_or(0, SourceLedger::contiguous)
+        self.sources.get(source).map_or(0, SourceLedger::contiguous)
     }
 
     /// Known-missing sequence ranges (inclusive) for `source`: assigned
     /// below the watermark but never received. Analysis reads this to
     /// distinguish "no burst" from "no data".
     pub fn gaps(&self, source: SourceId) -> Vec<(u64, u64)> {
-        self.sources
-            .get(&source)
-            .map_or_else(Vec::new, |s| s.gaps())
+        self.sources.get(source).map_or_else(Vec::new, |s| s.gaps())
     }
 
     /// Total known-missing batches across all sources.
@@ -454,24 +544,24 @@ impl GapLedger {
     /// Batches received for `source`.
     pub fn received_count(&self, source: SourceId) -> u64 {
         self.sources
-            .get(&source)
+            .get(source)
             .map_or(0, |s| s.received.iter().map(|&(lo, hi)| hi - lo + 1).sum())
     }
 
     /// Highest transmit watermark seen for `source`.
     pub fn watermark(&self, source: SourceId) -> u64 {
-        self.sources.get(&source).map_or(0, |s| s.watermark)
+        self.sources.get(source).map_or(0, |s| s.watermark)
     }
 
     /// Sources the ledger has seen, sorted.
     pub fn sources(&self) -> Vec<SourceId> {
-        self.sources.keys().copied().collect()
+        self.sources.keys().collect()
     }
 }
 
 impl fmt::Display for GapLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (source, s) in &self.sources {
+        for (source, s) in self.sources.iter() {
             writeln!(
                 f,
                 "source {}: {} received, watermark {}, {} dup, gaps {:?}",
@@ -914,5 +1004,113 @@ mod tests {
         assert_eq!(l.duplicates_total(), 1, "a real redelivery still counts");
         assert!(l.note_received(s, 10), "first number past the prefix");
         assert_eq!(l.contiguous(s), 11);
+    }
+
+    /// The source table against a `BTreeMap` model. Over 500 sources
+    /// first seen in ascending, descending and random order, a seeded
+    /// interleaving of first sightings, reads and writes (runs of the same
+    /// source, as one message makes, mixed with jumps and misses) must read
+    /// exactly what the model reads. After every operation on a present
+    /// source the last-hit slot names that source, and iteration comes out
+    /// in `SourceId` order.
+    #[test]
+    fn source_table_reads_as_an_ordered_map_under_any_arrival_order() {
+        use std::collections::BTreeMap;
+        use uburst_sim::rng::Rng;
+
+        const SOURCES: u32 = 500;
+        for (order, seed) in [("ascending", 1), ("descending", 2), ("random", 3)] {
+            let mut rng = Rng::new(seed);
+            let mut arrivals: Vec<SourceId> = (0..SOURCES).map(SourceId).collect();
+            match order {
+                "ascending" => {}
+                "descending" => arrivals.reverse(),
+                _ => rng.shuffle(&mut arrivals),
+            }
+            let mut table = SourceTable::<u64>::default();
+            let mut model = BTreeMap::<SourceId, u64>::new();
+            let mut seen = 0;
+            let mut current = arrivals[0];
+            for step in 0..20_000u64 {
+                // 0: insert, 1: get, 2: get_mut.
+                let mut op = rng.below(3);
+                match rng.below(8) {
+                    // The next first sighting, in arrival order.
+                    0 if seen < arrivals.len() => {
+                        current = arrivals[seen];
+                        seen += 1;
+                        op = 0;
+                    }
+                    // A jump to a source seen before.
+                    1 if seen > 0 => current = arrivals[rng.below(seen as u64) as usize],
+                    // A source that never arrives: a miss.
+                    2 => {
+                        let absent = SourceId(SOURCES + rng.below(20) as u32);
+                        assert_eq!(table.get(absent), None);
+                        assert_eq!(table.get_mut(absent), None);
+                        continue;
+                    }
+                    // Another lookup of the same source, as one message makes.
+                    _ => {}
+                }
+                match op {
+                    0 => {
+                        *table.get_or_default(current) += step;
+                        *model.entry(current).or_default() += step;
+                    }
+                    1 => assert_eq!(table.get(current), model.get(&current), "{order} get"),
+                    _ => {
+                        let got = table.get_mut(current).map(|v| {
+                            *v += step;
+                            *v
+                        });
+                        let want = model.get_mut(&current).map(|v| {
+                            *v += step;
+                            *v
+                        });
+                        assert_eq!(got, want, "{order} get_mut");
+                    }
+                }
+                if model.contains_key(&current) {
+                    assert_eq!(table.last_hit(), Some(current), "{order} last hit");
+                }
+            }
+            assert_eq!(
+                model.len(),
+                SOURCES as usize,
+                "{order}: every source arrived"
+            );
+            assert!(table
+                .slots
+                .iter()
+                .map(|&(id, _)| id)
+                .eq(arrivals.iter().copied()));
+            let want: Vec<(SourceId, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            let got: Vec<(SourceId, u64)> = table.iter().map(|(k, &v)| (k, v)).collect();
+            assert_eq!(got, want, "{order} iter");
+            assert!(table.keys().eq(model.keys().copied()), "{order} keys");
+            assert_eq!(table.values().sum::<u64>(), model.values().sum::<u64>());
+            assert!(table.clone().iter().eq(table.iter()), "{order} clone");
+        }
+    }
+
+    #[test]
+    fn ledger_lists_sources_in_id_order_whatever_the_arrival_order() {
+        let mut l = GapLedger::new();
+        for (source, seq) in [(9u32, 0u64), (2, 1), (5, 0), (0, 0), (7, 2), (2, 0)] {
+            l.note_received(SourceId(source), seq);
+        }
+        l.note_watermark(SourceId(3), 2);
+        let ids = [0u32, 2, 3, 5, 7, 9];
+        assert_eq!(l.sources(), ids.map(SourceId));
+        let shown: Vec<String> = l
+            .to_string()
+            .lines()
+            .map(|line| line.split(':').next().unwrap().to_string())
+            .collect();
+        assert_eq!(shown, ids.map(|id| format!("source {id}")));
+        assert_eq!(l.contiguous(SourceId(2)), 2);
+        assert_eq!(l.gaps(SourceId(7)), vec![(0, 1)]);
+        assert_eq!(l.gaps(SourceId(3)), vec![(0, 1)]);
     }
 }

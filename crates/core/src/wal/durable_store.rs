@@ -7,14 +7,13 @@
 //! one tier up, keeps only a [`GapLedger`].
 
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
 use super::{Wal, WalConfig, WalStorage};
 use crate::batch::{Batch, SourceId};
 use crate::segment::{scan_segment, SegmentScan, TearReason};
-use crate::ship::{AckMsg, GapLedger, SeqBatch};
+use crate::ship::{AckMsg, GapLedger, SeqBatch, SourceTable};
 use crate::store::{QuarantineReason, SampleStore, SeqIngest};
 
 /// What recovery found and repaired.
@@ -73,7 +72,7 @@ struct SourceAcks {
 /// not grow with the number of sources the store has ever seen.
 #[derive(Debug, Default)]
 struct AckBook {
-    sources: BTreeMap<SourceId, SourceAcks>,
+    sources: SourceTable<SourceAcks>,
     /// Sources with `dirty` set, in the order they were dirtied.
     dirty: Vec<SourceId>,
 }
@@ -81,12 +80,12 @@ struct AckBook {
 impl AckBook {
     /// The highest ack `source` may be sent right now.
     fn synced(&self, source: SourceId) -> u64 {
-        self.sources.get(&source).map_or(0, |s| s.synced)
+        self.sources.get(source).map_or(0, |s| s.synced)
     }
 
     /// `source`'s entry, put on the dirty list.
     fn dirty_entry(&mut self, source: SourceId) -> &mut SourceAcks {
-        let s = self.sources.entry(source).or_default();
+        let s = self.sources.get_or_default(source);
         if !s.dirty {
             s.dirty = true;
             self.dirty.push(source);
@@ -115,7 +114,7 @@ impl AckBook {
         for source in self.dirty.drain(..) {
             let s = self
                 .sources
-                .get_mut(&source)
+                .get_mut(source)
                 .expect("a dirty source has an entry");
             if s.synced < s.live {
                 released(AckMsg {
@@ -337,14 +336,11 @@ impl<S: WalStorage, K: Keep> DurableReceiver<S, K> {
         let ledger = keep.ledger();
         for source in ledger.sources() {
             let cum = ledger.contiguous(source);
-            acks.sources.insert(
-                source,
-                SourceAcks {
-                    live: cum,
-                    synced: cum,
-                    ..SourceAcks::default()
-                },
-            );
+            *acks.sources.get_or_default(source) = SourceAcks {
+                live: cum,
+                synced: cum,
+                ..SourceAcks::default()
+            };
         }
         let next_segment = indices.last().map_or(0, |&i| i + 1);
         if uburst_obs::enabled() {

@@ -10,7 +10,7 @@ use super::*;
 use crate::batch::{Batch, SourceId};
 use crate::series::Series;
 use crate::ship::{AckMsg, GapLedger, SeqBatch};
-use crate::store::SeqIngest;
+use crate::store::{SampleStore, SeqIngest};
 use uburst_asic::CounterId;
 use uburst_sim::node::PortId;
 use uburst_sim::time::Nanos;
@@ -984,4 +984,101 @@ fn recover_replay_surfaces_every_clean_record_in_order() {
         (0..6u64).map(|i| (SourceId(1), 4 + i)).collect::<Vec<_>>()
     );
     assert_eq!(rec.store().contiguous(SourceId(1)), 10);
+}
+
+/// Recovery is blind to the order in which a log first names its sources.
+/// A log whose sources first appear in descending id order (each first
+/// sighting lands in front of every source already indexed, the worst case
+/// for an ordered index) rebuilds exactly what the same records in
+/// ascending order rebuild: the ledger's sources, prefixes and gaps, the
+/// acks of the next window and of the flush after it, and, for a store,
+/// every stored sample.
+#[test]
+fn recovery_of_a_descending_first_sight_log_equals_the_ascending_one() {
+    const SOURCES: u32 = 48;
+    const ROUNDS: u64 = 4;
+    let cfg = WalConfig {
+        segment_max_bytes: 2048, // a few rounds per segment
+        fsync: FsyncPolicy::EveryN(1 << 20),
+    };
+    // Source `s` is adopted at `s % 3` and its last batch announces `s % 4`
+    // further sequence numbers that never arrive: a gap at the tail.
+    let record = |s: u32, round: u64| {
+        let mut r = sb(u64::from(s % 3) + round, s, 1_000 * (round + 1));
+        if round == ROUNDS - 1 {
+            r.watermark += u64::from(s % 4);
+        }
+        r
+    };
+    type Books = Vec<(SourceId, u64, Vec<(u64, u64)>)>;
+    fn run<K: Keep>(
+        order: &[u32],
+        record: impl Fn(u32, u64) -> SeqBatch,
+        cfg: WalConfig,
+    ) -> (
+        DurableReceiver<MemStorage, K>,
+        Books,
+        Vec<AckMsg>,
+        Vec<AckMsg>,
+    ) {
+        let storage = MemStorage::new();
+        let mut ds = DurableReceiver::<_, K>::create(storage.clone(), cfg).unwrap();
+        for &s in order {
+            ds.adopt_source(SourceId(s), u64::from(s % 3));
+        }
+        let mut out = Vec::new();
+        for round in 0..ROUNDS {
+            let window: Vec<SeqBatch> = order.iter().map(|&s| record(s, round)).collect();
+            ds.ingest_group(&window, &mut out).unwrap();
+            assert!(out.iter().all(|&(o, _)| o == SeqIngest::Stored));
+        }
+        drop(ds);
+        let (mut rec, report) = DurableReceiver::<_, K>::recover(storage, cfg).unwrap();
+        assert_eq!(report.records, u64::from(SOURCES) * ROUNDS);
+        assert_eq!(
+            report.adoptions,
+            order.iter().filter(|&&s| s % 3 > 0).count() as u64
+        );
+        let ledger = rec.keep().ledger();
+        let books: Books = ledger
+            .sources()
+            .into_iter()
+            .map(|s| (s, ledger.contiguous(s), ledger.gaps(s)))
+            .collect();
+        // One more batch per source, in the log's own order: each is acked
+        // at the recovered floor until the flush releases it.
+        let window: Vec<SeqBatch> = order.iter().map(|&s| record(s, ROUNDS)).collect();
+        rec.ingest_group(&window, &mut out).unwrap();
+        let mut acks: Vec<AckMsg> = out.iter().map(|&(_, ack)| ack).collect();
+        acks.sort_by_key(|ack| ack.source);
+        let flushed = rec.flush().unwrap();
+        (rec, books, acks, flushed)
+    }
+
+    let ascending: Vec<u32> = (0..SOURCES).collect();
+    let descending: Vec<u32> = (0..SOURCES).rev().collect();
+    let (up, up_books, up_acks, up_flushed) = run::<Arc<SampleStore>>(&ascending, record, cfg);
+    let (down, down_books, down_acks, down_flushed) =
+        run::<Arc<SampleStore>>(&descending, record, cfg);
+    assert!(up_books.iter().map(|b| b.0).eq((0..SOURCES).map(SourceId)));
+    assert!(up_books.iter().any(|b| !b.2.is_empty()), "tail gaps exist");
+    assert_eq!(down_books, up_books);
+    assert!(up_acks
+        .iter()
+        .all(|ack| ack.cum == u64::from(ack.source.0 % 3) + ROUNDS));
+    assert_eq!(down_acks, up_acks);
+    assert_eq!(up_flushed.len(), SOURCES as usize);
+    assert_eq!(down_flushed, up_flushed);
+    let csv = |ds: &DurableStore<MemStorage>| {
+        let mut bytes = Vec::new();
+        ds.store().export_csv(&mut bytes).unwrap();
+        bytes
+    };
+    assert_eq!(csv(&down), csv(&up), "the same samples stored");
+
+    // A receiver that keeps only the ledger rebuilds the same books.
+    let (_, ledger_books, ledger_acks, ledger_flushed) = run::<GapLedger>(&descending, record, cfg);
+    assert_eq!(ledger_books, up_books);
+    assert_eq!(ledger_acks, up_acks);
+    assert_eq!(ledger_flushed, up_flushed);
 }
